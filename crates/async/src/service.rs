@@ -171,14 +171,20 @@ impl<B: AsyncBackend> Shared<B> {
         // requests to the lane owning its shard. Then the caller's
         // hint ([`OpFuture::pin_lane`]) — a front end that needs FIFO
         // between its own requests routes them through one lane.
-        // Everything else round-robins.
-        let lane_idx = match self.backend.lane_for(&req, self.lanes.len()) {
-            Some(i) => i % self.lanes.len(),
-            None => match lane_hint {
-                Some(i) => i % self.lanes.len(),
-                // ord: Relaxed — ASYNC.stat: round-robin ticket, no ordering needed
-                None => self.next_lane.fetch_add(1, Ordering::Relaxed) % self.lanes.len(),
-            },
+        // Everything else round-robins. With one lane there is nothing
+        // to choose, and the backend is not asked to hash the key.
+        let lanes = self.lanes.len();
+        let lane_idx = if lanes == 1 {
+            0
+        } else {
+            match self.backend.lane_for(&req, lanes) {
+                Some(i) => i % lanes,
+                None => match lane_hint {
+                    Some(i) => i % lanes,
+                    // ord: Relaxed — ASYNC.stat: round-robin ticket, no ordering needed
+                    None => self.next_lane.fetch_add(1, Ordering::Relaxed) % lanes,
+                },
+            }
         };
         let lane = &self.lanes[lane_idx];
         let cell = Arc::new(OpCell::new(req));

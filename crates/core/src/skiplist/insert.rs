@@ -6,7 +6,6 @@ use std::sync::atomic::Ordering;
 use lf_metrics::CasType;
 use lf_reclaim::{Publish, Reclaim};
 use lf_tagged::Backoff;
-use rand::Rng;
 
 use super::node::SkipNode;
 use super::{Bound, Mode, SkipList};
@@ -27,22 +26,19 @@ where
     V: Send + Sync + 'static,
     R: Reclaim + Publish<K> + Publish<V>,
 {
-    /// Geometric tower height: grow with probability 1/2 per level,
-    /// capped at `max_level - 1` so the top level stays empty.
-    fn random_height(&self) -> usize {
-        let mut rng = rand::thread_rng();
-        let mut h = 1;
-        while h < self.max_level - 1 && rng.gen::<bool>() {
-            h += 1;
-        }
-        h
+    /// Geometric tower height from one word of random bits: grow with
+    /// probability 1/2 per level (one bit each), capped at
+    /// `max_level - 1` so the top level stays empty.
+    fn tower_height(&self, bits: u64) -> usize {
+        (1 + bits.trailing_ones() as usize).min(self.max_level - 1)
     }
 
     /// `Insert_SL(k, e)`: insert a tower for `key`, bottom-up.
     ///
-    /// The height is drawn up front so the whole tower is carved from
-    /// one contiguous pool block (see [`SkipNode`]); node `i` of the
-    /// block serves level `i + 1`.
+    /// The height is fixed up front (from `height_bits`, a draw of the
+    /// handle's generator) so the whole tower is carved from one
+    /// contiguous pool block (see [`SkipNode`]); node `i` of the block
+    /// serves level `i + 1`.
     ///
     /// Linearizes when the root node is linked. If the root gets marked
     /// (by a concurrent deletion) while upper levels are still being
@@ -57,6 +53,7 @@ where
         &self,
         key: K,
         value: V,
+        height_bits: u64,
         pool: &LocalPool<SkipNode<K, V, R>>,
         guard: &R::Guard<'_>,
     ) -> Result<(), (K, V)> {
@@ -67,7 +64,7 @@ where
             if (*prev).key_ref().as_key() == Some(&key) {
                 return Err((key, value));
             }
-            let height = self.random_height();
+            let height = self.tower_height(height_bits);
             let (root, recycled) = pool.acquire(height);
             SkipNode::init_tower_at(root, height, key, value, R::birth_epoch(guard), recycled);
             let mut new_node = root;

@@ -34,12 +34,16 @@ pub use set::{SkipSet, SkipSetHandle};
 
 pub(crate) use node::SkipNode;
 
+use std::cell::{Cell, RefCell};
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use lf_metrics::OpSteps;
 use lf_reclaim::{Ebr, Publish, Reclaim};
 use lf_tagged::CachePadded;
+use rand::rngs::SmallRng;
+use rand::{RngCore, SeedableRng};
 
 use crate::list::{Bound, Mode, PIN_AMORTIZE_OPS};
 use crate::pool::{LocalPool, SharedPool};
@@ -88,6 +92,10 @@ pub struct SkipList<K, V, R: Reclaim = Ebr> {
     /// update and must not share a line with the read-mostly fields.
     pub(crate) len: CachePadded<AtomicUsize>,
     pub(crate) max_level: usize,
+    /// Handles registered so far; the ticket seeds each handle's
+    /// tower-height generator, so a replayed single-threaded script
+    /// builds the same towers and counts the same steps.
+    handles: AtomicU64,
 }
 
 // SAFETY: as for `FrList` — all shared mutation is atomic, reclamation
@@ -222,6 +230,7 @@ where
             pool,
             len: CachePadded::new(AtomicUsize::new(0)),
             max_level,
+            handles: AtomicU64::new(0),
         }
     }
 
@@ -232,10 +241,14 @@ where
         // (or an explicit `flush_reclamation`) withdraws the standing
         // announcement.
         R::amortize_pins(&reclaim, PIN_AMORTIZE_OPS);
+        // ord: Relaxed — TOWER.seed: handle ticket, only uniqueness matters
+        let ticket = self.handles.fetch_add(1, Ordering::Relaxed);
         SkipListHandle {
             list: self,
             reclaim,
             pool: LocalPool::new(Arc::clone(&self.pool)),
+            heights: RefCell::new(SmallRng::seed_from_u64(ticket)),
+            steps: Cell::new(OpSteps::default()),
         }
     }
 
@@ -525,6 +538,11 @@ pub struct SkipListHandle<'l, K, V, R: Reclaim = Ebr> {
     pub(crate) reclaim: R::Handle,
     /// Thread-local front for the list's tower-block pool.
     pub(crate) pool: LocalPool<SkipNode<K, V, R>>,
+    /// Tower-height generator, seeded from the list's handle ticket.
+    heights: RefCell<SmallRng>,
+    /// Steps of the op brackets closed since the last
+    /// [`take_op_steps`](Self::take_op_steps).
+    steps: Cell<OpSteps>,
 }
 
 impl<K, V, R: Reclaim> fmt::Debug for SkipListHandle<'_, K, V, R> {
@@ -548,10 +566,14 @@ where
     pub fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
         let op = lf_metrics::op_begin_for(lf_metrics::Structure::SkipList);
         let guard = R::pin(&self.reclaim);
+        let height_bits = self.heights.borrow_mut().next_u64();
         // SAFETY: the guard pins this list's domain.
-        let res = unsafe { self.list.insert_impl(key, value, &self.pool, &guard) };
+        let res = unsafe {
+            self.list
+                .insert_impl(key, value, height_bits, &self.pool, &guard)
+        };
         drop(guard);
-        lf_metrics::op_end(op);
+        self.end_op(op);
         res
     }
 
@@ -566,7 +588,7 @@ where
         // SAFETY: the guard pins this list's domain.
         let res = unsafe { self.list.delete_impl(key, &guard) };
         drop(guard);
-        lf_metrics::op_end(op);
+        self.end_op(op);
         res
     }
 
@@ -586,7 +608,7 @@ where
                 .map(|n| (*n).element.clone().expect("root node has element"))
         };
         drop(guard);
-        lf_metrics::op_end(op);
+        self.end_op(op);
         res
     }
 
@@ -622,7 +644,7 @@ where
                 .map(|n| f((*n).element.as_ref().expect("root node has element")))
         };
         drop(guard);
-        lf_metrics::op_end(op);
+        self.end_op(op);
         res
     }
 
@@ -634,8 +656,24 @@ where
         // ord: Release/Acquire/Relaxed — LIST.flag-cas: search helps flagged deletions (wrapped C&S)
         let res = unsafe { self.list.search_impl(key, &guard).is_some() };
         drop(guard);
-        lf_metrics::op_end(op);
+        self.end_op(op);
         res
+    }
+
+    /// Close an op bracket, banking its steps for
+    /// [`take_op_steps`](Self::take_op_steps).
+    #[inline]
+    pub(crate) fn end_op(&self, op: lf_metrics::OpToken) {
+        self.steps.set(self.steps.get() + lf_metrics::op_end(op));
+    }
+
+    /// The steps of every point operation this handle ran since the
+    /// last call, and reset the count — how a partitioning wrapper
+    /// (`lf-shard`) credits each routed operation to its shard without
+    /// bracketing the operation a second time.
+    #[inline]
+    pub fn take_op_steps(&self) -> OpSteps {
+        self.steps.take()
     }
 
     /// Iterate over a weakly-consistent snapshot (level-1 traversal),

@@ -50,7 +50,7 @@ where
         for _ in 0..READ_ATTEMPTS {
             match self.list.read_impl(key) {
                 Ok(res) => {
-                    lf_metrics::op_end(op);
+                    self.end_op(op);
                     return res;
                 }
                 Err(ReadRace) => {
@@ -59,7 +59,7 @@ where
                 }
             }
         }
-        lf_metrics::op_end(op);
+        self.end_op(op);
         // Persistent interference: take the pinned slow path.
         lf_metrics::record_try_read_fallback();
         self.get(key)

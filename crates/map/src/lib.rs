@@ -36,6 +36,21 @@
 //! `lf-trace` causal traces, and credited to per-bucket occupancy /
 //! contention statistics ([`BucketMap::snapshot`]).
 //!
+//! # The routed-op fast path
+//!
+//! A point operation hashes its key **once**: [`hash_key`] is the
+//! tier's only SipHash, the bucket index is a fold of that word, and
+//! the `_hashed` entry points ([`BucketMapHandle::get_hashed`], … —
+//! the plain ops are thin wrappers) take the word from a caller that
+//! already holds it (`lf-shard`'s `ShardedMap` slices its shard index
+//! from the same word). One `lf-metrics` bracket surrounds the bucket
+//! op; the step delta its `op_end` returns is credited to the bucket
+//! in a block of cells the *handle* owns
+//! ([`lf_metrics::PartitionTally`]: owner-only bumps, no RMW, no
+//! shared line). The map holds no per-bucket statistics storage: an
+//! empty `BucketMap::new(1024)` allocates ~240 KiB, a handle another
+//! 256 B per bucket.
+//!
 //! # Examples
 //!
 //! ```
@@ -58,19 +73,20 @@
 //! ```
 
 mod router;
-mod stats;
 
-pub use stats::{BucketMapSnapshot, BucketSnapshot};
+/// Statistics of one bucket (or, merged, of the whole map).
+pub use lf_metrics::PartitionSnapshot as BucketSnapshot;
+/// Statistics of every bucket of a [`BucketMap`], in index order.
+pub use lf_metrics::TallySnapshot as BucketMapSnapshot;
+pub use router::hash_key;
 
 use std::fmt;
 use std::hash::Hash;
 
 use lf_core::{ChainIter, FrList, ListHandle};
-use lf_metrics::Structure;
+use lf_metrics::{PartitionTally, Structure, TallyWriter};
 use lf_reclaim::{Ebr, Pod, Publish, Reclaim};
 use lf_tagged::CachePadded;
-
-use stats::BucketStats;
 
 /// Default bucket count: deep enough that benchmark-scale key spaces
 /// keep expected chain length in the single digits, shallow enough
@@ -97,8 +113,8 @@ where
     /// sentinel and length counter never share a line with its
     /// neighbor.
     buckets: Box<[CachePadded<FrList<K, V, R>>]>,
-    /// Per-bucket statistics, parallel to `buckets`.
-    stats: Box<[CachePadded<BucketStats>]>,
+    /// Per-bucket statistics, written through each handle's own block.
+    tally: PartitionTally,
     /// Bucket count − 1 (bucket count is a power of two).
     mask: usize,
 }
@@ -143,12 +159,9 @@ where
             vec.push(CachePadded::new(first.new_sibling()));
         }
         vec.insert(0, CachePadded::new(first));
-        let stats = (0..buckets)
-            .map(|_| CachePadded::new(BucketStats::new()))
-            .collect();
         BucketMap {
             buckets: vec.into_boxed_slice(),
-            stats,
+            tally: PartitionTally::new(buckets),
             mask: buckets - 1,
         }
     }
@@ -160,12 +173,15 @@ where
     /// its key's bucket via the sibling ops — so unlike a
     /// handle-per-partition design, the pin-amortization cadence
     /// advances once per *map* operation, not once per `B` operations
-    /// landing on the same partition.
+    /// landing on the same partition. The handle also takes a block
+    /// of per-bucket statistics cells of its own (256 B per bucket; a
+    /// dropped handle's block is reused).
     #[must_use]
     pub fn handle(&self) -> BucketMapHandle<'_, K, V, R> {
         BucketMapHandle {
             map: self,
             handle: self.buckets[0].handle(),
+            tally: self.tally.writer(),
         }
     }
 
@@ -218,7 +234,7 @@ where
     /// lifetime and across maps with the same bucket count.
     #[must_use]
     pub fn bucket_of(&self, key: &K) -> usize {
-        router::bucket_of(key, self.mask)
+        router::bucket_of_hash(hash_key(key), self.mask)
     }
 
     /// Total number of keys, summed across buckets (each bucket's
@@ -244,14 +260,7 @@ where
     /// Per-bucket statistics plus occupancy; see [`BucketMapSnapshot`].
     #[must_use]
     pub fn snapshot(&self) -> BucketMapSnapshot {
-        BucketMapSnapshot {
-            per_bucket: self
-                .stats
-                .iter()
-                .zip(self.buckets.iter())
-                .map(|(st, b)| st.snapshot(b.len()))
-                .collect(),
-        }
+        self.tally.snapshot(|i| self.buckets[i].len())
     }
 
     /// Validate every bucket's structural invariants; quiescent only.
@@ -312,6 +321,7 @@ where
 {
     map: &'m BucketMap<K, V, R>,
     handle: ListHandle<'m, K, V, R>,
+    tally: TallyWriter,
 }
 
 impl<'m, K, V, R> BucketMapHandle<'m, K, V, R>
@@ -320,9 +330,24 @@ where
     V: Send + Sync + 'static,
     R: Reclaim + Publish<K> + Publish<V>,
 {
+    /// Run `op` on the bucket `hash` routes to, inside the bracket every
+    /// routed operation shares: the bucket index as the causal-trace
+    /// tag (events the bucket op records carry it; free when tracing is
+    /// off), one [`lf_metrics`] op boundary attributed to
+    /// [`Structure::Map`], and that boundary's step delta credited to
+    /// the bucket in this handle's tally block.
     #[inline]
-    fn route(&self, key: &K) -> usize {
-        router::bucket_of(key, self.map.mask)
+    fn routed<T>(
+        &self,
+        hash: u64,
+        op: impl FnOnce(&ListHandle<'m, K, V, R>, &FrList<K, V, R>) -> T,
+    ) -> T {
+        let i = router::bucket_of_hash(hash, self.map.mask);
+        let _t = lf_trace::shard_scope(i as u16);
+        let token = lf_metrics::op_begin_for(Structure::Map);
+        let res = op(&self.handle, &self.map.buckets[i]);
+        self.tally.record(i, lf_metrics::op_end(token));
+        res
     }
 
     /// Insert `(key, value)` into the key's bucket. Returns the
@@ -332,17 +357,7 @@ where
     ///
     /// Returns the rejected pair if `key` is already present.
     pub fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
-        let i = self.route(&key);
-        // Causal-trace tag: events the bucket op records (search,
-        // cas-fail, ...) carry the bucket index; free when tracing is
-        // off. Same pattern in every routed op below.
-        let _t = lf_trace::shard_scope(i as u16);
-        let op = lf_metrics::op_begin_for(Structure::Map);
-        let before = lf_metrics::local_steps();
-        let res = self.handle.insert_in(&self.map.buckets[i], key, value);
-        self.map.stats[i].record(lf_metrics::local_steps().delta_since(before));
-        lf_metrics::op_end(op);
-        res
+        self.insert_hashed(hash_key(&key), key, value)
     }
 
     /// Remove `key` from its bucket, returning its value.
@@ -350,14 +365,7 @@ where
     where
         V: Clone,
     {
-        let i = self.route(key);
-        let _t = lf_trace::shard_scope(i as u16);
-        let op = lf_metrics::op_begin_for(Structure::Map);
-        let before = lf_metrics::local_steps();
-        let res = self.handle.remove_in(&self.map.buckets[i], key);
-        self.map.stats[i].record(lf_metrics::local_steps().delta_since(before));
-        lf_metrics::op_end(op);
-        res
+        self.remove_hashed(hash_key(key), key)
     }
 
     /// Look up `key` in its bucket, returning a clone of its value.
@@ -365,14 +373,7 @@ where
     where
         V: Clone,
     {
-        let i = self.route(key);
-        let _t = lf_trace::shard_scope(i as u16);
-        let op = lf_metrics::op_begin_for(Structure::Map);
-        let before = lf_metrics::local_steps();
-        let res = self.handle.get_in(&self.map.buckets[i], key);
-        self.map.stats[i].record(lf_metrics::local_steps().delta_since(before));
-        lf_metrics::op_end(op);
-        res
+        self.get_hashed(hash_key(key), key)
     }
 
     /// Look up `key` in its bucket without pinning the reclamation
@@ -387,40 +388,72 @@ where
         K: Pod,
         V: Pod,
     {
-        let i = self.route(key);
-        let _t = lf_trace::shard_scope(i as u16);
-        let op = lf_metrics::op_begin_for(Structure::Map);
-        let before = lf_metrics::local_steps();
-        let res = self.handle.try_read_in(&self.map.buckets[i], key);
-        self.map.stats[i].record(lf_metrics::local_steps().delta_since(before));
-        lf_metrics::op_end(op);
-        res
+        self.try_read_hashed(hash_key(key), key)
     }
 
     /// Zero-copy lookup: run `f` over the value in place (under the
     /// bucket's epoch pin) instead of cloning it out. Keep `f` short —
     /// the pin delays reclamation for the whole shared domain.
     pub fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        let i = self.route(key);
-        let _t = lf_trace::shard_scope(i as u16);
-        let op = lf_metrics::op_begin_for(Structure::Map);
-        let before = lf_metrics::local_steps();
-        let res = self.handle.get_with_in(&self.map.buckets[i], key, f);
-        self.map.stats[i].record(lf_metrics::local_steps().delta_since(before));
-        lf_metrics::op_end(op);
-        res
+        self.get_with_hashed(hash_key(key), key, f)
     }
 
     /// Whether `key` is present in its bucket.
     pub fn contains(&self, key: &K) -> bool {
-        let i = self.route(key);
-        let _t = lf_trace::shard_scope(i as u16);
-        let op = lf_metrics::op_begin_for(Structure::Map);
-        let before = lf_metrics::local_steps();
-        let res = self.handle.contains_in(&self.map.buckets[i], key);
-        self.map.stats[i].record(lf_metrics::local_steps().delta_since(before));
-        lf_metrics::op_end(op);
-        res
+        self.contains_hashed(hash_key(key), key)
+    }
+
+    /// [`insert`](Self::insert) given `hash == hash_key(&key)`. As for
+    /// every `_hashed` entry point, a `hash` that is not the key's is
+    /// memory-safe but routes to the wrong bucket, where the key's
+    /// other operations will not look.
+    ///
+    /// # Errors
+    ///
+    /// Returns the rejected pair if `key` is already present.
+    pub fn insert_hashed(&self, hash: u64, key: K, value: V) -> Result<(), (K, V)> {
+        debug_assert_eq!(hash, hash_key(&key));
+        self.routed(hash, |h, bucket| h.insert_in(bucket, key, value))
+    }
+
+    /// [`remove`](Self::remove) given `hash == hash_key(key)`.
+    pub fn remove_hashed(&self, hash: u64, key: &K) -> Option<V>
+    where
+        V: Clone,
+    {
+        debug_assert_eq!(hash, hash_key(key));
+        self.routed(hash, |h, bucket| h.remove_in(bucket, key))
+    }
+
+    /// [`get`](Self::get) given `hash == hash_key(key)`.
+    pub fn get_hashed(&self, hash: u64, key: &K) -> Option<V>
+    where
+        V: Clone,
+    {
+        debug_assert_eq!(hash, hash_key(key));
+        self.routed(hash, |h, bucket| h.get_in(bucket, key))
+    }
+
+    /// [`try_read`](Self::try_read) given `hash == hash_key(key)`.
+    pub fn try_read_hashed(&self, hash: u64, key: &K) -> Option<V>
+    where
+        K: Pod,
+        V: Pod,
+    {
+        debug_assert_eq!(hash, hash_key(key));
+        self.routed(hash, |h, bucket| h.try_read_in(bucket, key))
+    }
+
+    /// [`get_with`](Self::get_with) given `hash == hash_key(key)`.
+    pub fn get_with_hashed<T>(&self, hash: u64, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        debug_assert_eq!(hash, hash_key(key));
+        self.routed(hash, |h, bucket| h.get_with_in(bucket, key, f))
+    }
+
+    /// [`contains`](Self::contains) given `hash == hash_key(key)`.
+    pub fn contains_hashed(&self, hash: u64, key: &K) -> bool {
+        debug_assert_eq!(hash, hash_key(key));
+        self.routed(hash, |h, bucket| h.contains_in(bucket, key))
     }
 
     /// Unordered iteration over every bucket under **one** amortized
@@ -562,7 +595,7 @@ mod tests {
         // One bucket: chain order is key order.
         assert_eq!(keys, (0..100).collect::<Vec<_>>());
         let snap = map.snapshot();
-        assert_eq!(snap.per_bucket[0].ops, 100);
+        assert_eq!(snap.per_partition[0].ops, 100);
     }
 
     #[test]
@@ -573,7 +606,7 @@ mod tests {
             assert!(h.insert(k, k).is_ok());
         }
         let snap = map.snapshot();
-        assert_eq!(snap.per_bucket.len(), 4);
+        assert_eq!(snap.per_partition.len(), 4);
         let merged = snap.merged();
         assert_eq!(merged.ops, 400);
         assert_eq!(merged.occupancy, 400);
@@ -581,7 +614,7 @@ mod tests {
         assert!(snap.max_occupancy_share() < 0.6, "{snap:?}");
         assert!(snap.max_ops_share() < 0.6, "{snap:?}");
         // Every op routed to bucket i bumped bucket i's count only.
-        for (i, s) in snap.per_bucket.iter().enumerate() {
+        for (i, s) in snap.per_partition.iter().enumerate() {
             assert_eq!(s.ops as usize, s.occupancy, "bucket {i}");
         }
     }

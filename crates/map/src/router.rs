@@ -17,23 +17,35 @@
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
-/// Route `key` to a bucket index in `0..=mask` (`mask` = bucket count
-/// − 1, bucket count a power of two).
+/// The one SipHash of `key` that all routing is sliced from: the
+/// bucket index is its fold (`bucket_of_hash`), and `lf-shard`'s
+/// `ShardedMap` takes its shard index from the raw high half of the
+/// same word, so a routed operation hashes its key exactly once.
+#[inline]
+pub fn hash_key<K: Hash + ?Sized>(key: &K) -> u64 {
+    let mut h = DefaultHasher::new();
+    key.hash(&mut h);
+    h.finish()
+}
+
+/// Route a key's [`hash_key`] to a bucket index in `0..=mask` (`mask`
+/// = bucket count − 1, bucket count a power of two).
 ///
 /// The high half of the 64-bit hash is folded into the low half before
 /// masking so small bucket counts still consume all of SipHash's
 /// diffusion.
 #[inline]
-pub(crate) fn bucket_of<K: Hash + ?Sized>(key: &K, mask: usize) -> usize {
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    let x = h.finish();
-    ((x ^ (x >> 32)) as usize) & mask
+pub(crate) fn bucket_of_hash(hash: u64, mask: usize) -> usize {
+    ((hash ^ (hash >> 32)) as usize) & mask
 }
 
 #[cfg(test)]
 mod tests {
-    use super::bucket_of;
+    use super::{bucket_of_hash, hash_key};
+
+    fn bucket_of(key: &u64, mask: usize) -> usize {
+        bucket_of_hash(hash_key(key), mask)
+    }
 
     #[test]
     fn routing_is_deterministic() {

@@ -71,11 +71,13 @@ mod clock;
 pub mod export;
 pub mod gauge;
 pub mod histogram;
+pub mod tally;
 #[cfg(feature = "trace")]
 pub mod trace;
 
 pub use gauge::{UnreclaimedGauge, UnreclaimedSnapshot};
 pub use histogram::{AtomicHistogram, Histogram};
+pub use tally::{PartitionSnapshot, PartitionTally, StepDist, TallySnapshot, TallyWriter};
 
 use std::fmt;
 use std::ops::Sub;
@@ -203,6 +205,15 @@ impl fmt::Display for Structure {
 /// latency histogram per [`Structure`] (indexed `4 + structure`).
 const HIST_SLOTS: usize = Metric::ALL.len() + Structure::ALL.len();
 
+/// Owner-only add: load+store instead of `fetch_add`, because the
+/// cell's owner (a thread for its [`Shard`], a handle for its
+/// [`TallyWriter`] block) is the sole writer.
+#[inline]
+fn owner_add(cell: &AtomicU64, n: u64) {
+    // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
+    cell.store(cell.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+}
+
 /// One thread's counter shard.
 ///
 /// The owning thread is the only writer and bumps each counter with a
@@ -219,18 +230,7 @@ const HIST_SLOTS: usize = Metric::ALL.len() + Structure::ALL.len();
 /// also keeps the leading counters (`cas_ok`) from straddling a line.
 #[repr(align(64))]
 struct Shard {
-    cas_ok: [AtomicU64; 4],
-    cas_fail: [AtomicU64; 4],
-    backlink_traversals: AtomicU64,
-    next_updates: AtomicU64,
-    curr_updates: AtomicU64,
-    try_read_restarts: AtomicU64,
-    try_read_fallbacks: AtomicU64,
-    ops: AtomicU64,
-    /// Completed operations attributed per [`Structure`] by
-    /// [`op_begin_for`]. Bare [`record_op`] calls are structure-blind,
-    /// so the per-structure counts sum to at most `ops`.
-    ops_by: [AtomicU64; 3],
+    counts: Counts,
     /// Owner-only baselines from the previous [`op_end`], so per-op
     /// deltas need no counter reads at [`op_begin`]. Not counts — never
     /// folded or summed.
@@ -243,18 +243,59 @@ struct Shard {
     hist: OnceLock<Box<[AtomicHistogram; HIST_SLOTS]>>,
 }
 
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            cas_ok: std::array::from_fn(|_| AtomicU64::new(0)),
-            cas_fail: std::array::from_fn(|_| AtomicU64::new(0)),
+/// The count cells a thread's [`Shard`] and the retired aggregate
+/// ([`GLOBAL`]) both hold — one field per [`Snapshot`] field — so
+/// folding, resetting and summing walk them pairwise.
+struct Counts {
+    cas_ok: [AtomicU64; 4],
+    cas_fail: [AtomicU64; 4],
+    backlink_traversals: AtomicU64,
+    next_updates: AtomicU64,
+    curr_updates: AtomicU64,
+    try_read_restarts: AtomicU64,
+    try_read_fallbacks: AtomicU64,
+    ops: AtomicU64,
+    /// Completed operations attributed per [`Structure`] by
+    /// [`op_begin_for`]. Bare [`record_op`] calls are structure-blind,
+    /// so the per-structure counts sum to at most `ops`.
+    ops_by: [AtomicU64; 3],
+}
+
+impl Counts {
+    const fn new() -> Self {
+        Counts {
+            cas_ok: [const { AtomicU64::new(0) }; 4],
+            cas_fail: [const { AtomicU64::new(0) }; 4],
             backlink_traversals: AtomicU64::new(0),
             next_updates: AtomicU64::new(0),
             curr_updates: AtomicU64::new(0),
             try_read_restarts: AtomicU64::new(0),
             try_read_fallbacks: AtomicU64::new(0),
             ops: AtomicU64::new(0),
-            ops_by: std::array::from_fn(|_| AtomicU64::new(0)),
+            ops_by: [const { AtomicU64::new(0) }; 3],
+        }
+    }
+
+    /// Every cell, in the order of [`Snapshot::cells_mut`].
+    fn cells(&self) -> impl Iterator<Item = &AtomicU64> {
+        let singles = [
+            &self.backlink_traversals,
+            &self.next_updates,
+            &self.curr_updates,
+            &self.try_read_restarts,
+            &self.try_read_fallbacks,
+            &self.ops,
+        ];
+        (self.cas_ok.iter().chain(&self.cas_fail))
+            .chain(singles)
+            .chain(&self.ops_by)
+    }
+}
+
+impl Shard {
+    fn new() -> Self {
+        Shard {
+            counts: Counts::new(),
             last_cas_fail: AtomicU64::new(0),
             last_backlink: AtomicU64::new(0),
             last_curr: AtomicU64::new(0),
@@ -262,17 +303,21 @@ impl Shard {
         }
     }
 
-    /// Owner-only increment: load+store instead of `fetch_add`,
-    /// because the owning thread is the sole writer.
+    /// The per-op baselines (tracking the counters, not totals).
+    fn baselines(&self) -> [&AtomicU64; 3] {
+        [&self.last_cas_fail, &self.last_backlink, &self.last_curr]
+    }
+
+    /// Owner-only increment; see [`owner_add`].
     #[inline]
     fn bump(cell: &AtomicU64) {
-        // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-        cell.store(cell.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        owner_add(cell, 1);
     }
 
     fn cas_failures(&self) -> u64 {
         // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-        self.cas_fail
+        self.counts
+            .cas_fail
             .iter()
             .map(|c| c.load(Ordering::Relaxed))
             .sum()
@@ -283,22 +328,15 @@ impl Shard {
             .get_or_init(|| Box::new(std::array::from_fn(|_| AtomicHistogram::new())))
     }
 
-    fn hist_record_op(
-        &self,
-        structure: Structure,
-        latency_ns: Option<u64>,
-        retries: u64,
-        backlinks: u64,
-        hops: u64,
-    ) {
+    fn hist_record_op(&self, structure: Structure, latency_ns: Option<u64>, steps: OpSteps) {
         let h = self.hists();
         if let Some(ns) = latency_ns {
             h[Metric::OpLatencyNs as usize].record_owner(ns);
             h[Metric::ALL.len() + structure as usize].record_owner(ns);
         }
-        h[Metric::CasRetries as usize].record_owner(retries);
-        h[Metric::BacklinkChain as usize].record_owner(backlinks);
-        h[Metric::SearchHops as usize].record_owner(hops);
+        h[Metric::CasRetries as usize].record_owner(steps.cas_retries);
+        h[Metric::BacklinkChain as usize].record_owner(steps.backlinks);
+        h[Metric::SearchHops as usize].record_owner(steps.hops);
     }
 }
 
@@ -319,61 +357,15 @@ fn shards() -> MutexGuard<'static, Vec<Arc<Shard>>> {
 /// Caller must hold the registry lock so the move is invisible to
 /// concurrent snapshots (which also hold it).
 fn fold_into_retired(shard: &Shard) {
-    for i in 0..4 {
+    for (retired, live) in GLOBAL.cells().zip(shard.counts.cells()) {
         // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-        GLOBAL.cas_ok[i].fetch_add(
-            shard.cas_ok[i].swap(0, Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-        // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-        GLOBAL.cas_fail[i].fetch_add(
-            shard.cas_fail[i].swap(0, Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-    }
-    // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-    GLOBAL.backlink_traversals.fetch_add(
-        shard.backlink_traversals.swap(0, Ordering::Relaxed),
-        Ordering::Relaxed,
-    );
-    // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-    GLOBAL.next_updates.fetch_add(
-        shard.next_updates.swap(0, Ordering::Relaxed),
-        Ordering::Relaxed,
-    );
-    // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-    GLOBAL.curr_updates.fetch_add(
-        shard.curr_updates.swap(0, Ordering::Relaxed),
-        Ordering::Relaxed,
-    );
-    // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-    GLOBAL.try_read_restarts.fetch_add(
-        shard.try_read_restarts.swap(0, Ordering::Relaxed),
-        Ordering::Relaxed,
-    );
-    // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-    GLOBAL.try_read_fallbacks.fetch_add(
-        shard.try_read_fallbacks.swap(0, Ordering::Relaxed),
-        Ordering::Relaxed,
-    );
-    // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-    GLOBAL
-        .ops
-        .fetch_add(shard.ops.swap(0, Ordering::Relaxed), Ordering::Relaxed);
-    for i in 0..Structure::ALL.len() {
-        // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-        GLOBAL.ops_by[i].fetch_add(
-            shard.ops_by[i].swap(0, Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
+        retired.fetch_add(live.swap(0, Ordering::Relaxed), Ordering::Relaxed);
     }
     // The per-op baselines track the (now zeroed) counters, not totals.
-    // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-    shard.last_cas_fail.store(0, Ordering::Relaxed);
-    // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-    shard.last_backlink.store(0, Ordering::Relaxed);
-    // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-    shard.last_curr.store(0, Ordering::Relaxed);
+    for baseline in shard.baselines() {
+        // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
+        baseline.store(0, Ordering::Relaxed);
+    }
     if let Some(h) = shard.hist.get() {
         let g = global_hist();
         for (dst, src) in g.iter().zip(h.iter()) {
@@ -404,40 +396,9 @@ thread_local! {
     });
 }
 
-#[derive(Default)]
-struct GlobalCounters {
-    cas_ok: [AtomicU64; 4],
-    cas_fail: [AtomicU64; 4],
-    backlink_traversals: AtomicU64,
-    next_updates: AtomicU64,
-    curr_updates: AtomicU64,
-    try_read_restarts: AtomicU64,
-    try_read_fallbacks: AtomicU64,
-    ops: AtomicU64,
-    ops_by: [AtomicU64; 3],
-}
-
-static GLOBAL: GlobalCounters = GlobalCounters {
-    cas_ok: [
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-    ],
-    cas_fail: [
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-    ],
-    backlink_traversals: AtomicU64::new(0),
-    next_updates: AtomicU64::new(0),
-    curr_updates: AtomicU64::new(0),
-    try_read_restarts: AtomicU64::new(0),
-    try_read_fallbacks: AtomicU64::new(0),
-    ops: AtomicU64::new(0),
-    ops_by: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
-};
+/// The retired aggregate: counts folded out of exited (or flushed)
+/// threads' shards.
+static GLOBAL: Counts = Counts::new();
 
 static HIST_ENABLED: AtomicBool = AtomicBool::new(true);
 
@@ -491,9 +452,9 @@ pub fn record_cas(ty: CasType, success: bool) {
     }
     with_local(|l| {
         let slot = if success {
-            &l.cas_ok[ty as usize]
+            &l.counts.cas_ok[ty as usize]
         } else {
-            &l.cas_fail[ty as usize]
+            &l.counts.cas_fail[ty as usize]
         };
         Shard::bump(slot);
     });
@@ -506,7 +467,7 @@ pub fn record_backlink() {
     #[cfg(feature = "trace")]
     trace::emit(trace::EventKind::Backlink);
     lf_trace::emit(lf_trace::Phase::BacklinkWalk);
-    with_local(|l| Shard::bump(&l.backlink_traversals));
+    with_local(|l| Shard::bump(&l.counts.backlink_traversals));
 }
 
 /// Record one `next_node` pointer update (`SearchFrom` line 6).
@@ -514,7 +475,7 @@ pub fn record_backlink() {
 pub fn record_next_update() {
     #[cfg(feature = "trace")]
     trace::emit(trace::EventKind::NextUpdate);
-    with_local(|l| Shard::bump(&l.next_updates));
+    with_local(|l| Shard::bump(&l.counts.next_updates));
 }
 
 /// Record one `curr_node` pointer update (`SearchFrom` line 8).
@@ -522,7 +483,7 @@ pub fn record_next_update() {
 pub fn record_curr_update() {
     #[cfg(feature = "trace")]
     trace::emit(trace::EventKind::CurrUpdate);
-    with_local(|l| Shard::bump(&l.curr_updates));
+    with_local(|l| Shard::bump(&l.counts.curr_updates));
 }
 
 /// Record one pin-free `try_read` restart: a birth-stamp validation
@@ -530,14 +491,14 @@ pub fn record_curr_update() {
 /// started over.
 #[inline]
 pub fn record_try_read_restart() {
-    with_local(|l| Shard::bump(&l.try_read_restarts));
+    with_local(|l| Shard::bump(&l.counts.try_read_restarts));
 }
 
 /// Record one pin-free `try_read` giving up and falling back to the
 /// pinned read path (restart budget exhausted).
 #[inline]
 pub fn record_try_read_fallback() {
-    with_local(|l| Shard::bump(&l.try_read_fallbacks));
+    with_local(|l| Shard::bump(&l.counts.try_read_fallbacks));
 }
 
 /// Record one completed dictionary operation (for per-op averages).
@@ -545,67 +506,7 @@ pub fn record_try_read_fallback() {
 pub fn record_op() {
     #[cfg(feature = "trace")]
     trace::emit(trace::EventKind::OpEnd);
-    with_local(|l| Shard::bump(&l.ops));
-}
-
-/// Snapshot of the calling thread's step counters, for callers that
-/// want to attribute work to a finer bucket than the thread itself —
-/// e.g. `lf-shard` differences two snapshots around an operation to
-/// credit the hops and CAS retries to the shard that served it.
-///
-/// Values are cumulative since the thread registered (or since its
-/// last [`flush_local`]); use [`LocalSteps::delta_since`] to bracket
-/// an operation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LocalSteps {
-    /// Failed C&S attempts of any [`CasType`].
-    pub cas_failures: u64,
-    /// Backlink hops during predecessor recovery.
-    pub backlink_traversals: u64,
-    /// `next`-pointer re-reads after helping a deletion.
-    pub next_updates: u64,
-    /// Forward traversal steps (`curr` advances), the search-hop count.
-    pub curr_updates: u64,
-}
-
-impl LocalSteps {
-    /// Counter-wise difference `self - earlier`, saturating at zero
-    /// (a same-thread [`flush_local`] between the two snapshots can
-    /// zero the counters mid-bracket; the clipped op is credited as
-    /// free rather than astronomically expensive).
-    #[must_use]
-    pub fn delta_since(self, earlier: LocalSteps) -> LocalSteps {
-        LocalSteps {
-            cas_failures: self.cas_failures.saturating_sub(earlier.cas_failures),
-            backlink_traversals: self
-                .backlink_traversals
-                .saturating_sub(earlier.backlink_traversals),
-            next_updates: self.next_updates.saturating_sub(earlier.next_updates),
-            curr_updates: self.curr_updates.saturating_sub(earlier.curr_updates),
-        }
-    }
-}
-
-/// Read the calling thread's cumulative step counters.
-///
-/// Owner-thread reads of single-writer cells — exact, not racy.
-/// Returns zeroes during thread teardown (after the thread-local shard
-/// is gone), matching the recording functions' no-op behavior there.
-#[must_use]
-pub fn local_steps() -> LocalSteps {
-    let mut s = LocalSteps::default();
-    with_local(|l| {
-        s = LocalSteps {
-            cas_failures: l.cas_failures(),
-            // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-            backlink_traversals: l.backlink_traversals.load(Ordering::Relaxed),
-            // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-            next_updates: l.next_updates.load(Ordering::Relaxed),
-            // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-            curr_updates: l.curr_updates.load(Ordering::Relaxed),
-        };
-    });
-    s
+    with_local(|l| Shard::bump(&l.counts.ops));
 }
 
 /// Latency is clocked on one op in this many (power of two, checked
@@ -680,54 +581,83 @@ pub fn op_begin_for(structure: Structure) -> OpToken {
     }
 }
 
+/// The steps one bracketed operation took: the thread's step counters
+/// differenced by [`op_end`] against the previous `op_end` on the
+/// thread.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct OpSteps {
+    /// Search hops (`curr_node` updates) — the `n(S)` distance term.
+    pub hops: u64,
+    /// Failed C&S attempts of any [`CasType`] — the `c(S)` term.
+    pub cas_retries: u64,
+    /// Backlink traversals.
+    pub backlinks: u64,
+}
+
+impl std::ops::Add for OpSteps {
+    type Output = OpSteps;
+
+    fn add(self, rhs: OpSteps) -> OpSteps {
+        OpSteps {
+            hops: self.hops + rhs.hops,
+            cas_retries: self.cas_retries + rhs.cas_retries,
+            backlinks: self.backlinks + rhs.backlinks,
+        }
+    }
+}
+
 /// Finish a per-operation telemetry capture started by [`op_begin`].
 ///
 /// Records the op into the thread-local histograms and counts it
-/// (callers must not additionally call [`record_op`]).
+/// (callers must not additionally call [`record_op`]), and returns the
+/// op's step delta so a partitioned structure can credit it to a
+/// [`PartitionTally`] without reading the counters a second time
+/// (zeroes during thread teardown, when the shard is gone).
 #[inline]
-pub fn op_end(token: OpToken) {
+pub fn op_end(token: OpToken) -> OpSteps {
     #[cfg(feature = "trace")]
     trace::emit(trace::EventKind::OpEnd);
     // Close the causal scope: emits `complete` iff this boundary
     // minted the id (an async-minted op completes at its front door).
     token.trace.finish();
-    if !token.active {
-        with_local(|l| {
-            Shard::bump(&l.ops);
-            Shard::bump(&l.ops_by[token.structure as usize]);
-        });
-        return;
-    }
     // `saturating_sub`: cross-core TSC skew of a few ticks must not
     // wrap into an astronomical latency.
     let latency_ns = token
         .start
         .map(|start| clock::ticks_to_ns(clock::now_ticks().saturating_sub(start)));
+    let mut steps = OpSteps::default();
     with_local(|l| {
-        Shard::bump(&l.ops);
-        Shard::bump(&l.ops_by[token.structure as usize]);
+        Shard::bump(&l.counts.ops);
+        Shard::bump(&l.counts.ops_by[token.structure as usize]);
         let cf = l.cas_failures();
         // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-        let bl = l.backlink_traversals.load(Ordering::Relaxed);
+        let bl = l.counts.backlink_traversals.load(Ordering::Relaxed);
         // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-        let cu = l.curr_updates.load(Ordering::Relaxed);
+        let cu = l.counts.curr_updates.load(Ordering::Relaxed);
         // `saturating_sub` guards against an explicit same-thread
         // `flush_local` between the two ends zeroing the counters (one
         // op's delta clips to zero, then the baselines re-sync).
-        // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-        let retries = cf.saturating_sub(l.last_cas_fail.load(Ordering::Relaxed));
-        // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-        let backlinks = bl.saturating_sub(l.last_backlink.load(Ordering::Relaxed));
-        // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-        let hops = cu.saturating_sub(l.last_curr.load(Ordering::Relaxed));
+        steps = OpSteps {
+            // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
+            hops: cu.saturating_sub(l.last_curr.load(Ordering::Relaxed)),
+            // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
+            cas_retries: cf.saturating_sub(l.last_cas_fail.load(Ordering::Relaxed)),
+            // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
+            backlinks: bl.saturating_sub(l.last_backlink.load(Ordering::Relaxed)),
+        };
         // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
         l.last_cas_fail.store(cf, Ordering::Relaxed);
         // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
         l.last_backlink.store(bl, Ordering::Relaxed);
         // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
         l.last_curr.store(cu, Ordering::Relaxed);
-        l.hist_record_op(token.structure, latency_ns, retries, backlinks, hops);
+        // The baselines advance even with the histograms switched off,
+        // so the delta stays this op's across a toggle.
+        if token.active {
+            l.hist_record_op(token.structure, latency_ns, steps);
+        }
     });
+    steps
 }
 
 /// Opaque per-operation capture token; see [`op_begin`].
@@ -775,34 +705,10 @@ pub fn flush_local() {
 pub fn reset() {
     let reg = shards();
     for shard in reg.iter() {
-        for i in 0..4 {
-            // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-            shard.cas_ok[i].store(0, Ordering::Relaxed);
-            // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-            shard.cas_fail[i].store(0, Ordering::Relaxed);
-        }
-        // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-        shard.backlink_traversals.store(0, Ordering::Relaxed);
-        // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-        shard.next_updates.store(0, Ordering::Relaxed);
-        // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-        shard.curr_updates.store(0, Ordering::Relaxed);
-        // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-        shard.try_read_restarts.store(0, Ordering::Relaxed);
-        // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-        shard.try_read_fallbacks.store(0, Ordering::Relaxed);
-        // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-        shard.ops.store(0, Ordering::Relaxed);
-        for cell in shard.ops_by.iter() {
+        for cell in shard.counts.cells().chain(shard.baselines()) {
             // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
             cell.store(0, Ordering::Relaxed);
         }
-        // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-        shard.last_cas_fail.store(0, Ordering::Relaxed);
-        // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-        shard.last_backlink.store(0, Ordering::Relaxed);
-        // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-        shard.last_curr.store(0, Ordering::Relaxed);
         if let Some(hists) = shard.hist.get() {
             for h in hists.iter() {
                 h.reset();
@@ -814,25 +720,7 @@ pub fn reset() {
             g.reset();
         }
     }
-    for i in 0..4 {
-        // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-        GLOBAL.cas_ok[i].store(0, Ordering::Relaxed);
-        // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-        GLOBAL.cas_fail[i].store(0, Ordering::Relaxed);
-    }
-    // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-    GLOBAL.backlink_traversals.store(0, Ordering::Relaxed);
-    // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-    GLOBAL.next_updates.store(0, Ordering::Relaxed);
-    // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-    GLOBAL.curr_updates.store(0, Ordering::Relaxed);
-    // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-    GLOBAL.try_read_restarts.store(0, Ordering::Relaxed);
-    // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-    GLOBAL.try_read_fallbacks.store(0, Ordering::Relaxed);
-    // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-    GLOBAL.ops.store(0, Ordering::Relaxed);
-    for cell in GLOBAL.ops_by.iter() {
+    for cell in GLOBAL.cells() {
         // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
         cell.store(0, Ordering::Relaxed);
     }
@@ -865,6 +753,21 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
+    /// Every field, in the order of [`Counts::cells`].
+    fn cells_mut(&mut self) -> impl Iterator<Item = &mut u64> {
+        let singles = [
+            &mut self.backlink_traversals,
+            &mut self.next_updates,
+            &mut self.curr_updates,
+            &mut self.try_read_restarts,
+            &mut self.try_read_fallbacks,
+            &mut self.ops,
+        ];
+        (self.cas_ok.iter_mut().chain(&mut self.cas_fail))
+            .chain(singles)
+            .chain(&mut self.ops_by)
+    }
+
     /// Completed operations attributed to one [`Structure`].
     pub fn ops_for(&self, s: Structure) -> u64 {
         self.ops_by[s as usize]
@@ -903,24 +806,11 @@ impl Snapshot {
 impl Sub for Snapshot {
     type Output = Snapshot;
 
-    fn sub(self, rhs: Snapshot) -> Snapshot {
-        let mut out = Snapshot::default();
-        for i in 0..4 {
-            out.cas_ok[i] = self.cas_ok[i].wrapping_sub(rhs.cas_ok[i]);
-            out.cas_fail[i] = self.cas_fail[i].wrapping_sub(rhs.cas_fail[i]);
+    fn sub(mut self, mut rhs: Snapshot) -> Snapshot {
+        for (l, r) in self.cells_mut().zip(rhs.cells_mut()) {
+            *l = l.wrapping_sub(*r);
         }
-        out.backlink_traversals = self
-            .backlink_traversals
-            .wrapping_sub(rhs.backlink_traversals);
-        out.next_updates = self.next_updates.wrapping_sub(rhs.next_updates);
-        out.curr_updates = self.curr_updates.wrapping_sub(rhs.curr_updates);
-        out.try_read_restarts = self.try_read_restarts.wrapping_sub(rhs.try_read_restarts);
-        out.try_read_fallbacks = self.try_read_fallbacks.wrapping_sub(rhs.try_read_fallbacks);
-        out.ops = self.ops.wrapping_sub(rhs.ops);
-        for i in 0..Structure::ALL.len() {
-            out.ops_by[i] = self.ops_by[i].wrapping_sub(rhs.ops_by[i]);
-        }
-        out
+        self
     }
 }
 
@@ -975,50 +865,10 @@ pub fn snapshot() -> Snapshot {
 /// the registry lock.
 fn snapshot_locked(reg: &[Arc<Shard>]) -> Snapshot {
     let mut s = Snapshot::default();
-    for i in 0..4 {
-        // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-        s.cas_ok[i] = GLOBAL.cas_ok[i].load(Ordering::Relaxed);
-        // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-        s.cas_fail[i] = GLOBAL.cas_fail[i].load(Ordering::Relaxed);
-    }
-    // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-    s.backlink_traversals = GLOBAL.backlink_traversals.load(Ordering::Relaxed);
-    // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-    s.next_updates = GLOBAL.next_updates.load(Ordering::Relaxed);
-    // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-    s.curr_updates = GLOBAL.curr_updates.load(Ordering::Relaxed);
-    // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-    s.try_read_restarts = GLOBAL.try_read_restarts.load(Ordering::Relaxed);
-    // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-    s.try_read_fallbacks = GLOBAL.try_read_fallbacks.load(Ordering::Relaxed);
-    // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-    s.ops = GLOBAL.ops.load(Ordering::Relaxed);
-    for i in 0..Structure::ALL.len() {
-        // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-        s.ops_by[i] = GLOBAL.ops_by[i].load(Ordering::Relaxed);
-    }
-    for shard in reg {
-        for i in 0..4 {
+    for counts in std::iter::once(&GLOBAL).chain(reg.iter().map(|shard| &shard.counts)) {
+        for (sum, cell) in s.cells_mut().zip(counts.cells()) {
             // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-            s.cas_ok[i] += shard.cas_ok[i].load(Ordering::Relaxed);
-            // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-            s.cas_fail[i] += shard.cas_fail[i].load(Ordering::Relaxed);
-        }
-        // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-        s.backlink_traversals += shard.backlink_traversals.load(Ordering::Relaxed);
-        // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-        s.next_updates += shard.next_updates.load(Ordering::Relaxed);
-        // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-        s.curr_updates += shard.curr_updates.load(Ordering::Relaxed);
-        // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-        s.try_read_restarts += shard.try_read_restarts.load(Ordering::Relaxed);
-        // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-        s.try_read_fallbacks += shard.try_read_fallbacks.load(Ordering::Relaxed);
-        // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-        s.ops += shard.ops.load(Ordering::Relaxed);
-        for i in 0..Structure::ALL.len() {
-            // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-            s.ops_by[i] += shard.ops_by[i].load(Ordering::Relaxed);
+            *sum += cell.load(Ordering::Relaxed);
         }
     }
     s

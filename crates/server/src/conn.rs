@@ -6,7 +6,10 @@
 //! future (through [`Eager`]) until its request is **in its ring** as
 //! soon as its command is parsed, so N pipelined commands are all in
 //! their lanes before the render phase awaits the first reply — the
-//! rings overlap the work while the wire stays strictly ordered.
+//! rings overlap the work while the wire stays strictly ordered. The
+//! render phase then sleeps on the pipeline's *last* request before
+//! serializing from the first: nothing is written until all have
+//! resolved, so the thread is woken once per pipeline, not per reply.
 //!
 //! Reply order alone is not RESP's whole contract: effects must be
 //! ordered too, at least per key ("SET k; GET k" pipelined must read
@@ -46,7 +49,9 @@ use std::future::Future;
 use std::hash::{Hash, Hasher};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::pin::Pin;
 use std::sync::Arc;
+use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
 use lf_async::{Error, LaneFuture, OpFuture, Response, ScanFuture, Service};
@@ -62,9 +67,13 @@ use crate::server::{trigger_stop, ByteBackend, Bytes, StopSignal};
 /// [`LaneFuture::pin_lane`]'s contract) wherever the backend already
 /// routes the key itself.
 fn lane_of(key: &[u8], lanes: usize) -> usize {
+    // One lane: nothing to choose, so nothing to hash.
+    if lanes <= 1 {
+        return 0;
+    }
     let mut h = std::collections::hash_map::DefaultHasher::new();
     key.hash(&mut h);
-    (h.finish() as usize) % lanes.max(1)
+    (h.finish() as usize) % lanes
 }
 
 /// A future driven at construction until its request is enqueued (the
@@ -78,29 +87,38 @@ struct Eager<F: Future + LaneFuture + Unpin> {
 
 impl<F: Future + LaneFuture + Unpin> Eager<F> {
     /// Drive `f` until its request is in its lane ring (or it already
-    /// resolved). Blocks — parking, not spinning — while a full ring
-    /// bounces the submission under `BackpressurePolicy::Block`: the
-    /// pipeline's ordering contract needs requests entering the rings
-    /// in parse order, so the next command must not be dispatched
-    /// before this one is enqueued.
+    /// resolved). The submitting poll carries a no-op waker: a request
+    /// that went into its ring needs nobody woken yet, and a real one
+    /// would have every completion of a pipeline unpark this thread
+    /// while it waits on a different request. Only a submission that a
+    /// full ring bounced under `BackpressurePolicy::Block` blocks —
+    /// parking, not spinning — because the pipeline's ordering contract
+    /// needs requests entering the rings in parse order, so the next
+    /// command must not be dispatched before this one is enqueued.
     fn new(mut f: F) -> Self {
-        match rt::block_on_until(&mut f, LaneFuture::is_enqueued) {
-            Some(v) => Eager {
-                fut: None,
-                out: Some(v),
-            },
-            None => Eager {
-                fut: Some(f),
-                out: None,
-            },
+        let mut cx = Context::from_waker(Waker::noop());
+        let out = match Pin::new(&mut f).poll(&mut cx) {
+            Poll::Ready(v) => Some(v),
+            Poll::Pending if f.is_enqueued() => None,
+            Poll::Pending => rt::block_on_until(&mut f, LaneFuture::is_enqueued),
+        };
+        Eager {
+            fut: out.is_none().then_some(f),
+            out,
         }
     }
 
-    fn wait(self) -> F::Output {
-        match self.out {
-            Some(v) => v,
-            None => rt::block_on(self.fut.expect("pending future present")),
+    /// Block until the request has resolved, keeping its result for
+    /// [`wait`](Self::wait).
+    fn settle(&mut self) {
+        if let Some(f) = self.fut.take() {
+            self.out = Some(rt::block_on(f));
         }
+    }
+
+    fn wait(mut self) -> F::Output {
+        self.settle();
+        self.out.expect("settled future has its result")
     }
 }
 
@@ -137,6 +155,22 @@ enum Pending<B: ByteBackend> {
     Quit,
     /// SHUTDOWN — `+OK`, then stop the whole server.
     Shutdown,
+}
+
+impl<B: ByteBackend> Pending<B> {
+    /// Block until this command's last ring request has resolved.
+    fn settle(&mut self) {
+        match self {
+            Pending::Get(e) | Pending::Set(e) => e.settle(),
+            Pending::Count { futs, .. } | Pending::MGet(futs) => {
+                if let Some(e) = futs.last_mut() {
+                    e.settle();
+                }
+            }
+            Pending::Scan { fut, .. } => fut.settle(),
+            Pending::Ready(..) | Pending::Quit | Pending::Shutdown => {}
+        }
+    }
 }
 
 /// Serve one accepted connection until EOF, error, QUIT, a protocol
@@ -209,6 +243,14 @@ pub(crate) fn run<B: ByteBackend>(
             metrics.record_pipeline(pending.len() as u64);
         }
         // Render phase: await and serialize strictly in arrival order.
+        // Nothing is written before the whole pipeline has resolved, so
+        // sleep on its last request first: a lane completes in FIFO
+        // order, so everything sharing that lane is done by then and
+        // the thread was woken once, not once per reply it caught up
+        // with. (Requests on other lanes are awaited in order below.)
+        if let Some(last) = pending.last_mut() {
+            last.settle();
+        }
         out.clear();
         let mut close = false;
         for p in pending {

@@ -24,8 +24,9 @@
 //! the shared reclamation domain at all.
 //!
 //! Per-shard telemetry (`ops`, search hops, CAS retries, occupancy) is
-//! re-bucketed from the thread-sharded `lf-metrics` counters by
-//! differencing them around each routed operation; see
+//! re-bucketed from the thread-sharded `lf-metrics` counters: the step
+//! delta of each routed operation's own op boundary is credited to the
+//! shard in a block of cells the handle owns; see
 //! [`ShardedSkipList::snapshot`].
 //!
 //! For pure key-value traffic with no ordered scans there is also the
@@ -60,21 +61,22 @@
 //! ```
 
 mod map_flavor;
-mod metrics;
 mod router;
 
+/// Statistics of one shard (or, merged, of the whole map).
+pub use lf_metrics::PartitionSnapshot as ShardSnapshot;
+/// Statistics of every shard of a [`ShardedSkipList`], in index order.
+pub use lf_metrics::TallySnapshot as ShardedSnapshot;
 pub use map_flavor::{ShardedMap, ShardedMapHandle, ShardedMapIter};
-pub use metrics::{ShardSnapshot, ShardedSnapshot};
 
 use std::fmt;
 use std::hash::Hash;
 use std::ops::RangeBounds;
 
 use lf_core::skiplist::{merged_range, SkipList, SkipListHandle};
+use lf_metrics::{PartitionTally, TallyWriter};
 use lf_reclaim::{Ebr, Pod, Publish, Reclaim};
 use lf_tagged::CachePadded;
-
-use metrics::ShardStats;
 
 /// Default shard count: enough to split head-tower contention across a
 /// typical benchmark machine's cores without diluting per-shard
@@ -101,8 +103,8 @@ where
     /// The partitions. Each is `CachePadded` so one shard's hot head
     /// tower and length counter never share a line with its neighbor.
     shards: Box<[CachePadded<SkipList<K, V, R>>]>,
-    /// Per-shard statistics, parallel to `shards`.
-    stats: Box<[CachePadded<ShardStats>]>,
+    /// Per-shard statistics, written through each handle's own block.
+    tally: PartitionTally,
     /// Shard count − 1 (shard count is a power of two).
     mask: usize,
 }
@@ -179,23 +181,22 @@ where
             vec.push(CachePadded::new(first.new_sibling()));
         }
         vec.insert(0, CachePadded::new(first));
-        let stats = (0..shards)
-            .map(|_| CachePadded::new(ShardStats::new()))
-            .collect();
         ShardedSkipList {
             shards: vec.into_boxed_slice(),
-            stats,
+            tally: PartitionTally::new(shards),
             mask: shards - 1,
         }
     }
 
     /// Register a per-thread handle (one [`SkipListHandle`] per shard,
-    /// all in the shared reclamation domain).
+    /// all in the shared reclamation domain, plus a block of per-shard
+    /// statistics cells).
     #[must_use]
     pub fn handle(&self) -> ShardedHandle<'_, K, V, R> {
         ShardedHandle {
             map: self,
             handles: self.shards.iter().map(|s| s.handle()).collect(),
+            tally: self.tally.writer(),
         }
     }
 
@@ -268,14 +269,7 @@ where
     /// Per-shard statistics plus occupancy; see [`ShardedSnapshot`].
     #[must_use]
     pub fn snapshot(&self) -> ShardedSnapshot {
-        ShardedSnapshot {
-            per_shard: self
-                .stats
-                .iter()
-                .zip(self.shards.iter())
-                .map(|(st, sh)| st.snapshot(sh.len()))
-                .collect(),
-        }
+        self.tally.snapshot(|i| self.shards[i].len())
     }
 
     /// Validate every shard's structural invariants; quiescent only.
@@ -320,9 +314,8 @@ where
 /// A registered per-thread handle to a [`ShardedSkipList`].
 ///
 /// Owns one [`SkipListHandle`] per shard; every operation routes the
-/// key to its shard's handle, and the step counters are differenced
-/// around the call to credit the work to that shard (see
-/// [`ShardedSkipList::snapshot`]).
+/// key to its shard's handle and credits the steps that handle's op
+/// boundary counted to the shard (see [`ShardedSkipList::snapshot`]).
 pub struct ShardedHandle<'s, K, V, R = Ebr>
 where
     K: Ord + Hash + Send + Sync + 'static,
@@ -331,6 +324,7 @@ where
 {
     map: &'s ShardedSkipList<K, V, R>,
     handles: Box<[SkipListHandle<'s, K, V, R>]>,
+    tally: TallyWriter,
 }
 
 impl<'s, K, V, R> ShardedHandle<'s, K, V, R>
@@ -344,18 +338,22 @@ where
         router::shard_of(key, self.map.mask)
     }
 
+    /// Run `op` on shard `i`'s handle with the shard index as the
+    /// causal-trace tag (events the shard op records carry it; free
+    /// when tracing is off), then credit the steps the shard handle's
+    /// own op boundary counted to that shard.
+    #[inline]
+    fn routed<T>(&self, i: usize, op: impl FnOnce(&SkipListHandle<'s, K, V, R>) -> T) -> T {
+        let _t = lf_trace::shard_scope(i as u16);
+        let res = op(&self.handles[i]);
+        self.tally.record(i, self.handles[i].take_op_steps());
+        res
+    }
+
     /// Insert `(key, value)` into the key's shard. Returns the
     /// rejected pair if `key` is already present.
     pub fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
-        let i = self.route(&key);
-        // Causal-trace tag: events the shard op records (search,
-        // cas-fail, ...) carry the shard index; free when tracing is
-        // off. Same pattern in every routed op below.
-        let _t = lf_trace::shard_scope(i as u16);
-        let before = lf_metrics::local_steps();
-        let res = self.handles[i].insert(key, value);
-        self.map.stats[i].record(lf_metrics::local_steps().delta_since(before));
-        res
+        self.routed(self.route(&key), |h| h.insert(key, value))
     }
 
     /// Remove `key` from its shard, returning its value.
@@ -363,12 +361,7 @@ where
     where
         V: Clone,
     {
-        let i = self.route(key);
-        let _t = lf_trace::shard_scope(i as u16);
-        let before = lf_metrics::local_steps();
-        let res = self.handles[i].remove(key);
-        self.map.stats[i].record(lf_metrics::local_steps().delta_since(before));
-        res
+        self.routed(self.route(key), |h| h.remove(key))
     }
 
     /// Look up `key` in its shard, returning a clone of its value.
@@ -376,12 +369,7 @@ where
     where
         V: Clone,
     {
-        let i = self.route(key);
-        let _t = lf_trace::shard_scope(i as u16);
-        let before = lf_metrics::local_steps();
-        let res = self.handles[i].get(key);
-        self.map.stats[i].record(lf_metrics::local_steps().delta_since(before));
-        res
+        self.routed(self.route(key), |h| h.get(key))
     }
 
     /// Look up `key` in its shard without pinning the reclamation
@@ -394,34 +382,19 @@ where
         K: Pod,
         V: Pod,
     {
-        let i = self.route(key);
-        let _t = lf_trace::shard_scope(i as u16);
-        let before = lf_metrics::local_steps();
-        let res = self.handles[i].try_read(key);
-        self.map.stats[i].record(lf_metrics::local_steps().delta_since(before));
-        res
+        self.routed(self.route(key), |h| h.try_read(key))
     }
 
     /// Zero-copy lookup: run `f` over the value in place (under the
     /// shard's epoch pin) instead of cloning it out. See
     /// [`SkipListHandle::get_with`].
     pub fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        let i = self.route(key);
-        let _t = lf_trace::shard_scope(i as u16);
-        let before = lf_metrics::local_steps();
-        let res = self.handles[i].get_with(key, f);
-        self.map.stats[i].record(lf_metrics::local_steps().delta_since(before));
-        res
+        self.routed(self.route(key), |h| h.get_with(key, f))
     }
 
     /// Whether `key` is present in its shard.
     pub fn contains(&self, key: &K) -> bool {
-        let i = self.route(key);
-        let _t = lf_trace::shard_scope(i as u16);
-        let before = lf_metrics::local_steps();
-        let res = self.handles[i].contains(key);
-        self.map.stats[i].record(lf_metrics::local_steps().delta_since(before));
-        res
+        self.routed(self.route(key), |h| h.contains(key))
     }
 
     /// Ordered scan over the union of all shards: calls
@@ -592,14 +565,14 @@ mod tests {
             assert!(h.insert(k, k).is_ok());
         }
         let snap = map.snapshot();
-        assert_eq!(snap.per_shard.len(), 4);
+        assert_eq!(snap.per_partition.len(), 4);
         let merged = snap.merged();
         assert_eq!(merged.ops, 400);
         assert_eq!(merged.occupancy, 400);
         // Sequential keys must spread: no shard may own >60% of ops.
         assert!(snap.max_ops_share() < 0.6, "{:?}", snap);
         // Every op routed to shard i bumped shard i's count only.
-        for (i, s) in snap.per_shard.iter().enumerate() {
+        for (i, s) in snap.per_partition.iter().enumerate() {
             assert_eq!(s.ops as usize, s.occupancy, "shard {i}");
         }
     }
@@ -618,7 +591,7 @@ mod tests {
         });
         assert_eq!(seen, (0..100).collect::<Vec<_>>());
         let snap = map.snapshot();
-        assert_eq!(snap.per_shard[0].ops, 100);
+        assert_eq!(snap.per_partition[0].ops, 100);
     }
 
     #[test]

@@ -10,15 +10,17 @@
 //! shard, the map's power-of-two FR-list buckets give O(1) expected
 //! point ops exactly as in `lf-map`.
 //!
-//! Shard routing uses a different slice of the SipHash output than the
-//! maps' internal bucket routing (see `router::map_shard_of`), so a
-//! shard's keys still spread over all of its buckets.
+//! A routed operation hashes its key once ([`lf_map::hash_key`]): the
+//! shard index is the word's raw high half, and the shard's `_hashed`
+//! entry point folds the same word into the bucket index — two slices
+//! of one SipHash (see `router::map_shard_of` for why they differ), so
+//! a shard's keys still spread over all of its buckets.
 
 use std::fmt;
 use std::hash::Hash;
 
 use lf_core::ChainIter;
-use lf_map::{BucketMap, BucketMapHandle, BucketMapSnapshot};
+use lf_map::{hash_key, BucketMap, BucketMapHandle, BucketMapSnapshot};
 use lf_reclaim::{Ebr, Pod, Publish, Reclaim};
 
 use crate::router;
@@ -154,6 +156,13 @@ where
         router::map_shard_of(key, self.mask)
     }
 
+    /// The shards' reclamation domains, in shard order (all distinct:
+    /// each shard is its own [`BucketMap`]) — e.g. to read the
+    /// backend's gauges off the structure under test.
+    pub fn domains(&self) -> impl Iterator<Item = &R::Domain> {
+        self.shards.iter().map(BucketMap::domain)
+    }
+
     /// Total number of keys, summed across shards (racy-fresh under
     /// concurrency).
     #[must_use]
@@ -208,8 +217,8 @@ where
 }
 
 /// A registered per-thread handle to a [`ShardedMap`]: one
-/// [`BucketMapHandle`] per shard, operations routed by
-/// `router::map_shard_of`.
+/// [`BucketMapHandle`] per shard, operations routed by the high half
+/// of the key's one hash (`router::map_shard_of`).
 pub struct ShardedMapHandle<'s, K, V, R = Ebr>
 where
     K: Ord + Hash + Send + Sync + 'static,
@@ -226,9 +235,10 @@ where
     V: Send + Sync + 'static,
     R: Reclaim + Publish<K> + Publish<V>,
 {
+    /// The handle of the shard `hash` (the key's [`hash_key`]) picks.
     #[inline]
-    fn route(&self, key: &K) -> usize {
-        router::map_shard_of(key, self.map.mask)
+    fn shard(&self, hash: u64) -> &BucketMapHandle<'s, K, V, R> {
+        &self.handles[router::map_shard_of_hash(hash, self.map.mask)]
     }
 
     /// Insert `(key, value)` into the key's shard.
@@ -237,8 +247,8 @@ where
     ///
     /// Returns the rejected pair if `key` is already present.
     pub fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
-        let i = self.route(&key);
-        self.handles[i].insert(key, value)
+        let hash = hash_key(&key);
+        self.shard(hash).insert_hashed(hash, key, value)
     }
 
     /// Remove `key` from its shard, returning its value.
@@ -246,7 +256,8 @@ where
     where
         V: Clone,
     {
-        self.handles[self.route(key)].remove(key)
+        let hash = hash_key(key);
+        self.shard(hash).remove_hashed(hash, key)
     }
 
     /// Look up `key` in its shard, returning a clone of its value.
@@ -254,7 +265,8 @@ where
     where
         V: Clone,
     {
-        self.handles[self.route(key)].get(key)
+        let hash = hash_key(key);
+        self.shard(hash).get_hashed(hash, key)
     }
 
     /// Pin-free lookup when the backend supports it; see
@@ -264,17 +276,20 @@ where
         K: Pod,
         V: Pod,
     {
-        self.handles[self.route(key)].try_read(key)
+        let hash = hash_key(key);
+        self.shard(hash).try_read_hashed(hash, key)
     }
 
     /// Zero-copy lookup; see [`BucketMapHandle::get_with`].
     pub fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        self.handles[self.route(key)].get_with(key, f)
+        let hash = hash_key(key);
+        self.shard(hash).get_with_hashed(hash, key, f)
     }
 
     /// Whether `key` is present in its shard.
     pub fn contains(&self, key: &K) -> bool {
-        self.handles[self.route(key)].contains(key)
+        let hash = hash_key(key);
+        self.shard(hash).contains_hashed(hash, key)
     }
 
     /// Unordered iteration over every shard's every bucket: each
@@ -443,9 +458,36 @@ mod tests {
             assert!(h.insert(k, k).is_ok());
         }
         for (i, snap) in map.snapshot().into_iter().enumerate() {
-            let empty = snap.per_bucket.iter().filter(|b| b.occupancy == 0).count();
+            let empty = snap
+                .per_partition
+                .iter()
+                .filter(|b| b.occupancy == 0)
+                .count();
             assert_eq!(empty, 0, "shard {i} left {empty} buckets unused");
         }
+    }
+
+    #[test]
+    fn domains_are_one_per_shard_and_distinct() {
+        let map: ShardedMap<u64, u64> = ShardedMap::new(4, 8);
+        let domains: Vec<_> = map.domains().collect();
+        assert_eq!(domains.len(), map.shard_count());
+        for (i, a) in domains.iter().enumerate() {
+            for b in &domains[i + 1..] {
+                assert!(!std::ptr::eq(*a, *b));
+            }
+        }
+        // They are the shards' own domains: retiring through shard 0
+        // moves shard 0's gauge and nobody else's.
+        let h = map.handle();
+        let key = (0u64..).find(|k| map.shard_of(k) == 0).unwrap();
+        assert!(h.insert(key, 1).is_ok());
+        assert_eq!(h.remove(&key), Some(1));
+        let retired: Vec<u64> = domains
+            .iter()
+            .map(|d| Ebr::gauge(d).snapshot().retired)
+            .collect();
+        assert_eq!(retired, [1, 0, 0, 0]);
     }
 
     #[test]

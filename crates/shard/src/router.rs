@@ -5,15 +5,15 @@
 //! monotonicity (a key can surface from at most one per-shard cursor).
 //!
 //! The router hashes with the standard library's SipHash-1-3
-//! ([`DefaultHasher`]) under its default (zero) keys, so routing is
+//! (`DefaultHasher`, through the tier's one [`lf_map::hash_key`])
+//! under its default (zero) keys, so routing is
 //! deterministic within a process *and* across processes — benchmark
 //! runs and their baselines partition identically. HashDoS resistance
 //! is deliberately traded away: shard choice only spreads contention,
 //! it is not a security boundary (a colliding workload degrades to the
 //! single-list cost we started from, nothing worse).
 
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 
 /// Route `key` to a shard index in `0..=mask` (`mask` = shard count −
 /// 1, shard count a power of two).
@@ -23,9 +23,7 @@ use std::hash::{Hash, Hasher};
 /// diffusion.
 #[inline]
 pub(crate) fn shard_of<K: Hash + ?Sized>(key: &K, mask: usize) -> usize {
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    let x = h.finish();
+    let x = lf_map::hash_key(key);
     ((x ^ (x >> 32)) as usize) & mask
 }
 
@@ -40,9 +38,14 @@ pub(crate) fn shard_of<K: Hash + ?Sized>(key: &K, mask: usize) -> usize {
 /// fold XORs the uniform low half on top of whatever this selects).
 #[inline]
 pub(crate) fn map_shard_of<K: Hash + ?Sized>(key: &K, mask: usize) -> usize {
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    ((h.finish() >> 32) as usize) & mask
+    map_shard_of_hash(lf_map::hash_key(key), mask)
+}
+
+/// [`map_shard_of`] given the key's [`lf_map::hash_key`], which then
+/// goes down to the shard's `_hashed` entry point unchanged.
+#[inline]
+pub(crate) fn map_shard_of_hash(hash: u64, mask: usize) -> usize {
+    ((hash >> 32) as usize) & mask
 }
 
 #[cfg(test)]

@@ -194,11 +194,15 @@ impl Watchdog {
             trips: AtomicU64::new(0),
             last: Mutex::new(None),
         });
+        // The reclamation baseline is taken here, not on the monitor
+        // thread: a retire backlog that builds between `start` and the
+        // monitor's first poll must still count as pressure.
+        let baseline = (crate::epoch_advances(), crate::retires(), Instant::now());
         let monitor = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("lf-trace-watchdog".into())
-                .spawn(move || monitor_loop(&shared, cfg))
+                .spawn(move || monitor_loop(&shared, cfg, baseline))
                 .expect("spawn watchdog monitor")
         };
         Watchdog {
@@ -258,16 +262,16 @@ struct Watched {
     reported: bool,
 }
 
-fn monitor_loop(shared: &Shared, cfg: Config) {
+/// `baseline` is `(epoch_advances(), retires(), now)` as of
+/// [`Watchdog::start`].
+fn monitor_loop(shared: &Shared, cfg: Config, baseline: (u64, u64, Instant)) {
     let poll = cfg
         .poll
         .unwrap_or_else(|| (cfg.deadline / 4).max(Duration::from_millis(10)));
     let mut watched: Vec<Watched> = Vec::new();
-    // Epoch-advance tracking: `since` is when `epoch_advances()` last
-    // changed; `retires_then` is the retire count at that moment.
-    let mut epoch_seen = crate::epoch_advances();
-    let mut epoch_since = Instant::now();
-    let mut retires_then = crate::retires();
+    // Epoch-advance tracking: `epoch_since` is when `epoch_advances()`
+    // last changed; `retires_then` is the retire count at that moment.
+    let (mut epoch_seen, mut retires_then, mut epoch_since) = baseline;
     let mut epoch_reported = false;
 
     loop {
