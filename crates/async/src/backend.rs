@@ -12,12 +12,12 @@
 use std::hash::Hash;
 use std::ops::Bound;
 
-use lf_core::{FrList, SkipList};
+use lf_core::{merged_range, FrList, SkipList};
 use lf_map::{BucketMap, BucketMapHandle};
 use lf_reclaim::{Publish, Reclaim};
 use lf_shard::{ShardedHandle, ShardedMap, ShardedMapHandle, ShardedSkipList};
 
-use crate::op::{GetWithVisitor, Request, Response, ScanSlot};
+use crate::op::{GetWithVisitor, Request, Response, ScanVisitor};
 
 /// Drive a structure's zero-copy `get_with` with the boxed visitor a
 /// [`Request::GetWith`] carries.
@@ -43,22 +43,27 @@ fn run_get_with<V>(
     found
 }
 
-/// Drain up to `limit` pairs from an ordered iterator into a
-/// [`Request::Scan`]'s slot, returning how many were written. The
-/// iterator is consumed *inside* the worker's pin (the structure's
-/// iterators pin internally); only the cloned pairs cross into the
-/// shared slot.
-fn fill_scan<K, V>(
-    out: &ScanSlot<K, V>,
+/// Show a [`Request::Scan`]'s visitor one page. `walk` is the
+/// structure's ordered traversal from the scan cursor: it calls the
+/// closure it is handed for each pair **in place** (inside the
+/// structure's pin) until that returns `false` — which it does once
+/// the visitor declines or `limit` pairs were shown. The visitor's
+/// closing `None` follows in every case, walk or no walk, so its
+/// accumulator always reaches the future. Returns the pairs shown.
+fn run_scan<K, V>(
+    mut visitor: ScanVisitor<K, V>,
     limit: usize,
-    pairs: impl Iterator<Item = (K, V)>,
+    walk: impl FnOnce(&mut dyn FnMut(&K, &V) -> bool),
 ) -> usize {
-    let mut dst = out
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    dst.clear();
-    dst.extend(pairs.take(limit));
-    dst.len()
+    let mut shown = 0;
+    if limit > 0 {
+        walk(&mut |k, v| {
+            shown += 1;
+            visitor(Some((k, v))) && shown < limit
+        });
+    }
+    visitor(None);
+    shown
 }
 
 /// How many remove+insert rounds a [`Request::Upsert`] retries when
@@ -83,13 +88,10 @@ fn run_upsert(mut insert: impl FnMut() -> bool, mut remove: impl FnMut()) -> boo
     false
 }
 
-/// The half-open key range a scan cursor denotes: everything strictly
-/// after `after`, or the whole keyspace when starting out.
-fn scan_bounds<K: Clone>(after: &Option<K>) -> (Bound<K>, Bound<K>) {
-    match after {
-        Some(k) => (Bound::Excluded(k.clone()), Bound::Unbounded),
-        None => (Bound::Unbounded, Bound::Unbounded),
-    }
+/// Where a scan cursor starts: strictly after `after`, or at the
+/// smallest key when starting out.
+fn scan_start<K>(after: &Option<K>) -> Bound<&K> {
+    after.as_ref().map_or(Bound::Unbounded, Bound::Excluded)
 }
 
 /// A map structure the async service can front.
@@ -193,14 +195,18 @@ where
             )),
             Request::Remove(k) => Response::Removed(self.remove(&k)),
             Request::GetWith(k, f) => Response::Visited(run_get_with(f, |g| self.get_with(&k, g))),
-            Request::Scan(after, limit, out) => Response::Scanned(fill_scan(
-                &out,
-                limit,
+            Request::Scan(after, limit, f) => Response::Scanned(run_scan(f, limit, |page| {
                 // The list iterates in key order; skip to strictly
                 // after the cursor (no positioned descent on a list).
-                self.iter()
-                    .skip_while(|(k, _)| matches!(&after, Some(a) if k <= a)),
-            )),
+                let from_cursor = self
+                    .iter()
+                    .skip_while(|(k, _)| matches!(&after, Some(a) if k <= a));
+                for (k, v) in from_cursor {
+                    if !page(&k, &v) {
+                        break;
+                    }
+                }
+            })),
             Request::Len => Response::Len(self.list().len()),
         }
     }
@@ -263,9 +269,10 @@ where
             )),
             Request::Remove(k) => Response::Removed(self.remove(&k)),
             Request::GetWith(k, f) => Response::Visited(run_get_with(f, |g| self.get_with(&k, g))),
-            Request::Scan(after, limit, out) => {
-                Response::Scanned(fill_scan(&out, limit, self.range(scan_bounds(&after))))
-            }
+            Request::Scan(after, limit, f) => Response::Scanned(run_scan(f, limit, |page| {
+                // The sharded tier's walk, over this one list.
+                merged_range(&[self], scan_start(&after), Bound::Unbounded, page);
+            })),
             Request::Len => Response::Len(self.list().len()),
         }
     }
@@ -347,22 +354,10 @@ where
             )),
             Request::Remove(k) => Response::Removed(self.remove(&k)),
             Request::GetWith(k, f) => Response::Visited(run_get_with(f, |g| self.get_with(&k, g))),
-            Request::Scan(after, limit, out) => {
-                let mut dst = out
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                dst.clear();
-                // k-way merged range across shards; the visitor stops
-                // the merge once the page is full.
-                self.range(scan_bounds(&after), |k, v| {
-                    dst.push((k.clone(), v.clone()));
-                    dst.len() < limit
-                });
-                if limit == 0 {
-                    dst.clear();
-                }
-                Response::Scanned(dst.len())
-            }
+            Request::Scan(after, limit, f) => Response::Scanned(run_scan(f, limit, |page| {
+                // k-way merged range across shards.
+                self.range((scan_start(&after), Bound::Unbounded), page);
+            })),
             Request::Len => Response::Len(self.len()),
         }
     }
@@ -440,9 +435,9 @@ where
             Request::Remove(k) => Response::Removed(self.remove(&k)),
             Request::GetWith(k, f) => Response::Visited(run_get_with(f, |g| self.get_with(&k, g))),
             // Hash tier: no ordered scan (`supports_scan()` is false);
-            // answer with an empty page rather than panic so a caller
-            // that skipped the capability check still completes.
-            Request::Scan(_, _, out) => Response::Scanned(fill_scan(&out, 0, std::iter::empty())),
+            // finish the visitor with an empty page rather than panic
+            // so a caller that skipped the capability check completes.
+            Request::Scan(_, _, f) => Response::Scanned(run_scan(f, 0, |_| {})),
             Request::Len => Response::Len(self.len()),
         }
     }
@@ -522,7 +517,7 @@ where
             Request::GetWith(k, f) => Response::Visited(run_get_with(f, |g| self.get_with(&k, g))),
             // Hash tier: no ordered scan (`supports_scan()` is false);
             // see the `BucketMapHandle` arm.
-            Request::Scan(_, _, out) => Response::Scanned(fill_scan(&out, 0, std::iter::empty())),
+            Request::Scan(_, _, f) => Response::Scanned(run_scan(f, 0, |_| {})),
             Request::Len => Response::Len(self.len()),
         }
     }

@@ -55,7 +55,7 @@ mod service;
 
 pub use backend::{AsyncBackend, BackendHandle};
 pub use metrics::{ServiceMetrics, ServiceSnapshot};
-pub use op::{Error, GetWithVisitor, Request, Response, ScanSlot};
+pub use op::{Error, GetWithVisitor, Request, Response, ScanVisitor};
 pub use service::{
     install_stall_hook, AsyncHashMap, AsyncList, AsyncShardedMap, AsyncSkipList,
     BackpressurePolicy, GetWithFuture, HashMapBuilder, LaneFuture, OpFuture, ScanFuture, Service,

@@ -12,51 +12,67 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use lf_metrics::export::{histogram_json, histogram_prometheus, JsonObj};
 use lf_metrics::{AtomicHistogram, Histogram};
+use lf_tagged::CachePadded;
+
+/// What submitting threads write, once per request.
+#[derive(Default)]
+struct ByProducers {
+    enqueued: AtomicU64,
+    queue_depth: AtomicHistogram,
+}
+
+/// What lane workers write, once per request or batch.
+#[derive(Default)]
+struct ByWorkers {
+    completed: AtomicU64,
+    batch_size: AtomicHistogram,
+    enqueue_to_complete_ns: AtomicHistogram,
+}
 
 /// Live service counters and histograms. One per service; shared by
 /// every producer and worker.
+///
+/// Fields are grouped by who writes them and each group padded to its
+/// own cache lines: every request bumps `enqueued` on its submitting
+/// thread and `completed` on its lane worker, and side by side those
+/// two would bounce one line between the two threads per request.
 pub struct ServiceMetrics {
-    enqueued: AtomicU64,
-    completed: AtomicU64,
+    producers: CachePadded<ByProducers>,
+    workers: CachePadded<ByWorkers>,
+    // The rare outcomes; whoever hits one writes it.
     rejected: AtomicU64,
     shed: AtomicU64,
     shutdown_dropped: AtomicU64,
-    queue_depth: AtomicHistogram,
-    batch_size: AtomicHistogram,
-    enqueue_to_complete_ns: AtomicHistogram,
 }
 
 impl ServiceMetrics {
     pub(crate) fn new() -> Self {
         ServiceMetrics {
-            enqueued: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
+            producers: CachePadded::default(),
+            workers: CachePadded::default(),
             rejected: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             shutdown_dropped: AtomicU64::new(0),
-            queue_depth: AtomicHistogram::new(),
-            batch_size: AtomicHistogram::new(),
-            enqueue_to_complete_ns: AtomicHistogram::new(),
         }
     }
 
     /// A request was queued; `depth` is the lane depth after the push.
     pub(crate) fn record_enqueue(&self, depth: u64) {
         // ord: Relaxed — ASYNC.stat: statistic counter, snapshots racy-fresh
-        self.enqueued.fetch_add(1, Ordering::Relaxed);
-        self.queue_depth.record(depth);
+        self.producers.enqueued.fetch_add(1, Ordering::Relaxed);
+        self.producers.queue_depth.record(depth);
     }
 
     /// A request executed; `e2c_ns` is its enqueue-to-complete latency.
     pub(crate) fn record_complete(&self, e2c_ns: u64) {
         // ord: Relaxed — ASYNC.stat: statistic counter, snapshots racy-fresh
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        self.enqueue_to_complete_ns.record(e2c_ns);
+        self.workers.completed.fetch_add(1, Ordering::Relaxed);
+        self.workers.enqueue_to_complete_ns.record(e2c_ns);
     }
 
     /// A worker drained a batch of `n` requests.
     pub(crate) fn record_batch(&self, n: u64) {
-        self.batch_size.record(n);
+        self.workers.batch_size.record(n);
     }
 
     /// A request bounced off a full lane under `Reject`.
@@ -81,18 +97,18 @@ impl ServiceMetrics {
     pub fn snapshot(&self) -> ServiceSnapshot {
         ServiceSnapshot {
             // ord: Relaxed — ASYNC.stat: statistic counter, snapshots racy-fresh
-            enqueued: self.enqueued.load(Ordering::Relaxed),
+            enqueued: self.producers.enqueued.load(Ordering::Relaxed),
             // ord: Relaxed — ASYNC.stat: statistic counter, snapshots racy-fresh
-            completed: self.completed.load(Ordering::Relaxed),
+            completed: self.workers.completed.load(Ordering::Relaxed),
             // ord: Relaxed — ASYNC.stat: statistic counter, snapshots racy-fresh
             rejected: self.rejected.load(Ordering::Relaxed),
             // ord: Relaxed — ASYNC.stat: statistic counter, snapshots racy-fresh
             shed: self.shed.load(Ordering::Relaxed),
             // ord: Relaxed — ASYNC.stat: statistic counter, snapshots racy-fresh
             shutdown_dropped: self.shutdown_dropped.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(),
-            batch_size: self.batch_size.load(),
-            enqueue_to_complete_ns: self.enqueue_to_complete_ns.load(),
+            queue_depth: self.producers.queue_depth.load(),
+            batch_size: self.workers.batch_size.load(),
+            enqueue_to_complete_ns: self.workers.enqueue_to_complete_ns.load(),
         }
     }
 }

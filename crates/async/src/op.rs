@@ -25,12 +25,19 @@ use std::time::Instant;
 /// (shutdown/shed), in which case the future resolves with the error.
 pub type GetWithVisitor<V> = Box<dyn FnOnce(Option<&V>) + Send>;
 
-/// The shared slot a [`Request::Scan`] fills on the lane worker: up to
-/// `limit` cloned `(key, value)` pairs in ascending key order, starting
-/// strictly after the cursor key. The worker writes it before the
-/// completion cell's Release edge, so the awaiting future reads it
-/// race-free (and the mutex makes it race-free besides).
-pub type ScanSlot<K, V> = std::sync::Arc<Mutex<Vec<(K, V)>>>;
+/// The boxed visitor a [`Request::Scan`] carries to the lane worker —
+/// the [`GetWithVisitor`] convention, per page. Called with
+/// `Some((&key, &value))` **in place** for each pair of the page, in
+/// ascending key order, on the worker thread under its
+/// (batch-amortized) epoch pin; returning `false` stops the walk
+/// early. Then called exactly once more with `None` (result ignored),
+/// which is where it hands whatever it accumulated to its future — one
+/// lock per page rather than a clone per pair. It must not block, do
+/// I/O or await: every request queued behind it on the lane waits, and
+/// the pin it runs under delays reclamation domain-wide. Dropped
+/// uncalled only when the request itself dies unexecuted
+/// (shutdown/shed), in which case the future resolves with the error.
+pub type ScanVisitor<K, V> = Box<dyn FnMut(Option<(&K, &V)>) -> bool + Send>;
 
 /// A dictionary operation submitted to the service.
 pub enum Request<K, V> {
@@ -53,12 +60,13 @@ pub enum Request<K, V> {
     /// (zero-copy): no clone crosses the queue, only the visitor's own
     /// result (parked in the future's slot).
     GetWith(K, GetWithVisitor<V>),
-    /// Ordered scan: clone up to `.1` pairs with keys strictly greater
-    /// than `.0` (`None` = from the start) into the slot, executed on
-    /// the lane worker under its batch-amortized pin. Only ordered
-    /// backends serve it — see
-    /// [`AsyncBackend::supports_scan`](crate::AsyncBackend::supports_scan).
-    Scan(Option<K>, usize, ScanSlot<K, V>),
+    /// Ordered scan: show the visitor up to `.1` pairs with keys
+    /// strictly greater than `.0` (`None` = from the start), in place,
+    /// on the lane worker under its batch-amortized pin. Only ordered
+    /// backends walk — see
+    /// [`AsyncBackend::supports_scan`](crate::AsyncBackend::supports_scan);
+    /// hash tiers finish the visitor with an empty page.
+    Scan(Option<K>, usize, ScanVisitor<K, V>),
     /// Number of live keys.
     Len,
 }
@@ -76,16 +84,19 @@ impl<K: fmt::Debug, V> fmt::Debug for Request<K, V> {
                 .field(k)
                 .field(&"<visitor>")
                 .finish(),
-            Request::Scan(after, limit, _) => {
-                f.debug_tuple("Scan").field(after).field(limit).finish()
-            }
+            Request::Scan(after, limit, _) => f
+                .debug_tuple("Scan")
+                .field(after)
+                .field(limit)
+                .field(&"<visitor>")
+                .finish(),
             Request::Len => f.write_str("Len"),
         }
     }
 }
 
-/// Structural equality; two `GetWith` requests compare by key only
-/// (closures have no identity).
+/// Structural equality; `GetWith` and `Scan` requests compare by their
+/// plain fields only (closures have no identity).
 impl<K: PartialEq, V: PartialEq> PartialEq for Request<K, V> {
     fn eq(&self, other: &Self) -> bool {
         match (self, other) {
@@ -120,8 +131,8 @@ pub enum Response<V> {
     /// `GetWith`: whether the key was present (the visitor's result
     /// travels through the future's slot, not the response).
     Visited(bool),
-    /// `Scan`: how many pairs were written to the request's
-    /// [`ScanSlot`] (the pairs themselves travel through the slot).
+    /// `Scan`: how many pairs the request's [`ScanVisitor`] was shown
+    /// (what it made of them travels through its own slot).
     Scanned(usize),
     /// `Len`: the size estimate.
     Len(usize),

@@ -30,7 +30,7 @@ use lf_tagged::Backoff;
 
 use crate::backend::{AsyncBackend, BackendHandle};
 use crate::metrics::{ServiceMetrics, ServiceSnapshot};
-use crate::op::{Error, GetWithVisitor, OpCell, Request, Response, ScanSlot};
+use crate::op::{Error, GetWithVisitor, OpCell, Request, Response};
 use crate::ring::{Pop, PushError, Ring};
 
 /// What a submission does when its lane's queue is full.
@@ -781,17 +781,41 @@ impl<B: AsyncBackend> Service<B> {
 
     /// Ordered scan: resolve to up to `limit` `(key, value)` pairs with
     /// keys strictly greater than `after` (`None` = from the smallest
-    /// key), in ascending key order. The page is collected on a lane
-    /// worker under its batch-amortized pin — the caller never touches
-    /// a guard — and cloned into the future's slot. Only meaningful
-    /// when [`supports_scan`](Service::supports_scan) is true; hash
-    /// tiers resolve to an empty page.
+    /// key), in ascending key order. A thin wrapper over
+    /// [`scan_with`](Service::scan_with) whose visitor clones each pair
+    /// into a page and hands the page to the future at its closing
+    /// call. Only meaningful when
+    /// [`supports_scan`](Service::supports_scan) is true; hash tiers
+    /// resolve to an empty page.
     pub fn scan(&self, after: Option<B::Key>, limit: usize) -> ScanFuture<B> {
-        let slot: ScanSlot<B::Key, B::Value> = Arc::new(Mutex::new(Vec::new()));
-        ScanFuture {
-            inner: self.op(Request::Scan(after, limit, Arc::clone(&slot))),
-            slot,
-        }
+        let slot = Arc::new(Mutex::new(Vec::new()));
+        let out = Arc::clone(&slot);
+        let mut page = Vec::new();
+        let inner = self.scan_with(after, limit, move |pair| {
+            match pair {
+                Some((k, v)) => page.push((k.clone(), v.clone())),
+                None => *out.lock().unwrap_or_else(|e| e.into_inner()) = std::mem::take(&mut page),
+            }
+            true
+        });
+        ScanFuture { inner, slot }
+    }
+
+    /// Zero-copy ordered scan: `visitor` is shown up to `limit` pairs
+    /// with keys strictly greater than `after` (`None` = from the
+    /// smallest key) **in place**, in ascending key order, on a lane
+    /// worker under its batch-amortized epoch pin; it returns `false`
+    /// to stop early, and is called exactly once more with `None` when
+    /// the page ends (see [`ScanVisitor`](crate::ScanVisitor) for the
+    /// full contract — in particular it must not block). Nothing is
+    /// cloned across the queue: what the visitor keeps, and how it
+    /// reaches the caller, is the visitor's business. Resolves to
+    /// `Response::Scanned(n)`, the number of pairs shown.
+    pub fn scan_with<F>(&self, after: Option<B::Key>, limit: usize, visitor: F) -> OpFuture<B>
+    where
+        F: FnMut(Option<(&B::Key, &B::Value)>) -> bool + Send + 'static,
+    {
+        self.op(Request::Scan(after, limit, Box::new(visitor)))
     }
 
     /// Whether the backend serves ordered scans; see
@@ -1084,15 +1108,18 @@ impl<B: AsyncBackend, R> Future for GetWithFuture<B, R> {
     }
 }
 
+/// The cloned pairs a [`ScanFuture`] resolves to.
+type Page<B> = Vec<(<B as AsyncBackend>::Key, <B as AsyncBackend>::Value)>;
+
 /// An ordered scan in flight; see [`Service::scan`].
 ///
-/// Wraps an [`OpFuture`] plus the slot the lane worker fills with the
-/// page of cloned pairs. Resolves to the pairs in ascending key order.
-/// `Send` for the same reason `OpFuture` is: no guard, no handle, no
-/// borrow — only the cell and the slot.
+/// Wraps an [`OpFuture`] plus the slot the worker-side visitor parks
+/// its page of cloned pairs in. Resolves to the pairs in ascending key
+/// order. `Send` for the same reason `OpFuture` is: no guard, no
+/// handle, no borrow — only the cell and the slot.
 pub struct ScanFuture<B: AsyncBackend> {
     inner: OpFuture<B>,
-    slot: ScanSlot<B::Key, B::Value>,
+    slot: Arc<Mutex<Page<B>>>,
 }
 
 // No self-references — pinning is structural only, as for `OpFuture`.
@@ -1110,13 +1137,13 @@ impl<B: AsyncBackend> LaneFuture for ScanFuture<B> {
 }
 
 impl<B: AsyncBackend> Future for ScanFuture<B> {
-    type Output = Result<Vec<(B::Key, B::Value)>, Error>;
+    type Output = Result<Page<B>, Error>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
         match Pin::new(&mut this.inner).poll(cx) {
-            // Same publication argument as `GetWithFuture`: the worker
-            // filled the slot before the cell's Release store.
+            // Same publication argument as `GetWithFuture`: the visitor
+            // parked its page before the cell's Release store.
             Poll::Ready(Ok(_)) => Poll::Ready(Ok(std::mem::take(
                 &mut *this.slot.lock().unwrap_or_else(|e| e.into_inner()),
             ))),

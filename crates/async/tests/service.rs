@@ -14,11 +14,12 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::task::{Context, Poll};
 
 use lf_async::{
-    AsyncBackend, BackendHandle, BackpressurePolicy, Error, Request, Response, Service,
-    ServiceBuilder,
+    AsyncBackend, BackendHandle, BackpressurePolicy, Error, HashMapBuilder, Request, Response,
+    Service, ServiceBuilder, ShardedBuilder,
 };
 use lf_core::FrList;
 use lf_sched::rt;
+use lf_shard::ShardedMap;
 
 struct Gate {
     open: Mutex<bool>,
@@ -222,6 +223,212 @@ fn skiplist_backend_round_trips() {
     });
     assert_eq!(service.len(), 50);
     service.shutdown();
+}
+
+/// Page through `service` at each page size and from cursors that are
+/// present, removed, below the minimum and above the maximum; every
+/// page must equal the `BTreeMap`'s.
+fn scan_matches_oracle<B: AsyncBackend<Key = u64, Value = u64>>(service: &Service<B>) {
+    assert!(service.supports_scan());
+    assert_eq!(rt::block_on(service.scan(None, 10)), Ok(vec![]));
+    let mut oracle = std::collections::BTreeMap::new();
+    rt::block_on(async {
+        for i in 0..400u64 {
+            let k = 10 + i * 37 % 401;
+            assert_eq!(service.insert(k, i).await, Ok(Response::Inserted(true)));
+            oracle.insert(k, i);
+        }
+        for k in (10..411u64).step_by(3) {
+            assert_eq!(
+                service.remove(k).await,
+                Ok(Response::Removed(oracle.remove(&k)))
+            );
+        }
+    });
+    for limit in [1usize, 7, 1_000] {
+        let mut after = None;
+        let mut seen = Vec::new();
+        loop {
+            let page = rt::block_on(service.scan(after, limit)).unwrap();
+            assert!(page.len() <= limit);
+            after = page.last().map(|(k, _)| *k);
+            let full = page.len() == limit;
+            seen.extend(page);
+            if !full {
+                break;
+            }
+        }
+        assert_eq!(
+            seen,
+            oracle.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>()
+        );
+    }
+    // 13 was removed, 14 is live, 0 and 5_000 lie beyond both ends.
+    for cursor in [0u64, 13, 14, 5_000] {
+        let want: Vec<_> = oracle
+            .range(cursor + 1..)
+            .take(5)
+            .map(|(k, v)| (*k, *v))
+            .collect();
+        assert_eq!(rt::block_on(service.scan(Some(cursor), 5)), Ok(want));
+    }
+    assert_eq!(rt::block_on(service.scan(None, 0)), Ok(vec![]));
+}
+
+#[test]
+fn scan_equals_a_btreemap_oracle_on_every_ordered_backend() {
+    scan_matches_oracle(&ServiceBuilder::new().workers(2).build_list::<u64, u64>());
+    scan_matches_oracle(
+        &ServiceBuilder::new()
+            .workers(2)
+            .build_skiplist::<u64, u64>(),
+    );
+    scan_matches_oracle(
+        &ShardedBuilder::new()
+            .workers(2)
+            .shards(8)
+            .build::<u64, u64>(),
+    );
+}
+
+/// A scan visitor that tallies its calls and flags its own drop.
+#[derive(Default)]
+struct VisitLog {
+    pairs: AtomicUsize,
+    closes: AtomicUsize,
+    dropped: AtomicUsize,
+}
+
+struct DropFlag(Arc<VisitLog>);
+
+impl Drop for DropFlag {
+    fn drop(&mut self) {
+        self.0.dropped.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// A visitor that accepts `accept` pairs, then declines.
+fn logging_visitor(
+    log: &Arc<VisitLog>,
+    accept: usize,
+) -> impl FnMut(Option<(&u64, &u64)>) -> bool + Send + 'static {
+    let flag = DropFlag(Arc::clone(log));
+    move |pair| match pair {
+        Some(_) => flag.0.pairs.fetch_add(1, Ordering::SeqCst) + 1 < accept,
+        None => {
+            flag.0.closes.fetch_add(1, Ordering::SeqCst);
+            true
+        }
+    }
+}
+
+#[test]
+fn scan_visitor_is_closed_exactly_once() {
+    let service = ShardedBuilder::new()
+        .workers(1)
+        .shards(4)
+        .build::<u64, u64>();
+    // (limit, pairs the visitor accepts, pairs it must be shown)
+    let cases = [
+        (0usize, 9usize, 0usize),
+        (5, 9, 5),
+        (50, 9, 9),
+        (50, 99, 20),
+    ];
+    for populated in [false, true] {
+        for (limit, accept, shown) in cases {
+            let shown = if populated { shown } else { 0 };
+            let log = Arc::new(VisitLog::default());
+            let fut = service.scan_with(None, limit, logging_visitor(&log, accept));
+            assert_eq!(rt::block_on(fut), Ok(Response::Scanned(shown)));
+            assert_eq!(log.pairs.load(Ordering::SeqCst), shown);
+            assert_eq!(log.closes.load(Ordering::SeqCst), 1);
+            assert_eq!(log.dropped.load(Ordering::SeqCst), 1);
+        }
+        rt::block_on(async {
+            for k in 0..20u64 {
+                let _ = service.insert(k, k).await;
+            }
+        });
+    }
+    service.shutdown();
+}
+
+#[test]
+fn hash_tiers_resolve_scans_to_an_empty_page() {
+    fn check<B: AsyncBackend<Key = u64, Value = u64>>(service: Service<B>) {
+        assert!(!service.supports_scan());
+        rt::block_on(async {
+            for k in 0..20u64 {
+                assert_eq!(service.insert(k, k).await, Ok(Response::Inserted(true)));
+            }
+        });
+        assert_eq!(rt::block_on(service.scan(None, 10)), Ok(vec![]));
+        let log = Arc::new(VisitLog::default());
+        let fut = service.scan_with(Some(3), 10, logging_visitor(&log, 10));
+        assert_eq!(rt::block_on(fut), Ok(Response::Scanned(0)));
+        assert_eq!(log.pairs.load(Ordering::SeqCst), 0);
+        assert_eq!(log.closes.load(Ordering::SeqCst), 1);
+    }
+    check(
+        HashMapBuilder::new()
+            .workers(2)
+            .buckets(8)
+            .build::<u64, u64>(),
+    );
+    check(
+        ServiceBuilder::new()
+            .workers(2)
+            .build(ShardedMap::<u64, u64>::new(2, 8)),
+    );
+}
+
+#[test]
+fn unexecuted_scans_drop_their_visitor_uncalled() {
+    let uncalled = |log: &VisitLog| {
+        assert_eq!(log.pairs.load(Ordering::SeqCst), 0);
+        assert_eq!(log.closes.load(Ordering::SeqCst), 0);
+        assert_eq!(log.dropped.load(Ordering::SeqCst), 1);
+    };
+
+    // Shed: the scan is the oldest queued request when the lane overflows.
+    let (service, gate) = gated_service(BackpressurePolicy::Shed, 2);
+    let mut in_flight = service.insert(1, 1);
+    assert!(poll_once(&mut in_flight).is_pending());
+    gate.wait_for_waiter();
+    let log = Arc::new(VisitLog::default());
+    let mut scan = service.scan_with(None, 10, logging_visitor(&log, 10));
+    let mut newer = service.insert(2, 1);
+    let mut freshest = service.insert(3, 1);
+    assert!(poll_once(&mut scan).is_pending());
+    assert!(poll_once(&mut newer).is_pending());
+    assert!(poll_once(&mut freshest).is_pending());
+    assert_eq!(rt::block_on(scan), Err(Error::Shed));
+    uncalled(&log);
+    gate.open();
+    service.shutdown();
+
+    // Shutdown: the scan is still queued when the rings close.
+    let (service, gate) = gated_service(BackpressurePolicy::Block, 64);
+    let service = Arc::new(service);
+    let mut in_flight = service.insert(1, 1);
+    assert!(poll_once(&mut in_flight).is_pending());
+    gate.wait_for_waiter();
+    let log = Arc::new(VisitLog::default());
+    let mut scan = service.scan(None, 10);
+    let mut scan_with = service.scan_with(None, 10, logging_visitor(&log, 10));
+    assert!(poll_once(&mut scan).is_pending());
+    assert!(poll_once(&mut scan_with).is_pending());
+    let s2 = Arc::clone(&service);
+    let shut = std::thread::spawn(move || s2.shutdown());
+    while poll_once(&mut service.get(1)) != Poll::Ready(Err(Error::Shutdown)) {
+        std::thread::yield_now();
+    }
+    gate.open();
+    shut.join().unwrap();
+    assert_eq!(rt::block_on(scan), Err(Error::Shutdown));
+    assert_eq!(rt::block_on(scan_with), Err(Error::Shutdown));
+    uncalled(&log);
 }
 
 #[test]

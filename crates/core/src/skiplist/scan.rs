@@ -10,6 +10,25 @@
 //! physically deleted (all three deletion steps), so a scan helps
 //! rather than hinders concurrent deleters.
 //!
+//! # Lock-step positioning
+//!
+//! Before the merge, every cursor must stand on its list's last node
+//! before the start bound — one `SearchToLevel` descent per list. The
+//! descents are independent pointer chases, each hop a cache miss that
+//! the next hop's address depends on; run one after another, `k` lists
+//! pay `k` times the full miss chain. [`lock_step_anchors`] instead
+//! keeps one small resumable [`Descent`] per list and advances them
+//! round-robin, one hop each, so the misses of different lists are
+//! outstanding together. A hop is exactly one iteration of the paper's
+//! `SearchRight` loop (same loads, same comparison, same step
+//! counters); the moment one meets a superfluous tower the level is
+//! handed to the real [`SkipList::search_right`], so helping is the
+//! paper's code, not a copy of it. Each list therefore ends on the
+//! node a sequential `search_to_level` would return, having counted
+//! the same steps — only the order in which independent lists take
+//! their hops differs, which no list can observe. The consistency
+//! contract below is untouched.
+//!
 //! # What the scan does *not* guarantee
 //!
 //! There is no atomic snapshot across shards (nor within one — see
@@ -20,6 +39,7 @@
 //! Output order is strictly ascending when every key routes to exactly
 //! one list (the sharding invariant), and non-decreasing otherwise.
 
+use std::borrow::Borrow;
 use std::ops::Bound as RangeBound;
 use std::ptr;
 
@@ -28,14 +48,22 @@ use lf_reclaim::{Publish, Reclaim};
 use super::level::FlagStatus;
 use super::node::SkipNode;
 use super::{Bound, Mode, SkipList, SkipListHandle};
+use crate::list::search_key_before as key_before;
 
-/// One per-list scan cursor of the k-way merge.
+/// One per-list scan cursor of the k-way merge. It first descends to
+/// its start position (`level > 0`), then walks level 1 (`level == 0`).
 struct Cursor<'a, K, V, R: Reclaim> {
     list: &'a SkipList<K, V, R>,
-    /// Last node this cursor consumed (or its start position); the
+    /// The level (1-based) the positioning descent stands on; 0 once
+    /// the cursor is positioned.
+    level: usize,
+    /// Descending: the node the descent stands on. Merging: the last
+    /// node this cursor consumed (or its start position) — the
     /// monotonicity anchor after helping relocates us leftwards.
     anchor: *mut SkipNode<K, V, R>,
-    /// Next in-range unmarked root to merge, null when exhausted.
+    /// Descending: `anchor`'s successor, which the next hop examines.
+    /// Merging: the next in-range unmarked root to merge, null when
+    /// exhausted.
     cand: *mut SkipNode<K, V, R>,
 }
 
@@ -123,6 +151,115 @@ where
     }
 }
 
+impl<'a, K, V, R> Cursor<'a, K, V, R>
+where
+    K: Ord + Send + Sync + 'static,
+    V: Send + Sync + 'static,
+    R: Reclaim + Publish<K> + Publish<V>,
+{
+    /// A cursor at the top of `list`, where `search_to_level(_, 1, ..)`
+    /// starts its descent.
+    fn at_top(list: &'a SkipList<K, V, R>) -> Self {
+        let level = list.start_level(1);
+        let anchor = list.heads[level - 1];
+        Cursor {
+            list,
+            level,
+            anchor,
+            // SAFETY: sentinels live for the whole list lifetime.
+            cand: unsafe { (*anchor).right() },
+        }
+    }
+
+    /// One hop of the positioning descent towards `k`: one iteration
+    /// of `SearchRight`'s loop, or — once `cand` is no longer before
+    /// `k` — the step down a level. A superfluous tower in the way
+    /// hands the rest of the level to [`SkipList::search_right`].
+    /// Returns `true` when `anchor` is the level-1 node
+    /// `search_to_level(k, 1, mode)` returns as `n1`.
+    ///
+    /// # Safety
+    ///
+    /// `guard` pins the list's domain and has since
+    /// [`at_top`](Self::at_top); `hop` has not yet returned `true`.
+    unsafe fn hop(&mut self, k: &K, mode: Mode, guard: &R::Guard<'_>) -> bool {
+        // SAFETY: the fn's `# Safety` contract covers the whole body.
+        unsafe {
+            if key_before((*self.cand).key_ref(), k, mode) {
+                if !(*self.cand).is_superfluous() {
+                    self.anchor = self.cand;
+                    lf_metrics::record_curr_update();
+                    self.cand = (*self.anchor).right();
+                    return false;
+                }
+                // ord: Release/Acquire/Relaxed — LIST.flag-cas: the rest of the level helps deletions (wrapped C&S)
+                let (n1, n2) = self.list.search_right(k, self.anchor, mode, guard);
+                // escape: ESC.scan-cursor: a cursor lives strictly inside
+                // `merged_range`'s `guard` scope, so stored nodes stay protected
+                self.anchor = n1;
+                // escape: ESC.scan-cursor: as above — cursor outlived by the guard
+                self.cand = n2;
+            }
+            if self.level == 1 {
+                return true;
+            }
+            // ord: Relaxed — TOWER.layout: tenant-invariant tower geometry
+            self.anchor = (*self.anchor).down();
+            debug_assert!(!self.anchor.is_null(), "descending below level 1");
+            self.level -= 1;
+            self.cand = (*self.anchor).right();
+            false
+        }
+    }
+}
+
+/// One cursor per list, each standing on its list's last level-1 node
+/// before `start` — per list what `search_to_level(k, 1, mode).0`
+/// returns, but found by descending all lists in lock step (see the
+/// module docs). Candidates are not yet filled.
+///
+/// # Safety
+///
+/// `guard` must pin the reclamation domain every list shares; the
+/// cursors' nodes are valid while it lives.
+unsafe fn lock_step_cursors<'a, K, V, R>(
+    lists: impl Iterator<Item = &'a SkipList<K, V, R>>,
+    start: &RangeBound<&K>,
+    guard: &R::Guard<'_>,
+) -> Vec<Cursor<'a, K, V, R>>
+where
+    K: Ord + Send + Sync + 'static,
+    V: Send + Sync + 'static,
+    R: Reclaim + Publish<K> + Publish<V>,
+{
+    let (k, mode) = match *start {
+        RangeBound::Unbounded => {
+            return lists
+                .map(|list| Cursor {
+                    list,
+                    level: 0,
+                    anchor: list.heads[0],
+                    cand: ptr::null_mut(),
+                })
+                .collect()
+        }
+        RangeBound::Included(k) => (k, Mode::Lt),
+        RangeBound::Excluded(k) => (k, Mode::Le),
+    };
+    let mut cursors: Vec<_> = lists.map(Cursor::at_top).collect();
+    let mut descending = cursors.len();
+    while descending > 0 {
+        for c in cursors.iter_mut().filter(|c| c.level != 0) {
+            // SAFETY: `c` is an unfinished descent under `guard`.
+            if unsafe { c.hop(k, mode, guard) } {
+                c.level = 0;
+                descending -= 1;
+            }
+        }
+    }
+    cursors
+}
+
 /// Ordered scan over the union of several **sibling** skip lists.
 ///
 /// Calls `visitor(key, value)` for each visited pair in ascending key
@@ -162,8 +299,8 @@ where
 /// assert_eq!(n, 5);
 /// assert_eq!(seen, vec![2, 3, 4, 5, 6]);
 /// ```
-pub fn merged_range<K, V, R, F>(
-    handles: &[&SkipListHandle<'_, K, V, R>],
+pub fn merged_range<'l, K, V, R, H, F>(
+    handles: &[H],
     start: RangeBound<&K>,
     end: RangeBound<&K>,
     mut visitor: F,
@@ -172,14 +309,15 @@ where
     K: Ord + Send + Sync + 'static,
     V: Send + Sync + 'static,
     R: Reclaim + Publish<K> + Publish<V>,
+    H: Borrow<SkipListHandle<'l, K, V, R>>,
     F: FnMut(&K, &V) -> bool,
 {
-    let Some(first) = handles.first() else {
+    let Some(first) = handles.first().map(Borrow::borrow) else {
         return 0;
     };
     for h in &handles[1..] {
         assert!(
-            first.list.shares_domain_with(h.list),
+            first.list.shares_domain_with(h.borrow().list),
             "merged_range requires sibling lists sharing one reclamation domain"
         );
     }
@@ -190,34 +328,18 @@ where
 
     // Position each cursor at the last node *before* the range (the
     // `RangeIter` convention), then pre-fill its first candidate.
-    let mut cursors: Vec<Cursor<'_, K, V, R>> = handles
-        .iter()
-        .map(|h| {
-            // SAFETY: the guard pins the shared domain; positioning
-            // nodes stay valid while it lives.
-            let anchor = unsafe {
-                match start {
-                    RangeBound::Unbounded => h.list.heads[0],
-                    RangeBound::Included(k) => {
-                        // ord: Release/Acquire/Relaxed — LIST.flag-cas: descent may help-delete (wrapped C&S)
-                        h.list.search_to_level(k, 1, Mode::Lt, &guard).0
-                    }
-                    RangeBound::Excluded(k) => {
-                        // ord: Release/Acquire/Relaxed — LIST.flag-cas: descent may help-delete (wrapped C&S)
-                        h.list.search_to_level(k, 1, Mode::Le, &guard).0
-                    }
-                }
-            };
-            // SAFETY: `anchor` is a node of `h.list` under the guard.
-            // ord: Release/Acquire/Relaxed — LIST.flag-cas: cursor advance helps deletions (wrapped C&S)
-            let cand = unsafe { advance(h.list, anchor, &start, &end, &guard) };
-            Cursor {
-                list: h.list,
-                anchor,
-                cand,
-            }
-        })
-        .collect();
+    // SAFETY: the guard pins the shared domain; positioning nodes stay
+    // valid while it lives.
+    let mut cursors =
+        unsafe { lock_step_cursors(handles.iter().map(|h| h.borrow().list), &start, &guard) };
+    for c in &mut cursors {
+        // SAFETY: `c.anchor` is a node of `c.list` under the guard.
+        // ord: Release/Acquire/Relaxed — LIST.flag-cas: cursor advance helps deletions (wrapped C&S)
+        let cand = unsafe { advance(c.list, c.anchor, &start, &end, &guard) };
+        // escape: ESC.scan-cursor: the cursor set lives strictly inside
+        // this fn's `guard` scope, so stored candidates stay protected
+        c.cand = cand;
+    }
 
     let mut visited = 0usize;
     loop {
@@ -252,12 +374,12 @@ where
                 visited += 1;
                 stop = !visitor(k, v);
             }
-            // escape: ESC.scan-cursor: the cursor set lives strictly inside
-            // this fn's `guard` scope, so stored anchors stay protected
+            // escape: ESC.scan-cursor: as above — cursor outlived by the guard
             cursors[m].anchor = node;
             // ord: Release/Acquire/Relaxed — LIST.flag-cas: cursor advance helps deletions (wrapped C&S)
+            let next = advance(cursors[m].list, node, &start, &end, &guard);
             // escape: ESC.scan-cursor: as above — cursor outlived by the guard
-            cursors[m].cand = advance(cursors[m].list, node, &start, &end, &guard);
+            cursors[m].cand = next;
         }
         if stop {
             break;
@@ -266,4 +388,65 @@ where
     drop(guard);
     lf_metrics::op_end(op);
     visited
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lf_reclaim::Ebr;
+
+    /// Quiescent lists: the lock-step descent must stop on the very
+    /// node the sequential `search_to_level` returns, for every list,
+    /// start bound and probe key (present, absent, beyond both ends),
+    /// including lists that are empty.
+    #[test]
+    fn lock_step_positions_equal_sequential_descent() {
+        for shards in [1usize, 2, 8] {
+            let first: SkipList<u64, u64> = SkipList::new();
+            let mut lists = vec![];
+            for _ in 1..shards {
+                lists.push(first.new_sibling());
+            }
+            lists.insert(0, first);
+            let handles: Vec<_> = lists.iter().map(SkipList::handle).collect();
+            // Keys 10..=4000 step 10 (so 5, 15, 4005 are absent), spread
+            // by a multiplicative hash; the last list of 8 stays empty.
+            let live = if shards == 8 { 7 } else { shards };
+            for k in (10..=4000u64).step_by(10) {
+                let i = (k.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize % live;
+                handles[i].insert(k, k).unwrap();
+            }
+            for probe in [0u64, 5, 10, 15, 2000, 2005, 4000, 4005, u64::MAX] {
+                for start in [
+                    RangeBound::Unbounded,
+                    RangeBound::Included(&probe),
+                    RangeBound::Excluded(&probe),
+                ] {
+                    let guard = Ebr::pin(&handles[0].reclaim);
+                    // SAFETY: siblings share the pinned domain.
+                    let got: Vec<_> = unsafe { lock_step_cursors(lists.iter(), &start, &guard) }
+                        .iter()
+                        .map(|c| (c.level, c.anchor))
+                        .collect();
+                    let want: Vec<_> = lists
+                        .iter()
+                        // SAFETY: as above.
+                        .map(|l| unsafe {
+                            match start {
+                                RangeBound::Unbounded => l.heads[0],
+                                RangeBound::Included(k) => {
+                                    l.search_to_level(k, 1, Mode::Lt, &guard).0
+                                }
+                                RangeBound::Excluded(k) => {
+                                    l.search_to_level(k, 1, Mode::Le, &guard).0
+                                }
+                            }
+                        })
+                        .map(|n| (0, n))
+                        .collect();
+                    assert_eq!(got, want, "shards={shards} probe={probe} start={start:?}");
+                }
+            }
+        }
+    }
 }

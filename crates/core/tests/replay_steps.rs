@@ -4,9 +4,19 @@
 //! `lf-metrics` step totals and a step count can be compared exactly
 //! across runs.
 //!
+//! The same property holds a rewrite of the scan path to the paper's
+//! cost measure: a fixed script of updates and `merged_range` pages
+//! over sibling lists must count the totals committed below, which
+//! were recorded before `merged_range` positioned its cursors in lock
+//! step. A faster walk that took one more (or one fewer) step fails
+//! here, whatever the clock says.
+//!
 //! The step counters are process-global; this file holds one test so
 //! nothing else records into them meanwhile.
 
+use std::ops::Bound;
+
+use lf_core::skiplist::merged_range;
 use lf_core::SkipList;
 
 /// One replay on a fresh list: its full step snapshot and its towers.
@@ -27,6 +37,48 @@ fn replay() -> (lf_metrics::Snapshot, Vec<usize>) {
     (lf_metrics::snapshot() - before, list.tower_heights())
 }
 
+/// Updates and scan pages over four sibling lists: every kind of start
+/// bound, cursors that are present, removed and beyond both ends, and
+/// pages cut short by the visitor.
+fn replay_scans() -> (lf_metrics::Snapshot, u64) {
+    let first: SkipList<u64, u64> = SkipList::new();
+    let mut lists = vec![
+        first.new_sibling(),
+        first.new_sibling(),
+        first.new_sibling(),
+    ];
+    lists.insert(0, first);
+    let before = lf_metrics::snapshot();
+    let handles: Vec<_> = lists.iter().map(SkipList::handle).collect();
+    let refs: Vec<_> = handles.iter().collect();
+    let shard = |k: u64| (k.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40) as usize % 4;
+    let mut checksum = 0u64;
+    for i in 0..6_000u64 {
+        let key = i * 53 % 1_999;
+        if i % 4 == 3 {
+            handles[shard(key)].remove(&key);
+        } else {
+            let _ = handles[shard(key)].insert(key, i);
+        }
+        if i % 5 == 0 {
+            let cursor = i * 31 % 2_100;
+            let start = match i % 15 {
+                0 => Bound::Excluded(&cursor),
+                5 => Bound::Included(&cursor),
+                _ => Bound::Unbounded,
+            };
+            let mut left = 32;
+            merged_range(&refs, start, Bound::Unbounded, |k, v| {
+                checksum = checksum.wrapping_mul(31).wrapping_add(k ^ v);
+                left -= 1;
+                left > 0
+            });
+        }
+    }
+    drop(handles);
+    (lf_metrics::snapshot() - before, checksum)
+}
+
 #[test]
 fn single_threaded_replays_count_identical_steps() {
     let (first, towers) = replay();
@@ -36,4 +88,15 @@ fn single_threaded_replays_count_identical_steps() {
     for _ in 0..3 {
         assert_eq!(replay(), (first, towers.clone()));
     }
+
+    // Recorded at the parent of the lock-step walk (commit 69488f0).
+    let recorded = lf_metrics::Snapshot {
+        cas_ok: [5295, 2152, 2152, 2152],
+        next_updates: 1151,
+        curr_updates: 80158,
+        ops: 7200,
+        ops_by: [0, 7200, 0],
+        ..Default::default()
+    };
+    assert_eq!(replay_scans(), (recorded, 15088487049799256850));
 }

@@ -42,19 +42,23 @@
 //!
 //! No epoch guard ever exists on this thread: connection code touches
 //! sockets and completion cells only, and every structure access
-//! happens on a lane worker. The `pin_hygiene` integration test pins
-//! this down with the unreclaimed-gauge audit.
+//! happens on a lane worker. That includes SCAN: its keys are
+//! RESP-encoded in place by a visitor running on the worker
+//! ([`scan_page_visitor`]), and this thread only splices the finished
+//! page into its reply. The `pin_hygiene` integration test pins this
+//! down with the unreclaimed-gauge audit.
 
 use std::future::Future;
 use std::hash::{Hash, Hasher};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::ops::Range;
 use std::pin::Pin;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
-use lf_async::{Error, LaneFuture, OpFuture, Response, ScanFuture, Service};
+use lf_async::{Error, LaneFuture, OpFuture, Response, Service};
 use lf_sched::rt;
 
 use crate::metrics::ServerMetrics;
@@ -122,6 +126,50 @@ impl<F: Future + LaneFuture + Unpin> Eager<F> {
     }
 }
 
+/// Bytes a SCAN page buffer starts with: a page of fifty twelve-byte
+/// keys in wire form. A constant of the server, never the client's
+/// `COUNT` — a hostile `COUNT 4096` reserves exactly as much as
+/// `COUNT 1`, and a page that does need more grows as it fills.
+const SCAN_PAGE_BYTES: usize = 1024;
+
+/// One SCAN page as its visitor leaves it: the keys already in wire
+/// form, so rendering is a splice.
+#[derive(Default)]
+struct ScanPage {
+    /// `$len\r\nkey\r\n` for each key of the page, in order.
+    keys: Vec<u8>,
+    /// How many keys `keys` holds.
+    count: usize,
+    /// Where the last key's own bytes lie in `keys` (the next cursor).
+    last: Range<usize>,
+}
+
+/// The visitor a SCAN hands to [`Service::scan_with`]; it leaves its
+/// page in `out`. It runs on the lane worker under the batch pin and
+/// only appends to a buffer: each key is encoded straight from the
+/// node (no key or value is cloned; values are not looked at), and the
+/// closing call parks the page with the one lock of the whole scan.
+fn scan_page_visitor(
+    out: Arc<Mutex<ScanPage>>,
+) -> impl FnMut(Option<(&Bytes, &Bytes)>) -> bool + Send + 'static {
+    let mut page = ScanPage {
+        keys: Vec::with_capacity(SCAN_PAGE_BYTES),
+        ..ScanPage::default()
+    };
+    move |pair: Option<(&Bytes, &Bytes)>| {
+        match pair {
+            Some((key, _)) => {
+                resp::write_bulk(&mut page.keys, key);
+                let end = page.keys.len() - 2;
+                page.last = end - key.len()..end;
+                page.count += 1;
+            }
+            None => *out.lock().unwrap_or_else(|e| e.into_inner()) = std::mem::take(&mut page),
+        }
+        true
+    }
+}
+
 /// Whether this pre-rendered reply counts as a successful command.
 enum ReadyKind {
     Ok,
@@ -146,9 +194,11 @@ enum Pending<B: ByteBackend> {
     },
     /// MGET — array of bulk-or-null in key order.
     MGet(Vec<Eager<OpFuture<B>>>),
-    /// SCAN — a page of keys plus the continuation cursor.
+    /// SCAN — a page of keys plus the continuation cursor. `page` is
+    /// where the request's visitor leaves the encoded keys.
     Scan {
-        fut: Eager<ScanFuture<B>>,
+        fut: Eager<OpFuture<B>>,
+        page: Arc<Mutex<ScanPage>>,
         count: usize,
     },
     /// QUIT — `+OK`, then close.
@@ -352,8 +402,11 @@ fn dispatch<B: ByteBackend>(
             }
             // No key, no lane: a scan crosses every partition and
             // reads weakly consistently against in-flight writes.
+            let page = Arc::new(Mutex::new(ScanPage::default()));
+            let visitor = scan_page_visitor(Arc::clone(&page));
             Pending::Scan {
-                fut: Eager::new(service.scan(after, count)),
+                fut: Eager::new(service.scan_with(after, count, visitor)),
+                page,
                 count,
             }
         }
@@ -512,20 +565,19 @@ fn render<B: ByteBackend>(
             }
             metrics.record_ok();
         }
-        Pending::Scan { fut, count } => match fut.wait() {
-            Ok(pairs) => {
+        Pending::Scan { fut, page, count } => match fut.wait() {
+            Ok(_) => {
+                let page = std::mem::take(&mut *page.lock().unwrap_or_else(|e| e.into_inner()));
+                resp::write_array_header(out, 2);
                 // A short page means the keyspace is exhausted: cursor
                 // wraps to "0" exactly as Redis' SCAN contract reads.
-                let cursor = match pairs.last() {
-                    Some((last, _)) if pairs.len() == count => resp::hex_encode(last),
-                    _ => "0".to_string(),
-                };
-                resp::write_array_header(out, 2);
-                resp::write_bulk(out, cursor.as_bytes());
-                resp::write_array_header(out, pairs.len());
-                for (k, _) in &pairs {
-                    resp::write_bulk(out, k);
+                if page.count == count {
+                    resp::write_bulk_hex(out, &page.keys[page.last]);
+                } else {
+                    resp::write_bulk(out, b"0");
                 }
+                resp::write_array_header(out, page.count);
+                out.extend_from_slice(&page.keys);
                 metrics.record_ok();
             }
             Err(e) => write_busy(out, e, metrics, close),
@@ -588,4 +640,31 @@ fn info_text<B: ByteBackend>(service: &Service<B>, metrics: &ServerMetrics) -> S
     let _ = writeln!(out, "ctl_shrinks:{}", s.ctl_shrinks);
     let _ = writeln!(out, "ctl_last_p99_ns:{}", s.ctl_last_p99_ns);
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The visitor is built before the request leaves the connection
+    /// thread and is told no page size: whatever `COUNT` the client
+    /// sent, the buffer it reserves is the server's constant, and it
+    /// grows only as keys actually arrive.
+    #[test]
+    fn scan_page_is_encoded_in_place_and_sized_by_the_server() {
+        let slot = Arc::new(Mutex::new(ScanPage::default()));
+        let mut visit = scan_page_visitor(Arc::clone(&slot));
+        let keys: [&[u8]; 3] = [b"", b"k1", b"0123456789ab"];
+        for k in keys {
+            assert!(visit(Some((&k.to_vec(), &b"unread value".to_vec()))));
+            // Nothing reaches the slot before the closing call.
+            assert_eq!(slot.lock().unwrap().count, 0);
+        }
+        visit(None);
+        let page = std::mem::take(&mut *slot.lock().unwrap());
+        assert_eq!(page.count, 3);
+        assert_eq!(page.keys, b"$0\r\n\r\n$2\r\nk1\r\n$12\r\n0123456789ab\r\n");
+        assert_eq!(&page.keys[page.last], b"0123456789ab");
+        assert_eq!(page.keys.capacity(), SCAN_PAGE_BYTES);
+    }
 }

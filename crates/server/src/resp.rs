@@ -262,17 +262,39 @@ pub fn write_error(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(b"\r\n");
 }
 
+/// Append the decimal digits of `v`, written backwards into a stack
+/// buffer: a length or integer costs no allocation, which is what lets
+/// a SCAN visitor encode keys on the lane worker without touching the
+/// heap per key.
+fn write_decimal(out: &mut Vec<u8>, mut v: u64) {
+    // u64::MAX has 20 digits.
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&buf[at..]);
+}
+
 /// Append `:v\r\n`.
 pub fn write_int(out: &mut Vec<u8>, v: i64) {
     out.push(b':');
-    out.extend_from_slice(v.to_string().as_bytes());
+    if v < 0 {
+        out.push(b'-');
+    }
+    write_decimal(out, v.unsigned_abs());
     out.extend_from_slice(b"\r\n");
 }
 
 /// Append a bulk string `$len\r\n…\r\n`.
 pub fn write_bulk(out: &mut Vec<u8>, b: &[u8]) {
     out.push(b'$');
-    out.extend_from_slice(b.len().to_string().as_bytes());
+    write_decimal(out, b.len() as u64);
     out.extend_from_slice(b"\r\n");
     out.extend_from_slice(b);
     out.extend_from_slice(b"\r\n");
@@ -286,7 +308,7 @@ pub fn write_null(out: &mut Vec<u8>) {
 /// Append an array header `*n\r\n` (elements follow).
 pub fn write_array_header(out: &mut Vec<u8>, n: usize) {
     out.push(b'*');
-    out.extend_from_slice(n.to_string().as_bytes());
+    write_decimal(out, n as u64);
     out.extend_from_slice(b"\r\n");
 }
 
@@ -299,13 +321,32 @@ pub fn write_command(out: &mut Vec<u8>, args: &[&[u8]]) {
     }
 }
 
+/// Append the lowercase hex of `bytes`, two nibble-table lookups per
+/// byte.
+fn write_hex(out: &mut Vec<u8>, bytes: &[u8]) {
+    const NIBBLES: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(bytes.len() * 2);
+    for &b in bytes {
+        out.push(NIBBLES[(b >> 4) as usize]);
+        out.push(NIBBLES[(b & 0xf) as usize]);
+    }
+}
+
+/// Append `hex_encode(bytes)` as a bulk string, without building the
+/// `String` (the SCAN reply's cursor).
+pub fn write_bulk_hex(out: &mut Vec<u8>, bytes: &[u8]) {
+    out.push(b'$');
+    write_decimal(out, bytes.len() as u64 * 2);
+    out.extend_from_slice(b"\r\n");
+    write_hex(out, bytes);
+    out.extend_from_slice(b"\r\n");
+}
+
 /// Lowercase-hex encode (SCAN cursors: opaque, shell-safe, order-free).
 pub fn hex_encode(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
+    let mut hex = Vec::new();
+    write_hex(&mut hex, bytes);
+    String::from_utf8(hex).expect("hex digits are ASCII")
 }
 
 /// Decode a lowercase/uppercase-hex string produced by [`hex_encode`].
@@ -515,6 +556,32 @@ mod tests {
                 ]),
             ]
         );
+    }
+
+    #[test]
+    fn numbers_and_hex_match_the_formatting_machinery() {
+        for v in [0i64, 9, 10, -1, i64::MIN, i64::MAX] {
+            let mut buf = Vec::new();
+            write_int(&mut buf, v);
+            assert_eq!(buf, format!(":{v}\r\n").into_bytes());
+        }
+        for n in [0usize, 9, 10, usize::MAX] {
+            let mut buf = Vec::new();
+            write_array_header(&mut buf, n);
+            assert_eq!(buf, format!("*{n}\r\n").into_bytes());
+        }
+        let mut buf = Vec::new();
+        write_bulk(&mut buf, b"");
+        write_bulk(&mut buf, b"0123456789");
+        assert_eq!(buf, b"$0\r\n\r\n$10\r\n0123456789\r\n");
+        assert_eq!(hex_encode(b""), "");
+        let every_byte: Vec<u8> = (0..=255).collect();
+        let want: String = every_byte.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex_encode(&every_byte), want);
+        let (mut spliced, mut via_string) = (Vec::new(), Vec::new());
+        write_bulk_hex(&mut spliced, &every_byte);
+        write_bulk(&mut via_string, want.as_bytes());
+        assert_eq!(spliced, via_string);
     }
 
     #[test]

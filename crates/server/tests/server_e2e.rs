@@ -2,7 +2,8 @@
 //! used from the other side) against a running [`lf_server::Server`].
 //!
 //! Covers the full command surface in pipelined form, SCAN pagination
-//! on the ordered tier and its refusal on the hash tier, backpressure
+//! on the ordered tier (and its replies byte for byte against a
+//! reference rendering) and its refusal on the hash tier, backpressure
 //! surfacing as `-BUSY` with *exact* accounting (every command sent
 //! resolves as exactly one of ok / shed / rejected, client-side tallies
 //! equal server-side counters), protocol errors closing the
@@ -13,7 +14,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use lf_async::{BackpressurePolicy, HashMapBuilder, ServiceBuilder};
+use lf_async::{BackpressurePolicy, HashMapBuilder, ServiceBuilder, ShardedBuilder};
 use lf_server::resp::{self, Reply};
 use lf_server::{Bytes, ServerBuilder};
 
@@ -67,6 +68,14 @@ impl Client {
         }
         assert!(acc.is_empty(), "trailing bytes after {n} replies");
         replies
+    }
+
+    /// Flush the queued commands and read exactly `n` raw reply bytes.
+    fn flush_and_read_raw(&mut self, n: usize) -> Vec<u8> {
+        self.flush();
+        let mut raw = vec![0u8; n];
+        self.stream.read_exact(&mut raw).expect("read");
+        raw
     }
 
     /// One command, one reply.
@@ -187,6 +196,105 @@ fn scan_paginates_the_ordered_keyspace() {
 
     server.stop();
     service.shutdown();
+}
+
+/// What `SCAN <after> COUNT <count>` must answer over `keys` (sorted),
+/// spelled out with the formatting machinery rather than the codec
+/// under test.
+fn reference_scan(keys: &[Vec<u8>], after: Option<&[u8]>, count: usize) -> Vec<u8> {
+    let page: Vec<&Vec<u8>> = keys
+        .iter()
+        .filter(|k| after.is_none_or(|a| k.as_slice() > a))
+        .take(count)
+        .collect();
+    let cursor: String = match page.last() {
+        Some(last) if page.len() == count => last.iter().map(|b| format!("{b:02x}")).collect(),
+        _ => "0".into(),
+    };
+    let mut out =
+        format!("*2\r\n${}\r\n{cursor}\r\n*{}\r\n", cursor.len(), page.len()).into_bytes();
+    for k in page {
+        out.extend_from_slice(format!("${}\r\n", k.len()).as_bytes());
+        out.extend_from_slice(k);
+        out.extend_from_slice(b"\r\n");
+    }
+    out
+}
+
+/// Send `SCAN <hex(after)|0> COUNT <count>` and hold the raw reply to
+/// the reference.
+fn assert_scan_bytes(c: &mut Client, keys: &[Vec<u8>], after: Option<&[u8]>, count: usize) {
+    let want = reference_scan(keys, after, count);
+    let cursor = after.map_or("0".to_string(), resp::hex_encode);
+    c.push(&[
+        b"SCAN",
+        cursor.as_bytes(),
+        b"COUNT",
+        count.to_string().as_bytes(),
+    ]);
+    let got = c.flush_and_read_raw(want.len());
+    assert_eq!(
+        String::from_utf8_lossy(&got),
+        String::from_utf8_lossy(&want),
+        "SCAN {cursor} COUNT {count}"
+    );
+}
+
+/// SCAN replies are byte-identical to the reference for page sizes
+/// below, at and beyond the keyspace, from every kind of cursor, on an
+/// empty map, and pipelined behind a SET on the same lane.
+fn scan_bytes_match_reference<B: lf_server::ByteBackend>(service: Arc<lf_async::Service<B>>) {
+    let server = ServerBuilder::new().serve(Arc::clone(&service)).unwrap();
+    let mut c = Client::connect(server.local_addr());
+
+    // An empty map: an empty page and the terminal cursor.
+    assert_scan_bytes(&mut c, &[], None, 4);
+    assert_scan_bytes(&mut c, &[], Some(b"anything"), 4);
+
+    // Keys that stress the encoders: empty, binary, ten bytes and up
+    // (two-digit bulk lengths), plus a run of ordinary ones.
+    let mut keys: Vec<Vec<u8>> = vec![vec![], vec![0, 255, 13, 10], b"0123456789ab".to_vec()];
+    keys.extend((0..9).map(|i| format!("k{i}").into_bytes()));
+    keys.sort();
+    for k in &keys {
+        assert_eq!(c.roundtrip(&[b"SET", k, b"some value"]), simple("OK"));
+    }
+    for count in [1usize, 4, keys.len(), 100, 4096] {
+        assert_scan_bytes(&mut c, &keys, None, count);
+        for after in &keys {
+            assert_scan_bytes(&mut c, &keys, Some(after), count);
+        }
+        // Cursors that are no key: between two keys, past the last.
+        assert_scan_bytes(&mut c, &keys, Some(b"k4x"), count);
+        assert_scan_bytes(&mut c, &keys, Some(b"zzz"), count);
+    }
+
+    // One lane serves both commands in pipeline order, so the page
+    // must already hold the key SET just ahead of it.
+    c.push(&[b"SET", b"k9a", b"v"]);
+    keys.push(b"k9a".to_vec());
+    keys.sort();
+    let want = [b"+OK\r\n".to_vec(), reference_scan(&keys, Some(b"k8"), 4)].concat();
+    c.push(&[b"SCAN", resp::hex_encode(b"k8").as_bytes(), b"COUNT", b"4"]);
+    assert_eq!(c.flush_and_read_raw(want.len()), want);
+
+    server.stop();
+    service.shutdown();
+}
+
+#[test]
+fn scan_replies_are_byte_identical_to_a_reference_rendering() {
+    scan_bytes_match_reference(Arc::new(
+        ServiceBuilder::new()
+            .workers(1)
+            .build_skiplist::<Bytes, Bytes>(),
+    ));
+    scan_bytes_match_reference(Arc::new(
+        ShardedBuilder::new()
+            .workers(1)
+            .shards(8)
+            .build::<Bytes, Bytes>(),
+    ));
 }
 
 #[test]
@@ -339,7 +447,10 @@ fn shed_policy_surfaces_busy_with_exact_accounting() {
 /// of its own, so with several workers this only holds if the server
 /// pins same-key requests to one lane *and* enqueues them in parse
 /// order — the two halves of the pipelining ordering contract.
-fn assert_same_key_pipeline_ordered(service: Arc<lf_async::AsyncSkipList<Bytes, Bytes>>, rounds: usize) {
+fn assert_same_key_pipeline_ordered(
+    service: Arc<lf_async::AsyncSkipList<Bytes, Bytes>>,
+    rounds: usize,
+) {
     let server = ServerBuilder::new().serve(Arc::clone(&service)).unwrap();
     let mut c = Client::connect(server.local_addr());
 

@@ -415,8 +415,12 @@ where
         B: RangeBounds<K>,
         F: FnMut(&K, &V) -> bool,
     {
-        let refs: Vec<&SkipListHandle<'_, K, V, R>> = self.handles.iter().collect();
-        merged_range(&refs, range.start_bound(), range.end_bound(), visitor)
+        merged_range(
+            &self.handles,
+            range.start_bound(),
+            range.end_bound(),
+            visitor,
+        )
     }
 
     /// Total number of keys, summed across shards.

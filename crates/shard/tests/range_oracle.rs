@@ -1,17 +1,19 @@
 //! Cross-shard `range` correctness.
 //!
 //! Sequential proptest against a `BTreeMap` oracle (same ops, same
-//! bounds, identical output), then the scan's per-key guarantees under
-//! real concurrency: with mutators churning a disjoint key class, a
-//! key present for the scan's whole duration appears exactly once, a
-//! key absent throughout never appears, and output stays strictly
-//! ascending.
+//! bounds, identical output); the merge's lock-step cursor positions
+//! against the sequential descent each list's own `range` performs;
+//! then the scan's per-key guarantees under real concurrency: with
+//! mutators churning a disjoint key class, a key present for the
+//! scan's whole duration appears exactly once, a key absent throughout
+//! never appears, and output stays strictly ascending.
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
 
+use lf_core::skiplist::{merged_range, SkipList};
 use lf_shard::ShardedSkipList;
 use proptest::prelude::*;
 
@@ -92,6 +94,68 @@ proptest! {
         });
         prop_assert_eq!(n, got.len());
         prop_assert_eq!(got, expect);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
+    /// `merged_range` positions its cursors by descending all lists in
+    /// lock step; `SkipListHandle::range` positions one list with the
+    /// sequential `search_to_level`. From any start bound — key
+    /// present, absent, below the minimum, above the maximum — and
+    /// with some lists empty, every list's lock-step cursor must begin
+    /// at the key its own sequential iterator begins at, and the merge
+    /// must be the sorted union of those iterators.
+    #[test]
+    fn lock_step_positions_match_sequential_descent(
+        keys in proptest::collection::vec(10u64..200, 0..120),
+        shard_bits in 0u32..3,
+        populated in 1usize..=8,
+        start in (0u64..3, 0u64..220),
+    ) {
+        let shards = [1usize, 2, 8][shard_bits as usize];
+        let first: SkipList<u64, u64> = SkipList::new();
+        let mut lists: Vec<_> = (1..shards).map(|_| first.new_sibling()).collect();
+        lists.insert(0, first);
+        let handles: Vec<_> = lists.iter().map(SkipList::handle).collect();
+        // Only the first `populated` lists receive keys; the rest stay
+        // empty.
+        let live = populated.min(shards);
+        for &k in &keys {
+            let i = (k.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize % live;
+            // A repeated key is refused; the set is what counts.
+            let _ = handles[i].insert(k, k);
+        }
+        let start = decode_bound(start.0, start.1);
+
+        let mut union = Vec::new();
+        for h in &handles {
+            let sequential: Vec<u64> =
+                h.range((start, Bound::Unbounded)).map(|(k, _)| k).collect();
+            // One list alone: its cursor is the only one, so the first
+            // key out is where lock-step positioning left it.
+            let mut alone = Vec::new();
+            merged_range(
+                std::slice::from_ref(h),
+                start.as_ref(),
+                Bound::Unbounded,
+                |k, _| {
+                    alone.push(*k);
+                    true
+                },
+            );
+            prop_assert_eq!(&alone, &sequential);
+            union.extend(sequential);
+        }
+        union.sort_unstable();
+
+        // All lists together: descents interleaved.
+        let mut merged = Vec::new();
+        merged_range(&handles, start.as_ref(), Bound::Unbounded, |k, _| {
+            merged.push(*k);
+            true
+        });
+        prop_assert_eq!(merged, union);
     }
 }
 
