@@ -320,18 +320,7 @@ where
     /// shard's CAS traffic and submission rings stay cross-lane-free.
     /// `Len` has no key and round-robins.
     fn lane_for(&self, req: &Request<K, V>, lanes: usize) -> Option<usize> {
-        let key = match req {
-            Request::Get(k)
-            | Request::Contains(k)
-            | Request::Insert(k, _)
-            | Request::Upsert(k, _)
-            | Request::Remove(k)
-            | Request::GetWith(k, _) => k,
-            // Scans cross every partition (merged range) and `Len`
-            // has no key: both round-robin.
-            Request::Scan(..) | Request::Len => return None,
-        };
-        Some(self.shard_of(key) % lanes)
+        req.key().map(|key| self.shard_of(key) % lanes)
     }
 }
 
@@ -400,18 +389,7 @@ where
     /// its bucket (`bucket mod lanes`), so one worker serves each
     /// bucket chain's CAS traffic. `Len` has no key and round-robins.
     fn lane_for(&self, req: &Request<K, V>, lanes: usize) -> Option<usize> {
-        let key = match req {
-            Request::Get(k)
-            | Request::Contains(k)
-            | Request::Insert(k, _)
-            | Request::Upsert(k, _)
-            | Request::Remove(k)
-            | Request::GetWith(k, _) => k,
-            // Scans cross every partition (merged range) and `Len`
-            // has no key: both round-robin.
-            Request::Scan(..) | Request::Len => return None,
-        };
-        Some(self.bucket_of(key) % lanes)
+        req.key().map(|key| self.bucket_of(key) % lanes)
     }
 }
 
@@ -481,18 +459,7 @@ where
     /// worker owns each map shard's traffic (and with it that shard's
     /// whole reclamation domain).
     fn lane_for(&self, req: &Request<K, V>, lanes: usize) -> Option<usize> {
-        let key = match req {
-            Request::Get(k)
-            | Request::Contains(k)
-            | Request::Insert(k, _)
-            | Request::Upsert(k, _)
-            | Request::Remove(k)
-            | Request::GetWith(k, _) => k,
-            // Scans cross every partition (merged range) and `Len`
-            // has no key: both round-robin.
-            Request::Scan(..) | Request::Len => return None,
-        };
-        Some(self.shard_of(key) % lanes)
+        req.key().map(|key| self.shard_of(key) % lanes)
     }
 }
 

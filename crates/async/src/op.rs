@@ -71,6 +71,22 @@ pub enum Request<K, V> {
     Len,
 }
 
+impl<K, V> Request<K, V> {
+    /// The one key a point request names; `None` for `Scan` (which
+    /// crosses every partition) and `Len` (which has no key).
+    pub fn key(&self) -> Option<&K> {
+        match self {
+            Request::Get(k)
+            | Request::Contains(k)
+            | Request::Insert(k, _)
+            | Request::Upsert(k, _)
+            | Request::Remove(k)
+            | Request::GetWith(k, _) => Some(k),
+            Request::Scan(..) | Request::Len => None,
+        }
+    }
+}
+
 impl<K: fmt::Debug, V> fmt::Debug for Request<K, V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -1,4 +1,5 @@
-//! Weakly-consistent iteration.
+//! Weakly-consistent iteration: one walker, [`ChainIter`], over a chain
+//! of sibling lists; the single-list [`Iter`] is its one-list case.
 
 use std::fmt;
 
@@ -7,72 +8,12 @@ use lf_reclaim::{Ebr, Publish, Reclaim};
 use super::{Bound, FrList, ListHandle, Node};
 
 /// Iterator over a weakly-consistent snapshot of an
-/// [`FrList`](super::FrList), produced by [`ListHandle::iter`].
+/// [`FrList`](super::FrList), produced by [`ListHandle::iter`]: a
+/// [`ChainIter`] over the handle's own list alone.
 ///
 /// Pins the thread for its whole lifetime; drop it promptly in
 /// long-running threads so reclamation can advance.
-pub struct Iter<'h, 'l, K, V, R: Reclaim = Ebr> {
-    _handle: &'h ListHandle<'l, K, V, R>,
-    _guard: R::Guard<'h>,
-    curr: *mut Node<K, V, R>,
-}
-
-impl<K, V, R: Reclaim> fmt::Debug for Iter<'_, '_, K, V, R> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("list::Iter")
-    }
-}
-
-impl<'h, 'l, K, V, R> Iter<'h, 'l, K, V, R>
-where
-    K: Ord + Send + Sync + 'static,
-    V: Send + Sync + 'static,
-    R: Reclaim + Publish<K> + Publish<V>,
-{
-    pub(crate) fn new(handle: &'h ListHandle<'l, K, V, R>) -> Self {
-        let guard = R::pin(&handle.reclaim);
-        Iter {
-            curr: handle.list.head,
-            _handle: handle,
-            _guard: guard,
-        }
-    }
-}
-
-impl<K, V, R> Iterator for Iter<'_, '_, K, V, R>
-where
-    K: Ord + Clone + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-    R: Reclaim + Publish<K> + Publish<V>,
-{
-    type Item = (K, V);
-
-    fn next(&mut self) -> Option<(K, V)> {
-        // SAFETY: `curr` is head or a node reached through successor
-        // pointers while pinned; the guard keeps all of them alive.
-        // Marked nodes' successor fields are frozen, so traversing
-        // through a logically deleted region is well-defined.
-        unsafe {
-            loop {
-                let next = (*self.curr).right();
-                if next.is_null() {
-                    return None;
-                }
-                self.curr = next;
-                match &(*self.curr).key {
-                    Bound::PosInf => return None,
-                    Bound::NegInf => unreachable!("head is never a successor"),
-                    Bound::Key(k) => {
-                        if !(*self.curr).is_marked() {
-                            let v = (*self.curr).element.clone().expect("user node has element");
-                            return Some((k.clone(), v));
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
+pub type Iter<'h, 'l, K, V, R = Ebr> = ChainIter<'h, 'l, K, V, R>;
 
 /// Iterator over a *chain* of sibling lists (the buckets of a
 /// composite structure such as `lf-map`), produced by
@@ -88,8 +29,9 @@ where
 pub struct ChainIter<'h, 'l, K, V, R: Reclaim = Ebr> {
     _handle: &'h ListHandle<'l, K, V, R>,
     _guard: R::Guard<'h>,
-    lists: Vec<&'l FrList<K, V, R>>,
-    idx: usize,
+    /// The lists still to walk after the current one.
+    rest: std::vec::IntoIter<&'l FrList<K, V, R>>,
+    /// Null once every list is exhausted.
     curr: *mut Node<K, V, R>,
 }
 
@@ -115,14 +57,24 @@ where
                 "chain iteration over a list from a foreign reclamation domain"
             );
         }
-        let guard = R::pin(&handle.reclaim);
-        let curr = lists.first().map_or(std::ptr::null_mut(), |l| l.head);
+        let mut rest = lists.into_iter();
+        let curr = rest.next().map_or(std::ptr::null_mut(), |l| l.head);
         ChainIter {
+            _guard: R::pin(&handle.reclaim),
             _handle: handle,
-            _guard: guard,
-            lists,
-            idx: 0,
+            rest,
             curr,
+        }
+    }
+
+    /// The walk of the handle's own list alone. An empty `Vec` does not
+    /// allocate, so this costs what a dedicated single-list walker would.
+    pub(crate) fn single(handle: &'h ListHandle<'l, K, V, R>) -> Self {
+        ChainIter {
+            _guard: R::pin(&handle.reclaim),
+            _handle: handle,
+            rest: Vec::new().into_iter(),
+            curr: handle.list.head,
         }
     }
 }
@@ -139,6 +91,8 @@ where
         // SAFETY: `curr` is a head sentinel or a node reached through
         // successor pointers while pinned; the single guard covers the
         // shared domain, so it protects every sibling's nodes alike.
+        // Marked nodes' successor fields are frozen, so traversing
+        // through a logically deleted region is well-defined.
         unsafe {
             loop {
                 if self.curr.is_null() {
@@ -149,17 +103,8 @@ where
                 if at_end {
                     // This list is exhausted; hop to the next sibling's
                     // head under the same guard.
-                    self.idx += 1;
-                    match self.lists.get(self.idx) {
-                        Some(list) => {
-                            self.curr = list.head;
-                            continue;
-                        }
-                        None => {
-                            self.curr = std::ptr::null_mut();
-                            return None;
-                        }
-                    }
+                    self.curr = self.rest.next().map_or(std::ptr::null_mut(), |l| l.head);
+                    continue;
                 }
                 self.curr = next;
                 match &(*self.curr).key {

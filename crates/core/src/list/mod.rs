@@ -373,13 +373,7 @@ where
     /// If `key` is already present, returns `Err((key, value))` handing
     /// both back to the caller (the paper's `DUPLICATE_KEY`).
     pub fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
-        let op = lf_metrics::op_begin();
-        let guard = R::pin(&self.reclaim);
-        // SAFETY: `guard` pins this list's domain; `pool` fronts its pool.
-        let res = unsafe { self.list.insert_impl(key, value, &self.pool, &guard) };
-        drop(guard);
-        lf_metrics::op_end(op);
-        res
+        self.bracket(|| self.insert_in(self.list, key, value))
     }
 
     /// Remove `key`, returning its value.
@@ -390,13 +384,7 @@ where
     where
         V: Clone,
     {
-        let op = lf_metrics::op_begin();
-        let guard = R::pin(&self.reclaim);
-        // SAFETY: `guard` pins this list's domain.
-        let res = unsafe { self.list.delete_impl(key, &guard) };
-        drop(guard);
-        lf_metrics::op_end(op);
-        res
+        self.bracket(|| self.remove_in(self.list, key))
     }
 
     /// Look up `key`, returning a clone of its value.
@@ -404,19 +392,7 @@ where
     where
         V: Clone,
     {
-        let op = lf_metrics::op_begin();
-        let guard = R::pin(&self.reclaim);
-        // SAFETY: `guard` pins this list's domain; the returned node
-        // stays live while `guard` is held.
-        let res = unsafe {
-            // ord: Release/Acquire/Relaxed — LIST.flag-cas: search helps flagged deletions (wrapped C&S)
-            self.list
-                .search_impl(key, &guard)
-                .map(|n| (*n).element.clone().expect("user node has element"))
-        };
-        drop(guard);
-        lf_metrics::op_end(op);
-        res
+        self.get_with(key, V::clone)
     }
 
     /// Look up `key` and apply `f` to a borrow of its value, without
@@ -427,30 +403,22 @@ where
     /// Keep `f` short — the pin delays reclamation domain-wide while it
     /// runs.
     pub fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        let op = lf_metrics::op_begin();
-        let guard = R::pin(&self.reclaim);
-        // SAFETY: `guard` pins this list's domain; the node (and the
-        // borrow of its element handed to `f`) stays live while `guard`
-        // is held, which spans the visitor call.
-        let res = unsafe {
-            // ord: Release/Acquire/Relaxed — LIST.flag-cas: search helps flagged deletions (wrapped C&S)
-            self.list
-                .search_impl(key, &guard)
-                .map(|n| f((*n).element.as_ref().expect("user node has element")))
-        };
-        drop(guard);
-        lf_metrics::op_end(op);
-        res
+        self.bracket(|| self.get_with_in(self.list, key, f))
     }
 
     /// Whether `key` is present.
     pub fn contains(&self, key: &K) -> bool {
+        self.get_with(key, |_| ()).is_some()
+    }
+
+    /// A plain operation is the `lf_metrics` op bracket around the
+    /// pinned body of its sibling form (`insert_in`, …) run on the
+    /// handle's own list; composite callers of the sibling forms
+    /// bracket their own operations.
+    #[inline]
+    fn bracket<T>(&self, body: impl FnOnce() -> T) -> T {
         let op = lf_metrics::op_begin();
-        let guard = R::pin(&self.reclaim);
-        // SAFETY: `guard` pins this list's domain.
-        // ord: Release/Acquire/Relaxed — LIST.flag-cas: search helps flagged deletions (wrapped C&S)
-        let res = unsafe { self.list.search_impl(key, &guard).is_some() };
-        drop(guard);
+        let res = body();
         lf_metrics::op_end(op);
         res
     }
@@ -465,7 +433,7 @@ where
         K: Clone,
         V: Clone,
     {
-        Iter::new(self)
+        ChainIter::single(self)
     }
 
     /// Iterate over a chain of sibling lists (see

@@ -18,6 +18,11 @@
 //! shadow slots, bracketed by the seqlock checks, so only `K: Pod`,
 //! `V: Pod` payloads are eligible. On pinned backends (`Ebr`, `Hp`)
 //! `try_read` simply delegates to the pinned [`ListHandle::get`].
+//!
+//! `try_read` and the sibling form `try_read_in` (`lf-map`'s bucket
+//! read) share one retry loop over one traversal, `read_impl`, whose
+//! doc carries the argument that pool sharing across siblings needs
+//! nothing more.
 
 use std::sync::atomic::{fence, Ordering};
 
@@ -51,22 +56,9 @@ where
             return self.get(key);
         }
         let op = lf_metrics::op_begin();
-        for _ in 0..READ_ATTEMPTS {
-            match self.list.read_impl(key) {
-                Ok(res) => {
-                    lf_metrics::op_end(op);
-                    return res;
-                }
-                Err(ReadRace) => {
-                    lf_metrics::record_try_read_restart();
-                    continue;
-                }
-            }
-        }
+        let read = self.list.read_retrying(key);
         lf_metrics::op_end(op);
-        // Persistent interference: take the pinned slow path.
-        lf_metrics::record_try_read_fallback();
-        self.get(key)
+        read.unwrap_or_else(|| self.get(key))
     }
 }
 
@@ -76,6 +68,22 @@ where
     V: Pod,
     R: Reclaim + Publish<K> + Publish<V>,
 {
+    /// The retry loop of [`ListHandle::try_read`] and
+    /// [`ListHandle::try_read_in`]: up to [`READ_ATTEMPTS`] optimistic
+    /// traversals, or `None` when every one raced and the caller should
+    /// take its pinned slow path.
+    pub(super) fn read_retrying(&self, k: &K) -> Option<Option<V>> {
+        for _ in 0..READ_ATTEMPTS {
+            match self.read_impl(k) {
+                Ok(res) => return Some(res),
+                Err(ReadRace) => lf_metrics::record_try_read_restart(),
+            }
+        }
+        // Persistent interference: give up on the pin-free path.
+        lf_metrics::record_try_read_fallback();
+        None
+    }
+
     /// One optimistic traversal. Walks successor pointers from the head
     /// sentinel, validating every hop against its birth stamp, and
     /// snoops the key (and value) of each candidate through the shadow
@@ -85,6 +93,17 @@ where
     /// two sentinels, so it needs no guard; `Err(ReadRace)` means a hop
     /// failed validation (the node was recycled or is being rebuilt)
     /// and the caller should retry or fall back.
+    ///
+    /// The one pin-free read for every list, including pool-sharing
+    /// siblings ([`FrList::new_sibling`], `lf-map`'s buckets), where a
+    /// stale pointer into this list may resurface as a tenant of
+    /// **another** sibling's chain. The birth-stamp bracket rejects that
+    /// exactly like in-list recycling — the re-tenant's birth is strictly
+    /// newer than the retire its recycle rode on — so a read never
+    /// continues onto a foreign list. A *validated* hop's successor was
+    /// loaded from a current tenant of this list, so it targets this
+    /// list's nodes or its own tail sentinel; sentinels are never pooled,
+    /// hence never re-tenanted.
     fn read_impl(&self, k: &K) -> Result<Option<V>, ReadRace> {
         // The head sentinel is trusted: never recycled, birth 0.
         let mut curr = self.head;
@@ -104,7 +123,9 @@ where
                 // reached it with. The fence pairs with the writer's
                 // release fence after it sets the builder bit, so a
                 // reader that read a re-initializer's field store must
-                // observe (at least) the builder bit here.
+                // observe (at least) the builder bit here. A block
+                // re-tenanted into another sibling's chain fails here
+                // just the same.
                 // ord: Acquire — VBR.birth-validate: seqlock read fence
                 fence(Ordering::Acquire);
                 // SAFETY: type-stable storage, as above.

@@ -147,7 +147,7 @@ where
                 // Exactly one unlink C&S succeeds per node (its predecessor
                 // is unique and flagged, and a physically deleted node can
                 // never be re-linked), so this retire happens exactly once.
-                // unlink: UNLINK.list-del: the type-3 C&S above made `del`
+                // unlink: UNLINK.list-del: the type-4 C&S above made `del`
                 // unreachable from the head before this retire
                 self.retire(del, guard);
             }

@@ -19,7 +19,6 @@
 
 mod delete;
 mod insert;
-mod iter;
 mod level;
 mod node;
 mod range;
@@ -27,8 +26,7 @@ mod read;
 mod scan;
 mod set;
 
-pub use iter::SkipIter;
-pub use range::RangeIter;
+pub use range::{RangeIter, SkipIter};
 pub use scan::merged_range;
 pub use set::{SkipSet, SkipSetHandle};
 
@@ -564,17 +562,14 @@ where
     ///
     /// If `key` is already present, returns `Err((key, value))`.
     pub fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
-        let op = lf_metrics::op_begin_for(lf_metrics::Structure::SkipList);
-        let guard = R::pin(&self.reclaim);
-        let height_bits = self.heights.borrow_mut().next_u64();
-        // SAFETY: the guard pins this list's domain.
-        let res = unsafe {
-            self.list
-                .insert_impl(key, value, height_bits, &self.pool, &guard)
-        };
-        drop(guard);
-        self.end_op(op);
-        res
+        self.bracket(|guard| {
+            let height_bits = self.heights.borrow_mut().next_u64();
+            // SAFETY: the guard pins this list's domain.
+            unsafe {
+                self.list
+                    .insert_impl(key, value, height_bits, &self.pool, guard)
+            }
+        })
     }
 
     /// Remove `key`, returning its value. Linearizes when the root node
@@ -583,13 +578,8 @@ where
     where
         V: Clone,
     {
-        let op = lf_metrics::op_begin_for(lf_metrics::Structure::SkipList);
-        let guard = R::pin(&self.reclaim);
         // SAFETY: the guard pins this list's domain.
-        let res = unsafe { self.list.delete_impl(key, &guard) };
-        drop(guard);
-        self.end_op(op);
-        res
+        self.bracket(|guard| unsafe { self.list.delete_impl(key, guard) })
     }
 
     /// Look up `key`, returning a clone of its value.
@@ -597,19 +587,7 @@ where
     where
         V: Clone,
     {
-        let op = lf_metrics::op_begin_for(lf_metrics::Structure::SkipList);
-        let guard = R::pin(&self.reclaim);
-        // SAFETY: the guard pins this list's domain; the returned
-        // root stays valid while the guard lives.
-        let res = unsafe {
-            // ord: Release/Acquire/Relaxed — LIST.flag-cas: search helps flagged deletions (wrapped C&S)
-            self.list
-                .search_impl(key, &guard)
-                .map(|n| (*n).element.clone().expect("root node has element"))
-        };
-        drop(guard);
-        self.end_op(op);
-        res
+        self.get_with(key, V::clone)
     }
 
     /// Look up `key` and apply `f` to a borrow of its value, without
@@ -632,29 +610,30 @@ where
     /// assert_eq!(h.get_with(&2, |v| v.len()), None);
     /// ```
     pub fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        let op = lf_metrics::op_begin_for(lf_metrics::Structure::SkipList);
-        let guard = R::pin(&self.reclaim);
         // SAFETY: the guard pins this list's domain; the root (and
         // the borrow of its element handed to `f`) stays valid while
         // the guard lives, which spans the visitor call.
-        let res = unsafe {
+        self.bracket(|guard| unsafe {
             // ord: Release/Acquire/Relaxed — LIST.flag-cas: search helps flagged deletions (wrapped C&S)
             self.list
-                .search_impl(key, &guard)
+                .search_impl(key, guard)
                 .map(|n| f((*n).element.as_ref().expect("root node has element")))
-        };
-        drop(guard);
-        self.end_op(op);
-        res
+        })
     }
 
     /// Whether `key` is present.
     pub fn contains(&self, key: &K) -> bool {
+        self.get_with(key, |_| ()).is_some()
+    }
+
+    /// One point operation: `body` under one pin of this handle,
+    /// bracketed as a skip-list op whose steps are banked for
+    /// [`take_op_steps`](Self::take_op_steps).
+    #[inline]
+    fn bracket<T>(&self, body: impl FnOnce(&R::Guard<'_>) -> T) -> T {
         let op = lf_metrics::op_begin_for(lf_metrics::Structure::SkipList);
         let guard = R::pin(&self.reclaim);
-        // SAFETY: the guard pins this list's domain.
-        // ord: Release/Acquire/Relaxed — LIST.flag-cas: search helps flagged deletions (wrapped C&S)
-        let res = unsafe { self.list.search_impl(key, &guard).is_some() };
+        let res = body(&guard);
         drop(guard);
         self.end_op(op);
         res
@@ -683,7 +662,7 @@ where
         K: Clone,
         V: Clone,
     {
-        SkipIter::new(self)
+        self.range(..)
     }
 
     /// Iterate over the keys in `range` (weakly consistent), positioned

@@ -1,4 +1,6 @@
-//! Range iteration: weakly-consistent, `O(log n)` positioning.
+//! Weakly-consistent iteration over the bottom level: one walker,
+//! [`RangeIter`], positioned at a range start by an `O(log n)` descent;
+//! the whole-list [`SkipIter`] is its `..` case.
 
 use std::fmt;
 use std::ops::Bound as RangeBound;
@@ -8,13 +10,19 @@ use lf_reclaim::{Ebr, Publish, Reclaim};
 use super::node::SkipNode;
 use super::{Bound, Mode, SkipListHandle};
 
+/// Iterator over a weakly-consistent snapshot of a
+/// [`SkipList`](super::SkipList), produced by [`SkipListHandle::iter`]:
+/// a [`RangeIter`] over `..`, which starts at the level-1 head with an
+/// open end. Pins the thread for its whole lifetime.
+pub type SkipIter<'h, 'l, K, V, R = Ebr> = RangeIter<'h, 'l, K, V, R>;
+
 /// Iterator over a key range of a [`SkipList`](super::SkipList),
 /// produced by [`SkipListHandle::range`].
 ///
 /// Positions at the range start with a skip list descent (expected
-/// `O(log n)`), then walks level 1 cloning each pair whose root is
-/// unmarked when visited, until the end bound. Pins the thread for its
-/// whole lifetime.
+/// `O(log n)`; none for an unbounded start), then walks level 1 cloning
+/// each pair whose root is unmarked when visited, until the end bound.
+/// Pins the thread for its whole lifetime.
 pub struct RangeIter<'h, 'l, K, V, R: Reclaim = Ebr> {
     _handle: &'h SkipListHandle<'l, K, V, R>,
     _guard: R::Guard<'h>,

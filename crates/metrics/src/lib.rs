@@ -49,9 +49,8 @@
 //! [`set_histograms_enabled`].
 //!
 //! The [`export`] module renders snapshots as JSON lines or Prometheus
-//! text exposition; the optional `trace` feature adds a per-thread
-//! ring-buffer event tracer (module [`trace`]) for interleaving
-//! replay.
+//! text exposition. Event tracing is `lf-trace`'s: the `record_*` and
+//! op-boundary hooks here feed its causal tracer.
 //!
 //! # Examples
 //!
@@ -72,8 +71,6 @@ pub mod export;
 pub mod gauge;
 pub mod histogram;
 pub mod tally;
-#[cfg(feature = "trace")]
-pub mod trace;
 
 pub use gauge::{UnreclaimedGauge, UnreclaimedSnapshot};
 pub use histogram::{AtomicHistogram, Histogram};
@@ -438,8 +435,6 @@ fn with_local(f: impl FnOnce(&Shard)) {
 /// Insert successes emit nothing; the op's `complete` covers them.
 #[inline]
 pub fn record_cas(ty: CasType, success: bool) {
-    #[cfg(feature = "trace")]
-    trace::emit(trace::EventKind::Cas { ty, ok: success });
     if !success {
         lf_trace::emit_aux(lf_trace::Phase::CasFail, ty as u32);
     } else {
@@ -464,8 +459,6 @@ pub fn record_cas(ty: CasType, success: bool) {
 /// ([`lf_trace::Phase::BacklinkWalk`]).
 #[inline]
 pub fn record_backlink() {
-    #[cfg(feature = "trace")]
-    trace::emit(trace::EventKind::Backlink);
     lf_trace::emit(lf_trace::Phase::BacklinkWalk);
     with_local(|l| Shard::bump(&l.counts.backlink_traversals));
 }
@@ -473,16 +466,12 @@ pub fn record_backlink() {
 /// Record one `next_node` pointer update (`SearchFrom` line 6).
 #[inline]
 pub fn record_next_update() {
-    #[cfg(feature = "trace")]
-    trace::emit(trace::EventKind::NextUpdate);
     with_local(|l| Shard::bump(&l.counts.next_updates));
 }
 
 /// Record one `curr_node` pointer update (`SearchFrom` line 8).
 #[inline]
 pub fn record_curr_update() {
-    #[cfg(feature = "trace")]
-    trace::emit(trace::EventKind::CurrUpdate);
     with_local(|l| Shard::bump(&l.counts.curr_updates));
 }
 
@@ -504,8 +493,6 @@ pub fn record_try_read_fallback() {
 /// Record one completed dictionary operation (for per-op averages).
 #[inline]
 pub fn record_op() {
-    #[cfg(feature = "trace")]
-    trace::emit(trace::EventKind::OpEnd);
     with_local(|l| Shard::bump(&l.counts.ops));
 }
 
@@ -615,8 +602,6 @@ impl std::ops::Add for OpSteps {
 /// (zeroes during thread teardown, when the shard is gone).
 #[inline]
 pub fn op_end(token: OpToken) -> OpSteps {
-    #[cfg(feature = "trace")]
-    trace::emit(trace::EventKind::OpEnd);
     // Close the causal scope: emits `complete` iff this boundary
     // minted the id (an async-minted op completes at its front door).
     token.trace.finish();

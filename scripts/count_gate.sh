@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# count_gate.sh — the ordered tier's noise-free columns as a hard gate.
+# count_gate.sh — both tiers' noise-free columns as a hard gate.
 #
 # Runs stackbench's quick ledger pass (`run --quick --trace 1 --seed 1`)
-# for `wire_scan` and `direct_skip_update` and fails unless every count
-# listed in scripts/count_gate.expected comes out exactly as committed:
+# for the ordered tier's `wire_scan` and `direct_skip_update` and the
+# hash tier's `wire_pipe` and `direct_map_read`, and fails unless every
+# count listed in scripts/count_gate.expected comes out exactly as committed:
 # the paper's step count per operation, the median search length, the
 # share of failed C&S, the high-water mark of retired-but-unfreed nodes,
 # the reply bytes per command and the busiest shard's share of routed
