@@ -75,15 +75,25 @@ fn run_scan<K, V>(
 const UPSERT_RETRY_BUDGET: usize = 8;
 
 /// Worker-side upsert over insert-if-absent/remove primitives: retry
-/// until one insert round wins or the budget runs out. Runs entirely
-/// inside one `apply` call, so the upsert occupies a single slot in
-/// its lane's FIFO.
-fn run_upsert(mut insert: impl FnMut() -> bool, mut remove: impl FnMut()) -> bool {
+/// until one insert round wins or the budget runs out. A refused insert
+/// hands the key and value back, so every round reuses them, and the
+/// remove discards the old value in place: an upsert clones neither.
+/// Runs entirely inside one `apply` call, so the upsert occupies a
+/// single slot in its lane's FIFO.
+fn run_upsert<K, V>(
+    mut key: K,
+    mut value: V,
+    insert: impl Fn(K, V) -> Result<(), (K, V)>,
+    remove: impl Fn(&K),
+) -> bool {
     for _ in 0..UPSERT_RETRY_BUDGET {
-        if insert() {
-            return true;
+        match insert(key, value) {
+            Ok(()) => return true,
+            Err((k, v)) => {
+                remove(&k);
+                (key, value) = (k, v);
+            }
         }
-        remove();
     }
     false
 }
@@ -188,9 +198,11 @@ where
             Request::Contains(k) => Response::Found(self.contains(&k)),
             Request::Insert(k, v) => Response::Inserted(self.insert(k, v).is_ok()),
             Request::Upsert(k, v) => Response::Inserted(run_upsert(
-                || self.insert(k.clone(), v.clone()).is_ok(),
-                || {
-                    let _ = self.remove(&k);
+                k,
+                v,
+                |k, v| self.insert(k, v),
+                |k| {
+                    let _ = self.remove_with(k, |_| ());
                 },
             )),
             Request::Remove(k) => Response::Removed(self.remove(&k)),
@@ -262,9 +274,11 @@ where
             Request::Contains(k) => Response::Found(self.contains(&k)),
             Request::Insert(k, v) => Response::Inserted(self.insert(k, v).is_ok()),
             Request::Upsert(k, v) => Response::Inserted(run_upsert(
-                || self.insert(k.clone(), v.clone()).is_ok(),
-                || {
-                    let _ = self.remove(&k);
+                k,
+                v,
+                |k, v| self.insert(k, v),
+                |k| {
+                    let _ = self.remove_with(k, |_| ());
                 },
             )),
             Request::Remove(k) => Response::Removed(self.remove(&k)),
@@ -336,9 +350,11 @@ where
             Request::Contains(k) => Response::Found(self.contains(&k)),
             Request::Insert(k, v) => Response::Inserted(self.insert(k, v).is_ok()),
             Request::Upsert(k, v) => Response::Inserted(run_upsert(
-                || self.insert(k.clone(), v.clone()).is_ok(),
-                || {
-                    let _ = self.remove(&k);
+                k,
+                v,
+                |k, v| self.insert(k, v),
+                |k| {
+                    let _ = self.remove_with(k, |_| ());
                 },
             )),
             Request::Remove(k) => Response::Removed(self.remove(&k)),
@@ -405,9 +421,11 @@ where
             Request::Contains(k) => Response::Found(self.contains(&k)),
             Request::Insert(k, v) => Response::Inserted(self.insert(k, v).is_ok()),
             Request::Upsert(k, v) => Response::Inserted(run_upsert(
-                || self.insert(k.clone(), v.clone()).is_ok(),
-                || {
-                    let _ = self.remove(&k);
+                k,
+                v,
+                |k, v| self.insert(k, v),
+                |k| {
+                    let _ = self.remove_with(k, |_| ());
                 },
             )),
             Request::Remove(k) => Response::Removed(self.remove(&k)),
@@ -475,9 +493,11 @@ where
             Request::Contains(k) => Response::Found(self.contains(&k)),
             Request::Insert(k, v) => Response::Inserted(self.insert(k, v).is_ok()),
             Request::Upsert(k, v) => Response::Inserted(run_upsert(
-                || self.insert(k.clone(), v.clone()).is_ok(),
-                || {
-                    let _ = self.remove(&k);
+                k,
+                v,
+                |k, v| self.insert(k, v),
+                |k| {
+                    let _ = self.remove_with(k, |_| ());
                 },
             )),
             Request::Remove(k) => Response::Removed(self.remove(&k)),

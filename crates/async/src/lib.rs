@@ -18,6 +18,10 @@
 //!   thread-local handle whose epoch announcement is amortized across
 //!   the whole batch — one pin per drained batch, preserving the
 //!   paper's amortized `O(n(S) + c(S))` per request.
+//! * [`Service::batch`] submits many requests as one cell per lane
+//!   touched — one ring slot, one completion, one wake-up — resolving
+//!   to their outcomes in input order; a single-request future is the
+//!   batch of one.
 //! * Full lanes apply a configurable [`BackpressurePolicy`]: `Block`
 //!   (suspend the submitter), `Reject` (fail fast), or `Shed` (evict
 //!   the oldest queued request).
@@ -58,6 +62,6 @@ pub use metrics::{ServiceMetrics, ServiceSnapshot};
 pub use op::{Error, GetWithVisitor, Request, Response, ScanVisitor};
 pub use service::{
     install_stall_hook, AsyncHashMap, AsyncList, AsyncShardedMap, AsyncSkipList,
-    BackpressurePolicy, GetWithFuture, HashMapBuilder, LaneFuture, OpFuture, ScanFuture, Service,
-    ServiceBuilder, ShardedBuilder,
+    BackpressurePolicy, BatchFuture, GetWithFuture, HashMapBuilder, LaneFuture, OpFuture,
+    ScanFuture, Service, ServiceBuilder, ShardedBuilder,
 };

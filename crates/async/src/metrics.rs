@@ -56,41 +56,49 @@ impl ServiceMetrics {
         }
     }
 
-    /// A request was queued; `depth` is the lane depth after the push.
-    pub(crate) fn record_enqueue(&self, depth: u64) {
+    /// A cell of `n` requests was queued; `depth` is the lane depth (in
+    /// ring slots) after the push.
+    pub(crate) fn record_enqueue(&self, n: usize, depth: u64) {
         // ord: Relaxed — ASYNC.stat: statistic counter, snapshots racy-fresh
-        self.producers.enqueued.fetch_add(1, Ordering::Relaxed);
+        self.producers
+            .enqueued
+            .fetch_add(n as u64, Ordering::Relaxed);
         self.producers.queue_depth.record(depth);
     }
 
-    /// A request executed; `e2c_ns` is its enqueue-to-complete latency.
-    pub(crate) fn record_complete(&self, e2c_ns: u64) {
+    /// A cell of `n` requests executed; `e2c_ns` is its
+    /// enqueue-to-complete latency, which every one of them shares.
+    pub(crate) fn record_complete(&self, n: usize, e2c_ns: u64) {
         // ord: Relaxed — ASYNC.stat: statistic counter, snapshots racy-fresh
-        self.workers.completed.fetch_add(1, Ordering::Relaxed);
-        self.workers.enqueue_to_complete_ns.record(e2c_ns);
+        self.workers
+            .completed
+            .fetch_add(n as u64, Ordering::Relaxed);
+        self.workers
+            .enqueue_to_complete_ns
+            .record_n(e2c_ns, n as u64);
     }
 
     /// A worker drained a batch of `n` requests.
-    pub(crate) fn record_batch(&self, n: u64) {
-        self.workers.batch_size.record(n);
+    pub(crate) fn record_batch(&self, n: usize) {
+        self.workers.batch_size.record(n as u64);
     }
 
-    /// A request bounced off a full lane under `Reject`.
-    pub(crate) fn record_reject(&self) {
+    /// A cell of `n` requests bounced off a full lane under `Reject`.
+    pub(crate) fn record_reject(&self, n: usize) {
         // ord: Relaxed — ASYNC.stat: statistic counter, snapshots racy-fresh
-        self.rejected.fetch_add(1, Ordering::Relaxed);
+        self.rejected.fetch_add(n as u64, Ordering::Relaxed);
     }
 
-    /// A queued request was evicted under `Shed`.
-    pub(crate) fn record_shed(&self) {
+    /// A queued cell of `n` requests was evicted under `Shed`.
+    pub(crate) fn record_shed(&self, n: usize) {
         // ord: Relaxed — ASYNC.stat: statistic counter, snapshots racy-fresh
-        self.shed.fetch_add(1, Ordering::Relaxed);
+        self.shed.fetch_add(n as u64, Ordering::Relaxed);
     }
 
-    /// A queued request was resolved with `Error::Shutdown`.
-    pub(crate) fn record_shutdown_drop(&self) {
+    /// A queued cell of `n` requests was resolved with `Error::Shutdown`.
+    pub(crate) fn record_shutdown_drop(&self, n: usize) {
         // ord: Relaxed — ASYNC.stat: statistic counter, snapshots racy-fresh
-        self.shutdown_dropped.fetch_add(1, Ordering::Relaxed);
+        self.shutdown_dropped.fetch_add(n as u64, Ordering::Relaxed);
     }
 
     /// A racy-fresh copy of every series.
@@ -115,6 +123,12 @@ impl ServiceMetrics {
 
 /// A point-in-time copy of the service metrics (exact once the service
 /// has shut down; racy-fresh while it is live).
+///
+/// Counters count *requests*, whatever cell carried them: a cell of a
+/// batch adds its request count to `enqueued` and `completed` (or to
+/// `rejected` / `shed` / `shutdown_dropped` when refused), so
+/// `enqueued == completed + shed + shutdown_dropped` stays exact.
+/// `queue_depth` counts ring slots, i.e. cells.
 pub struct ServiceSnapshot {
     /// Requests accepted into a lane queue.
     pub enqueued: u64,
@@ -126,11 +140,12 @@ pub struct ServiceSnapshot {
     pub shed: u64,
     /// Queued requests resolved with `Error::Shutdown`.
     pub shutdown_dropped: u64,
-    /// Lane depth observed at each enqueue.
+    /// Lane depth, in ring slots, observed at each enqueue.
     pub queue_depth: Histogram,
     /// Requests per drained batch.
     pub batch_size: Histogram,
-    /// Nanoseconds from enqueue to completion.
+    /// Nanoseconds from enqueue to completion, one sample per request
+    /// (a cell's requests share its latency).
     pub enqueue_to_complete_ns: Histogram,
 }
 
@@ -218,29 +233,33 @@ mod tests {
     #[test]
     fn snapshot_reflects_records() {
         let m = ServiceMetrics::new();
-        m.record_enqueue(3);
-        m.record_enqueue(5);
-        m.record_complete(1_000);
+        m.record_enqueue(1, 3);
+        m.record_enqueue(4, 5);
+        m.record_complete(4, 1_000);
         m.record_batch(2);
-        m.record_reject();
-        m.record_shed();
-        m.record_shutdown_drop();
+        m.record_reject(2);
+        m.record_shed(3);
+        m.record_shutdown_drop(1);
         let s = m.snapshot();
-        assert_eq!(s.enqueued, 2);
-        assert_eq!(s.completed, 1);
-        assert_eq!(s.rejected, 1);
-        assert_eq!(s.shed, 1);
+        // Requests, not cells: a four-request cell counts four.
+        assert_eq!(s.enqueued, 5);
+        assert_eq!(s.completed, 4);
+        assert_eq!(s.rejected, 2);
+        assert_eq!(s.shed, 3);
         assert_eq!(s.shutdown_dropped, 1);
+        // Depth is sampled once per pushed cell.
         assert_eq!(s.queue_depth.count(), 2);
         assert_eq!(s.batch_size.count(), 1);
-        assert_eq!(s.enqueue_to_complete_ns.count(), 1);
+        // One latency, weighted by the cell's four requests.
+        assert_eq!(s.enqueue_to_complete_ns.count(), 4);
+        assert_eq!(s.enqueue_to_complete_ns.sum(), 4_000);
     }
 
     #[test]
     fn exports_are_well_formed() {
         let m = ServiceMetrics::new();
-        m.record_enqueue(1);
-        m.record_complete(500);
+        m.record_enqueue(1, 1);
+        m.record_complete(1, 500);
         let s = m.snapshot();
         let j = s.to_json();
         assert!(j.starts_with('{') && j.ends_with('}'));

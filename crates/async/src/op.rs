@@ -1,14 +1,15 @@
 //! Requests, responses, and the completion cell a future waits on.
 //!
 //! An [`OpCell`] is the rendezvous between the submitting task and the
-//! lane worker: the producer parks the request payload (and its waker)
-//! in the cell and pushes an `Arc` of it onto the lane ring; whoever
-//! pops the cell — the worker, or a shedding producer — takes the
-//! request, executes or fails it, writes the result, and flips the
-//! state word with a Release store that the future's Acquire poll pairs
-//! with. Dropping the future mid-flight just drops one `Arc`: the
-//! worker completes into a cell nobody reads and the payload is freed
-//! when the last `Arc` goes — no pins, no nodes, and no wakers leak.
+//! lane worker: the producer parks one or more requests (and its waker)
+//! in the cell and pushes an `Arc` of it onto the lane ring, where the
+//! whole cell takes one slot; whoever pops the cell — the worker, or a
+//! shedding producer — takes the requests, executes or fails them,
+//! writes one result per request, and flips the state word once with a
+//! Release store that the future's Acquire poll pairs with. Dropping
+//! the future mid-flight just drops one `Arc`: the worker completes
+//! into a cell nobody reads and the payload is freed when the last
+//! `Arc` goes — no pins, no nodes, and no wakers leak.
 
 use std::cell::UnsafeCell;
 use std::fmt;
@@ -204,63 +205,142 @@ impl std::error::Error for Error {}
 const PENDING: u8 = 0;
 const DONE: u8 = 1;
 
-/// The shared completion slot for one in-flight operation.
-///
-/// Exactly two `Arc`s exist while queued: the future's and the ring's.
-/// Access discipline: `req` belongs to whichever thread pops the cell
-/// off the ring (exclusive by the ring's ownership transfer); `resp`
-/// is written by that popper before the Release `state` store and read
-/// by the future only after an Acquire load observes `DONE`.
-pub(crate) struct OpCell<K, V> {
-    state: AtomicU8,
-    req: UnsafeCell<Option<Request<K, V>>>,
-    resp: UnsafeCell<Option<Result<Response<V>, Error>>>,
-    waker: Mutex<Option<Waker>>,
-    enqueued_at: Instant,
-    /// Causal-trace id minted at the front door (0 when tracing is
-    /// off). This is the id's cross-thread carrier: the lane worker
-    /// re-enters it (`lf_trace::enter_op`) before touching the
-    /// structure, so the op's events stay attributed across the ring.
-    op: u64,
+/// What one request came to: its response, or why it did not execute.
+pub(crate) type Outcome<V> = Result<Response<V>, Error>;
+
+/// One request of a cell, replaced in place by its outcome once run.
+pub(crate) enum Slot<K, V> {
+    Req(Request<K, V>),
+    Out(Outcome<V>),
 }
 
-// SAFETY: `req`/`resp` are raced only through the protocol above — the
-// ring transfers exclusive `req` access to the popper, and the
-// Release(DONE)/Acquire(state) edge orders the popper's `resp` write
-// before the future's read. `waker` is mutex-guarded and `state` is
-// atomic, so `&OpCell` is safe to share once `K` and `V` can move
-// between threads.
+/// A cell's slots, in submission order: inline for a lone request, so
+/// that a single op's cell is one allocation whose request and outcome
+/// share the cell's cache lines with its state word, and a vector for a
+/// batch.
+pub(crate) enum Slots<K, V> {
+    One(Slot<K, V>),
+    Many(Vec<Slot<K, V>>),
+}
+
+impl<K, V> Slots<K, V> {
+    /// Slots for a batch's requests.
+    pub(crate) fn many(reqs: Vec<Request<K, V>>) -> Self {
+        Slots::Many(reqs.into_iter().map(Slot::Req).collect())
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Slots::One(_) => 1,
+            Slots::Many(v) => v.len(),
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [Slot<K, V>] {
+        match self {
+            Slots::One(s) => std::slice::from_mut(s),
+            Slots::Many(v) => v,
+        }
+    }
+
+    /// The outcomes of completed slots, in order.
+    pub(crate) fn into_outcomes(self) -> impl Iterator<Item = Outcome<V>> {
+        let (one, many) = match self {
+            Slots::One(s) => (Some(s), Vec::new()),
+            Slots::Many(v) => (None, v),
+        };
+        one.into_iter().chain(many).map(|s| match s {
+            Slot::Out(o) => o,
+            Slot::Req(_) => unreachable!("a completed cell has run every request"),
+        })
+    }
+}
+
+/// The shared completion slot for one ring slot's worth of requests —
+/// one for [`Service::op`](crate::Service::op), up to a whole pipeline
+/// for [`Service::batch`](crate::Service::batch).
+///
+/// Exactly two `Arc`s exist while queued: the future's and the ring's.
+/// Access discipline: `slots` belongs to whichever thread pops the cell
+/// off the ring (exclusive by the ring's ownership transfer); that
+/// popper replaces each request by its outcome before the Release
+/// `state` store, and the future reads them only after an Acquire load
+/// observes `DONE`.
+pub(crate) struct OpCell<K, V> {
+    state: AtomicU8,
+    slots: UnsafeCell<Slots<K, V>>,
+    waker: Mutex<Option<Waker>>,
+    enqueued_at: Instant,
+    /// How many requests the cell carries (fixed at creation).
+    len: usize,
+    /// Causal-trace id of each request, minted at the front door (empty
+    /// when tracing is off). This is the ids' cross-thread carrier: the
+    /// lane worker re-enters each (`lf_trace::enter_op`) before touching
+    /// the structure, so every request's events stay attributed across
+    /// the ring.
+    ops: Vec<u64>,
+}
+
+// SAFETY: `slots` is raced only through the protocol above — the ring
+// transfers exclusive access to the popper, and the
+// Release(DONE)/Acquire(state) edge orders the popper's writes before
+// the future's read. `waker` is mutex-guarded, `state` is atomic and
+// `len`/`ops` are never written after construction, so `&OpCell` is
+// safe to share once `K` and `V` can move between threads.
 unsafe impl<K: Send, V: Send> Send for OpCell<K, V> {}
 // SAFETY: as above.
 unsafe impl<K: Send, V: Send> Sync for OpCell<K, V> {}
 
 impl<K, V> OpCell<K, V> {
-    /// A fresh cell holding `req`, stamped now for latency accounting.
-    pub(crate) fn new(req: Request<K, V>) -> Self {
+    /// A fresh cell holding `slots`' requests, stamped now for latency
+    /// accounting.
+    pub(crate) fn new(slots: Slots<K, V>) -> Self {
+        let len = slots.len();
+        // One id per request while tracing is on; no allocation when
+        // it is off (the first mint says which).
+        let ops = match lf_trace::mint_op() {
+            0 => Vec::new(),
+            first => std::iter::once(first)
+                .chain((1..len).map(|_| lf_trace::mint_op()))
+                .collect(),
+        };
         OpCell {
             state: AtomicU8::new(PENDING),
-            req: UnsafeCell::new(Some(req)),
-            resp: UnsafeCell::new(None),
+            slots: UnsafeCell::new(slots),
             waker: Mutex::new(None),
             enqueued_at: Instant::now(),
-            op: lf_trace::mint_op(),
+            len,
+            ops,
         }
     }
 
-    /// The causal-trace id minted for this operation (0 when tracing
-    /// was off at submission).
-    pub(crate) fn op_id(&self) -> u64 {
-        self.op
+    /// How many requests the cell carries.
+    pub(crate) fn len(&self) -> usize {
+        self.len
     }
 
-    /// Take the request payload. Caller must be the thread that popped
-    /// this cell off the ring (or otherwise hold exclusive access, e.g.
-    /// a producer reclaiming a cell that never enqueued).
-    pub(crate) fn take_req(&self) -> Option<Request<K, V>> {
-        // SAFETY: per the access discipline, popping the cell off the
-        // ring (or never having pushed it) makes the caller the sole
-        // accessor of `req`.
-        unsafe { (*self.req.get()).take() }
+    /// The causal-trace id of request `i` (0 when tracing was off at
+    /// submission).
+    pub(crate) fn op_id(&self, i: usize) -> u64 {
+        self.ops.get(i).copied().unwrap_or(0)
+    }
+
+    /// Record `phase` once for every request of the cell.
+    pub(crate) fn trace(&self, phase: lf_trace::Phase, aux: u32) {
+        for &op in &self.ops {
+            lf_trace::emit_for(op, phase, aux);
+        }
+    }
+
+    /// Take the slots: the requests back out of a cell that never
+    /// entered a ring (the producer that built it holds it alone), or
+    /// the outcomes out of a completed one.
+    pub(crate) fn take_slots(&self) -> Slots<K, V> {
+        // SAFETY: callers hold exclusive access — a cell never pushed
+        // was never shared with a popper, and a completed cell's slots
+        // belong to its future, which reads them once after observing
+        // DONE with Acquire and fuses itself.
+        unsafe { std::mem::replace(&mut *self.slots.get(), Slots::Many(Vec::new())) }
     }
 
     /// Nanoseconds since the cell was created (enqueue-to-now).
@@ -268,13 +348,27 @@ impl<K, V> OpCell<K, V> {
         self.enqueued_at.elapsed().as_nanos() as u64
     }
 
-    /// Publish the result and wake the waiting task. Called exactly
-    /// once, by the thread that popped the cell.
-    pub(crate) fn complete(&self, result: Result<Response<V>, Error>) {
-        // SAFETY: the single popper writes `resp` before the Release
-        // store below; the future reads it only after observing DONE.
-        unsafe { *self.resp.get() = Some(result) };
-        // ord: Release — ASYNC.op: publishes the resp write to the future's Acquire state load
+    /// Replace each request, in order, by its outcome `f(i, request)`.
+    /// Called once, by the thread that popped the cell, before
+    /// [`complete`](Self::complete).
+    pub(crate) fn execute(&self, mut f: impl FnMut(usize, Request<K, V>) -> Outcome<V>) {
+        // SAFETY: per the access discipline, popping the cell off the
+        // ring makes the caller the sole accessor of `slots` until
+        // `complete`'s Release store.
+        let slots = unsafe { &mut *self.slots.get() };
+        for (i, slot) in slots.as_mut_slice().iter_mut().enumerate() {
+            // The placeholder lives only until the outcome replaces it.
+            if let Slot::Req(req) = std::mem::replace(slot, Slot::Out(Err(Error::Shutdown))) {
+                *slot = Slot::Out(f(i, req));
+            }
+        }
+    }
+
+    /// Publish the outcomes and wake the waiting task. Called exactly
+    /// once, by the thread that popped the cell, after
+    /// [`execute`](Self::execute).
+    pub(crate) fn complete(&self) {
+        // ord: Release — ASYNC.op: publishes the slot writes to the future's Acquire state load
         self.state.store(DONE, Ordering::Release);
         let w = self.waker.lock().unwrap_or_else(|e| e.into_inner()).take();
         if let Some(w) = w {
@@ -282,28 +376,29 @@ impl<K, V> OpCell<K, V> {
         }
     }
 
-    /// Poll for the result, registering `cx`'s waker while pending.
-    pub(crate) fn poll_result(&self, cx: &mut Context<'_>) -> Poll<Result<Response<V>, Error>> {
-        // ord: Acquire — ASYNC.op: pairs with the completer's Release DONE store; resp is read below
+    /// Resolve every request with `e` unexecuted: the requests (and any
+    /// visitors they carry) are dropped uncalled. Called exactly once,
+    /// by the thread that popped the cell.
+    pub(crate) fn fail(&self, e: Error) {
+        self.execute(|_, _| Err(e));
+        self.complete();
+    }
+
+    /// Poll for the outcomes, registering `cx`'s waker while pending.
+    pub(crate) fn poll_result(&self, cx: &mut Context<'_>) -> Poll<Slots<K, V>> {
+        // ord: Acquire — ASYNC.op: pairs with the completer's Release DONE store; slots are read below
         if self.state.load(Ordering::Acquire) == DONE {
-            return Poll::Ready(self.take_resp());
+            return Poll::Ready(self.take_slots());
         }
         *self.waker.lock().unwrap_or_else(|e| e.into_inner()) = Some(cx.waker().clone());
         // Re-check after registering: if the completer took the waker
         // slot before our store, this second look closes the
         // lost-wakeup window.
-        // ord: Acquire — ASYNC.op: pairs with the completer's Release DONE store; resp is read below
+        // ord: Acquire — ASYNC.op: pairs with the completer's Release DONE store; slots are read below
         if self.state.load(Ordering::Acquire) == DONE {
-            return Poll::Ready(self.take_resp());
+            return Poll::Ready(self.take_slots());
         }
         Poll::Pending
-    }
-
-    fn take_resp(&self) -> Result<Response<V>, Error> {
-        // SAFETY: called only after an Acquire load saw DONE, which the
-        // completer stored after its `resp` write; the owning future is
-        // the sole reader and fuses itself after the first `Ready`.
-        unsafe { (*self.resp.get()).take() }.expect("op result taken twice")
     }
 }
 
@@ -324,35 +419,88 @@ mod tests {
         unsafe { Waker::from_raw(RawWaker::new(std::ptr::null(), &VTABLE)) }
     }
 
-    #[test]
-    fn complete_then_poll_is_ready() {
-        let cell: OpCell<u64, u64> = OpCell::new(Request::Get(7));
-        assert_eq!(cell.take_req(), Some(Request::Get(7)));
-        cell.complete(Ok(Response::Value(Some(9))));
+    /// Poll `cell` once; its outcomes if it completed.
+    fn outcomes(cell: &OpCell<u64, u64>) -> Option<Vec<Outcome<u64>>> {
         let w = noop_waker();
         let mut cx = Context::from_waker(&w);
         match cell.poll_result(&mut cx) {
-            Poll::Ready(Ok(Response::Value(Some(9)))) => {}
-            _ => panic!("expected ready value"),
+            Poll::Ready(slots) => Some(slots.into_outcomes().collect()),
+            Poll::Pending => None,
         }
     }
 
     #[test]
+    fn complete_then_poll_is_ready() {
+        let cell: OpCell<u64, u64> = OpCell::new(Slots::One(Slot::Req(Request::Get(7))));
+        assert_eq!(cell.len(), 1);
+        cell.execute(|i, req| {
+            assert_eq!((i, req), (0, Request::Get(7)));
+            Ok(Response::Value(Some(9)))
+        });
+        cell.complete();
+        assert_eq!(outcomes(&cell), Some(vec![Ok(Response::Value(Some(9)))]));
+    }
+
+    #[test]
+    fn unqueued_cell_hands_its_requests_back() {
+        let cell: OpCell<u64, u64> =
+            OpCell::new(Slots::many(vec![Request::Get(7), Request::Remove(8)]));
+        let Slots::Many(back) = cell.take_slots() else {
+            panic!("a batch's slots stay a vector");
+        };
+        let back: Vec<_> = back
+            .into_iter()
+            .map(|s| match s {
+                Slot::Req(r) => r,
+                Slot::Out(_) => panic!("never run"),
+            })
+            .collect();
+        assert_eq!(back, vec![Request::Get(7), Request::Remove(8)]);
+    }
+
+    #[test]
     fn pending_then_woken_across_threads() {
-        let cell: Arc<OpCell<u64, u64>> = Arc::new(OpCell::new(Request::Contains(1)));
-        let w = noop_waker();
-        let mut cx = Context::from_waker(&w);
-        assert!(cell.poll_result(&mut cx).is_pending());
+        let reqs = vec![Request::Contains(1), Request::Get(2), Request::Remove(3)];
+        let cell: Arc<OpCell<u64, u64>> = Arc::new(OpCell::new(Slots::many(reqs)));
+        assert_eq!(outcomes(&cell), None);
         let c2 = Arc::clone(&cell);
         let t = std::thread::spawn(move || {
-            c2.take_req();
-            c2.complete(Ok(Response::Found(true)));
+            c2.execute(|_, req| {
+                Ok(match req {
+                    Request::Contains(_) => Response::Found(true),
+                    Request::Get(_) => Response::Value(None),
+                    _ => Response::Removed(Some(30)),
+                })
+            });
+            c2.complete();
         });
         t.join().unwrap();
-        match cell.poll_result(&mut cx) {
-            Poll::Ready(Ok(Response::Found(true))) => {}
-            _ => panic!("expected found"),
-        }
+        assert_eq!(
+            outcomes(&cell),
+            Some(vec![
+                Ok(Response::Found(true)),
+                Ok(Response::Value(None)),
+                Ok(Response::Removed(Some(30))),
+            ])
+        );
+    }
+
+    #[test]
+    fn fail_resolves_every_request_and_drops_them_unrun() {
+        let dropped = Arc::new(());
+        let held = Arc::clone(&dropped);
+        let visitor: GetWithVisitor<u64> = Box::new(move |_| drop(held));
+        let cell: OpCell<u64, u64> = OpCell::new(Slots::many(vec![
+            Request::Get(1),
+            Request::GetWith(2, visitor),
+        ]));
+        cell.fail(Error::Shed);
+        assert_eq!(
+            Arc::strong_count(&dropped),
+            1,
+            "visitor dropped with its request"
+        );
+        assert_eq!(outcomes(&cell), Some(vec![Err(Error::Shed); 2]));
     }
 
     #[test]

@@ -1,12 +1,15 @@
 //! The service: sharded submission lanes, per-lane batch workers,
 //! backpressure, and graceful shutdown.
 //!
-//! One lane per worker. A submitting task round-robins onto a lane,
-//! parks an [`OpCell`] in the lane's ring, and suspends on the cell;
-//! the lane's worker drains up to `batch_max` cells at a time, executes
-//! them through its own (thread-local, non-`Send`) backend handle with
-//! the epoch announcement amortized across the whole batch, and
-//! completes each cell through its waker. Idle workers quiesce their
+//! One lane per worker. A submitting task picks a lane (the backend's
+//! partition affinity, else round robin), parks an [`OpCell`] in the
+//! lane's ring, and suspends on the cell. A cell carries one request
+//! ([`Service::op`]) or a batch's worth for that lane
+//! ([`Service::batch`]); either way it takes one ring slot. The lane's
+//! worker drains cells until it holds `batch_max` requests, executes
+//! them back to back through its own (thread-local, non-`Send`) backend
+//! handle with the epoch announcement amortized across the whole drain,
+//! and completes and wakes each cell once. Idle workers quiesce their
 //! epoch announcement and park, so a drained service never delays
 //! reclamation domain-wide.
 //!
@@ -19,7 +22,7 @@ use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::task::{Context, Poll, Waker};
+use std::task::{ready, Context, Poll, Waker};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -30,7 +33,7 @@ use lf_tagged::Backoff;
 
 use crate::backend::{AsyncBackend, BackendHandle};
 use crate::metrics::{ServiceMetrics, ServiceSnapshot};
-use crate::op::{Error, GetWithVisitor, OpCell, Request, Response};
+use crate::op::{Error, GetWithVisitor, OpCell, Outcome, Request, Response, Slot, Slots};
 use crate::ring::{Pop, PushError, Ring};
 
 /// What a submission does when its lane's queue is full.
@@ -58,7 +61,8 @@ const IDLE_PARK: Duration = Duration::from_millis(1);
 /// the producers blocked on a full ring under [`BackpressurePolicy::Block`].
 struct Lane<K, V> {
     ring: Ring<Arc<OpCell<K, V>>>,
-    /// Maximum requests the worker drains per batch. Runtime-tunable:
+    /// Requests the worker drains per batch; it never splits a cell,
+    /// so the last cell of a drain may carry it past. Runtime-tunable:
     /// an admission controller (e.g. `lf-server`'s) grows it under
     /// sustained ring occupancy and shrinks it when the
     /// enqueue-to-complete tail drifts, while the worker re-reads it at
@@ -154,74 +158,119 @@ enum Submit<K, V> {
     /// Queued; await the cell.
     Queued(Arc<OpCell<K, V>>),
     /// Ring full under `Block`; waker registered, caller returns
-    /// `Pending` and retries with the handed-back request on re-poll.
-    WouldBlock(Request<K, V>),
-    /// Terminal failure.
+    /// `Pending` and retries with the handed-back requests on re-poll.
+    WouldBlock(Slots<K, V>),
+    /// Terminal failure of every request.
     Failed(Error),
 }
 
 impl<B: AsyncBackend> Shared<B> {
+    /// The lane for requests the backend does not route itself: the
+    /// caller's hint ([`LaneFuture::pin_lane`]), else the next
+    /// round-robin ticket. With one lane there is nothing to choose.
+    fn free_lane(&self, hint: Option<usize>) -> usize {
+        let lanes = self.lanes.len();
+        if lanes == 1 {
+            return 0;
+        }
+        match hint {
+            Some(i) => i % lanes,
+            // ord: Relaxed — ASYNC.stat: round-robin ticket, no ordering needed
+            None => self.next_lane.fetch_add(1, Ordering::Relaxed) % lanes,
+        }
+    }
+
+    /// The lane `req` takes: its partition's when the backend has lane
+    /// affinity for it, else `free()`. With one lane the backend is not
+    /// asked to hash the key.
+    fn lane_of(&self, req: &Request<B::Key, B::Value>, free: impl FnOnce() -> usize) -> usize {
+        let lanes = self.lanes.len();
+        if lanes == 1 {
+            return 0;
+        }
+        match self.backend.lane_for(req, lanes) {
+            Some(i) => i % lanes,
+            None => free(),
+        }
+    }
+
+    /// Cut a batch into one leg per lane it touches, each keeping its
+    /// requests in input order. Requests the backend does not route
+    /// share one lane for the whole batch, so a batch over a backend
+    /// without affinity is a single cell.
+    fn split(&self, reqs: Vec<Request<B::Key, B::Value>>) -> Vec<Leg<B::Key, B::Value>> {
+        if reqs.is_empty() {
+            return Vec::new();
+        }
+        if self.lanes.len() == 1 {
+            return vec![Leg::new(0, Slots::many(reqs))];
+        }
+        let mut free = None;
+        let route: Vec<usize> = reqs
+            .iter()
+            .map(|r| self.lane_of(r, || *free.get_or_insert_with(|| self.free_lane(None))))
+            .collect();
+        if route.iter().all(|&l| l == route[0]) {
+            return vec![Leg::new(route[0], Slots::many(reqs))];
+        }
+        let mut legs: Vec<Leg<B::Key, B::Value>> = Vec::new();
+        for (i, (req, lane)) in reqs.into_iter().zip(route).enumerate() {
+            let j = legs.iter().position(|l| l.lane == lane).unwrap_or_else(|| {
+                legs.push(Leg::new(lane, Slots::Many(Vec::new())));
+                legs.len() - 1
+            });
+            let leg = &mut legs[j];
+            leg.at.push(i);
+            if let Flight::Unsubmitted(Slots::Many(part)) = &mut leg.flight {
+                part.push(Slot::Req(req));
+            }
+        }
+        legs
+    }
+
+    /// Push one cell holding `slots`' requests onto lane `lane_idx`.
     fn submit(
         &self,
-        req: Request<B::Key, B::Value>,
-        lane_hint: Option<usize>,
+        lane_idx: usize,
+        slots: Slots<B::Key, B::Value>,
         cx: &mut Context<'_>,
     ) -> Submit<B::Key, B::Value> {
-        // Affinity first: a partitioned backend pins each key's
-        // requests to the lane owning its shard. Then the caller's
-        // hint ([`OpFuture::pin_lane`]) — a front end that needs FIFO
-        // between its own requests routes them through one lane.
-        // Everything else round-robins. With one lane there is nothing
-        // to choose, and the backend is not asked to hash the key.
-        let lanes = self.lanes.len();
-        let lane_idx = if lanes == 1 {
-            0
-        } else {
-            match self.backend.lane_for(&req, lanes) {
-                Some(i) => i % lanes,
-                None => match lane_hint {
-                    Some(i) => i % lanes,
-                    // ord: Relaxed — ASYNC.stat: round-robin ticket, no ordering needed
-                    None => self.next_lane.fetch_add(1, Ordering::Relaxed) % lanes,
-                },
-            }
-        };
         let lane = &self.lanes[lane_idx];
-        let cell = Arc::new(OpCell::new(req));
-        // The `enqueue` event goes out *before* the push: once the push
+        let cell = Arc::new(OpCell::new(slots));
+        let n = cell.len();
+        // The `enqueue` events go out *before* the push: once the push
         // publishes the cell, the worker's `dequeue` can race ahead of
         // any producer-side bookkeeping, and a dump must never show an
         // op dequeued before it was enqueued. Failed submissions below
-        // close the id with an error-coded `complete` instead of
-        // leaving it dangling as a false stall.
-        lf_trace::emit_for(cell.op_id(), lf_trace::Phase::Enqueue, lane_idx as u32);
+        // close the ids with an error-coded `complete` instead of
+        // leaving them dangling as false stalls.
+        cell.trace(lf_trace::Phase::Enqueue, lane_idx as u32);
         let mut entry = Arc::clone(&cell);
         let backoff = Backoff::new();
         loop {
             match lane.ring.push(entry) {
                 Ok(depth) => {
-                    self.metrics.record_enqueue(depth);
+                    self.metrics.record_enqueue(n, depth);
                     lane.notify_worker();
                     return Submit::Queued(cell);
                 }
                 Err(PushError::Closed(back)) => {
                     drop(back);
-                    lf_trace::emit_for(cell.op_id(), lf_trace::Phase::Complete, 2);
+                    cell.trace(lf_trace::Phase::Complete, 2);
                     return Submit::Failed(Error::Shutdown);
                 }
                 Err(PushError::Full(back)) => match self.policy {
                     BackpressurePolicy::Reject => {
-                        self.metrics.record_reject();
+                        self.metrics.record_reject(n);
                         drop(back);
-                        lf_trace::emit_for(cell.op_id(), lf_trace::Phase::Complete, 3);
+                        cell.trace(lf_trace::Phase::Complete, 3);
                         return Submit::Failed(Error::Rejected);
                     }
                     BackpressurePolicy::Shed => {
                         if let Pop::Item(old) = lane.ring.pop() {
-                            drop(old.take_req());
-                            self.metrics.record_shed();
-                            old.complete(Err(Error::Shed));
-                            lf_trace::emit_for(old.op_id(), lf_trace::Phase::Complete, 1);
+                            self.metrics.record_shed(old.len());
+                            old.fail(Error::Shed);
+                            old.trace(lf_trace::Phase::Complete, 1);
                         } else {
                             // Racing pops emptied or stalled the head;
                             // back off and retry the push.
@@ -239,24 +288,24 @@ impl<B: AsyncBackend> Shared<B> {
                         // failed push and the registration.
                         match lane.ring.push(back) {
                             Ok(depth) => {
-                                self.metrics.record_enqueue(depth);
+                                self.metrics.record_enqueue(n, depth);
                                 lane.notify_worker();
                                 return Submit::Queued(cell);
                             }
                             Err(PushError::Closed(back2)) => {
                                 drop(back2);
-                                lf_trace::emit_for(cell.op_id(), lf_trace::Phase::Complete, 2);
+                                cell.trace(lf_trace::Phase::Complete, 2);
                                 return Submit::Failed(Error::Shutdown);
                             }
                             Err(PushError::Full(back2)) => {
-                                // Reclaim the request out of the cell we
-                                // never queued; re-polls rebuild it.
+                                // Reclaim the requests out of the cell
+                                // we never queued; re-polls rebuild it.
                                 drop(back2);
-                                let req = cell.take_req().expect("unqueued cell keeps its request");
+                                let slots = cell.take_slots();
                                 // Code 4: bounced, will re-enter under
-                                // a fresh id on the next poll.
-                                lf_trace::emit_for(cell.op_id(), lf_trace::Phase::Complete, 4);
-                                return Submit::WouldBlock(req);
+                                // fresh ids on the next poll.
+                                cell.trace(lf_trace::Phase::Complete, 4);
+                                return Submit::WouldBlock(slots);
                             }
                         }
                     }
@@ -291,10 +340,16 @@ fn worker_loop<B: AsyncBackend>(shared: &Shared<B>, lane_idx: usize) {
             bmax = cur;
             handle.amortize_pins(bmax as u32);
         }
+        // `batch_max` counts requests, and a cell is never split: the
+        // drain stops once it holds that many, its last cell included.
         batch.clear();
-        while batch.len() < bmax {
+        let mut drained = 0;
+        while drained < bmax {
             match lane.ring.pop() {
-                Pop::Item(cell) => batch.push(cell),
+                Pop::Item(cell) => {
+                    drained += cell.len();
+                    batch.push(cell);
+                }
                 Pop::Empty | Pop::Pending => break,
             }
         }
@@ -312,29 +367,16 @@ fn worker_loop<B: AsyncBackend>(shared: &Shared<B>, lane_idx: usize) {
         if let Some(h) = &hb {
             h.busy();
         }
-        shared.metrics.record_batch(batch.len() as u64);
-        let batch_len = batch.len() as u32;
+        shared.metrics.record_batch(drained);
         for cell in batch.drain(..) {
-            if let Some(req) = cell.take_req() {
-                // Adopt the op's identity before any structure access:
-                // the lf-core hooks then attribute their events to the
-                // submitting task's op, not to this worker.
-                let trace_guard = lf_trace::enter_op(cell.op_id());
-                lf_trace::emit_aux(lf_trace::Phase::Dequeue, batch_len);
-                if let Some(hook) = STALL_HOOK.get() {
-                    hook(lane_idx);
-                }
-                let resp = handle.apply(req);
-                shared.metrics.record_complete(cell.elapsed_ns());
-                cell.complete(Ok(resp));
-                // The front door minted the id, so the async layer —
-                // not the sync op boundary — closes it.
-                lf_trace::emit_for(cell.op_id(), lf_trace::Phase::Complete, 0);
-                drop(trace_guard);
-            }
-            if let Some(h) = &hb {
-                h.beat();
-            }
+            run_cell(
+                shared,
+                &handle,
+                lane_idx,
+                &cell,
+                drained as u32,
+                hb.as_deref(),
+            );
         }
         // Space was freed: release producers suspended on a full ring.
         lane.wake_blocked();
@@ -345,6 +387,43 @@ fn worker_loop<B: AsyncBackend>(shared: &Shared<B>, lane_idx: usize) {
     handle.flush_reclamation();
 }
 
+/// Execute a popped cell's requests back to back under the worker's
+/// batch pin, then complete and wake the cell once. `drained` is the
+/// request count of the drain it belongs to (for the trace).
+fn run_cell<B: AsyncBackend>(
+    shared: &Shared<B>,
+    handle: &impl BackendHandle<B::Key, B::Value>,
+    lane_idx: usize,
+    cell: &OpCell<B::Key, B::Value>,
+    drained: u32,
+    hb: Option<&lf_trace::watchdog::Heartbeat>,
+) {
+    cell.execute(|i, req| {
+        // Adopt the request's identity before any structure access: the
+        // lf-core hooks then attribute their events to the submitting
+        // task's op, not to this worker.
+        let op = cell.op_id(i);
+        let trace_guard = lf_trace::enter_op(op);
+        lf_trace::emit_aux(lf_trace::Phase::Dequeue, drained);
+        if let Some(hook) = STALL_HOOK.get() {
+            hook(lane_idx);
+        }
+        let resp = handle.apply(req);
+        // The front door minted the id, so the async layer — not the
+        // sync op boundary — closes it.
+        lf_trace::emit_for(op, lf_trace::Phase::Complete, 0);
+        drop(trace_guard);
+        if let Some(h) = hb {
+            h.beat();
+        }
+        Ok(resp)
+    });
+    shared
+        .metrics
+        .record_complete(cell.len(), cell.elapsed_ns());
+    cell.complete();
+}
+
 /// Resolve everything still queued on a closed lane with
 /// [`Error::Shutdown`], spinning out in-flight publishers.
 fn shutdown_drain<B: AsyncBackend>(shared: &Shared<B>, lane_idx: usize) {
@@ -353,10 +432,9 @@ fn shutdown_drain<B: AsyncBackend>(shared: &Shared<B>, lane_idx: usize) {
     loop {
         match lane.ring.pop() {
             Pop::Item(cell) => {
-                drop(cell.take_req());
-                shared.metrics.record_shutdown_drop();
-                cell.complete(Err(Error::Shutdown));
-                lf_trace::emit_for(cell.op_id(), lf_trace::Phase::Complete, 2);
+                shared.metrics.record_shutdown_drop(cell.len());
+                cell.fail(Error::Shutdown);
+                cell.trace(lf_trace::Phase::Complete, 2);
             }
             Pop::Pending => backoff.spin(),
             Pop::Empty => break,
@@ -824,12 +902,35 @@ impl<B: AsyncBackend> Service<B> {
         self.shared.backend.supports_scan()
     }
 
-    /// Submit any [`Request`].
+    /// Submit any [`Request`]: a batch of one, through the same cell
+    /// and worker loop as [`batch`](Service::batch).
     pub fn op(&self, req: Request<B::Key, B::Value>) -> OpFuture<B> {
         OpFuture {
             shared: Arc::clone(&self.shared),
-            state: FutState::Unsubmitted(Some(req)),
+            flight: Flight::Unsubmitted(Slots::One(Slot::Req(req))),
             lane_hint: None,
+        }
+    }
+
+    /// Submit `reqs` together, resolving to one outcome per request in
+    /// input order.
+    ///
+    /// The batch takes one ring slot per lane it touches: the backend's
+    /// [`lane_for`](AsyncBackend::lane_for) affinity splits it across
+    /// lanes, keeping input order within each, while requests it does
+    /// not route — and every request, on backends without affinity —
+    /// share one lane. Each lane's worker runs its cell's requests back
+    /// to back in that order and completes and wakes the cell once, so
+    /// requests of one batch on one key take effect in input order.
+    /// Backpressure treats a cell as a unit: a shed, rejected or
+    /// shut-down cell resolves every one of its requests with the error
+    /// (and the service counters count each of them). Submission is
+    /// lazy, on first poll, as for [`OpFuture`].
+    pub fn batch(&self, reqs: Vec<Request<B::Key, B::Value>>) -> BatchFuture<B> {
+        BatchFuture {
+            len: reqs.len(),
+            legs: self.shared.split(reqs),
+            shared: Arc::clone(&self.shared),
         }
     }
 
@@ -956,15 +1057,76 @@ impl<B: AsyncBackend> std::fmt::Debug for Service<B> {
     }
 }
 
-/// State of an in-flight operation future.
-enum FutState<K, V> {
+/// One cell's worth of a future's requests, on its way through a lane.
+enum Flight<K, V> {
     /// Not yet queued (first poll, or bounced off a full ring under
-    /// `Block`). Holds the request payload.
-    Unsubmitted(Option<Request<K, V>>),
+    /// `Block`). Holds the request payloads.
+    Unsubmitted(Slots<K, V>),
     /// Queued; waiting on the completion cell.
     Waiting(Arc<OpCell<K, V>>),
-    /// Resolved; polling again is a contract violation.
-    Done,
+    /// Resolved: one outcome per request, until the future takes them.
+    Done(Slots<K, V>),
+}
+
+impl<K, V> Flight<K, V> {
+    /// Drive toward `Done`: submit to `lane` while unsubmitted, then
+    /// wait on the cell. `Ready` once the outcomes are in.
+    fn poll<B: AsyncBackend<Key = K, Value = V>>(
+        &mut self,
+        shared: &Shared<B>,
+        cx: &mut Context<'_>,
+        lane: usize,
+    ) -> Poll<()> {
+        if let Flight::Unsubmitted(slots) = self {
+            let slots = std::mem::replace(slots, Slots::Many(Vec::new()));
+            let n = slots.len();
+            *self = match shared.submit(lane, slots, cx) {
+                Submit::Queued(cell) => Flight::Waiting(cell),
+                Submit::WouldBlock(back) => {
+                    *self = Flight::Unsubmitted(back);
+                    return Poll::Pending;
+                }
+                Submit::Failed(e) => {
+                    Flight::Done(Slots::Many((0..n).map(|_| Slot::Out(Err(e))).collect()))
+                }
+            };
+        }
+        if let Flight::Waiting(cell) = self {
+            match cell.poll_result(cx) {
+                Poll::Ready(slots) => *self = Flight::Done(slots),
+                Poll::Pending => return Poll::Pending,
+            }
+        }
+        Poll::Ready(())
+    }
+
+    /// The outcomes of a `Done` flight, leaving it empty.
+    fn take(&mut self) -> impl Iterator<Item = Outcome<V>> {
+        match std::mem::replace(self, Flight::Done(Slots::Many(Vec::new()))) {
+            Flight::Done(slots) => slots,
+            _ => Slots::Many(Vec::new()),
+        }
+        .into_outcomes()
+    }
+}
+
+/// The part of a batch bound for one lane.
+struct Leg<K, V> {
+    lane: usize,
+    /// Input positions of the leg's requests, when the batch spans
+    /// several lanes; empty when the leg is the whole batch.
+    at: Vec<usize>,
+    flight: Flight<K, V>,
+}
+
+impl<K, V> Leg<K, V> {
+    fn new(lane: usize, slots: Slots<K, V>) -> Self {
+        Leg {
+            lane,
+            at: Vec::new(),
+            flight: Flight::Unsubmitted(slots),
+        }
+    }
 }
 
 /// A submitted (or to-be-submitted) operation.
@@ -977,7 +1139,7 @@ enum FutState<K, V> {
 /// *detached*, and its result is discarded with the cell).
 pub struct OpFuture<B: AsyncBackend> {
     shared: Arc<Shared<B>>,
-    state: FutState<B::Key, B::Value>,
+    flight: Flight<B::Key, B::Value>,
     /// Preferred lane when the backend expresses no affinity of its
     /// own; see [`LaneFuture::pin_lane`].
     lane_hint: Option<usize>,
@@ -986,17 +1148,19 @@ pub struct OpFuture<B: AsyncBackend> {
 // The future holds no self-references — pinning is structural only.
 impl<B: AsyncBackend> Unpin for OpFuture<B> {}
 
-/// The shared submission surface of the service's future types: route
-/// a request to a chosen lane before it enqueues, and observe whether
-/// it has entered its ring yet.
+/// The shared submission surface of the service's single-request
+/// future types: route a request to a chosen lane before it enqueues,
+/// and observe whether it has entered its ring yet.
 ///
-/// Both exist for pipelining front ends (the `lf-server` wire tier)
-/// that need *effect order* to follow dispatch order: requests that
-/// must stay FIFO relative to each other (e.g. every command touching
-/// one key on one connection) are pinned to one lane, and each future
-/// is polled until [`is_enqueued`](LaneFuture::is_enqueued) before the
-/// next is dispatched — so ring order equals dispatch order even when
-/// a full ring bounces a poll under [`BackpressurePolicy::Block`].
+/// Both exist for front ends that submit futures one at a time and
+/// need *effect order* to follow dispatch order: requests that must
+/// stay FIFO relative to each other (e.g. every command touching one
+/// key) are pinned to one lane, and each future is polled until
+/// [`is_enqueued`](LaneFuture::is_enqueued) before the next is
+/// dispatched — so ring order equals dispatch order even when a full
+/// ring bounces a poll under [`BackpressurePolicy::Block`]. A
+/// [`BatchFuture`] needs neither: it is one cell per lane by
+/// construction.
 pub trait LaneFuture: Future {
     /// Prefer `lane` (modulo the lane count) for this request whenever
     /// the backend expresses no affinity of its own
@@ -1022,7 +1186,7 @@ impl<B: AsyncBackend> LaneFuture for OpFuture<B> {
     }
 
     fn is_enqueued(&self) -> bool {
-        !matches!(self.state, FutState::Unsubmitted(_))
+        !matches!(self.flight, Flight::Unsubmitted(_))
     }
 }
 
@@ -1031,34 +1195,68 @@ impl<B: AsyncBackend> Future for OpFuture<B> {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
-        loop {
-            match &mut this.state {
-                FutState::Unsubmitted(req) => {
-                    let req = req.take().expect("request present while unsubmitted");
-                    match this.shared.submit(req, this.lane_hint, cx) {
-                        Submit::Queued(cell) => {
-                            this.state = FutState::Waiting(cell);
-                        }
-                        Submit::WouldBlock(back) => {
-                            this.state = FutState::Unsubmitted(Some(back));
-                            return Poll::Pending;
-                        }
-                        Submit::Failed(e) => {
-                            this.state = FutState::Done;
-                            return Poll::Ready(Err(e));
-                        }
-                    }
-                }
-                FutState::Waiting(cell) => match cell.poll_result(cx) {
-                    Poll::Ready(r) => {
-                        this.state = FutState::Done;
-                        return Poll::Ready(r);
-                    }
-                    Poll::Pending => return Poll::Pending,
-                },
-                FutState::Done => panic!("OpFuture polled after completion"),
+        let shared = &*this.shared;
+        // The lane is chosen at submission, so a hint set after the
+        // future was made still counts.
+        let lane = match &this.flight {
+            Flight::Unsubmitted(Slots::One(Slot::Req(req))) => {
+                shared.lane_of(req, || shared.free_lane(this.lane_hint))
+            }
+            _ => 0,
+        };
+        ready!(this.flight.poll(shared, cx, lane));
+        Poll::Ready(
+            this.flight
+                .take()
+                .next()
+                .expect("OpFuture polled after completion"),
+        )
+    }
+}
+
+/// A submitted (or to-be-submitted) batch; see [`Service::batch`].
+///
+/// Resolves to one outcome per request, in input order. `Send` for the
+/// same reason [`OpFuture`] is; submission is lazy, on first poll, and
+/// dropping the future detaches whatever it queued.
+pub struct BatchFuture<B: AsyncBackend> {
+    shared: Arc<Shared<B>>,
+    legs: Vec<Leg<B::Key, B::Value>>,
+    /// Requests in the batch.
+    len: usize,
+}
+
+// No self-references — pinning is structural only, as for `OpFuture`.
+impl<B: AsyncBackend> Unpin for BatchFuture<B> {}
+
+impl<B: AsyncBackend> Future for BatchFuture<B> {
+    type Output = Vec<Result<Response<B::Value>, Error>>;
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let this = self.get_mut();
+        let mut pending = false;
+        for leg in &mut this.legs {
+            pending |= leg.flight.poll(&this.shared, cx, leg.lane).is_pending();
+        }
+        if pending {
+            return Poll::Pending;
+        }
+        if let [leg] = &mut this.legs[..] {
+            if leg.at.is_empty() {
+                return Poll::Ready(leg.flight.take().collect());
             }
         }
+        let mut outs: Vec<Option<Outcome<B::Value>>> = (0..this.len).map(|_| None).collect();
+        for leg in &mut this.legs {
+            for (&i, out) in leg.at.iter().zip(leg.flight.take()) {
+                outs[i] = Some(out);
+            }
+        }
+        Poll::Ready(
+            outs.into_iter()
+                .map(|o| o.expect("every request rides one leg"))
+                .collect(),
+        )
     }
 }
 

@@ -160,6 +160,216 @@ fn upsert_overwrites_in_one_request() {
     service.shutdown();
 }
 
+static KEY_CLONES: AtomicUsize = AtomicUsize::new(0);
+static VALUE_CLONES: AtomicUsize = AtomicUsize::new(0);
+
+/// A key that counts its clones.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+struct CountedKey(u64);
+
+impl Clone for CountedKey {
+    fn clone(&self) -> Self {
+        KEY_CLONES.fetch_add(1, Ordering::SeqCst);
+        CountedKey(self.0)
+    }
+}
+
+/// A value that counts its clones.
+#[derive(Debug, PartialEq)]
+struct CountedValue(u64);
+
+impl Clone for CountedValue {
+    fn clone(&self) -> Self {
+        VALUE_CLONES.fetch_add(1, Ordering::SeqCst);
+        CountedValue(self.0)
+    }
+}
+
+#[test]
+fn upsert_over_a_present_key_clones_nothing() {
+    fn check<B: AsyncBackend<Key = CountedKey, Value = CountedValue>>(service: Service<B>) {
+        rt::block_on(async {
+            let put = service.insert(CountedKey(1), CountedValue(10)).await;
+            assert_eq!(put, Ok(Response::Inserted(true)));
+            let clones = || {
+                (
+                    KEY_CLONES.load(Ordering::SeqCst),
+                    VALUE_CLONES.load(Ordering::SeqCst),
+                )
+            };
+            let before = clones();
+            // The first insert round is refused and hands the pair
+            // back; the remove discards the old value in place; the
+            // second round inserts the same pair.
+            let up = service.upsert(CountedKey(1), CountedValue(11)).await;
+            assert_eq!(up, Ok(Response::Inserted(true)));
+            assert_eq!(clones(), before, "an upsert cloned its key or value");
+            let got = service.get(CountedKey(1)).await;
+            assert_eq!(got, Ok(Response::Value(Some(CountedValue(11)))));
+        });
+        service.shutdown();
+    }
+    check(ServiceBuilder::new().workers(2).build_list());
+    check(ServiceBuilder::new().workers(2).build_skiplist());
+    check(ShardedBuilder::new().workers(2).shards(4).build());
+    check(HashMapBuilder::new().workers(2).buckets(8).build());
+    check(
+        ServiceBuilder::new()
+            .workers(2)
+            .build(ShardedMap::new(2, 8)),
+    );
+}
+
+#[test]
+fn batch_resolves_in_input_order_with_one_cell_per_lane() {
+    fn check<B: AsyncBackend<Key = u64, Value = u64>>(service: Service<B>, lanes_touched: usize) {
+        // Interleaved writes and reads on a few keys: every read must
+        // see the write just before it in the batch.
+        let mut reqs = Vec::new();
+        let mut want = Vec::new();
+        for i in 0..60u64 {
+            let k = i % 6;
+            reqs.push(Request::Upsert(k, i));
+            want.push(Ok(Response::Inserted(true)));
+            reqs.push(Request::Get(k));
+            want.push(Ok(Response::Value(Some(i))));
+        }
+        reqs.push(Request::Remove(0));
+        want.push(Ok(Response::Removed(Some(54))));
+        reqs.push(Request::Contains(0));
+        want.push(Ok(Response::Found(false)));
+        let n = reqs.len() as u64;
+        assert_eq!(rt::block_on(service.batch(reqs)), want);
+        assert_eq!(rt::block_on(service.batch(Vec::new())), vec![]);
+        service.shutdown();
+        let m = service.metrics();
+        // Requests are counted one by one, ring slots one per lane.
+        assert_eq!((m.enqueued, m.completed), (n, n));
+        assert_eq!(m.queue_depth.count(), lanes_touched as u64);
+        assert_eq!(m.enqueue_to_complete_ns.count(), n);
+    }
+    // Without lane affinity the whole batch is one cell, whatever the
+    // lane count.
+    check(ServiceBuilder::new().workers(4).build_list(), 1);
+    check(ServiceBuilder::new().workers(4).build_skiplist(), 1);
+    // With affinity it splits by partition, each lane in input order.
+    let hash = HashMapBuilder::new()
+        .workers(4)
+        .buckets(64)
+        .build::<u64, u64>();
+    let lanes: std::collections::BTreeSet<usize> = (0..6u64)
+        .map(|k| hash.backend().bucket_of(&k) % 4)
+        .collect();
+    check(hash, lanes.len());
+    let sharded = ShardedBuilder::new()
+        .workers(4)
+        .shards(8)
+        .build::<u64, u64>();
+    let lanes: std::collections::BTreeSet<usize> = (0..6u64)
+        .map(|k| sharded.backend().shard_of(&k) % 4)
+        .collect();
+    check(sharded, lanes.len());
+}
+
+/// Several threads submit batches of 5 into a 2-slot ring whose worker
+/// is held at a gate, so cells must be refused. A refused cell refuses
+/// all five of its requests, and the counters count every one of them.
+fn refusals_are_counted_per_request(policy: BackpressurePolicy) {
+    const THREADS: usize = 4;
+    const BATCHES: usize = 6;
+    const BATCH: usize = 5;
+    let (service, gate) = gated_service(policy, 2);
+    let tallies = std::thread::scope(|s| {
+        let submitters: Vec<_> = (0..THREADS as u64)
+            .map(|t| {
+                let service = &service;
+                s.spawn(move || {
+                    let mut tally = [0u64; 3]; // ok, shed, rejected
+                    for b in 0..BATCHES as u64 {
+                        let base = (t * 100 + b) * 10;
+                        let reqs = (0..BATCH as u64)
+                            .map(|i| Request::Insert(base + i, i))
+                            .collect();
+                        let outs = rt::block_on(service.batch(reqs));
+                        assert_eq!(outs.len(), BATCH);
+                        // One lane, one cell: all five share one fate.
+                        assert!(outs.iter().all(|o| o == &outs[0]), "{outs:?}");
+                        let slot = match outs[0] {
+                            Ok(Response::Inserted(true)) => 0,
+                            Err(Error::Shed) => 1,
+                            Err(Error::Rejected) => 2,
+                            ref other => panic!("unexpected outcome {other:?}"),
+                        };
+                        tally[slot] += BATCH as u64;
+                    }
+                    tally
+                })
+            })
+            .collect();
+        // Hold the worker until the ring has overflowed at least once:
+        // one cell in the worker and two queued leave no room for the
+        // fourth thread's.
+        gate.wait_for_waiter();
+        let m = || service.metrics();
+        while m().shed + m().rejected == 0 {
+            std::thread::yield_now();
+        }
+        gate.open();
+        submitters
+            .into_iter()
+            .map(|h| h.join().unwrap())
+            .fold([0u64; 3], |a, t| [a[0] + t[0], a[1] + t[1], a[2] + t[2]])
+    });
+    service.shutdown();
+    let m = service.metrics();
+    let [ok, shed, rejected] = tallies;
+    assert_eq!(ok + shed + rejected, (THREADS * BATCHES * BATCH) as u64);
+    assert_eq!((m.completed, m.shed, m.rejected), (ok, shed, rejected));
+    assert_eq!(m.enqueued, m.completed + m.shed + m.shutdown_dropped);
+    assert_eq!(m.shutdown_dropped, 0);
+    assert_eq!(service.len() as u64, ok);
+    match policy {
+        BackpressurePolicy::Shed => assert!(shed > 0 && rejected == 0),
+        BackpressurePolicy::Reject => assert!(rejected > 0 && shed == 0),
+        BackpressurePolicy::Block => unreachable!(),
+    }
+}
+
+#[test]
+fn shed_batches_are_counted_per_request() {
+    refusals_are_counted_per_request(BackpressurePolicy::Shed);
+}
+
+#[test]
+fn rejected_batches_are_counted_per_request() {
+    refusals_are_counted_per_request(BackpressurePolicy::Reject);
+}
+
+#[test]
+fn shutdown_drains_a_queued_batch_per_request() {
+    let (service, gate) = gated_service(BackpressurePolicy::Block, 64);
+    let service = Arc::new(service);
+    let mut in_flight = service.insert(1, 1);
+    assert!(poll_once(&mut in_flight).is_pending());
+    gate.wait_for_waiter();
+    let mut queued = service.batch((10..15).map(|k| Request::Insert(k, k)).collect());
+    assert!(poll_once(&mut queued).is_pending());
+    let s2 = Arc::clone(&service);
+    let shut = std::thread::spawn(move || s2.shutdown());
+    while poll_once(&mut service.get(1)) != Poll::Ready(Err(Error::Shutdown)) {
+        std::thread::yield_now();
+    }
+    gate.open();
+    shut.join().unwrap();
+    assert_eq!(rt::block_on(in_flight), Ok(Response::Inserted(true)));
+    assert_eq!(rt::block_on(queued), vec![Err(Error::Shutdown); 5]);
+    let m = service.metrics();
+    // Probes that won the push before the close were drained too.
+    assert_eq!(m.completed, 1);
+    assert!(m.shutdown_dropped >= 5, "{}", m.shutdown_dropped);
+    assert_eq!(m.enqueued, m.completed + m.shutdown_dropped);
+}
+
 #[test]
 fn pin_lane_orders_a_pipelined_same_key_sequence() {
     use lf_async::LaneFuture;

@@ -136,15 +136,18 @@ where
         }
     }
 
-    /// Paper `Delete(k)` (Fig. 4). Returns the removed value.
+    /// Paper `Delete(k)` (Fig. 4). Returns `f` applied to the removed
+    /// value, which it borrows in place under `guard`.
     ///
     /// # Safety
     ///
     /// `guard` must pin this list's domain.
-    pub(crate) unsafe fn delete_impl(&self, k: &K, guard: &R::Guard<'_>) -> Option<V>
-    where
-        V: Clone,
-    {
+    pub(crate) unsafe fn delete_impl<T>(
+        &self,
+        k: &K,
+        guard: &R::Guard<'_>,
+        f: impl FnOnce(&V) -> T,
+    ) -> Option<T> {
         // SAFETY: the fn's `# Safety` contract covers the whole body.
         unsafe {
             // Line 1: SearchFrom(k − ε, head).
@@ -172,7 +175,7 @@ where
             // Reading `del`'s element is safe: its initialization
             // happened-before the Acquire load that gave us `del` in
             // SearchFrom, and the guard keeps it from being reclaimed.
-            Some((*del).element.clone().expect("user node has element"))
+            Some(f((*del).element.as_ref().expect("user node has element")))
         }
     }
 

@@ -384,7 +384,15 @@ where
     where
         V: Clone,
     {
-        self.bracket(|| self.remove_in(self.list, key))
+        self.remove_with(key, V::clone)
+    }
+
+    /// Remove `key` and apply `f` to a borrow of its value, without
+    /// cloning (`None` if the key was absent or another remover won).
+    /// `f` runs under this handle's pin, as for
+    /// [`get_with`](Self::get_with).
+    pub fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        self.bracket(|| self.remove_with_in(self.list, key, f))
     }
 
     /// Look up `key`, returning a clone of its value.

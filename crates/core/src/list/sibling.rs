@@ -88,10 +88,25 @@ where
     where
         V: Clone,
     {
+        self.remove_with_in(list, key, V::clone)
+    }
+
+    /// [`remove_with`](Self::remove_with) against the sibling `list`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `list` is not a sibling of this handle's list.
+    pub fn remove_with_in<T>(
+        &self,
+        list: &FrList<K, V, R>,
+        key: &K,
+        f: impl FnOnce(&V) -> T,
+    ) -> Option<T> {
         self.check_sibling(list);
         let guard = R::pin(&self.reclaim);
-        // SAFETY: `guard` pins the shared domain (checked above).
-        let res = unsafe { list.delete_impl(key, &guard) };
+        // SAFETY: `guard` pins the shared domain (checked above); the
+        // borrow handed to `f` lives inside it.
+        let res = unsafe { list.delete_impl(key, &guard, f) };
         drop(guard);
         res
     }

@@ -20,15 +20,18 @@ where
     /// root is marked and making the whole tower *superfluous* — then
     /// dismantles the upper levels top-down by searching for `k` down
     /// to level 2 (the search physically deletes every superfluous node
-    /// it meets).
+    /// it meets). Returns `f` applied to the removed value, which it
+    /// borrows in place under `guard`.
     ///
     /// # Safety
     ///
     /// `guard` must pin this list's domain.
-    pub(crate) unsafe fn delete_impl(&self, k: &K, guard: &R::Guard<'_>) -> Option<V>
-    where
-        V: Clone,
-    {
+    pub(crate) unsafe fn delete_impl<T>(
+        &self,
+        k: &K,
+        guard: &R::Guard<'_>,
+        f: impl FnOnce(&V) -> T,
+    ) -> Option<T> {
         // SAFETY: the fn's `# Safety` contract covers the whole body.
         unsafe {
             // ord: Release/Acquire/Relaxed — LIST.flag-cas: descent helps flagged deletions (wrapped C&S)
@@ -47,7 +50,7 @@ where
             self.len.fetch_sub(1, Ordering::Relaxed);
             // The root is retired only when the whole tower's references
             // drain, and we hold a guard — the element stays readable.
-            let value = (*del).element.clone().expect("root node has element");
+            let value = f((*del).element.as_ref().expect("root node has element"));
             // Dismantle the now-superfluous upper nodes from top to bottom.
             if self.max_level > 2 {
                 // ord: Release/Acquire/Relaxed — LIST.flag-cas: cleaning search deletes superfluous towers (wrapped C&S)

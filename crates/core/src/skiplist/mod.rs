@@ -578,8 +578,16 @@ where
     where
         V: Clone,
     {
+        self.remove_with(key, V::clone)
+    }
+
+    /// Remove `key` and apply `f` to a borrow of its value, without
+    /// cloning (`None` if the key was absent or another remover won).
+    /// `f` runs under this handle's pin, as for
+    /// [`get_with`](Self::get_with).
+    pub fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
         // SAFETY: the guard pins this list's domain.
-        self.bracket(|guard| unsafe { self.list.delete_impl(key, guard) })
+        self.bracket(|guard| unsafe { self.list.delete_impl(key, guard, f) })
     }
 
     /// Look up `key`, returning a clone of its value.

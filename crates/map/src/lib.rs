@@ -368,6 +368,12 @@ where
         self.remove_hashed(hash_key(key), key)
     }
 
+    /// Remove `key` from its bucket and apply `f` to a borrow of its
+    /// value, without cloning; see [`ListHandle::remove_with`].
+    pub fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        self.remove_with_hashed(hash_key(key), key, f)
+    }
+
     /// Look up `key` in its bucket, returning a clone of its value.
     pub fn get(&self, key: &K) -> Option<V>
     where
@@ -421,8 +427,13 @@ where
     where
         V: Clone,
     {
+        self.remove_with_hashed(hash, key, V::clone)
+    }
+
+    /// [`remove_with`](Self::remove_with) given `hash == hash_key(key)`.
+    pub fn remove_with_hashed<T>(&self, hash: u64, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
         debug_assert_eq!(hash, hash_key(key));
-        self.routed(hash, |h, bucket| h.remove_in(bucket, key))
+        self.routed(hash, |h, bucket| h.remove_with_in(bucket, key, f))
     }
 
     /// [`get`](Self::get) given `hash == hash_key(key)`.

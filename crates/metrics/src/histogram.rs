@@ -321,12 +321,19 @@ impl AtomicHistogram {
     /// enqueue-to-complete latency) where there is no owner.
     #[inline]
     pub fn record(&self, v: u64) {
+        self.record_n(v, 1);
+    }
+
+    /// Multi-writer record of `n` observations of `v` at the price of
+    /// one (e.g. one latency shared by every request of a batch).
+    #[inline]
+    pub fn record_n(&self, v: u64, n: u64) {
         // ord: Relaxed — MET.shard: statistic counter, snapshots racy-fresh
-        self.counts[index_for(v)].fetch_add(1, Ordering::Relaxed);
+        self.counts[index_for(v)].fetch_add(n, Ordering::Relaxed);
         // ord: Relaxed — MET.shard: statistic counter, snapshots racy-fresh
-        self.total.fetch_add(1, Ordering::Relaxed);
+        self.total.fetch_add(n, Ordering::Relaxed);
         // ord: Relaxed — MET.shard: statistic counter, snapshots racy-fresh
-        self.sum.fetch_add(v, Ordering::Relaxed);
+        self.sum.fetch_add(v.saturating_mul(n), Ordering::Relaxed);
     }
 
     /// Owner-only record: relaxed load+store instead of `fetch_add`,

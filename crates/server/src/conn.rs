@@ -1,44 +1,39 @@
-//! One connection's lifecycle: read → parse a pipeline → enqueue every
-//! request → await and write replies in arrival order.
+//! One connection's lifecycle: read → parse a pipeline → submit it as
+//! one batch → sleep once → write replies in arrival order.
 //!
-//! Pipelining leans on `lf-async`'s *lazy submission*: an `OpFuture`
-//! enqueues on its first poll. The parse phase therefore drives each
-//! future (through [`Eager`]) until its request is **in its ring** as
-//! soon as its command is parsed, so N pipelined commands are all in
-//! their lanes before the render phase awaits the first reply — the
-//! rings overlap the work while the wire stays strictly ordered. The
-//! render phase then sleeps on the pipeline's *last* request before
-//! serializing from the first: nothing is written until all have
-//! resolved, so the thread is woken once per pipeline, not per reply.
+//! The parse phase turns a whole read chunk into pending replies:
+//! PING, INFO and command errors are rendered on the spot, and every
+//! keyed command appends its ring requests to the pipeline's one
+//! request vector (`DEL`/`EXISTS`/`MGET` one per key, `SET` one
+//! worker-side upsert, `SCAN` one page walk). The vector goes to
+//! `lf-async` as a single [`Service::batch`], which takes one ring slot
+//! per lane it touches — so ring occupancy is counted in *pipelines*,
+//! not commands — and the thread sleeps once, until every lane's cell
+//! has completed. The render phase then walks the pending replies in
+//! arrival order, each taking its requests' outcomes off the front of
+//! the batch's result vector.
 //!
 //! Reply order alone is not RESP's whole contract: effects must be
 //! ordered too, at least per key ("SET k; GET k" pipelined must read
-//! the write). Two mechanisms make that hold:
-//!
-//! * **Lane affinity for every keyed request.** Partitioned backends
-//!   already route a key's requests to one lane; for backends with no
-//!   affinity of their own (plain list/skip-list tiers) the connection
-//!   pins each request to `hash(key) % lanes`
-//!   ([`LaneFuture::pin_lane`]), so every request touching one key
-//!   shares one FIFO ring whichever tier serves it.
-//! * **Enqueue before the next dispatch.** [`Eager::new`] does not
-//!   return until the request is enqueued (or already resolved):
-//!   under `Block` a poll bounced off a full ring is re-driven *now*,
-//!   not at render time, so ring order always equals parse order.
-//!
-//! Together: same-key commands execute in pipeline order; cross-key
-//! effect order between lanes stays unspecified (SCAN in particular
-//! reads weakly consistently against in-flight writes). `SET` is a
-//! single worker-side upsert request, so it also occupies exactly one
-//! FIFO slot (no caller-side retry loop to interleave).
+//! the write). The batch gives that by construction: it keeps one cell
+//! per lane, every request touching one key lands on the same lane
+//! (the backend's partition affinity, or the batch's one lane on tiers
+//! without it), and a worker runs a cell's requests back to back in
+//! parse order. Cross-key effect order between lanes stays unspecified
+//! (SCAN in particular reads weakly consistently against in-flight
+//! writes). `SET` is a single worker-side upsert request, so no
+//! caller-side retry loop can interleave with later commands. Parsing
+//! stops at `QUIT` (and an allowed `SHUTDOWN`): nothing pipelined
+//! behind it runs.
 //!
 //! Backpressure is protocol-visible: a request the service sheds or
 //! rejects resolves this side as `-BUSY shed` / `-BUSY rejected`, one
-//! reply per *command*. A multi-key command awaits **all** its sub-ops
-//! (none are left detached in the rings) and reports its first busy
-//! sub-op; a busy `DEL` whose other sub-ops already removed keys says
-//! so in the reply (`-BUSY shed; partial: …`) rather than pretending
-//! the whole command was refused.
+//! reply per *command*. The service refuses whole cells, so a refusal
+//! reaches every command of the pipeline on that lane. A multi-key
+//! command reports its first busy sub-request; a busy `DEL` whose other
+//! sub-requests, on other lanes, already removed keys says so in the
+//! reply (`-BUSY shed; partial: …`) rather than pretending the whole
+//! command was refused.
 //!
 //! No epoch guard ever exists on this thread: connection code touches
 //! sockets and completion cells only, and every structure access
@@ -48,83 +43,21 @@
 //! page into its reply. The `pin_hygiene` integration test pins this
 //! down with the unreclaimed-gauge audit.
 
-use std::future::Future;
-use std::hash::{Hash, Hasher};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::ops::Range;
-use std::pin::Pin;
 use std::sync::{Arc, Mutex};
-use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
-use lf_async::{Error, LaneFuture, OpFuture, Response, Service};
+use lf_async::{Error, Request, Response, Service};
 use lf_sched::rt;
 
 use crate::metrics::ServerMetrics;
 use crate::resp::{self, Command};
 use crate::server::{trigger_stop, ByteBackend, Bytes, StopSignal};
 
-/// Lane for a keyed request on backends with no affinity of their own:
-/// a stable per-key hash, so every request touching one key shares one
-/// ring and per-key effect order equals pipeline order. Ignored (by
-/// [`LaneFuture::pin_lane`]'s contract) wherever the backend already
-/// routes the key itself.
-fn lane_of(key: &[u8], lanes: usize) -> usize {
-    // One lane: nothing to choose, so nothing to hash.
-    if lanes <= 1 {
-        return 0;
-    }
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() as usize) % lanes
-}
-
-/// A future driven at construction until its request is enqueued (the
-/// polls that *submit*, by lazy submission) and awaited later,
-/// preserving an early `Ready` (e.g. an immediate `Rejected`) so the
-/// future is never polled after completion.
-struct Eager<F: Future + LaneFuture + Unpin> {
-    fut: Option<F>,
-    out: Option<F::Output>,
-}
-
-impl<F: Future + LaneFuture + Unpin> Eager<F> {
-    /// Drive `f` until its request is in its lane ring (or it already
-    /// resolved). The submitting poll carries a no-op waker: a request
-    /// that went into its ring needs nobody woken yet, and a real one
-    /// would have every completion of a pipeline unpark this thread
-    /// while it waits on a different request. Only a submission that a
-    /// full ring bounced under `BackpressurePolicy::Block` blocks —
-    /// parking, not spinning — because the pipeline's ordering contract
-    /// needs requests entering the rings in parse order, so the next
-    /// command must not be dispatched before this one is enqueued.
-    fn new(mut f: F) -> Self {
-        let mut cx = Context::from_waker(Waker::noop());
-        let out = match Pin::new(&mut f).poll(&mut cx) {
-            Poll::Ready(v) => Some(v),
-            Poll::Pending if f.is_enqueued() => None,
-            Poll::Pending => rt::block_on_until(&mut f, LaneFuture::is_enqueued),
-        };
-        Eager {
-            fut: out.is_none().then_some(f),
-            out,
-        }
-    }
-
-    /// Block until the request has resolved, keeping its result for
-    /// [`wait`](Self::wait).
-    fn settle(&mut self) {
-        if let Some(f) = self.fut.take() {
-            self.out = Some(rt::block_on(f));
-        }
-    }
-
-    fn wait(mut self) -> F::Output {
-        self.settle();
-        self.out.expect("settled future has its result")
-    }
-}
+/// What one ring request came to.
+type Outcome = Result<Response<Bytes>, Error>;
 
 /// Bytes a SCAN page buffer starts with: a page of fifty twelve-byte
 /// keys in wire form. A constant of the server, never the client's
@@ -144,8 +77,8 @@ struct ScanPage {
     last: Range<usize>,
 }
 
-/// The visitor a SCAN hands to [`Service::scan_with`]; it leaves its
-/// page in `out`. It runs on the lane worker under the batch pin and
+/// The visitor a SCAN's `Request::Scan` carries (the
+/// [`Service::scan_with`] contract); it leaves its page in `out`. It runs on the lane worker under the batch pin and
 /// only appends to a buffer: each key is encoded straight from the
 /// node (no key or value is cloned; values are not looked at), and the
 /// closing call parks the page with the one lock of the whole scan.
@@ -176,28 +109,25 @@ enum ReadyKind {
     CommandError,
 }
 
-/// One parsed command, already submitted where it maps to ring
-/// requests, waiting for the render phase.
-enum Pending<B: ByteBackend> {
+/// One parsed command waiting for the render phase. A keyed command's
+/// requests sit in the pipeline's batch, in parse order; the variant
+/// says how many it has there and how to render their outcomes.
+enum Pending {
     /// Rendered at dispatch time (PING, INFO, command errors).
     Ready(Vec<u8>, ReadyKind),
     /// GET — bulk value or null.
-    Get(Eager<OpFuture<B>>),
+    Get,
     /// SET — one worker-side upsert request.
-    Set(Eager<OpFuture<B>>),
-    /// DEL / EXISTS — integer count of hits across the keyed sub-ops.
+    Set,
+    /// DEL / EXISTS — integer count of hits across `keys` requests.
     /// `write` marks DEL: its busy reply must disclose partial
     /// application.
-    Count {
-        futs: Vec<Eager<OpFuture<B>>>,
-        write: bool,
-    },
-    /// MGET — array of bulk-or-null in key order.
-    MGet(Vec<Eager<OpFuture<B>>>),
+    Count { keys: usize, write: bool },
+    /// MGET — array of bulk-or-null over `.0` requests, in key order.
+    MGet(usize),
     /// SCAN — a page of keys plus the continuation cursor. `page` is
     /// where the request's visitor leaves the encoded keys.
     Scan {
-        fut: Eager<OpFuture<B>>,
         page: Arc<Mutex<ScanPage>>,
         count: usize,
     },
@@ -207,18 +137,13 @@ enum Pending<B: ByteBackend> {
     Shutdown,
 }
 
-impl<B: ByteBackend> Pending<B> {
-    /// Block until this command's last ring request has resolved.
-    fn settle(&mut self) {
+impl Pending {
+    /// How many of the batch's requests are this command's.
+    fn requests(&self) -> usize {
         match self {
-            Pending::Get(e) | Pending::Set(e) => e.settle(),
-            Pending::Count { futs, .. } | Pending::MGet(futs) => {
-                if let Some(e) = futs.last_mut() {
-                    e.settle();
-                }
-            }
-            Pending::Scan { fut, .. } => fut.settle(),
-            Pending::Ready(..) | Pending::Quit | Pending::Shutdown => {}
+            Pending::Get | Pending::Set | Pending::Scan { .. } => 1,
+            Pending::Count { keys: n, .. } | Pending::MGet(n) => *n,
+            Pending::Ready(..) | Pending::Quit | Pending::Shutdown => 0,
         }
     }
 }
@@ -271,9 +196,10 @@ pub(crate) fn run<B: ByteBackend>(
         }
         inbuf.extend_from_slice(&chunk[..n]);
         // Parse phase: every complete frame becomes a pending reply,
-        // and every ring-mapped request enters its lane *now*, in
-        // parse order.
-        let mut pending: Vec<Pending<B>> = Vec::new();
+        // and its ring requests join the pipeline's batch in parse
+        // order. Nothing behind a QUIT or SHUTDOWN is parsed.
+        let mut pending: Vec<Pending> = Vec::new();
+        let mut reqs: Vec<Request<Bytes, Bytes>> = Vec::new();
         let mut consumed = 0;
         let parse_err = loop {
             match resp::parse_command(&inbuf[consumed..]) {
@@ -282,7 +208,12 @@ pub(crate) fn run<B: ByteBackend>(
                     if args.is_empty() {
                         continue;
                     }
-                    pending.push(dispatch(service, metrics, args, allow_shutdown));
+                    let p = dispatch(service, metrics, args, allow_shutdown, &mut reqs);
+                    let last = matches!(p, Pending::Quit | Pending::Shutdown);
+                    pending.push(p);
+                    if last {
+                        break None;
+                    }
                 }
                 Ok(None) => break None,
                 Err(e) => break Some(e),
@@ -292,19 +223,18 @@ pub(crate) fn run<B: ByteBackend>(
         if !pending.is_empty() {
             metrics.record_pipeline(pending.len() as u64);
         }
-        // Render phase: await and serialize strictly in arrival order.
-        // Nothing is written before the whole pipeline has resolved, so
-        // sleep on its last request first: a lane completes in FIFO
-        // order, so everything sharing that lane is done by then and
-        // the thread was woken once, not once per reply it caught up
-        // with. (Requests on other lanes are awaited in order below.)
-        if let Some(last) = pending.last_mut() {
-            last.settle();
-        }
+        // One batch, one sleep: the thread is woken when the last of
+        // the batch's cells completes, not once per reply.
+        let outcomes = rt::block_on(service.batch(reqs));
+        // Render phase: serialize strictly in arrival order, each
+        // command taking its outcomes off the front.
+        let mut rest = &outcomes[..];
         out.clear();
         let mut close = false;
         for p in pending {
-            render(metrics, stop, local_addr, p, &mut out, &mut close);
+            let (mine, after) = rest.split_at(p.requests());
+            rest = after;
+            render(metrics, stop, local_addr, p, mine, &mut out, &mut close);
             if let Some(h) = &hb {
                 h.beat();
             }
@@ -329,14 +259,15 @@ pub(crate) fn run<B: ByteBackend>(
     }
 }
 
-/// Turn one argument vector into a [`Pending`] reply, submitting its
-/// ring requests (driven to enqueue) as a side effect.
+/// Turn one argument vector into a [`Pending`] reply, appending its
+/// ring requests to the pipeline's batch `reqs`.
 fn dispatch<B: ByteBackend>(
     service: &Service<B>,
     metrics: &ServerMetrics,
     args: Vec<Bytes>,
     allow_shutdown: bool,
-) -> Pending<B> {
+    reqs: &mut Vec<Request<Bytes, Bytes>>,
+) -> Pending {
     let cmd = match Command::parse(args) {
         Ok(c) => c,
         Err(msg) => {
@@ -345,7 +276,6 @@ fn dispatch<B: ByteBackend>(
             return Pending::Ready(buf, ReadyKind::CommandError);
         }
     };
-    let lanes = service.lane_count();
     match cmd {
         Command::Ping(msg) => {
             let mut buf = Vec::new();
@@ -356,41 +286,34 @@ fn dispatch<B: ByteBackend>(
             Pending::Ready(buf, ReadyKind::Ok)
         }
         Command::Get(k) => {
-            let lane = lane_of(&k, lanes);
-            Pending::Get(Eager::new(service.get(k).pin_lane(lane)))
+            reqs.push(Request::Get(k));
+            Pending::Get
         }
         Command::Set(key, value) => {
-            let lane = lane_of(&key, lanes);
-            Pending::Set(Eager::new(service.upsert(key, value).pin_lane(lane)))
+            reqs.push(Request::Upsert(key, value));
+            Pending::Set
         }
-        Command::Del(keys) => Pending::Count {
-            futs: keys
-                .into_iter()
-                .map(|k| {
-                    let lane = lane_of(&k, lanes);
-                    Eager::new(service.remove(k).pin_lane(lane))
-                })
-                .collect(),
-            write: true,
-        },
-        Command::Exists(keys) => Pending::Count {
-            futs: keys
-                .into_iter()
-                .map(|k| {
-                    let lane = lane_of(&k, lanes);
-                    Eager::new(service.contains(k).pin_lane(lane))
-                })
-                .collect(),
-            write: false,
-        },
-        Command::MGet(keys) => Pending::MGet(
-            keys.into_iter()
-                .map(|k| {
-                    let lane = lane_of(&k, lanes);
-                    Eager::new(service.get(k).pin_lane(lane))
-                })
-                .collect(),
-        ),
+        Command::Del(keys) => {
+            let n = keys.len();
+            reqs.extend(keys.into_iter().map(Request::Remove));
+            Pending::Count {
+                keys: n,
+                write: true,
+            }
+        }
+        Command::Exists(keys) => {
+            let n = keys.len();
+            reqs.extend(keys.into_iter().map(Request::Contains));
+            Pending::Count {
+                keys: n,
+                write: false,
+            }
+        }
+        Command::MGet(keys) => {
+            let n = keys.len();
+            reqs.extend(keys.into_iter().map(Request::Get));
+            Pending::MGet(n)
+        }
         Command::Scan { after, count } => {
             if !service.supports_scan() {
                 let mut buf = Vec::new();
@@ -400,15 +323,12 @@ fn dispatch<B: ByteBackend>(
                 );
                 return Pending::Ready(buf, ReadyKind::CommandError);
             }
-            // No key, no lane: a scan crosses every partition and
-            // reads weakly consistently against in-flight writes.
+            // No key, no partition: a scan rides the batch's own lane
+            // and reads weakly consistently against in-flight writes.
             let page = Arc::new(Mutex::new(ScanPage::default()));
             let visitor = scan_page_visitor(Arc::clone(&page));
-            Pending::Scan {
-                fut: Eager::new(service.scan_with(after, count, visitor)),
-                page,
-                count,
-            }
+            reqs.push(Request::Scan(after, count, Box::new(visitor)));
+            Pending::Scan { page, count }
         }
         Command::Info => {
             let mut buf = Vec::new();
@@ -463,15 +383,22 @@ fn write_busy(out: &mut Vec<u8>, e: Error, metrics: &ServerMetrics, close: &mut 
     write_busy_detail(out, e, None, metrics, close);
 }
 
-/// Await one pending reply and append its wire form to `out`. Exactly
-/// one of ok / shed / rejected / errors is recorded per command — the
-/// accounting identity (`commands == ok + shed + rejected + errors`,
-/// DESIGN.md §9.9) is structural, not reconciled.
-fn render<B: ByteBackend>(
+/// The first refusal among a command's outcomes, if any.
+fn first_err(outcomes: &[Outcome]) -> Option<Error> {
+    outcomes.iter().find_map(|o| o.as_ref().err().copied())
+}
+
+/// Append one pending reply's wire form to `out`, given the outcomes
+/// of its requests. Exactly one of ok / shed / rejected / errors is
+/// recorded per command — the accounting identity (`commands == ok +
+/// shed + rejected + errors`, DESIGN.md §9.9) is structural, not
+/// reconciled.
+fn render(
     metrics: &ServerMetrics,
     stop: &StopSignal,
     local_addr: SocketAddr,
-    pending: Pending<B>,
+    pending: Pending,
+    outcomes: &[Outcome],
     out: &mut Vec<u8>,
     close: &mut bool,
 ) {
@@ -483,10 +410,10 @@ fn render<B: ByteBackend>(
                 ReadyKind::CommandError => metrics.record_error(),
             }
         }
-        Pending::Get(e) => match e.wait() {
+        Pending::Get => match &outcomes[0] {
             Ok(Response::Value(v)) => {
                 match v {
-                    Some(v) => resp::write_bulk(out, &v),
+                    Some(v) => resp::write_bulk(out, v),
                     None => resp::write_null(out),
                 }
                 metrics.record_ok();
@@ -495,9 +422,9 @@ fn render<B: ByteBackend>(
                 metrics.record_error();
                 resp::write_error(out, "ERR internal response mismatch");
             }
-            Err(e) => write_busy(out, e, metrics, close),
+            Err(e) => write_busy(out, *e, metrics, close),
         },
-        Pending::Set(e) => match e.wait() {
+        Pending::Set => match &outcomes[0] {
             Ok(Response::Inserted(true)) => {
                 resp::write_simple(out, "OK");
                 metrics.record_ok();
@@ -510,62 +437,45 @@ fn render<B: ByteBackend>(
                 metrics.record_error();
                 resp::write_error(out, "ERR internal response mismatch");
             }
-            Err(e) => write_busy(out, e, metrics, close),
+            Err(e) => write_busy(out, *e, metrics, close),
         },
-        Pending::Count { futs, write } => {
-            // Await *every* sub-op: none stay detached in the rings,
-            // so the reply below describes what actually happened.
-            let total = futs.len();
-            let mut hits: i64 = 0;
-            let mut first_err: Option<Error> = None;
-            for f in futs {
-                match f.wait() {
-                    Ok(r) => hits += i64::from(response_hit(&r)),
-                    Err(e) => first_err = first_err.or(Some(e)),
-                }
-            }
-            match first_err {
+        Pending::Count { keys, write } => {
+            // Every sub-request has resolved: the reply below describes
+            // what actually happened.
+            let hits = outcomes
+                .iter()
+                .filter(|o| o.as_ref().is_ok_and(response_hit))
+                .count();
+            match first_err(outcomes) {
                 None => {
-                    resp::write_int(out, hits);
+                    resp::write_int(out, hits as i64);
                     metrics.record_ok();
                 }
                 Some(e) => {
-                    // A busy DEL may have removed some keys before a
-                    // later sub-op was refused: say so, instead of
-                    // implying the command had no effect.
+                    // A busy DEL may have removed some keys on other
+                    // lanes while one lane's cell was refused: say so,
+                    // instead of implying the command had no effect.
                     let detail = (write && hits > 0)
-                        .then(|| format!("; partial: {hits} of {total} keys removed"));
+                        .then(|| format!("; partial: {hits} of {keys} keys removed"));
                     write_busy_detail(out, e, detail.as_deref(), metrics, close);
                 }
             }
         }
-        Pending::MGet(futs) => {
-            // Await every sub-op (as for Count) even though reads have
-            // no effects to disclose: detached reads would still hold
-            // ring slots and skew the service-side accounting.
-            let mut values: Vec<Option<Bytes>> = Vec::with_capacity(futs.len());
-            let mut first_err: Option<Error> = None;
-            for f in futs {
-                match f.wait() {
-                    Ok(Response::Value(v)) => values.push(v),
-                    Ok(_) => values.push(None),
-                    Err(e) => first_err = first_err.or(Some(e)),
-                }
-            }
-            if let Some(e) = first_err {
+        Pending::MGet(keys) => {
+            if let Some(e) = first_err(outcomes) {
                 write_busy(out, e, metrics, close);
                 return;
             }
-            resp::write_array_header(out, values.len());
-            for v in values {
-                match v {
-                    Some(v) => resp::write_bulk(out, &v),
-                    None => resp::write_null(out),
+            resp::write_array_header(out, keys);
+            for o in outcomes {
+                match o {
+                    Ok(Response::Value(Some(v))) => resp::write_bulk(out, v),
+                    _ => resp::write_null(out),
                 }
             }
             metrics.record_ok();
         }
-        Pending::Scan { fut, page, count } => match fut.wait() {
+        Pending::Scan { page, count } => match &outcomes[0] {
             Ok(_) => {
                 let page = std::mem::take(&mut *page.lock().unwrap_or_else(|e| e.into_inner()));
                 resp::write_array_header(out, 2);
@@ -580,7 +490,7 @@ fn render<B: ByteBackend>(
                 out.extend_from_slice(&page.keys);
                 metrics.record_ok();
             }
-            Err(e) => write_busy(out, e, metrics, close),
+            Err(e) => write_busy(out, *e, metrics, close),
         },
         Pending::Quit => {
             resp::write_simple(out, "OK");

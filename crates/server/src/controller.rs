@@ -15,9 +15,12 @@
 //!   point sample: any `Shed`/`Reject` refusal in the window, or a
 //!   windowed enqueue-time depth p99 at or above
 //!   [`high_occupancy`](ControllerConfig::high_occupancy) of capacity.
-//!   (A pipelining front end fills the rings in microsecond bursts that
-//!   drain before any plausible tick could observe them — point-sampled
-//!   occupancy reads a loaded server as idle.)
+//!   Depth and capacity count ring slots, and a connection's pipeline
+//!   takes one slot per lane it touches, so occupancy is counted in
+//!   pipelines, not commands. (A pipelining front end fills the rings
+//!   in microsecond bursts that drain before any plausible tick could
+//!   observe them — point-sampled occupancy reads a loaded server as
+//!   idle.)
 //! * **Shrink** — when the *windowed* admitted enqueue-to-complete p99
 //!   (the delta between consecutive [`ServiceSnapshot`] histograms, so
 //!   old samples cannot mask fresh pain) exceeds

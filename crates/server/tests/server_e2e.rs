@@ -1,22 +1,27 @@
 //! Loopback end-to-end tests: a real TCP client (the same RESP codec,
 //! used from the other side) against a running [`lf_server::Server`].
 //!
-//! Covers the full command surface in pipelined form, SCAN pagination
-//! on the ordered tier (and its replies byte for byte against a
-//! reference rendering) and its refusal on the hash tier, backpressure
-//! surfacing as `-BUSY` with *exact* accounting (every command sent
-//! resolves as exactly one of ok / shed / rejected, client-side tallies
-//! equal server-side counters), protocol errors closing the
-//! connection, and the gated SHUTDOWN path.
+//! Covers the full command surface in pipelined form, point-command and
+//! SCAN replies byte for byte against reference renderings on every
+//! tier, SCAN pagination on the ordered tier and its refusal on the
+//! hash tier, backpressure surfacing as `-BUSY` with *exact* accounting
+//! (every command sent resolves as exactly one of ok / shed / rejected,
+//! client-side tallies equal server-side counters), protocol errors
+//! closing the connection, and the gated SHUTDOWN path.
 
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use lf_async::{BackpressurePolicy, HashMapBuilder, ServiceBuilder, ShardedBuilder};
+use lf_async::{
+    AsyncHashMap, BackpressurePolicy, HashMapBuilder, Service, ServiceBuilder, ShardedBuilder,
+};
 use lf_server::resp::{self, Reply};
-use lf_server::{Bytes, ServerBuilder};
+use lf_server::{ByteBackend, Bytes, ServerBuilder};
+use lf_shard::ShardedMap;
 
 /// A minimal synchronous RESP client over one TCP connection.
 struct Client {
@@ -297,6 +302,192 @@ fn scan_replies_are_byte_identical_to_a_reference_rendering() {
     ));
 }
 
+/// A sequential map answering point commands, its replies spelled out
+/// with `format!` rather than the codec under test: what a pipeline
+/// must read back byte for byte, whatever tier and lane count serve it.
+#[derive(Default)]
+struct PointModel(BTreeMap<Bytes, Bytes>);
+
+impl PointModel {
+    /// Run one command; returns its reply and whether the connection
+    /// closes after it.
+    fn apply(&mut self, args: &[Bytes]) -> (Vec<u8>, bool) {
+        fn bulk(v: Option<&Bytes>) -> Vec<u8> {
+            match v {
+                Some(v) => [format!("${}\r\n", v.len()).as_bytes(), v, b"\r\n"].concat(),
+                None => b"$-1\r\n".to_vec(),
+            }
+        }
+        let int = |n: usize| format!(":{n}\r\n").into_bytes();
+        let (name, keys) = args.split_first().expect("a command has a name");
+        let reply = match name.as_slice() {
+            b"GET" => bulk(self.0.get(&keys[0])),
+            b"SET" => {
+                self.0.insert(keys[0].clone(), keys[1].clone());
+                b"+OK\r\n".to_vec()
+            }
+            b"DEL" => int(keys.iter().filter(|k| self.0.remove(*k).is_some()).count()),
+            b"EXISTS" => int(keys.iter().filter(|k| self.0.contains_key(*k)).count()),
+            b"MGET" => {
+                let mut out = format!("*{}\r\n", keys.len()).into_bytes();
+                for k in keys {
+                    out.extend(bulk(self.0.get(k)));
+                }
+                out
+            }
+            b"PING" => b"+PONG\r\n".to_vec(),
+            b"QUIT" => return (b"+OK\r\n".to_vec(), true),
+            other => format!(
+                "-ERR unknown command '{}'\r\n",
+                String::from_utf8_lossy(other)
+            )
+            .into_bytes(),
+        };
+        (reply, false)
+    }
+}
+
+/// The keys point pipelines draw from: few enough that GETs both hit
+/// and miss and multi-key commands repeat keys.
+const POINT_KEYS: usize = 6;
+
+/// A xorshift generator: the same pipelines on every run.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0 % n
+    }
+
+    fn key(&mut self) -> Bytes {
+        format!("pk{}", self.below(POINT_KEYS as u64)).into_bytes()
+    }
+}
+
+/// `len` random point commands: GET, SET, DEL / EXISTS / MGET over
+/// 1–4 keys, and PING.
+fn point_pipeline(rng: &mut Rng, len: usize) -> Vec<Vec<Bytes>> {
+    (0..len)
+        .map(|_| {
+            let kind = rng.below(8);
+            let name: &[u8] = match kind {
+                0 | 1 => b"GET",
+                2 | 3 => b"SET",
+                4 => b"DEL",
+                5 => b"EXISTS",
+                6 => b"MGET",
+                _ => return vec![b"PING".to_vec()],
+            };
+            let mut cmd = vec![name.to_vec(), rng.key()];
+            match kind {
+                2 | 3 => cmd.push(format!("v{}", rng.below(1000)).into_bytes()),
+                4..=6 => {
+                    for _ in 0..rng.below(4) {
+                        cmd.push(rng.key());
+                    }
+                }
+                _ => {}
+            }
+            cmd
+        })
+        .collect()
+}
+
+fn push_all(c: &mut Client, cmds: &[Vec<Bytes>]) {
+    for cmd in cmds {
+        c.push(&cmd.iter().map(Vec::as_slice).collect::<Vec<_>>());
+    }
+}
+
+/// Pipelined point commands — with an unknown command mid-pipeline,
+/// and finally a QUIT mid-pipeline — read back exactly what the
+/// sequential model answers; nothing pipelined behind the QUIT runs.
+fn point_bytes_match_reference<B: ByteBackend>(service: Arc<Service<B>>) {
+    let server = ServerBuilder::new().serve(Arc::clone(&service)).unwrap();
+    let mut model = PointModel::default();
+    let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+    let mut c = Client::connect(server.local_addr());
+    for round in 0..16 {
+        let mut cmds = point_pipeline(&mut rng, 40);
+        cmds.insert(20, vec![b"FLUSHALL".to_vec()]);
+        let want: Vec<u8> = cmds.iter().flat_map(|cmd| model.apply(cmd).0).collect();
+        push_all(&mut c, &cmds);
+        assert_eq!(
+            String::from_utf8_lossy(&c.flush_and_read_raw(want.len())),
+            String::from_utf8_lossy(&want),
+            "round {round}"
+        );
+    }
+
+    let mut cmds = point_pipeline(&mut rng, 20);
+    cmds.push(vec![b"QUIT".to_vec()]);
+    cmds.push(vec![b"SET".to_vec(), b"after-quit".to_vec(), b"v".to_vec()]);
+    cmds.extend(point_pipeline(&mut rng, 20));
+    let mut want = Vec::new();
+    for cmd in &cmds {
+        let (reply, close) = model.apply(cmd);
+        want.extend(reply);
+        if close {
+            break;
+        }
+    }
+    push_all(&mut c, &cmds);
+    c.flush();
+    let mut got = Vec::new();
+    c.stream.read_to_end(&mut got).unwrap();
+    assert_eq!(
+        String::from_utf8_lossy(&got),
+        String::from_utf8_lossy(&want)
+    );
+
+    let mut c = Client::connect(server.local_addr());
+    let mut probe: Vec<Vec<Bytes>> = (0..POINT_KEYS)
+        .map(|i| vec![b"GET".to_vec(), format!("pk{i}").into_bytes()])
+        .collect();
+    probe.push(vec![b"GET".to_vec(), b"after-quit".to_vec()]);
+    let want: Vec<u8> = probe.iter().flat_map(|cmd| model.apply(cmd).0).collect();
+    push_all(&mut c, &probe);
+    assert_eq!(c.flush_and_read_raw(want.len()), want, "state after QUIT");
+
+    server.stop();
+    service.shutdown();
+}
+
+#[test]
+fn point_replies_are_byte_identical_to_a_sequential_model() {
+    for workers in [1, 4] {
+        point_bytes_match_reference(Arc::new(
+            ServiceBuilder::new()
+                .workers(workers)
+                .build_list::<Bytes, Bytes>(),
+        ));
+        point_bytes_match_reference(Arc::new(
+            ServiceBuilder::new()
+                .workers(workers)
+                .build_skiplist::<Bytes, Bytes>(),
+        ));
+        point_bytes_match_reference(Arc::new(
+            ShardedBuilder::new()
+                .workers(workers)
+                .shards(8)
+                .build::<Bytes, Bytes>(),
+        ));
+        point_bytes_match_reference(Arc::new(
+            HashMapBuilder::new()
+                .workers(workers)
+                .build::<Bytes, Bytes>(),
+        ));
+        point_bytes_match_reference(Arc::new(
+            ServiceBuilder::new()
+                .workers(workers)
+                .build(ShardedMap::<Bytes, Bytes>::new(8, 64)),
+        ));
+    }
+}
+
 #[test]
 fn scan_refused_on_hash_tier() {
     let service = Arc::new(HashMapBuilder::new().workers(2).build::<Bytes, Bytes>());
@@ -348,31 +539,85 @@ fn pipelined_replies_arrive_in_order() {
     service.shutdown();
 }
 
-/// Run `total` distinct-key SETs through one connection in pipelined
-/// bursts against a deliberately tiny ring, and return the client-side
-/// (ok, shed, rejected) tally.
-fn hammer(addr: std::net::SocketAddr, total: usize, burst: usize) -> (u64, u64, u64) {
-    let mut c = Client::connect(addr);
-    let (mut ok, mut shed, mut rejected) = (0u64, 0u64, 0u64);
-    let mut sent = 0;
-    while sent < total {
-        let n = burst.min(total - sent);
-        for i in 0..n {
-            let k = format!("key-{:06}", sent + i);
-            c.push(&[b"SET", k.as_bytes(), b"v"]);
-        }
-        c.flush();
-        for reply in c.read_replies(n) {
-            match reply {
-                Reply::Simple(s) if s == b"OK" => ok += 1,
-                Reply::Error(msg) if msg == b"BUSY shed" => shed += 1,
-                Reply::Error(msg) if msg == b"BUSY rejected" => rejected += 1,
-                other => panic!("unexpected reply {other:?}"),
+/// Connections driving one deliberately tiny ring at once. A pipeline
+/// takes one ring slot, so a 2-slot ring overflows only when several
+/// pipelines are in flight together.
+const CONNS: usize = 6;
+/// Pipelined bursts each connection sends at least, and at most while
+/// waiting for the ring to refuse something.
+const MIN_ROUNDS: usize = 8;
+const MAX_ROUNDS: usize = 4_000;
+
+/// Run `f(connection index, refused)` on `CONNS` threads at once, each
+/// with its own connection to `addr`, and collect their results.
+/// `refused` is shared: a thread raises it when it sees a busy reply,
+/// so the others know the ring has overflowed.
+fn concurrently<T: Send>(
+    addr: SocketAddr,
+    f: impl Fn(usize, &mut Client, &AtomicBool) -> T + Sync,
+) -> Vec<T> {
+    let refused = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..CONNS)
+            .map(|i| {
+                let (f, refused) = (&f, &refused);
+                s.spawn(move || f(i, &mut Client::connect(addr), refused))
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    })
+}
+
+/// Whether a connection that has sent `round` bursts should send more:
+/// at least `MIN_ROUNDS`, then until some connection saw a refusal.
+fn keep_going(round: usize, refused: &AtomicBool) -> bool {
+    round < MIN_ROUNDS || (round < MAX_ROUNDS && !refused.load(Ordering::Relaxed))
+}
+
+/// Client-side tally of one or more connections' SETs.
+#[derive(Default, Debug, PartialEq)]
+struct Tally {
+    sent: u64,
+    ok: u64,
+    shed: u64,
+    rejected: u64,
+}
+
+/// Send 64-deep pipelines of distinct-key SETs from `CONNS` concurrent
+/// connections until the ring has refused something, and return the
+/// summed client-side tally.
+fn hammer(addr: SocketAddr) -> Tally {
+    let per_conn = concurrently(addr, |conn, c, refused| {
+        let mut t = Tally::default();
+        let mut round = 0;
+        while keep_going(round, refused) {
+            for i in 0..64 {
+                let k = format!("key-{conn}-{round}-{i}");
+                c.push(&[b"SET", k.as_bytes(), b"v"]);
             }
+            c.flush();
+            for reply in c.read_replies(64) {
+                match reply {
+                    Reply::Simple(s) if s == b"OK" => t.ok += 1,
+                    Reply::Error(msg) if msg == b"BUSY shed" => t.shed += 1,
+                    Reply::Error(msg) if msg == b"BUSY rejected" => t.rejected += 1,
+                    other => panic!("unexpected reply {other:?}"),
+                }
+            }
+            t.sent += 64;
+            if t.shed + t.rejected > 0 {
+                refused.store(true, Ordering::Relaxed);
+            }
+            round += 1;
         }
-        sent += n;
-    }
-    (ok, shed, rejected)
+        t
+    });
+    per_conn.into_iter().fold(Tally::default(), |a, t| Tally {
+        sent: a.sent + t.sent,
+        ok: a.ok + t.ok,
+        shed: a.shed + t.shed,
+        rejected: a.rejected + t.rejected,
+    })
 }
 
 #[test]
@@ -387,28 +632,33 @@ fn reject_policy_surfaces_busy_with_exact_accounting() {
     );
     let server = ServerBuilder::new().serve(Arc::clone(&service)).unwrap();
 
-    const TOTAL: usize = 1024;
-    let (ok, shed, rejected) = hammer(server.local_addr(), TOTAL, 64);
+    let t = hammer(server.local_addr());
     assert_eq!(
-        ok + shed + rejected,
-        TOTAL as u64,
+        t.ok + t.shed + t.rejected,
+        t.sent,
         "a command went unaccounted"
     );
-    assert_eq!(shed, 0, "Reject policy must never shed");
+    assert_eq!(t.shed, 0, "Reject policy must never shed");
     assert!(
-        rejected > 0,
-        "64-deep pipelines into a 2-deep ring never rejected"
+        t.rejected > 0,
+        "{CONNS} connections' pipelines into a 2-deep ring never rejected"
     );
 
     // Client-side tallies equal server-side counters: overload is
     // *accounted*, not inferred.
     let snap = server.metrics().snapshot();
-    assert_eq!(snap.commands, TOTAL as u64);
-    assert_eq!((snap.ok, snap.shed, snap.rejected), (ok, shed, rejected));
+    assert_eq!(snap.commands, t.sent);
+    assert_eq!(
+        (snap.ok, snap.shed, snap.rejected),
+        (t.ok, t.shed, t.rejected)
+    );
     assert!(snap.pipeline_depth.count() > 0);
 
     server.stop();
     service.shutdown();
+    // The service counts requests, whole refused cells included.
+    let svc = service.metrics();
+    assert_eq!((svc.enqueued, svc.rejected), (t.ok, t.rejected));
 }
 
 #[test]
@@ -423,34 +673,42 @@ fn shed_policy_surfaces_busy_with_exact_accounting() {
     );
     let server = ServerBuilder::new().serve(Arc::clone(&service)).unwrap();
 
-    const TOTAL: usize = 1024;
-    let (ok, shed, rejected) = hammer(server.local_addr(), TOTAL, 64);
+    let t = hammer(server.local_addr());
     assert_eq!(
-        ok + shed + rejected,
-        TOTAL as u64,
+        t.ok + t.shed + t.rejected,
+        t.sent,
         "a command went unaccounted"
     );
-    assert_eq!(rejected, 0, "Shed policy must never reject");
-    assert!(shed > 0, "64-deep pipelines into a 2-deep ring never shed");
+    assert_eq!(t.rejected, 0, "Shed policy must never reject");
+    assert!(
+        t.shed > 0,
+        "{CONNS} connections' pipelines into a 2-deep ring never shed"
+    );
 
     let snap = server.metrics().snapshot();
-    assert_eq!(snap.commands, TOTAL as u64);
-    assert_eq!((snap.ok, snap.shed, snap.rejected), (ok, shed, rejected));
+    assert_eq!(snap.commands, t.sent);
+    assert_eq!(
+        (snap.ok, snap.shed, snap.rejected),
+        (t.ok, t.shed, t.rejected)
+    );
 
     server.stop();
     service.shutdown();
+    let svc = service.metrics();
+    assert_eq!(
+        (svc.enqueued, svc.completed, svc.shed),
+        (t.sent, t.ok, t.shed)
+    );
 }
 
 /// Read-your-writes through one pipeline: interleaved `SET k i; GET k`
 /// pairs on one hot key, where every GET must observe exactly the SET
-/// dispatched right before it. The skip-list tier has no lane affinity
-/// of its own, so with several workers this only holds if the server
-/// pins same-key requests to one lane *and* enqueues them in parse
-/// order — the two halves of the pipelining ordering contract.
-fn assert_same_key_pipeline_ordered(
-    service: Arc<lf_async::AsyncSkipList<Bytes, Bytes>>,
-    rounds: usize,
-) {
+/// dispatched right before it. With several workers this only holds if
+/// every request on the key shares one lane *and* runs in parse order —
+/// the two halves of the pipelining ordering contract — whether the
+/// lane comes from the backend's affinity (hash tiers) or from the
+/// batch keeping a whole pipeline on one lane (the skip list).
+fn assert_same_key_pipeline_ordered<B: ByteBackend>(service: Arc<Service<B>>, rounds: usize) {
     let server = ServerBuilder::new().serve(Arc::clone(&service)).unwrap();
     let mut c = Client::connect(server.local_addr());
 
@@ -500,6 +758,22 @@ fn pipelined_same_key_ops_read_their_writes_under_block() {
 }
 
 #[test]
+fn pipelined_same_key_ops_read_their_writes_on_hash_tiers() {
+    assert_same_key_pipeline_ordered(
+        Arc::new(HashMapBuilder::new().workers(4).build::<Bytes, Bytes>()),
+        200,
+    );
+    assert_same_key_pipeline_ordered(
+        Arc::new(
+            ServiceBuilder::new()
+                .workers(4)
+                .build(ShardedMap::<Bytes, Bytes>::new(8, 64)),
+        ),
+        200,
+    );
+}
+
+#[test]
 fn busy_multi_key_commands_keep_exact_accounting() {
     let service = Arc::new(
         HashMapBuilder::new()
@@ -510,40 +784,45 @@ fn busy_multi_key_commands_keep_exact_accounting() {
             .build::<Bytes, Bytes>(),
     );
     let server = ServerBuilder::new().serve(Arc::clone(&service)).unwrap();
-    let mut c = Client::connect(server.local_addr());
 
-    for i in 0..8 {
-        let k = format!("mk{i}");
-        assert!(matches!(
-            c.roundtrip(&[b"SET", k.as_bytes(), b"v"]),
-            Reply::Simple(_) | Reply::Error(_)
-        ));
-    }
-
-    // Deep pipelines of multi-key commands into a 2-deep ring: some
-    // commands go busy, every one gets exactly one reply, and the
-    // connection always survives.
-    const ROUNDS: usize = 64;
-    let mut busy = 0u64;
-    for _ in 0..ROUNDS {
-        c.push(&[b"DEL", b"mk0", b"mk1", b"mk2", b"mk3"]);
-        c.push(&[b"EXISTS", b"mk4", b"mk5", b"mk6", b"mk7"]);
-        c.push(&[b"MGET", b"mk4", b"mk5", b"mk6", b"mk7"]);
-        c.push(&[b"SET", b"mk0", b"v"]);
-        c.flush();
-        for reply in c.read_replies(4) {
-            if let Reply::Error(msg) = reply {
-                // Prefix, not equality: a busy DEL that still removed
-                // some keys discloses it with a `; partial:` suffix.
-                assert!(msg.starts_with(b"BUSY rejected"), "{msg:?}");
-                busy += 1;
-            }
+    // Deep pipelines of multi-key commands from several connections
+    // into a 2-deep ring: some commands go busy, every one gets exactly
+    // one reply, and every connection survives.
+    let per_conn = concurrently(server.local_addr(), |_, c, refused| {
+        for i in 0..8 {
+            let k = format!("mk{i}");
+            assert!(matches!(
+                c.roundtrip(&[b"SET", k.as_bytes(), b"v"]),
+                Reply::Simple(_) | Reply::Error(_)
+            ));
         }
-    }
-    assert!(busy > 0, "2-deep ring never refused a 13-sub-op pipeline");
-    // The connection is still fully usable after busy multi-key
-    // replies (no sub-op left a stale reply queued).
-    assert_eq!(c.roundtrip(&[b"PING"]), simple("PONG"));
+        let (mut rounds, mut busy) = (0, 0u64);
+        while keep_going(rounds, refused) {
+            c.push(&[b"DEL", b"mk0", b"mk1", b"mk2", b"mk3"]);
+            c.push(&[b"EXISTS", b"mk4", b"mk5", b"mk6", b"mk7"]);
+            c.push(&[b"MGET", b"mk4", b"mk5", b"mk6", b"mk7"]);
+            c.push(&[b"SET", b"mk0", b"v"]);
+            c.flush();
+            for reply in c.read_replies(4) {
+                if let Reply::Error(msg) = reply {
+                    // Prefix, not equality: a busy DEL that still
+                    // removed some keys discloses it with a `; partial:`
+                    // suffix.
+                    assert!(msg.starts_with(b"BUSY rejected"), "{msg:?}");
+                    busy += 1;
+                    refused.store(true, Ordering::Relaxed);
+                }
+            }
+            rounds += 1;
+        }
+        // The connection is still fully usable after busy multi-key
+        // replies (no sub-request left a stale reply queued).
+        assert_eq!(c.roundtrip(&[b"PING"]), simple("PONG"));
+        (rounds as u64, busy)
+    });
+    let rounds: u64 = per_conn.iter().map(|&(r, _)| r).sum();
+    let busy: u64 = per_conn.iter().map(|&(_, b)| b).sum();
+    assert!(busy > 0, "2-deep ring never refused a 13-request pipeline");
 
     // DESIGN.md §9.9: every reply bumps exactly one outcome class.
     let snap = server.metrics().snapshot();
@@ -552,7 +831,105 @@ fn busy_multi_key_commands_keep_exact_accounting() {
         snap.ok + snap.shed + snap.rejected + snap.errors,
         "accounting identity broken"
     );
-    assert_eq!(snap.commands, 8 + 4 * ROUNDS as u64 + 1);
+    assert_eq!(snap.commands, (8 + 1) * CONNS as u64 + 4 * rounds);
+    assert_eq!(snap.errors, 0);
+
+    server.stop();
+    service.shutdown();
+}
+
+/// The first `n` of the keys `k0, k1, …` that `service` routes to
+/// `lane`.
+fn keys_on_lane(service: &AsyncHashMap<Bytes, Bytes>, lane: usize, n: usize) -> Vec<Bytes> {
+    (0..)
+        .map(|i| format!("k{i}").into_bytes())
+        .filter(|k| service.backend().bucket_of(k) % service.lane_count() == lane)
+        .take(n)
+        .collect()
+}
+
+/// A DEL whose keys span two lanes, one of them saturated: the lane
+/// that is not full removes its keys, the full one refuses its cell,
+/// and the reply discloses exactly what happened.
+#[test]
+fn del_spanning_lanes_discloses_a_refused_lane() {
+    let service = Arc::new(
+        HashMapBuilder::new()
+            .workers(2)
+            .queue_capacity(2)
+            .batch_max(1)
+            .policy(BackpressurePolicy::Reject)
+            .build::<Bytes, Bytes>(),
+    );
+    let server = ServerBuilder::new().serve(Arc::clone(&service)).unwrap();
+    let hot = keys_on_lane(&service, 0, 64);
+    let calm = keys_on_lane(&service, 1, 2);
+
+    let saturated = AtomicBool::new(false);
+    let found = std::thread::scope(|s| {
+        // Every other connection hammers lane 0 only, so its ring is
+        // often full; lane 1 serves nobody but the probe below.
+        let hammers: Vec<_> = (0..CONNS)
+            .map(|_| {
+                let (hot, saturated) = (&hot, &saturated);
+                let mut c = Client::connect(server.local_addr());
+                s.spawn(move || {
+                    while !saturated.load(Ordering::Relaxed) {
+                        for k in hot {
+                            c.push(&[b"SET", k, b"v"]);
+                        }
+                        c.flush();
+                        for reply in c.read_replies(hot.len()) {
+                            match reply {
+                                Reply::Simple(s) if s == b"OK" => {}
+                                Reply::Error(msg) if msg == b"BUSY rejected" => {}
+                                other => panic!("unexpected reply {other:?}"),
+                            }
+                        }
+                    }
+                })
+            })
+            .collect();
+        // The probe: set one hot and two calm keys, then delete all
+        // three in the same pipeline.
+        let mut c = Client::connect(server.local_addr());
+        let mut found = None;
+        for _ in 0..MAX_ROUNDS * 5 {
+            for k in [&hot[0], &calm[0], &calm[1]] {
+                c.push(&[b"SET", k, b"v"]);
+            }
+            c.push(&[b"DEL", &hot[0], &calm[0], &calm[1]]);
+            c.flush();
+            let replies = c.read_replies(4);
+            match &replies[3] {
+                Reply::Int(3) => {}
+                Reply::Error(msg) => {
+                    found = Some(String::from_utf8(msg.clone()).unwrap());
+                    break;
+                }
+                other => panic!("DEL answered {other:?}"),
+            }
+        }
+        saturated.store(true, Ordering::Relaxed);
+        for h in hammers {
+            h.join().unwrap();
+        }
+        found
+    });
+    // The calm lane ran its SETs and both its removals; the hot lane's
+    // cell — SET and DEL of the hot key — was refused whole.
+    assert_eq!(
+        found.as_deref(),
+        Some("BUSY rejected; partial: 2 of 3 keys removed"),
+        "the hot lane never refused the probe"
+    );
+
+    let snap = server.metrics().snapshot();
+    assert_eq!(
+        snap.commands,
+        snap.ok + snap.shed + snap.rejected + snap.errors,
+        "accounting identity broken"
+    );
     assert_eq!(snap.errors, 0);
 
     server.stop();

@@ -361,7 +361,13 @@ where
     where
         V: Clone,
     {
-        self.routed(self.route(key), |h| h.remove(key))
+        self.remove_with(key, V::clone)
+    }
+
+    /// Remove `key` from its shard and apply `f` to a borrow of its
+    /// value, without cloning; see [`SkipListHandle::remove_with`].
+    pub fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        self.routed(self.route(key), |h| h.remove_with(key, f))
     }
 
     /// Look up `key` in its shard, returning a clone of its value.

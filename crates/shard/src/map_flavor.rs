@@ -256,8 +256,14 @@ where
     where
         V: Clone,
     {
+        self.remove_with(key, V::clone)
+    }
+
+    /// Remove `key` from its shard and apply `f` to a borrow of its
+    /// value, without cloning; see [`BucketMapHandle::remove_with`].
+    pub fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
         let hash = hash_key(key);
-        self.shard(hash).remove_hashed(hash, key)
+        self.shard(hash).remove_with_hashed(hash, key, f)
     }
 
     /// Look up `key` in its shard, returning a clone of its value.
