@@ -7,11 +7,13 @@
 //! threads between polls. This crate bridges the two with a
 //! *submission service*:
 //!
-//! * [`AsyncList`] / [`AsyncSkipList`] (both aliases of [`Service`])
-//!   expose `get`/`insert`/`remove`/`contains` as [`OpFuture`]s that
-//!   are `Send` and hold **no epoch guard across any `.await`** — the
-//!   pin-per-poll invariant (DESIGN.md §10). Futures are pure
-//!   completion-waiters; all structure access happens on lane workers.
+//! * [`Service`] fronts any [`AsyncBackend`] — every `lf-core`
+//!   [`ConcurrentMap`](lf_core::ConcurrentMap) whose keys and values can
+//!   cross threads — and exposes `get`/`insert`/`remove`/`contains`
+//!   as [`OpFuture`]s that are `Send` and hold **no epoch guard across
+//!   any `.await`** — the pin-per-poll invariant (DESIGN.md §10).
+//!   Futures are pure completion-waiters; all structure access happens
+//!   on lane workers.
 //! * Each worker owns one **sharded MPSC submission lane**: a
 //!   `CachePadded`, sequence-numbered bounded ring. Workers drain up
 //!   to `batch_max` requests at a time and execute them through a
@@ -40,9 +42,10 @@
 //!
 //! ```
 //! use lf_async::{Response, ServiceBuilder};
+//! use lf_core::FrList;
 //! use lf_sched::rt;
 //!
-//! let service = ServiceBuilder::new().workers(1).build_list::<u64, u64>();
+//! let service = ServiceBuilder::new().workers(1).build(FrList::<u64, u64>::new());
 //! rt::block_on(async {
 //!     assert_eq!(service.insert(1, 10).await, Ok(Response::Inserted(true)));
 //!     assert_eq!(service.get(1).await, Ok(Response::Value(Some(10))));
@@ -62,6 +65,6 @@ pub use metrics::{ServiceMetrics, ServiceSnapshot};
 pub use op::{Error, GetWithVisitor, Request, Response, ScanVisitor};
 pub use service::{
     install_stall_hook, AsyncHashMap, AsyncList, AsyncShardedMap, AsyncSkipList,
-    BackpressurePolicy, BatchFuture, GetWithFuture, HashMapBuilder, LaneFuture, OpFuture,
-    ScanFuture, Service, ServiceBuilder, ShardedBuilder,
+    BackpressurePolicy, BatchFuture, GetWithFuture, LaneFuture, OpFuture, ScanFuture, Service,
+    ServiceBuilder,
 };

@@ -65,7 +65,7 @@ pub enum Request<K, V> {
     /// strictly greater than `.0` (`None` = from the start), in place,
     /// on the lane worker under its batch-amortized pin. Only ordered
     /// backends walk — see
-    /// [`AsyncBackend::supports_scan`](crate::AsyncBackend::supports_scan);
+    /// [`Service::supports_scan`](crate::Service::supports_scan);
     /// hash tiers finish the visitor with an empty page.
     Scan(Option<K>, usize, ScanVisitor<K, V>),
     /// Number of live keys.

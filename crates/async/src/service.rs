@@ -26,12 +26,12 @@ use std::task::{ready, Context, Poll, Waker};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use lf_core::{FrList, SkipList};
+use lf_core::{ConcurrentMap, FrList, SkipList};
 use lf_map::BucketMap;
 use lf_shard::ShardedSkipList;
 use lf_tagged::Backoff;
 
-use crate::backend::{AsyncBackend, BackendHandle};
+use crate::backend::{apply, AsyncBackend, BackendHandle};
 use crate::metrics::{ServiceMetrics, ServiceSnapshot};
 use crate::op::{Error, GetWithVisitor, OpCell, Outcome, Request, Response, Slot, Slots};
 use crate::ring::{Pop, PushError, Ring};
@@ -180,18 +180,17 @@ impl<B: AsyncBackend> Shared<B> {
         }
     }
 
-    /// The lane `req` takes: its partition's when the backend has lane
-    /// affinity for it, else `free()`. With one lane the backend is not
-    /// asked to hash the key.
+    /// The lane `req` takes: its key's partition mod the lane count when
+    /// the backend is partitioned, else `free()`. With one lane the
+    /// backend is not asked to hash the key.
     fn lane_of(&self, req: &Request<B::Key, B::Value>, free: impl FnOnce() -> usize) -> usize {
         let lanes = self.lanes.len();
         if lanes == 1 {
             return 0;
         }
-        match self.backend.lane_for(req, lanes) {
-            Some(i) => i % lanes,
-            None => free(),
-        }
+        req.key()
+            .and_then(|k| self.backend.partition_of(k))
+            .map_or_else(free, |p| p % lanes)
     }
 
     /// Cut a batch into one leg per lane it touches, each keeping its
@@ -392,7 +391,7 @@ fn worker_loop<B: AsyncBackend>(shared: &Shared<B>, lane_idx: usize) {
 /// request count of the drain it belongs to (for the trace).
 fn run_cell<B: AsyncBackend>(
     shared: &Shared<B>,
-    handle: &impl BackendHandle<B::Key, B::Value>,
+    handle: &B::Handle<'_>,
     lane_idx: usize,
     cell: &OpCell<B::Key, B::Value>,
     drained: u32,
@@ -408,7 +407,7 @@ fn run_cell<B: AsyncBackend>(
         if let Some(hook) = STALL_HOOK.get() {
             hook(lane_idx);
         }
-        let resp = handle.apply(req);
+        let resp = apply(&shared.backend, handle, req);
         // The front door minted the id, so the async layer — not the
         // sync op boundary — closes it.
         lf_trace::emit_for(op, lf_trace::Phase::Complete, 0);
@@ -443,17 +442,20 @@ fn shutdown_drain<B: AsyncBackend>(shared: &Shared<B>, lane_idx: usize) {
     lane.wake_blocked();
 }
 
-/// Configuration surface for [`Service`].
+/// Configuration surface for [`Service`]; [`build`](Self::build) takes
+/// the structure to front.
 ///
 /// ```
 /// use lf_async::{BackpressurePolicy, ServiceBuilder};
+/// use lf_shard::ShardedSkipList;
 ///
 /// let service = ServiceBuilder::new()
 ///     .workers(2)
 ///     .queue_capacity(256)
 ///     .batch_max(32)
 ///     .policy(BackpressurePolicy::Block)
-///     .build_list::<u64, u64>();
+///     .build(ShardedSkipList::<u64, u64>::new(4));
+/// assert_eq!(service.backend().shard_count(), 4);
 /// service.shutdown();
 /// ```
 #[derive(Debug, Clone)]
@@ -573,200 +575,6 @@ impl ServiceBuilder {
             watchdog,
         }
     }
-
-    /// Build a service over an empty [`FrList`].
-    pub fn build_list<K, V>(self) -> AsyncList<K, V>
-    where
-        K: Ord + Clone + Send + Sync + 'static,
-        V: Clone + Send + Sync + 'static,
-    {
-        self.build(FrList::new())
-    }
-
-    /// Build a service over an empty [`SkipList`].
-    pub fn build_skiplist<K, V>(self) -> AsyncSkipList<K, V>
-    where
-        K: Ord + Clone + Send + Sync + 'static,
-        V: Clone + Send + Sync + 'static,
-    {
-        self.build(SkipList::new())
-    }
-}
-
-/// Builder for a service over a [`ShardedSkipList`], pairing lanes
-/// with shards.
-///
-/// Each lane worker gets an affinity set of shards (`shard mod
-/// lanes`): the backend routes every keyed request to the lane owning
-/// its shard, so a shard's CAS traffic is served by exactly one worker
-/// and the submission rings carry no cross-lane traffic. By default
-/// the shard count is the worker count rounded up to a power of two
-/// (one shard per lane).
-///
-/// ```
-/// use lf_async::ShardedBuilder;
-///
-/// let service = ShardedBuilder::new()
-///     .workers(2)
-///     .shards(4)
-///     .build::<u64, u64>();
-/// assert_eq!(service.backend().shard_count(), 4);
-/// service.shutdown();
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct ShardedBuilder {
-    base: ServiceBuilder,
-    shards: Option<usize>,
-}
-
-impl ShardedBuilder {
-    /// Defaults: [`ServiceBuilder`]'s, with one shard per lane.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of lane workers (≥ 1). One submission lane per worker.
-    pub fn workers(mut self, n: usize) -> Self {
-        self.base = self.base.workers(n);
-        self
-    }
-
-    /// Per-lane queue capacity (rounded up to a power of two, ≥ 2).
-    pub fn queue_capacity(mut self, cap: usize) -> Self {
-        self.base = self.base.queue_capacity(cap);
-        self
-    }
-
-    /// Maximum requests a worker executes per drained batch (≥ 1).
-    pub fn batch_max(mut self, n: usize) -> Self {
-        self.base = self.base.batch_max(n);
-        self
-    }
-
-    /// What submissions do when a lane is full.
-    pub fn policy(mut self, p: BackpressurePolicy) -> Self {
-        self.base = self.base.policy(p);
-        self
-    }
-
-    /// Enable the stall watchdog; see [`ServiceBuilder::watchdog`].
-    pub fn watchdog(mut self, deadline: Duration) -> Self {
-        self.base = self.base.watchdog(deadline);
-        self
-    }
-
-    /// Flight-recorder dump path; see [`ServiceBuilder::watchdog_dump`].
-    pub fn watchdog_dump(mut self, path: impl Into<std::path::PathBuf>) -> Self {
-        self.base = self.base.watchdog_dump(path);
-        self
-    }
-
-    /// Shard count (rounded up to a power of two, ≥ 1). Defaults to
-    /// the worker count rounded up to a power of two.
-    pub fn shards(mut self, n: usize) -> Self {
-        self.shards = Some(n.max(1).next_power_of_two());
-        self
-    }
-
-    /// Build the sharded service and start its workers.
-    pub fn build<K, V>(self) -> AsyncShardedMap<K, V>
-    where
-        K: Ord + std::hash::Hash + Clone + Send + Sync + 'static,
-        V: Clone + Send + Sync + 'static,
-    {
-        let shards = self
-            .shards
-            .unwrap_or_else(|| self.base.workers.next_power_of_two());
-        self.base.build(ShardedSkipList::new(shards))
-    }
-}
-
-/// Builder for a service over an `lf-map` [`BucketMap`] — the hash-map
-/// serving tier behind the submission rings.
-///
-/// The backend routes every keyed request to the lane owning its
-/// bucket (`bucket mod lanes`), so one worker serves each bucket
-/// chain's CAS traffic; with the default bucket count (well above any
-/// sane lane count) every lane owns an even slice of the buckets. All
-/// [`ServiceBuilder`] knobs (backpressure policy, watchdog, flight
-/// recorder) apply unchanged, and OpId phase events flow through
-/// exactly as for the list and skip-list services.
-///
-/// ```
-/// use lf_async::HashMapBuilder;
-///
-/// let service = HashMapBuilder::new()
-///     .workers(2)
-///     .buckets(32)
-///     .build::<u64, u64>();
-/// assert_eq!(service.backend().bucket_count(), 32);
-/// service.shutdown();
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct HashMapBuilder {
-    base: ServiceBuilder,
-    buckets: Option<usize>,
-}
-
-impl HashMapBuilder {
-    /// Defaults: [`ServiceBuilder`]'s, with
-    /// [`DEFAULT_BUCKETS`](lf_map::DEFAULT_BUCKETS) buckets.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of lane workers (≥ 1). One submission lane per worker.
-    pub fn workers(mut self, n: usize) -> Self {
-        self.base = self.base.workers(n);
-        self
-    }
-
-    /// Per-lane queue capacity (rounded up to a power of two, ≥ 2).
-    pub fn queue_capacity(mut self, cap: usize) -> Self {
-        self.base = self.base.queue_capacity(cap);
-        self
-    }
-
-    /// Maximum requests a worker executes per drained batch (≥ 1).
-    pub fn batch_max(mut self, n: usize) -> Self {
-        self.base = self.base.batch_max(n);
-        self
-    }
-
-    /// What submissions do when a lane is full.
-    pub fn policy(mut self, p: BackpressurePolicy) -> Self {
-        self.base = self.base.policy(p);
-        self
-    }
-
-    /// Enable the stall watchdog; see [`ServiceBuilder::watchdog`].
-    pub fn watchdog(mut self, deadline: Duration) -> Self {
-        self.base = self.base.watchdog(deadline);
-        self
-    }
-
-    /// Flight-recorder dump path; see [`ServiceBuilder::watchdog_dump`].
-    pub fn watchdog_dump(mut self, path: impl Into<std::path::PathBuf>) -> Self {
-        self.base = self.base.watchdog_dump(path);
-        self
-    }
-
-    /// Bucket count (rounded up to a power of two, ≥ 1). Defaults to
-    /// [`DEFAULT_BUCKETS`](lf_map::DEFAULT_BUCKETS).
-    pub fn buckets(mut self, n: usize) -> Self {
-        self.buckets = Some(n.max(1).next_power_of_two());
-        self
-    }
-
-    /// Build the hash-map service and start its workers.
-    pub fn build<K, V>(self) -> AsyncHashMap<K, V>
-    where
-        K: Ord + std::hash::Hash + Clone + Send + Sync + 'static,
-        V: Clone + Send + Sync + 'static,
-    {
-        let buckets = self.buckets.unwrap_or(lf_map::DEFAULT_BUCKETS);
-        self.base.build(BucketMap::new(buckets))
-    }
 }
 
 /// An async serving façade over one lock-free structure.
@@ -783,19 +591,15 @@ pub struct Service<B: AsyncBackend> {
 }
 
 /// A [`Service`] over [`FrList`], generic over the reclamation
-/// backend (default EBR); build non-default backends with
-/// [`ServiceBuilder::build`] over a pre-constructed list.
+/// backend (default EBR). Every alias below is built the same way:
+/// [`ServiceBuilder::build`] over a constructed structure.
 pub type AsyncList<K, V, R = lf_reclaim::Ebr> = Service<FrList<K, V, R>>;
-/// A [`Service`] over [`SkipList`] (backend-generic like
-/// [`AsyncList`]).
+/// A [`Service`] over [`SkipList`].
 pub type AsyncSkipList<K, V, R = lf_reclaim::Ebr> = Service<SkipList<K, V, R>>;
-/// A [`Service`] over a [`ShardedSkipList`], lanes affine to shards;
-/// built by [`ShardedBuilder`] (backend-generic like [`AsyncList`]).
+/// A [`Service`] over a [`ShardedSkipList`], lanes affine to shards.
 pub type AsyncShardedMap<K, V, R = lf_reclaim::Ebr> = Service<ShardedSkipList<K, V, R>>;
 /// A [`Service`] over an `lf-map` [`BucketMap`], lanes affine to
-/// buckets; built by [`HashMapBuilder`] (backend-generic like
-/// [`AsyncList`] — construct non-default backends with
-/// [`ServiceBuilder::build`] over a pre-built map).
+/// buckets.
 pub type AsyncHashMap<K, V, R = lf_reclaim::Ebr> = Service<BucketMap<K, V, R>>;
 
 impl<B: AsyncBackend> Service<B> {
@@ -896,10 +700,13 @@ impl<B: AsyncBackend> Service<B> {
         self.op(Request::Scan(after, limit, Box::new(visitor)))
     }
 
-    /// Whether the backend serves ordered scans; see
-    /// [`AsyncBackend::supports_scan`].
+    /// Whether the backend serves ordered scans
+    /// ([`ConcurrentMap::ORDERED`](lf_core::ConcurrentMap::ORDERED)).
+    /// Hash tiers do not — their iteration order is bucket order — so
+    /// callers (the wire server) refuse SCAN up front instead of
+    /// enqueueing a request the worker would answer with zero pairs.
     pub fn supports_scan(&self) -> bool {
-        self.shared.backend.supports_scan()
+        B::ORDERED
     }
 
     /// Submit any [`Request`]: a batch of one, through the same cell
@@ -916,7 +723,7 @@ impl<B: AsyncBackend> Service<B> {
     /// input order.
     ///
     /// The batch takes one ring slot per lane it touches: the backend's
-    /// [`lane_for`](AsyncBackend::lane_for) affinity splits it across
+    /// [`partition_of`](lf_core::ConcurrentMap::partition_of) affinity splits it across
     /// lanes, keeping input order within each, while requests it does
     /// not route — and every request, on backends without affinity —
     /// share one lane. Each lane's worker runs its cell's requests back
@@ -1164,7 +971,8 @@ impl<B: AsyncBackend> Unpin for OpFuture<B> {}
 pub trait LaneFuture: Future {
     /// Prefer `lane` (modulo the lane count) for this request whenever
     /// the backend expresses no affinity of its own
-    /// ([`AsyncBackend::lane_for`] returning `None`). Backend affinity
+    /// ([`partition_of`](lf_core::ConcurrentMap::partition_of) returning
+    /// `None`). Backend affinity
     /// always wins: on partitioned backends the hint is ignored for
     /// keyed requests, so pinning is safe to apply unconditionally.
     /// No effect once the request has enqueued.
@@ -1307,7 +1115,7 @@ impl<B: AsyncBackend, R> Future for GetWithFuture<B, R> {
 }
 
 /// The cloned pairs a [`ScanFuture`] resolves to.
-type Page<B> = Vec<(<B as AsyncBackend>::Key, <B as AsyncBackend>::Value)>;
+type Page<B> = Vec<(<B as ConcurrentMap>::Key, <B as ConcurrentMap>::Value)>;
 
 /// An ordered scan in flight; see [`Service::scan`].
 ///

@@ -1,8 +1,8 @@
 //! End-to-end service semantics: backpressure policies, graceful
 //! shutdown, and waker delivery under concurrent load.
 //!
-//! Determinism trick: a `GatedMap` backend whose `apply` blocks on a
-//! gate. With `batch_max(1)` the single worker pops exactly one
+//! Determinism trick: a `GatedMap` backend whose every operation
+//! blocks on a gate. With `batch_max(1)` the single worker pops exactly one
 //! request and parks inside it, so tests control precisely which
 //! requests are in-flight versus still queued when shutdown (or a
 //! policy decision) happens.
@@ -14,12 +14,12 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::task::{Context, Poll};
 
 use lf_async::{
-    AsyncBackend, BackendHandle, BackpressurePolicy, Error, HashMapBuilder, Request, Response,
-    Service, ServiceBuilder, ShardedBuilder,
+    AsyncBackend, BackpressurePolicy, Error, Request, Response, Service, ServiceBuilder,
 };
-use lf_core::FrList;
+use lf_core::{ConcurrentMap, FrList, MapHandle, SkipList};
+use lf_map::BucketMap;
 use lf_sched::rt;
-use lf_shard::ShardedMap;
+use lf_shard::{ShardedMap, ShardedSkipList};
 
 struct Gate {
     open: Mutex<bool>,
@@ -69,10 +69,12 @@ struct GatedHandle<'a> {
     gate: &'a Gate,
 }
 
-impl AsyncBackend for GatedMap {
+impl ConcurrentMap for GatedMap {
     type Key = u64;
     type Value = u64;
     type Handle<'a> = GatedHandle<'a>;
+
+    const ORDERED: bool = true;
 
     fn handle(&self) -> GatedHandle<'_> {
         GatedHandle {
@@ -86,10 +88,25 @@ impl AsyncBackend for GatedMap {
     }
 }
 
-impl BackendHandle<u64, u64> for GatedHandle<'_> {
-    fn apply(&self, req: Request<u64, u64>) -> Response<u64> {
+impl MapHandle<u64, u64> for GatedHandle<'_> {
+    fn insert(&self, key: u64, value: u64) -> Result<(), (u64, u64)> {
         self.gate.pass();
-        self.inner.apply(req)
+        self.inner.insert(key, value)
+    }
+
+    fn remove_with<T>(&self, key: &u64, f: impl FnOnce(&u64) -> T) -> Option<T> {
+        self.gate.pass();
+        self.inner.remove_with(key, f)
+    }
+
+    fn get_with<T>(&self, key: &u64, f: impl FnOnce(&u64) -> T) -> Option<T> {
+        self.gate.pass();
+        self.inner.get_with(key, f)
+    }
+
+    fn scan(&self, after: Option<&u64>, visit: &mut dyn FnMut(&u64, &u64) -> bool) {
+        self.gate.pass();
+        self.inner.scan(after, visit);
     }
 
     fn amortize_pins(&self, every: u32) {
@@ -127,7 +144,9 @@ fn gated_service(policy: BackpressurePolicy, capacity: usize) -> (Service<GatedM
 
 #[test]
 fn basic_ops_round_trip() {
-    let service = ServiceBuilder::new().workers(2).build_list::<u64, u64>();
+    let service = ServiceBuilder::new()
+        .workers(2)
+        .build(FrList::<u64, u64>::new());
     rt::block_on(async {
         assert_eq!(service.insert(1, 10).await, Ok(Response::Inserted(true)));
         assert_eq!(service.insert(1, 11).await, Ok(Response::Inserted(false)));
@@ -145,7 +164,9 @@ fn basic_ops_round_trip() {
 
 #[test]
 fn upsert_overwrites_in_one_request() {
-    let service = ServiceBuilder::new().workers(2).build_list::<u64, u64>();
+    let service = ServiceBuilder::new()
+        .workers(2)
+        .build(FrList::<u64, u64>::new());
     rt::block_on(async {
         // Fresh key and overwrite both report Inserted(true): the
         // worker-side remove+insert loop won an insert round.
@@ -209,10 +230,14 @@ fn upsert_over_a_present_key_clones_nothing() {
         });
         service.shutdown();
     }
-    check(ServiceBuilder::new().workers(2).build_list());
-    check(ServiceBuilder::new().workers(2).build_skiplist());
-    check(ShardedBuilder::new().workers(2).shards(4).build());
-    check(HashMapBuilder::new().workers(2).buckets(8).build());
+    check(ServiceBuilder::new().workers(2).build(FrList::new()));
+    check(ServiceBuilder::new().workers(2).build(SkipList::new()));
+    check(
+        ServiceBuilder::new()
+            .workers(2)
+            .build(ShardedSkipList::new(4)),
+    );
+    check(ServiceBuilder::new().workers(2).build(BucketMap::new(8)));
     check(
         ServiceBuilder::new()
             .workers(2)
@@ -250,21 +275,19 @@ fn batch_resolves_in_input_order_with_one_cell_per_lane() {
     }
     // Without lane affinity the whole batch is one cell, whatever the
     // lane count.
-    check(ServiceBuilder::new().workers(4).build_list(), 1);
-    check(ServiceBuilder::new().workers(4).build_skiplist(), 1);
+    check(ServiceBuilder::new().workers(4).build(FrList::new()), 1);
+    check(ServiceBuilder::new().workers(4).build(SkipList::new()), 1);
     // With affinity it splits by partition, each lane in input order.
-    let hash = HashMapBuilder::new()
+    let hash = ServiceBuilder::new()
         .workers(4)
-        .buckets(64)
-        .build::<u64, u64>();
+        .build(BucketMap::<u64, u64>::new(64));
     let lanes: std::collections::BTreeSet<usize> = (0..6u64)
         .map(|k| hash.backend().bucket_of(&k) % 4)
         .collect();
     check(hash, lanes.len());
-    let sharded = ShardedBuilder::new()
+    let sharded = ServiceBuilder::new()
         .workers(4)
-        .shards(8)
-        .build::<u64, u64>();
+        .build(ShardedSkipList::<u64, u64>::new(8));
     let lanes: std::collections::BTreeSet<usize> = (0..6u64)
         .map(|k| sharded.backend().shard_of(&k) % 4)
         .collect();
@@ -375,7 +398,7 @@ fn pin_lane_orders_a_pipelined_same_key_sequence() {
     use lf_async::LaneFuture;
     let service = ServiceBuilder::new()
         .workers(4)
-        .build_skiplist::<u64, u64>();
+        .build(SkipList::<u64, u64>::new());
     // Pipeline shape: enqueue the whole interleaved SET/GET sequence
     // on one key (first poll submits, by lazy submission) before
     // awaiting anything. The skip-list backend has no lane affinity,
@@ -422,7 +445,7 @@ fn pin_lane_orders_a_pipelined_same_key_sequence() {
 fn skiplist_backend_round_trips() {
     let service = ServiceBuilder::new()
         .workers(2)
-        .build_skiplist::<u64, u64>();
+        .build(SkipList::<u64, u64>::new());
     rt::block_on(async {
         for k in 0..50u64 {
             assert_eq!(service.insert(k, k * 2).await, Ok(Response::Inserted(true)));
@@ -487,17 +510,20 @@ fn scan_matches_oracle<B: AsyncBackend<Key = u64, Value = u64>>(service: &Servic
 
 #[test]
 fn scan_equals_a_btreemap_oracle_on_every_ordered_backend() {
-    scan_matches_oracle(&ServiceBuilder::new().workers(2).build_list::<u64, u64>());
     scan_matches_oracle(
         &ServiceBuilder::new()
             .workers(2)
-            .build_skiplist::<u64, u64>(),
+            .build(FrList::<u64, u64>::new()),
     );
     scan_matches_oracle(
-        &ShardedBuilder::new()
+        &ServiceBuilder::new()
             .workers(2)
-            .shards(8)
-            .build::<u64, u64>(),
+            .build(SkipList::<u64, u64>::new()),
+    );
+    scan_matches_oracle(
+        &ServiceBuilder::new()
+            .workers(2)
+            .build(ShardedSkipList::<u64, u64>::new(8)),
     );
 }
 
@@ -534,10 +560,9 @@ fn logging_visitor(
 
 #[test]
 fn scan_visitor_is_closed_exactly_once() {
-    let service = ShardedBuilder::new()
+    let service = ServiceBuilder::new()
         .workers(1)
-        .shards(4)
-        .build::<u64, u64>();
+        .build(ShardedSkipList::<u64, u64>::new(4));
     // (limit, pairs the visitor accepts, pairs it must be shown)
     let cases = [
         (0usize, 9usize, 0usize),
@@ -581,10 +606,9 @@ fn hash_tiers_resolve_scans_to_an_empty_page() {
         assert_eq!(log.closes.load(Ordering::SeqCst), 1);
     }
     check(
-        HashMapBuilder::new()
+        ServiceBuilder::new()
             .workers(2)
-            .buckets(8)
-            .build::<u64, u64>(),
+            .build(BucketMap::<u64, u64>::new(8)),
     );
     check(
         ServiceBuilder::new()
@@ -696,7 +720,9 @@ fn shutdown_finishes_in_flight_and_fails_queued() {
 
 #[test]
 fn submissions_after_shutdown_fail() {
-    let service = ServiceBuilder::new().workers(1).build_list::<u64, u64>();
+    let service = ServiceBuilder::new()
+        .workers(1)
+        .build(FrList::<u64, u64>::new());
     service.shutdown();
     assert_eq!(rt::block_on(service.get(1)), Err(Error::Shutdown));
     assert_eq!(service.metrics().enqueued, 0);
@@ -799,7 +825,7 @@ fn concurrent_drivers_no_lost_wakers() {
             .queue_capacity(64)
             .batch_max(16)
             .policy(BackpressurePolicy::Block)
-            .build_skiplist::<u64, u64>(),
+            .build(SkipList::<u64, u64>::new()),
     );
     let done = Arc::new(AtomicUsize::new(0));
     let threads: Vec<_> = (0..drivers)

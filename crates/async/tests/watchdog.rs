@@ -13,6 +13,7 @@ use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 use std::time::{Duration, Instant};
 
 use lf_async::{AsyncList, ServiceBuilder};
+use lf_core::FrList;
 use lf_sched::rt;
 
 fn noop_waker() -> Waker {
@@ -58,7 +59,7 @@ fn wedged_worker_trips_service_watchdog_with_parseable_dump() {
         .workers(1)
         .watchdog(DEADLINE)
         .watchdog_dump(&dump_path)
-        .build_list();
+        .build(FrList::new());
     assert!(service.watchdog().is_some());
 
     // Warm up un-stalled so the marker op is the only wedged one.

@@ -219,14 +219,14 @@ pub fn run(quick: bool) {
     // set, the whole run is traced and the merged rings are dumped at
     // the end, so `lf-trace check` can audit a real serving workload
     // end-to-end. Perf rows from a traced run are not comparable to
-    // the committed baselines — the bench gate never sets this.
+    // the recorded `BENCH_e7.json` output.
     let trace_dump = lf_trace::recorder::env_dump_path();
     if trace_dump.is_some() {
         lf_trace::enable();
     }
     // Quick mode keeps the load *shape* (drivers × in-flight tasks) and
-    // only cuts ops per task, so bench_gate.sh can compare a quick run
-    // against the committed full-size baseline row-for-row.
+    // only cuts ops per task, so a quick run's rows line up with the
+    // recorded full-size output's row-for-row.
     let drivers = 4;
     let tasks_per_driver = 64;
     let ops_per_task: u64 = if quick { 150 } else { 1_000 };

@@ -40,11 +40,13 @@
 //! ```
 
 pub mod list;
+mod map;
 pub(crate) mod pool;
 pub mod pq;
 pub mod skiplist;
 
 pub use list::{ChainIter, FrList, Iter, ListHandle, ListSet, SetHandle};
+pub use map::{ConcurrentMap, MapHandle};
 pub use pq::{PqHandle, PriorityQueue};
 pub use skiplist::{
     merged_range, RangeIter, SkipIter, SkipList, SkipListHandle, SkipSet, SkipSetHandle,

@@ -83,7 +83,7 @@ pub use router::hash_key;
 use std::fmt;
 use std::hash::Hash;
 
-use lf_core::{ChainIter, FrList, ListHandle};
+use lf_core::{ChainIter, ConcurrentMap, FrList, ListHandle, MapHandle};
 use lf_metrics::{PartitionTally, Structure, TallyWriter};
 use lf_reclaim::{Ebr, Pod, Publish, Reclaim};
 use lf_tagged::CachePadded;
@@ -530,6 +530,63 @@ where
         f.debug_struct("BucketMapHandle")
             .field("buckets", &self.map.bucket_count())
             .finish()
+    }
+}
+
+impl<K, V, R> ConcurrentMap for BucketMap<K, V, R>
+where
+    K: Ord + Hash + Send + Sync + 'static,
+    V: Send + Sync + 'static,
+    R: Reclaim + Publish<K> + Publish<V>,
+{
+    type Key = K;
+    type Value = V;
+    type Handle<'a>
+        = BucketMapHandle<'a, K, V, R>
+    where
+        Self: 'a;
+
+    fn handle(&self) -> Self::Handle<'_> {
+        BucketMap::handle(self)
+    }
+
+    fn len(&self) -> usize {
+        BucketMap::len(self)
+    }
+
+    fn partition_of(&self, key: &K) -> Option<usize> {
+        Some(self.bucket_of(key))
+    }
+}
+
+impl<K, V, R> MapHandle<K, V> for BucketMapHandle<'_, K, V, R>
+where
+    K: Ord + Hash + Send + Sync + 'static,
+    V: Send + Sync + 'static,
+    R: Reclaim + Publish<K> + Publish<V>,
+{
+    fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
+        BucketMapHandle::insert(self, key, value)
+    }
+
+    fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        BucketMapHandle::remove_with(self, key, f)
+    }
+
+    fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        BucketMapHandle::get_with(self, key, f)
+    }
+
+    fn amortize_pins(&self, every: u32) {
+        BucketMapHandle::amortize_pins(self, every);
+    }
+
+    fn quiesce(&self) {
+        BucketMapHandle::quiesce(self);
+    }
+
+    fn flush_reclamation(&self) {
+        BucketMapHandle::flush_reclamation(self);
     }
 }
 

@@ -93,10 +93,12 @@ impl StopSignal {
 ///
 /// ```no_run
 /// use std::sync::Arc;
-/// use lf_async::HashMapBuilder;
+/// use lf_async::ServiceBuilder;
+/// use lf_map::{BucketMap, DEFAULT_BUCKETS};
 /// use lf_server::ServerBuilder;
 ///
-/// let service = Arc::new(HashMapBuilder::new().workers(2).build::<Vec<u8>, Vec<u8>>());
+/// let map = BucketMap::<Vec<u8>, Vec<u8>>::new(DEFAULT_BUCKETS);
+/// let service = Arc::new(ServiceBuilder::new().workers(2).build(map));
 /// let server = ServerBuilder::new()
 ///     .addr("127.0.0.1:0")
 ///     .adaptive(Default::default())

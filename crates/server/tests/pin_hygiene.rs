@@ -22,6 +22,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use lf_async::ServiceBuilder;
+use lf_core::SkipList;
 use lf_reclaim::{Ebr, Reclaim};
 use lf_server::resp::{self, Reply};
 use lf_server::{Bytes, ServerBuilder};
@@ -55,7 +56,7 @@ fn churn_reclaims_while_connections_sit_in_blocking_reads() {
     let service = Arc::new(
         ServiceBuilder::new()
             .workers(2)
-            .build_skiplist::<Bytes, Bytes>(),
+            .build(SkipList::<Bytes, Bytes>::new()),
     );
     let server = ServerBuilder::new()
         .read_timeout(Duration::from_millis(5))

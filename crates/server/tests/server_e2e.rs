@@ -16,12 +16,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use lf_async::{
-    AsyncHashMap, BackpressurePolicy, HashMapBuilder, Service, ServiceBuilder, ShardedBuilder,
-};
+use lf_async::{AsyncHashMap, BackpressurePolicy, Service, ServiceBuilder};
+use lf_core::{FrList, SkipList};
+use lf_map::{BucketMap, DEFAULT_BUCKETS};
 use lf_server::resp::{self, Reply};
 use lf_server::{ByteBackend, Bytes, ServerBuilder};
-use lf_shard::ShardedMap;
+use lf_shard::{ShardedMap, ShardedSkipList};
 
 /// A minimal synchronous RESP client over one TCP connection.
 struct Client {
@@ -104,7 +104,7 @@ fn command_surface_on_ordered_tier() {
     let service = Arc::new(
         ServiceBuilder::new()
             .workers(2)
-            .build_skiplist::<Bytes, Bytes>(),
+            .build(SkipList::<Bytes, Bytes>::new()),
     );
     let server = ServerBuilder::new().serve(Arc::clone(&service)).unwrap();
     let mut c = Client::connect(server.local_addr());
@@ -155,7 +155,7 @@ fn scan_paginates_the_ordered_keyspace() {
     let service = Arc::new(
         ServiceBuilder::new()
             .workers(2)
-            .build_skiplist::<Bytes, Bytes>(),
+            .build(SkipList::<Bytes, Bytes>::new()),
     );
     let server = ServerBuilder::new().serve(Arc::clone(&service)).unwrap();
     let mut c = Client::connect(server.local_addr());
@@ -292,13 +292,12 @@ fn scan_replies_are_byte_identical_to_a_reference_rendering() {
     scan_bytes_match_reference(Arc::new(
         ServiceBuilder::new()
             .workers(1)
-            .build_skiplist::<Bytes, Bytes>(),
+            .build(SkipList::<Bytes, Bytes>::new()),
     ));
     scan_bytes_match_reference(Arc::new(
-        ShardedBuilder::new()
+        ServiceBuilder::new()
             .workers(1)
-            .shards(8)
-            .build::<Bytes, Bytes>(),
+            .build(ShardedSkipList::<Bytes, Bytes>::new(8)),
     ));
 }
 
@@ -462,23 +461,22 @@ fn point_replies_are_byte_identical_to_a_sequential_model() {
         point_bytes_match_reference(Arc::new(
             ServiceBuilder::new()
                 .workers(workers)
-                .build_list::<Bytes, Bytes>(),
+                .build(FrList::<Bytes, Bytes>::new()),
         ));
         point_bytes_match_reference(Arc::new(
             ServiceBuilder::new()
                 .workers(workers)
-                .build_skiplist::<Bytes, Bytes>(),
+                .build(SkipList::<Bytes, Bytes>::new()),
         ));
         point_bytes_match_reference(Arc::new(
-            ShardedBuilder::new()
+            ServiceBuilder::new()
                 .workers(workers)
-                .shards(8)
-                .build::<Bytes, Bytes>(),
+                .build(ShardedSkipList::<Bytes, Bytes>::new(8)),
         ));
         point_bytes_match_reference(Arc::new(
-            HashMapBuilder::new()
+            ServiceBuilder::new()
                 .workers(workers)
-                .build::<Bytes, Bytes>(),
+                .build(BucketMap::<Bytes, Bytes>::new(DEFAULT_BUCKETS)),
         ));
         point_bytes_match_reference(Arc::new(
             ServiceBuilder::new()
@@ -490,7 +488,11 @@ fn point_replies_are_byte_identical_to_a_sequential_model() {
 
 #[test]
 fn scan_refused_on_hash_tier() {
-    let service = Arc::new(HashMapBuilder::new().workers(2).build::<Bytes, Bytes>());
+    let service = Arc::new(
+        ServiceBuilder::new()
+            .workers(2)
+            .build(BucketMap::<Bytes, Bytes>::new(DEFAULT_BUCKETS)),
+    );
     let server = ServerBuilder::new().serve(Arc::clone(&service)).unwrap();
     let mut c = Client::connect(server.local_addr());
 
@@ -511,7 +513,11 @@ fn scan_refused_on_hash_tier() {
 
 #[test]
 fn pipelined_replies_arrive_in_order() {
-    let service = Arc::new(HashMapBuilder::new().workers(2).build::<Bytes, Bytes>());
+    let service = Arc::new(
+        ServiceBuilder::new()
+            .workers(2)
+            .build(BucketMap::<Bytes, Bytes>::new(DEFAULT_BUCKETS)),
+    );
     let server = ServerBuilder::new().serve(Arc::clone(&service)).unwrap();
     let mut c = Client::connect(server.local_addr());
 
@@ -623,12 +629,12 @@ fn hammer(addr: SocketAddr) -> Tally {
 #[test]
 fn reject_policy_surfaces_busy_with_exact_accounting() {
     let service = Arc::new(
-        HashMapBuilder::new()
+        ServiceBuilder::new()
             .workers(1)
             .queue_capacity(2)
             .batch_max(1)
             .policy(BackpressurePolicy::Reject)
-            .build::<Bytes, Bytes>(),
+            .build(BucketMap::<Bytes, Bytes>::new(DEFAULT_BUCKETS)),
     );
     let server = ServerBuilder::new().serve(Arc::clone(&service)).unwrap();
 
@@ -664,12 +670,12 @@ fn reject_policy_surfaces_busy_with_exact_accounting() {
 #[test]
 fn shed_policy_surfaces_busy_with_exact_accounting() {
     let service = Arc::new(
-        HashMapBuilder::new()
+        ServiceBuilder::new()
             .workers(1)
             .queue_capacity(2)
             .batch_max(1)
             .policy(BackpressurePolicy::Shed)
-            .build::<Bytes, Bytes>(),
+            .build(BucketMap::<Bytes, Bytes>::new(DEFAULT_BUCKETS)),
     );
     let server = ServerBuilder::new().serve(Arc::clone(&service)).unwrap();
 
@@ -736,7 +742,7 @@ fn pipelined_same_key_ops_read_their_writes() {
     let service = Arc::new(
         ServiceBuilder::new()
             .workers(4)
-            .build_skiplist::<Bytes, Bytes>(),
+            .build(SkipList::<Bytes, Bytes>::new()),
     );
     assert_same_key_pipeline_ordered(service, 200);
 }
@@ -752,7 +758,7 @@ fn pipelined_same_key_ops_read_their_writes_under_block() {
             .queue_capacity(2)
             .batch_max(1)
             .policy(BackpressurePolicy::Block)
-            .build_skiplist::<Bytes, Bytes>(),
+            .build(SkipList::<Bytes, Bytes>::new()),
     );
     assert_same_key_pipeline_ordered(service, 400);
 }
@@ -760,7 +766,11 @@ fn pipelined_same_key_ops_read_their_writes_under_block() {
 #[test]
 fn pipelined_same_key_ops_read_their_writes_on_hash_tiers() {
     assert_same_key_pipeline_ordered(
-        Arc::new(HashMapBuilder::new().workers(4).build::<Bytes, Bytes>()),
+        Arc::new(
+            ServiceBuilder::new()
+                .workers(4)
+                .build(BucketMap::<Bytes, Bytes>::new(DEFAULT_BUCKETS)),
+        ),
         200,
     );
     assert_same_key_pipeline_ordered(
@@ -776,12 +786,12 @@ fn pipelined_same_key_ops_read_their_writes_on_hash_tiers() {
 #[test]
 fn busy_multi_key_commands_keep_exact_accounting() {
     let service = Arc::new(
-        HashMapBuilder::new()
+        ServiceBuilder::new()
             .workers(1)
             .queue_capacity(2)
             .batch_max(1)
             .policy(BackpressurePolicy::Reject)
-            .build::<Bytes, Bytes>(),
+            .build(BucketMap::<Bytes, Bytes>::new(DEFAULT_BUCKETS)),
     );
     let server = ServerBuilder::new().serve(Arc::clone(&service)).unwrap();
 
@@ -854,12 +864,12 @@ fn keys_on_lane(service: &AsyncHashMap<Bytes, Bytes>, lane: usize, n: usize) -> 
 #[test]
 fn del_spanning_lanes_discloses_a_refused_lane() {
     let service = Arc::new(
-        HashMapBuilder::new()
+        ServiceBuilder::new()
             .workers(2)
             .queue_capacity(2)
             .batch_max(1)
             .policy(BackpressurePolicy::Reject)
-            .build::<Bytes, Bytes>(),
+            .build(BucketMap::<Bytes, Bytes>::new(DEFAULT_BUCKETS)),
     );
     let server = ServerBuilder::new().serve(Arc::clone(&service)).unwrap();
     let hot = keys_on_lane(&service, 0, 64);
@@ -938,7 +948,11 @@ fn del_spanning_lanes_discloses_a_refused_lane() {
 
 #[test]
 fn protocol_error_closes_the_connection() {
-    let service = Arc::new(HashMapBuilder::new().workers(1).build::<Bytes, Bytes>());
+    let service = Arc::new(
+        ServiceBuilder::new()
+            .workers(1)
+            .build(BucketMap::<Bytes, Bytes>::new(DEFAULT_BUCKETS)),
+    );
     let server = ServerBuilder::new().serve(Arc::clone(&service)).unwrap();
     let mut c = Client::connect(server.local_addr());
 
@@ -970,7 +984,11 @@ fn protocol_error_closes_the_connection() {
 
 #[test]
 fn shutdown_is_gated_and_stops_the_server_when_allowed() {
-    let service = Arc::new(HashMapBuilder::new().workers(1).build::<Bytes, Bytes>());
+    let service = Arc::new(
+        ServiceBuilder::new()
+            .workers(1)
+            .build(BucketMap::<Bytes, Bytes>::new(DEFAULT_BUCKETS)),
+    );
 
     // Default: SHUTDOWN refused, server keeps running.
     let server = ServerBuilder::new().serve(Arc::clone(&service)).unwrap();

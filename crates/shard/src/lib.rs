@@ -71,9 +71,10 @@ pub use map_flavor::{ShardedMap, ShardedMapHandle, ShardedMapIter};
 
 use std::fmt;
 use std::hash::Hash;
-use std::ops::RangeBounds;
+use std::ops::{Bound, RangeBounds};
 
 use lf_core::skiplist::{merged_range, SkipList, SkipListHandle};
+use lf_core::{ConcurrentMap, MapHandle};
 use lf_metrics::{PartitionTally, TallyWriter};
 use lf_reclaim::{Ebr, Pod, Publish, Reclaim};
 use lf_tagged::CachePadded;
@@ -485,6 +486,71 @@ where
         f.debug_struct("ShardedHandle")
             .field("shards", &self.handles.len())
             .finish()
+    }
+}
+
+impl<K, V, R> ConcurrentMap for ShardedSkipList<K, V, R>
+where
+    K: Ord + Hash + Send + Sync + 'static,
+    V: Send + Sync + 'static,
+    R: Reclaim + Publish<K> + Publish<V>,
+{
+    type Key = K;
+    type Value = V;
+    type Handle<'a>
+        = ShardedHandle<'a, K, V, R>
+    where
+        Self: 'a;
+
+    const ORDERED: bool = true;
+
+    fn handle(&self) -> Self::Handle<'_> {
+        ShardedSkipList::handle(self)
+    }
+
+    fn len(&self) -> usize {
+        ShardedSkipList::len(self)
+    }
+
+    fn partition_of(&self, key: &K) -> Option<usize> {
+        Some(self.shard_of(key))
+    }
+}
+
+impl<K, V, R> MapHandle<K, V> for ShardedHandle<'_, K, V, R>
+where
+    K: Ord + Hash + Send + Sync + 'static,
+    V: Send + Sync + 'static,
+    R: Reclaim + Publish<K> + Publish<V>,
+{
+    fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
+        ShardedHandle::insert(self, key, value)
+    }
+
+    fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        ShardedHandle::remove_with(self, key, f)
+    }
+
+    fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        ShardedHandle::get_with(self, key, f)
+    }
+
+    fn scan(&self, after: Option<&K>, visit: &mut dyn FnMut(&K, &V) -> bool) {
+        // k-way merged range across shards.
+        let start = after.map_or(Bound::Unbounded, Bound::Excluded);
+        self.range((start, Bound::Unbounded), visit);
+    }
+
+    fn amortize_pins(&self, every: u32) {
+        ShardedHandle::amortize_pins(self, every);
+    }
+
+    fn quiesce(&self) {
+        ShardedHandle::quiesce(self);
+    }
+
+    fn flush_reclamation(&self) {
+        ShardedHandle::flush_reclamation(self);
     }
 }
 

@@ -19,7 +19,7 @@
 use std::fmt;
 use std::hash::Hash;
 
-use lf_core::ChainIter;
+use lf_core::{ChainIter, ConcurrentMap, MapHandle};
 use lf_map::{hash_key, BucketMap, BucketMapHandle, BucketMapSnapshot};
 use lf_reclaim::{Ebr, Pod, Publish, Reclaim};
 
@@ -372,6 +372,63 @@ where
         f.debug_struct("ShardedMapHandle")
             .field("shards", &self.handles.len())
             .finish()
+    }
+}
+
+impl<K, V, R> ConcurrentMap for ShardedMap<K, V, R>
+where
+    K: Ord + Hash + Send + Sync + 'static,
+    V: Send + Sync + 'static,
+    R: Reclaim + Publish<K> + Publish<V>,
+{
+    type Key = K;
+    type Value = V;
+    type Handle<'a>
+        = ShardedMapHandle<'a, K, V, R>
+    where
+        Self: 'a;
+
+    fn handle(&self) -> Self::Handle<'_> {
+        ShardedMap::handle(self)
+    }
+
+    fn len(&self) -> usize {
+        ShardedMap::len(self)
+    }
+
+    fn partition_of(&self, key: &K) -> Option<usize> {
+        Some(self.shard_of(key))
+    }
+}
+
+impl<K, V, R> MapHandle<K, V> for ShardedMapHandle<'_, K, V, R>
+where
+    K: Ord + Hash + Send + Sync + 'static,
+    V: Send + Sync + 'static,
+    R: Reclaim + Publish<K> + Publish<V>,
+{
+    fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
+        ShardedMapHandle::insert(self, key, value)
+    }
+
+    fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        ShardedMapHandle::remove_with(self, key, f)
+    }
+
+    fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        ShardedMapHandle::get_with(self, key, f)
+    }
+
+    fn amortize_pins(&self, every: u32) {
+        ShardedMapHandle::amortize_pins(self, every);
+    }
+
+    fn quiesce(&self) {
+        ShardedMapHandle::quiesce(self);
+    }
+
+    fn flush_reclamation(&self) {
+        ShardedMapHandle::flush_reclamation(self);
     }
 }
 

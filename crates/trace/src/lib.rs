@@ -28,11 +28,13 @@
 //!
 //! With tracing **disabled** (the default) every hook is one relaxed
 //! load and a predictable branch — the same shape as the
-//! `lf-metrics` kill-switches, budgeted at ≤ 1 % by
-//! `crates/bench/tests/trace_overhead.rs`. **Enabled**, each recorded
-//! event is one relaxed global `fetch_add` (the seq stamp) plus an
-//! owner-only seqlock write into the thread's ring (≤ 10 % budget,
-//! same test). Events are *per phase transition*, not per pointer hop:
+//! `lf-metrics` kill-switches, budgeted at ≤ 1 % and priced end to end
+//! by stackbench's `harness.trace_overhead_share` row. **Enabled**,
+//! each recorded event is one relaxed global `fetch_add` (the seq
+//! stamp) plus an owner-only seqlock write into the thread's ring
+//! (≤ 10 % budget against a disabled run on the same machine,
+//! `crates/bench/tests/trace_overhead.rs`). Events are *per phase
+//! transition*, not per pointer hop:
 //! the high-frequency `curr`/`next` traversal steps stay counters-only
 //! in `lf-metrics`.
 //!

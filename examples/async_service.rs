@@ -14,6 +14,7 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use lf_async::{AsyncSkipList, BackpressurePolicy, Request, ServiceBuilder};
+use lf_core::SkipList;
 use lf_sched::rt;
 use lf_workloads::{KeyDist, Mix, OpKind, WorkloadIter};
 
@@ -57,7 +58,7 @@ fn main() {
             .queue_capacity(1_024)
             .batch_max(64)
             .policy(BackpressurePolicy::Block)
-            .build_skiplist(),
+            .build(SkipList::new()),
     );
 
     let executed = Arc::new(AtomicU64::new(0));

@@ -36,6 +36,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use lf_async::{AsyncSkipList, BackpressurePolicy, ServiceBuilder};
+use lf_core::SkipList;
 use lf_server::{Bytes, ControllerConfig, ServerBuilder};
 
 fn main() {
@@ -58,7 +59,7 @@ fn main() {
             .batch_max(4) // adaptive admission re-tunes this live
             .policy(BackpressurePolicy::Shed)
             .watchdog(Duration::from_secs(5))
-            .build_skiplist(),
+            .build(SkipList::new()),
     );
 
     let server = ServerBuilder::new()
