@@ -12,8 +12,8 @@
 //!   cross threads — and exposes `get`/`insert`/`remove`/`contains`
 //!   as [`OpFuture`]s that are `Send` and hold **no epoch guard across
 //!   any `.await`** — the pin-per-poll invariant (DESIGN.md §10).
-//!   Futures are pure completion-waiters; all structure access happens
-//!   on lane workers.
+//!   Futures are pure completion-waiters; structure access happens on
+//!   whichever thread holds a lane's executor token.
 //! * Each worker owns one **sharded MPSC submission lane**: a
 //!   `CachePadded`, sequence-numbered bounded ring. Workers drain up
 //!   to `batch_max` requests at a time and execute them through a
@@ -23,7 +23,10 @@
 //! * [`Service::batch`] submits many requests as one cell per lane
 //!   touched — one ring slot, one completion, one wake-up — resolving
 //!   to their outcomes in input order; a single-request future is the
-//!   batch of one.
+//!   batch of one. [`Service::batch_on`] is the same batch from a
+//!   thread with its own [`Service::handle`]: a leg whose lane is idle
+//!   (its worker not draining, nothing queued) runs right there, under
+//!   the lane's executor token, and never touches the ring.
 //! * Full lanes apply a configurable [`BackpressurePolicy`]: `Block`
 //!   (suspend the submitter), `Reject` (fail fast), or `Shed` (evict
 //!   the oldest queued request).

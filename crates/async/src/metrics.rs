@@ -18,6 +18,7 @@ use lf_tagged::CachePadded;
 #[derive(Default)]
 struct ByProducers {
     enqueued: AtomicU64,
+    inline: AtomicU64,
     queue_depth: AtomicHistogram,
 }
 
@@ -83,6 +84,21 @@ impl ServiceMetrics {
         self.workers.batch_size.record(n as u64);
     }
 
+    /// A leg of `n` requests ran on its submitting thread, `e2c_ns`
+    /// from start to finish. It counts as a cell enqueued, drained as
+    /// one batch and completed, minus the depth sample: it never took
+    /// a ring slot.
+    pub(crate) fn record_inline(&self, n: usize, e2c_ns: u64) {
+        // ord: Relaxed — ASYNC.stat: statistic counter, snapshots racy-fresh
+        self.producers
+            .enqueued
+            .fetch_add(n as u64, Ordering::Relaxed);
+        // ord: Relaxed — ASYNC.stat: statistic counter, snapshots racy-fresh
+        self.producers.inline.fetch_add(n as u64, Ordering::Relaxed);
+        self.record_batch(n);
+        self.record_complete(n, e2c_ns);
+    }
+
     /// A cell of `n` requests bounced off a full lane under `Reject`.
     pub(crate) fn record_reject(&self, n: usize) {
         // ord: Relaxed — ASYNC.stat: statistic counter, snapshots racy-fresh
@@ -107,6 +123,8 @@ impl ServiceMetrics {
             // ord: Relaxed — ASYNC.stat: statistic counter, snapshots racy-fresh
             enqueued: self.producers.enqueued.load(Ordering::Relaxed),
             // ord: Relaxed — ASYNC.stat: statistic counter, snapshots racy-fresh
+            inline: self.producers.inline.load(Ordering::Relaxed),
+            // ord: Relaxed — ASYNC.stat: statistic counter, snapshots racy-fresh
             completed: self.workers.completed.load(Ordering::Relaxed),
             // ord: Relaxed — ASYNC.stat: statistic counter, snapshots racy-fresh
             rejected: self.rejected.load(Ordering::Relaxed),
@@ -128,10 +146,17 @@ impl ServiceMetrics {
 /// batch adds its request count to `enqueued` and `completed` (or to
 /// `rejected` / `shed` / `shutdown_dropped` when refused), so
 /// `enqueued == completed + shed + shutdown_dropped` stays exact.
-/// `queue_depth` counts ring slots, i.e. cells.
+/// `queue_depth` counts ring slots, i.e. cells. A leg run on its
+/// submitting thread ([`Service::batch_on`](crate::Service::batch_on))
+/// counts in `enqueued`, `completed`, `batch_size` and
+/// `enqueue_to_complete_ns` as a drained cell would, takes no
+/// `queue_depth` sample, and also counts in `inline`.
 pub struct ServiceSnapshot {
-    /// Requests accepted into a lane queue.
+    /// Requests accepted into a lane queue, or run inline.
     pub enqueued: u64,
+    /// Of `enqueued`, the requests run on their submitting thread
+    /// because their lane was idle.
+    pub inline: u64,
     /// Requests executed against the backend.
     pub completed: u64,
     /// Requests refused at a full lane (`Reject`).
@@ -155,6 +180,7 @@ impl ServiceSnapshot {
     pub fn to_json(&self) -> String {
         JsonObj::new()
             .field_u64("enqueued", self.enqueued)
+            .field_u64("inline", self.inline)
             .field_u64("completed", self.completed)
             .field_u64("rejected", self.rejected)
             .field_u64("shed", self.shed)
@@ -177,6 +203,11 @@ impl ServiceSnapshot {
                 "lf_async_enqueued_total",
                 "Requests accepted into lane queues",
                 self.enqueued,
+            ),
+            (
+                "lf_async_inline_total",
+                "Requests run on their submitting thread while their lane was idle",
+                self.inline,
             ),
             (
                 "lf_async_completed_total",
@@ -240,19 +271,22 @@ mod tests {
         m.record_reject(2);
         m.record_shed(3);
         m.record_shutdown_drop(1);
+        m.record_inline(3, 100);
         let s = m.snapshot();
-        // Requests, not cells: a four-request cell counts four.
-        assert_eq!(s.enqueued, 5);
-        assert_eq!(s.completed, 4);
+        // Requests, not cells: a four-request cell counts four, and an
+        // inline leg counts as enqueued and completed too.
+        assert_eq!(s.enqueued, 8);
+        assert_eq!(s.inline, 3);
+        assert_eq!(s.completed, 7);
         assert_eq!(s.rejected, 2);
         assert_eq!(s.shed, 3);
         assert_eq!(s.shutdown_dropped, 1);
-        // Depth is sampled once per pushed cell.
+        // Depth is sampled once per pushed cell, never for inline legs.
         assert_eq!(s.queue_depth.count(), 2);
-        assert_eq!(s.batch_size.count(), 1);
-        // One latency, weighted by the cell's four requests.
-        assert_eq!(s.enqueue_to_complete_ns.count(), 4);
-        assert_eq!(s.enqueue_to_complete_ns.sum(), 4_000);
+        assert_eq!(s.batch_size.count(), 2);
+        // One latency per cell or leg, weighted by its requests.
+        assert_eq!(s.enqueue_to_complete_ns.count(), 7);
+        assert_eq!(s.enqueue_to_complete_ns.sum(), 4_300);
     }
 
     #[test]
@@ -260,12 +294,15 @@ mod tests {
         let m = ServiceMetrics::new();
         m.record_enqueue(1, 1);
         m.record_complete(1, 500);
+        m.record_inline(2, 300);
         let s = m.snapshot();
         let j = s.to_json();
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"enqueue_to_complete_ns\""));
+        assert!(j.contains("\"inline\":2"));
         let p = s.to_prometheus();
-        assert!(p.contains("lf_async_enqueued_total 1"));
+        assert!(p.contains("lf_async_enqueued_total 3"));
+        assert!(p.contains("lf_async_inline_total 2"));
         assert!(p.contains("lf_async_enqueue_to_complete_ns{quantile=\"0.5\"}"));
     }
 }

@@ -236,10 +236,34 @@ impl<K, V> Slots<K, V> {
         }
     }
 
+    fn as_slice(&self) -> &[Slot<K, V>] {
+        match self {
+            Slots::One(s) => std::slice::from_ref(s),
+            Slots::Many(v) => v,
+        }
+    }
+
     fn as_mut_slice(&mut self) -> &mut [Slot<K, V>] {
         match self {
             Slots::One(s) => std::slice::from_mut(s),
             Slots::Many(v) => v,
+        }
+    }
+
+    /// Whether any request still waiting in the slots is a `Scan`.
+    pub(crate) fn has_scan(&self) -> bool {
+        self.as_slice()
+            .iter()
+            .any(|s| matches!(s, Slot::Req(Request::Scan(..))))
+    }
+
+    /// Replace each request, in order, by its outcome `f(i, request)`.
+    pub(crate) fn execute(&mut self, mut f: impl FnMut(usize, Request<K, V>) -> Outcome<V>) {
+        for (i, slot) in self.as_mut_slice().iter_mut().enumerate() {
+            // The placeholder lives only until the outcome replaces it.
+            if let Slot::Req(req) = std::mem::replace(slot, Slot::Out(Err(Error::Shutdown))) {
+                *slot = Slot::Out(f(i, req));
+            }
         }
     }
 
@@ -253,6 +277,17 @@ impl<K, V> Slots<K, V> {
             Slot::Out(o) => o,
             Slot::Req(_) => unreachable!("a completed cell has run every request"),
         })
+    }
+}
+
+/// Causal-trace ids for `len` requests: one each while tracing is on,
+/// and no allocation when it is off (the first mint says which).
+pub(crate) fn mint_ops(len: usize) -> Vec<u64> {
+    match lf_trace::mint_op() {
+        0 => Vec::new(),
+        first => std::iter::once(first)
+            .chain((1..len).map(|_| lf_trace::mint_op()))
+            .collect(),
     }
 }
 
@@ -296,21 +331,13 @@ impl<K, V> OpCell<K, V> {
     /// accounting.
     pub(crate) fn new(slots: Slots<K, V>) -> Self {
         let len = slots.len();
-        // One id per request while tracing is on; no allocation when
-        // it is off (the first mint says which).
-        let ops = match lf_trace::mint_op() {
-            0 => Vec::new(),
-            first => std::iter::once(first)
-                .chain((1..len).map(|_| lf_trace::mint_op()))
-                .collect(),
-        };
         OpCell {
             state: AtomicU8::new(PENDING),
             slots: UnsafeCell::new(slots),
             waker: Mutex::new(None),
             enqueued_at: Instant::now(),
             len,
-            ops,
+            ops: mint_ops(len),
         }
     }
 
@@ -351,17 +378,11 @@ impl<K, V> OpCell<K, V> {
     /// Replace each request, in order, by its outcome `f(i, request)`.
     /// Called once, by the thread that popped the cell, before
     /// [`complete`](Self::complete).
-    pub(crate) fn execute(&self, mut f: impl FnMut(usize, Request<K, V>) -> Outcome<V>) {
+    pub(crate) fn execute(&self, f: impl FnMut(usize, Request<K, V>) -> Outcome<V>) {
         // SAFETY: per the access discipline, popping the cell off the
         // ring makes the caller the sole accessor of `slots` until
         // `complete`'s Release store.
-        let slots = unsafe { &mut *self.slots.get() };
-        for (i, slot) in slots.as_mut_slice().iter_mut().enumerate() {
-            // The placeholder lives only until the outcome replaces it.
-            if let Slot::Req(req) = std::mem::replace(slot, Slot::Out(Err(Error::Shutdown))) {
-                *slot = Slot::Out(f(i, req));
-            }
-        }
+        unsafe { &mut *self.slots.get() }.execute(f);
     }
 
     /// Publish the outcomes and wake the waiting task. Called exactly

@@ -13,6 +13,14 @@
 //! epoch announcement and park, so a drained service never delays
 //! reclamation domain-wide.
 //!
+//! Who executes a lane's requests is decided by the lane's *executor
+//! token*: the worker holds it for each drain, and
+//! [`Service::batch_on`] takes it to run a leg on the caller's own
+//! handle when the lane is idle (open, token free, ring empty). One
+//! holder at a time, and a leg runs inline only while nothing is
+//! queued, so ring order, per-key order and an upsert's atomicity
+//! against the rest of its lane are the same whoever executes.
+//!
 //! Shutdown closes every ring (freezing the claim counters), wakes
 //! everyone, and joins the workers; each worker finishes the batch it
 //! already popped, then resolves everything still queued with
@@ -24,7 +32,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::task::{ready, Context, Poll, Waker};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use lf_core::{ConcurrentMap, FrList, SkipList};
 use lf_map::BucketMap;
@@ -33,7 +41,7 @@ use lf_tagged::Backoff;
 
 use crate::backend::{apply, AsyncBackend, BackendHandle};
 use crate::metrics::{ServiceMetrics, ServiceSnapshot};
-use crate::op::{Error, GetWithVisitor, OpCell, Outcome, Request, Response, Slot, Slots};
+use crate::op::{mint_ops, Error, GetWithVisitor, OpCell, Outcome, Request, Response, Slot, Slots};
 use crate::ring::{Pop, PushError, Ring};
 
 /// What a submission does when its lane's queue is full.
@@ -68,6 +76,10 @@ struct Lane<K, V> {
     /// enqueue-to-complete tail drifts, while the worker re-reads it at
     /// every drain.
     batch_max: AtomicUsize,
+    /// The executor token: set while a thread executes the lane's
+    /// requests — the worker for one drain, or a
+    /// [`Service::batch_on`] caller for one inline leg.
+    token: AtomicBool,
     /// Worker is (about to be) parked; producers that see this take the
     /// parker lock and notify.
     sleeping: AtomicBool,
@@ -82,10 +94,36 @@ impl<K, V> Lane<K, V> {
         Lane {
             ring: Ring::with_capacity(capacity),
             batch_max: AtomicUsize::new(batch_max.max(1)),
+            token: AtomicBool::new(false),
             sleeping: AtomicBool::new(false),
             parker: Mutex::new(()),
             wake: Condvar::new(),
             blocked: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Take the executor token if no one holds it.
+    fn take_token(&self) -> bool {
+        // ord: Acquire/Relaxed — ASYNC.token: the new holder follows everything the last one executed and popped
+        self.token
+            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+            .is_ok()
+    }
+
+    /// Give the executor token back.
+    fn drop_token(&self) {
+        // ord: Release — ASYNC.token: orders this holder's executions and pops before the next holder's
+        self.token.store(false, Ordering::Release);
+    }
+
+    /// Give the token back from a submitting thread. Cells that queued
+    /// while it ran wake the worker under the parker mutex, so the
+    /// hand-back does not wait out the worker's `IDLE_PARK`.
+    fn hand_back(&self) {
+        self.drop_token();
+        if self.ring.len() > 0 {
+            let _guard = self.parker.lock().unwrap_or_else(|e| e.into_inner());
+            self.wake.notify_one();
         }
     }
 
@@ -98,14 +136,19 @@ impl<K, V> Lane<K, V> {
         }
     }
 
-    /// Park the worker until notified or `IDLE_PARK` elapses.
+    /// Park the worker until notified or `IDLE_PARK` elapses, when it
+    /// has nothing to run: its ring is empty, or a submitting thread
+    /// holds the token.
     fn idle_park(&self) {
         let guard = self.parker.lock().unwrap_or_else(|e| e.into_inner());
         // ord: Relaxed — ASYNC.park: advisory flag; a missed notify is bounded by the park timeout
         self.sleeping.store(true, Ordering::Relaxed);
-        // Re-check under the flag: items pushed (or a close issued)
-        // just before we raised it would otherwise sleep a full tick.
-        if self.ring.len() == 0 && !self.ring.is_closed() {
+        // ord: Relaxed — ASYNC.token: park probe; a holder hands back under this mutex, a missed hand-back is bounded by the park timeout
+        let held = self.token.load(Ordering::Relaxed);
+        // Re-check under the flag: items pushed, a close issued or the
+        // token handed back just before we raised it would otherwise
+        // sleep a full tick.
+        if (self.ring.len() == 0 || held) && !self.ring.is_closed() {
             let _ = self
                 .wake
                 .wait_timeout(guard, IDLE_PARK)
@@ -140,10 +183,11 @@ struct Shared<B: AsyncBackend> {
     hearts: Vec<Arc<lf_trace::watchdog::Heartbeat>>,
 }
 
-/// Test-only stall injection: when installed, every lane worker calls
-/// the hook (with its lane index) after dequeuing each request and
-/// before executing it. A hook that sleeps simulates a wedged worker
-/// for watchdog tests. Hidden from docs; not part of the public API
+/// Test-only stall injection: when installed, whichever thread executes
+/// a request — the lane worker, or a [`Service::batch_on`] caller
+/// running an inline leg — calls the hook (with the lane index) before
+/// executing it. A hook that sleeps simulates a wedged worker for
+/// watchdog tests. Hidden from docs; not part of the public API
 /// contract.
 static STALL_HOOK: std::sync::OnceLock<Box<dyn Fn(usize) + Send + Sync>> =
     std::sync::OnceLock::new();
@@ -316,7 +360,7 @@ impl<B: AsyncBackend> Shared<B> {
 
 fn worker_loop<B: AsyncBackend>(shared: &Shared<B>, lane_idx: usize) {
     let lane = &shared.lanes[lane_idx];
-    let hb = shared.hearts.get(lane_idx).cloned();
+    let hb = shared.hearts.get(lane_idx);
     // Every event this worker records carries its lane tag.
     lf_trace::set_thread_lane(lane_idx as u8);
     let handle = shared.backend.handle();
@@ -339,11 +383,16 @@ fn worker_loop<B: AsyncBackend>(shared: &Shared<B>, lane_idx: usize) {
             bmax = cur;
             handle.amortize_pins(bmax as u32);
         }
+        // A drain runs with the executor token in hand. An empty lane is
+        // never claimed, so a submitting thread finds an idle lane's
+        // token free; and a token a submitting thread holds is parked
+        // on, not spun on — its hand-back wakes us.
+        let claimed = lane.ring.len() > 0 && lane.take_token();
         // `batch_max` counts requests, and a cell is never split: the
         // drain stops once it holds that many, its last cell included.
         batch.clear();
         let mut drained = 0;
-        while drained < bmax {
+        while claimed && drained < bmax {
             match lane.ring.pop() {
                 Pop::Item(cell) => {
                     drained += cell.len();
@@ -353,74 +402,130 @@ fn worker_loop<B: AsyncBackend>(shared: &Shared<B>, lane_idx: usize) {
             }
         }
         if batch.is_empty() {
+            if claimed {
+                lane.drop_token();
+            }
             // Withdraw the standing announcement before parking so an
             // idle service never delays reclamation. A parked worker
             // is idle, not stalled: tell the watchdog.
-            if let Some(h) = &hb {
+            if let Some(h) = hb {
                 h.idle();
             }
             handle.quiesce();
             lane.idle_park();
             continue;
         }
-        if let Some(h) = &hb {
+        if let Some(h) = hb {
             h.busy();
         }
         shared.metrics.record_batch(drained);
-        for cell in batch.drain(..) {
-            run_cell(
-                shared,
-                &handle,
-                lane_idx,
-                &cell,
-                drained as u32,
-                hb.as_deref(),
-            );
+        let cells = batch.len();
+        for (i, cell) in batch.drain(..).enumerate() {
+            run_cell(shared, &handle, lane_idx, &cell, drained as u32);
+            if i + 1 == cells {
+                // The whole drain has run: hand the lane back before the
+                // last wake-up, so the task it wakes finds the lane idle.
+                lane.drop_token();
+            }
+            cell.complete();
         }
         // Space was freed: release producers suspended on a full ring.
         lane.wake_blocked();
     }
-    if let Some(h) = &hb {
+    if let Some(h) = hb {
         h.idle();
     }
     handle.flush_reclamation();
 }
 
+/// Execute one request on `handle`: the service's one per-request
+/// routine, run by the lane worker for a drained cell and by a
+/// [`Service::batch_on`] caller for an inline leg, always with lane
+/// `lane_idx`'s executor token held. `op` is the request's trace id and
+/// `drained` the request count of its drain (for the trace).
+fn run_request<B: AsyncBackend>(
+    shared: &Shared<B>,
+    handle: &B::Handle<'_>,
+    lane_idx: usize,
+    op: u64,
+    drained: u32,
+    req: Request<B::Key, B::Value>,
+) -> Outcome<B::Value> {
+    // Adopt the request's identity before any structure access: the
+    // lf-core hooks then attribute their events to the submitting
+    // task's op, not to the executing thread.
+    let trace_guard = lf_trace::enter_op(op);
+    lf_trace::emit_aux(lf_trace::Phase::Dequeue, drained);
+    if let Some(hook) = STALL_HOOK.get() {
+        hook(lane_idx);
+    }
+    let resp = apply(&shared.backend, handle, req);
+    // The front door minted the id, so the async layer — not the sync
+    // op boundary — closes it.
+    lf_trace::emit_for(op, lf_trace::Phase::Complete, 0);
+    drop(trace_guard);
+    if let Some(h) = shared.hearts.get(lane_idx) {
+        h.beat();
+    }
+    Ok(resp)
+}
+
 /// Execute a popped cell's requests back to back under the worker's
-/// batch pin, then complete and wake the cell once. `drained` is the
-/// request count of the drain it belongs to (for the trace).
+/// batch pin and count them; the caller then completes and wakes the
+/// cell once. `drained` is the request count of the drain it belongs
+/// to (for the trace).
 fn run_cell<B: AsyncBackend>(
     shared: &Shared<B>,
     handle: &B::Handle<'_>,
     lane_idx: usize,
     cell: &OpCell<B::Key, B::Value>,
     drained: u32,
-    hb: Option<&lf_trace::watchdog::Heartbeat>,
 ) {
-    cell.execute(|i, req| {
-        // Adopt the request's identity before any structure access: the
-        // lf-core hooks then attribute their events to the submitting
-        // task's op, not to this worker.
-        let op = cell.op_id(i);
-        let trace_guard = lf_trace::enter_op(op);
-        lf_trace::emit_aux(lf_trace::Phase::Dequeue, drained);
-        if let Some(hook) = STALL_HOOK.get() {
-            hook(lane_idx);
-        }
-        let resp = apply(&shared.backend, handle, req);
-        // The front door minted the id, so the async layer — not the
-        // sync op boundary — closes it.
-        lf_trace::emit_for(op, lf_trace::Phase::Complete, 0);
-        drop(trace_guard);
-        if let Some(h) = hb {
-            h.beat();
-        }
-        Ok(resp)
-    });
+    cell.execute(|i, req| run_request(shared, handle, lane_idx, cell.op_id(i), drained, req));
     shared
         .metrics
         .record_complete(cell.len(), cell.elapsed_ns());
-    cell.complete();
+}
+
+/// Run an unsubmitted `leg` on the caller's `handle` if its lane is
+/// idle — open, token free, ring empty under the token — and report
+/// whether it ran; otherwise leave it to queue. A leg holding a `Scan`
+/// always queues: a page walk holds the lane for tens of µs, which a
+/// colliding submitter would wait out on top of a worker wake-up.
+fn run_inline<B: AsyncBackend>(
+    shared: &Shared<B>,
+    handle: &B::Handle<'_>,
+    leg: &mut Leg<B::Key, B::Value>,
+) -> bool {
+    let Flight::Unsubmitted(slots) = &mut leg.flight else {
+        return false;
+    };
+    let lane_idx = leg.lane;
+    let lane = &shared.lanes[lane_idx];
+    if slots.has_scan() || !lane.take_token() {
+        return false;
+    }
+    let idle = lane.ring.len() == 0 && !lane.ring.is_closed();
+    if idle {
+        let start = Instant::now();
+        let mut slots = std::mem::replace(slots, Slots::Many(Vec::new()));
+        let n = slots.len();
+        let ops = mint_ops(n);
+        for &op in &ops {
+            lf_trace::emit_for(op, lf_trace::Phase::Enqueue, lane_idx as u32);
+        }
+        handle.amortize_pins(n as u32);
+        slots.execute(|i, req| {
+            let op = ops.get(i).copied().unwrap_or(0);
+            run_request(shared, handle, lane_idx, op, n as u32, req)
+        });
+        shared
+            .metrics
+            .record_inline(n, start.elapsed().as_nanos() as u64);
+        leg.flight = Flight::Done(slots);
+    }
+    lane.hand_back();
+    idle
 }
 
 /// Resolve everything still queued on a closed lane with
@@ -581,7 +686,12 @@ impl ServiceBuilder {
 ///
 /// Operations return [`OpFuture`]s that are `Send` (tasks may migrate
 /// executor threads between polls) and never hold an epoch guard across
-/// an `.await`: all structure access happens on the lane workers.
+/// an `.await`. Structure access happens on whichever thread holds a
+/// lane's executor token: the lane worker, which drains the ring, or a
+/// [`batch_on`](Service::batch_on) caller, which runs a leg on its own
+/// [`handle`](Service::handle) while the lane is idle and withdraws its
+/// epoch announcement before the call returns — before the future it
+/// hands back can be awaited.
 pub struct Service<B: AsyncBackend> {
     shared: Arc<Shared<B>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -619,9 +729,9 @@ impl<B: AsyncBackend> Service<B> {
         self.op(Request::Insert(key, value))
     }
 
-    /// Insert `key → value`, replacing an existing binding. The lane
-    /// worker retries remove+insert inside **one** ring request, so
-    /// the upsert holds a single slot in its lane's FIFO: a later
+    /// Insert `key → value`, replacing an existing binding. The thread
+    /// executing the lane retries remove+insert inside **one** request,
+    /// so the upsert holds a single place in its lane's order: a later
     /// same-lane request sees either the old binding or the new one,
     /// never the retry loop's gap. Resolves to
     /// `Response::Inserted(true)` once an insert round won, or
@@ -739,6 +849,47 @@ impl<B: AsyncBackend> Service<B> {
             legs: self.shared.split(reqs),
             shared: Arc::clone(&self.shared),
         }
+    }
+
+    /// [`batch`](Service::batch), except that a leg whose lane is idle
+    /// runs right here, on `handle`, before this returns.
+    ///
+    /// A leg runs inline when its lane is open, its executor token is
+    /// free and its ring is empty under the token, and it holds no
+    /// `Scan`; it then touches no ring, worker or waker, and the future
+    /// holds its outcomes already. Every other leg queues exactly as
+    /// under `batch`. One thread holds a lane's token at a time and
+    /// only while nothing is queued, so per-key order, ring order and
+    /// an upsert's atomicity against the rest of its lane are as under
+    /// `batch`. An inline leg counts in the service metrics as a
+    /// drained cell would (plus `inline`, minus the depth sample). It
+    /// runs under one amortized epoch announcement, withdrawn before
+    /// this returns: no pin outlives the call.
+    ///
+    /// `handle` must come from this service's [`handle`](Service::handle).
+    pub fn batch_on(
+        &self,
+        handle: &B::Handle<'_>,
+        reqs: Vec<Request<B::Key, B::Value>>,
+    ) -> BatchFuture<B> {
+        let mut fut = self.batch(reqs);
+        let mut ran = false;
+        for leg in &mut fut.legs {
+            ran |= run_inline(&self.shared, handle, leg);
+        }
+        if ran {
+            handle.quiesce();
+        }
+        fut
+    }
+
+    /// Register the calling thread with the backend: the handle
+    /// [`batch_on`](Service::batch_on) runs inline legs on. Like every
+    /// structure handle it stays on the thread that made it; drop it
+    /// (or call `flush_reclamation` on it) when the thread goes idle
+    /// for long, so what it retired is freed.
+    pub fn handle(&self) -> B::Handle<'_> {
+        self.shared.backend.handle()
     }
 
     /// Racy-fresh size of the underlying structure (no queue round

@@ -12,13 +12,16 @@
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::Barrier;
 use std::task::{Context, Poll};
 
 use lf_async::{
-    AsyncHashMap, AsyncList, AsyncShardedMap, BackpressurePolicy, Response, ServiceBuilder,
+    AsyncHashMap, AsyncList, AsyncShardedMap, AsyncSkipList, BackpressurePolicy, Request, Response,
+    ServiceBuilder,
 };
-use lf_core::FrList;
+use lf_core::{FrList, SkipList};
 use lf_map::BucketMap;
+use lf_reclaim::{Ebr, Reclaim};
 use lf_sched::rt;
 use lf_shard::ShardedSkipList;
 
@@ -170,6 +173,66 @@ fn idle_workers_do_not_pin_garbage() {
         "idle pin kept garbage alive"
     );
 }
+
+/// A caller whose `batch_on` ran its legs inline holds no epoch
+/// announcement once the call has returned, though its handle lives
+/// on: while it sleeps holding the handle, what a churning thread
+/// retires must come free. A standing announcement would let the epoch
+/// move at most one step past it, and nothing retired later could ever
+/// be freed.
+#[test]
+fn inline_caller_holds_no_pin_once_batch_on_returns() {
+    let churn: u64 = if cfg!(miri) { 64 } else { 2_000 };
+    let service: AsyncSkipList<u64, u64> = ServiceBuilder::new().workers(1).build(SkipList::new());
+    let gauge = Ebr::gauge(service.backend().domain());
+    let (ran, release) = (Barrier::new(2), Barrier::new(2));
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let h = service.handle();
+            // A leg of n requests refreshes the announcement every n
+            // unpins; the one-request leg first puts the second leg's
+            // refreshes off its end, so only the withdrawal `batch_on`
+            // owes can leave this handle unannounced.
+            let warm = rt::block_on(service.batch_on(&h, vec![Request::Get(0)]));
+            assert_eq!(warm, vec![Ok(Response::Value(None))]);
+            let reqs = (0..INLINE_KEYS)
+                .flat_map(|k| [Request::Insert(k, k), Request::Remove(k)])
+                .collect();
+            let outs = rt::block_on(service.batch_on(&h, reqs));
+            assert!(outs.iter().all(|o| o.is_ok()));
+            ran.wait();
+            // Asleep, handle alive, until the churn below is judged.
+            release.wait();
+        });
+        ran.wait();
+        assert_eq!(service.metrics().inline, 1 + 2 * INLINE_KEYS);
+        let direct = service.backend().handle();
+        for k in 0..churn {
+            assert!(direct.insert(1_000 + k, k).is_ok());
+            assert_eq!(direct.remove(&(1_000 + k)), Some(k));
+        }
+        let mut left = gauge.unreclaimed();
+        for _ in 0..100 {
+            if left <= INLINE_KEYS {
+                break;
+            }
+            direct.flush_reclamation();
+            left = gauge.unreclaimed();
+        }
+        release.wait();
+        // Only the sleeping caller's own retirements may remain: they
+        // sit in its handle's bags until it collects again.
+        assert!(
+            left <= INLINE_KEYS,
+            "{left} of {} retirements unfreed — the inline caller kept its epoch announcement",
+            gauge.snapshot().retired
+        );
+    });
+    service.shutdown();
+}
+
+/// Keys an inline caller inserts and removes (one retirement each).
+const INLINE_KEYS: u64 = 64;
 
 /// The sharded service upholds the same structural invariant: its
 /// futures — including the zero-copy `GetWithFuture` — are `Send` and

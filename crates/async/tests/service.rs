@@ -814,6 +814,189 @@ fn block_policy_suspends_and_resumes_producers() {
     service.shutdown();
 }
 
+/// What a batch of `u64` requests resolves to.
+type Outcomes = Vec<Result<Response<u64>, Error>>;
+
+/// Point requests of one key and their expected outcomes, in order.
+fn point_batch(k: u64) -> (Vec<Request<u64, u64>>, Outcomes) {
+    (
+        vec![
+            Request::Insert(k, 1),
+            Request::Upsert(k, 2),
+            Request::Get(k),
+            Request::Contains(k),
+            Request::Remove(k),
+            Request::Get(k),
+        ],
+        vec![
+            Ok(Response::Inserted(true)),
+            Ok(Response::Inserted(true)),
+            Ok(Response::Value(Some(2))),
+            Ok(Response::Found(true)),
+            Ok(Response::Removed(Some(2))),
+            Ok(Response::Value(None)),
+        ],
+    )
+}
+
+#[test]
+fn batch_on_runs_inline_on_an_idle_service() {
+    let service = ServiceBuilder::new()
+        .workers(1)
+        .build(FrList::<u64, u64>::new());
+    let h = service.handle();
+    let mut n = 0;
+    for k in 0..10 {
+        let (reqs, want) = point_batch(k);
+        n += reqs.len() as u64;
+        let mut fut = service.batch_on(&h, reqs);
+        // The outcomes are in the future before its first poll.
+        assert_eq!(poll_once(&mut fut), Poll::Ready(want));
+    }
+    let m = service.metrics();
+    assert_eq!((m.inline, m.enqueued, m.completed), (n, n, n));
+    assert_eq!(m.queue_depth.count(), 0, "an inline leg took a ring slot");
+    assert_eq!(m.batch_size.count(), 10);
+    assert_eq!(m.enqueue_to_complete_ns.count(), n);
+    drop(h);
+    service.shutdown();
+}
+
+#[test]
+fn batch_on_queues_while_the_worker_holds_the_token() {
+    let (service, gate) = gated_service(BackpressurePolicy::Block, 64);
+    // The worker pops this insert and parks inside it, token in hand.
+    let mut in_flight = service.insert(1, 10);
+    assert!(poll_once(&mut in_flight).is_pending());
+    gate.wait_for_waiter();
+    // Run inline, this leg would block at the gate on this thread; it
+    // must queue behind the insert instead.
+    let h = service.handle();
+    let mut fut = service.batch_on(
+        &h,
+        vec![Request::Get(1), Request::Insert(2, 20), Request::Get(2)],
+    );
+    assert!(poll_once(&mut fut).is_pending());
+    assert_eq!(service.metrics().inline, 0);
+    gate.open();
+    assert_eq!(rt::block_on(in_flight), Ok(Response::Inserted(true)));
+    assert_eq!(
+        rt::block_on(fut),
+        vec![
+            Ok(Response::Value(Some(10))),
+            Ok(Response::Inserted(true)),
+            Ok(Response::Value(Some(20))),
+        ]
+    );
+    let m = service.metrics();
+    assert_eq!((m.inline, m.enqueued, m.completed), (0, 4, 4));
+    assert_eq!(m.queue_depth.count(), 2);
+    drop(h);
+    service.shutdown();
+}
+
+#[test]
+fn batch_on_queues_a_leg_holding_a_scan() {
+    let service = ServiceBuilder::new()
+        .workers(1)
+        .build(FrList::<u64, u64>::new());
+    let h = service.handle();
+    let log = Arc::new(VisitLog::default());
+    let reqs = vec![
+        Request::Insert(1, 1),
+        Request::Scan(None, 10, Box::new(logging_visitor(&log, 10))),
+    ];
+    assert_eq!(
+        rt::block_on(service.batch_on(&h, reqs)),
+        vec![Ok(Response::Inserted(true)), Ok(Response::Scanned(1))]
+    );
+    assert_eq!(log.closes.load(Ordering::SeqCst), 1);
+    let m = service.metrics();
+    assert_eq!((m.inline, m.enqueued), (0, 2));
+    assert_eq!(m.queue_depth.count(), 1);
+    // The same lane, idle again, takes a point-only leg inline.
+    let (reqs, want) = point_batch(2);
+    assert_eq!(rt::block_on(service.batch_on(&h, reqs)), want);
+    assert_eq!(service.metrics().inline, want.len() as u64);
+    drop(h);
+    service.shutdown();
+}
+
+#[test]
+fn batch_on_after_shutdown_fails_without_touching_the_map() {
+    // The gate never opens: a request that reached the map would block
+    // this thread for good.
+    let (service, _gate) = gated_service(BackpressurePolicy::Block, 64);
+    service.shutdown();
+    let h = service.handle();
+    let outs = rt::block_on(service.batch_on(&h, vec![Request::Insert(1, 1), Request::Get(1)]));
+    assert_eq!(outs, vec![Err(Error::Shutdown); 2]);
+    let m = service.metrics();
+    assert_eq!((m.enqueued, m.inline, m.completed), (0, 0, 0));
+    assert_eq!(service.len(), 0);
+}
+
+/// Four threads call `batch_on` on their own handles beside two threads
+/// submitting futures, all writing one hot key through two lanes. Each
+/// batch reads its own key's last write, overwrites it and then writes
+/// and reads the hot key: every batch must see its previous write to
+/// its own key (its writes take effect in its order) and its own write
+/// to the hot key (nothing runs between two requests of one leg).
+#[test]
+fn batch_on_beside_futures_keeps_each_submitters_order() {
+    const ROUNDS: u64 = if cfg!(miri) { 10 } else { 300 };
+    const HOT: u64 = 7;
+    let service = ServiceBuilder::new()
+        .workers(2)
+        .queue_capacity(8)
+        .build(BucketMap::<u64, u64>::new(16));
+    let round = |t: u64, i: u64| {
+        let own = 1_000 + t;
+        let mark = t << 32 | i;
+        let reqs = vec![
+            Request::Get(own),
+            Request::Upsert(own, i),
+            Request::Upsert(HOT, mark),
+            Request::Get(HOT),
+        ];
+        let want = vec![
+            Ok(Response::Value(i.checked_sub(1))),
+            Ok(Response::Inserted(true)),
+            Ok(Response::Inserted(true)),
+            Ok(Response::Value(Some(mark))),
+        ];
+        (reqs, want)
+    };
+    std::thread::scope(|s| {
+        for t in 0..6u64 {
+            let (service, round) = (&service, &round);
+            s.spawn(move || {
+                let h = (t < 4).then(|| service.handle());
+                for i in 0..ROUNDS {
+                    let (reqs, want) = round(t, i);
+                    let outs = match &h {
+                        Some(h) => rt::block_on(service.batch_on(h, reqs)),
+                        None => rt::block_on(service.batch(reqs)),
+                    };
+                    assert_eq!(outs, want, "submitter {t}, round {i}");
+                }
+            });
+        }
+    });
+    service.shutdown();
+    let m = service.metrics();
+    let total = 6 * ROUNDS * 4;
+    assert_eq!(m.enqueued, total);
+    assert_eq!(m.enqueued, m.completed + m.shed + m.shutdown_dropped);
+    assert_eq!(m.completed, total);
+    assert!(
+        0 < m.inline && m.inline <= m.enqueued,
+        "{} inline",
+        m.inline
+    );
+    assert_eq!(m.enqueue_to_complete_ns.count(), total);
+}
+
 #[test]
 fn concurrent_drivers_no_lost_wakers() {
     let drivers = 4;

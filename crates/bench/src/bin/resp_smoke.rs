@@ -10,8 +10,11 @@
 //! ```
 //!
 //! Exits nonzero if any reply is missing, any command resolves as an
-//! unexpected error, or the server's `INFO` counters disagree with the
-//! client-side tallies. This is the blocking `server-smoke` CI check.
+//! unexpected error, the server's `INFO` counters disagree with the
+//! client-side tallies, or — once every reply is in — the service's
+//! counters break `enqueued == completed + shed` or show no pipeline
+//! run inline (`0 < inline <= enqueued`). This is the blocking
+//! `server-smoke` CI check.
 
 use std::net::SocketAddr;
 use std::process::ExitCode;
@@ -129,6 +132,24 @@ fn main() -> ExitCode {
                      ({}/{}/{})",
                     tally.ok, tally.shed, tally.rejected
                 );
+                return ExitCode::FAILURE;
+            }
+            // Every reply is in, so the service is quiescent: each
+            // request it admitted (queued or run inline) completed or
+            // was shed, and an idle lane ran some pipelines inline.
+            let (enqueued, inline, completed, svc_shed) = (
+                field("enqueued"),
+                field("inline"),
+                field("completed"),
+                field("shed"),
+            );
+            println!("service: enqueued {enqueued} | inline {inline} | completed {completed} | shed {svc_shed}");
+            if inline == 0 || inline > enqueued {
+                eprintln!("FAIL: inline {inline} not in 1..={enqueued}");
+                return ExitCode::FAILURE;
+            }
+            if enqueued != completed.saturating_add(svc_shed) {
+                eprintln!("FAIL: enqueued {enqueued} != completed {completed} + shed {svc_shed}");
                 return ExitCode::FAILURE;
             }
         }

@@ -8,7 +8,8 @@
 //! tasks whose flag is raised and parking when none is. Both are
 //! deliberately tiny — correctness (no lost wakeups, no busy spinning)
 //! over throughput tricks — because the service being driven does its
-//! real work on its own lane workers.
+//! real work elsewhere: on its lane workers, or, for a leg that ran
+//! inline, before the future was even handed back.
 
 use std::future::Future;
 use std::pin::Pin;
@@ -53,16 +54,25 @@ impl ThreadWaker {
 
 /// Drive `fut` to completion on the calling thread.
 ///
+/// The first poll uses a no-op waker, so a future that is already
+/// resolved costs no allocation and no `Thread` clone; one that is not
+/// is polled again at once with the parking waker, which replaces the
+/// no-op one wherever the first poll registered it.
+///
 /// Spurious unparks (e.g. from an unrelated `Thread::unpark`) are
 /// harmless: the loop re-polls only when the ready flag is raised and
 /// re-parks otherwise.
 pub fn block_on<F: Future>(fut: F) -> F::Output {
+    // SAFETY: `fut` is shadowed and never moved again — pinning it to
+    // this stack slot upholds `Pin`'s contract for the polls below.
+    let mut fut = std::pin::pin!(fut);
+    if let Poll::Ready(out) = fut.as_mut().poll(&mut Context::from_waker(Waker::noop())) {
+        return out;
+    }
+    // The flag starts raised, so the loop's first pass re-polls.
     let waker_impl = ThreadWaker::new();
     let waker = Waker::from(Arc::clone(&waker_impl));
     let mut cx = Context::from_waker(&waker);
-    // SAFETY: `fut` is shadowed and never moved again — pinning it to
-    // this stack slot upholds `Pin`'s contract for the loop below.
-    let mut fut = std::pin::pin!(fut);
     loop {
         if waker_impl.take_ready() {
             if let Poll::Ready(out) = fut.as_mut().poll(&mut cx) {
@@ -169,6 +179,43 @@ mod tests {
     #[test]
     fn block_on_ready_future() {
         assert_eq!(block_on(async { 41 + 1 }), 42);
+    }
+
+    /// Whether `cx` carries the no-op waker. Its data pointer is null,
+    /// while a parking waker's points at its `Arc` (comparing vtables
+    /// is not reliable: a `const` vtable may be duplicated).
+    fn is_noop(cx: &Context<'_>) -> bool {
+        cx.waker().data().is_null()
+    }
+
+    /// A future ready on its first poll is polled exactly once, with
+    /// the no-op waker: no parking waker is built for it.
+    #[test]
+    fn block_on_polls_a_ready_future_once_with_the_noop_waker() {
+        let mut polls = 0;
+        let got = block_on(std::future::poll_fn(|cx| {
+            polls += 1;
+            assert!(is_noop(cx));
+            Poll::Ready(7)
+        }));
+        assert_eq!((got, polls), (7, 1));
+    }
+
+    /// A future pending on its first poll is re-polled with the
+    /// parking waker before the thread parks, so a waker it registered
+    /// on the first poll is replaced, not relied on.
+    #[test]
+    fn block_on_repolls_a_pending_future_with_the_parking_waker() {
+        let mut polls = 0;
+        let got = block_on(std::future::poll_fn(|cx| {
+            polls += 1;
+            if is_noop(cx) {
+                Poll::Pending
+            } else {
+                Poll::Ready(polls)
+            }
+        }));
+        assert_eq!(got, 2);
     }
 
     #[test]

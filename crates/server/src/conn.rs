@@ -1,30 +1,32 @@
-//! One connection's lifecycle: read → parse a pipeline → submit it as
-//! one batch → sleep once → write replies in arrival order.
+//! One connection's lifecycle: read → parse a pipeline → run it as one
+//! batch → write replies in arrival order.
 //!
 //! The parse phase turns a whole read chunk into pending replies:
 //! PING, INFO and command errors are rendered on the spot, and every
-//! keyed command appends its ring requests to the pipeline's one
-//! request vector (`DEL`/`EXISTS`/`MGET` one per key, `SET` one
-//! worker-side upsert, `SCAN` one page walk). The vector goes to
-//! `lf-async` as a single [`Service::batch`], which takes one ring slot
-//! per lane it touches — so ring occupancy is counted in *pipelines*,
-//! not commands — and the thread sleeps once, until every lane's cell
-//! has completed. The render phase then walks the pending replies in
-//! arrival order, each taking its requests' outcomes off the front of
-//! the batch's result vector.
+//! keyed command appends its requests to the pipeline's one request
+//! vector (`DEL`/`EXISTS`/`MGET` one per key, `SET` one upsert, `SCAN`
+//! one page walk). The vector goes to `lf-async` as a single
+//! [`Service::batch_on`]: a lane the pipeline touches that is idle runs
+//! its leg right here, on this connection's handle, and every other leg
+//! takes one ring slot on its lane — so ring occupancy is counted in
+//! *pipelines*, not commands — and the thread sleeps once, until every
+//! queued cell has completed. An uncontended pipeline of point commands
+//! never touches a ring, a worker or a waker. The render phase then
+//! walks the pending replies in arrival order, each taking its
+//! requests' outcomes off the front of the batch's result vector.
 //!
 //! Reply order alone is not RESP's whole contract: effects must be
 //! ordered too, at least per key ("SET k; GET k" pipelined must read
-//! the write). The batch gives that by construction: it keeps one cell
+//! the write). The batch gives that by construction: it keeps one leg
 //! per lane, every request touching one key lands on the same lane
 //! (the backend's partition affinity, or the batch's one lane on tiers
-//! without it), and a worker runs a cell's requests back to back in
-//! parse order. Cross-key effect order between lanes stays unspecified
-//! (SCAN in particular reads weakly consistently against in-flight
-//! writes). `SET` is a single worker-side upsert request, so no
-//! caller-side retry loop can interleave with later commands. Parsing
-//! stops at `QUIT` (and an allowed `SHUTDOWN`): nothing pipelined
-//! behind it runs.
+//! without it), and whoever holds the lane — its worker, or this thread
+//! while the lane is idle — runs a leg's requests back to back in parse
+//! order. Cross-key effect order between lanes stays unspecified (SCAN
+//! in particular reads weakly consistently against in-flight writes).
+//! `SET` is a single upsert request, so no caller-side retry loop can
+//! interleave with later commands. Parsing stops at `QUIT` (and an
+//! allowed `SHUTDOWN`): nothing pipelined behind it runs.
 //!
 //! Backpressure is protocol-visible: a request the service sheds or
 //! rejects resolves this side as `-BUSY shed` / `-BUSY rejected`, one
@@ -35,10 +37,14 @@
 //! reply (`-BUSY shed; partial: …`) rather than pretending the whole
 //! command was refused.
 //!
-//! No epoch guard ever exists on this thread: connection code touches
-//! sockets and completion cells only, and every structure access
-//! happens on a lane worker. That includes SCAN: its keys are
-//! RESP-encoded in place by a visitor running on the worker
+//! No epoch guard outlives a pipeline on this thread. The connection's
+//! structure handle is made on its first keyed pipeline (a connection
+//! that never sends one never registers), and an inline leg runs under
+//! one amortized announcement that `batch_on` withdraws before it
+//! returns — before any socket call. When a read times out the handle
+//! flushes, so what the connection retired is freed while it idles, and
+//! it is dropped when the connection closes. SCAN always queues: its
+//! keys are RESP-encoded in place by a visitor running on the worker
 //! ([`scan_page_visitor`]), and this thread only splices the finished
 //! page into its reply. The `pin_hygiene` integration test pins this
 //! down with the unreclaimed-gauge audit.
@@ -49,7 +55,7 @@ use std::ops::Range;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use lf_async::{Error, Request, Response, Service};
+use lf_async::{BackendHandle as _, Error, Request, Response, Service};
 use lf_sched::rt;
 
 use crate::metrics::ServerMetrics;
@@ -117,7 +123,7 @@ enum Pending {
     Ready(Vec<u8>, ReadyKind),
     /// GET — bulk value or null.
     Get,
-    /// SET — one worker-side upsert request.
+    /// SET — one upsert request.
     Set,
     /// DEL / EXISTS — integer count of hits across `keys` requests.
     /// `write` marks DEL: its busy reply must disclose partial
@@ -169,6 +175,8 @@ pub(crate) fn run<B: ByteBackend>(
     let mut inbuf: Vec<u8> = Vec::with_capacity(16 * 1024);
     let mut chunk = [0u8; 16 * 1024];
     let mut out: Vec<u8> = Vec::with_capacity(16 * 1024);
+    // Made on the first keyed pipeline, not at accept.
+    let mut handle: Option<B::Handle<'_>> = None;
     loop {
         if stop.is_set() {
             break;
@@ -187,7 +195,11 @@ pub(crate) fn run<B: ByteBackend>(
                         | std::io::ErrorKind::Interrupted
                 ) =>
             {
-                continue
+                // Idle: free what this connection's inline legs retired.
+                if let Some(h) = &handle {
+                    h.flush_reclamation();
+                }
+                continue;
             }
             Err(_) => break,
         };
@@ -223,9 +235,15 @@ pub(crate) fn run<B: ByteBackend>(
         if !pending.is_empty() {
             metrics.record_pipeline(pending.len() as u64);
         }
-        // One batch, one sleep: the thread is woken when the last of
-        // the batch's cells completes, not once per reply.
-        let outcomes = rt::block_on(service.batch(reqs));
+        // One batch, at most one sleep: idle lanes' legs run inline, and
+        // the thread is woken when the last queued cell completes, not
+        // once per reply.
+        let outcomes = if reqs.is_empty() {
+            Vec::new()
+        } else {
+            let h = handle.get_or_insert_with(|| service.handle());
+            rt::block_on(service.batch_on(h, reqs))
+        };
         // Render phase: serialize strictly in arrival order, each
         // command taking its outcomes off the front.
         let mut rest = &outcomes[..];
@@ -536,6 +554,7 @@ fn info_text<B: ByteBackend>(service: &Service<B>, metrics: &ServerMetrics) -> S
     let _ = writeln!(out, "# Service");
     let _ = writeln!(out, "keys:{}", service.len());
     let _ = writeln!(out, "enqueued:{}", svc.enqueued);
+    let _ = writeln!(out, "inline:{}", svc.inline);
     let _ = writeln!(out, "completed:{}", svc.completed);
     let _ = writeln!(out, "rejected:{}", svc.rejected);
     let _ = writeln!(out, "shed:{}", svc.shed);

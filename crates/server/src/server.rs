@@ -4,12 +4,14 @@
 //! Threading model: **thread per connection over blocking sockets with
 //! read timeouts**. The build environment has no async I/O reactor
 //! (no epoll wrapper, no tokio), and none is needed — the submission
-//! rings are the multiplexing point. A connection thread only parses
-//! bytes and awaits completion cells; all structure access (and all
-//! epoch pinning) happens on the `lf-async` lane workers, which is what
-//! keeps the pin-per-poll invariant trivially true at the wire layer:
-//! there is no guard *anywhere* on a connection thread to hold across
-//! an await (asserted by the `pin_hygiene` integration test).
+//! rings are the multiplexing point. A connection thread parses bytes
+//! and hands each pipeline to `lf-async` through its own structure
+//! handle (made on its first keyed pipeline): a leg whose lane is idle
+//! runs right there, and the rest queue to the lane workers and are
+//! awaited on completion cells. Every epoch announcement an inline leg
+//! makes is withdrawn before `batch_on` returns, so no guard lives
+//! across a socket call or an await on a connection thread (asserted by
+//! the `pin_hygiene` integration test).
 //!
 //! Shutdown: [`StopSignal`] is a flag + condvar pair every thread
 //! checks on its timeout. Setting it also makes a loopback

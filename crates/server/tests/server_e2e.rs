@@ -946,6 +946,74 @@ fn del_spanning_lanes_discloses_a_refused_lane() {
     service.shutdown();
 }
 
+/// Keys a connection sets and then deletes inline before it idles.
+const IDLE_DELS: usize = 2_000;
+
+/// A connection whose pipelines ran inline retired every DEL's tower
+/// through its own handle, whose garbage only it can free. Idling past
+/// its read timeout must free it while the connection stays open.
+#[test]
+fn idle_connection_frees_what_it_retired_inline() {
+    use lf_reclaim::{Ebr, Reclaim};
+    let service = Arc::new(
+        ServiceBuilder::new()
+            .workers(1)
+            .build(SkipList::<Bytes, Bytes>::new()),
+    );
+    let server = ServerBuilder::new()
+        .read_timeout(Duration::from_millis(5))
+        .serve(Arc::clone(&service))
+        .unwrap();
+    let mut c = Client::connect(server.local_addr());
+    const BURST: usize = 100;
+    for phase in [b"SET".as_slice(), b"DEL".as_slice()] {
+        for burst in (0..IDLE_DELS).step_by(BURST) {
+            for i in burst..burst + BURST {
+                let k = format!("idle-{i}");
+                match phase {
+                    b"SET" => c.push(&[phase, k.as_bytes(), b"v"]),
+                    _ => c.push(&[phase, k.as_bytes()]),
+                }
+            }
+            c.flush();
+            let want = if phase == b"SET" {
+                simple("OK")
+            } else {
+                Reply::Int(1)
+            };
+            assert!(c.read_replies(BURST).iter().all(|r| *r == want));
+        }
+    }
+    // One client and nothing queued: every pipeline ran inline.
+    let svc = service.metrics();
+    assert_eq!(svc.inline, svc.enqueued);
+    assert_eq!(svc.inline, 2 * IDLE_DELS as u64);
+
+    let gauge = Ebr::gauge(service.backend().domain());
+    assert!(gauge.snapshot().retired >= IDLE_DELS as u64);
+    // This side only advances the epoch; what the idle connection
+    // retired is its own to free.
+    let advance = service.backend().handle();
+    let mut left = gauge.unreclaimed();
+    for _ in 0..1_000 {
+        if left == 0 {
+            break;
+        }
+        advance.flush_reclamation();
+        std::thread::sleep(Duration::from_millis(2));
+        left = gauge.unreclaimed();
+    }
+    // Nothing else retires here, so the drain must be complete.
+    assert_eq!(
+        left, 0,
+        "retirements unfreed after the connection idled — it never flushed its handle"
+    );
+    assert_eq!(c.roundtrip(&[b"PING"]), simple("PONG"));
+    drop(c);
+    server.stop();
+    service.shutdown();
+}
+
 #[test]
 fn protocol_error_closes_the_connection() {
     let service = Arc::new(

@@ -5,9 +5,12 @@
 # tracing enabled, hammers it with 50k pipelined commands through the
 # lf-bench smoke client (which verifies, command for command, that
 # every one resolved as exactly ok, `-BUSY shed`, or `-BUSY rejected`,
-# and that the server's INFO counters agree), shuts the server down
-# over the wire, and finally has `lf-trace check` audit the dump the
-# server wrote on exit.
+# that the server's INFO counters agree, and that the service's own
+# counters close at quiescence: `enqueued == completed + shed`, with
+# `0 < inline <= enqueued` — pipelines that found their lane idle ran
+# on the connection thread), shuts the server down over the wire, and
+# finally has `lf-trace check` audit the dump the server wrote on exit,
+# inline legs' events included.
 #
 #   ./scripts/server_smoke.sh             # default port 7463, 50k ops
 #   SMOKE_PORT=7500 SMOKE_OPS=100000 ./scripts/server_smoke.sh
