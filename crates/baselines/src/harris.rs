@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use lf_metrics::CasType;
 use lf_reclaim::{Collector, Guard, LocalHandle};
-use lf_tagged::{AtomicTaggedPtr, TaggedPtr};
+use lf_tagged::{step, AtomicTaggedPtr, StepKind, TaggedPtr};
 
 use crate::Bound;
 
@@ -138,6 +138,7 @@ where
         unsafe {
             'retry: loop {
                 let mut left = self.head;
+                step(StepKind::Read);
                 let mut left_succ = (*left).succ.load(Ordering::SeqCst);
                 let right;
 
@@ -156,7 +157,9 @@ where
                             // Walked off the tail; can only happen transiently.
                             continue 'retry;
                         }
+                        step(StepKind::Traverse);
                         lf_metrics::record_curr_update();
+                        step(StepKind::Read);
                         t_succ = (*t).succ.load(Ordering::SeqCst);
                         let key_lt = match &(*t).key {
                             Bound::NegInf => true,
@@ -172,6 +175,7 @@ where
 
                 // Phase 2: already adjacent?
                 if left_succ.ptr() == right {
+                    step(StepKind::Read);
                     if !right.is_null() && (*right).succ.load(Ordering::SeqCst).is_marked() {
                         continue 'retry;
                     }
@@ -179,6 +183,7 @@ where
                 }
 
                 // Phase 3: snip the marked chain between left and right.
+                step(StepKind::CasUnlink);
                 let res = (*left).succ.compare_exchange(
                     left_succ,
                     TaggedPtr::unmarked(right),
@@ -207,6 +212,7 @@ where
                         }
                         cur = next;
                     }
+                    step(StepKind::Read);
                     if !(*right).succ.load(Ordering::SeqCst).is_marked() {
                         return (left, right);
                     }
@@ -233,6 +239,7 @@ where
                 (*new_node)
                     .succ
                     .store(TaggedPtr::unmarked(right), Ordering::SeqCst);
+                step(StepKind::CasInsert);
                 let res = (*left).succ.compare_exchange(
                     TaggedPtr::unmarked(right),
                     TaggedPtr::unmarked(new_node),
@@ -263,11 +270,13 @@ where
                 if (*right).key.as_key() != Some(k) {
                     return None;
                 }
+                step(StepKind::Read);
                 let right_succ = (*right).succ.load(Ordering::SeqCst);
                 if right_succ.is_marked() {
                     // Another deleter got here first; restart to confirm.
                     continue;
                 }
+                step(StepKind::CasMark);
                 let res = (*right).succ.compare_exchange(
                     right_succ,
                     right_succ.with_mark(),

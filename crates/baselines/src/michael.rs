@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use lf_hazard::{Domain, HazardHandle};
 use lf_metrics::CasType;
-use lf_tagged::{AtomicTaggedPtr, TaggedPtr};
+use lf_tagged::{step, AtomicTaggedPtr, StepKind, TaggedPtr};
 
 use crate::Bound;
 
@@ -149,18 +149,22 @@ where
                 // The head is never retired; no hazard needed for it.
                 hazard.clear(0);
                 let mut prev_field: *const AtomicTaggedPtr<Node<K, V>> = &(*self.head).succ;
+                step(StepKind::Read);
                 let mut cur = (*prev_field).load(Ordering::SeqCst).ptr();
                 loop {
                     // Publish cur, then validate prev still points at it
                     // cleanly (Michael's ⟨0, cur⟩ check).
                     hazard.publish(1, cur);
+                    step(StepKind::Read);
                     let check = (*prev_field).load(Ordering::SeqCst);
                     if check.ptr() != cur || check.is_marked() {
                         continue 'retry;
                     }
+                    step(StepKind::Read);
                     let cur_succ = (*cur).succ.load(Ordering::SeqCst);
                     if cur_succ.is_marked() {
                         // cur is logically deleted: unlink this single node.
+                        step(StepKind::CasUnlink);
                         let res = (*prev_field).compare_exchange(
                             TaggedPtr::unmarked(cur),
                             TaggedPtr::unmarked(cur_succ.ptr()),
@@ -190,6 +194,7 @@ where
                         };
                     }
                     // Advance: cur becomes the predecessor (rotate hazards).
+                    step(StepKind::Traverse);
                     hazard.publish(0, cur);
                     prev_field = &(*cur).succ;
                     cur = cur_succ.ptr();
@@ -255,6 +260,7 @@ where
                 (*new_node)
                     .succ
                     .store(TaggedPtr::unmarked(f.cur), Ordering::SeqCst);
+                step(StepKind::CasInsert);
                 let res = (*f.prev_field).compare_exchange(
                     TaggedPtr::unmarked(f.cur),
                     TaggedPtr::unmarked(new_node),
@@ -290,6 +296,7 @@ where
                     break None;
                 }
                 // Logical deletion: mark cur's successor field.
+                step(StepKind::CasMark);
                 let res = (*f.cur).succ.compare_exchange(
                     f.cur_succ,
                     f.cur_succ.with_mark(),
@@ -304,6 +311,7 @@ where
                 let value = (*f.cur).element.clone().expect("user node has element");
                 // Physical deletion: try the single unlink; on failure
                 // a later find will do it.
+                step(StepKind::CasUnlink);
                 let unlinked = (*f.prev_field)
                     .compare_exchange(
                         TaggedPtr::unmarked(f.cur),

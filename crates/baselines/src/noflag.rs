@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use lf_metrics::CasType;
-use lf_tagged::{AtomicTaggedPtr, TaggedPtr};
+use lf_tagged::{step, AtomicTaggedPtr, StepKind, TaggedPtr};
 
 use crate::Bound;
 
@@ -169,7 +169,9 @@ where
     unsafe fn help_marked(&self, prev: *mut Node<K, V>, del: *mut Node<K, V>) {
         // SAFETY: the fn's `# Safety` contract covers the whole body.
         unsafe {
+            step(StepKind::Read);
             let next = (*del).right();
+            step(StepKind::CasUnlink);
             let res = (*prev).succ.compare_exchange(
                 TaggedPtr::unmarked(del),
                 TaggedPtr::unmarked(next),
@@ -196,13 +198,16 @@ where
     ) -> (*mut Node<K, V>, *mut Node<K, V>) {
         // SAFETY: the fn's `# Safety` contract covers the whole body.
         unsafe {
+            step(StepKind::Read);
             let mut next = (*curr).right();
             while key_before(&(*next).key, k, mode) {
                 loop {
+                    step(StepKind::Read);
                     let next_succ = (*next).succ();
                     if !next_succ.is_marked() {
                         break;
                     }
+                    step(StepKind::Read);
                     let curr_succ = (*curr).succ();
                     if curr_succ.is_marked() && curr_succ.ptr() == next {
                         break;
@@ -210,12 +215,15 @@ where
                     if (*curr).right() == next {
                         self.help_marked(curr, next);
                     }
+                    step(StepKind::Read);
                     next = (*curr).right();
                     lf_metrics::record_next_update();
                 }
                 if key_before(&(*next).key, k, mode) {
+                    step(StepKind::Traverse);
                     curr = next;
                     lf_metrics::record_curr_update();
+                    step(StepKind::Read);
                     next = (*curr).right();
                 }
             }
@@ -232,7 +240,12 @@ where
     unsafe fn recover(&self, mut prev: *mut Node<K, V>) -> *mut Node<K, V> {
         // SAFETY: the fn's `# Safety` contract covers the whole body.
         unsafe {
-            while (*prev).is_marked() {
+            loop {
+                step(StepKind::Read);
+                if !(*prev).is_marked() {
+                    break;
+                }
+                step(StepKind::Backlink);
                 let back = (*prev).backlink.load(Ordering::SeqCst);
                 if back.is_null() {
                     // Marked before any deleter stored a backlink is
@@ -263,6 +276,7 @@ where
                 (*new_node)
                     .succ
                     .store(TaggedPtr::unmarked(next), Ordering::SeqCst);
+                step(StepKind::CasInsert);
                 let res = (*prev).succ.compare_exchange(
                     TaggedPtr::unmarked(next),
                     TaggedPtr::unmarked(new_node),
@@ -304,12 +318,15 @@ where
             loop {
                 // Store the backlink to the last-known predecessor *before*
                 // marking — without a flag, `prev` may already be marked.
+                step(StepKind::Write);
                 (*del).backlink.store(prev, Ordering::SeqCst);
+                step(StepKind::Read);
                 let del_succ = (*del).succ();
                 if del_succ.is_marked() {
                     // Another operation's deletion wins.
                     return None;
                 }
+                step(StepKind::CasMark);
                 let res = (*del).succ.compare_exchange(
                     del_succ,
                     del_succ.with_mark(),

@@ -12,12 +12,13 @@
 //! and verify that a fresh wave of operations still completes, with
 //! bounded extra work. The lock-based baselines cannot pass this test
 //! even conceptually: a halted lock holder blocks everyone forever.
+//! The list is the shipped `FrList`, each operation a scheduler
+//! process on its own per-thread handle.
 
-use std::sync::Arc;
-
-use lf_sched::sim::SimFrList;
+use lf_core::FrList;
 use lf_sched::{Scheduler, StepKind};
 
+use super::{prefilled, spawn_op};
 use crate::table::{fmt_f, Table};
 
 struct Outcome {
@@ -29,48 +30,40 @@ struct Outcome {
 /// `n` keys; `halted` deleters are stopped right after their flag C&S
 /// lands; then `survivors` fresh operations (mixed insert/delete) must
 /// all complete.
-fn run_with_failures(n: usize, halted: usize, survivors: usize) -> Outcome {
+fn run_with_failures(n: u64, halted: u64, survivors: u64) -> Outcome {
     let sched = Scheduler::new();
-    let list = Arc::new(SimFrList::new());
-    for k in 1..=n as i64 {
-        let l = list.clone();
-        let op = sched.spawn(move |p| l.insert(k, &p));
-        sched.run_to_completion(op.pid());
-        assert!(op.join());
-    }
+    let list = prefilled::<FrList<u64, u64>>(&sched, 1..=n);
 
     // Halt deleters immediately after their flagging C&S: their victims'
     // predecessors are left flagged — the most obstructive lock-free
     // state an operation can abandon.
-    let mut stalled = Vec::new();
-    for i in 0..halted {
-        // Spread victims across the list.
-        let key = ((i + 1) * n / (halted + 1)).max(1) as i64;
-        let l = list.clone();
-        let d = sched.spawn(move |p| l.delete(key, &p));
-        let paused = sched.run_until_pending(d.pid(), |k| k == StepKind::CasFlag);
-        assert!(paused, "deleter finished before flagging");
-        sched.grant(d.pid(), 1); // execute the flag C&S, then never again
-        let _ = sched.peek(d.pid());
-        stalled.push(d);
-    }
+    let stalled: Vec<_> = (0..halted)
+        .map(|i| {
+            // Spread victims across the list.
+            let key = ((i + 1) * n / (halted + 1)).max(1);
+            let d = spawn_op(&sched, &list, move |h| h.remove(&key).is_some());
+            let paused = sched.run_until_pending(d.pid(), |k| k == StepKind::CasFlag);
+            assert!(paused, "deleter finished before flagging");
+            sched.grant(d.pid(), 1); // execute the flag C&S, then never again
+            d
+        })
+        .collect();
 
     // A fresh wave of operations must all complete despite the stalls
     // (they help the abandoned deletions through).
-    let mut ops = Vec::new();
-    for i in 0..survivors {
-        let l = list.clone();
-        if i % 2 == 0 {
-            let key = (n + i + 10) as i64;
-            ops.push(sched.spawn(move |p| l.insert(key, &p)));
-        } else {
-            let key = (i % n + 1) as i64;
-            ops.push(sched.spawn(move |p| {
-                let _ = l.delete(key, &p);
-                true
-            }));
-        }
-    }
+    let ops: Vec<_> = (0..survivors)
+        .map(|i| {
+            if i % 2 == 0 {
+                let key = n + i + 10;
+                spawn_op(&sched, &list, move |h| h.insert(key, key).is_ok())
+            } else {
+                spawn_op(&sched, &list, move |h| {
+                    h.remove(&(i % n + 1));
+                    true
+                })
+            }
+        })
+        .collect();
     let mut survivor_steps = 0;
     for op in ops {
         sched.run_to_completion(op.pid());
@@ -82,12 +75,12 @@ fn run_with_failures(n: usize, halted: usize, survivors: usize) -> Outcome {
     // operations were already completed *for* them by helpers.
     for d in stalled {
         sched.run_to_completion(d.pid());
-        let _ = d.join();
+        d.join();
     }
 
     Outcome {
         survivor_steps,
-        survivor_ops: survivors as u64,
+        survivor_ops: survivors,
     }
 }
 
@@ -99,7 +92,7 @@ pub fn run(quick: bool) {
 
     let n = if quick { 64 } else { 128 };
     let survivors = if quick { 16 } else { 32 };
-    let halted_counts: &[usize] = if quick {
+    let halted_counts: &[u64] = if quick {
         &[0, 1, 4, 8]
     } else {
         &[0, 1, 4, 8, 16]

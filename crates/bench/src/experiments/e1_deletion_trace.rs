@@ -1,26 +1,26 @@
 //! E1 — Fig. 2: deletion is exactly flag → mark → physically delete.
 //!
-//! Replays a deletion step-by-step on the deterministic scheduler and
-//! prints the successor-field states after every shared-memory step,
-//! reproducing the three panels of the paper's Figure 2.
+//! Replays a deletion on the shipped `FrList` step-by-step on the
+//! deterministic scheduler and prints the successor-field states after
+//! every essential step, reproducing the three panels of the paper's
+//! Figure 2.
 
-use std::sync::Arc;
-
-use lf_sched::sim::SimFrList;
+use lf_core::FrList;
 use lf_sched::{Observation, Scheduler, StepKind};
 
+use super::{prefilled, spawn_op};
 use crate::table::Table;
 
-fn render_state(dump: &[(i64, bool, bool)]) -> String {
+fn render_state(dump: &[(Option<u64>, bool, bool)]) -> String {
     let mut s = String::new();
     for (i, (key, mark, flag)) in dump.iter().enumerate() {
         if i > 0 {
             s.push_str(" -> ");
         }
-        let label = match *key {
-            i64::MIN => "head".to_string(),
-            i64::MAX => "tail".to_string(),
-            k => k.to_string(),
+        let label = match key {
+            None if i == 0 => "head".to_string(),
+            None => "tail".to_string(),
+            Some(k) => k.to_string(),
         };
         let tag = match (mark, flag) {
             (true, _) => "[X]", // marked (crossed in Fig. 2)
@@ -40,16 +40,8 @@ pub fn run(_quick: bool) {
     println!("    [F] = successor field flagged, [X] = marked\n");
 
     let sched = Scheduler::new();
-    let list = Arc::new(SimFrList::new());
-    for k in [1, 2, 3] {
-        let l = list.clone();
-        let op = sched.spawn(move |p| l.insert(k, &p));
-        sched.run_to_completion(op.pid());
-        op.join();
-    }
-
-    let l = list.clone();
-    let op = sched.spawn(move |p| l.delete(2, &p));
+    let list = prefilled::<FrList<u64, u64>>(&sched, [1, 2, 3]);
+    let op = spawn_op(&sched, &list, |h| h.remove(&2).is_some());
     let pid = op.pid();
 
     let mut table = Table::new(["step", "pending action", "list state after step"]);
@@ -59,11 +51,8 @@ pub fn run(_quick: bool) {
         match sched.peek(pid) {
             Observation::Finished => break,
             Observation::Pending(kind) => {
+                // The grant returns once the step has landed.
                 sched.grant(pid, 1);
-                // Wait for the step to land before dumping.
-                match sched.peek(pid) {
-                    Observation::Finished | Observation::Pending(_) => {}
-                }
                 step_no += 1;
                 if kind.is_cas() {
                     cas_seen.push(kind);

@@ -7,60 +7,21 @@
 //! then runs the deletion of the current last node to completion, then
 //! resumes the inserters (whose C&S now fails).
 //!
+//! The processes run the shipped lists — `FrList` and the Harris and
+//! Michael baselines — each operation on its own per-thread handle.
+//!
 //! Paper claim: Harris's list does `Ω(q·n²)` total work (every failed
 //! inserter restarts from the head), i.e. `Ω(n̄·c̄)` per operation,
 //! while the Fomitchev–Ruppert list recovers through backlinks for
 //! `O(c)` extra steps per failure, keeping the average `O(n̄ + c̄)`.
 
-use std::sync::Arc;
+use lf_baselines::{HarrisList, MichaelList};
+use lf_core::FrList;
+use lf_sched::{Scheduler, StepKind};
 
-use lf_sched::sim::{SimFrList, SimHarrisList, SimMichaelList};
-use lf_sched::{Proc, Scheduler, StepKind};
-
+use super::{prefilled, run_op, spawn_op};
+use crate::adapters::{BenchMap, MapHandle};
 use crate::table::{fmt_f, Table};
-
-/// Abstraction over the two simulated lists.
-trait AdvList: Send + Sync + 'static {
-    fn create() -> Self;
-    fn insert(&self, k: i64, p: &Proc) -> bool;
-    fn delete(&self, k: i64, p: &Proc) -> bool;
-}
-
-impl AdvList for SimFrList {
-    fn create() -> Self {
-        SimFrList::new()
-    }
-    fn insert(&self, k: i64, p: &Proc) -> bool {
-        SimFrList::insert(self, k, p)
-    }
-    fn delete(&self, k: i64, p: &Proc) -> bool {
-        SimFrList::delete(self, k, p)
-    }
-}
-
-impl AdvList for SimHarrisList {
-    fn create() -> Self {
-        SimHarrisList::new()
-    }
-    fn insert(&self, k: i64, p: &Proc) -> bool {
-        SimHarrisList::insert(self, k, p)
-    }
-    fn delete(&self, k: i64, p: &Proc) -> bool {
-        SimHarrisList::delete(self, k, p)
-    }
-}
-
-impl AdvList for SimMichaelList {
-    fn create() -> Self {
-        SimMichaelList::new()
-    }
-    fn insert(&self, k: i64, p: &Proc) -> bool {
-        SimMichaelList::insert(self, k, p)
-    }
-    fn delete(&self, k: i64, p: &Proc) -> bool {
-        SimMichaelList::delete(self, k, p)
-    }
-}
 
 struct AdvOutcome {
     total_steps: u64,
@@ -70,28 +31,19 @@ struct AdvOutcome {
 
 /// Run the adversarial schedule with `n` initial keys and `q` processes
 /// (`q − 1` inserters + 1 deleter role).
-fn run_adversary<L: AdvList>(n: usize, q: usize) -> AdvOutcome {
+fn run_adversary<M: BenchMap>(n: u64, q: u64) -> AdvOutcome {
     assert!(q >= 2);
     let sched = Scheduler::new();
-    let list = Arc::new(L::create());
 
     // Prefill keys 1..=n (not counted in the measured steps: snapshot
     // total after this phase).
-    for k in 1..=n as i64 {
-        let l = list.clone();
-        let op = sched.spawn(move |p| l.insert(k, &p));
-        sched.run_to_completion(op.pid());
-        op.join();
-    }
+    let list = prefilled::<M>(&sched, 1..=n);
     let prefill_steps = sched.total_steps();
 
     // Spawn the q-1 inserters; their keys sit beyond every prefilled key.
-    let mut inserters = Vec::new();
-    for i in 0..q - 1 {
-        let l = list.clone();
-        let key = (n as i64) * 1000 + i as i64 + 1;
-        inserters.push(sched.spawn(move |p| l.insert(key, &p)));
-    }
+    let inserters: Vec<_> = (0..q - 1)
+        .map(|i| spawn_op(&sched, &list, move |h| h.insert(n * 1000 + i + 1)))
+        .collect();
 
     // Rounds: pause every inserter right before its insertion C&S, then
     // delete the current last node to completion.
@@ -106,11 +58,11 @@ fn run_adversary<L: AdvList>(n: usize, q: usize) -> AdvOutcome {
             let paused = sched.run_until_pending(ins.pid(), |k| k == StepKind::CasInsert);
             assert!(paused, "inserter finished early (round {round})");
         }
-        let last_key = (n - round) as i64;
-        let l = list.clone();
-        let del = sched.spawn(move |p| l.delete(last_key, &p));
-        sched.run_to_completion(del.pid());
-        assert!(del.join(), "adversary failed to delete key {last_key}");
+        let last_key = n - round;
+        assert!(
+            run_op(&sched, &list, move |h| h.remove(last_key)),
+            "adversary failed to delete key {last_key}"
+        );
     }
 
     // Let the inserters finish on the now-empty list.
@@ -124,7 +76,7 @@ fn run_adversary<L: AdvList>(n: usize, q: usize) -> AdvOutcome {
     AdvOutcome {
         total_steps: sched.total_steps() - prefill_steps,
         inserter_steps,
-        ops: (q - 1) as u64 + n as u64,
+        ops: q - 1 + n,
     }
 }
 
@@ -134,12 +86,12 @@ pub fn run(quick: bool) {
     println!("    q-1 inserters paused before their C&S; deleter removes their");
     println!("    predecessor each round. steps/op = total essential steps / ops.\n");
 
-    let ns: &[usize] = if quick {
+    let ns: &[u64] = if quick {
         &[16, 32, 64]
     } else {
         &[16, 32, 64, 128, 256]
     };
-    let qs: &[usize] = if quick { &[2, 4] } else { &[2, 4, 8] };
+    let qs: &[u64] = if quick { &[2, 4] } else { &[2, 4, 8] };
 
     let mut table = Table::new([
         "n",
@@ -155,9 +107,9 @@ pub fn run(quick: bool) {
     ]);
     for &q in qs {
         for &n in ns {
-            let h = run_adversary::<SimHarrisList>(n, q);
-            let m = run_adversary::<SimMichaelList>(n, q);
-            let f = run_adversary::<SimFrList>(n, q);
+            let h = run_adversary::<HarrisList<u64, u64>>(n, q);
+            let m = run_adversary::<MichaelList<u64, u64>>(n, q);
+            let f = run_adversary::<FrList<u64, u64>>(n, q);
             table.row([
                 n.to_string(),
                 q.to_string(),
@@ -186,8 +138,8 @@ mod tests {
 
     #[test]
     fn separation_visible_at_small_sizes() {
-        let h = run_adversary::<SimHarrisList>(24, 3);
-        let f = run_adversary::<SimFrList>(24, 3);
+        let h = run_adversary::<HarrisList<u64, u64>>(24, 3);
+        let f = run_adversary::<FrList<u64, u64>>(24, 3);
         assert!(
             h.inserter_steps > 3 * f.inserter_steps,
             "harris {} vs fr {}",
@@ -198,10 +150,10 @@ mod tests {
 
     #[test]
     fn inserter_cost_grows_quadratically_for_harris_only() {
-        let h1 = run_adversary::<SimHarrisList>(16, 2);
-        let h2 = run_adversary::<SimHarrisList>(32, 2);
-        let f1 = run_adversary::<SimFrList>(16, 2);
-        let f2 = run_adversary::<SimFrList>(32, 2);
+        let h1 = run_adversary::<HarrisList<u64, u64>>(16, 2);
+        let h2 = run_adversary::<HarrisList<u64, u64>>(32, 2);
+        let f1 = run_adversary::<FrList<u64, u64>>(16, 2);
+        let f2 = run_adversary::<FrList<u64, u64>>(32, 2);
         let h_growth = h2.inserter_steps as f64 / h1.inserter_steps as f64;
         let f_growth = f2.inserter_steps as f64 / f1.inserter_steps as f64;
         // Doubling n should ~4x Harris's inserter work but ~2x or less FR's.

@@ -16,90 +16,48 @@
 //! all `k−1` links: `Θ(n²)` backlink traversals in total. With flags,
 //! the stale flagging C&S fails, the deleter relocates, and every
 //! backlink targets a live node — each victim walks `O(1)` links.
+//!
+//! Both flavours are the shipped lists (`FrList` and the `NoFlagList`
+//! baseline), each operation a scheduler process on its own handle.
 
-use std::sync::Arc;
+use lf_baselines::NoFlagList;
+use lf_core::FrList;
+use lf_sched::{Scheduler, StepKind};
 
-use lf_sched::sim::{SimFrList, SimNoFlagList};
-use lf_sched::{Proc, Scheduler, StepKind};
-
+use super::{prefilled, spawn_op};
+use crate::adapters::{BenchMap, MapHandle};
 use crate::table::{fmt_f, Table};
-
-/// The two list flavours under the same director script.
-trait AblList: Send + Sync + 'static {
-    fn create() -> Self;
-    fn insert(&self, k: i64, p: &Proc) -> bool;
-    fn delete(&self, k: i64, p: &Proc) -> bool;
-    /// The step at which a deleter has finished its search but not yet
-    /// recorded/claimed its predecessor.
-    fn pause_kind() -> StepKind;
-}
-
-impl AblList for SimFrList {
-    fn create() -> Self {
-        SimFrList::new()
-    }
-    fn insert(&self, k: i64, p: &Proc) -> bool {
-        SimFrList::insert(self, k, p)
-    }
-    fn delete(&self, k: i64, p: &Proc) -> bool {
-        SimFrList::delete(self, k, p)
-    }
-    fn pause_kind() -> StepKind {
-        StepKind::CasFlag
-    }
-}
-
-impl AblList for SimNoFlagList {
-    fn create() -> Self {
-        SimNoFlagList::new()
-    }
-    fn insert(&self, k: i64, p: &Proc) -> bool {
-        SimNoFlagList::insert(self, k, p)
-    }
-    fn delete(&self, k: i64, p: &Proc) -> bool {
-        SimNoFlagList::delete(self, k, p)
-    }
-    fn pause_kind() -> StepKind {
-        StepKind::Write
-    }
-}
 
 struct Outcome {
     victim_backlinks_total: u64,
     victim_backlinks_max: u64,
 }
 
-fn run_schedule<L: AblList>(n: usize) -> Outcome {
+/// The schedule over `M`; `pause` is the step at which a deleter has
+/// finished its search but not yet recorded or claimed its predecessor
+/// (the flagging C&S with flags, the backlink store without).
+fn run_schedule<M: BenchMap>(n: u64, pause: StepKind) -> Outcome {
     let sched = Scheduler::new();
-    let list = Arc::new(L::create());
-
     // Even keys 2..=2n.
-    for k in 1..=n as i64 {
-        let l = list.clone();
-        let op = sched.spawn(move |p| l.insert(2 * k, &p));
-        sched.run_to_completion(op.pid());
-        assert!(op.join());
-    }
+    let list = prefilled::<M>(&sched, (1..=n).map(|k| 2 * k));
 
     // All deleters search up-front, capturing live predecessors.
-    let mut deleters = Vec::new();
-    for k in 1..=n as i64 {
-        let l = list.clone();
-        let d = sched.spawn(move |p| l.delete(2 * k, &p));
-        let paused = sched.run_until_pending(d.pid(), |s| s == L::pause_kind());
-        assert!(paused, "deleter of {} finished early", 2 * k);
-        deleters.push(d);
-    }
+    let deleters: Vec<_> = (1..=n)
+        .map(|k| {
+            let d = spawn_op(&sched, &list, move |h| h.remove(2 * k));
+            let paused = sched.run_until_pending(d.pid(), |s| s == pause);
+            assert!(paused, "deleter of {} finished early", 2 * k);
+            d
+        })
+        .collect();
 
     // Rounds: position a victim inserter at the doomed predecessor,
     // fire the deleter (its captured predecessor is now stale), then
     // make the victim recover.
     let mut total = 0u64;
     let mut max = 0u64;
-    for (idx, d) in deleters.into_iter().enumerate() {
-        let k = idx as i64 + 1;
-        let l = list.clone();
-        let v = sched.spawn(move |p| l.insert(2 * k + 1, &p));
+    for (d, k) in deleters.into_iter().zip(1u64..) {
+        let v = spawn_op(&sched, &list, move |h| h.insert(2 * k + 1));
         let paused = sched.run_until_pending(v.pid(), |s| s == StepKind::CasInsert);
         assert!(paused, "victim {} finished early", 2 * k + 1);
 
@@ -119,11 +77,19 @@ fn run_schedule<L: AblList>(n: usize) -> Outcome {
     }
 }
 
+fn fr(n: u64) -> Outcome {
+    run_schedule::<FrList<u64, u64>>(n, StepKind::CasFlag)
+}
+
+fn noflag(n: u64) -> Outcome {
+    run_schedule::<NoFlagList<u64, u64>>(n, StepKind::Write)
+}
+
 /// Print the ablation table.
 pub fn run(quick: bool) {
     println!("E8: flag-bit ablation under the stale-predecessor schedule");
     println!("    (deleters search before their predecessors die, fire after)\n");
-    let sizes: &[usize] = if quick {
+    let sizes: &[u64] = if quick {
         &[8, 16, 32, 64]
     } else {
         &[8, 16, 32, 64, 128, 256]
@@ -138,14 +104,13 @@ pub fn run(quick: bool) {
         "noflag worst round",
     ]);
     for &n in sizes {
-        let fr = run_schedule::<SimFrList>(n);
-        let nf = run_schedule::<SimNoFlagList>(n);
+        let (f, nf) = (fr(n), noflag(n));
         table.row([
             n.to_string(),
-            fr.victim_backlinks_total.to_string(),
+            f.victim_backlinks_total.to_string(),
             nf.victim_backlinks_total.to_string(),
-            fmt_f(nf.victim_backlinks_total as f64 / fr.victim_backlinks_total.max(1) as f64),
-            fr.victim_backlinks_max.to_string(),
+            fmt_f(nf.victim_backlinks_total as f64 / f.victim_backlinks_total.max(1) as f64),
+            f.victim_backlinks_max.to_string(),
             nf.victim_backlinks_max.to_string(),
         ]);
     }
@@ -164,10 +129,8 @@ mod tests {
 
     #[test]
     fn noflag_chains_grow_quadratically_fr_stays_linear() {
-        let fr1 = run_schedule::<SimFrList>(16);
-        let fr2 = run_schedule::<SimFrList>(32);
-        let nf1 = run_schedule::<SimNoFlagList>(16);
-        let nf2 = run_schedule::<SimNoFlagList>(32);
+        let (fr1, fr2) = (fr(16), fr(32));
+        let (nf1, nf2) = (noflag(16), noflag(32));
         // FR per-victim walk is O(1): totals scale ~linearly.
         assert!(
             fr2.victim_backlinks_total <= 3 * fr1.victim_backlinks_total.max(1),
@@ -183,7 +146,7 @@ mod tests {
             nf2.victim_backlinks_total
         );
         // And the worst single recovery is the whole chain.
-        assert!(nf2.victim_backlinks_max as usize >= 16);
+        assert!(nf2.victim_backlinks_max >= 16);
         assert!(fr2.victim_backlinks_max <= 4);
     }
 }

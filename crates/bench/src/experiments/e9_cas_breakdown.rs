@@ -77,11 +77,11 @@ pub fn run(quick: bool) {
 /// argument reasons about (one failure billed to the one concurrent
 /// success).
 mod scripted {
-    use std::sync::Arc;
-
-    use lf_sched::sim::SimFrList;
+    use lf_core::FrList;
     use lf_sched::{Scheduler, StepKind};
 
+    use super::super::{prefilled, run_op, spawn_op};
+    use crate::adapters::MapHandle;
     use crate::table::Table;
 
     pub(super) struct Counts {
@@ -104,80 +104,74 @@ mod scripted {
         }
     }
 
-    fn prefill(sched: &Scheduler, list: &Arc<SimFrList>, keys: &[i64]) {
-        for &k in keys {
-            let l = list.clone();
-            let op = sched.spawn(move |p| l.insert(k, &p));
-            sched.run_to_completion(op.pid());
-            assert!(op.join());
+    #[derive(Clone, Copy)]
+    enum Op {
+        Insert(u64),
+        Delete(u64),
+    }
+
+    impl Op {
+        fn apply(self, h: &impl MapHandle) -> bool {
+            match self {
+                Op::Insert(k) => h.insert(k),
+                Op::Delete(k) => h.remove(k),
+            }
         }
+    }
+
+    /// On a list holding `keys`: pause `victim` right before its first
+    /// `pause` step, run `rival` to completion, then resume the victim.
+    /// Returns the victim's counts.
+    fn interfere(keys: &[u64], victim: Op, pause: StepKind, rival: Op) -> Counts {
+        let sched = Scheduler::new();
+        let list = prefilled::<FrList<u64, u64>>(&sched, keys.iter().copied());
+        let v = spawn_op(&sched, &list, move |h| victim.apply(h));
+        assert!(sched.run_until_pending(v.pid(), |k| k == pause));
+        assert!(run_op(&sched, &list, move |h| rival.apply(h)));
+        sched.run_to_completion(v.pid());
+        let pid = v.pid();
+        let r = v.join();
+        counts(&sched, pid, r)
     }
 
     /// Victim insert paused pre-C&S; a same-position insert lands first.
     pub(super) fn insert_vs_insert() -> Counts {
-        let sched = Scheduler::new();
-        let list = Arc::new(SimFrList::new());
-        prefill(&sched, &list, &[10, 20]);
-        let l = list.clone();
-        let victim = sched.spawn(move |p| l.insert(15, &p));
-        assert!(sched.run_until_pending(victim.pid(), |k| k == StepKind::CasInsert));
-        let l = list.clone();
-        let rival = sched.spawn(move |p| l.insert(14, &p));
-        sched.run_to_completion(rival.pid());
-        assert!(rival.join());
-        sched.run_to_completion(victim.pid());
-        let pid = victim.pid();
-        let r = victim.join();
-        counts(&sched, pid, r)
+        interfere(
+            &[10, 20],
+            Op::Insert(15),
+            StepKind::CasInsert,
+            Op::Insert(14),
+        )
     }
 
     /// Victim insert paused pre-C&S; its predecessor gets deleted.
     pub(super) fn insert_vs_delete_pred() -> Counts {
-        let sched = Scheduler::new();
-        let list = Arc::new(SimFrList::new());
-        prefill(&sched, &list, &[10, 20]);
-        let l = list.clone();
-        let victim = sched.spawn(move |p| l.insert(25, &p));
-        assert!(sched.run_until_pending(victim.pid(), |k| k == StepKind::CasInsert));
-        let l = list.clone();
-        let deleter = sched.spawn(move |p| l.delete(20, &p));
-        sched.run_to_completion(deleter.pid());
-        assert!(deleter.join());
-        sched.run_to_completion(victim.pid());
-        let pid = victim.pid();
-        let r = victim.join();
-        counts(&sched, pid, r)
+        interfere(
+            &[10, 20],
+            Op::Insert(25),
+            StepKind::CasInsert,
+            Op::Delete(20),
+        )
     }
 
     /// Victim delete paused pre-flag; a rival deletes the node first.
     pub(super) fn delete_vs_delete_done() -> Counts {
-        let sched = Scheduler::new();
-        let list = Arc::new(SimFrList::new());
-        prefill(&sched, &list, &[10, 20, 30]);
-        let l = list.clone();
-        let victim = sched.spawn(move |p| l.delete(20, &p));
-        assert!(sched.run_until_pending(victim.pid(), |k| k == StepKind::CasFlag));
-        let l = list.clone();
-        let rival = sched.spawn(move |p| l.delete(20, &p));
-        sched.run_to_completion(rival.pid());
-        assert!(rival.join());
-        sched.run_to_completion(victim.pid());
-        let pid = victim.pid();
-        let r = victim.join();
-        counts(&sched, pid, r)
+        interfere(
+            &[10, 20, 30],
+            Op::Delete(20),
+            StepKind::CasFlag,
+            Op::Delete(20),
+        )
     }
 
     /// Victim delete paused pre-flag; the rival flags first but stalls
     /// before marking — the victim helps the rival's deletion through.
     pub(super) fn delete_helps_stalled_rival() -> (Counts, bool) {
         let sched = Scheduler::new();
-        let list = Arc::new(SimFrList::new());
-        prefill(&sched, &list, &[10, 20, 30]);
-        let l = list.clone();
-        let victim = sched.spawn(move |p| l.delete(20, &p));
+        let list = prefilled::<FrList<u64, u64>>(&sched, [10, 20, 30]);
+        let victim = spawn_op(&sched, &list, |h| Op::Delete(20).apply(h));
         assert!(sched.run_until_pending(victim.pid(), |k| k == StepKind::CasFlag));
-        let l = list.clone();
-        let rival = sched.spawn(move |p| l.delete(20, &p));
+        let rival = spawn_op(&sched, &list, |h| Op::Delete(20).apply(h));
         // Rival places the flag, then stalls before marking.
         assert!(sched.run_until_pending(rival.pid(), |k| k == StepKind::CasMark));
         // Victim must finish the rival's deletion (helping) and report
@@ -188,8 +182,7 @@ mod scripted {
         let c = counts(&sched, vpid, vres);
         // Unstall the rival: it reports success.
         sched.run_to_completion(rival.pid());
-        let rres = rival.join();
-        (c, rres)
+        (c, rival.join())
     }
 
     pub(super) fn run() {

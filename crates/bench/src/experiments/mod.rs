@@ -5,7 +5,11 @@
 //! in minutes; the full sizes are what `EXPERIMENTS.md` records.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
+use lf_sched::{OpHandle, Scheduler};
+
+use crate::adapters::{BenchMap, MapHandle};
 use crate::runner::RunResult;
 
 pub mod e10_additivity;
@@ -58,6 +62,41 @@ pub fn dispatch(id: &str, quick: bool) -> bool {
         _ => return false,
     }
     true
+}
+
+/// Spawn `f` as a scheduler process running on its own fresh handle of
+/// `map` — how the deterministic experiments (E1/E2/E8/E9/E11) drive
+/// the shipped structures.
+pub(crate) fn spawn_op<M: BenchMap, R: Send + 'static>(
+    sched: &Scheduler,
+    map: &Arc<M>,
+    f: impl FnOnce(&M::Handle<'_>) -> R + Send + 'static,
+) -> OpHandle<R> {
+    let map = Arc::clone(map);
+    sched.spawn(move |_| f(&map.bench_handle()))
+}
+
+/// [`spawn_op`], run to completion.
+pub(crate) fn run_op<M: BenchMap, R: Send + 'static>(
+    sched: &Scheduler,
+    map: &Arc<M>,
+    f: impl FnOnce(&M::Handle<'_>) -> R + Send + 'static,
+) -> R {
+    let op = spawn_op(sched, map, f);
+    sched.run_to_completion(op.pid());
+    op.join()
+}
+
+/// A fresh `M` holding `keys`, each inserted by its own process.
+pub(crate) fn prefilled<M: BenchMap>(
+    sched: &Scheduler,
+    keys: impl IntoIterator<Item = u64>,
+) -> Arc<M> {
+    let map = Arc::new(M::create());
+    for k in keys {
+        assert!(run_op(sched, &map, move |h| h.insert(k)), "prefill {k}");
+    }
+    map
 }
 
 /// Serialize one measured run as a benchmark-artifact row: identity

@@ -6,7 +6,7 @@ use std::sync::atomic::Ordering;
 
 use lf_metrics::CasType;
 use lf_reclaim::{Publish, Reclaim};
-use lf_tagged::Backoff;
+use lf_tagged::{step, Backoff, StepKind};
 
 use super::{Bound, FrList, Mode, Node};
 use crate::pool::LocalPool;
@@ -54,6 +54,7 @@ where
             // Lines 5–22.
             let backoff = Backoff::new();
             loop {
+                step(StepKind::Read);
                 let prev_succ = (*prev).succ();
                 if prev_succ.is_flagged() {
                     // Line 7–8: predecessor is flagged — help the deletion
@@ -70,6 +71,7 @@ where
                     (*new_node)
                         .succ
                         .store(Node::clean_ptr(next), Ordering::Relaxed);
+                    step(StepKind::CasInsert);
                     // Line 11: the insertion C&S (type 1). Release on
                     // success publishes the new node's initialization —
                     // the invariant every traversal relies on when it
@@ -102,7 +104,12 @@ where
                             }
                             // Line 17–18: failure possibly due to marking —
                             // walk backlinks to the first unmarked node.
-                            while (*prev).is_marked() {
+                            loop {
+                                step(StepKind::Read);
+                                if !(*prev).is_marked() {
+                                    break;
+                                }
+                                step(StepKind::Backlink);
                                 // ord: Acquire — LIST.backlink-walk: recovered pred is dereferenced
                                 let back = (*prev).backlink();
                                 debug_assert!(!back.is_null(), "marked node lacks backlink");
@@ -203,10 +210,12 @@ where
             let flagged = Node::flagged_ptr(target);
             let backoff = Backoff::new();
             loop {
+                step(StepKind::Read);
                 // Line 2–3: predecessor already flagged by someone else.
                 if (*prev).succ() == flagged {
                     return (prev, false);
                 }
+                step(StepKind::CasFlag);
                 // Line 4: the flagging C&S (type 2). Release on success: the
                 // flag freezes the edge prev → target and is read by helpers
                 // through Acquire loads that then dereference `target`; as
@@ -235,7 +244,12 @@ where
                         // and retry (paper Fig. 5 lines 9–13).
                         backoff.spin();
                         // Line 9–10: recover from marking via backlinks.
-                        while (*prev).is_marked() {
+                        loop {
+                            step(StepKind::Read);
+                            if !(*prev).is_marked() {
+                                break;
+                            }
+                            step(StepKind::Backlink);
                             // ord: Acquire — LIST.backlink-walk: recovered pred is dereferenced
                             let back = (*prev).backlink();
                             debug_assert!(!back.is_null(), "marked node lacks backlink");
@@ -272,6 +286,7 @@ where
     ) {
         // SAFETY: the fn's `# Safety` contract covers the whole body.
         unsafe {
+            step(StepKind::Write);
             // Line 1: the backlink is set *before* the node can be marked,
             // and every helper writes the same predecessor (the flag freezes
             // the edge prev → del until physical deletion), so the backlink
@@ -282,6 +297,7 @@ where
             // are walked only by pinned threads, so they carry no stamp.
             // ord: Release — LIST.backlink-set: set before mark, read after mark
             (*del).backlink.store(prev, Ordering::Release);
+            step(StepKind::Read);
             // Line 2–3: second deletion step.
             if !(*del).is_marked() {
                 self.try_mark(del, guard);
@@ -302,9 +318,11 @@ where
         unsafe {
             let backoff = Backoff::new();
             loop {
+                step(StepKind::Read);
                 // Line 2: read the right pointer (Acquire via `right`; the
                 // unlink C&S will re-install `next` into the predecessor).
                 let next = (*del).right();
+                step(StepKind::CasMark);
                 // Line 3: the marking C&S (type 3). Release on success: the
                 // mark freezes `succ` forever (INV 2); unlinkers Acquire-load
                 // the frozen field and install its `next` into the
@@ -327,6 +345,7 @@ where
                         self.help_flagged(del, found.ptr(), guard);
                     }
                 }
+                step(StepKind::Read);
                 // Line 6: repeat until marked.
                 if (*del).is_marked() {
                     return;

@@ -315,6 +315,97 @@ impl<K, V, R: Reclaim> FrList<K, V, R> {
         assert_eq!(count, self.len(), "len counter disagrees with chain");
     }
 
+    /// Check the paper's §3.3 invariants INV 1–5 on a list that may hold
+    /// marked and flagged nodes, but on which no operation is running
+    /// right now — e.g. from a deterministic scheduler's director,
+    /// between grants.
+    ///
+    /// Walking the successor chain from the head covers exactly the
+    /// regular and logically deleted nodes (INV 2); along it:
+    ///
+    /// * INV 1 — keys strictly sorted;
+    /// * INV 3 — every logically deleted node's predecessor is flagged
+    ///   at it, and its successor is unmarked;
+    /// * INV 4 — every logically deleted node's backlink points at
+    ///   that predecessor;
+    /// * INV 5 — no successor field is both marked and flagged.
+    ///
+    /// # Panics
+    ///
+    /// Panics with a description of the violated invariant.
+    pub fn check_invariants(&self)
+    where
+        K: Ord + fmt::Debug,
+    {
+        // SAFETY: no operation runs during the walk (caller contract), so
+        // nothing linked from the head is unlinked or reclaimed under it.
+        unsafe {
+            let mut prev: *mut Node<K, V, R> = std::ptr::null_mut();
+            let mut prev_succ = lf_tagged::TaggedPtr::null();
+            let mut cur = self.head;
+            loop {
+                let succ = (*cur).succ();
+                let key = &(*cur).key;
+                assert!(
+                    !(succ.is_marked() && succ.is_flagged()),
+                    "INV5: node {key:?} both marked and flagged"
+                );
+                if !prev.is_null() {
+                    let prev_key = &(*prev).key;
+                    assert!(prev_key < key, "INV1: {prev_key:?} !< {key:?}");
+                    // Logically deleted: marked, linked from a regular node.
+                    if succ.is_marked() && !prev_succ.is_marked() {
+                        assert!(
+                            prev_succ.is_flagged(),
+                            "INV3: pred {prev_key:?} of logically deleted {key:?} is not flagged"
+                        );
+                        assert!(
+                            !(*succ.ptr()).is_marked(),
+                            "INV3: successor of logically deleted {key:?} is marked"
+                        );
+                        // ord: Acquire — DIAG.quiescent: diagnostic walk, no operation running
+                        let back = (*cur).backlink();
+                        assert_eq!(
+                            back, prev,
+                            "INV4: backlink of logically deleted {key:?} is not its pred {prev_key:?}"
+                        );
+                    }
+                }
+                let next = succ.ptr();
+                if next.is_null() {
+                    assert_eq!(cur, self.tail, "INV2: chain does not end at the tail");
+                    return;
+                }
+                prev = cur;
+                prev_succ = succ;
+                cur = next;
+            }
+        }
+    }
+
+    /// `(key, marked, flagged)` for every node linked from the head,
+    /// sentinels included (their key is `None`), under the same contract
+    /// as [`check_invariants`](Self::check_invariants) — for traces of a
+    /// scripted schedule.
+    pub fn dump(&self) -> Vec<(Option<K>, bool, bool)>
+    where
+        K: Clone,
+    {
+        let mut out = Vec::new();
+        let mut cur = self.head;
+        while !cur.is_null() {
+            // SAFETY: as for `check_invariants` — no operation runs, so
+            // every node linked from the head stays valid.
+            unsafe {
+                let succ = (*cur).succ();
+                let key = (*cur).key.as_key().cloned();
+                out.push((key, succ.is_marked(), succ.is_flagged()));
+                cur = succ.ptr();
+            }
+        }
+        out
+    }
+
     /// Whether the list holds no elements (same caveat as [`len`](Self::len)).
     pub fn is_empty(&self) -> bool {
         self.len() == 0

@@ -4,6 +4,7 @@ use std::sync::atomic::Ordering;
 
 use lf_metrics::CasType;
 use lf_reclaim::{Publish, Reclaim};
+use lf_tagged::{step, StepKind};
 
 use super::{Bound, FrList, Mode, Node};
 
@@ -52,6 +53,7 @@ where
     ) -> (*mut Node<K, V, R>, *mut Node<K, V, R>) {
         // SAFETY: the fn's `# Safety` contract covers the whole body.
         unsafe {
+            step(StepKind::Read);
             let mut next = (*curr).right();
             // Line 2: while next_node.key <= k (or < for SearchFrom2).
             while key_before(&(*next).key, k, mode) {
@@ -59,10 +61,12 @@ where
                 // and next are marked and curr was marked earlier (we are
                 // inside a deleted region and may traverse through it).
                 loop {
+                    step(StepKind::Read);
                     let next_succ = (*next).succ();
                     if !next_succ.is_marked() {
                         break;
                     }
+                    step(StepKind::Read);
                     let curr_succ = (*curr).succ();
                     if curr_succ.is_marked() && curr_succ.ptr() == next {
                         break;
@@ -72,14 +76,17 @@ where
                     if (*curr).right() == next {
                         self.help_marked(curr, next, guard);
                     }
+                    step(StepKind::Read);
                     // Line 6: re-read curr's right pointer.
                     next = (*curr).right();
                     lf_metrics::record_next_update();
                 }
                 // Line 7–9: advance if next still precedes k.
                 if key_before(&(*next).key, k, mode) {
+                    step(StepKind::Traverse);
                     curr = next;
                     lf_metrics::record_curr_update();
+                    step(StepKind::Read);
                     next = (*curr).right();
                 }
             }
@@ -123,10 +130,12 @@ where
     ) {
         // SAFETY: the fn's `# Safety` contract covers the whole body.
         unsafe {
+            step(StepKind::Read);
             // Acquire (via `right`): `next` was frozen into del.succ by the
             // marking C&S; we hold the happens-before to its initialization
             // before re-publishing it below.
             let next = (*del).right();
+            step(StepKind::CasUnlink);
             // The unlink C&S (type 4, Fig. 3). Release on success: installs
             // `next` into a field other threads Acquire-load and dereference,
             // so its initialization must be republished here. Relaxed on

@@ -5,7 +5,7 @@ use std::sync::atomic::Ordering;
 
 use lf_metrics::CasType;
 use lf_reclaim::{Publish, Reclaim};
-use lf_tagged::Backoff;
+use lf_tagged::{step, Backoff, StepKind};
 
 use super::node::SkipNode;
 use super::{Bound, Mode, SkipList};
@@ -94,6 +94,7 @@ where
                     self.len.fetch_add(1, Ordering::Relaxed);
                 }
 
+                step(StepKind::Read);
                 if (*root).is_marked() {
                     // The tower became superfluous while we were building.
                     match result {
@@ -108,7 +109,11 @@ where
                             // — which delete every superfluous node on
                             // their path — until our node is marked.
                             self.delete_node(prev, new_node, guard);
-                            while !(*new_node).is_marked() {
+                            loop {
+                                step(StepKind::Read);
+                                if (*new_node).is_marked() {
+                                    break;
+                                }
                                 let key_ref = (*root).key.as_key().expect("root has user key");
                                 // ord: Release/Acquire/Relaxed — LIST.flag-cas: cleaning search deletes superfluous towers (wrapped C&S)
                                 let _ = self.search_to_level(key_ref, cur_level, Mode::Le, guard);
@@ -213,6 +218,7 @@ where
             }
             let backoff = Backoff::new();
             loop {
+                step(StepKind::Read);
                 let prev_succ = (**prev).succ();
                 if prev_succ.is_flagged() {
                     self.help_flagged(*prev, prev_succ.ptr(), guard);
@@ -227,6 +233,7 @@ where
                     (*new_node)
                         .succ
                         .store(SkipNode::clean_ptr(*next), Ordering::Relaxed);
+                    step(StepKind::CasInsert);
                     // The insertion C&S (type 1, Fig. 5 line 11). Release
                     // on success publishes the new node's initialization —
                     // the invariant every traversal relies on when it
@@ -252,7 +259,12 @@ where
                             if found.is_flagged() {
                                 self.help_flagged(*prev, found.ptr(), guard);
                             }
-                            while (**prev).is_marked() {
+                            loop {
+                                step(StepKind::Read);
+                                if !(**prev).is_marked() {
+                                    break;
+                                }
+                                step(StepKind::Backlink);
                                 // ord: Acquire — LIST.backlink-walk: recovered pred is dereferenced
                                 let back = (**prev).backlink();
                                 debug_assert!(!back.is_null(), "marked node lacks backlink");

@@ -7,7 +7,7 @@ use std::sync::atomic::Ordering;
 
 use lf_metrics::CasType;
 use lf_reclaim::{Publish, Reclaim};
-use lf_tagged::Backoff;
+use lf_tagged::{step, Backoff, StepKind};
 
 use super::node::SkipNode;
 use super::SkipList;
@@ -51,24 +51,40 @@ where
     ) -> (*mut SkipNode<K, V, R>, *mut SkipNode<K, V, R>) {
         // SAFETY: the fn's `# Safety` contract covers the whole body.
         unsafe {
+            step(StepKind::Read);
             let mut next = (*curr).right();
             while key_before((*next).key_ref(), k, mode) {
                 // Delete superfluous towers in our way (the search performs
                 // all three deletion steps itself when needed, so repeated
                 // traversals of long backlink chains cannot be forced).
-                while (*next).is_superfluous() {
+                loop {
+                    step(StepKind::Read);
+                    if !(*next).is_superfluous() {
+                        break;
+                    }
                     // ord: Release/Acquire/Relaxed — LIST.flag-cas: wrapped flagging C&S; pred is dereferenced
                     let (new_curr, status, _) = self.try_flag_node(curr, next, guard);
                     curr = new_curr;
                     if status == FlagStatus::In {
                         self.help_flagged(curr, next, guard);
                     }
+                    step(StepKind::Read);
                     next = (*curr).right();
                     lf_metrics::record_next_update();
+                    // Only towers up to `k` are in our way. Flagging a
+                    // superfluous `next` beyond `k` could relocate `curr`
+                    // past `k` (its relocation searches up to *that*
+                    // node's key), and the descent would then skip this
+                    // level's nodes between `k` and the new `curr`.
+                    if !key_before((*next).key_ref(), k, mode) {
+                        break;
+                    }
                 }
                 if key_before((*next).key_ref(), k, mode) {
+                    step(StepKind::Traverse);
                     curr = next;
                     lf_metrics::record_curr_update();
+                    step(StepKind::Read);
                     next = (*curr).right();
                 }
             }
@@ -102,9 +118,11 @@ where
             let flagged = SkipNode::flagged_ptr(target);
             let backoff = Backoff::new();
             loop {
+                step(StepKind::Read);
                 if (*prev).succ() == flagged {
                     return (prev, FlagStatus::In, false);
                 }
+                step(StepKind::CasFlag);
                 // The flagging C&S (type 2). Release on success: the flag
                 // freezes the edge prev → target and is read by helpers
                 // through Acquire loads that then dereference `target`; as
@@ -129,7 +147,12 @@ where
                         }
                         // Contended edge: back off before the recovery walk.
                         backoff.spin();
-                        while (*prev).is_marked() {
+                        loop {
+                            step(StepKind::Read);
+                            if !(*prev).is_marked() {
+                                break;
+                            }
+                            step(StepKind::Backlink);
                             // ord: Acquire — LIST.backlink-walk: recovered pred is dereferenced
                             let back = (*prev).backlink();
                             debug_assert!(!back.is_null(), "marked node lacks backlink");
@@ -164,6 +187,7 @@ where
     ) {
         // SAFETY: the fn's `# Safety` contract covers the whole body.
         unsafe {
+            step(StepKind::Write);
             // The backlink is set *before* the node can be marked, and
             // every helper writes the same predecessor (the flag freezes
             // the edge prev → del until physical deletion), so it never
@@ -173,6 +197,7 @@ where
             // hold from the Acquire load that found the flag).
             // ord: Release — LIST.backlink-set: visible before the mark (INV 4)
             (*del).backlink.store(prev, Ordering::Release);
+            step(StepKind::Read);
             if !(*del).is_marked() {
                 self.try_mark(del, guard);
             }
@@ -190,7 +215,9 @@ where
         unsafe {
             let backoff = Backoff::new();
             loop {
+                step(StepKind::Read);
                 let next = (*del).right();
+                step(StepKind::CasMark);
                 // The marking C&S (type 3). Release on success: the mark
                 // freezes `succ` forever (INV 2); unlinkers Acquire-load
                 // the frozen field and re-install its `next` into the
@@ -212,6 +239,7 @@ where
                         self.help_flagged(del, found.ptr(), guard);
                     }
                 }
+                step(StepKind::Read);
                 if (*del).is_marked() {
                     return;
                 }
@@ -237,10 +265,12 @@ where
     ) {
         // SAFETY: the fn's `# Safety` contract covers the whole body.
         unsafe {
+            step(StepKind::Read);
             // Acquire (via `right`): `next` was frozen into del.succ by the
             // marking C&S; we hold the happens-before to its initialization
             // before re-publishing it below.
             let next = (*del).right();
+            step(StepKind::CasUnlink);
             // The unlink C&S (type 4). Release on success: installs `next`
             // into a field other threads Acquire-load and dereference, so
             // its initialization must be republished here. Relaxed on

@@ -484,6 +484,99 @@ impl<K, V, R: Reclaim> SkipList<K, V, R> {
         }
         assert_eq!(count, self.len(), "len counter disagrees with level 1");
     }
+
+    /// Check the §3.3 invariants INV 1–5 on every level, plus the
+    /// vertical tower structure, on a skip list that may hold marked,
+    /// flagged and superfluous nodes but on which no operation is
+    /// running right now (see [`FrList::check_invariants`](crate::FrList::check_invariants)).
+    ///
+    /// # Panics
+    ///
+    /// Panics with a description of the violated invariant.
+    pub fn check_invariants(&self)
+    where
+        K: Ord + fmt::Debug,
+    {
+        // SAFETY: no operation runs during the walk (caller contract), so
+        // nothing linked at any level is unlinked or reclaimed under it.
+        unsafe {
+            for level in 0..self.max_level {
+                let l = level + 1;
+                let mut prev: *mut SkipNode<K, V, R> = std::ptr::null_mut();
+                let mut prev_succ = lf_tagged::TaggedPtr::null();
+                let mut cur = self.heads[level];
+                loop {
+                    let succ = (*cur).succ();
+                    let key = (*cur).key_ref();
+                    assert!(
+                        !(succ.is_marked() && succ.is_flagged()),
+                        "INV5 at level {l}: {key:?} both marked and flagged"
+                    );
+                    if !prev.is_null() {
+                        let prev_key = (*prev).key_ref();
+                        assert!(prev_key < key, "INV1 at level {l}: {prev_key:?} !< {key:?}");
+                        if succ.is_marked() && !prev_succ.is_marked() {
+                            assert!(
+                                prev_succ.is_flagged(),
+                                "INV3 at level {l}: pred of {key:?} unflagged"
+                            );
+                            // ord: Acquire — DIAG.quiescent: diagnostic walk, no operation running
+                            let back = (*cur).backlink();
+                            assert_eq!(back, prev, "INV4 at level {l}: backlink of {key:?}");
+                        }
+                    }
+                    let next = succ.ptr();
+                    if next.is_null() {
+                        assert_eq!(cur, self.tails[level], "INV2: level {l} chain broken");
+                        break;
+                    }
+                    if next != self.tails[level] {
+                        // Vertical structure: the down chain reaches the root.
+                        let mut d = next;
+                        // ord: Relaxed — TOWER.layout: tenant-invariant tower geometry
+                        // validate: VAL.exclusive: as above
+                        while !(*d).down().is_null() {
+                            // ord: Relaxed — TOWER.layout: tenant-invariant tower geometry
+                            // validate: VAL.exclusive: as above
+                            d = (*d).down();
+                        }
+                        // ord: Relaxed — TOWER.layout: tenant-invariant tower geometry
+                        // validate: VAL.exclusive: as above
+                        assert_eq!(d, (*next).root(), "down chain at level {l} misses its root");
+                    }
+                    prev = cur;
+                    prev_succ = succ;
+                    cur = next;
+                }
+            }
+        }
+    }
+
+    /// Every level's `(key, marked, flagged)` triples, level 1 first,
+    /// sentinels included (their key is `None`), under the same
+    /// contract as [`check_invariants`](Self::check_invariants).
+    pub fn dump(&self) -> Vec<Vec<(Option<K>, bool, bool)>>
+    where
+        K: Clone,
+    {
+        (0..self.max_level)
+            .map(|level| {
+                let mut row = Vec::new();
+                let mut cur = self.heads[level];
+                while !cur.is_null() {
+                    // SAFETY: as for `check_invariants` — no operation
+                    // runs, so every linked node stays valid.
+                    unsafe {
+                        let succ = (*cur).succ();
+                        let key = (*cur).key_ref().as_key().cloned();
+                        row.push((key, succ.is_marked(), succ.is_flagged()));
+                        cur = succ.ptr();
+                    }
+                }
+                row
+            })
+            .collect()
+    }
 }
 
 impl<K, V, R: Reclaim> Drop for SkipList<K, V, R> {
@@ -562,13 +655,29 @@ where
     ///
     /// If `key` is already present, returns `Err((key, value))`.
     pub fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
-        self.bracket(|guard| {
-            let height_bits = self.heights.borrow_mut().next_u64();
-            // SAFETY: the guard pins this list's domain.
-            unsafe {
-                self.list
-                    .insert_impl(key, value, height_bits, &self.pool, guard)
-            }
+        let height_bits = self.heights.borrow_mut().next_u64();
+        self.insert_bits(key, value, height_bits)
+    }
+
+    /// [`insert`](Self::insert) with a tower of exactly `height` levels
+    /// (capped at `max_level - 1`) instead of a drawn one, for scripted
+    /// schedules.
+    ///
+    /// # Errors
+    ///
+    /// If `key` is already present, returns `Err((key, value))`.
+    #[doc(hidden)]
+    pub fn insert_with_height(&self, key: K, value: V, height: u32) -> Result<(), (K, V)> {
+        assert!((1..=64).contains(&height), "tower height out of range");
+        // `height - 1` trailing ones draw exactly `height` levels.
+        self.insert_bits(key, value, (1u64 << (height - 1)) - 1)
+    }
+
+    fn insert_bits(&self, key: K, value: V, height_bits: u64) -> Result<(), (K, V)> {
+        // SAFETY: the guard pins this list's domain.
+        self.bracket(|guard| unsafe {
+            self.list
+                .insert_impl(key, value, height_bits, &self.pool, guard)
         })
     }
 

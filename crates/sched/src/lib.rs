@@ -6,9 +6,9 @@
 //! perform a C&S". Real threads cannot be made to interleave that way
 //! reliably, so this crate provides a cooperative scheduler:
 //!
-//! * each simulated process runs on its own OS thread, but **before
-//!   every shared-memory step** it announces the step's [`StepKind`]
-//!   and blocks until the director grants it;
+//! * each process runs on its own OS thread, but **before every
+//!   essential shared-memory step** it announces the step's
+//!   [`StepKind`] and blocks until the director grants it;
 //! * at most one process executes between grants, so the execution is
 //!   sequentially consistent and fully determined by the grant order;
 //! * the director inspects each process's *pending* step and can pause
@@ -17,12 +17,15 @@
 //! * every granted step is counted per process and per kind, giving
 //!   the step totals the amortized analysis reasons about.
 //!
-//! The [`sim`] module re-implements the Fomitchev–Ruppert and Harris
-//! list algorithms over this scheduler (keys only, no reclamation);
-//! `lf-bench`'s experiment E2 uses them to regenerate the `Ω(n̄·c̄)`
-//! versus `O(n̄ + c̄)` separation deterministically. Halting a process
-//! forever (simply never granting it) doubles as failure injection for
-//! lock-freedom tests.
+//! The processes run the shipped lists — `lf-core`'s `FrList` and
+//! `SkipList`, `lf-baselines`' Harris, Michael and no-flag lists —
+//! through ordinary per-thread handles. Those lists announce their
+//! steps through [`lf_tagged::step`]; while a [`Scheduler`] lives, its
+//! hook turns each announcement of a process thread into a grant point,
+//! and any other thread passes straight through.
+//! `lf-bench`'s experiments E1/E2/E8/E9/E11 replay the paper's
+//! schedules this way. Halting a process forever (simply never granting
+//! it) doubles as failure injection for lock-freedom tests.
 //!
 //! # Examples
 //!
@@ -44,49 +47,17 @@
 //! ```
 
 pub mod rt;
-pub mod sim;
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-/// Identifies a simulated process.
+pub use lf_tagged::StepKind;
+
+/// Identifies a scheduler process.
 pub type ProcId = usize;
-
-/// The kind of shared-memory step a process is about to take.
-///
-/// The C&S kinds mirror the paper's Def. 4 classification; `Read`,
-/// `Write`, `Traverse` and `Backlink` cover the non-C&S steps.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum StepKind {
-    /// Load of a shared field.
-    Read,
-    /// Store to a shared field (e.g. setting a backlink).
-    Write,
-    /// Advancing a traversal pointer to the next node.
-    Traverse,
-    /// Following a backlink pointer.
-    Backlink,
-    /// Type-1 C&S: insertion.
-    CasInsert,
-    /// Type-2 C&S: flagging.
-    CasFlag,
-    /// Type-3 C&S: marking.
-    CasMark,
-    /// Type-4 C&S: physical deletion.
-    CasUnlink,
-}
-
-impl StepKind {
-    /// Whether this is any C&S attempt.
-    pub fn is_cas(self) -> bool {
-        matches!(
-            self,
-            StepKind::CasInsert | StepKind::CasFlag | StepKind::CasMark | StepKind::CasUnlink
-        )
-    }
-}
 
 #[derive(Default)]
 struct ProcState {
@@ -122,6 +93,8 @@ impl SchedInner {
 /// The director's handle to the cooperative scheduler.
 pub struct Scheduler {
     inner: Arc<SchedInner>,
+    /// Keeps the lists' step announcements routed to [`step_current`].
+    _hook: lf_tagged::StepHook,
 }
 
 impl fmt::Debug for Scheduler {
@@ -139,7 +112,7 @@ impl Default for Scheduler {
     }
 }
 
-/// A running simulated operation; join it for the result.
+/// A spawned process's operation; join it for the result.
 pub struct OpHandle<R> {
     pid: ProcId,
     thread: JoinHandle<R>,
@@ -157,15 +130,35 @@ impl<R> OpHandle<R> {
     ///
     /// Panics if the operation thread panicked.
     pub fn join(self) -> R {
-        self.thread.join().expect("simulated operation panicked")
+        self.thread.join().expect("scheduled operation panicked")
     }
 }
 
-/// A process's own handle: call [`Proc::step`] before every
-/// shared-memory access.
+/// A process's own handle. The lists announce their steps through
+/// [`lf_tagged::step`], which lands in [`Proc::step`] on a process
+/// thread; code written directly against the scheduler may call
+/// [`Proc::step`] itself.
+#[derive(Clone)]
 pub struct Proc {
     inner: Arc<SchedInner>,
     pid: ProcId,
+}
+
+thread_local! {
+    /// The process the current thread runs, if any: what the step hook
+    /// blocks on.
+    static CURRENT: RefCell<Option<Proc>> = const { RefCell::new(None) };
+}
+
+/// The hook a [`Scheduler`] installs into [`lf_tagged::step`]: block on
+/// the calling thread's [`Proc`], or return at once on a thread that is
+/// not a process.
+fn step_current(kind: StepKind) {
+    let _ = CURRENT.try_with(|c| {
+        if let Some(proc) = c.borrow().as_ref() {
+            proc.step(kind);
+        }
+    });
 }
 
 impl Proc {
@@ -192,11 +185,30 @@ impl Proc {
     }
 }
 
-impl Drop for Proc {
+/// A process thread's binding to its [`Proc`]: installed before the
+/// operation runs; on drop — return or unwind — the thread stops being
+/// a process and the process is marked finished.
+struct Running(Proc);
+
+impl Running {
+    fn bind(proc: Proc) -> Self {
+        CURRENT.with(|c| *c.borrow_mut() = Some(proc.clone()));
+        Running(proc)
+    }
+}
+
+impl Drop for Running {
     fn drop(&mut self) {
-        let mut st = self.inner.state.lock().unwrap();
-        st.procs[self.pid].finished = true;
-        self.inner.director_cv.notify_all();
+        let _ = CURRENT.try_with(|c| c.borrow_mut().take());
+        // Runs while unwinding too: a poisoned lock must not panic here.
+        let mut st = self
+            .0
+            .inner
+            .state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        st.procs[self.0.pid].finished = true;
+        self.0.inner.director_cv.notify_all();
     }
 }
 
@@ -210,7 +222,9 @@ pub enum Observation {
 }
 
 impl Scheduler {
-    /// Create a scheduler with no processes.
+    /// Create a scheduler with no processes. While it lives, the step
+    /// hook is installed: process threads block in it, every other
+    /// thread passes through.
     pub fn new() -> Self {
         Scheduler {
             inner: Arc::new(SchedInner {
@@ -218,15 +232,18 @@ impl Scheduler {
                 director_cv: Condvar::new(),
                 proc_cvs: Mutex::new(Vec::new()),
             }),
+            _hook: lf_tagged::StepHook::install(step_current),
         }
     }
 
-    /// Spawn a simulated operation. Its thread immediately blocks at
-    /// its first [`Proc::step`] until granted.
+    /// Spawn a process running `f` on its own thread, and return once
+    /// it has settled: blocked at its first step, or finished. So what
+    /// an operation does before its first step — registering a handle,
+    /// drawing a tower-height ticket — happens in spawn order.
     pub fn spawn<R, F>(&self, f: F) -> OpHandle<R>
     where
         R: Send + 'static,
-        F: FnOnce(Proc) -> R + Send + 'static,
+        F: FnOnce(&Proc) -> R + Send + 'static,
     {
         let pid = {
             let mut st = self.inner.state.lock().unwrap();
@@ -242,7 +259,11 @@ impl Scheduler {
             inner: self.inner.clone(),
             pid,
         };
-        let thread = std::thread::spawn(move || f(proc));
+        let thread = std::thread::spawn(move || {
+            let running = Running::bind(proc);
+            f(&running.0)
+        });
+        self.peek(pid);
         OpHandle { pid, thread }
     }
 
@@ -331,6 +352,15 @@ impl Scheduler {
             .get(&kind)
             .copied()
             .unwrap_or(0)
+    }
+
+    /// Steps of one kind across all processes.
+    pub fn total_steps_of(&self, kind: StepKind) -> u64 {
+        let st = self.inner.state.lock().unwrap();
+        st.procs
+            .iter()
+            .map(|p| p.by_kind.get(&kind).copied().unwrap_or(0))
+            .sum()
     }
 
     /// Total steps across all processes.
@@ -426,9 +456,30 @@ mod tests {
         stalled.join();
     }
 
+    /// `spawn` returns only once the process has settled, so what each
+    /// operation does before its first step runs in spawn order.
     #[test]
-    fn write_is_not_a_cas() {
-        assert!(!StepKind::Write.is_cas());
-        assert!(StepKind::CasFlag.is_cas());
+    fn spawned_processes_register_in_spawn_order() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for _ in 0..50 {
+            let sched = Scheduler::new();
+            let tickets = Arc::new(AtomicUsize::new(0));
+            let ops: Vec<_> = (0..2)
+                .map(|_| {
+                    let t = tickets.clone();
+                    sched.spawn(move |p| {
+                        let ticket = t.fetch_add(1, Ordering::SeqCst);
+                        p.step(StepKind::Read);
+                        ticket
+                    })
+                })
+                .collect();
+            // Run the later process first: its ticket is still 1.
+            for op in ops.iter().rev() {
+                sched.run_to_completion(op.pid());
+            }
+            let got: Vec<usize> = ops.into_iter().map(OpHandle::join).collect();
+            assert_eq!(got, vec![0, 1]);
+        }
     }
 }

@@ -24,7 +24,9 @@
 //! Two dependency-free concurrency utilities shared by the crates built
 //! on top also live here: [`CachePadded`] (64-byte alignment against
 //! false sharing) and [`Backoff`] (truncated exponential spin for CAS
-//! retry loops).
+//! retry loops). So does the step hook, [`step`]: the lists announce
+//! each essential access as a [`StepKind`], which `lf-sched`'s
+//! deterministic scheduler turns into a grant point.
 //!
 //! # Examples
 //!
@@ -50,9 +52,13 @@
 mod backoff;
 mod pad;
 mod ptr;
+mod step;
 
 pub use backoff::Backoff;
 pub use pad::CachePadded;
 pub use ptr::{
     AtomicTaggedPtr, TagBits, TaggedPtr, FLAG_BIT, MARK_BIT, STAMP_MASK, STAMP_SHIFT, TAG_MASK,
 };
+#[doc(hidden)]
+pub use step::StepHook;
+pub use step::{step, StepKind};

@@ -1,9 +1,12 @@
-//! Replay the paper's adversarial interference deterministically.
+//! Replay the paper's adversarial interference deterministically, on
+//! the shipped lists.
 //!
 //! Uses the step-machine scheduler to (1) show the three-step deletion
-//! of Fig. 2 and (2) run one round of the §3.1 adversary against both
-//! the Harris list and the Fomitchev–Ruppert list, printing how many
-//! steps each inserter needs to recover.
+//! of Fig. 2 on `FrList` and (2) run one round of the §3.1 adversary
+//! against both the Harris list and the Fomitchev–Ruppert list,
+//! printing how many steps each inserter needs to recover. Every
+//! operation is a scheduler process running on its own per-thread
+//! handle.
 //!
 //! ```sh
 //! cargo run --example adversary_replay
@@ -11,22 +14,55 @@
 
 use std::sync::Arc;
 
-use lockfree_lists::sched::sim::{SimFrList, SimHarrisList};
-use lockfree_lists::sched::{Scheduler, StepKind};
+use lockfree_lists::baselines::HarrisList;
+use lockfree_lists::sched::{OpHandle, Scheduler, StepKind};
+use lockfree_lists::FrList;
+
+/// One §3.1 round on a list with keys `1..=n`: an inserter of `n + 10`
+/// paused right before its C&S while `n` — its predecessor — is deleted
+/// out from under it. Returns the inserter's recovery cost in steps.
+fn recovery<L: Send + Sync + 'static>(
+    n: u64,
+    list: L,
+    insert: fn(&L, u64) -> bool,
+    delete: fn(&L, u64) -> bool,
+) -> u64 {
+    let sched = Scheduler::new();
+    let list = Arc::new(list);
+    let spawn = |op: fn(&L, u64) -> bool, k: u64| -> OpHandle<bool> {
+        let l = list.clone();
+        sched.spawn(move |_| op(&l, k))
+    };
+    for k in 1..=n {
+        let op = spawn(insert, k);
+        sched.run_to_completion(op.pid());
+        assert!(op.join());
+    }
+    let ins = spawn(insert, n + 10);
+    assert!(sched.run_until_pending(ins.pid(), |k| k == StepKind::CasInsert));
+    let before = sched.steps(ins.pid());
+    let del = spawn(delete, n);
+    sched.run_to_completion(del.pid());
+    assert!(del.join());
+    sched.run_to_completion(ins.pid());
+    let pid = ins.pid();
+    assert!(ins.join());
+    sched.steps(pid) - before
+}
 
 fn main() {
     // ---- Fig. 2: watch a deletion go flag -> mark -> unlink --------
     println!("deleting 2 from [1, 2, 3]:");
     let sched = Scheduler::new();
-    let list = Arc::new(SimFrList::new());
+    let list = Arc::new(FrList::<u64, u64>::new());
     for k in [1, 2, 3] {
         let l = list.clone();
-        let op = sched.spawn(move |p| l.insert(k, &p));
+        let op = sched.spawn(move |_| l.insert(k, k).is_ok());
         sched.run_to_completion(op.pid());
-        op.join();
+        assert!(op.join());
     }
     let l = list.clone();
-    let del = sched.spawn(move |p| l.delete(2, &p));
+    let del = sched.spawn(move |_| l.remove(&2).is_some());
     for expected in [StepKind::CasFlag, StepKind::CasMark, StepKind::CasUnlink] {
         assert!(sched.run_until_pending(del.pid(), |k| k.is_cas()));
         println!("  next C&S: {expected:?}");
@@ -34,61 +70,29 @@ fn main() {
     }
     sched.run_to_completion(del.pid());
     assert!(del.join());
-    println!("  final keys: {:?}\n", list.collect_keys());
+    let keys: Vec<u64> = list.dump().into_iter().filter_map(|(k, _, _)| k).collect();
+    println!("  final keys: {keys:?}\n");
 
     // ---- one §3.1 round against each design ------------------------
+    let n = 50;
     for flavour in ["harris", "fomitchev-ruppert"] {
-        let n = 50;
-        let sched = Scheduler::new();
         println!("{flavour}: {n}-element list, inserter paused before its C&S,");
         println!("  then the last node is deleted out from under it...");
-
-        let (recovery, ok) = match flavour {
-            "harris" => {
-                let list = Arc::new(SimHarrisList::new());
-                for k in 1..=n {
-                    let l = list.clone();
-                    let op = sched.spawn(move |p| l.insert(k, &p));
-                    sched.run_to_completion(op.pid());
-                    op.join();
-                }
-                let l = list.clone();
-                let ins = sched.spawn(move |p| l.insert(n + 10, &p));
-                assert!(sched.run_until_pending(ins.pid(), |k| k == StepKind::CasInsert));
-                let before = sched.steps(ins.pid());
-                let l = list.clone();
-                let d = sched.spawn(move |p| l.delete(n, &p));
-                sched.run_to_completion(d.pid());
-                d.join();
-                sched.run_to_completion(ins.pid());
-                let pid = ins.pid();
-                let ok = ins.join();
-                (sched.steps(pid) - before, ok)
-            }
-            _ => {
-                let list = Arc::new(SimFrList::new());
-                for k in 1..=n {
-                    let l = list.clone();
-                    let op = sched.spawn(move |p| l.insert(k, &p));
-                    sched.run_to_completion(op.pid());
-                    op.join();
-                }
-                let l = list.clone();
-                let ins = sched.spawn(move |p| l.insert(n + 10, &p));
-                assert!(sched.run_until_pending(ins.pid(), |k| k == StepKind::CasInsert));
-                let before = sched.steps(ins.pid());
-                let l = list.clone();
-                let d = sched.spawn(move |p| l.delete(n, &p));
-                sched.run_to_completion(d.pid());
-                d.join();
-                sched.run_to_completion(ins.pid());
-                let pid = ins.pid();
-                let ok = ins.join();
-                (sched.steps(pid) - before, ok)
-            }
+        let steps = match flavour {
+            "harris" => recovery(
+                n,
+                HarrisList::<u64, u64>::new(),
+                |l, k| l.handle().insert(k, k),
+                |l, k| l.handle().remove(&k).is_some(),
+            ),
+            _ => recovery(
+                n,
+                FrList::<u64, u64>::new(),
+                |l, k| l.insert(k, k).is_ok(),
+                |l, k| l.remove(&k).is_some(),
+            ),
         };
-        assert!(ok);
-        println!("  recovery cost: {recovery} steps\n");
+        println!("  recovery cost: {steps} steps\n");
     }
     println!("Harris restarts from the head (cost ~ list length); the FR list");
     println!("follows one backlink. Scale this to every round of every");

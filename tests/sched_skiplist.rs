@@ -1,47 +1,109 @@
-//! Deterministic exploration of the skip list's hardest interleavings
-//! (paper §4): interrupted tower constructions, superfluous-tower
-//! cleanup by searches, and per-step invariant validation.
+//! Deterministic exploration of the shipped skip list's hardest
+//! interleavings (paper §4): interrupted tower constructions,
+//! superfluous-tower cleanup by searches, and per-step invariant
+//! validation. Towers get scripted heights so every schedule is exact.
 
 use std::sync::Arc;
 
-use lockfree_lists::sched::sim::SimSkipList;
-use lockfree_lists::sched::{Observation, Scheduler, StepKind};
+use lockfree_lists::sched::{Observation, OpHandle, Scheduler, StepKind};
+use lockfree_lists::SkipList;
 
-fn run_to_end<R>(sched: &Scheduler, op: lockfree_lists::sched::OpHandle<R>) -> R
-where
-    R: Send + 'static,
-{
+/// Eight levels: towers of height 1..=7, as the schedules below assume.
+type Sl = SkipList<u64, u64>;
+
+fn new_list() -> Arc<Sl> {
+    Arc::new(SkipList::with_max_level(8))
+}
+
+fn insert(sched: &Scheduler, sl: &Arc<Sl>, k: u64, height: u32) -> OpHandle<bool> {
+    let s = sl.clone();
+    sched.spawn(move |_| s.handle().insert_with_height(k, k, height).is_ok())
+}
+
+fn delete(sched: &Scheduler, sl: &Arc<Sl>, k: u64) -> OpHandle<bool> {
+    let s = sl.clone();
+    sched.spawn(move |_| s.remove(&k).is_some())
+}
+
+fn contains(sched: &Scheduler, sl: &Arc<Sl>, k: u64) -> OpHandle<bool> {
+    let s = sl.clone();
+    sched.spawn(move |_| s.contains(&k))
+}
+
+fn run_to_end<R: Send + 'static>(sched: &Scheduler, op: OpHandle<R>) -> R {
     sched.run_to_completion(op.pid());
     op.join()
+}
+
+fn prefill(sched: &Scheduler, sl: &Arc<Sl>, towers: &[(u64, u32)]) {
+    for &(k, h) in towers {
+        assert!(run_to_end(sched, insert(sched, sl, k, h)));
+    }
+}
+
+/// Keys of the unmarked nodes at level 1.
+fn keys(sl: &Sl) -> Vec<u64> {
+    sl.dump()[0]
+        .iter()
+        .filter_map(|&(k, marked, _)| k.filter(|_| !marked))
+        .collect()
+}
+
+/// The highest level at which an unmarked node of `key`'s tower is
+/// still linked (0 if none).
+fn linked_height_of(sl: &Sl, key: u64) -> usize {
+    sl.dump()
+        .iter()
+        .rposition(|level| {
+            level
+                .iter()
+                .any(|&(k, marked, _)| k == Some(key) && !marked)
+        })
+        .map_or(0, |i| i + 1)
+}
+
+/// Drive `ops` to completion in an LCG order (`x → x·a + c`, started at
+/// `x0`), checking the invariants after every step when `check`.
+fn random_drive<R>(sched: &Scheduler, sl: &Sl, ops: &[OpHandle<R>], x0: u64, c: u64, check: bool) {
+    let mut live: Vec<usize> = ops.iter().map(OpHandle::pid).collect();
+    let mut x = x0;
+    while !live.is_empty() {
+        x = x.wrapping_mul(6364136223846793005).wrapping_add(c);
+        let idx = ((x >> 33) as usize) % live.len();
+        let pid = live[idx];
+        match sched.peek(pid) {
+            Observation::Finished => {
+                live.swap_remove(idx);
+            }
+            Observation::Pending(_) => {
+                sched.grant(pid, 1);
+                if check {
+                    sl.check_invariants();
+                }
+            }
+        }
+    }
 }
 
 #[test]
 fn sequential_tower_operations() {
     let sched = Scheduler::new();
-    let sl = Arc::new(SimSkipList::new());
-    for (k, h) in [(10, 3), (20, 1), (30, 5), (40, 2)] {
-        let s = sl.clone();
-        assert!(run_to_end(&sched, sched.spawn(move |p| s.insert(k, h, &p))));
-    }
+    let sl = new_list();
+    prefill(&sched, &sl, &[(10, 3), (20, 1), (30, 5), (40, 2)]);
     sl.check_invariants();
-    assert_eq!(sl.collect_keys(), vec![10, 20, 30, 40]);
-    assert_eq!(sl.linked_height_of(10), 3);
-    assert_eq!(sl.linked_height_of(30), 5);
+    assert_eq!(keys(&sl), vec![10, 20, 30, 40]);
+    assert_eq!(linked_height_of(&sl, 10), 3);
+    assert_eq!(linked_height_of(&sl, 30), 5);
 
-    let s = sl.clone();
-    assert!(run_to_end(&sched, sched.spawn(move |p| s.delete(30, &p))));
+    assert!(run_to_end(&sched, delete(&sched, &sl, 30)));
     sl.check_invariants();
-    assert_eq!(sl.collect_keys(), vec![10, 20, 40]);
+    assert_eq!(keys(&sl), vec![10, 20, 40]);
     // The whole tower is dismantled, not just the root.
-    assert_eq!(sl.linked_height_of(30), 0);
+    assert_eq!(linked_height_of(&sl, 30), 0);
 
-    let s = sl.clone();
-    assert!(run_to_end(&sched, sched.spawn(move |p| s.contains(10, &p))));
-    let s = sl.clone();
-    assert!(!run_to_end(
-        &sched,
-        sched.spawn(move |p| s.contains(30, &p))
-    ));
+    assert!(run_to_end(&sched, contains(&sched, &sl, 10)));
+    assert!(!run_to_end(&sched, contains(&sched, &sl, 30)));
+    sl.validate_quiescent();
 }
 
 /// Paper §4: "while a process P is constructing a tower Q, Q's root
@@ -51,16 +113,12 @@ fn sequential_tower_operations() {
 #[test]
 fn interrupted_construction_cleans_up() {
     let sched = Scheduler::new();
-    let sl = Arc::new(SimSkipList::new());
-    for (k, h) in [(10, 2), (30, 2)] {
-        let s = sl.clone();
-        assert!(run_to_end(&sched, sched.spawn(move |p| s.insert(k, h, &p))));
-    }
+    let sl = new_list();
+    prefill(&sched, &sl, &[(10, 2), (30, 2)]);
 
     // The inserter builds a tall tower for 20; pause it right before it
     // links level 2 (its second insertion C&S).
-    let s = sl.clone();
-    let ins = sched.spawn(move |p| s.insert(20, 5, &p));
+    let ins = insert(&sched, &sl, 20, 5);
     let mut cas_inserts = 0;
     loop {
         match sched.peek(ins.pid()) {
@@ -77,18 +135,24 @@ fn interrupted_construction_cleans_up() {
     }
 
     // A deleter removes key 20 — marking the root mid-construction.
-    let s = sl.clone();
-    assert!(run_to_end(&sched, sched.spawn(move |p| s.delete(20, &p))));
+    assert!(run_to_end(&sched, delete(&sched, &sl, 20)));
     sl.check_invariants();
-    assert!(!sl.collect_keys().contains(&20));
+    assert!(!keys(&sl).contains(&20));
 
     // Resume the inserter: it links its level-2 node into a superfluous
     // tower, must notice the marked root, and delete the node again.
-    sched.run_to_completion(ins.pid());
-    assert!(ins.join(), "interrupted insert still reports success");
+    assert!(
+        run_to_end(&sched, ins),
+        "interrupted insert still reports success"
+    );
     sl.check_invariants();
-    assert_eq!(sl.collect_keys(), vec![10, 30]);
-    assert_eq!(sl.linked_height_of(20), 0, "superfluous debris left behind");
+    assert_eq!(keys(&sl), vec![10, 30]);
+    assert_eq!(
+        linked_height_of(&sl, 20),
+        0,
+        "superfluous debris left behind"
+    );
+    sl.validate_quiescent();
 }
 
 /// A search passing a superfluous tower must physically delete it (§4:
@@ -96,44 +160,31 @@ fn interrupted_construction_cleans_up() {
 #[test]
 fn search_cleans_superfluous_towers() {
     let sched = Scheduler::new();
-    let sl = Arc::new(SimSkipList::new());
-    for (k, h) in [(10, 1), (20, 4), (30, 1)] {
-        let s = sl.clone();
-        assert!(run_to_end(&sched, sched.spawn(move |p| s.insert(k, h, &p))));
-    }
+    let sl = new_list();
+    prefill(&sched, &sl, &[(10, 1), (20, 4), (30, 1)]);
 
     // Delete 20 but halt the deleter immediately after the root's mark
     // lands (upper levels stay linked: a superfluous tower).
-    let s = sl.clone();
-    let del = sched.spawn(move |p| s.delete(20, &p));
-    let mut marks = 0;
-    loop {
-        match sched.peek(del.pid()) {
-            Observation::Pending(StepKind::CasMark) => {
-                sched.grant(del.pid(), 1);
-                marks += 1;
-                if marks == 1 {
-                    break; // root marked; leave the deleter stalled
-                }
-            }
-            Observation::Pending(_) => sched.grant(del.pid(), 1),
-            Observation::Finished => panic!("deleter finished early"),
-        }
-    }
-    assert!(sl.linked_height_of(20) >= 2, "upper levels should remain");
+    let del = delete(&sched, &sl, 20);
+    assert!(sched.run_until_pending(del.pid(), |k| k == StepKind::CasMark));
+    sched.grant(del.pid(), 1); // root marked; leave the deleter stalled
+    assert!(linked_height_of(&sl, 20) >= 2, "upper levels should remain");
 
     // An unrelated search for a larger key sweeps past the superfluous
     // tower on its way down and must dismantle it.
-    let s = sl.clone();
-    assert!(run_to_end(&sched, sched.spawn(move |p| s.contains(30, &p))));
+    assert!(run_to_end(&sched, contains(&sched, &sl, 30)));
     sl.check_invariants();
-    assert_eq!(sl.linked_height_of(20), 0, "search left superfluous nodes");
+    assert_eq!(
+        linked_height_of(&sl, 20),
+        0,
+        "search left superfluous nodes"
+    );
 
     // Unstall the deleter; it still owns (and reports) the deletion.
-    sched.run_to_completion(del.pid());
-    assert!(del.join());
+    assert!(run_to_end(&sched, del));
     sl.check_invariants();
-    assert_eq!(sl.collect_keys(), vec![10, 30]);
+    assert_eq!(keys(&sl), vec![10, 30]);
+    sl.validate_quiescent();
 }
 
 /// Random interleavings of conflicting tower operations, validating
@@ -142,45 +193,21 @@ fn search_cleans_superfluous_towers() {
 fn skiplist_invariants_hold_after_every_step() {
     for seed in 0..25u64 {
         let sched = Scheduler::new();
-        let sl = Arc::new(SimSkipList::new());
-        for (k, h) in [(10, 2), (20, 3), (30, 1), (40, 4)] {
-            let s = sl.clone();
-            assert!(run_to_end(&sched, sched.spawn(move |p| s.insert(k, h, &p))));
-        }
-        let s1 = sl.clone();
-        let s2 = sl.clone();
-        let s3 = sl.clone();
-        let s4 = sl.clone();
+        let sl = new_list();
+        prefill(&sched, &sl, &[(10, 2), (20, 3), (30, 1), (40, 4)]);
         let ops = vec![
-            sched.spawn(move |p| s1.delete(20, &p)),
-            sched.spawn(move |p| s2.insert(25, 3, &p)),
-            sched.spawn(move |p| s3.delete(40, &p)),
-            sched.spawn(move |p| s4.insert(15, 2, &p)),
+            delete(&sched, &sl, 20),
+            insert(&sched, &sl, 25, 3),
+            delete(&sched, &sl, 40),
+            insert(&sched, &sl, 15, 2),
         ];
-        let mut live: Vec<usize> = ops.iter().map(|o| o.pid()).collect();
-        let mut x = seed | 1;
-        while !live.is_empty() {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let idx = ((x >> 33) as usize) % live.len();
-            let pid = live[idx];
-            match sched.peek(pid) {
-                Observation::Finished => {
-                    live.swap_remove(idx);
-                }
-                Observation::Pending(_) => {
-                    sched.grant(pid, 1);
-                    let _ = sched.peek(pid);
-                    sl.check_invariants();
-                }
-            }
-        }
+        random_drive(&sched, &sl, &ops, seed | 1, 1442695040888963407, true);
         for op in ops {
             assert!(op.join(), "operation failed under seed {seed}");
         }
         sl.check_invariants();
-        assert_eq!(sl.collect_keys(), vec![10, 15, 25, 30], "seed {seed}");
+        assert_eq!(keys(&sl), vec![10, 15, 25, 30], "seed {seed}");
+        sl.validate_quiescent();
     }
 }
 
@@ -189,32 +216,24 @@ fn skiplist_invariants_hold_after_every_step() {
 fn skiplist_same_key_insert_race() {
     for seed in 0..30u64 {
         let sched = Scheduler::new();
-        let sl = Arc::new(SimSkipList::new());
-        let s1 = sl.clone();
-        let s2 = sl.clone();
-        let s3 = sl.clone();
+        let sl = new_list();
         let ops = vec![
-            sched.spawn(move |p| s1.insert(42, 3, &p)),
-            sched.spawn(move |p| s2.insert(42, 1, &p)),
-            sched.spawn(move |p| s3.insert(42, 5, &p)),
+            insert(&sched, &sl, 42, 3),
+            insert(&sched, &sl, 42, 1),
+            insert(&sched, &sl, 42, 5),
         ];
-        let mut live: Vec<usize> = ops.iter().map(|o| o.pid()).collect();
-        let mut x = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-        while !live.is_empty() {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let idx = ((x >> 33) as usize) % live.len();
-            let pid = live[idx];
-            match sched.peek(pid) {
-                Observation::Finished => {
-                    live.swap_remove(idx);
-                }
-                Observation::Pending(_) => sched.grant(pid, 1),
-            }
-        }
-        let wins = ops.into_iter().map(|o| o.join()).filter(|&w| w).count();
+        random_drive(
+            &sched,
+            &sl,
+            &ops,
+            seed.wrapping_mul(0x9E3779B97F4A7C15) | 1,
+            1,
+            false,
+        );
+        let wins = ops.into_iter().map(OpHandle::join).filter(|&w| w).count();
         assert_eq!(wins, 1, "seed {seed}");
         sl.check_invariants();
-        assert_eq!(sl.collect_keys(), vec![42], "seed {seed}");
+        assert_eq!(keys(&sl), vec![42], "seed {seed}");
     }
 }
 
@@ -224,35 +243,22 @@ fn skiplist_same_key_insert_race() {
 fn skiplist_delete_race_single_winner() {
     for seed in 0..30u64 {
         let sched = Scheduler::new();
-        let sl = Arc::new(SimSkipList::new());
-        for (k, h) in [(10, 1), (20, 5), (30, 2)] {
-            let s = sl.clone();
-            assert!(run_to_end(&sched, sched.spawn(move |p| s.insert(k, h, &p))));
-        }
-        let s1 = sl.clone();
-        let s2 = sl.clone();
-        let ops = vec![
-            sched.spawn(move |p| s1.delete(20, &p)),
-            sched.spawn(move |p| s2.delete(20, &p)),
-        ];
-        let mut live: Vec<usize> = ops.iter().map(|o| o.pid()).collect();
-        let mut x = seed.wrapping_mul(0xD1B54A32D192ED03) | 1;
-        while !live.is_empty() {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(11);
-            let idx = ((x >> 33) as usize) % live.len();
-            let pid = live[idx];
-            match sched.peek(pid) {
-                Observation::Finished => {
-                    live.swap_remove(idx);
-                }
-                Observation::Pending(_) => sched.grant(pid, 1),
-            }
-        }
-        let wins = ops.into_iter().map(|o| o.join()).filter(|&w| w).count();
+        let sl = new_list();
+        prefill(&sched, &sl, &[(10, 1), (20, 5), (30, 2)]);
+        let ops = vec![delete(&sched, &sl, 20), delete(&sched, &sl, 20)];
+        random_drive(
+            &sched,
+            &sl,
+            &ops,
+            seed.wrapping_mul(0xD1B54A32D192ED03) | 1,
+            11,
+            false,
+        );
+        let wins = ops.into_iter().map(OpHandle::join).filter(|&w| w).count();
         assert_eq!(wins, 1, "seed {seed}");
         sl.check_invariants();
-        assert_eq!(sl.collect_keys(), vec![10, 30], "seed {seed}");
-        assert_eq!(sl.linked_height_of(20), 0, "tower debris, seed {seed}");
+        assert_eq!(keys(&sl), vec![10, 30], "seed {seed}");
+        assert_eq!(linked_height_of(&sl, 20), 0, "tower debris, seed {seed}");
     }
 }
 
@@ -263,15 +269,11 @@ fn skiplist_delete_race_single_winner() {
 fn skiplist_search_during_dismantle() {
     for pause_after in 0..20u64 {
         let sched = Scheduler::new();
-        let sl = Arc::new(SimSkipList::new());
-        for (k, h) in [(10, 6), (20, 6), (30, 1)] {
-            let s = sl.clone();
-            assert!(run_to_end(&sched, sched.spawn(move |p| s.insert(k, h, &p))));
-        }
+        let sl = new_list();
+        prefill(&sched, &sl, &[(10, 6), (20, 6), (30, 1)]);
         // Searcher for 30 starts descending (its path passes tower 20),
         // pauses after a few steps.
-        let s = sl.clone();
-        let searcher = sched.spawn(move |p| s.contains(30, &p));
+        let searcher = contains(&sched, &sl, 30);
         for _ in 0..pause_after {
             match sched.peek(searcher.pid()) {
                 Observation::Finished => break,
@@ -279,14 +281,13 @@ fn skiplist_search_during_dismantle() {
             }
         }
         // Deleter dismantles tower 20 completely.
-        let s = sl.clone();
-        let del = sched.spawn(move |p| s.delete(20, &p));
-        sched.run_to_completion(del.pid());
-        assert!(del.join());
+        assert!(run_to_end(&sched, delete(&sched, &sl, 20)));
         // Searcher resumes and must still find 30.
-        sched.run_to_completion(searcher.pid());
-        assert!(searcher.join(), "search lost its key (pause {pause_after})");
+        assert!(
+            run_to_end(&sched, searcher),
+            "search lost its key (pause {pause_after})"
+        );
         sl.check_invariants();
-        assert_eq!(sl.collect_keys(), vec![10, 30]);
+        assert_eq!(keys(&sl), vec![10, 30]);
     }
 }
