@@ -89,6 +89,16 @@ struct Lane<K, V> {
     blocked: Mutex<Vec<Waker>>,
 }
 
+/// A submitting thread's hold on a lane's executor token; see
+/// [`Lane::take_inline`].
+struct HandBack<'a, K, V>(&'a Lane<K, V>);
+
+impl<K, V> Drop for HandBack<'_, K, V> {
+    fn drop(&mut self) {
+        self.0.hand_back();
+    }
+}
+
 impl<K, V> Lane<K, V> {
     fn new(capacity: usize, batch_max: usize) -> Self {
         Lane {
@@ -125,6 +135,16 @@ impl<K, V> Lane<K, V> {
             let _guard = self.parker.lock().unwrap_or_else(|e| e.into_inner());
             self.wake.notify_one();
         }
+    }
+
+    /// Take the executor token for a submitting thread, handed back
+    /// when the returned guard drops — also while a panic in the leg
+    /// (a `GetWith` visitor, say) unwinds past it, so a panicking leg
+    /// cannot wedge the lane.
+    fn take_inline(&self) -> Option<HandBack<'_, K, V>> {
+        // Lazily: a guard built (and dropped) after a failed take would
+        // hand back the current holder's token.
+        self.take_token().then(|| HandBack(self))
     }
 
     /// Nudge the worker if it is parked (or about to park).
@@ -502,9 +522,12 @@ fn run_inline<B: AsyncBackend>(
     };
     let lane_idx = leg.lane;
     let lane = &shared.lanes[lane_idx];
-    if slots.has_scan() || !lane.take_token() {
+    if slots.has_scan() {
         return false;
     }
+    let Some(_token) = lane.take_inline() else {
+        return false;
+    };
     let idle = lane.ring.len() == 0 && !lane.ring.is_closed();
     if idle {
         let start = Instant::now();
@@ -524,7 +547,6 @@ fn run_inline<B: AsyncBackend>(
             .record_inline(n, start.elapsed().as_nanos() as u64);
         leg.flight = Flight::Done(slots);
     }
-    lane.hand_back();
     idle
 }
 

@@ -8,10 +8,12 @@
 //! policy decision) happens.
 
 use std::future::Future;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::task::{Context, Poll};
+use std::time::{Duration, Instant};
 
 use lf_async::{
     AsyncBackend, BackpressurePolicy, Error, Request, Response, Service, ServiceBuilder,
@@ -918,6 +920,41 @@ fn batch_on_queues_a_leg_holding_a_scan() {
     let (reqs, want) = point_batch(2);
     assert_eq!(rt::block_on(service.batch_on(&h, reqs)), want);
     assert_eq!(service.metrics().inline, want.len() as u64);
+    drop(h);
+    service.shutdown();
+}
+
+/// Poll `fut` until it resolves; fail if that takes longer than 5 s.
+fn resolve_soon<F: Future + Unpin>(mut fut: F) -> F::Output {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        if let Poll::Ready(out) = poll_once(&mut fut) {
+            return out;
+        }
+        assert!(Instant::now() < deadline, "the lane never ran the request");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn batch_on_hands_the_token_back_when_a_visitor_panics() {
+    let service = ServiceBuilder::new()
+        .workers(1)
+        .build(FrList::<u64, u64>::new());
+    let h = service.handle();
+    let reqs = vec![
+        Request::Insert(1, 10),
+        Request::GetWith(1, Box::new(|_| panic!("visitor panics"))),
+    ];
+    // The idle lane runs the leg inline, so the panic unwinds out of
+    // `batch_on` itself, through the executor token's holder.
+    let unwound = catch_unwind(AssertUnwindSafe(|| service.batch_on(&h, reqs)));
+    assert!(unwound.is_err());
+    // The lane is not wedged: the next leg runs inline again, and a
+    // queued future is drained by the worker.
+    let (reqs, want) = point_batch(2);
+    assert_eq!(resolve_soon(service.batch_on(&h, reqs)), want);
+    assert_eq!(resolve_soon(service.get(1)), Ok(Response::Value(Some(10))));
     drop(h);
     service.shutdown();
 }

@@ -7,7 +7,10 @@
 
 use std::fmt;
 
+use lf_core::{ConcurrentMap, MapHandle};
 use parking_lot::Mutex;
+
+use crate::metered;
 
 struct Node<K, V> {
     key: K,
@@ -23,9 +26,9 @@ struct Node<K, V> {
 /// use lf_baselines::CoarseLockList;
 ///
 /// let list = CoarseLockList::new();
-/// assert!(list.insert(2, "two"));
-/// assert!(list.insert(1, "one"));
-/// assert!(!list.insert(1, "dup"));
+/// assert!(list.insert(2, "two").is_ok());
+/// assert!(list.insert(1, "one").is_ok());
+/// assert_eq!(list.insert(1, "dup"), Err((1, "dup")));
 /// assert_eq!(list.get(&1), Some("one"));
 /// assert_eq!(list.remove(&2), Some("two"));
 /// ```
@@ -72,62 +75,75 @@ impl<K: Ord, V> CoarseLockList<K, V> {
         }
     }
 
-    /// Insert `key → value`; returns `false` on duplicate.
-    ///
-    /// Exactly one op is counted per call, at this boundary — the
-    /// multi-return body below stays free of metric bookkeeping.
-    pub fn insert(&self, key: K, value: V) -> bool {
-        let op = lf_metrics::op_begin();
-        let r = self.insert_inner(key, value);
-        lf_metrics::op_end(op);
-        r
-    }
-
-    fn insert_inner(&self, key: K, value: V) -> bool {
-        let mut inner = self.inner.lock();
-        let mut slot = &mut inner.head;
-        loop {
-            match slot {
-                Some(node) if node.key < key => {
-                    lf_metrics::record_curr_update();
-                    slot = &mut slot.as_mut().unwrap().next;
+    /// Insert `key → value`; hands both back if `key` is present.
+    pub fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
+        metered(|| {
+            let mut inner = self.inner.lock();
+            let mut slot = &mut inner.head;
+            loop {
+                match slot {
+                    Some(node) if node.key < key => {
+                        lf_metrics::record_curr_update();
+                        slot = &mut slot.as_mut().unwrap().next;
+                    }
+                    Some(node) if node.key == key => return Err((key, value)),
+                    _ => break,
                 }
-                Some(node) if node.key == key => return false,
-                _ => break,
             }
-        }
-        let next = slot.take();
-        *slot = Some(Box::new(Node { key, value, next }));
-        inner.len += 1;
-        true
+            let next = slot.take();
+            *slot = Some(Box::new(Node { key, value, next }));
+            inner.len += 1;
+            Ok(())
+        })
     }
 
-    /// Remove `key`, returning its value.
+    /// Remove `key`, returning its value. The list owns its nodes
+    /// outright, so this is the removal body: the value moves out.
     pub fn remove(&self, key: &K) -> Option<V> {
-        let op = lf_metrics::op_begin();
-        let r = self.remove_inner(key);
-        lf_metrics::op_end(op);
-        r
+        metered(|| {
+            let mut inner = self.inner.lock();
+            let mut slot = &mut inner.head;
+            loop {
+                match slot {
+                    Some(node) if node.key < *key => {
+                        lf_metrics::record_curr_update();
+                        slot = &mut slot.as_mut().unwrap().next;
+                    }
+                    Some(node) if node.key == *key => {
+                        let removed = slot.take().unwrap();
+                        *slot = removed.next;
+                        inner.len -= 1;
+                        return Some(removed.value);
+                    }
+                    _ => return None,
+                }
+            }
+        })
     }
 
-    fn remove_inner(&self, key: &K) -> Option<V> {
-        let mut inner = self.inner.lock();
-        let mut slot = &mut inner.head;
-        loop {
-            match slot {
-                Some(node) if node.key < *key => {
-                    lf_metrics::record_curr_update();
-                    slot = &mut slot.as_mut().unwrap().next;
+    /// Remove `key` and apply `f` to a borrow of its value.
+    pub fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        self.remove(key).map(|v| f(&v))
+    }
+
+    /// Look up `key` and apply `f` to a borrow of its value (under
+    /// the lock).
+    pub fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        metered(|| {
+            let inner = self.inner.lock();
+            let mut cur = inner.head.as_deref();
+            while let Some(node) = cur {
+                if node.key == *key {
+                    return Some(f(&node.value));
                 }
-                Some(node) if node.key == *key => {
-                    let removed = slot.take().unwrap();
-                    *slot = removed.next;
-                    inner.len -= 1;
-                    return Some(removed.value);
+                if node.key > *key {
+                    return None;
                 }
-                _ => return None,
+                lf_metrics::record_curr_update();
+                cur = node.next.as_deref();
             }
-        }
+            None
+        })
     }
 
     /// Look up `key`, cloning its value.
@@ -135,53 +151,52 @@ impl<K: Ord, V> CoarseLockList<K, V> {
     where
         V: Clone,
     {
-        let op = lf_metrics::op_begin();
-        let r = self.get_inner(key);
-        lf_metrics::op_end(op);
-        r
-    }
-
-    fn get_inner(&self, key: &K) -> Option<V>
-    where
-        V: Clone,
-    {
-        let inner = self.inner.lock();
-        let mut cur = inner.head.as_deref();
-        while let Some(node) = cur {
-            if node.key == *key {
-                return Some(node.value.clone());
-            }
-            if node.key > *key {
-                return None;
-            }
-            lf_metrics::record_curr_update();
-            cur = node.next.as_deref();
-        }
-        None
+        self.get_with(key, V::clone)
     }
 
     /// Whether `key` is present.
     pub fn contains(&self, key: &K) -> bool {
-        let op = lf_metrics::op_begin();
-        let r = self.contains_inner(key);
-        lf_metrics::op_end(op);
-        r
+        self.get_with(key, |_| ()).is_some()
+    }
+}
+
+impl<K, V> ConcurrentMap for CoarseLockList<K, V>
+where
+    K: Ord + Send + Sync + 'static,
+    V: Send + Sync + 'static,
+{
+    type Key = K;
+    type Value = V;
+    type Handle<'a>
+        = &'a Self
+    where
+        Self: 'a;
+
+    fn handle(&self) -> &Self {
+        self
     }
 
-    fn contains_inner(&self, key: &K) -> bool {
-        let inner = self.inner.lock();
-        let mut cur = inner.head.as_deref();
-        while let Some(node) = cur {
-            if node.key == *key {
-                return true;
-            }
-            if node.key > *key {
-                return false;
-            }
-            lf_metrics::record_curr_update();
-            cur = node.next.as_deref();
-        }
-        false
+    fn len(&self) -> usize {
+        CoarseLockList::len(self)
+    }
+}
+
+/// The lock is the whole protocol: no handle state, no pins.
+impl<K, V> MapHandle<K, V> for &CoarseLockList<K, V>
+where
+    K: Ord + Send + Sync + 'static,
+    V: Send + Sync + 'static,
+{
+    fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
+        CoarseLockList::insert(self, key, value)
+    }
+
+    fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        CoarseLockList::remove_with(self, key, f)
+    }
+
+    fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        CoarseLockList::get_with(self, key, f)
     }
 }
 
@@ -205,9 +220,9 @@ mod tests {
     fn sequential_roundtrip() {
         let list = CoarseLockList::new();
         for k in [5, 3, 8, 1, 9] {
-            assert!(list.insert(k, k * 2));
+            assert!(list.insert(k, k * 2).is_ok());
         }
-        assert!(!list.insert(3, 0));
+        assert_eq!(list.insert(3, 0), Err((3, 0)));
         assert_eq!(list.len(), 5);
         assert_eq!(list.get(&8), Some(16));
         assert_eq!(list.remove(&8), Some(16));
@@ -222,7 +237,7 @@ mod tests {
         // Descending inserts keep each insert O(1) while still
         // building a 100k-node chain for the drop to tear down.
         for k in (0..100_000u32).rev() {
-            list.insert(k, ());
+            assert!(list.insert(k, ()).is_ok());
         }
         drop(list); // must not blow the stack
     }
@@ -235,7 +250,7 @@ mod tests {
                 let list = list.clone();
                 s.spawn(move || {
                     for i in 0..200u32 {
-                        list.insert(t * 200 + i, ());
+                        assert!(list.insert(t * 200 + i, ()).is_ok());
                     }
                 });
             }

@@ -12,11 +12,12 @@
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
+use lf_core::{ConcurrentMap, MapHandle};
 use lf_metrics::CasType;
 use lf_reclaim::{Collector, Guard, LocalHandle};
 use lf_tagged::{step, AtomicTaggedPtr, StepKind, TaggedPtr};
 
-use crate::Bound;
+use crate::{metered, Bound};
 
 #[repr(align(8))]
 struct Node<K, V> {
@@ -53,8 +54,8 @@ impl<K, V> Node<K, V> {
 ///
 /// let list = HarrisList::new();
 /// let h = list.handle();
-/// assert!(h.insert(1, "one"));
-/// assert!(!h.insert(1, "dup"));
+/// assert!(h.insert(1, "one").is_ok());
+/// assert_eq!(h.insert(1, "dup"), Err((1, "dup")));
 /// assert!(h.contains(&1));
 /// assert_eq!(h.remove(&1), Some("one"));
 /// ```
@@ -225,7 +226,7 @@ where
     /// # Safety
     ///
     /// `guard` must pin this list's collector.
-    unsafe fn insert_impl(&self, key: K, value: V, guard: &Guard<'_>) -> bool {
+    unsafe fn insert_impl(&self, key: K, value: V, guard: &Guard<'_>) -> Result<(), (K, V)> {
         // SAFETY: the fn's `# Safety` contract covers the whole body.
         unsafe {
             let new_node = Node::alloc(Bound::Key(key), Some(value), std::ptr::null_mut());
@@ -233,8 +234,8 @@ where
                 let key_ref = (*new_node).key.as_key().expect("user key");
                 let (left, right) = self.search(key_ref, guard);
                 if (*right).key.as_key() == Some(key_ref) {
-                    drop(Box::from_raw(new_node));
-                    return false;
+                    let Node { key, element, .. } = *Box::from_raw(new_node);
+                    return Err((key.into_key(), element.expect("user node has element")));
                 }
                 (*new_node)
                     .succ
@@ -249,7 +250,7 @@ where
                 lf_metrics::record_cas(CasType::Insert, res.is_ok());
                 if res.is_ok() {
                     self.len.fetch_add(1, Ordering::SeqCst);
-                    return true;
+                    return Ok(());
                 }
                 // Failure: restart (search starts from the head again).
             }
@@ -259,10 +260,12 @@ where
     /// # Safety
     ///
     /// `guard` must pin this list's collector.
-    unsafe fn delete_impl(&self, k: &K, guard: &Guard<'_>) -> Option<V>
-    where
-        V: Clone,
-    {
+    unsafe fn delete_impl<T>(
+        &self,
+        k: &K,
+        guard: &Guard<'_>,
+        f: impl FnOnce(&V) -> T,
+    ) -> Option<T> {
         // SAFETY: the fn's `# Safety` contract covers the whole body.
         unsafe {
             loop {
@@ -286,7 +289,7 @@ where
                 lf_metrics::record_cas(CasType::Mark, res.is_ok());
                 if res.is_ok() {
                     self.len.fetch_sub(1, Ordering::SeqCst);
-                    let value = (*right).element.clone().expect("user node has element");
+                    let value = f((*right).element.as_ref().expect("user node has element"));
                     // Physical deletion: one more search snips it out.
                     let _ = self.search(k, guard);
                     return Some(value);
@@ -341,14 +344,30 @@ where
     K: Ord + Send + Sync + 'static,
     V: Send + Sync + 'static,
 {
-    /// Insert `key → value`; returns `false` on duplicate.
-    pub fn insert(&self, key: K, value: V) -> bool {
+    /// Insert `key → value`; hands both back if `key` is present.
+    pub fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
         let guard = self.reclaim.pin();
-        let op = lf_metrics::op_begin();
         // SAFETY: the guard pins this list's collector.
-        let r = unsafe { self.list.insert_impl(key, value, &guard) };
-        lf_metrics::op_end(op);
-        r
+        metered(|| unsafe { self.list.insert_impl(key, value, &guard) })
+    }
+
+    /// Remove `key` and apply `f` to a borrow of its value.
+    pub fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        let guard = self.reclaim.pin();
+        // SAFETY: the guard pins this list's collector.
+        metered(|| unsafe { self.list.delete_impl(key, &guard, f) })
+    }
+
+    /// Look up `key` and apply `f` to a borrow of its value.
+    pub fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        let guard = self.reclaim.pin();
+        // SAFETY: the guard pins this list's collector; the returned
+        // node stays valid while the guard lives.
+        metered(|| unsafe {
+            self.list
+                .search_value(key, &guard)
+                .map(|n| f((*n).element.as_ref().expect("user node has element")))
+        })
     }
 
     /// Remove `key`, returning its value.
@@ -356,12 +375,7 @@ where
     where
         V: Clone,
     {
-        let guard = self.reclaim.pin();
-        let op = lf_metrics::op_begin();
-        // SAFETY: the guard pins this list's collector.
-        let r = unsafe { self.list.delete_impl(key, &guard) };
-        lf_metrics::op_end(op);
-        r
+        self.remove_with(key, V::clone)
     }
 
     /// Look up `key`, cloning its value.
@@ -369,27 +383,63 @@ where
     where
         V: Clone,
     {
-        let guard = self.reclaim.pin();
-        let op = lf_metrics::op_begin();
-        // SAFETY: the guard pins this list's collector; the returned
-        // node stays valid while the guard lives.
-        let r = unsafe {
-            self.list
-                .search_value(key, &guard)
-                .map(|n| (*n).element.clone().expect("user node has element"))
-        };
-        lf_metrics::op_end(op);
-        r
+        self.get_with(key, V::clone)
     }
 
     /// Whether `key` is present.
     pub fn contains(&self, key: &K) -> bool {
-        let guard = self.reclaim.pin();
-        let op = lf_metrics::op_begin();
-        // SAFETY: the guard pins this list's collector.
-        let r = unsafe { self.list.search_value(key, &guard).is_some() };
-        lf_metrics::op_end(op);
-        r
+        self.get_with(key, |_| ()).is_some()
+    }
+}
+
+impl<K, V> ConcurrentMap for HarrisList<K, V>
+where
+    K: Ord + Send + Sync + 'static,
+    V: Send + Sync + 'static,
+{
+    type Key = K;
+    type Value = V;
+    type Handle<'a>
+        = HarrisHandle<'a, K, V>
+    where
+        Self: 'a;
+
+    fn handle(&self) -> Self::Handle<'_> {
+        HarrisList::handle(self)
+    }
+
+    fn len(&self) -> usize {
+        HarrisList::len(self)
+    }
+}
+
+impl<K, V> MapHandle<K, V> for HarrisHandle<'_, K, V>
+where
+    K: Ord + Send + Sync + 'static,
+    V: Send + Sync + 'static,
+{
+    fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
+        HarrisHandle::insert(self, key, value)
+    }
+
+    fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        HarrisHandle::remove_with(self, key, f)
+    }
+
+    fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        HarrisHandle::get_with(self, key, f)
+    }
+
+    fn amortize_pins(&self, every: u32) {
+        self.reclaim.amortize_pins(every);
+    }
+
+    fn quiesce(&self) {
+        self.reclaim.quiesce();
+    }
+
+    fn flush_reclamation(&self) {
+        self.reclaim.flush();
     }
 }
 
@@ -422,8 +472,8 @@ mod tests {
         let h = list.handle();
         assert!(!h.contains(&0));
         assert_eq!(h.remove(&0), None);
-        assert!(h.insert(i64::MIN, ()));
-        assert!(h.insert(i64::MAX, ()));
+        assert!(h.insert(i64::MIN, ()).is_ok());
+        assert!(h.insert(i64::MAX, ()).is_ok());
         assert!(h.contains(&i64::MIN) && h.contains(&i64::MAX));
     }
 
@@ -467,7 +517,7 @@ mod tests {
                 s.spawn(move || {
                     let h = list.handle();
                     for k in 0..100u32 {
-                        if h.insert(k, ()) {
+                        if h.insert(k, ()).is_ok() {
                             wins.fetch_add(1, Ordering::SeqCst);
                         }
                     }

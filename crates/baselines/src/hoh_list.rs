@@ -9,9 +9,10 @@
 use std::fmt;
 use std::sync::Arc;
 
+use lf_core::{ConcurrentMap, MapHandle};
 use parking_lot::Mutex;
 
-use crate::Bound;
+use crate::{metered, Bound};
 
 /// A held lock on some node's `next` pointer.
 type NextGuard<'a, K, V> = parking_lot::MutexGuard<'a, Option<Arc<Node<K, V>>>>;
@@ -30,7 +31,7 @@ struct Node<K, V> {
 /// use lf_baselines::HohLockList;
 ///
 /// let list = HohLockList::new();
-/// assert!(list.insert(1, "one"));
+/// assert!(list.insert(1, "one").is_ok());
 /// assert!(list.contains(&1));
 /// assert_eq!(list.remove(&1), Some("one"));
 /// assert!(list.is_empty());
@@ -128,31 +129,49 @@ impl<K: Ord, V> HohLockList<K, V> {
         }
     }
 
-    /// Insert `key → value`; returns `false` on duplicate.
-    ///
-    /// Exactly one op is counted per call, at this boundary — the
-    /// multi-return body below stays free of metric bookkeeping.
-    pub fn insert(&self, key: K, value: V) -> bool {
-        let op = lf_metrics::op_begin();
-        let r = self.insert_inner(key, value);
-        lf_metrics::op_end(op);
-        r
+    /// Insert `key → value`; hands both back if `key` is present.
+    pub fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
+        metered(|| {
+            let (_pred, mut guard) = self.find(&key);
+            let curr = guard.as_ref().unwrap().clone();
+            if curr.key.as_key() == Some(&key) {
+                return Err((key, value));
+            }
+            let node = Arc::new(Node {
+                key: Bound::Key(key),
+                value: Some(value),
+                next: Mutex::new(Some(curr)),
+            });
+            *guard = Some(node);
+            self.len.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            Ok(())
+        })
     }
 
-    fn insert_inner(&self, key: K, value: V) -> bool {
-        let (_pred, mut guard) = self.find(&key);
-        let curr = guard.as_ref().unwrap().clone();
-        if curr.key.as_key() == Some(&key) {
-            return false;
-        }
-        let node = Arc::new(Node {
-            key: Bound::Key(key),
-            value: Some(value),
-            next: Mutex::new(Some(curr)),
-        });
-        *guard = Some(node);
-        self.len.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        true
+    /// Remove `key` and apply `f` to a borrow of its value (under the
+    /// predecessor's lock).
+    pub fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        metered(|| {
+            let (_pred, mut guard) = self.find(key);
+            let curr = guard.as_ref().unwrap().clone();
+            if curr.key.as_key() != Some(key) {
+                return None;
+            }
+            let next = curr.next.lock().clone();
+            *guard = next;
+            self.len.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
+            curr.value.as_ref().map(f)
+        })
+    }
+
+    /// Look up `key` and apply `f` to a borrow of its value (under the
+    /// predecessor's lock).
+    pub fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        metered(|| {
+            let (_pred, guard) = self.find(key);
+            let curr = guard.as_ref().unwrap();
+            (curr.key.as_key() == Some(key)).then(|| f(curr.value.as_ref().unwrap()))
+        })
     }
 
     /// Remove `key`, returning its value.
@@ -160,25 +179,7 @@ impl<K: Ord, V> HohLockList<K, V> {
     where
         V: Clone,
     {
-        let op = lf_metrics::op_begin();
-        let r = self.remove_inner(key);
-        lf_metrics::op_end(op);
-        r
-    }
-
-    fn remove_inner(&self, key: &K) -> Option<V>
-    where
-        V: Clone,
-    {
-        let (_pred, mut guard) = self.find(key);
-        let curr = guard.as_ref().unwrap().clone();
-        if curr.key.as_key() != Some(key) {
-            return None;
-        }
-        let next = curr.next.lock().clone();
-        *guard = next;
-        self.len.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
-        curr.value.clone()
+        self.remove_with(key, V::clone)
     }
 
     /// Look up `key`, cloning its value.
@@ -186,23 +187,52 @@ impl<K: Ord, V> HohLockList<K, V> {
     where
         V: Clone,
     {
-        let op = lf_metrics::op_begin();
-        let (_pred, guard) = self.find(key);
-        let curr = guard.as_ref().unwrap();
-        let r = (curr.key.as_key() == Some(key)).then(|| curr.value.clone().unwrap());
-        drop(guard);
-        lf_metrics::op_end(op);
-        r
+        self.get_with(key, V::clone)
     }
 
     /// Whether `key` is present.
     pub fn contains(&self, key: &K) -> bool {
-        let op = lf_metrics::op_begin();
-        let (_pred, guard) = self.find(key);
-        let r = guard.as_ref().unwrap().key.as_key() == Some(key);
-        drop(guard);
-        lf_metrics::op_end(op);
-        r
+        self.get_with(key, |_| ()).is_some()
+    }
+}
+
+impl<K, V> ConcurrentMap for HohLockList<K, V>
+where
+    K: Ord + Send + Sync + 'static,
+    V: Send + Sync + 'static,
+{
+    type Key = K;
+    type Value = V;
+    type Handle<'a>
+        = &'a Self
+    where
+        Self: 'a;
+
+    fn handle(&self) -> &Self {
+        self
+    }
+
+    fn len(&self) -> usize {
+        HohLockList::len(self)
+    }
+}
+
+/// The node locks are the whole protocol: no handle state, no pins.
+impl<K, V> MapHandle<K, V> for &HohLockList<K, V>
+where
+    K: Ord + Send + Sync + 'static,
+    V: Send + Sync + 'static,
+{
+    fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
+        HohLockList::insert(self, key, value)
+    }
+
+    fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        HohLockList::remove_with(self, key, f)
+    }
+
+    fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        HohLockList::get_with(self, key, f)
     }
 }
 
@@ -224,9 +254,9 @@ mod tests {
     fn sequential_roundtrip() {
         let list = HohLockList::new();
         for k in [4, 2, 7, 1] {
-            assert!(list.insert(k, k * 10));
+            assert!(list.insert(k, k * 10).is_ok());
         }
-        assert!(!list.insert(2, 0));
+        assert_eq!(list.insert(2, 0), Err((2, 0)));
         assert_eq!(list.len(), 4);
         assert_eq!(list.get(&7), Some(70));
         assert_eq!(list.remove(&7), Some(70));
@@ -239,7 +269,7 @@ mod tests {
     fn long_list_drop_does_not_overflow() {
         let list = HohLockList::new();
         for k in (0..50_000u32).rev() {
-            list.insert(k, ());
+            assert!(list.insert(k, ()).is_ok());
         }
         drop(list);
     }
@@ -252,7 +282,7 @@ mod tests {
                 let list = list.clone();
                 s.spawn(move || {
                     for i in 0..150u32 {
-                        assert!(list.insert(t * 150 + i, ()));
+                        assert!(list.insert(t * 150 + i, ()).is_ok());
                     }
                 });
             }

@@ -27,9 +27,15 @@
 //! * [`LockedHeap`] — a mutex-protected binary heap, the comparator for
 //!   the skip-list priority queue.
 //!
-//! All lock-free baselines use the same epoch reclamation and
-//! essential-step metering as the core crate, so step-count and
-//! throughput comparisons are apples-to-apples.
+//! Every baseline uses the core crate's essential-step metering, so
+//! step-count and throughput comparisons are apples-to-apples. The
+//! Harris and restart lists reclaim through the core crate's epochs,
+//! Michael's list through hazard pointers, and the no-flag list frees
+//! nothing until it is dropped.
+//!
+//! The seven concurrent ones implement [`lf_core::ConcurrentMap`], so
+//! any harness written against that trait runs them unchanged. The
+//! lock-based lists are their own handle (`&Self`).
 
 mod coarse_list;
 mod harris;
@@ -71,4 +77,21 @@ impl<K> Bound<K> {
             _ => None,
         }
     }
+
+    /// The user key of a node that must hold one.
+    fn into_key(self) -> K {
+        match self {
+            Bound::Key(k) => k,
+            _ => unreachable!("sentinels are never handed back"),
+        }
+    }
+}
+
+/// One public operation: `body` inside one `lf_metrics` op boundary.
+#[inline]
+fn metered<T>(body: impl FnOnce() -> T) -> T {
+    let op = lf_metrics::op_begin();
+    let r = body();
+    lf_metrics::op_end(op);
+    r
 }

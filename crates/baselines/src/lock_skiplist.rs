@@ -3,9 +3,10 @@
 
 use std::fmt;
 
+use lf_core::{ConcurrentMap, MapHandle};
 use parking_lot::RwLock;
 
-use crate::SeqSkipList;
+use crate::{metered, SeqSkipList};
 
 /// A reader-writer-locked skip list.
 ///
@@ -15,7 +16,7 @@ use crate::SeqSkipList;
 /// use lf_baselines::LockSkipList;
 ///
 /// let sl = LockSkipList::new();
-/// assert!(sl.insert(1, "one"));
+/// assert!(sl.insert(1, "one").is_ok());
 /// assert_eq!(sl.get(&1), Some("one"));
 /// assert_eq!(sl.remove(&1), Some("one"));
 /// ```
@@ -62,20 +63,26 @@ impl<K: Ord + Send + Sync, V: Send + Sync> LockSkipList<K, V> {
         self.inner.read().is_empty()
     }
 
-    /// Insert `key → value`; returns `false` on duplicate.
-    pub fn insert(&self, key: K, value: V) -> bool {
-        let op = lf_metrics::op_begin();
-        let r = self.inner.write().insert(key, value);
-        lf_metrics::op_end(op);
-        r
+    /// Insert `key → value`; hands both back if `key` is present.
+    pub fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
+        metered(|| self.inner.write().insert(key, value))
     }
 
-    /// Remove `key`, returning its value.
+    /// Remove `key`, returning its value. The skip list owns its nodes
+    /// outright, so this is the removal body: the value moves out.
     pub fn remove(&self, key: &K) -> Option<V> {
-        let op = lf_metrics::op_begin();
-        let r = self.inner.write().remove(key);
-        lf_metrics::op_end(op);
-        r
+        metered(|| self.inner.write().remove(key))
+    }
+
+    /// Remove `key` and apply `f` to a borrow of its value.
+    pub fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        self.remove(key).map(|v| f(&v))
+    }
+
+    /// Look up `key` and apply `f` to a borrow of its value (under the
+    /// read lock).
+    pub fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        metered(|| self.inner.read().get(key).map(f))
     }
 
     /// Look up `key`, cloning its value.
@@ -83,18 +90,52 @@ impl<K: Ord + Send + Sync, V: Send + Sync> LockSkipList<K, V> {
     where
         V: Clone,
     {
-        let op = lf_metrics::op_begin();
-        let r = self.inner.read().get(key).cloned();
-        lf_metrics::op_end(op);
-        r
+        self.get_with(key, V::clone)
     }
 
     /// Whether `key` is present.
     pub fn contains(&self, key: &K) -> bool {
-        let op = lf_metrics::op_begin();
-        let r = self.inner.read().contains(key);
-        lf_metrics::op_end(op);
-        r
+        self.get_with(key, |_| ()).is_some()
+    }
+}
+
+impl<K, V> ConcurrentMap for LockSkipList<K, V>
+where
+    K: Ord + Send + Sync + 'static,
+    V: Send + Sync + 'static,
+{
+    type Key = K;
+    type Value = V;
+    type Handle<'a>
+        = &'a Self
+    where
+        Self: 'a;
+
+    fn handle(&self) -> &Self {
+        self
+    }
+
+    fn len(&self) -> usize {
+        LockSkipList::len(self)
+    }
+}
+
+/// The lock is the whole protocol: no handle state, no pins.
+impl<K, V> MapHandle<K, V> for &LockSkipList<K, V>
+where
+    K: Ord + Send + Sync + 'static,
+    V: Send + Sync + 'static,
+{
+    fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
+        LockSkipList::insert(self, key, value)
+    }
+
+    fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        LockSkipList::remove_with(self, key, f)
+    }
+
+    fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        LockSkipList::get_with(self, key, f)
     }
 }
 
@@ -107,9 +148,9 @@ mod tests {
     fn sequential_roundtrip() {
         let sl = LockSkipList::with_seed(5);
         for k in 0..100u32 {
-            assert!(sl.insert(k, k));
+            assert!(sl.insert(k, k).is_ok());
         }
-        assert!(!sl.insert(50, 0));
+        assert_eq!(sl.insert(50, 0), Err((50, 0)));
         assert_eq!(sl.len(), 100);
         assert_eq!(sl.get(&99), Some(99));
         assert_eq!(sl.remove(&99), Some(99));
@@ -120,7 +161,7 @@ mod tests {
     fn concurrent_readers_and_writers() {
         let sl = Arc::new(LockSkipList::with_seed(9));
         for k in 0..64u32 {
-            sl.insert(k, k);
+            assert!(sl.insert(k, k).is_ok());
         }
         std::thread::scope(|s| {
             for t in 0..4u32 {

@@ -18,11 +18,12 @@
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use lf_core::{ConcurrentMap, MapHandle};
 use lf_hazard::{Domain, HazardHandle};
 use lf_metrics::CasType;
 use lf_tagged::{step, AtomicTaggedPtr, StepKind, TaggedPtr};
 
-use crate::Bound;
+use crate::{metered, Bound};
 
 #[repr(align(8))]
 struct Node<K, V> {
@@ -51,8 +52,8 @@ impl<K, V> Node<K, V> {
 ///
 /// let list = MichaelList::new();
 /// let h = list.handle();
-/// assert!(h.insert(1, "one"));
-/// assert!(!h.insert(1, "dup"));
+/// assert!(h.insert(1, "one").is_ok());
+/// assert_eq!(h.insert(1, "dup"), Err((1, "dup")));
 /// assert_eq!(h.get(&1), Some("one"));
 /// assert_eq!(h.remove(&1), Some("one"));
 /// assert!(!h.contains(&1));
@@ -237,32 +238,37 @@ where
     K: Ord + Send + Sync + 'static,
     V: Send + Sync + 'static,
 {
-    fn release(&self) {
-        self.hazard.clear(0);
-        self.hazard.clear(1);
+    /// One metered operation; the hazard slots `find` published are
+    /// cleared once `body` is done with the nodes they protect.
+    fn op<T>(&self, body: impl FnOnce() -> T) -> T {
+        metered(|| {
+            let r = body();
+            self.hazard.clear(0);
+            self.hazard.clear(1);
+            r
+        })
     }
 
-    /// Insert `key → value`; returns `false` on duplicate.
-    pub fn insert(&self, key: K, value: V) -> bool {
+    /// Insert `key → value`; hands both back if `key` is present.
+    pub fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
         let new_node = Node::alloc(Bound::Key(key), Some(value), std::ptr::null_mut());
-        let op = lf_metrics::op_begin();
         // SAFETY: `find` publishes hazard pointers for every node it
-        // returns, so the dereferenced nodes cannot be freed until
-        // `release`; retirement goes through the hazard domain.
-        let r = unsafe {
+        // returns, so the dereferenced nodes cannot be freed until the
+        // slots are cleared; retirement goes through the hazard domain.
+        self.op(|| unsafe {
             loop {
                 let key_ref = (*new_node).key.as_key().expect("user key");
-                let f = self.list.find(key_ref, &self.hazard);
-                if f.found {
-                    drop(Box::from_raw(new_node));
-                    break false;
+                let at = self.list.find(key_ref, &self.hazard);
+                if at.found {
+                    let Node { key, element, .. } = *Box::from_raw(new_node);
+                    break Err((key.into_key(), element.expect("user node has element")));
                 }
                 (*new_node)
                     .succ
-                    .store(TaggedPtr::unmarked(f.cur), Ordering::SeqCst);
+                    .store(TaggedPtr::unmarked(at.cur), Ordering::SeqCst);
                 step(StepKind::CasInsert);
-                let res = (*f.prev_field).compare_exchange(
-                    TaggedPtr::unmarked(f.cur),
+                let res = (*at.prev_field).compare_exchange(
+                    TaggedPtr::unmarked(at.cur),
                     TaggedPtr::unmarked(new_node),
                     Ordering::SeqCst,
                     Ordering::SeqCst,
@@ -270,36 +276,28 @@ where
                 lf_metrics::record_cas(CasType::Insert, res.is_ok());
                 if res.is_ok() {
                     self.list.len.fetch_add(1, Ordering::SeqCst);
-                    break true;
+                    break Ok(());
                 }
                 // Restart from the head.
             }
-        };
-        self.release();
-        lf_metrics::op_end(op);
-        r
+        })
     }
 
-    /// Remove `key`, returning its value.
-    pub fn remove(&self, key: &K) -> Option<V>
-    where
-        V: Clone,
-    {
-        let op = lf_metrics::op_begin();
-        // SAFETY: `find` publishes hazard pointers for every node it
-        // returns, so the dereferenced nodes cannot be freed until
-        // `release`; retirement goes through the hazard domain.
-        let r = unsafe {
+    /// Remove `key` and apply `f` to a borrow of its value.
+    pub fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        // SAFETY: as for `insert` — hazards protect every node `find`
+        // returns until the slots are cleared.
+        self.op(|| unsafe {
             loop {
-                let f = self.list.find(key, &self.hazard);
-                if !f.found {
+                let at = self.list.find(key, &self.hazard);
+                if !at.found {
                     break None;
                 }
                 // Logical deletion: mark cur's successor field.
                 step(StepKind::CasMark);
-                let res = (*f.cur).succ.compare_exchange(
-                    f.cur_succ,
-                    f.cur_succ.with_mark(),
+                let res = (*at.cur).succ.compare_exchange(
+                    at.cur_succ,
+                    at.cur_succ.with_mark(),
                     Ordering::SeqCst,
                     Ordering::SeqCst,
                 );
@@ -308,28 +306,44 @@ where
                     continue; // restart from the head
                 }
                 self.list.len.fetch_sub(1, Ordering::SeqCst);
-                let value = (*f.cur).element.clone().expect("user node has element");
+                let value = f((*at.cur).element.as_ref().expect("user node has element"));
                 // Physical deletion: try the single unlink; on failure
                 // a later find will do it.
                 step(StepKind::CasUnlink);
-                let unlinked = (*f.prev_field)
+                let unlinked = (*at.prev_field)
                     .compare_exchange(
-                        TaggedPtr::unmarked(f.cur),
-                        TaggedPtr::unmarked(f.cur_succ.ptr()),
+                        TaggedPtr::unmarked(at.cur),
+                        TaggedPtr::unmarked(at.cur_succ.ptr()),
                         Ordering::SeqCst,
                         Ordering::SeqCst,
                     )
                     .is_ok();
                 lf_metrics::record_cas(CasType::Unlink, unlinked);
                 if unlinked {
-                    self.hazard.retire(f.cur);
+                    self.hazard.retire(at.cur);
                 }
                 break Some(value);
             }
-        };
-        self.release();
-        lf_metrics::op_end(op);
-        r
+        })
+    }
+
+    /// Look up `key` and apply `f` to a borrow of its value.
+    pub fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        // SAFETY: as for `insert` — hazards protect the traversal and
+        // the found node until the slots are cleared.
+        self.op(|| unsafe {
+            let at = self.list.find(key, &self.hazard);
+            at.found
+                .then(|| f((*at.cur).element.as_ref().expect("user node has element")))
+        })
+    }
+
+    /// Remove `key`, returning its value.
+    pub fn remove(&self, key: &K) -> Option<V>
+    where
+        V: Clone,
+    {
+        self.remove_with(key, V::clone)
     }
 
     /// Look up `key`, cloning its value.
@@ -337,28 +351,53 @@ where
     where
         V: Clone,
     {
-        let op = lf_metrics::op_begin();
-        // SAFETY: `find` publishes hazard pointers for every node it
-        // returns, so the dereferenced nodes cannot be freed until
-        // `release`; retirement goes through the hazard domain.
-        let r = unsafe {
-            let f = self.list.find(key, &self.hazard);
-            f.found
-                .then(|| (*f.cur).element.clone().expect("user node has element"))
-        };
-        self.release();
-        lf_metrics::op_end(op);
-        r
+        self.get_with(key, V::clone)
     }
 
     /// Whether `key` is present.
     pub fn contains(&self, key: &K) -> bool {
-        let op = lf_metrics::op_begin();
-        // SAFETY: as for `get` — hazards protect the traversal.
-        let r = unsafe { self.list.find(key, &self.hazard).found };
-        self.release();
-        lf_metrics::op_end(op);
-        r
+        self.get_with(key, |_| ()).is_some()
+    }
+}
+
+impl<K, V> ConcurrentMap for MichaelList<K, V>
+where
+    K: Ord + Send + Sync + 'static,
+    V: Send + Sync + 'static,
+{
+    type Key = K;
+    type Value = V;
+    type Handle<'a>
+        = MichaelHandle<'a, K, V>
+    where
+        Self: 'a;
+
+    fn handle(&self) -> Self::Handle<'_> {
+        MichaelList::handle(self)
+    }
+
+    fn len(&self) -> usize {
+        MichaelList::len(self)
+    }
+}
+
+/// Hazard pointers take no epoch pins: the pin methods keep their
+/// no-op defaults.
+impl<K, V> MapHandle<K, V> for MichaelHandle<'_, K, V>
+where
+    K: Ord + Send + Sync + 'static,
+    V: Send + Sync + 'static,
+{
+    fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
+        MichaelHandle::insert(self, key, value)
+    }
+
+    fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        MichaelHandle::remove_with(self, key, f)
+    }
+
+    fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        MichaelHandle::get_with(self, key, f)
     }
 }
 
@@ -372,9 +411,9 @@ mod tests {
         let list = MichaelList::new();
         let h = list.handle();
         for k in [5, 1, 9, 3, 7] {
-            assert!(h.insert(k, k * 10));
+            assert!(h.insert(k, k * 10).is_ok());
         }
-        assert!(!h.insert(3, 0));
+        assert_eq!(h.insert(3, 0), Err((3, 0)));
         assert_eq!(list.len(), 5);
         for k in [1, 3, 5, 7, 9] {
             assert_eq!(h.get(&k), Some(k * 10));
@@ -390,7 +429,7 @@ mod tests {
         let list = MichaelList::new();
         let h = list.handle();
         for round in 0..50 {
-            assert!(h.insert(7, round));
+            assert!(h.insert(7, round).is_ok());
             assert_eq!(h.remove(&7), Some(round));
         }
         assert!(list.is_empty());
@@ -407,7 +446,7 @@ mod tests {
                 s.spawn(move || {
                     let h = list.handle();
                     for k in 0..100u32 {
-                        if h.insert(k, ()) {
+                        if h.insert(k, ()).is_ok() {
                             wins.fetch_add(1, Ordering::SeqCst);
                         }
                     }
@@ -462,7 +501,7 @@ mod tests {
         let h = list.handle();
         const N: u32 = 300;
         for k in 0..N {
-            assert!(h.insert(k, Counted(drops.clone())));
+            assert!(h.insert(k, Counted(drops.clone())).is_ok());
         }
         for k in 0..N {
             drop(h.remove(&k)); // drops the clone immediately

@@ -24,10 +24,11 @@ use std::fmt;
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use lf_core::{ConcurrentMap, MapHandle};
 use lf_metrics::CasType;
 use lf_tagged::{step, AtomicTaggedPtr, StepKind, TaggedPtr};
 
-use crate::Bound;
+use crate::{metered, Bound};
 
 #[repr(align(8))]
 struct Node<K, V> {
@@ -90,7 +91,7 @@ fn key_before<K: Ord>(node_key: &Bound<K>, k: &K, mode: Mode) -> bool {
 ///
 /// let list = NoFlagList::new();
 /// let h = list.handle();
-/// assert!(h.insert(7, "seven"));
+/// assert!(h.insert(7, "seven").is_ok());
 /// assert_eq!(h.remove(&7), Some("seven"));
 /// assert!(!h.contains(&7));
 /// ```
@@ -264,12 +265,12 @@ where
     ///
     /// Must only be called while the list is live; node pointers stay
     /// valid via the graveyard.
-    unsafe fn insert_impl(&self, key: K, value: V) -> bool {
+    unsafe fn insert_impl(&self, key: K, value: V) -> Result<(), (K, V)> {
         // SAFETY: the fn's `# Safety` contract covers the whole body.
         unsafe {
             let (mut prev, mut next) = self.search_from(&key, self.head, Mode::Le);
             if (*prev).key.as_key() == Some(&key) {
-                return false;
+                return Err((key, value));
             }
             let new_node = Node::alloc(Bound::Key(key), Some(value), std::ptr::null_mut());
             loop {
@@ -286,7 +287,7 @@ where
                 lf_metrics::record_cas(CasType::Insert, res.is_ok());
                 if res.is_ok() {
                     self.len.fetch_add(1, Ordering::SeqCst);
-                    return true;
+                    return Ok(());
                 }
                 prev = self.recover(prev);
                 let key_ref = (*new_node).key.as_key().expect("user key");
@@ -294,8 +295,8 @@ where
                 prev = p;
                 next = n;
                 if (*prev).key == (*new_node).key {
-                    drop(Box::from_raw(new_node));
-                    return false;
+                    let Node { key, element, .. } = *Box::from_raw(new_node);
+                    return Err((key.into_key(), element.expect("user node has element")));
                 }
             }
         }
@@ -305,10 +306,7 @@ where
     ///
     /// Must only be called while the list is live; node pointers stay
     /// valid via the graveyard.
-    unsafe fn delete_impl(&self, k: &K) -> Option<V>
-    where
-        V: Clone,
-    {
+    unsafe fn delete_impl<T>(&self, k: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
         // SAFETY: the fn's `# Safety` contract covers the whole body.
         unsafe {
             let (mut prev, del) = self.search_from(k, self.head, Mode::Lt);
@@ -336,7 +334,7 @@ where
                 lf_metrics::record_cas(CasType::Mark, res.is_ok());
                 if res.is_ok() {
                     self.len.fetch_sub(1, Ordering::SeqCst);
-                    let value = (*del).element.clone().expect("user node has element");
+                    let value = f((*del).element.as_ref().expect("user node has element"));
                     self.help_marked(prev, del);
                     return Some(value);
                 }
@@ -404,13 +402,26 @@ where
     K: Ord + Send + Sync + 'static,
     V: Send + Sync + 'static,
 {
-    /// Insert `key → value`; returns `false` on duplicate.
-    pub fn insert(&self, key: K, value: V) -> bool {
-        let op = lf_metrics::op_begin();
+    /// Insert `key → value`; hands both back if `key` is present.
+    pub fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
         // SAFETY: the borrowed list is live; graveyard keeps pointers valid.
-        let r = unsafe { self.list.insert_impl(key, value) };
-        lf_metrics::op_end(op);
-        r
+        metered(|| unsafe { self.list.insert_impl(key, value) })
+    }
+
+    /// Remove `key` and apply `f` to a borrow of its value.
+    pub fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        // SAFETY: as for `insert`.
+        metered(|| unsafe { self.list.delete_impl(key, f) })
+    }
+
+    /// Look up `key` and apply `f` to a borrow of its value.
+    pub fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        // SAFETY: as for `insert`; the found node is a live user node.
+        metered(|| unsafe {
+            self.list
+                .find(key)
+                .map(|n| f((*n).element.as_ref().expect("user node has element")))
+        })
     }
 
     /// Remove `key`, returning its value.
@@ -418,20 +429,7 @@ where
     where
         V: Clone,
     {
-        let op = lf_metrics::op_begin();
-        // SAFETY: as for `insert`.
-        let r = unsafe { self.list.delete_impl(key) };
-        lf_metrics::op_end(op);
-        r
-    }
-
-    /// Whether `key` is present.
-    pub fn contains(&self, key: &K) -> bool {
-        let op = lf_metrics::op_begin();
-        // SAFETY: as for `insert`.
-        let r = unsafe { self.list.find(key).is_some() };
-        lf_metrics::op_end(op);
-        r
+        self.remove_with(key, V::clone)
     }
 
     /// Look up `key`, cloning its value.
@@ -439,15 +437,53 @@ where
     where
         V: Clone,
     {
-        let op = lf_metrics::op_begin();
-        // SAFETY: as for `insert`; the found node is a live user node.
-        let r = unsafe {
-            self.list
-                .find(key)
-                .map(|n| (*n).element.clone().expect("user node has element"))
-        };
-        lf_metrics::op_end(op);
-        r
+        self.get_with(key, V::clone)
+    }
+
+    /// Whether `key` is present.
+    pub fn contains(&self, key: &K) -> bool {
+        self.get_with(key, |_| ()).is_some()
+    }
+}
+
+impl<K, V> ConcurrentMap for NoFlagList<K, V>
+where
+    K: Ord + Send + Sync + 'static,
+    V: Send + Sync + 'static,
+{
+    type Key = K;
+    type Value = V;
+    type Handle<'a>
+        = NoFlagHandle<'a, K, V>
+    where
+        Self: 'a;
+
+    fn handle(&self) -> Self::Handle<'_> {
+        NoFlagList::handle(self)
+    }
+
+    fn len(&self) -> usize {
+        NoFlagList::len(self)
+    }
+}
+
+/// The graveyard frees nothing before drop, so there is nothing to pin:
+/// the pin methods keep their no-op defaults.
+impl<K, V> MapHandle<K, V> for NoFlagHandle<'_, K, V>
+where
+    K: Ord + Send + Sync + 'static,
+    V: Send + Sync + 'static,
+{
+    fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
+        NoFlagHandle::insert(self, key, value)
+    }
+
+    fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        NoFlagHandle::remove_with(self, key, f)
+    }
+
+    fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        NoFlagHandle::get_with(self, key, f)
     }
 }
 
@@ -461,9 +497,9 @@ mod tests {
         let list = NoFlagList::new();
         let h = list.handle();
         for k in 0..50u32 {
-            assert!(h.insert(k, k));
+            assert!(h.insert(k, k).is_ok());
         }
-        assert!(!h.insert(25, 99));
+        assert_eq!(h.insert(25, 99), Err((25, 99)));
         assert_eq!(list.len(), 50);
         for k in (0..50u32).step_by(2) {
             assert_eq!(h.remove(&k), Some(k));
@@ -510,7 +546,7 @@ mod tests {
         {
             let h = list.handle();
             for k in 0..100u32 {
-                h.insert(k, k);
+                assert!(h.insert(k, k).is_ok());
             }
         }
         let wins = Arc::new(AtomicUsize::new(0));

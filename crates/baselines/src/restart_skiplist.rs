@@ -18,12 +18,13 @@
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 
+use lf_core::{ConcurrentMap, MapHandle};
 use lf_metrics::CasType;
 use lf_reclaim::{Collector, Guard, LocalHandle};
 use lf_tagged::{AtomicTaggedPtr, TaggedPtr};
 use rand::Rng;
 
-use crate::Bound;
+use crate::{metered, Bound};
 
 const MAX_LEVEL: usize = 32;
 
@@ -126,8 +127,8 @@ impl<K, V> Node<K, V> {
 ///
 /// let sl = RestartSkipList::new();
 /// let h = sl.handle();
-/// assert!(h.insert(1, "one"));
-/// assert!(!h.insert(1, "dup"));
+/// assert!(h.insert(1, "one").is_ok());
+/// assert_eq!(h.insert(1, "dup"), Err((1, "dup")));
 /// assert_eq!(h.remove(&1), Some("one"));
 /// assert!(!h.contains(&1));
 /// ```
@@ -433,7 +434,7 @@ where
     /// # Safety
     ///
     /// `guard` must pin this list's collector.
-    unsafe fn insert_impl(&self, key: K, value: V, guard: &Guard<'_>) -> bool {
+    unsafe fn insert_impl(&self, key: K, value: V, guard: &Guard<'_>) -> Result<(), (K, V)> {
         // SAFETY: the fn's `# Safety` contract covers the whole body.
         unsafe {
             let height = self.random_height();
@@ -441,7 +442,7 @@ where
             {
                 let (_, right) = levels[0];
                 if (*right).key_ref().as_key() == Some(&key) {
-                    return false;
+                    return Err((key, value));
                 }
             }
             let root = Node::alloc_root(key, value);
@@ -461,8 +462,8 @@ where
                     if (*right).key_ref().as_key() == (*root).key.as_key() {
                         if level == 1 {
                             // Lost the race to another inserter of the key.
-                            drop(Box::from_raw(root));
-                            return false;
+                            let Node { key, element, .. } = *Box::from_raw(root);
+                            return Err((key.into_key(), element.expect("root has element")));
                         }
                         // A transiently-unmarked node of a superfluous tower
                         // with our key occupies this level; help mark it so
@@ -540,17 +541,19 @@ where
                 }
             }
             self.release_tower_ref(root, guard); // construction reference
-            true
+            Ok(())
         }
     }
 
     /// # Safety
     ///
     /// `guard` must pin this list's collector.
-    unsafe fn delete_impl(&self, k: &K, guard: &Guard<'_>) -> Option<V>
-    where
-        V: Clone,
-    {
+    unsafe fn delete_impl<T>(
+        &self,
+        k: &K,
+        guard: &Guard<'_>,
+        f: impl FnOnce(&V) -> T,
+    ) -> Option<T> {
         // SAFETY: the fn's `# Safety` contract covers the whole body.
         unsafe {
             loop {
@@ -578,7 +581,7 @@ where
                     continue;
                 }
                 self.len.fetch_sub(1, Ordering::SeqCst);
-                let value = (*root).element.clone().expect("root has element");
+                let value = f((*root).element.as_ref().expect("root has element"));
                 // Mark the rest of the tower (top chain) so searches snip it.
                 let mut cur = (*root).top.load(Ordering::SeqCst);
                 while cur != root && !cur.is_null() {
@@ -670,14 +673,30 @@ where
     K: Ord + Send + Sync + 'static,
     V: Send + Sync + 'static,
 {
-    /// Insert `key → value`; returns `false` on duplicate.
-    pub fn insert(&self, key: K, value: V) -> bool {
+    /// Insert `key → value`; hands both back if `key` is present.
+    pub fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
         let guard = self.reclaim.pin();
-        let op = lf_metrics::op_begin();
         // SAFETY: the guard pins this list's collector.
-        let r = unsafe { self.list.insert_impl(key, value, &guard) };
-        lf_metrics::op_end(op);
-        r
+        metered(|| unsafe { self.list.insert_impl(key, value, &guard) })
+    }
+
+    /// Remove `key` and apply `f` to a borrow of its value.
+    pub fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        let guard = self.reclaim.pin();
+        // SAFETY: as for `insert`.
+        metered(|| unsafe { self.list.delete_impl(key, &guard, f) })
+    }
+
+    /// Look up `key` and apply `f` to a borrow of its value.
+    pub fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        let guard = self.reclaim.pin();
+        // SAFETY: as for `insert`; the node stays valid while the
+        // guard lives.
+        metered(|| unsafe {
+            self.list
+                .find(key, &guard)
+                .map(|n| f((*n).element.as_ref().expect("root has element")))
+        })
     }
 
     /// Remove `key`, returning its value.
@@ -685,22 +704,7 @@ where
     where
         V: Clone,
     {
-        let guard = self.reclaim.pin();
-        let op = lf_metrics::op_begin();
-        // SAFETY: as for `insert`.
-        let r = unsafe { self.list.delete_impl(key, &guard) };
-        lf_metrics::op_end(op);
-        r
-    }
-
-    /// Whether `key` is present.
-    pub fn contains(&self, key: &K) -> bool {
-        let guard = self.reclaim.pin();
-        let op = lf_metrics::op_begin();
-        // SAFETY: as for `insert`.
-        let r = unsafe { self.list.find(key, &guard).is_some() };
-        lf_metrics::op_end(op);
-        r
+        self.remove_with(key, V::clone)
     }
 
     /// Look up `key`, cloning its value.
@@ -708,17 +712,63 @@ where
     where
         V: Clone,
     {
-        let guard = self.reclaim.pin();
-        let op = lf_metrics::op_begin();
-        // SAFETY: as for `insert`; the node stays valid while the
-        // guard lives.
-        let r = unsafe {
-            self.list
-                .find(key, &guard)
-                .map(|n| (*n).element.clone().expect("root has element"))
-        };
-        lf_metrics::op_end(op);
-        r
+        self.get_with(key, V::clone)
+    }
+
+    /// Whether `key` is present.
+    pub fn contains(&self, key: &K) -> bool {
+        self.get_with(key, |_| ()).is_some()
+    }
+}
+
+impl<K, V> ConcurrentMap for RestartSkipList<K, V>
+where
+    K: Ord + Send + Sync + 'static,
+    V: Send + Sync + 'static,
+{
+    type Key = K;
+    type Value = V;
+    type Handle<'a>
+        = RestartHandle<'a, K, V>
+    where
+        Self: 'a;
+
+    fn handle(&self) -> Self::Handle<'_> {
+        RestartSkipList::handle(self)
+    }
+
+    fn len(&self) -> usize {
+        RestartSkipList::len(self)
+    }
+}
+
+impl<K, V> MapHandle<K, V> for RestartHandle<'_, K, V>
+where
+    K: Ord + Send + Sync + 'static,
+    V: Send + Sync + 'static,
+{
+    fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
+        RestartHandle::insert(self, key, value)
+    }
+
+    fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        RestartHandle::remove_with(self, key, f)
+    }
+
+    fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        RestartHandle::get_with(self, key, f)
+    }
+
+    fn amortize_pins(&self, every: u32) {
+        self.reclaim.amortize_pins(every);
+    }
+
+    fn quiesce(&self) {
+        self.reclaim.quiesce();
+    }
+
+    fn flush_reclamation(&self) {
+        self.reclaim.flush();
     }
 }
 
@@ -732,9 +782,9 @@ mod tests {
         let sl = RestartSkipList::new();
         let h = sl.handle();
         for k in 0..200u32 {
-            assert!(h.insert(k, k * 3));
+            assert!(h.insert(k, k * 3).is_ok());
         }
-        assert!(!h.insert(100, 0));
+        assert_eq!(h.insert(100, 0), Err((100, 0)));
         assert_eq!(sl.len(), 200);
         for k in 0..200u32 {
             assert_eq!(h.get(&k), Some(k * 3));
@@ -764,7 +814,7 @@ mod tests {
                 s.spawn(move || {
                     let h = sl.handle();
                     for k in 0..100u32 {
-                        if h.insert(k, ()) {
+                        if h.insert(k, ()).is_ok() {
                             wins.fetch_add(1, Ordering::SeqCst);
                         }
                     }

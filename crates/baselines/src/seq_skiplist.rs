@@ -34,8 +34,8 @@ struct Node<K, V> {
 /// use lf_baselines::SeqSkipList;
 ///
 /// let mut sl = SeqSkipList::new();
-/// assert!(sl.insert(3, "three"));
-/// assert!(!sl.insert(3, "dup"));
+/// assert!(sl.insert(3, "three").is_ok());
+/// assert_eq!(sl.insert(3, "dup"), Err((3, "dup")));
 /// assert_eq!(sl.get(&3), Some(&"three"));
 /// assert_eq!(sl.remove(&3), Some("three"));
 /// ```
@@ -144,14 +144,14 @@ impl<K: Ord, V> SeqSkipList<K, V> {
         }
     }
 
-    /// Insert `key → value`; returns `false` on duplicate.
+    /// Insert `key → value`; hands both back if `key` is present.
     #[allow(clippy::needless_range_loop)] // indices mirror Pugh's pseudocode
-    pub fn insert(&mut self, key: K, value: V) -> bool {
+    pub fn insert(&mut self, key: K, value: V) -> Result<(), (K, V)> {
         let update = self.predecessors(&key);
         let at_bottom = self.next_at(update[0], 0);
         // SAFETY: non-null pointers in the structure are live nodes.
         if !at_bottom.is_null() && unsafe { &(*at_bottom).key } == &key {
-            return false;
+            return Err((key, value));
         }
         let lvl = self.random_level();
         let node = Box::into_raw(Box::new(Node {
@@ -180,7 +180,7 @@ impl<K: Ord, V> SeqSkipList<K, V> {
         }
         self.level = self.level.max(lvl);
         self.len += 1;
-        true
+        Ok(())
     }
 
     /// Remove `key`, returning its value.
@@ -298,7 +298,10 @@ mod tests {
             let k = (x >> 33) % 200;
             match x % 3 {
                 0 => {
-                    assert_eq!(sl.insert(k, k * 2), oracle.insert(k, k * 2).is_none());
+                    assert_eq!(
+                        sl.insert(k, k * 2).is_ok(),
+                        oracle.insert(k, k * 2).is_none()
+                    );
                 }
                 1 => {
                     assert_eq!(sl.remove(&k), oracle.remove(&k));
@@ -326,8 +329,8 @@ mod tests {
     #[test]
     fn duplicate_rejected() {
         let mut sl = SeqSkipList::with_seed(7);
-        assert!(sl.insert(1, "a"));
-        assert!(!sl.insert(1, "b"));
+        assert!(sl.insert(1, "a").is_ok());
+        assert_eq!(sl.insert(1, "b"), Err((1, "b")));
         assert_eq!(sl.get(&1), Some(&"a"));
     }
 
@@ -335,7 +338,7 @@ mod tests {
     fn level_shrinks_after_removals() {
         let mut sl = SeqSkipList::with_seed(3);
         for k in 0..1000u32 {
-            sl.insert(k, ());
+            assert!(sl.insert(k, ()).is_ok());
         }
         let high = sl.level;
         for k in 0..1000u32 {

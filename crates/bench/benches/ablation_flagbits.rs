@@ -3,53 +3,31 @@
 //! workload measured in time rather than steps).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::hint::black_box;
 
 use lf_baselines::NoFlagList;
-use lf_bench::adapters::{BenchMap, MapHandle};
-use lf_core::FrList;
-use lf_workloads::{KeyDist, Mix, OpKind, WorkloadIter};
+use lf_bench::op_batch;
+use lf_core::{ConcurrentMap, FrList};
+use lf_workloads::{KeyDist, Mix};
 
 const BATCH: u64 = 1_000;
 
-fn batch<M: BenchMap>() -> impl FnMut() {
-    let map = M::create();
-    {
-        let h = map.bench_handle();
-        for k in (0..512).step_by(2) {
-            h.insert(k);
-        }
-    }
-    let mut w = WorkloadIter::new(
-        Mix::CHURN,
-        KeyDist::Tail {
-            space: 512,
-            width: 16,
-        },
-        13,
-    );
-    move || {
-        let h = map.bench_handle();
-        for _ in 0..BATCH {
-            let op = w.next_op();
-            let r = match op.kind {
-                OpKind::Insert => h.insert(op.key),
-                OpKind::Remove => h.remove(op.key),
-                OpKind::Search => h.search(op.key),
-            };
-            black_box(r);
-        }
-    }
+/// [`op_batch`] of tail-hotspot churn on `map`.
+fn batch<M: ConcurrentMap<Key = u64, Value = u64>>(map: M) -> impl FnMut() {
+    let dist = KeyDist::Tail {
+        space: 512,
+        width: 16,
+    };
+    op_batch(map, Mix::CHURN, dist, 13, BATCH)
 }
 
 fn bench_ablation(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_flagbits");
     g.sample_size(10);
-    let mut fr = batch::<FrList<u64, u64>>();
+    let mut fr = batch(FrList::new());
     g.bench_function(BenchmarkId::new("fr-list", "tail-churn"), |b| {
         b.iter(&mut fr)
     });
-    let mut nf = batch::<NoFlagList<u64, u64>>();
+    let mut nf = batch(NoFlagList::new());
     g.bench_function(BenchmarkId::new("noflag-list", "tail-churn"), |b| {
         b.iter(&mut nf)
     });

@@ -32,7 +32,7 @@ struct Outcome {
 /// all complete.
 fn run_with_failures(n: u64, halted: u64, survivors: u64) -> Outcome {
     let sched = Scheduler::new();
-    let list = prefilled::<FrList<u64, u64>>(&sched, 1..=n);
+    let list = prefilled(&sched, FrList::new(), 1..=n);
 
     // Halt deleters immediately after their flagging C&S: their victims'
     // predecessors are left flagged — the most obstructive lock-free

@@ -14,56 +14,13 @@
 //! `P = 1` *is* the plain `SkipList` behind one `match` on the router,
 //! so the column doubles as an overhead check for the routing layer.
 
-use lf_shard::{ShardedHandle, ShardedSkipList};
+use lf_shard::ShardedSkipList;
 use lf_workloads::{KeyDist, Mix};
 
-use crate::adapters::{BenchMap, MapHandle};
-use crate::runner::{run_mixed, RunConfig, RunResult};
+use crate::runner::{lookup, run_mixed, RunConfig, RunResult};
 use crate::table::{fmt_f, Table};
 
-/// `ShardedSkipList` pinned to `P` shards at the type level: the
-/// generic harness creates maps through the parameterless
-/// `BenchMap::create`, so the shard count rides in as a const generic.
-struct ShardedMap<const P: usize>(ShardedSkipList<u64, u64>);
-
-impl<const P: usize> BenchMap for ShardedMap<P> {
-    type Handle<'a> = ShardedHandle<'a, u64, u64>;
-
-    fn create() -> Self {
-        ShardedMap(ShardedSkipList::new(P))
-    }
-
-    fn bench_handle(&self) -> Self::Handle<'_> {
-        self.0.handle()
-    }
-
-    fn name() -> &'static str {
-        match P {
-            1 => "fr-shard-p1",
-            2 => "fr-shard-p2",
-            4 => "fr-shard-p4",
-            8 => "fr-shard-p8",
-            16 => "fr-shard-p16",
-            _ => "fr-shard",
-        }
-    }
-}
-
-impl MapHandle for ShardedHandle<'_, u64, u64> {
-    fn insert(&self, k: u64) -> bool {
-        ShardedHandle::insert(self, k, k).is_ok()
-    }
-
-    fn remove(&self, k: u64) -> bool {
-        ShardedHandle::remove(self, &k).is_some()
-    }
-
-    fn search(&self, k: u64) -> bool {
-        ShardedHandle::contains(self, &k)
-    }
-}
-
-fn measure<M: BenchMap>(threads: usize, ops: u64) -> RunResult {
+fn measure(shards: usize, threads: usize, ops: u64) -> RunResult {
     let cfg = RunConfig {
         threads,
         ops_per_thread: ops,
@@ -75,7 +32,8 @@ fn measure<M: BenchMap>(threads: usize, ops: u64) -> RunResult {
         seed: 0xE13,
         prefill: 2048,
     };
-    run_mixed::<M>(&cfg)
+    let map: ShardedSkipList<u64, u64> = ShardedSkipList::new(shards);
+    run_mixed(&map, &cfg, |h, k| lookup(h, k))
 }
 
 /// Print the shard-scaling table and emit `BENCH_e13.json`.
@@ -100,11 +58,11 @@ pub fn run(quick: bool) {
     let mut speedup_at_max: Option<f64> = None;
     for &t in threads {
         let results = [
-            ("fr-shard-p1", measure::<ShardedMap<1>>(t, ops)),
-            ("fr-shard-p2", measure::<ShardedMap<2>>(t, ops)),
-            ("fr-shard-p4", measure::<ShardedMap<4>>(t, ops)),
-            ("fr-shard-p8", measure::<ShardedMap<8>>(t, ops)),
-            ("fr-shard-p16", measure::<ShardedMap<16>>(t, ops)),
+            ("fr-shard-p1", measure(1, t, ops)),
+            ("fr-shard-p2", measure(2, t, ops)),
+            ("fr-shard-p4", measure(4, t, ops)),
+            ("fr-shard-p8", measure(8, t, ops)),
+            ("fr-shard-p16", measure(16, t, ops)),
         ];
         if t == *threads.last().expect("thread list is nonempty") {
             speedup_at_max =

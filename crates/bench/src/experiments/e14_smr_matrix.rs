@@ -29,78 +29,26 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 
-use lf_core::{SkipList, SkipListHandle};
+use lf_core::SkipList;
 use lf_hazard::Hp;
 use lf_reclaim::{Ebr, Publish, Reclaim};
 use lf_vbr::Vbr;
 use lf_workloads::{KeyDist, Mix};
 
-use crate::adapters::{BenchMap, MapHandle};
 use crate::runner::{run_mixed, RunConfig, RunResult};
 use crate::table::{fmt_f, Table};
 
-/// The FR skip list pinned to one SMR backend, with lookups routed
-/// through the pin-free [`SkipListHandle::try_read`] entry point (a
-/// pinned `get` on backends without pin-free reads).
-struct SmrMap<R>(SkipList<u64, u64, R>)
-where
-    R: Reclaim + Publish<u64> + 'static;
-
-struct SmrHandle<'a, R>(SkipListHandle<'a, u64, u64, R>)
-where
-    R: Reclaim + Publish<u64> + 'static;
-
-impl<R> BenchMap for SmrMap<R>
-where
-    R: Reclaim + Publish<u64> + 'static,
-{
-    type Handle<'a> = SmrHandle<'a, R>;
-
-    fn create() -> Self {
-        SmrMap(SkipList::with_backend())
-    }
-
-    fn bench_handle(&self) -> Self::Handle<'_> {
-        SmrHandle(self.0.handle())
-    }
-
-    fn name() -> &'static str {
-        match R::NAME {
-            "ebr" => "fr-skiplist-ebr",
-            "hp" => "fr-skiplist-hp",
-            "vbr" => "fr-skiplist-vbr",
-            _ => "fr-skiplist-smr",
-        }
-    }
-
-    fn peak_unreclaimed(&self) -> Option<u64> {
-        Some(R::gauge(self.0.domain()).peak_unreclaimed())
-    }
-}
-
-impl<R> MapHandle for SmrHandle<'_, R>
-where
-    R: Reclaim + Publish<u64> + 'static,
-{
-    fn insert(&self, k: u64) -> bool {
-        self.0.insert(k, k).is_ok()
-    }
-
-    fn remove(&self, k: u64) -> bool {
-        self.0.remove(&k).is_some()
-    }
-
-    fn search(&self, k: u64) -> bool {
-        self.0.try_read(&k).is_some()
-    }
-}
-
 /// Repetitions per throughput cell; the median-throughput run is
-/// reported. Cross-backend ratios on an oversubscribed box are
-/// otherwise dominated by scheduler noise.
+/// reported.
 const REPS: usize = 5;
 
-fn measure<M: BenchMap>(threads: usize, ops: u64, mix: Mix) -> RunResult {
+/// One throughput cell: the FR skip list over backend `R`, lookups
+/// through the pin-free [`lf_core::SkipListHandle::try_read`] entry
+/// point (a pinned `get` on backends without pin-free reads).
+fn measure<R>(threads: usize, ops: u64, mix: Mix) -> RunResult
+where
+    R: Reclaim + Publish<u64> + 'static,
+{
     let cfg = RunConfig {
         threads,
         ops_per_thread: ops,
@@ -109,9 +57,12 @@ fn measure<M: BenchMap>(threads: usize, ops: u64, mix: Mix) -> RunResult {
         seed: 0xE14,
         prefill: 2048,
     };
-    let mut runs: Vec<RunResult> = (0..REPS).map(|_| run_mixed::<M>(&cfg)).collect();
-    runs.sort_by(|a, b| a.throughput().total_cmp(&b.throughput()));
-    runs.swap_remove(REPS / 2)
+    super::median_run(REPS, || {
+        let map: SkipList<u64, u64, R> = SkipList::with_backend();
+        let mut res = run_mixed(&map, &cfg, |h, k| h.try_read(&k).is_some());
+        res.peak_unreclaimed = Some(R::gauge(map.domain()).peak_unreclaimed());
+        res
+    })
 }
 
 /// Outcome of one stalled-reader scenario.
@@ -273,9 +224,9 @@ pub fn run(quick: bool) {
         ]);
         for &t in threads {
             let results = [
-                ("fr-skiplist-ebr", measure::<SmrMap<Ebr>>(t, ops, mix)),
-                ("fr-skiplist-hp", measure::<SmrMap<Hp>>(t, ops, mix)),
-                ("fr-skiplist-vbr", measure::<SmrMap<Vbr>>(t, ops, mix)),
+                ("fr-skiplist-ebr", measure::<Ebr>(t, ops, mix)),
+                ("fr-skiplist-hp", measure::<Hp>(t, ops, mix)),
+                ("fr-skiplist-vbr", measure::<Vbr>(t, ops, mix)),
             ];
             if mix.search == Mix::READ_HEAVY.search {
                 vbr_vs_ebr.push((

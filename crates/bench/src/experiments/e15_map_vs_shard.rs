@@ -26,7 +26,6 @@ use lf_shard::ShardedSkipList;
 use lf_vbr::Vbr;
 use lf_workloads::{KeyDist, Mix};
 
-use crate::adapters::{BenchMap, MapHandle};
 use crate::runner::{run_mixed, RunConfig, RunResult};
 use crate::table::{fmt_f, Table};
 
@@ -40,121 +39,11 @@ const BUCKETS: usize = lf_map::DEFAULT_BUCKETS;
 /// contention is same-key CAS races that more shards cannot split.
 const SHARDS: usize = 8;
 
-/// The bucketed hash map pinned to one SMR backend, lookups via the
-/// pin-free `try_read` entry point.
-struct HashMapTier<R>(BucketMap<u64, u64, R>)
-where
-    R: Reclaim + Publish<u64> + 'static;
-
-struct HashMapTierHandle<'a, R>(lf_map::BucketMapHandle<'a, u64, u64, R>)
-where
-    R: Reclaim + Publish<u64> + 'static;
-
-impl<R> BenchMap for HashMapTier<R>
-where
-    R: Reclaim + Publish<u64> + 'static,
-{
-    type Handle<'a> = HashMapTierHandle<'a, R>;
-
-    fn create() -> Self {
-        HashMapTier(BucketMap::with_backend(BUCKETS))
-    }
-
-    fn bench_handle(&self) -> Self::Handle<'_> {
-        HashMapTierHandle(self.0.handle())
-    }
-
-    fn name() -> &'static str {
-        match R::NAME {
-            "ebr" => "fr-map-ebr",
-            "vbr" => "fr-map-vbr",
-            _ => "fr-map-smr",
-        }
-    }
-
-    fn peak_unreclaimed(&self) -> Option<u64> {
-        Some(R::gauge(self.0.domain()).peak_unreclaimed())
-    }
-}
-
-impl<R> MapHandle for HashMapTierHandle<'_, R>
-where
-    R: Reclaim + Publish<u64> + 'static,
-{
-    fn insert(&self, k: u64) -> bool {
-        self.0.insert(k, k).is_ok()
-    }
-
-    fn remove(&self, k: u64) -> bool {
-        self.0.remove(&k).is_some()
-    }
-
-    fn search(&self, k: u64) -> bool {
-        self.0.try_read(&k).is_some()
-    }
-}
-
-/// The sharded skip-list map pinned to one SMR backend, lookups via
-/// the pin-free `try_read` entry point.
-struct ShardTier<R>(ShardedSkipList<u64, u64, R>)
-where
-    R: Reclaim + Publish<u64> + 'static;
-
-struct ShardTierHandle<'a, R>(lf_shard::ShardedHandle<'a, u64, u64, R>)
-where
-    R: Reclaim + Publish<u64> + 'static;
-
-impl<R> BenchMap for ShardTier<R>
-where
-    R: Reclaim + Publish<u64> + 'static,
-{
-    type Handle<'a> = ShardTierHandle<'a, R>;
-
-    fn create() -> Self {
-        ShardTier(ShardedSkipList::with_backend(SHARDS))
-    }
-
-    fn bench_handle(&self) -> Self::Handle<'_> {
-        ShardTierHandle(self.0.handle())
-    }
-
-    fn name() -> &'static str {
-        match R::NAME {
-            "ebr" => "fr-shard-skiplist-ebr",
-            "vbr" => "fr-shard-skiplist-vbr",
-            _ => "fr-shard-skiplist-smr",
-        }
-    }
-
-    fn peak_unreclaimed(&self) -> Option<u64> {
-        Some(R::gauge(self.0.domain()).peak_unreclaimed())
-    }
-}
-
-impl<R> MapHandle for ShardTierHandle<'_, R>
-where
-    R: Reclaim + Publish<u64> + 'static,
-{
-    fn insert(&self, k: u64) -> bool {
-        self.0.insert(k, k).is_ok()
-    }
-
-    fn remove(&self, k: u64) -> bool {
-        self.0.remove(&k).is_some()
-    }
-
-    fn search(&self, k: u64) -> bool {
-        self.0.try_read(&k).is_some()
-    }
-}
-
 /// Repetitions per cell; the median-throughput run is reported.
-/// Cross-structure ratios on an oversubscribed box are otherwise
-/// dominated by scheduler noise.
 const REPS: usize = 5;
 
-fn measure<M: BenchMap>(threads: usize, ops: u64, mix: Mix) -> RunResult {
-    let cfg = RunConfig {
+fn config(threads: usize, ops: u64, mix: Mix) -> RunConfig {
+    RunConfig {
         threads,
         ops_per_thread: ops,
         mix,
@@ -164,10 +53,35 @@ fn measure<M: BenchMap>(threads: usize, ops: u64, mix: Mix) -> RunResult {
         },
         seed: 0xE15,
         prefill: 2048,
-    };
-    let mut runs: Vec<RunResult> = (0..REPS).map(|_| run_mixed::<M>(&cfg)).collect();
-    runs.sort_by(|a, b| a.throughput().total_cmp(&b.throughput()));
-    runs.swap_remove(REPS / 2)
+    }
+}
+
+/// One cell of the bucketed hash map over backend `R`.
+fn map_tier<R>(threads: usize, ops: u64, mix: Mix) -> RunResult
+where
+    R: Reclaim + Publish<u64> + 'static,
+{
+    let cfg = config(threads, ops, mix);
+    super::median_run(REPS, || {
+        let map: BucketMap<u64, u64, R> = BucketMap::with_backend(BUCKETS);
+        let mut res = run_mixed(&map, &cfg, |h, k| h.try_read(&k).is_some());
+        res.peak_unreclaimed = Some(R::gauge(map.domain()).peak_unreclaimed());
+        res
+    })
+}
+
+/// One cell of the sharded skip-list map over backend `R`.
+fn shard_tier<R>(threads: usize, ops: u64, mix: Mix) -> RunResult
+where
+    R: Reclaim + Publish<u64> + 'static,
+{
+    let cfg = config(threads, ops, mix);
+    super::median_run(REPS, || {
+        let map: ShardedSkipList<u64, u64, R> = ShardedSkipList::with_backend(SHARDS);
+        let mut res = run_mixed(&map, &cfg, |h, k| h.try_read(&k).is_some());
+        res.peak_unreclaimed = Some(R::gauge(map.domain()).peak_unreclaimed());
+        res
+    })
 }
 
 /// Print the map-vs-shard tables and emit `BENCH_e15.json`.
@@ -195,16 +109,10 @@ pub fn run(quick: bool) {
         ]);
         for &t in threads {
             let results = [
-                ("fr-map-ebr", measure::<HashMapTier<Ebr>>(t, ops, mix)),
-                ("fr-map-vbr", measure::<HashMapTier<Vbr>>(t, ops, mix)),
-                (
-                    "fr-shard-skiplist-ebr",
-                    measure::<ShardTier<Ebr>>(t, ops, mix),
-                ),
-                (
-                    "fr-shard-skiplist-vbr",
-                    measure::<ShardTier<Vbr>>(t, ops, mix),
-                ),
+                ("fr-map-ebr", map_tier::<Ebr>(t, ops, mix)),
+                ("fr-map-vbr", map_tier::<Vbr>(t, ops, mix)),
+                ("fr-shard-skiplist-ebr", shard_tier::<Ebr>(t, ops, mix)),
+                ("fr-shard-skiplist-vbr", shard_tier::<Vbr>(t, ops, mix)),
             ];
             if mix.search == Mix::READ_HEAVY.search {
                 map_vs_shard.push((

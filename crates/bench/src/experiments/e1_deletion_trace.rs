@@ -40,7 +40,7 @@ pub fn run(_quick: bool) {
     println!("    [F] = successor field flagged, [X] = marked\n");
 
     let sched = Scheduler::new();
-    let list = prefilled::<FrList<u64, u64>>(&sched, [1, 2, 3]);
+    let list = prefilled(&sched, FrList::new(), [1, 2, 3]);
     let op = spawn_op(&sched, &list, |h| h.remove(&2).is_some());
     let pid = op.pid();
 

@@ -16,11 +16,10 @@
 //! `O(c)` extra steps per failure, keeping the average `O(n̄ + c̄)`.
 
 use lf_baselines::{HarrisList, MichaelList};
-use lf_core::FrList;
+use lf_core::{ConcurrentMap, FrList, MapHandle};
 use lf_sched::{Scheduler, StepKind};
 
 use super::{prefilled, run_op, spawn_op};
-use crate::adapters::{BenchMap, MapHandle};
 use crate::table::{fmt_f, Table};
 
 struct AdvOutcome {
@@ -29,20 +28,26 @@ struct AdvOutcome {
     ops: u64,
 }
 
-/// Run the adversarial schedule with `n` initial keys and `q` processes
-/// (`q − 1` inserters + 1 deleter role).
-fn run_adversary<M: BenchMap>(n: u64, q: u64) -> AdvOutcome {
+/// Run the adversarial schedule on `list` (fresh) with `n` initial keys
+/// and `q` processes (`q − 1` inserters + 1 deleter role).
+fn run_adversary<M>(list: M, n: u64, q: u64) -> AdvOutcome
+where
+    M: ConcurrentMap<Key = u64, Value = u64> + 'static,
+{
     assert!(q >= 2);
     let sched = Scheduler::new();
 
     // Prefill keys 1..=n (not counted in the measured steps: snapshot
     // total after this phase).
-    let list = prefilled::<M>(&sched, 1..=n);
+    let list = prefilled(&sched, list, 1..=n);
     let prefill_steps = sched.total_steps();
 
     // Spawn the q-1 inserters; their keys sit beyond every prefilled key.
     let inserters: Vec<_> = (0..q - 1)
-        .map(|i| spawn_op(&sched, &list, move |h| h.insert(n * 1000 + i + 1)))
+        .map(|i| {
+            let key = n * 1000 + i + 1;
+            spawn_op(&sched, &list, move |h| h.insert(key, key).is_ok())
+        })
         .collect();
 
     // Rounds: pause every inserter right before its insertion C&S, then
@@ -59,10 +64,10 @@ fn run_adversary<M: BenchMap>(n: u64, q: u64) -> AdvOutcome {
             assert!(paused, "inserter finished early (round {round})");
         }
         let last_key = n - round;
-        assert!(
-            run_op(&sched, &list, move |h| h.remove(last_key)),
-            "adversary failed to delete key {last_key}"
-        );
+        let removed = run_op(&sched, &list, move |h| {
+            h.remove_with(&last_key, |_| ()).is_some()
+        });
+        assert!(removed, "adversary failed to delete key {last_key}");
     }
 
     // Let the inserters finish on the now-empty list.
@@ -107,9 +112,9 @@ pub fn run(quick: bool) {
     ]);
     for &q in qs {
         for &n in ns {
-            let h = run_adversary::<HarrisList<u64, u64>>(n, q);
-            let m = run_adversary::<MichaelList<u64, u64>>(n, q);
-            let f = run_adversary::<FrList<u64, u64>>(n, q);
+            let h = run_adversary(HarrisList::new(), n, q);
+            let m = run_adversary(MichaelList::new(), n, q);
+            let f = run_adversary(FrList::new(), n, q);
             table.row([
                 n.to_string(),
                 q.to_string(),
@@ -138,8 +143,8 @@ mod tests {
 
     #[test]
     fn separation_visible_at_small_sizes() {
-        let h = run_adversary::<HarrisList<u64, u64>>(24, 3);
-        let f = run_adversary::<FrList<u64, u64>>(24, 3);
+        let h = run_adversary(HarrisList::new(), 24, 3);
+        let f = run_adversary(FrList::new(), 24, 3);
         assert!(
             h.inserter_steps > 3 * f.inserter_steps,
             "harris {} vs fr {}",
@@ -150,10 +155,10 @@ mod tests {
 
     #[test]
     fn inserter_cost_grows_quadratically_for_harris_only() {
-        let h1 = run_adversary::<HarrisList<u64, u64>>(16, 2);
-        let h2 = run_adversary::<HarrisList<u64, u64>>(32, 2);
-        let f1 = run_adversary::<FrList<u64, u64>>(16, 2);
-        let f2 = run_adversary::<FrList<u64, u64>>(32, 2);
+        let h1 = run_adversary(HarrisList::new(), 16, 2);
+        let h2 = run_adversary(HarrisList::new(), 32, 2);
+        let f1 = run_adversary(FrList::new(), 16, 2);
+        let f2 = run_adversary(FrList::new(), 32, 2);
         let h_growth = h2.inserter_steps as f64 / h1.inserter_steps as f64;
         let f_growth = f2.inserter_steps as f64 / f1.inserter_steps as f64;
         // Doubling n should ~4x Harris's inserter work but ~2x or less FR's.

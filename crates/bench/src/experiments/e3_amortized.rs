@@ -12,7 +12,7 @@
 use lf_core::FrList;
 use lf_workloads::{KeyDist, Mix};
 
-use crate::runner::{run_mixed, RunConfig};
+use crate::runner::{lookup, run_mixed, RunConfig};
 use crate::table::{fmt_f, Table};
 
 /// Print both series.
@@ -37,7 +37,7 @@ pub fn run(quick: bool) {
             seed: 0xE3,
             prefill: n,
         };
-        let res = run_mixed::<FrList<u64, u64>>(&cfg);
+        let res = run_mixed(&FrList::new(), &cfg, |h, k| lookup(h, k));
         a.row([
             n.to_string(),
             "4".to_string(),
@@ -60,7 +60,7 @@ pub fn run(quick: bool) {
             seed: 0xE3B,
             prefill: 128,
         };
-        let res = run_mixed::<FrList<u64, u64>>(&cfg);
+        let res = run_mixed(&FrList::new(), &cfg, |h, k| lookup(h, k));
         b.row([
             "128".to_string(),
             t.to_string(),

@@ -5,14 +5,16 @@
 //! improve throughput as threads grow; the coarse lock serializes.
 
 use lf_baselines::{CoarseLockList, HarrisList, HohLockList, MichaelList, NoFlagList};
-use lf_core::FrList;
+use lf_core::{ConcurrentMap, FrList};
 use lf_workloads::{KeyDist, Mix};
 
-use crate::adapters::BenchMap;
-use crate::runner::{run_mixed, RunConfig, RunResult};
+use crate::runner::{lookup, run_mixed, RunConfig, RunResult};
 use crate::table::{fmt_f, Table};
 
-fn measure<M: BenchMap>(threads: usize, ops: u64, mix: Mix) -> RunResult {
+fn measure<M>(map: M, threads: usize, ops: u64, mix: Mix) -> RunResult
+where
+    M: ConcurrentMap<Key = u64, Value = u64>,
+{
     let cfg = RunConfig {
         threads,
         ops_per_thread: ops,
@@ -21,7 +23,7 @@ fn measure<M: BenchMap>(threads: usize, ops: u64, mix: Mix) -> RunResult {
         seed: 0xE4,
         prefill: 128,
     };
-    run_mixed::<M>(&cfg)
+    run_mixed(&map, &cfg, |h, k| lookup(h, k))
 }
 
 /// Print the throughput tables and emit `BENCH_e4.json`.
@@ -43,18 +45,12 @@ pub fn run(quick: bool) {
         ]);
         for &t in threads {
             let results = [
-                ("fr-list", measure::<FrList<u64, u64>>(t, ops, mix)),
-                ("harris-list", measure::<HarrisList<u64, u64>>(t, ops, mix)),
-                (
-                    "michael-list",
-                    measure::<MichaelList<u64, u64>>(t, ops, mix),
-                ),
-                ("noflag-list", measure::<NoFlagList<u64, u64>>(t, ops, mix)),
-                (
-                    "coarse-lock",
-                    measure::<CoarseLockList<u64, u64>>(t, ops, mix),
-                ),
-                ("hoh-lock", measure::<HohLockList<u64, u64>>(t, ops, mix)),
+                ("fr-list", measure(FrList::new(), t, ops, mix)),
+                ("harris-list", measure(HarrisList::new(), t, ops, mix)),
+                ("michael-list", measure(MichaelList::new(), t, ops, mix)),
+                ("noflag-list", measure(NoFlagList::new(), t, ops, mix)),
+                ("coarse-lock", measure(CoarseLockList::new(), t, ops, mix)),
+                ("hoh-lock", measure(HohLockList::new(), t, ops, mix)),
             ];
             let mut cells = vec![t.to_string()];
             for (name, res) in &results {

@@ -5,14 +5,16 @@
 //! a reader-writer-locked Pugh skip list.
 
 use lf_baselines::{LockSkipList, RestartSkipList};
-use lf_core::SkipList;
+use lf_core::{ConcurrentMap, SkipList};
 use lf_workloads::{KeyDist, Mix};
 
-use crate::adapters::BenchMap;
-use crate::runner::{run_mixed, RunConfig, RunResult};
+use crate::runner::{lookup, run_mixed, RunConfig, RunResult};
 use crate::table::{fmt_f, Table};
 
-fn measure<M: BenchMap>(threads: usize, ops: u64, mix: Mix) -> RunResult {
+fn measure<M>(map: M, threads: usize, ops: u64, mix: Mix) -> RunResult
+where
+    M: ConcurrentMap<Key = u64, Value = u64>,
+{
     let cfg = RunConfig {
         threads,
         ops_per_thread: ops,
@@ -21,7 +23,7 @@ fn measure<M: BenchMap>(threads: usize, ops: u64, mix: Mix) -> RunResult {
         seed: 0xE6,
         prefill: 2048,
     };
-    run_mixed::<M>(&cfg)
+    run_mixed(&map, &cfg, |h, k| lookup(h, k))
 }
 
 /// Print the throughput tables and emit `BENCH_e6.json`.
@@ -40,15 +42,12 @@ pub fn run(quick: bool) {
         ]);
         for &t in threads {
             let results = [
-                ("fr-skiplist", measure::<SkipList<u64, u64>>(t, ops, mix)),
+                ("fr-skiplist", measure(SkipList::new(), t, ops, mix)),
                 (
                     "restart-skiplist",
-                    measure::<RestartSkipList<u64, u64>>(t, ops, mix),
+                    measure(RestartSkipList::new(), t, ops, mix),
                 ),
-                (
-                    "lock-skiplist",
-                    measure::<LockSkipList<u64, u64>>(t, ops, mix),
-                ),
+                ("lock-skiplist", measure(LockSkipList::new(), t, ops, mix)),
             ];
             let mut cells = vec![t.to_string()];
             for (name, res) in &results {

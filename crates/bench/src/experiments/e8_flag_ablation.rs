@@ -21,11 +21,10 @@
 //! baseline), each operation a scheduler process on its own handle.
 
 use lf_baselines::NoFlagList;
-use lf_core::FrList;
+use lf_core::{ConcurrentMap, FrList, MapHandle};
 use lf_sched::{Scheduler, StepKind};
 
 use super::{prefilled, spawn_op};
-use crate::adapters::{BenchMap, MapHandle};
 use crate::table::{fmt_f, Table};
 
 struct Outcome {
@@ -33,20 +32,27 @@ struct Outcome {
     victim_backlinks_max: u64,
 }
 
-/// The schedule over `M`; `pause` is the step at which a deleter has
-/// finished its search but not yet recorded or claimed its predecessor
-/// (the flagging C&S with flags, the backlink store without).
-fn run_schedule<M: BenchMap>(n: u64, pause: StepKind) -> Outcome {
+/// The schedule over `list` (fresh); `pause` is the step at which a
+/// deleter has finished its search but not yet recorded or claimed its
+/// predecessor (the flagging C&S with flags, the backlink store
+/// without).
+fn run_schedule<M>(list: M, n: u64, pause: StepKind) -> Outcome
+where
+    M: ConcurrentMap<Key = u64, Value = u64> + 'static,
+{
     let sched = Scheduler::new();
     // Even keys 2..=2n.
-    let list = prefilled::<M>(&sched, (1..=n).map(|k| 2 * k));
+    let list = prefilled(&sched, list, (1..=n).map(|k| 2 * k));
 
     // All deleters search up-front, capturing live predecessors.
     let deleters: Vec<_> = (1..=n)
         .map(|k| {
-            let d = spawn_op(&sched, &list, move |h| h.remove(2 * k));
+            let key = 2 * k;
+            let d = spawn_op(&sched, &list, move |h| {
+                h.remove_with(&key, |_| ()).is_some()
+            });
             let paused = sched.run_until_pending(d.pid(), |s| s == pause);
-            assert!(paused, "deleter of {} finished early", 2 * k);
+            assert!(paused, "deleter of {key} finished early");
             d
         })
         .collect();
@@ -57,16 +63,17 @@ fn run_schedule<M: BenchMap>(n: u64, pause: StepKind) -> Outcome {
     let mut total = 0u64;
     let mut max = 0u64;
     for (d, k) in deleters.into_iter().zip(1u64..) {
-        let v = spawn_op(&sched, &list, move |h| h.insert(2 * k + 1));
+        let key = 2 * k + 1;
+        let v = spawn_op(&sched, &list, move |h| h.insert(key, key).is_ok());
         let paused = sched.run_until_pending(v.pid(), |s| s == StepKind::CasInsert);
-        assert!(paused, "victim {} finished early", 2 * k + 1);
+        assert!(paused, "victim {key} finished early");
 
         sched.run_to_completion(d.pid());
         assert!(d.join(), "deletion of {} failed", 2 * k);
 
         sched.run_to_completion(v.pid());
         let walked = sched.steps_of(v.pid(), StepKind::Backlink);
-        assert!(v.join(), "victim insert {} failed", 2 * k + 1);
+        assert!(v.join(), "victim insert {key} failed");
         total += walked;
         max = max.max(walked);
     }
@@ -78,11 +85,11 @@ fn run_schedule<M: BenchMap>(n: u64, pause: StepKind) -> Outcome {
 }
 
 fn fr(n: u64) -> Outcome {
-    run_schedule::<FrList<u64, u64>>(n, StepKind::CasFlag)
+    run_schedule(FrList::new(), n, StepKind::CasFlag)
 }
 
 fn noflag(n: u64) -> Outcome {
-    run_schedule::<NoFlagList<u64, u64>>(n, StepKind::Write)
+    run_schedule(NoFlagList::new(), n, StepKind::Write)
 }
 
 /// Print the ablation table.

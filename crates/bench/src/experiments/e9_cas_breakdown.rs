@@ -6,15 +6,18 @@
 //! contention, with failures per operation staying bounded (they are
 //! the `O(c)` term).
 
-use lf_core::{FrList, SkipList};
+use lf_core::{ConcurrentMap, FrList, SkipList};
 use lf_metrics::CasType;
 use lf_workloads::{KeyDist, Mix};
 
-use crate::adapters::BenchMap;
-use crate::runner::{run_mixed, RunConfig, RunResult};
+use crate::runner::{lookup, run_mixed, RunConfig, RunResult};
 use crate::table::{fmt_f, Table};
 
-fn measure<M: BenchMap>(threads: usize, ops: u64) -> RunResult {
+fn measure<M: ConcurrentMap<Key = u64, Value = u64>>(
+    map: M,
+    threads: usize,
+    ops: u64,
+) -> RunResult {
     let cfg = RunConfig {
         threads,
         ops_per_thread: ops,
@@ -26,7 +29,7 @@ fn measure<M: BenchMap>(threads: usize, ops: u64) -> RunResult {
         seed: 0xE9,
         prefill: 256,
     };
-    run_mixed::<M>(&cfg)
+    run_mixed(&map, &cfg, |h, k| lookup(h, k))
 }
 
 fn print_breakdown(name: &str, res: &RunResult) {
@@ -55,9 +58,9 @@ fn print_breakdown(name: &str, res: &RunResult) {
 pub fn run(quick: bool) {
     println!("E9: C&S success/failure breakdown by type (paper Def. 4)\n");
     let ops: u64 = if quick { 8_000 } else { 40_000 };
-    let fr = measure::<FrList<u64, u64>>(4, ops);
+    let fr = measure(FrList::new(), 4, ops);
     print_breakdown("fr-list", &fr);
-    let sl = measure::<SkipList<u64, u64>>(4, ops);
+    let sl = measure(SkipList::new(), 4, ops);
     print_breakdown("fr-skiplist", &sl);
     println!(
         "paper claim: every failure is billed to a concurrent successful C&S\n\
@@ -77,11 +80,10 @@ pub fn run(quick: bool) {
 /// argument reasons about (one failure billed to the one concurrent
 /// success).
 mod scripted {
-    use lf_core::FrList;
+    use lf_core::{FrList, MapHandle};
     use lf_sched::{Scheduler, StepKind};
 
     use super::super::{prefilled, run_op, spawn_op};
-    use crate::adapters::MapHandle;
     use crate::table::Table;
 
     pub(super) struct Counts {
@@ -111,10 +113,10 @@ mod scripted {
     }
 
     impl Op {
-        fn apply(self, h: &impl MapHandle) -> bool {
+        fn apply(self, h: &impl MapHandle<u64, u64>) -> bool {
             match self {
-                Op::Insert(k) => h.insert(k),
-                Op::Delete(k) => h.remove(k),
+                Op::Insert(k) => h.insert(k, k).is_ok(),
+                Op::Delete(k) => h.remove_with(&k, |_| ()).is_some(),
             }
         }
     }
@@ -124,7 +126,7 @@ mod scripted {
     /// Returns the victim's counts.
     fn interfere(keys: &[u64], victim: Op, pause: StepKind, rival: Op) -> Counts {
         let sched = Scheduler::new();
-        let list = prefilled::<FrList<u64, u64>>(&sched, keys.iter().copied());
+        let list = prefilled(&sched, FrList::new(), keys.iter().copied());
         let v = spawn_op(&sched, &list, move |h| victim.apply(h));
         assert!(sched.run_until_pending(v.pid(), |k| k == pause));
         assert!(run_op(&sched, &list, move |h| rival.apply(h)));
@@ -168,7 +170,7 @@ mod scripted {
     /// before marking — the victim helps the rival's deletion through.
     pub(super) fn delete_helps_stalled_rival() -> (Counts, bool) {
         let sched = Scheduler::new();
-        let list = prefilled::<FrList<u64, u64>>(&sched, [10, 20, 30]);
+        let list = prefilled(&sched, FrList::new(), [10, 20, 30]);
         let victim = spawn_op(&sched, &list, |h| Op::Delete(20).apply(h));
         assert!(sched.run_until_pending(victim.pid(), |k| k == StepKind::CasFlag));
         let rival = spawn_op(&sched, &list, |h| Op::Delete(20).apply(h));

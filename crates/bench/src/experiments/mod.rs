@@ -7,9 +7,9 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use lf_core::{ConcurrentMap, MapHandle};
 use lf_sched::{OpHandle, Scheduler};
 
-use crate::adapters::{BenchMap, MapHandle};
 use crate::runner::RunResult;
 
 pub mod e10_additivity;
@@ -67,17 +67,17 @@ pub fn dispatch(id: &str, quick: bool) -> bool {
 /// Spawn `f` as a scheduler process running on its own fresh handle of
 /// `map` — how the deterministic experiments (E1/E2/E8/E9/E11) drive
 /// the shipped structures.
-pub(crate) fn spawn_op<M: BenchMap, R: Send + 'static>(
+pub(crate) fn spawn_op<M: ConcurrentMap + 'static, R: Send + 'static>(
     sched: &Scheduler,
     map: &Arc<M>,
     f: impl FnOnce(&M::Handle<'_>) -> R + Send + 'static,
 ) -> OpHandle<R> {
     let map = Arc::clone(map);
-    sched.spawn(move |_| f(&map.bench_handle()))
+    sched.spawn(move |_| f(&map.handle()))
 }
 
 /// [`spawn_op`], run to completion.
-pub(crate) fn run_op<M: BenchMap, R: Send + 'static>(
+pub(crate) fn run_op<M: ConcurrentMap + 'static, R: Send + 'static>(
     sched: &Scheduler,
     map: &Arc<M>,
     f: impl FnOnce(&M::Handle<'_>) -> R + Send + 'static,
@@ -87,16 +87,29 @@ pub(crate) fn run_op<M: BenchMap, R: Send + 'static>(
     op.join()
 }
 
-/// A fresh `M` holding `keys`, each inserted by its own process.
-pub(crate) fn prefilled<M: BenchMap>(
+/// `map` (fresh) holding `keys`, each inserted by its own process.
+pub(crate) fn prefilled<M: ConcurrentMap<Key = u64, Value = u64> + 'static>(
     sched: &Scheduler,
+    map: M,
     keys: impl IntoIterator<Item = u64>,
 ) -> Arc<M> {
-    let map = Arc::new(M::create());
+    let map = Arc::new(map);
     for k in keys {
-        assert!(run_op(sched, &map, move |h| h.insert(k)), "prefill {k}");
+        assert!(
+            run_op(sched, &map, move |h| h.insert(k, k).is_ok()),
+            "prefill {k}"
+        );
     }
     map
+}
+
+/// The median-throughput run of `reps` runs of `run`: cross-structure
+/// ratios on an oversubscribed box are otherwise dominated by
+/// scheduler noise.
+pub(crate) fn median_run(reps: usize, run: impl FnMut() -> RunResult) -> RunResult {
+    let mut runs: Vec<RunResult> = std::iter::repeat_with(run).take(reps).collect();
+    runs.sort_by(|a, b| a.throughput().total_cmp(&b.throughput()));
+    runs.swap_remove(reps / 2)
 }
 
 /// Serialize one measured run as a benchmark-artifact row: identity

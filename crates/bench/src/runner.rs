@@ -3,9 +3,8 @@
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-use lf_workloads::{KeyDist, Mix, OpKind, WorkloadIter};
-
-use crate::adapters::{BenchMap, MapHandle};
+use lf_core::{ConcurrentMap, MapHandle};
+use lf_workloads::{KeyDist, Mix, Op, OpKind, WorkloadIter};
 
 /// Parameters of one measured run.
 #[derive(Clone, Debug)]
@@ -38,7 +37,8 @@ pub struct RunResult {
     /// backlink / hop distributions) for the measured phase.
     pub telemetry: lf_metrics::Telemetry,
     /// Peak unreclaimed objects in the map's reclamation domain over
-    /// the whole run (prefill included), when the map reports one.
+    /// the whole run (prefill included); [`run_mixed`] leaves it `None`
+    /// for the caller that knows the map's domain to fill in.
     pub peak_unreclaimed: Option<u64>,
 }
 
@@ -64,19 +64,61 @@ fn space_of(dist: &KeyDist) -> u64 {
     }
 }
 
-/// Run `cfg` against a fresh `M`, returning throughput and the
-/// essential-step delta attributable to the measured phase.
-pub fn run_mixed<M: BenchMap>(cfg: &RunConfig) -> RunResult {
-    let map = M::create();
+/// The lookup every run uses unless it measures another entry point
+/// (E14/E15 pass the pin-free `try_read`): the key's presence, seen
+/// through [`MapHandle::get_with`] without cloning.
+pub fn lookup<H: MapHandle<u64, u64>>(h: &H, k: u64) -> bool {
+    h.get_with(&k, |_| ()).is_some()
+}
 
+/// Apply one generated operation through `h` (an insert stores
+/// `k → k`), looking keys up through `search`; `true` if it hit.
+pub fn apply<H: MapHandle<u64, u64>>(h: &H, op: Op, search: impl Fn(&H, u64) -> bool) -> bool {
+    match op.kind {
+        OpKind::Insert => h.insert(op.key, op.key).is_ok(),
+        OpKind::Remove => h.remove_with(&op.key, |_| ()).is_some(),
+        OpKind::Search => search(h, op.key),
+    }
+}
+
+/// A Criterion iteration body over `map` (fresh): prefill every even
+/// key of `dist`'s space, then run `ops` generated operations on a new
+/// handle per call.
+pub fn op_batch<M>(map: M, mix: Mix, dist: KeyDist, seed: u64, ops: u64) -> impl FnMut()
+where
+    M: ConcurrentMap<Key = u64, Value = u64>,
+{
+    {
+        let h = map.handle();
+        for k in (0..space_of(&dist)).step_by(2) {
+            let _ = h.insert(k, k);
+        }
+    }
+    let mut w = WorkloadIter::new(mix, dist, seed);
+    move || {
+        let h = map.handle();
+        for _ in 0..ops {
+            std::hint::black_box(apply(&h, w.next_op(), lookup));
+        }
+    }
+}
+
+/// Run `cfg` against `map`, a fresh map the caller built, looking keys
+/// up through `search` (usually [`lookup`]); returns throughput and the
+/// essential-step delta attributable to the measured phase.
+pub fn run_mixed<M, S>(map: &M, cfg: &RunConfig, search: S) -> RunResult
+where
+    M: ConcurrentMap<Key = u64, Value = u64>,
+    S: Fn(&M::Handle<'_>, u64) -> bool + Sync,
+{
     // Prefill half the key space (even keys) so searches hit ~50%.
     {
-        let h = map.bench_handle();
+        let h = map.handle();
         let space = space_of(&cfg.dist);
         let mut inserted = 0;
         let mut k = 0;
         while inserted < cfg.prefill && k < space {
-            h.insert(k);
+            let _ = h.insert(k, k);
             inserted += 1;
             k += 2;
         }
@@ -91,8 +133,8 @@ pub fn run_mixed<M: BenchMap>(cfg: &RunConfig) -> RunResult {
     let ((), telemetry) = lf_metrics::Registry::join_and_snapshot(|| {
         std::thread::scope(|s| {
             for t in 0..cfg.threads {
-                let map = &map;
                 let barrier = &barrier;
+                let search = &search;
                 let mix = cfg.mix;
                 let dist = cfg.dist.clone();
                 let seed = cfg
@@ -101,19 +143,14 @@ pub fn run_mixed<M: BenchMap>(cfg: &RunConfig) -> RunResult {
                     .wrapping_mul(0x2545F4914F6CDD1D);
                 let ops = cfg.ops_per_thread;
                 s.spawn(move || {
-                    let h = map.bench_handle();
+                    let h = map.handle();
                     let mut w = WorkloadIter::new(mix, dist, seed);
                     // Fault in this worker's telemetry storage before
                     // the clock starts.
                     lf_metrics::prewarm();
                     barrier.wait();
                     for _ in 0..ops {
-                        let op = w.next_op();
-                        match op.kind {
-                            OpKind::Insert => h.insert(op.key),
-                            OpKind::Remove => h.remove(op.key),
-                            OpKind::Search => h.search(op.key),
-                        };
+                        apply(&h, w.next_op(), search);
                     }
                 });
             }
@@ -135,7 +172,7 @@ pub fn run_mixed<M: BenchMap>(cfg: &RunConfig) -> RunResult {
         elapsed,
         metrics: telemetry.counters,
         telemetry,
-        peak_unreclaimed: map.peak_unreclaimed(),
+        peak_unreclaimed: None,
     }
 }
 
@@ -154,7 +191,7 @@ mod tests {
             seed: 42,
             prefill: 16,
         };
-        let res = run_mixed::<FrList<u64, u64>>(&cfg);
+        let res = run_mixed(&FrList::new(), &cfg, |h, k| lookup(h, k));
         assert_eq!(res.ops, 400);
         assert!(res.throughput() > 0.0);
         // Every op records at least its own completion; steps/op must

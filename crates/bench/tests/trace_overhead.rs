@@ -10,7 +10,7 @@
 //! cargo test -p lf-bench --release -- --ignored trace_overhead --nocapture
 //! ```
 
-use lf_bench::runner::{run_mixed, RunConfig};
+use lf_bench::runner::{lookup, run_mixed, RunConfig};
 use lf_core::{FrList, SkipList};
 use lf_workloads::{KeyDist, Mix};
 
@@ -31,7 +31,7 @@ fn list_throughput(trace: bool) -> f64 {
         seed: 0xE4,
         prefill: 128,
     };
-    run_mixed::<FrList<u64, u64>>(&cfg).throughput()
+    run_mixed(&FrList::new(), &cfg, |h, k| lookup(h, k)).throughput()
 }
 
 /// E6 skip-list configuration (key space 8192, prefill 2048, update-heavy).
@@ -49,7 +49,7 @@ fn skiplist_throughput(trace: bool) -> f64 {
         seed: 0xE6,
         prefill: 2048,
     };
-    run_mixed::<SkipList<u64, u64>>(&cfg).throughput()
+    run_mixed(&SkipList::new(), &cfg, |h, k| lookup(h, k)).throughput()
 }
 
 /// Best-of-9 with the variants interleaved: external noise only ever

@@ -70,13 +70,17 @@ pub trait MapHandle<K, V> {
     }
 
     /// Share one epoch announcement across `every` consecutive ops.
-    fn amortize_pins(&self, every: u32);
+    /// Structures that take no epoch pins (locks, hazard pointers) keep
+    /// this default, and the two below, which do nothing.
+    fn amortize_pins(&self, every: u32) {
+        let _ = every;
+    }
 
     /// Withdraw the standing epoch announcement (idle thread).
-    fn quiesce(&self);
+    fn quiesce(&self) {}
 
     /// Quiesce and opportunistically advance reclamation.
-    fn flush_reclamation(&self);
+    fn flush_reclamation(&self) {}
 }
 
 impl<K, V, R> ConcurrentMap for FrList<K, V, R>

@@ -1,40 +1,28 @@
 //! `lf-shard`: a hash-partitioned lock-free dictionary.
 //!
-//! Routes each key to one of `P` independent Fomitchev–Ruppert
-//! [`SkipList`]s (`P` a power of two). Under write-heavy load a single
-//! skip list funnels every operation through one head tower, so the
-//! paper's `O(n(S) + c(S))` amortized bound is dominated by the
-//! contention term `c(S)` at the shared entry point; partitioning
-//! makes `c(S)` a *per-shard* quantity while each shard keeps the
-//! paper's semantics and proofs unchanged.
+//! Routes each key to one of `P` independent partitions (`P` a power of
+//! two). Under write-heavy load a single skip list funnels every
+//! operation through one head tower, so the paper's `O(n(S) + c(S))`
+//! amortized bound is dominated by the contention term `c(S)` at the
+//! shared entry point; partitioning makes `c(S)` a *per-shard* quantity
+//! while each shard keeps the paper's semantics and proofs unchanged.
 //!
-//! The shards are siblings ([`SkipList::new_sibling`]): they share one
-//! epoch-reclamation domain and one tower-node pool, so a single pin
-//! covers traversals of all of them. That is what makes the ordered
-//! cross-shard [`range`](ShardedHandle::range) scan — a k-way merge of
-//! per-shard level-1 traversals — possible under **one** amortized
-//! epoch pin per scan, with each per-shard cursor helping physical
-//! deletion exactly as a paper search does.
+//! One wrapper, [`Sharded`], serves both tiers, and its shard type
+//! picks the tier: [`ShardedSkipList`] partitions over sibling skip
+//! lists and keeps an ordered cross-shard scan; [`ShardedMap`]
+//! partitions over whole bucketed hash maps for pure key-value traffic.
+//! Every routed operation hashes its key once ([`lf_map::hash_key`]).
+//! The two tiers slice that word differently (see `router`): the
+//! ordered tier folds its halves, the hash tier takes its high half and
+//! passes the word down to the map's `_hashed` entry points, whose
+//! bucket fold then uses bits the shard index did not.
 //!
-//! Like the underlying skip list, the map is generic over the
+//! Like the underlying structures, both tiers are generic over the
 //! reclamation backend (`R`, default [`Ebr`]): construct with
-//! [`ShardedSkipList::with_backend`] to run all shards over hazard
-//! pointers or VBR instead. On a pin-free backend (VBR),
-//! [`ShardedHandle::try_read`] serves point lookups without touching
-//! the shared reclamation domain at all.
-//!
-//! Per-shard telemetry (`ops`, search hops, CAS retries, occupancy) is
-//! re-bucketed from the thread-sharded `lf-metrics` counters: the step
-//! delta of each routed operation's own op boundary is credited to the
-//! shard in a block of cells the handle owns; see
-//! [`ShardedSkipList::snapshot`].
-//!
-//! For pure key-value traffic with no ordered scans there is also the
-//! bucketed-map flavor, [`ShardedMap`]: shards that are whole `lf-map`
-//! [`BucketMap`](lf_map::BucketMap)s (O(1) expected point ops), each
-//! with its own reclamation domain and node pool so retire and epoch
-//! bookkeeping partition along with the keys. See
-//! [`map_flavor`](ShardedMap) for the trade-offs.
+//! `with_backend` to run all shards over hazard pointers or VBR
+//! instead. On a pin-free backend (VBR), [`RoutedHandle::try_read`]
+//! serves point lookups without touching the shared reclamation domain
+//! at all.
 //!
 //! # Examples
 //!
@@ -62,21 +50,21 @@
 
 mod map_flavor;
 mod router;
+mod skip_flavor;
 
 /// Statistics of one shard (or, merged, of the whole map).
 pub use lf_metrics::PartitionSnapshot as ShardSnapshot;
 /// Statistics of every shard of a [`ShardedSkipList`], in index order.
 pub use lf_metrics::TallySnapshot as ShardedSnapshot;
-pub use map_flavor::{ShardedMap, ShardedMapHandle, ShardedMapIter};
+pub use map_flavor::ShardedMapIter;
 
 use std::fmt;
 use std::hash::Hash;
-use std::ops::{Bound, RangeBounds};
 
-use lf_core::skiplist::{merged_range, SkipList, SkipListHandle};
+use lf_core::skiplist::SkipList;
 use lf_core::{ConcurrentMap, MapHandle};
-use lf_metrics::{PartitionTally, TallyWriter};
-use lf_reclaim::{Ebr, Pod, Publish, Reclaim};
+use lf_map::{hash_key, BucketMap};
+use lf_reclaim::{Ebr, Pod};
 use lf_tagged::CachePadded;
 
 /// Default shard count: enough to split head-tower contention across a
@@ -84,156 +72,199 @@ use lf_tagged::CachePadded;
 /// occupancy at small map sizes.
 pub const DEFAULT_SHARDS: usize = 8;
 
-/// A hash-partitioned dictionary over `P` sibling [`SkipList`]s.
+/// The ordered tier: `P` sibling Fomitchev–Ruppert [`SkipList`]s
+/// ([`SkipList::new_sibling`]). They share one epoch-reclamation domain
+/// and one tower-node pool, so a single pin covers traversals of all of
+/// them. That is what makes the cross-shard
+/// [`range`](ShardedHandle::range) scan — a k-way merge of per-shard
+/// level-1 traversals — possible under **one** amortized epoch pin,
+/// with each cursor helping physical deletion exactly as a paper search
+/// does. Per-shard telemetry (`ops`, search hops, CAS retries,
+/// occupancy) credits the step delta of each routed operation's own op
+/// boundary to its shard, in a block of cells the handle owns; see
+/// [`ShardedSkipList::snapshot`].
+pub type ShardedSkipList<K, V, R = Ebr> = Sharded<SkipList<K, V, R>>;
+/// A registered per-thread handle to a [`ShardedSkipList`].
+pub type ShardedHandle<'s, K, V, R = Ebr> = RoutedHandle<'s, SkipList<K, V, R>>;
+/// The hash tier: `P` independent `lf-map` [`BucketMap`]s, for pure
+/// key-value traffic. Each shard has its **own** reclamation domain and
+/// node pool, so epoch bookkeeping, retire queues, and pool traffic —
+/// shared by all buckets *within* a map — are split `P` ways as well.
+/// Within a shard, the map's power-of-two FR-list buckets give O(1)
+/// expected point ops exactly as in `lf-map`.
+pub type ShardedMap<K, V, R = Ebr> = Sharded<BucketMap<K, V, R>>;
+/// A registered per-thread handle to a [`ShardedMap`].
+pub type ShardedMapHandle<'s, K, V, R = Ebr> = RoutedHandle<'s, BucketMap<K, V, R>>;
+
+mod sealed {
+    pub trait Sealed {}
+}
+
+/// A structure [`Sharded`] partitions keys over: [`SkipList`] (the
+/// ordered tier) or [`BucketMap`] (the hash tier). It carries only what
+/// differs between the two; the wrapper does the rest. Sealed.
+pub trait Shard: ConcurrentMap<Key: Hash> + sealed::Sealed {
+    /// Per-shard statistics kept beside the shards (the hash tier's
+    /// maps keep their own per bucket, so it keeps none here).
+    type Tally: Send + Sync;
+    /// A handle's write end of [`Tally`](Self::Tally).
+    type Writer;
+
+    /// A tally for `shards` shards.
+    fn tally(shards: usize) -> Self::Tally;
+
+    /// A new handle's writer into `tally`.
+    fn writer(tally: &Self::Tally) -> Self::Writer;
+
+    /// The shard (in `0..=mask`) of a key whose [`hash_key`] is `hash`.
+    fn shard_of_hash(hash: u64, mask: usize) -> usize;
+
+    /// Run `op` on `h`, the handle of shard `i`, inside the tier's
+    /// per-operation bookkeeping (none by default).
+    fn routed<'s, T>(
+        writer: &Self::Writer,
+        i: usize,
+        h: &Self::Handle<'s>,
+        op: impl FnOnce(&Self::Handle<'s>) -> T,
+    ) -> T
+    where
+        Self: 's,
+    {
+        let _ = (writer, i);
+        op(h)
+    }
+
+    /// [`MapHandle::insert`] on a shard handle, given the key's
+    /// [`hash_key`]. A shard that does not route by hash ignores it.
+    fn insert_hashed(
+        h: &Self::Handle<'_>,
+        hash: u64,
+        key: Self::Key,
+        value: Self::Value,
+    ) -> Result<(), (Self::Key, Self::Value)> {
+        let _ = hash;
+        h.insert(key, value)
+    }
+
+    /// [`MapHandle::remove_with`] given the key's [`hash_key`].
+    fn remove_with_hashed<T>(
+        h: &Self::Handle<'_>,
+        hash: u64,
+        key: &Self::Key,
+        f: impl FnOnce(&Self::Value) -> T,
+    ) -> Option<T> {
+        let _ = hash;
+        h.remove_with(key, f)
+    }
+
+    /// [`MapHandle::get_with`] given the key's [`hash_key`].
+    fn get_with_hashed<T>(
+        h: &Self::Handle<'_>,
+        hash: u64,
+        key: &Self::Key,
+        f: impl FnOnce(&Self::Value) -> T,
+    ) -> Option<T> {
+        let _ = hash;
+        h.get_with(key, f)
+    }
+
+    /// The shard handle's pin-free lookup, given the key's
+    /// [`hash_key`].
+    fn try_read_hashed(h: &Self::Handle<'_>, hash: u64, key: &Self::Key) -> Option<Self::Value>
+    where
+        Self::Key: Pod,
+        Self::Value: Pod;
+
+    /// [`MapHandle::scan`] across all shards: the ordered tier merges
+    /// them, the hash tier (unordered) keeps this default and visits
+    /// nothing.
+    fn scan(
+        handles: &[Self::Handle<'_>],
+        after: Option<&Self::Key>,
+        visit: &mut dyn FnMut(&Self::Key, &Self::Value) -> bool,
+    ) {
+        let _ = (handles, after, visit);
+    }
+
+    /// Validate one shard's structural invariants; quiescent only.
+    fn validate_quiescent(&self);
+}
+
+/// A hash-partitioned dictionary over `P` shards of type `S`: the
+/// ordered [`ShardedSkipList`] or the hashed [`ShardedMap`].
 ///
-/// Obtain a per-thread [`ShardedHandle`] with
-/// [`handle`](ShardedSkipList::handle) and operate through it; the
-/// convenience methods on the map itself register a fresh handle per
-/// call. See the [crate docs](crate) for the partitioning rationale
-/// and the scan's consistency contract.
-///
-/// `R` selects the safe-memory-reclamation backend shared by every
-/// shard (default epoch-based; see [`with_backend`]
-/// (ShardedSkipList::with_backend)).
-pub struct ShardedSkipList<K, V, R = Ebr>
-where
-    K: Ord + Hash + Send + Sync + 'static,
-    V: Send + Sync + 'static,
-    R: Reclaim,
-{
-    /// The partitions. Each is `CachePadded` so one shard's hot head
-    /// tower and length counter never share a line with its neighbor.
-    shards: Box<[CachePadded<SkipList<K, V, R>>]>,
-    /// Per-shard statistics, written through each handle's own block.
-    tally: PartitionTally,
+/// Obtain a per-thread [`RoutedHandle`] with
+/// [`handle`](Sharded::handle) and operate through it; the convenience
+/// methods on the map itself register a fresh handle per call. See the
+/// [crate docs](crate) for the partitioning rationale and the scan's
+/// consistency contract.
+pub struct Sharded<S: Shard> {
+    /// The partitions. Each is `CachePadded` so one shard's hot entry
+    /// point and length counter never share a line with its neighbor.
+    shards: Box<[CachePadded<S>]>,
+    /// Per-shard statistics, written through each handle's writer.
+    tally: S::Tally,
     /// Shard count − 1 (shard count is a power of two).
     mask: usize,
 }
 
-impl<K, V> ShardedSkipList<K, V>
-where
-    K: Ord + Hash + Send + Sync + 'static,
-    V: Send + Sync + 'static,
-{
-    /// A map with `shards` partitions (power of two) at the default
-    /// per-shard level budget, over the default EBR backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero or not a power of two.
-    #[must_use]
-    pub fn new(shards: usize) -> Self {
-        Self::with_backend(shards)
-    }
-
-    /// A map with `shards` partitions whose skip lists use
-    /// `max_level` levels; see [`SkipList::with_max_level`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero or not a power of two, or if
-    /// `max_level < 2`.
-    #[must_use]
-    pub fn with_max_level(shards: usize, max_level: usize) -> Self {
-        Self::with_backend_max_level(shards, max_level)
-    }
-}
-
-impl<K, V, R> ShardedSkipList<K, V, R>
-where
-    K: Ord + Hash + Send + Sync + 'static,
-    V: Send + Sync + 'static,
-    R: Reclaim + Publish<K> + Publish<V>,
-{
-    /// A map with `shards` partitions over the reclamation backend
-    /// `R`, at the default per-shard level budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero or not a power of two.
-    #[must_use]
-    pub fn with_backend(shards: usize) -> Self {
-        Self::build(shards, None)
-    }
-
-    /// A map with `shards` partitions over backend `R` whose skip
-    /// lists use `max_level` levels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero or not a power of two, or if
-    /// `max_level < 2`.
-    #[must_use]
-    pub fn with_backend_max_level(shards: usize, max_level: usize) -> Self {
-        Self::build(shards, Some(max_level))
-    }
-
-    fn build(shards: usize, max_level: Option<usize>) -> Self {
+impl<S: Shard> Sharded<S> {
+    /// `count` shards: `first`, then `count − 1` more made by `next`
+    /// from it (siblings sharing its domain, or independent maps).
+    fn build(count: usize, first: S, next: impl Fn(&S) -> S) -> Self {
         assert!(
-            shards.is_power_of_two(),
-            "shard count must be a nonzero power of two, got {shards}"
+            count.is_power_of_two(),
+            "shard count must be a nonzero power of two, got {count}"
         );
-        let first = match max_level {
-            Some(ml) => SkipList::with_backend_max_level(ml),
-            None => SkipList::with_backend(),
-        };
-        let mut vec = Vec::with_capacity(shards);
-        for _ in 1..shards {
-            vec.push(CachePadded::new(first.new_sibling()));
+        let mut shards = Vec::with_capacity(count);
+        for _ in 1..count {
+            shards.push(CachePadded::new(next(&first)));
         }
-        vec.insert(0, CachePadded::new(first));
-        ShardedSkipList {
-            shards: vec.into_boxed_slice(),
-            tally: PartitionTally::new(shards),
-            mask: shards - 1,
+        shards.insert(0, CachePadded::new(first));
+        Sharded {
+            shards: shards.into_boxed_slice(),
+            tally: S::tally(count),
+            mask: count - 1,
         }
     }
 
-    /// Register a per-thread handle (one [`SkipListHandle`] per shard,
-    /// all in the shared reclamation domain, plus a block of per-shard
-    /// statistics cells).
+    /// Register a per-thread handle: one shard handle per shard, plus
+    /// the handle's writer into the per-shard statistics.
     #[must_use]
-    pub fn handle(&self) -> ShardedHandle<'_, K, V, R> {
-        ShardedHandle {
+    pub fn handle(&self) -> RoutedHandle<'_, S> {
+        RoutedHandle {
             map: self,
             handles: self.shards.iter().map(|s| s.handle()).collect(),
-            tally: self.tally.writer(),
+            tally: S::writer(&self.tally),
         }
     }
 
-    /// Insert through a temporary handle. See [`ShardedHandle::insert`].
-    pub fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
+    /// Insert through a temporary handle. See [`RoutedHandle::insert`].
+    pub fn insert(&self, key: S::Key, value: S::Value) -> Result<(), (S::Key, S::Value)> {
         self.handle().insert(key, value)
     }
 
-    /// Remove through a temporary handle. See [`ShardedHandle::remove`].
-    pub fn remove(&self, key: &K) -> Option<V>
+    /// Remove through a temporary handle. See [`RoutedHandle::remove`].
+    pub fn remove(&self, key: &S::Key) -> Option<S::Value>
     where
-        V: Clone,
+        S::Value: Clone,
     {
         self.handle().remove(key)
     }
 
-    /// Lookup through a temporary handle. See [`ShardedHandle::get`].
-    pub fn get(&self, key: &K) -> Option<V>
+    /// Lookup through a temporary handle. See [`RoutedHandle::get`].
+    pub fn get(&self, key: &S::Key) -> Option<S::Value>
     where
-        V: Clone,
+        S::Value: Clone,
     {
         self.handle().get(key)
     }
 
     /// Membership test through a temporary handle.
-    pub fn contains(&self, key: &K) -> bool {
+    pub fn contains(&self, key: &S::Key) -> bool {
         self.handle().contains(key)
     }
-}
 
-impl<K, V, R> ShardedSkipList<K, V, R>
-where
-    K: Ord + Hash + Send + Sync + 'static,
-    V: Send + Sync + 'static,
-    R: Reclaim,
-{
     /// Number of partitions.
     #[must_use]
     pub fn shard_count(&self) -> usize {
@@ -243,13 +274,12 @@ where
     /// The shard index `key` routes to — stable for the map's lifetime
     /// and across maps with the same shard count.
     #[must_use]
-    pub fn shard_of(&self, key: &K) -> usize {
-        router::shard_of(key, self.mask)
+    pub fn shard_of(&self, key: &S::Key) -> usize {
+        S::shard_of_hash(hash_key(key), self.mask)
     }
 
-    /// Total number of keys, summed across shards (each shard's count
-    /// is maintained as in [`SkipList::len`]; the sum is racy-fresh
-    /// under concurrency).
+    /// Total number of keys, summed across shards (racy-fresh under
+    /// concurrency).
     #[must_use]
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.len()).sum()
@@ -259,18 +289,6 @@ where
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.shards.iter().all(|s| s.is_empty())
-    }
-
-    /// The reclamation domain shared by every shard.
-    #[must_use]
-    pub fn domain(&self) -> &R::Domain {
-        self.shards[0].domain()
-    }
-
-    /// Per-shard statistics plus occupancy; see [`ShardedSnapshot`].
-    #[must_use]
-    pub fn snapshot(&self) -> ShardedSnapshot {
-        self.tally.snapshot(|i| self.shards[i].len())
     }
 
     /// Validate every shard's structural invariants; quiescent only.
@@ -286,413 +304,160 @@ where
     }
 }
 
-impl<K, V, R> Default for ShardedSkipList<K, V, R>
-where
-    K: Ord + Hash + Send + Sync + 'static,
-    V: Send + Sync + 'static,
-    R: Reclaim + Publish<K> + Publish<V>,
-{
-    fn default() -> Self {
-        Self::with_backend(DEFAULT_SHARDS)
-    }
-}
-
-impl<K, V, R> fmt::Debug for ShardedSkipList<K, V, R>
-where
-    K: Ord + Hash + Send + Sync + 'static,
-    V: Send + Sync + 'static,
-    R: Reclaim,
-{
+impl<S: Shard> fmt::Debug for Sharded<S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ShardedSkipList")
-            .field("backend", &R::NAME)
+        f.debug_struct("Sharded")
             .field("shards", &self.shard_count())
             .field("len", &self.len())
             .finish()
     }
 }
 
-/// A registered per-thread handle to a [`ShardedSkipList`].
+/// A registered per-thread handle to a [`Sharded`] map.
 ///
-/// Owns one [`SkipListHandle`] per shard; every operation routes the
-/// key to its shard's handle and credits the steps that handle's op
-/// boundary counted to the shard (see [`ShardedSkipList::snapshot`]).
-pub struct ShardedHandle<'s, K, V, R = Ebr>
-where
-    K: Ord + Hash + Send + Sync + 'static,
-    V: Send + Sync + 'static,
-    R: Reclaim,
-{
-    map: &'s ShardedSkipList<K, V, R>,
-    handles: Box<[SkipListHandle<'s, K, V, R>]>,
-    tally: TallyWriter,
+/// Owns one shard handle per shard; every operation hashes the key
+/// once, routes it to its shard's handle, and runs it inside the
+/// tier's bookkeeping (on the ordered tier, the steps that handle's op
+/// boundary counted are credited to the shard; see
+/// [`ShardedSkipList::snapshot`]).
+pub struct RoutedHandle<'s, S: Shard + 's> {
+    map: &'s Sharded<S>,
+    handles: Box<[S::Handle<'s>]>,
+    tally: S::Writer,
 }
 
-impl<'s, K, V, R> ShardedHandle<'s, K, V, R>
-where
-    K: Ord + Hash + Send + Sync + 'static,
-    V: Send + Sync + 'static,
-    R: Reclaim + Publish<K> + Publish<V>,
-{
+impl<'s, S: Shard + 's> RoutedHandle<'s, S> {
+    /// Run `op` on the shard handle of the key whose [`hash_key`] is
+    /// `hash`.
     #[inline]
-    fn route(&self, key: &K) -> usize {
-        router::shard_of(key, self.map.mask)
+    fn routed<T>(&self, hash: u64, op: impl FnOnce(&S::Handle<'s>) -> T) -> T {
+        let i = S::shard_of_hash(hash, self.map.mask);
+        S::routed(&self.tally, i, &self.handles[i], op)
     }
 
-    /// Run `op` on shard `i`'s handle with the shard index as the
-    /// causal-trace tag (events the shard op records carry it; free
-    /// when tracing is off), then credit the steps the shard handle's
-    /// own op boundary counted to that shard.
-    #[inline]
-    fn routed<T>(&self, i: usize, op: impl FnOnce(&SkipListHandle<'s, K, V, R>) -> T) -> T {
-        let _t = lf_trace::shard_scope(i as u16);
-        let res = op(&self.handles[i]);
-        self.tally.record(i, self.handles[i].take_op_steps());
-        res
-    }
-
-    /// Insert `(key, value)` into the key's shard. Returns the
-    /// rejected pair if `key` is already present.
-    pub fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
-        self.routed(self.route(&key), |h| h.insert(key, value))
+    /// Insert `(key, value)` into the key's shard; hands both back if
+    /// `key` is present.
+    pub fn insert(&self, key: S::Key, value: S::Value) -> Result<(), (S::Key, S::Value)> {
+        let hash = hash_key(&key);
+        self.routed(hash, |h| S::insert_hashed(h, hash, key, value))
     }
 
     /// Remove `key` from its shard, returning its value.
-    pub fn remove(&self, key: &K) -> Option<V>
+    pub fn remove(&self, key: &S::Key) -> Option<S::Value>
     where
-        V: Clone,
+        S::Value: Clone,
     {
-        self.remove_with(key, V::clone)
+        self.remove_with(key, S::Value::clone)
     }
 
     /// Remove `key` from its shard and apply `f` to a borrow of its
-    /// value, without cloning; see [`SkipListHandle::remove_with`].
-    pub fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        self.routed(self.route(key), |h| h.remove_with(key, f))
+    /// value, without cloning.
+    pub fn remove_with<T>(&self, key: &S::Key, f: impl FnOnce(&S::Value) -> T) -> Option<T> {
+        let hash = hash_key(key);
+        self.routed(hash, |h| S::remove_with_hashed(h, hash, key, f))
     }
 
     /// Look up `key` in its shard, returning a clone of its value.
-    pub fn get(&self, key: &K) -> Option<V>
+    pub fn get(&self, key: &S::Key) -> Option<S::Value>
     where
-        V: Clone,
+        S::Value: Clone,
     {
-        self.routed(self.route(key), |h| h.get(key))
+        self.get_with(key, S::Value::clone)
     }
 
     /// Look up `key` in its shard without pinning the reclamation
-    /// domain, when the backend supports it; see
-    /// [`SkipListHandle::try_read`]. Falls back to the pinned
+    /// domain, when the backend supports it; falls back to the pinned
     /// [`get`](Self::get) path on pinned backends or after repeated
     /// validation races.
-    pub fn try_read(&self, key: &K) -> Option<V>
+    pub fn try_read(&self, key: &S::Key) -> Option<S::Value>
     where
-        K: Pod,
-        V: Pod,
+        S::Key: Pod,
+        S::Value: Pod,
     {
-        self.routed(self.route(key), |h| h.try_read(key))
+        let hash = hash_key(key);
+        self.routed(hash, |h| S::try_read_hashed(h, hash, key))
     }
 
     /// Zero-copy lookup: run `f` over the value in place (under the
-    /// shard's epoch pin) instead of cloning it out. See
-    /// [`SkipListHandle::get_with`].
-    pub fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        self.routed(self.route(key), |h| h.get_with(key, f))
+    /// shard's epoch pin) instead of cloning it out.
+    pub fn get_with<T>(&self, key: &S::Key, f: impl FnOnce(&S::Value) -> T) -> Option<T> {
+        let hash = hash_key(key);
+        self.routed(hash, |h| S::get_with_hashed(h, hash, key, f))
     }
 
     /// Whether `key` is present in its shard.
-    pub fn contains(&self, key: &K) -> bool {
-        self.routed(self.route(key), |h| h.contains(key))
-    }
-
-    /// Ordered scan over the union of all shards: calls
-    /// `visitor(key, value)` for each pair of the range in strictly
-    /// ascending key order and returns the number of pairs visited
-    /// (the visitor returns `false` to stop early).
-    ///
-    /// Implemented as a k-way merge of per-shard level-1 traversals
-    /// under a single amortized epoch pin
-    /// ([`merged_range`]); each cursor helps
-    /// physical deletion as a paper search does. **No atomic snapshot
-    /// across (or within) shards**: keys present for the scan's whole
-    /// duration appear exactly once, keys absent throughout never
-    /// appear, and concurrent insertions/deletions may or may not be
-    /// observed. Scan work is not attributed to per-shard statistics.
-    pub fn range<B, F>(&self, range: B, visitor: F) -> usize
-    where
-        B: RangeBounds<K>,
-        F: FnMut(&K, &V) -> bool,
-    {
-        merged_range(
-            &self.handles,
-            range.start_bound(),
-            range.end_bound(),
-            visitor,
-        )
-    }
-
-    /// Total number of keys, summed across shards.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether every shard is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// The map this handle operates on.
-    #[must_use]
-    pub fn map(&self) -> &'s ShardedSkipList<K, V, R> {
-        self.map
-    }
-
-    /// Announce a quiescent point on every shard handle; see
-    /// [`SkipListHandle::quiesce`].
-    pub fn quiesce(&self) {
-        for h in self.handles.iter() {
-            h.quiesce();
-        }
-    }
-
-    /// Drain deferred reclamation on every shard handle; see
-    /// [`SkipListHandle::flush_reclamation`].
-    pub fn flush_reclamation(&self) {
-        for h in self.handles.iter() {
-            h.flush_reclamation();
-        }
-    }
-
-    /// Set pin amortization on every shard handle; see
-    /// [`SkipListHandle::amortize_pins`]. Note the counter is
-    /// per-shard-handle: with `P` shards a routed workload advances
-    /// each counter `P`× slower, so epoch announcements are up to
-    /// `P × every` operations apart.
-    pub fn amortize_pins(&self, every: u32) {
-        for h in self.handles.iter() {
-            h.amortize_pins(every);
-        }
+    pub fn contains(&self, key: &S::Key) -> bool {
+        self.get_with(key, |_| ()).is_some()
     }
 }
 
-impl<K, V, R> fmt::Debug for ShardedHandle<'_, K, V, R>
-where
-    K: Ord + Hash + Send + Sync + 'static,
-    V: Send + Sync + 'static,
-    R: Reclaim,
-{
+impl<'s, S: Shard + 's> fmt::Debug for RoutedHandle<'s, S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ShardedHandle")
+        f.debug_struct("RoutedHandle")
             .field("shards", &self.handles.len())
             .finish()
     }
 }
 
-impl<K, V, R> ConcurrentMap for ShardedSkipList<K, V, R>
-where
-    K: Ord + Hash + Send + Sync + 'static,
-    V: Send + Sync + 'static,
-    R: Reclaim + Publish<K> + Publish<V>,
-{
-    type Key = K;
-    type Value = V;
+impl<S: Shard> ConcurrentMap for Sharded<S> {
+    type Key = S::Key;
+    type Value = S::Value;
     type Handle<'a>
-        = ShardedHandle<'a, K, V, R>
+        = RoutedHandle<'a, S>
     where
         Self: 'a;
 
-    const ORDERED: bool = true;
+    const ORDERED: bool = S::ORDERED;
 
     fn handle(&self) -> Self::Handle<'_> {
-        ShardedSkipList::handle(self)
+        Sharded::handle(self)
     }
 
     fn len(&self) -> usize {
-        ShardedSkipList::len(self)
+        Sharded::len(self)
     }
 
-    fn partition_of(&self, key: &K) -> Option<usize> {
+    fn partition_of(&self, key: &S::Key) -> Option<usize> {
         Some(self.shard_of(key))
     }
 }
 
-impl<K, V, R> MapHandle<K, V> for ShardedHandle<'_, K, V, R>
-where
-    K: Ord + Hash + Send + Sync + 'static,
-    V: Send + Sync + 'static,
-    R: Reclaim + Publish<K> + Publish<V>,
-{
-    fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
-        ShardedHandle::insert(self, key, value)
+/// The pin methods act on every shard handle. Pin amortization counts
+/// per shard handle: with `P` shards a routed workload advances each
+/// counter `P`× slower, so epoch announcements are up to `P × every`
+/// operations apart.
+impl<'s, S: Shard + 's> MapHandle<S::Key, S::Value> for RoutedHandle<'s, S> {
+    fn insert(&self, key: S::Key, value: S::Value) -> Result<(), (S::Key, S::Value)> {
+        RoutedHandle::insert(self, key, value)
     }
 
-    fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        ShardedHandle::remove_with(self, key, f)
+    fn remove_with<T>(&self, key: &S::Key, f: impl FnOnce(&S::Value) -> T) -> Option<T> {
+        RoutedHandle::remove_with(self, key, f)
     }
 
-    fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        ShardedHandle::get_with(self, key, f)
+    fn get_with<T>(&self, key: &S::Key, f: impl FnOnce(&S::Value) -> T) -> Option<T> {
+        RoutedHandle::get_with(self, key, f)
     }
 
-    fn scan(&self, after: Option<&K>, visit: &mut dyn FnMut(&K, &V) -> bool) {
-        // k-way merged range across shards.
-        let start = after.map_or(Bound::Unbounded, Bound::Excluded);
-        self.range((start, Bound::Unbounded), visit);
+    fn scan(&self, after: Option<&S::Key>, visit: &mut dyn FnMut(&S::Key, &S::Value) -> bool) {
+        S::scan(&self.handles, after, visit);
     }
 
     fn amortize_pins(&self, every: u32) {
-        ShardedHandle::amortize_pins(self, every);
+        for h in self.handles.iter() {
+            h.amortize_pins(every);
+        }
     }
 
     fn quiesce(&self) {
-        ShardedHandle::quiesce(self);
+        for h in self.handles.iter() {
+            h.quiesce();
+        }
     }
 
     fn flush_reclamation(&self) {
-        ShardedHandle::flush_reclamation(self);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use lf_vbr::Vbr;
-
-    #[test]
-    fn shards_share_one_domain() {
-        let map: ShardedSkipList<u64, u64> = ShardedSkipList::new(4);
-        for w in map.shards.windows(2) {
-            assert!(w[0].shares_domain_with(&w[1]));
+        for h in self.handles.iter() {
+            h.flush_reclamation();
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn zero_shards_rejected() {
-        let _ = ShardedSkipList::<u64, u64>::new(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn non_power_of_two_rejected() {
-        let _ = ShardedSkipList::<u64, u64>::new(6);
-    }
-
-    #[test]
-    fn point_ops_route_consistently() {
-        let map: ShardedSkipList<u64, u64> = ShardedSkipList::new(8);
-        let h = map.handle();
-        for k in 0..500u64 {
-            assert!(h.insert(k, k * 10).is_ok());
-        }
-        assert_eq!(map.len(), 500);
-        for k in 0..500u64 {
-            assert_eq!(h.get(&k), Some(k * 10));
-            assert!(h.contains(&k));
-            assert_eq!(h.get_with(&k, |v| v + 1), Some(k * 10 + 1));
-        }
-        assert!(h.insert(7, 0).is_err());
-        for k in 0..500u64 {
-            assert_eq!(h.remove(&k), Some(k * 10));
-        }
-        assert!(map.is_empty());
-        map.validate_quiescent();
-    }
-
-    #[test]
-    fn range_is_sorted_and_complete() {
-        let map: ShardedSkipList<u64, u64> = ShardedSkipList::new(8);
-        let h = map.handle();
-        for k in 0..300u64 {
-            assert!(h.insert(k, k).is_ok());
-        }
-        let mut seen = Vec::new();
-        let n = h.range(10..=20, |k, v| {
-            assert_eq!(k, v);
-            seen.push(*k);
-            true
-        });
-        assert_eq!(n, 11);
-        assert_eq!(seen, (10..=20).collect::<Vec<_>>());
-
-        // Unbounded scan covers everything, in order, exactly once.
-        let mut all = Vec::new();
-        h.range(.., |k, _| {
-            all.push(*k);
-            true
-        });
-        assert_eq!(all, (0..300).collect::<Vec<_>>());
-
-        // Early stop.
-        let mut count = 0;
-        let n = h.range(.., |_, _| {
-            count += 1;
-            count < 5
-        });
-        assert_eq!(n, 5);
-    }
-
-    #[test]
-    fn snapshot_attributes_ops_to_shards() {
-        let map: ShardedSkipList<u64, u64> = ShardedSkipList::new(4);
-        let h = map.handle();
-        for k in 0..400u64 {
-            assert!(h.insert(k, k).is_ok());
-        }
-        let snap = map.snapshot();
-        assert_eq!(snap.per_partition.len(), 4);
-        let merged = snap.merged();
-        assert_eq!(merged.ops, 400);
-        assert_eq!(merged.occupancy, 400);
-        // Sequential keys must spread: no shard may own >60% of ops.
-        assert!(snap.max_ops_share() < 0.6, "{:?}", snap);
-        // Every op routed to shard i bumped shard i's count only.
-        for (i, s) in snap.per_partition.iter().enumerate() {
-            assert_eq!(s.ops as usize, s.occupancy, "shard {i}");
-        }
-    }
-
-    #[test]
-    fn single_shard_degenerates_to_plain_list() {
-        let map: ShardedSkipList<u64, u64> = ShardedSkipList::new(1);
-        let h = map.handle();
-        for k in (0..100u64).rev() {
-            assert!(h.insert(k, k).is_ok());
-        }
-        let mut seen = Vec::new();
-        h.range(.., |k, _| {
-            seen.push(*k);
-            true
-        });
-        assert_eq!(seen, (0..100).collect::<Vec<_>>());
-        let snap = map.snapshot();
-        assert_eq!(snap.per_partition[0].ops, 100);
-    }
-
-    #[test]
-    fn vbr_backend_end_to_end() {
-        let map: ShardedSkipList<u64, u64, Vbr> = ShardedSkipList::with_backend(4);
-        let h = map.handle();
-        for k in 0..300u64 {
-            assert!(h.insert(k, k * 3).is_ok());
-        }
-        for k in 0..300u64 {
-            // Pin-free read path routes like the pinned ops.
-            assert_eq!(h.try_read(&k), Some(k * 3));
-        }
-        assert_eq!(h.try_read(&1000), None);
-        let mut seen = Vec::new();
-        h.range(.., |k, _| {
-            seen.push(*k);
-            true
-        });
-        assert_eq!(seen, (0..300).collect::<Vec<_>>());
-        for k in 0..300u64 {
-            assert_eq!(h.remove(&k), Some(k * 3));
-            assert_eq!(h.try_read(&k), None);
-        }
-        assert!(map.is_empty());
-        map.validate_quiescent();
     }
 }

@@ -13,36 +13,30 @@
 //! it is not a security boundary (a colliding workload degrades to the
 //! single-list cost we started from, nothing worse).
 
-use std::hash::Hash;
-
-/// Route `key` to a shard index in `0..=mask` (`mask` = shard count −
-/// 1, shard count a power of two).
+/// The ordered tier's shard index in `0..=mask` (`mask` = shard count
+/// − 1, shard count a power of two) of a key whose
+/// [`lf_map::hash_key`] is `hash`.
 ///
 /// The high half of the 64-bit hash is folded into the low half before
 /// masking so small shard counts still consume all of SipHash's
 /// diffusion.
 #[inline]
-pub(crate) fn shard_of<K: Hash + ?Sized>(key: &K, mask: usize) -> usize {
-    let x = lf_map::hash_key(key);
-    ((x ^ (x >> 32)) as usize) & mask
+pub(crate) fn shard_of_hash(hash: u64, mask: usize) -> usize {
+    ((hash ^ (hash >> 32)) as usize) & mask
 }
 
-/// Route `key` to a shard index for the bucketed-map flavor
-/// ([`ShardedMap`](crate::ShardedMap)).
+/// The shard index for the bucketed-map flavor
+/// ([`ShardedMap`](crate::ShardedMap)) of a key whose
+/// [`lf_map::hash_key`] is `hash`; the word then goes down to the
+/// shard's `_hashed` entry point unchanged.
 ///
-/// Deliberately **not** [`shard_of`]: the inner `lf-map` shards route
-/// keys to buckets from the *folded low* bits of the same SipHash, so
-/// masking the fold here too would fix those bits within a shard and
-/// leave every shard populating only `B/P` of its buckets. Taking the
-/// raw high half instead keeps the two levels' bits independent (the
-/// fold XORs the uniform low half on top of whatever this selects).
-#[inline]
-pub(crate) fn map_shard_of<K: Hash + ?Sized>(key: &K, mask: usize) -> usize {
-    map_shard_of_hash(lf_map::hash_key(key), mask)
-}
-
-/// [`map_shard_of`] given the key's [`lf_map::hash_key`], which then
-/// goes down to the shard's `_hashed` entry point unchanged.
+/// Deliberately **not** [`shard_of_hash`]: the inner `lf-map` shards
+/// route keys to buckets from the *folded low* bits of the same
+/// SipHash, so masking the fold here too would fix those bits within a
+/// shard and leave every shard populating only `B/P` of its buckets.
+/// Taking the raw high half instead keeps the two levels' bits
+/// independent (the fold XORs the uniform low half on top of whatever
+/// this selects).
 #[inline]
 pub(crate) fn map_shard_of_hash(hash: u64, mask: usize) -> usize {
     ((hash >> 32) as usize) & mask
@@ -50,7 +44,11 @@ pub(crate) fn map_shard_of_hash(hash: u64, mask: usize) -> usize {
 
 #[cfg(test)]
 mod tests {
-    use super::shard_of;
+    use lf_map::hash_key;
+
+    fn shard_of(k: &u64, mask: usize) -> usize {
+        super::shard_of_hash(hash_key(k), mask)
+    }
 
     #[test]
     fn routing_is_deterministic() {
@@ -69,7 +67,7 @@ mod tests {
 
     #[test]
     fn map_routing_is_independent_of_bucket_bits() {
-        use super::map_shard_of;
+        let map_shard_of = |k: &u64, mask| super::map_shard_of_hash(hash_key(k), mask);
         // Keys confined to one map-flavor shard must still spread over
         // the inner buckets' bit positions (the aliasing this router
         // exists to avoid). Reimplement the bucket fold locally.

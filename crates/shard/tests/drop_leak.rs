@@ -7,6 +7,7 @@
 use std::sync::atomic::{AtomicIsize, Ordering};
 use std::thread;
 
+use lf_core::MapHandle;
 use lf_shard::ShardedSkipList;
 
 /// Value type whose live-instance count is tracked through every

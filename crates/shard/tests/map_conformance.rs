@@ -1,12 +1,16 @@
 //! `ConcurrentMap` conformance: every structure of the stack, over both
 //! an epoch-based (`Ebr`) and a version-based (`Vbr`) reclamation
-//! backend, runs one seeded sequential script through the trait alone
-//! and must agree with a `BTreeMap` oracle on every reply, on the
-//! closures' call counts, on partitioning, and on what `scan` shows.
+//! backend, and the seven concurrent baselines, runs one seeded
+//! sequential script through the trait alone and must agree with a
+//! `BTreeMap` oracle on every reply, on the closures' call counts, on
+//! partitioning, and on what `scan` shows.
 
 use std::collections::BTreeMap;
 use std::ops::Bound::{Excluded, Unbounded};
 
+use lf_baselines::{
+    CoarseLockList, HarrisList, HohLockList, LockSkipList, MichaelList, NoFlagList, RestartSkipList,
+};
 use lf_core::{ConcurrentMap, FrList, MapHandle, SkipList};
 use lf_map::BucketMap;
 use lf_shard::{ShardedMap, ShardedSkipList};
@@ -146,4 +150,20 @@ fn sharded_map_conforms() {
         false,
         |m, k| Some(m.shard_of(k)),
     );
+}
+
+/// The baselines keep the trait's unordered default (their `scan`
+/// visits nothing) and are single structures. Not run under Miri: the
+/// crate is outside CI's Miri set, and the two baseline skip lists seed
+/// their coin flips from the wall clock, which Miri's isolation refuses.
+#[test]
+#[cfg_attr(miri, ignore)]
+fn baselines_conform() {
+    conforms(HarrisList::<u64, u64>::new(), false, |_, _| None);
+    conforms(MichaelList::<u64, u64>::new(), false, |_, _| None);
+    conforms(NoFlagList::<u64, u64>::new(), false, |_, _| None);
+    conforms(CoarseLockList::<u64, u64>::new(), false, |_, _| None);
+    conforms(HohLockList::<u64, u64>::new(), false, |_, _| None);
+    conforms(LockSkipList::<u64, u64>::new(), false, |_, _| None);
+    conforms(RestartSkipList::<u64, u64>::new(), false, |_, _| None);
 }

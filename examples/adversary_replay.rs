@@ -16,32 +16,35 @@ use std::sync::Arc;
 
 use lockfree_lists::baselines::HarrisList;
 use lockfree_lists::sched::{OpHandle, Scheduler, StepKind};
-use lockfree_lists::FrList;
+use lockfree_lists::{ConcurrentMap, FrList, MapHandle};
 
 /// One §3.1 round on a list with keys `1..=n`: an inserter of `n + 10`
 /// paused right before its C&S while `n` — its predecessor — is deleted
 /// out from under it. Returns the inserter's recovery cost in steps.
-fn recovery<L: Send + Sync + 'static>(
-    n: u64,
-    list: L,
-    insert: fn(&L, u64) -> bool,
-    delete: fn(&L, u64) -> bool,
-) -> u64 {
+fn recovery<M: ConcurrentMap<Key = u64, Value = u64> + 'static>(n: u64, list: M) -> u64 {
     let sched = Scheduler::new();
     let list = Arc::new(list);
-    let spawn = |op: fn(&L, u64) -> bool, k: u64| -> OpHandle<bool> {
+    // Each op a process on its own handle: insert `k → k`, or delete `k`.
+    let spawn = |insert: bool, k: u64| -> OpHandle<bool> {
         let l = list.clone();
-        sched.spawn(move |_| op(&l, k))
+        sched.spawn(move |_| {
+            let h = l.handle();
+            if insert {
+                h.insert(k, k).is_ok()
+            } else {
+                h.remove_with(&k, |_| ()).is_some()
+            }
+        })
     };
     for k in 1..=n {
-        let op = spawn(insert, k);
+        let op = spawn(true, k);
         sched.run_to_completion(op.pid());
         assert!(op.join());
     }
-    let ins = spawn(insert, n + 10);
+    let ins = spawn(true, n + 10);
     assert!(sched.run_until_pending(ins.pid(), |k| k == StepKind::CasInsert));
     let before = sched.steps(ins.pid());
-    let del = spawn(delete, n);
+    let del = spawn(false, n);
     sched.run_to_completion(del.pid());
     assert!(del.join());
     sched.run_to_completion(ins.pid());
@@ -79,18 +82,8 @@ fn main() {
         println!("{flavour}: {n}-element list, inserter paused before its C&S,");
         println!("  then the last node is deleted out from under it...");
         let steps = match flavour {
-            "harris" => recovery(
-                n,
-                HarrisList::<u64, u64>::new(),
-                |l, k| l.handle().insert(k, k),
-                |l, k| l.handle().remove(&k).is_some(),
-            ),
-            _ => recovery(
-                n,
-                FrList::<u64, u64>::new(),
-                |l, k| l.insert(k, k).is_ok(),
-                |l, k| l.remove(&k).is_some(),
-            ),
+            "harris" => recovery(n, HarrisList::new()),
+            _ => recovery(n, FrList::new()),
         };
         println!("  recovery cost: {steps} steps\n");
     }

@@ -97,7 +97,7 @@ per_key_accounting!(
 per_key_accounting!(
     harris_per_key_accounting,
     HarrisList::<u64, u64>::new(),
-    |h: &lockfree_lists::baselines::HarrisHandle<u64, u64>, key| h.insert(key, key),
+    |h: &lockfree_lists::baselines::HarrisHandle<u64, u64>, key| h.insert(key, key).is_ok(),
     |h: &lockfree_lists::baselines::HarrisHandle<u64, u64>, key| h.remove(&key).is_some(),
     |h: &lockfree_lists::baselines::HarrisHandle<u64, u64>, key| h.contains(&key)
 );
@@ -105,7 +105,7 @@ per_key_accounting!(
 per_key_accounting!(
     michael_per_key_accounting,
     MichaelList::<u64, u64>::new(),
-    |h: &lockfree_lists::baselines::MichaelHandle<u64, u64>, key| h.insert(key, key),
+    |h: &lockfree_lists::baselines::MichaelHandle<u64, u64>, key| h.insert(key, key).is_ok(),
     |h: &lockfree_lists::baselines::MichaelHandle<u64, u64>, key| h.remove(&key).is_some(),
     |h: &lockfree_lists::baselines::MichaelHandle<u64, u64>, key| h.contains(&key)
 );
@@ -113,7 +113,7 @@ per_key_accounting!(
 per_key_accounting!(
     noflag_per_key_accounting,
     NoFlagList::<u64, u64>::new(),
-    |h: &lockfree_lists::baselines::NoFlagHandle<u64, u64>, key| h.insert(key, key),
+    |h: &lockfree_lists::baselines::NoFlagHandle<u64, u64>, key| h.insert(key, key).is_ok(),
     |h: &lockfree_lists::baselines::NoFlagHandle<u64, u64>, key| h.remove(&key).is_some(),
     |h: &lockfree_lists::baselines::NoFlagHandle<u64, u64>, key| h.contains(&key)
 );
@@ -139,7 +139,7 @@ macro_rules! per_key_accounting_ignored {
 per_key_accounting_ignored!(
     restart_skiplist_per_key_accounting,
     RestartSkipList::<u64, u64>::new(),
-    |h: &lockfree_lists::baselines::RestartHandle<u64, u64>, key| h.insert(key, key),
+    |h: &lockfree_lists::baselines::RestartHandle<u64, u64>, key| h.insert(key, key).is_ok(),
     |h: &lockfree_lists::baselines::RestartHandle<u64, u64>, key| h.remove(&key).is_some(),
     |h: &lockfree_lists::baselines::RestartHandle<u64, u64>, key| h.contains(&key)
 );

@@ -86,7 +86,7 @@ oracle_test!(
     harris_matches_btreemap,
     HarrisList::<u64, u64>::new(),
     m,
-    |k, v| m.handle().insert(k, v),
+    |k, v| m.handle().insert(k, v).is_ok(),
     |k| m.handle().remove(&k),
     |k| m.handle().get(&k)
 );
@@ -95,7 +95,7 @@ oracle_test!(
     michael_matches_btreemap,
     MichaelList::<u64, u64>::new(),
     m,
-    |k, v| m.handle().insert(k, v),
+    |k, v| m.handle().insert(k, v).is_ok(),
     |k| m.handle().remove(&k),
     |k| m.handle().get(&k)
 );
@@ -104,7 +104,7 @@ oracle_test!(
     noflag_matches_btreemap,
     NoFlagList::<u64, u64>::new(),
     m,
-    |k, v| m.handle().insert(k, v),
+    |k, v| m.handle().insert(k, v).is_ok(),
     |k| m.handle().remove(&k),
     |k| m.handle().get(&k)
 );
@@ -113,7 +113,7 @@ oracle_test!(
     coarse_matches_btreemap,
     CoarseLockList::<u64, u64>::new(),
     m,
-    |k, v| m.insert(k, v),
+    |k, v| m.insert(k, v).is_ok(),
     |k| m.remove(&k),
     |k| m.get(&k)
 );
@@ -122,7 +122,7 @@ oracle_test!(
     hoh_matches_btreemap,
     HohLockList::<u64, u64>::new(),
     m,
-    |k, v| m.insert(k, v),
+    |k, v| m.insert(k, v).is_ok(),
     |k| m.remove(&k),
     |k| m.get(&k)
 );
@@ -131,7 +131,7 @@ oracle_test!(
     lock_skiplist_matches_btreemap,
     LockSkipList::<u64, u64>::new(),
     m,
-    |k, v| m.insert(k, v),
+    |k, v| m.insert(k, v).is_ok(),
     |k| m.remove(&k),
     |k| m.get(&k)
 );
@@ -140,7 +140,7 @@ oracle_test!(
     restart_skiplist_matches_btreemap,
     RestartSkipList::<u64, u64>::new(),
     m,
-    |k, v| m.handle().insert(k, v),
+    |k, v| m.handle().insert(k, v).is_ok(),
     |k| m.handle().remove(&k),
     |k| m.handle().get(&k)
 );
@@ -164,7 +164,7 @@ proptest! {
                     if theirs {
                         oracle.insert(k, v);
                     }
-                    prop_assert_eq!(sl.insert(k, v), theirs);
+                    prop_assert_eq!(sl.insert(k, v).is_ok(), theirs);
                 }
                 Op::Remove(k) => {
                     let k = k as u64;

@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use lockfree_lists::baselines::{HarrisList, MichaelList, NoFlagList};
 use lockfree_lists::sched::{Observation, OpHandle, Scheduler, StepKind};
-use lockfree_lists::{FrList, SkipList};
+use lockfree_lists::{ConcurrentMap, FrList, MapHandle, SkipList};
 
 /// The lists as sets of `u64`, one fresh per-thread handle per op.
 trait Set: Default + Send + Sync + 'static {
@@ -26,34 +26,20 @@ trait Set: Default + Send + Sync + 'static {
     fn has(&self, k: u64) -> bool;
 }
 
-impl Set for FrList<u64, u64> {
+impl<M> Set for M
+where
+    M: ConcurrentMap<Key = u64, Value = u64> + Default + 'static,
+{
     fn ins(&self, k: u64) -> bool {
-        self.insert(k, k).is_ok()
+        self.handle().insert(k, k).is_ok()
     }
     fn del(&self, k: u64) -> bool {
-        self.remove(&k).is_some()
+        self.handle().remove_with(&k, |_| ()).is_some()
     }
     fn has(&self, k: u64) -> bool {
-        self.contains(&k)
+        self.handle().get_with(&k, |_| ()).is_some()
     }
 }
-
-macro_rules! baseline_set {
-    ($($list:ident),*) => {$(
-        impl Set for $list<u64, u64> {
-            fn ins(&self, k: u64) -> bool {
-                self.handle().insert(k, k)
-            }
-            fn del(&self, k: u64) -> bool {
-                self.handle().remove(&k).is_some()
-            }
-            fn has(&self, k: u64) -> bool {
-                self.handle().contains(&k)
-            }
-        }
-    )*};
-}
-baseline_set!(HarrisList, MichaelList, NoFlagList);
 
 fn spawn<L: Set, R: Send + 'static>(
     sched: &Scheduler,
