@@ -69,13 +69,6 @@ const IDLE_PARK: Duration = Duration::from_millis(1);
 /// the producers blocked on a full ring under [`BackpressurePolicy::Block`].
 struct Lane<K, V> {
     ring: Ring<Arc<OpCell<K, V>>>,
-    /// Requests the worker drains per batch; it never splits a cell,
-    /// so the last cell of a drain may carry it past. Runtime-tunable:
-    /// an admission controller (e.g. `lf-server`'s) grows it under
-    /// sustained ring occupancy and shrinks it when the
-    /// enqueue-to-complete tail drifts, while the worker re-reads it at
-    /// every drain.
-    batch_max: AtomicUsize,
     /// The executor token: set while a thread executes the lane's
     /// requests — the worker for one drain, or a
     /// [`Service::batch_on`] caller for one inline leg.
@@ -100,10 +93,9 @@ impl<K, V> Drop for HandBack<'_, K, V> {
 }
 
 impl<K, V> Lane<K, V> {
-    fn new(capacity: usize, batch_max: usize) -> Self {
+    fn new(capacity: usize) -> Self {
         Lane {
             ring: Ring::with_capacity(capacity),
-            batch_max: AtomicUsize::new(batch_max.max(1)),
             token: AtomicBool::new(false),
             sleeping: AtomicBool::new(false),
             parker: Mutex::new(()),
@@ -192,9 +184,11 @@ struct Shared<B: AsyncBackend> {
     backend: B,
     lanes: Box<[Lane<B::Key, B::Value>]>,
     policy: BackpressurePolicy,
-    /// Per-lane queue capacity (after power-of-two rounding), for
-    /// occupancy math in admission controllers.
+    /// Per-lane queue capacity (after power-of-two rounding).
     queue_capacity: usize,
+    /// Requests a worker drains per batch, fixed at build; a drain
+    /// never splits a cell, so its last cell may carry it past.
+    batch_max: usize,
     metrics: ServiceMetrics,
     next_lane: AtomicUsize,
     /// One heartbeat per lane when the stall watchdog is enabled
@@ -230,18 +224,15 @@ enum Submit<K, V> {
 
 impl<B: AsyncBackend> Shared<B> {
     /// The lane for requests the backend does not route itself: the
-    /// caller's hint ([`LaneFuture::pin_lane`]), else the next
-    /// round-robin ticket. With one lane there is nothing to choose.
-    fn free_lane(&self, hint: Option<usize>) -> usize {
+    /// next round-robin ticket. With one lane there is nothing to
+    /// choose.
+    fn free_lane(&self) -> usize {
         let lanes = self.lanes.len();
         if lanes == 1 {
             return 0;
         }
-        match hint {
-            Some(i) => i % lanes,
-            // ord: Relaxed — ASYNC.stat: round-robin ticket, no ordering needed
-            None => self.next_lane.fetch_add(1, Ordering::Relaxed) % lanes,
-        }
+        // ord: Relaxed — ASYNC.stat: round-robin ticket, no ordering needed
+        self.next_lane.fetch_add(1, Ordering::Relaxed) % lanes
     }
 
     /// The lane `req` takes: its key's partition mod the lane count when
@@ -271,7 +262,7 @@ impl<B: AsyncBackend> Shared<B> {
         let mut free = None;
         let route: Vec<usize> = reqs
             .iter()
-            .map(|r| self.lane_of(r, || *free.get_or_insert_with(|| self.free_lane(None))))
+            .map(|r| self.lane_of(r, || *free.get_or_insert_with(|| self.free_lane())))
             .collect();
         if route.iter().all(|&l| l == route[0]) {
             return vec![Leg::new(route[0], Slots::many(reqs))];
@@ -386,22 +377,18 @@ fn worker_loop<B: AsyncBackend>(shared: &Shared<B>, lane_idx: usize) {
     let handle = shared.backend.handle();
     // One epoch announcement covers a whole drained batch (§10 of
     // DESIGN.md: the pin-per-poll invariant lives with the worker, not
-    // the futures). `batch_max` is runtime-tunable, so the amortization
-    // window follows it batch by batch.
-    // ord: Relaxed — ASYNC.batch: tuning knob; any observed value ≥ 1 is correct, staleness only sizes one drain
-    let mut bmax = shared.lanes[lane_idx].batch_max.load(Ordering::Relaxed);
-    handle.amortize_pins(bmax.max(1) as u32);
-    let mut batch: Vec<Arc<OpCell<B::Key, B::Value>>> = Vec::with_capacity(bmax);
+    // the futures).
+    let bmax = shared.batch_max;
+    handle.amortize_pins(u32::try_from(bmax).unwrap_or(u32::MAX));
+    // Sized by the ring, not by `batch_max`: the vector holds cells,
+    // `batch_max` counts requests, and a `batch_max` may exceed any
+    // allocation that can succeed.
+    let mut batch: Vec<Arc<OpCell<B::Key, B::Value>>> =
+        Vec::with_capacity(bmax.min(shared.queue_capacity));
     loop {
         if lane.ring.is_closed() {
             shutdown_drain(shared, lane_idx);
             break;
-        }
-        // ord: Relaxed — ASYNC.batch: tuning knob; any observed value ≥ 1 is correct, staleness only sizes one drain
-        let cur = lane.batch_max.load(Ordering::Relaxed).max(1);
-        if cur != bmax {
-            bmax = cur;
-            handle.amortize_pins(bmax as u32);
         }
         // A drain runs with the executor token in hand. An empty lane is
         // never claimed, so a submitting thread finds an idle lane's
@@ -661,7 +648,7 @@ impl ServiceBuilder {
     pub fn build<B: AsyncBackend>(self, backend: B) -> Service<B> {
         let queue_capacity = self.queue_capacity.max(2).next_power_of_two();
         let lanes: Vec<Lane<B::Key, B::Value>> = (0..self.workers)
-            .map(|_| Lane::new(queue_capacity, self.batch_max))
+            .map(|_| Lane::new(queue_capacity))
             .collect();
         let (watchdog, hearts) = match self.watchdog_deadline {
             Some(deadline) => {
@@ -683,6 +670,7 @@ impl ServiceBuilder {
             lanes: lanes.into_boxed_slice(),
             policy: self.policy,
             queue_capacity,
+            batch_max: self.batch_max,
             metrics: ServiceMetrics::new(),
             next_lane: AtomicUsize::new(0),
             hearts,
@@ -847,7 +835,6 @@ impl<B: AsyncBackend> Service<B> {
         OpFuture {
             shared: Arc::clone(&self.shared),
             flight: Flight::Unsubmitted(Slots::One(Slot::Req(req))),
-            lane_hint: None,
         }
     }
 
@@ -935,48 +922,15 @@ impl<B: AsyncBackend> Service<B> {
         self.shared.lanes.len()
     }
 
-    /// Per-lane queue capacity (after power-of-two rounding): the
-    /// denominator for ring-occupancy math in admission controllers.
+    /// Per-lane queue capacity (after power-of-two rounding).
     pub fn queue_capacity(&self) -> usize {
         self.shared.queue_capacity
     }
 
-    /// Racy-fresh depth of `lane`'s submission ring.
-    ///
-    /// # Panics
-    ///
-    /// If `lane >= lane_count()`.
-    pub fn lane_depth(&self, lane: usize) -> usize {
-        self.shared.lanes[lane].ring.len() as usize
-    }
-
-    /// Current `batch_max` of `lane` (runtime-tunable; see
-    /// [`set_batch_max`](Service::set_batch_max)).
-    ///
-    /// # Panics
-    ///
-    /// If `lane >= lane_count()`.
-    pub fn batch_max(&self, lane: usize) -> usize {
-        // ord: Relaxed — ASYNC.batch: tuning knob; any observed value ≥ 1 is correct, staleness only sizes one drain
-        self.shared.lanes[lane].batch_max.load(Ordering::Relaxed)
-    }
-
-    /// Retune `lane`'s `batch_max` at runtime — the admission
-    /// controller's knob. Clamped to `1 ..= queue_capacity()`; the lane
-    /// worker re-reads it at every drain (and re-amortizes its epoch
-    /// pin window to match), so the change takes effect within one
-    /// batch. Returns the clamped value installed.
-    ///
-    /// # Panics
-    ///
-    /// If `lane >= lane_count()`.
-    pub fn set_batch_max(&self, lane: usize, n: usize) -> usize {
-        let n = n.clamp(1, self.shared.queue_capacity);
-        // ord: Relaxed — ASYNC.batch: tuning knob; any observed value ≥ 1 is correct, staleness only sizes one drain
-        self.shared.lanes[lane]
-            .batch_max
-            .store(n, Ordering::Relaxed);
-        n
+    /// Maximum requests a lane worker drains per batch, as set by
+    /// [`ServiceBuilder::batch_max`].
+    pub fn batch_max(&self) -> usize {
+        self.shared.batch_max
     }
 
     /// The backend structure this service fronts (e.g. for a
@@ -1026,12 +980,7 @@ impl<B: AsyncBackend> std::fmt::Debug for Service<B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Service")
             .field("lanes", &self.shared.lanes.len())
-            .field(
-                "batch_max",
-                &(0..self.shared.lanes.len())
-                    .map(|i| self.batch_max(i))
-                    .collect::<Vec<_>>(),
-            )
+            .field("batch_max", &self.shared.batch_max)
             .field("policy", &self.shared.policy)
             .finish()
     }
@@ -1120,39 +1069,21 @@ impl<K, V> Leg<K, V> {
 pub struct OpFuture<B: AsyncBackend> {
     shared: Arc<Shared<B>>,
     flight: Flight<B::Key, B::Value>,
-    /// Preferred lane when the backend expresses no affinity of its
-    /// own; see [`LaneFuture::pin_lane`].
-    lane_hint: Option<usize>,
 }
 
 // The future holds no self-references — pinning is structural only.
 impl<B: AsyncBackend> Unpin for OpFuture<B> {}
 
-/// The shared submission surface of the service's single-request
-/// future types: route a request to a chosen lane before it enqueues,
-/// and observe whether it has entered its ring yet.
+/// The submission probe of the service's single-request future types:
+/// whether a request has entered its lane ring yet.
 ///
-/// Both exist for front ends that submit futures one at a time and
-/// need *effect order* to follow dispatch order: requests that must
-/// stay FIFO relative to each other (e.g. every command touching one
-/// key) are pinned to one lane, and each future is polled until
-/// [`is_enqueued`](LaneFuture::is_enqueued) before the next is
-/// dispatched — so ring order equals dispatch order even when a full
-/// ring bounces a poll under [`BackpressurePolicy::Block`]. A
-/// [`BatchFuture`] needs neither: it is one cell per lane by
+/// A front end that submits futures one at a time polls each until
+/// [`is_enqueued`](LaneFuture::is_enqueued) before dispatching the
+/// next, so a lane's ring order follows dispatch order even when a
+/// full ring bounces a poll under [`BackpressurePolicy::Block`]. A
+/// [`BatchFuture`] needs no probe: it is one cell per lane by
 /// construction.
 pub trait LaneFuture: Future {
-    /// Prefer `lane` (modulo the lane count) for this request whenever
-    /// the backend expresses no affinity of its own
-    /// ([`partition_of`](lf_core::ConcurrentMap::partition_of) returning
-    /// `None`). Backend affinity
-    /// always wins: on partitioned backends the hint is ignored for
-    /// keyed requests, so pinning is safe to apply unconditionally.
-    /// No effect once the request has enqueued.
-    fn pin_lane(self, lane: usize) -> Self
-    where
-        Self: Sized;
-
     /// Whether the request has entered its lane ring (or already
     /// resolved). `false` only before the first poll, or after a poll
     /// that bounced off a full ring under
@@ -1161,11 +1092,6 @@ pub trait LaneFuture: Future {
 }
 
 impl<B: AsyncBackend> LaneFuture for OpFuture<B> {
-    fn pin_lane(mut self, lane: usize) -> Self {
-        self.lane_hint = Some(lane);
-        self
-    }
-
     fn is_enqueued(&self) -> bool {
         !matches!(self.flight, Flight::Unsubmitted(_))
     }
@@ -1177,11 +1103,9 @@ impl<B: AsyncBackend> Future for OpFuture<B> {
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
         let shared = &*this.shared;
-        // The lane is chosen at submission, so a hint set after the
-        // future was made still counts.
         let lane = match &this.flight {
             Flight::Unsubmitted(Slots::One(Slot::Req(req))) => {
-                shared.lane_of(req, || shared.free_lane(this.lane_hint))
+                shared.lane_of(req, || shared.free_lane())
             }
             _ => 0,
         };
@@ -1257,11 +1181,6 @@ pub struct GetWithFuture<B: AsyncBackend, R> {
 impl<B: AsyncBackend, R> Unpin for GetWithFuture<B, R> {}
 
 impl<B: AsyncBackend, R> LaneFuture for GetWithFuture<B, R> {
-    fn pin_lane(mut self, lane: usize) -> Self {
-        self.inner = self.inner.pin_lane(lane);
-        self
-    }
-
     fn is_enqueued(&self) -> bool {
         self.inner.is_enqueued()
     }
@@ -1305,11 +1224,6 @@ pub struct ScanFuture<B: AsyncBackend> {
 impl<B: AsyncBackend> Unpin for ScanFuture<B> {}
 
 impl<B: AsyncBackend> LaneFuture for ScanFuture<B> {
-    fn pin_lane(mut self, lane: usize) -> Self {
-        self.inner = self.inner.pin_lane(lane);
-        self
-    }
-
     fn is_enqueued(&self) -> bool {
         self.inner.is_enqueued()
     }

@@ -396,54 +396,6 @@ fn shutdown_drains_a_queued_batch_per_request() {
 }
 
 #[test]
-fn pin_lane_orders_a_pipelined_same_key_sequence() {
-    use lf_async::LaneFuture;
-    let service = ServiceBuilder::new()
-        .workers(4)
-        .build(SkipList::<u64, u64>::new());
-    // Pipeline shape: enqueue the whole interleaved SET/GET sequence
-    // on one key (first poll submits, by lazy submission) before
-    // awaiting anything. The skip-list backend has no lane affinity,
-    // so with 4 workers only the shared pin keeps every GET reading
-    // the SET enqueued just before it.
-    enum Slot<F: Future + Unpin> {
-        Pending(F),
-        Done(F::Output),
-    }
-    fn eager<F: Future + Unpin>(mut f: F) -> Slot<F> {
-        match poll_once(&mut f) {
-            Poll::Ready(v) => Slot::Done(v),
-            Poll::Pending => Slot::Pending(f),
-        }
-    }
-    fn finish<F: Future + Unpin>(s: Slot<F>) -> F::Output {
-        match s {
-            Slot::Done(v) => v,
-            Slot::Pending(f) => rt::block_on(f),
-        }
-    }
-    const N: u64 = 100;
-    let mut ops = Vec::new();
-    for i in 0..N {
-        ops.push(eager(service.upsert(7, i).pin_lane(2)));
-        ops.push(eager(service.get(7).pin_lane(2)));
-    }
-    let mut i = 0u64;
-    let mut it = ops.into_iter();
-    while let (Some(set), Some(get)) = (it.next(), it.next()) {
-        assert_eq!(finish(set), Ok(Response::Inserted(true)), "SET #{i}");
-        assert_eq!(
-            finish(get),
-            Ok(Response::Value(Some(i))),
-            "GET #{i} read a stale SET"
-        );
-        i += 1;
-    }
-    assert_eq!(i, N);
-    service.shutdown();
-}
-
-#[test]
 fn skiplist_backend_round_trips() {
     let service = ServiceBuilder::new()
         .workers(2)
@@ -956,6 +908,22 @@ fn batch_on_hands_the_token_back_when_a_visitor_panics() {
     assert_eq!(resolve_soon(service.batch_on(&h, reqs)), want);
     assert_eq!(resolve_soon(service.get(1)), Ok(Response::Value(Some(10))));
     drop(h);
+    service.shutdown();
+}
+
+/// `batch_max` counts requests, and nothing bounds it but `usize`: the
+/// largest one must still leave the worker draining its lane.
+#[test]
+fn the_largest_batch_max_still_serves_queued_requests() {
+    let service = ServiceBuilder::new()
+        .workers(1)
+        .batch_max(usize::MAX)
+        .build(FrList::<u64, u64>::new());
+    assert_eq!(
+        resolve_soon(service.insert(1, 10)),
+        Ok(Response::Inserted(true))
+    );
+    assert_eq!(resolve_soon(service.get(1)), Ok(Response::Value(Some(10))));
     service.shutdown();
 }
 

@@ -1,5 +1,5 @@
-//! E16 — loopback TCP serving under overload: fixed vs adaptive batch
-//! admission, Shed vs Reject, with exact wire-level accounting.
+//! E16 — loopback TCP serving under overload: Shed vs Reject, with
+//! exact wire-level accounting.
 //!
 //! E7 established the open-loop story *in process*: past saturation,
 //! `Reject` fails fast and `Shed` evicts, and the admitted tail stays
@@ -9,28 +9,18 @@
 //! capacity, and the server surfaces every refusal as `-BUSY
 //! shed`/`-BUSY rejected` — so the client's reply tallies must equal
 //! the server's counters exactly, command for command. That equality is
-//! asserted for every run: overload here is accounted, never inferred.
-//!
-//! The second axis is the admission controller. `fixed` serves with the
-//! workspace-default `batch_max` (64) for the whole run; `adaptive`
-//! starts at a deliberately poor setting (4) and lets the
-//! `lf-server` controller grow lanes under sustained ring occupancy and
-//! halve them when the windowed admitted e2c p99 exceeds its target.
-//! The claim under test (EXPERIMENTS.md §E16): at 2× overload the
-//! adaptive controller recovers to within noise of the best fixed
-//! setting — the knob does not need hand-tuning to survive overload.
-//! Each cell warms up at its offered rate first and every metric is
-//! windowed against a post-warmup baseline, so the comparison is
-//! between *converged* operating points (the controller's climb out of
-//! batch_max 4 is the warmup's problem, not the measurement's).
+//! asserted for every trial of every cell (EXPERIMENTS.md §E16):
+//! overload here is accounted, never inferred. Each cell warms up at
+//! its offered rate first and every metric is windowed against a
+//! post-warmup baseline.
 //!
 //! Also performs the exporter overhead spot-check for the server-label
 //! metrics: a `ServerSnapshot` render (JSON + Prometheus) is timed and
 //! reported per-call, bounding what a scraper costs the serving path.
 //!
-//! Emits `BENCH_e16.json`: one row per (policy, mode, offered-ratio)
-//! with shed-rate, admitted e2c p50/p99 (service histograms),
-//! socket-to-socket p50/p99 (client-measured), and controller activity.
+//! Emits `BENCH_e16.json`: one row per (policy, offered-ratio) with
+//! shed-rate, admitted e2c p50/p99 (service histograms) and
+//! socket-to-socket p50/p99 (client-measured).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -38,10 +28,11 @@ use std::time::Instant;
 use lf_async::{AsyncSkipList, BackpressurePolicy, ServiceBuilder};
 use lf_core::SkipList;
 use lf_metrics::export::{histogram_json, JsonObj};
-use lf_server::{Bytes, ControllerConfig, Server, ServerBuilder};
+use lf_metrics::Histogram;
+use lf_server::{Bytes, Server, ServerBuilder};
 use lf_workloads::{KeyDist, Mix, OpKind, WorkloadIter};
 
-use crate::resp_client::{run_open_loop, OpenLoopConfig, RespClient, RunTally};
+use crate::resp_client::{run_open_loop, OpenLoopConfig, RunTally};
 use crate::table::{fmt_f, Table};
 
 use super::write_bench_artifact;
@@ -53,8 +44,7 @@ const WORKERS: usize = 2;
 // hundred pipelined commands, so overload actually reaches the
 // admission point instead of hiding in ring slack.
 const QUEUE: usize = 64;
-const FIXED_BATCH: usize = 64;
-const ADAPTIVE_START_BATCH: usize = 4;
+const BATCH: usize = 64;
 const SPACE: u64 = 4_096;
 const BURST: usize = 16;
 
@@ -66,10 +56,7 @@ fn wire_key(k: u64) -> Vec<u8> {
 
 /// Start a wire server over a prefilled skip-list service (half the
 /// keyspace present, as in E7, so GETs hit ~50%).
-fn start_server(
-    policy: BackpressurePolicy,
-    adaptive: bool,
-) -> (Server<SkipList<Bytes, Bytes>>, Arc<WireService>) {
+fn start_server(policy: BackpressurePolicy) -> (Server<SkipList<Bytes, Bytes>>, Arc<WireService>) {
     let sl: SkipList<Bytes, Bytes> = SkipList::new();
     {
         let h = sl.handle();
@@ -81,26 +68,20 @@ fn start_server(
         ServiceBuilder::new()
             .workers(WORKERS)
             .queue_capacity(QUEUE)
-            .batch_max(if adaptive {
-                ADAPTIVE_START_BATCH
-            } else {
-                FIXED_BATCH
-            })
+            .batch_max(BATCH)
             .policy(policy)
             .build(sl),
     );
-    let mut builder = ServerBuilder::new();
-    if adaptive {
-        builder = builder.adaptive(ControllerConfig::default());
-    }
-    let server = builder.serve(Arc::clone(&service)).expect("bind loopback");
+    let server = ServerBuilder::new()
+        .serve(Arc::clone(&service))
+        .expect("bind loopback");
     (server, service)
 }
 
 /// Probe socket-path capacity: unpaced pipelined GETs through a `Shed`
 /// server (submission never errors), admitted ops per submit second.
 fn probe_capacity(ops: u64) -> f64 {
-    let (server, service) = start_server(BackpressurePolicy::Shed, false);
+    let (server, service) = start_server(BackpressurePolicy::Shed);
     let mut w = WorkloadIter::new(Mix::READ_HEAVY, KeyDist::Uniform { space: SPACE }, 0xE160A);
     let tally = run_open_loop(
         &OpenLoopConfig {
@@ -160,35 +141,16 @@ fn measured_run(addr: std::net::SocketAddr, run_id: u64, ops: u64, rate: f64) ->
     .expect("measured run")
 }
 
-/// Everything one (policy, mode, ratio) trial measured, asserts already
-/// checked: the client tally, windowed service e2c, windowed and warmup
-/// controller activity, and the final per-lane `batch_max`.
-struct CellOutcome {
-    tally: RunTally,
-    e2c: lf_metrics::Histogram,
-    win_grows: u64,
-    win_shrinks: u64,
-    warm_grows: u64,
-    warm_shrinks: u64,
-    lane_batches: Vec<usize>,
-}
-
 /// One full trial of a grid cell: fresh server, warmup at the offered
 /// rate, measured run windowed against a post-warmup baseline, exact
-/// accounting asserted wire-to-ring.
-fn run_cell(
-    policy: BackpressurePolicy,
-    adaptive: bool,
-    run_id: u64,
-    ops: u64,
-    rate: f64,
-) -> CellOutcome {
-    let (server, service) = start_server(policy, adaptive);
+/// accounting asserted wire-to-ring. Returns the client tally and the
+/// windowed admitted enqueue-to-complete histogram.
+fn run_cell(policy: BackpressurePolicy, run_id: u64, ops: u64, rate: f64) -> (RunTally, Histogram) {
+    let (server, service) = start_server(policy);
 
     // Warmup at the offered rate, then window every metric against a
-    // post-warmup baseline: the claim under test is about the
-    // controller's *converged* operating point, not the few hundred
-    // milliseconds it spends climbing out of batch_max 4.
+    // post-warmup baseline, so connection set-up and cold caches stay
+    // out of the measured tail.
     let warmup_ops = ((rate * 0.35) as u64).max(1_000);
     let _ = measured_run(server.local_addr(), run_id + 1000, warmup_ops, rate);
     let server_base = server.metrics().snapshot();
@@ -221,22 +183,10 @@ fn run_cell(
         "server counters disagree with client tallies"
     );
 
-    let svc = service.metrics();
-    let e2c = svc.enqueue_to_complete_ns.clone() - svc_base.enqueue_to_complete_ns;
-    let lane_batches: Vec<usize> = (0..service.lane_count())
-        .map(|l| service.batch_max(l))
-        .collect();
+    let e2c = service.metrics().enqueue_to_complete_ns - svc_base.enqueue_to_complete_ns;
     server.stop();
     service.shutdown();
-    CellOutcome {
-        tally,
-        e2c,
-        win_grows: snap.ctl_grows - server_base.ctl_grows,
-        win_shrinks: snap.ctl_shrinks - server_base.ctl_shrinks,
-        warm_grows: server_base.ctl_grows,
-        warm_shrinks: server_base.ctl_shrinks,
-        lane_batches,
-    }
+    (tally, e2c)
 }
 
 /// Time one JSON + Prometheus render of the server snapshot (the
@@ -254,18 +204,18 @@ fn export_overhead_ns(server: &Server<SkipList<Bytes, Bytes>>) -> u64 {
 
 /// Print the overload grid and write `BENCH_e16.json`.
 pub fn run(quick: bool) {
-    println!("E16: loopback TCP serving — fixed vs adaptive batch admission\n");
+    println!("E16: loopback TCP serving — Shed vs Reject, exact wire accounting\n");
     let probe_ops: u64 = if quick { 20_000 } else { 60_000 };
     let capacity = probe_capacity(probe_ops);
     println!(
         "probed socket capacity (fr-skiplist, {WORKERS} workers, queue {QUEUE}, \
-         batch {FIXED_BATCH}, GET-only): {} kops/s",
+         batch {BATCH}, GET-only): {} kops/s",
         fmt_f(capacity / 1e3)
     );
 
     // Exporter overhead spot-check against a throwaway live server.
     {
-        let (server, service) = start_server(BackpressurePolicy::Shed, false);
+        let (server, service) = start_server(BackpressurePolicy::Shed);
         println!(
             "exporter spot-check: ServerSnapshot JSON+Prometheus render = {} ns/call\n",
             export_overhead_ns(&server)
@@ -281,13 +231,11 @@ pub fn run(quick: bool) {
     let trials: usize = if quick { 1 } else { 3 };
     let mut table = Table::new([
         "policy",
-        "batch",
         "offered",
         "shed %",
         "e2c p99 µs",
         "sock p50 µs",
         "sock p99 µs",
-        "ctl +/-",
     ]);
     let mut rows = Vec::new();
     let mut run_id = 0u64;
@@ -301,73 +249,55 @@ pub fn run(quick: bool) {
         for (tag, ratio) in [("x05", 0.5), ("x10", 1.0), ("x20", 2.0)] {
             let rate = capacity * ratio;
             let ops = ((rate * duration_s) as u64).max(2_000);
-            // Paired trials: each fixed trial runs back-to-back with an
-            // adaptive one, so minutes-scale machine drift lands on
-            // both sides of the comparison instead of one.
-            let mut fixed_out: Vec<CellOutcome> = Vec::with_capacity(trials);
-            let mut adaptive_out: Vec<CellOutcome> = Vec::with_capacity(trials);
+            let mut outcomes = Vec::with_capacity(trials);
             for _ in 0..trials {
                 run_id += 1;
-                fixed_out.push(run_cell(policy, false, run_id, ops, rate));
-                run_id += 1;
-                adaptive_out.push(run_cell(policy, true, run_id, ops, rate));
+                outcomes.push(run_cell(policy, run_id, ops, rate));
             }
-            for (mode, mut outcomes) in [("fixed", fixed_out), ("adaptive", adaptive_out)] {
-                outcomes.sort_by_key(|o| o.e2c.p99());
-                let cell = outcomes.swap_remove(trials / 2);
-                let (tally, e2c) = (&cell.tally, &cell.e2c);
-                let batches: Vec<String> =
-                    cell.lane_batches.iter().map(|b| b.to_string()).collect();
+            outcomes.sort_by_key(|(_, e2c)| e2c.p99());
+            let (tally, e2c) = outcomes.swap_remove(trials / 2);
 
-                table.row([
-                    policy_name.to_string(),
-                    mode.to_string(),
-                    format!("{ratio:.1}x"),
-                    fmt_f(tally.shed_rate() * 100.0),
-                    fmt_f(e2c.p99() as f64 / 1e3),
-                    fmt_f(tally.socket_ns.p50() as f64 / 1e3),
-                    fmt_f(tally.socket_ns.p99() as f64 / 1e3),
-                    format!("{}/{}", cell.win_grows, cell.win_shrinks),
-                ]);
-                rows.push(
-                    JsonObj::new()
-                        .field_str("experiment", "e16")
-                        .field_str("impl", "lf-server-skiplist")
-                        .field_str("mix", &format!("tcp_{policy_name}_{mode}_{tag}"))
-                        .field_str("policy", policy_name)
-                        .field_str("batch_mode", mode)
-                        .field_u64("workers", WORKERS as u64)
-                        .field_u64("ops", tally.sent)
-                        .field_u64("trials", trials as u64)
-                        .field_f64("offered_ratio", ratio)
-                        .field_f64("offered_rate_ops_per_s", rate)
-                        .field_f64("capacity_ops_per_s", capacity)
-                        .field_u64("ok", tally.ok)
-                        .field_u64("shed", tally.shed)
-                        .field_u64("rejected", tally.rejected)
-                        .field_f64("shed_rate", tally.shed_rate())
-                        .field_f64(
-                            "offered_achieved_ops_per_s",
-                            tally.sent as f64 / tally.elapsed.as_secs_f64().max(1e-9),
-                        )
-                        .field_f64(
-                            "throughput_ops_per_s",
-                            tally.ok as f64 / tally.wall.as_secs_f64().max(1e-9),
-                        )
-                        .field_u64("e2c_p50_ns", e2c.p50())
-                        .field_u64("e2c_p99_ns", e2c.p99())
-                        .field_u64("socket_p50_ns", tally.socket_ns.p50())
-                        .field_u64("socket_p99_ns", tally.socket_ns.p99())
-                        .field_u64("ctl_grows", cell.win_grows)
-                        .field_u64("ctl_shrinks", cell.win_shrinks)
-                        .field_u64("ctl_grows_warmup", cell.warm_grows)
-                        .field_u64("ctl_shrinks_warmup", cell.warm_shrinks)
-                        .field_str("lane_batch_max", &batches.join(","))
-                        .field_raw("enqueue_to_complete_ns", &histogram_json(e2c))
-                        .field_raw("socket_ns", &histogram_json(&tally.socket_ns))
-                        .finish(),
-                );
-            }
+            table.row([
+                policy_name.to_string(),
+                format!("{ratio:.1}x"),
+                fmt_f(tally.shed_rate() * 100.0),
+                fmt_f(e2c.p99() as f64 / 1e3),
+                fmt_f(tally.socket_ns.p50() as f64 / 1e3),
+                fmt_f(tally.socket_ns.p99() as f64 / 1e3),
+            ]);
+            rows.push(
+                JsonObj::new()
+                    .field_str("experiment", "e16")
+                    .field_str("impl", "lf-server-skiplist")
+                    .field_str("mix", &format!("tcp_{policy_name}_{tag}"))
+                    .field_str("policy", policy_name)
+                    .field_u64("workers", WORKERS as u64)
+                    .field_u64("batch_max", BATCH as u64)
+                    .field_u64("ops", tally.sent)
+                    .field_u64("trials", trials as u64)
+                    .field_f64("offered_ratio", ratio)
+                    .field_f64("offered_rate_ops_per_s", rate)
+                    .field_f64("capacity_ops_per_s", capacity)
+                    .field_u64("ok", tally.ok)
+                    .field_u64("shed", tally.shed)
+                    .field_u64("rejected", tally.rejected)
+                    .field_f64("shed_rate", tally.shed_rate())
+                    .field_f64(
+                        "offered_achieved_ops_per_s",
+                        tally.sent as f64 / tally.elapsed.as_secs_f64().max(1e-9),
+                    )
+                    .field_f64(
+                        "throughput_ops_per_s",
+                        tally.ok as f64 / tally.wall.as_secs_f64().max(1e-9),
+                    )
+                    .field_u64("e2c_p50_ns", e2c.p50())
+                    .field_u64("e2c_p99_ns", e2c.p99())
+                    .field_u64("socket_p50_ns", tally.socket_ns.p50())
+                    .field_u64("socket_p99_ns", tally.socket_ns.p99())
+                    .field_raw("enqueue_to_complete_ns", &histogram_json(&e2c))
+                    .field_raw("socket_ns", &histogram_json(&tally.socket_ns))
+                    .finish(),
+            );
         }
     }
     print!("{table}");
@@ -375,30 +305,8 @@ pub fn run(quick: bool) {
         "\nshed %: commands answered `-BUSY` (shed+rejected) / sent — client tallies\n\
          equal server counters by assertion. e2c: the service's admitted\n\
          enqueue-to-complete tail. sock: client-measured socket-to-socket latency\n\
-         of admitted commands. ctl +/-: controller grow/shrink decisions inside\n\
-         the measured window — warmup decisions are excluded, so 0/0 for an\n\
-         adaptive run means it measured a *converged* controller. adaptive\n\
-         starts at batch_max {ADAPTIVE_START_BATCH} vs the fixed {FIXED_BATCH} and must re-earn\n\
-         amortization under load. each cell reports its median-by-e2c-p99\n\
+         of admitted commands. each cell reports its median-by-e2c-p99\n\
          trial of {trials}."
     );
     write_bench_artifact("e16", quick, &rows);
-
-    // A final INFO through the sync client keeps the control-path
-    // parser honest end-to-end (and documents the redis-cli view).
-    let (server, service) = start_server(BackpressurePolicy::Shed, true);
-    let mut ctl = RespClient::connect(server.local_addr()).expect("connect");
-    match ctl.roundtrip(&[b"INFO"]) {
-        Ok(lf_server::resp::Reply::Bulk(Some(text))) => {
-            let text = String::from_utf8_lossy(&text);
-            assert!(
-                text.contains("lane_batch_max:"),
-                "INFO missing controller state"
-            );
-        }
-        other => panic!("INFO over loopback gave {other:?}"),
-    }
-    drop(ctl);
-    server.stop();
-    service.shutdown();
 }

@@ -367,7 +367,7 @@ fn dispatch<B: ByteBackend>(
 }
 
 /// Serialize a service-layer error as its protocol form, bumping the
-/// matching counter. `-BUSY` is the admission controller speaking: the
+/// matching counter. `-BUSY` is the backpressure policy speaking: the
 /// command was refused (Reject) or evicted (Shed), never silently
 /// dropped. `detail` (a `; …` suffix) lets multi-key commands disclose
 /// partial application; the `BUSY shed` / `BUSY rejected` prefix stays
@@ -534,8 +534,9 @@ fn response_hit(resp: &Response<Bytes>) -> bool {
     }
 }
 
-/// The `INFO` payload: server counters, service counters, controller
-/// state, and per-lane batch sizes, in Redis' `key:value` line style.
+/// The `INFO` payload: server counters, then service counters with the
+/// service's drain size and ring capacity, in Redis' `key:value` line
+/// style.
 fn info_text<B: ByteBackend>(service: &Service<B>, metrics: &ServerMetrics) -> String {
     use std::fmt::Write as _;
     let s = metrics.snapshot();
@@ -559,15 +560,8 @@ fn info_text<B: ByteBackend>(service: &Service<B>, metrics: &ServerMetrics) -> S
     let _ = writeln!(out, "rejected:{}", svc.rejected);
     let _ = writeln!(out, "shed:{}", svc.shed);
     let _ = writeln!(out, "e2c_p99_ns:{}", svc.enqueue_to_complete_ns.p99());
-    let _ = writeln!(out, "# Controller");
-    let batches: Vec<String> = (0..service.lane_count())
-        .map(|l| service.batch_max(l).to_string())
-        .collect();
-    let _ = writeln!(out, "lane_batch_max:{}", batches.join(","));
+    let _ = writeln!(out, "batch_max:{}", service.batch_max());
     let _ = writeln!(out, "queue_capacity:{}", service.queue_capacity());
-    let _ = writeln!(out, "ctl_grows:{}", s.ctl_grows);
-    let _ = writeln!(out, "ctl_shrinks:{}", s.ctl_shrinks);
-    let _ = writeln!(out, "ctl_last_p99_ns:{}", s.ctl_last_p99_ns);
     out
 }
 

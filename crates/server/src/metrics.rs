@@ -6,9 +6,7 @@
 //! service layer counts ring traffic (enqueued/completed/shed), this
 //! layer counts *sockets and commands* — connections accepted and
 //! live, commands by outcome (ok / shed / rejected / error), parse
-//! failures, and how deep clients pipeline. The admission controller
-//! also parks its state here so `INFO` and the exporters see one
-//! consistent surface.
+//! failures, and how deep clients pipeline.
 //!
 //! [`ServiceMetrics`]: lf_async::ServiceMetrics
 
@@ -23,8 +21,8 @@ use lf_metrics::{AtomicHistogram, Histogram};
 /// (and the key its JSON object nests under).
 pub const SERVER_LABEL: (&str, &str) = ("subsystem", "server");
 
-/// Live wire-server counters. One per server; shared by the acceptor,
-/// every connection thread, and the admission controller.
+/// Live wire-server counters. One per server; shared by the acceptor
+/// and every connection thread.
 #[derive(Default)]
 pub struct ServerMetrics {
     accepted: AtomicU64,
@@ -36,9 +34,6 @@ pub struct ServerMetrics {
     errors: AtomicU64,
     protocol_errors: AtomicU64,
     pipeline_depth: AtomicHistogram,
-    ctl_grows: AtomicU64,
-    ctl_shrinks: AtomicU64,
-    ctl_last_p99_ns: AtomicU64,
 }
 
 impl ServerMetrics {
@@ -109,24 +104,6 @@ impl ServerMetrics {
         self.protocol_errors.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The controller grew some lane's `batch_max`.
-    pub(crate) fn record_ctl_grow(&self) {
-        // ord: Relaxed — SRV.stat: statistic counter, snapshots racy-fresh
-        self.ctl_grows.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The controller shrank the lanes' `batch_max`.
-    pub(crate) fn record_ctl_shrink(&self) {
-        // ord: Relaxed — SRV.stat: statistic counter, snapshots racy-fresh
-        self.ctl_shrinks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The controller measured a fresh windowed admitted p99.
-    pub(crate) fn record_ctl_p99(&self, p99_ns: u64) {
-        // ord: Relaxed — SRV.stat: statistic counter, snapshots racy-fresh
-        self.ctl_last_p99_ns.store(p99_ns, Ordering::Relaxed);
-    }
-
     /// A racy-fresh copy of every series (exact once the server has
     /// stopped and its threads are joined).
     pub fn snapshot(&self) -> ServerSnapshot {
@@ -148,12 +125,6 @@ impl ServerMetrics {
             // ord: Relaxed — SRV.stat: statistic counter, snapshots racy-fresh
             protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
             pipeline_depth: self.pipeline_depth.load(),
-            // ord: Relaxed — SRV.stat: statistic counter, snapshots racy-fresh
-            ctl_grows: self.ctl_grows.load(Ordering::Relaxed),
-            // ord: Relaxed — SRV.stat: statistic counter, snapshots racy-fresh
-            ctl_shrinks: self.ctl_shrinks.load(Ordering::Relaxed),
-            // ord: Relaxed — SRV.stat: statistic counter, snapshots racy-fresh
-            ctl_last_p99_ns: self.ctl_last_p99_ns.load(Ordering::Relaxed),
         }
     }
 }
@@ -180,13 +151,6 @@ pub struct ServerSnapshot {
     pub protocol_errors: u64,
     /// Complete commands parsed per socket read.
     pub pipeline_depth: Histogram,
-    /// Controller `batch_max` grow decisions.
-    pub ctl_grows: u64,
-    /// Controller `batch_max` shrink decisions.
-    pub ctl_shrinks: u64,
-    /// Last windowed admitted enqueue-to-complete p99 the controller
-    /// measured, in nanoseconds (0 before the first window fills).
-    pub ctl_last_p99_ns: u64,
 }
 
 impl ServerSnapshot {
@@ -203,9 +167,6 @@ impl ServerSnapshot {
             .field_u64("errors", self.errors)
             .field_u64("protocol_errors", self.protocol_errors)
             .field_raw("pipeline_depth", &histogram_json(&self.pipeline_depth))
-            .field_u64("ctl_grows", self.ctl_grows)
-            .field_u64("ctl_shrinks", self.ctl_shrinks)
-            .field_u64("ctl_last_p99_ns", self.ctl_last_p99_ns)
             .finish();
         JsonObj::new().field_raw("server", &inner).finish()
     }
@@ -251,16 +212,6 @@ impl ServerSnapshot {
                 "Connections dropped for unparseable frames",
                 self.protocol_errors,
             ),
-            (
-                "lf_server_controller_grows_total",
-                "Admission controller batch_max grow decisions",
-                self.ctl_grows,
-            ),
-            (
-                "lf_server_controller_shrinks_total",
-                "Admission controller batch_max shrink decisions",
-                self.ctl_shrinks,
-            ),
         ] {
             counter_prometheus(&mut out, name, help, labels, v);
         }
@@ -270,13 +221,6 @@ impl ServerSnapshot {
             "TCP connections currently open",
             labels,
             self.active,
-        );
-        gauge_prometheus(
-            &mut out,
-            "lf_server_controller_last_p99_ns",
-            "Last windowed admitted enqueue-to-complete p99 (ns)",
-            labels,
-            self.ctl_last_p99_ns,
         );
         histogram_prometheus_labeled(
             &mut out,
@@ -305,9 +249,6 @@ mod tests {
         m.record_rejected();
         m.record_error();
         m.record_protocol_error();
-        m.record_ctl_grow();
-        m.record_ctl_shrink();
-        m.record_ctl_p99(1234);
         let s = m.snapshot();
         assert_eq!(s.accepted, 2);
         assert_eq!(s.active, 1);
@@ -318,10 +259,6 @@ mod tests {
         assert_eq!(s.commands, s.ok + s.shed + s.rejected + s.errors);
         assert_eq!(s.protocol_errors, 1);
         assert_eq!(s.pipeline_depth.count(), 1);
-        assert_eq!(
-            (s.ctl_grows, s.ctl_shrinks, s.ctl_last_p99_ns),
-            (1, 1, 1234)
-        );
     }
 
     #[test]
@@ -337,5 +274,9 @@ mod tests {
         assert!(p.contains("lf_server_connections_accepted_total{subsystem=\"server\"} 1"));
         assert!(p.contains("lf_server_connections_active{subsystem=\"server\"} 1"));
         assert!(p.contains("lf_server_pipeline_depth{subsystem=\"server\",quantile=\"0.99\"}"));
+        // No batch-controller series: the drain size is fixed per
+        // service, and INFO reports it.
+        assert!(!j.contains("ctl_"), "{j}");
+        assert!(!p.contains("lf_server_controller_"), "{p}");
     }
 }

@@ -391,7 +391,7 @@ pub enum Command {
         /// Page size hint (`COUNT`), default 10 as in Redis.
         count: usize,
     },
-    /// `INFO` → bulk with server/service/controller counters.
+    /// `INFO` → bulk with server and service counters.
     Info,
     /// `QUIT` → `+OK`, then the server closes the connection.
     Quit,

@@ -28,7 +28,6 @@ use std::time::Duration;
 use lf_async::{AsyncBackend, Service};
 
 use crate::conn;
-use crate::controller::{Controller, ControllerConfig};
 use crate::metrics::ServerMetrics;
 
 /// Key/value bytes on the wire.
@@ -39,7 +38,8 @@ pub trait ByteBackend: AsyncBackend<Key = Bytes, Value = Bytes> {}
 impl<B: AsyncBackend<Key = Bytes, Value = Bytes>> ByteBackend for B {}
 
 /// Cooperative stop: a cheap flag for hot-path checks plus a condvar
-/// so pacing threads (controller, waiters) park instead of polling.
+/// so waiting threads ([`Server::wait`], the acceptor's error back-off)
+/// park instead of polling.
 pub struct StopSignal {
     flag: AtomicBool,
     lock: Mutex<()>,
@@ -103,7 +103,6 @@ impl StopSignal {
 /// let service = Arc::new(ServiceBuilder::new().workers(2).build(map));
 /// let server = ServerBuilder::new()
 ///     .addr("127.0.0.1:0")
-///     .adaptive(Default::default())
 ///     .serve(service)
 ///     .unwrap();
 /// println!("listening on {}", server.local_addr());
@@ -113,7 +112,6 @@ impl StopSignal {
 pub struct ServerBuilder {
     addr: String,
     read_timeout: Duration,
-    controller: Option<ControllerConfig>,
     allow_shutdown: bool,
 }
 
@@ -122,7 +120,6 @@ impl Default for ServerBuilder {
         ServerBuilder {
             addr: "127.0.0.1:0".into(),
             read_timeout: Duration::from_millis(50),
-            controller: None,
             allow_shutdown: false,
         }
     }
@@ -130,7 +127,7 @@ impl Default for ServerBuilder {
 
 impl ServerBuilder {
     /// Defaults: loopback on an ephemeral port, 50 ms read timeout,
-    /// fixed batch sizing, `SHUTDOWN` refused.
+    /// `SHUTDOWN` refused.
     pub fn new() -> Self {
         Self::default()
     }
@@ -149,12 +146,6 @@ impl ServerBuilder {
         self
     }
 
-    /// Enable the adaptive batch admission controller.
-    pub fn adaptive(mut self, cfg: ControllerConfig) -> Self {
-        self.controller = Some(cfg);
-        self
-    }
-
     /// Let clients stop the whole server with `SHUTDOWN` (test
     /// harnesses and the smoke script; leave off otherwise).
     pub fn allow_shutdown(mut self, yes: bool) -> Self {
@@ -162,21 +153,12 @@ impl ServerBuilder {
         self
     }
 
-    /// Bind, start the acceptor (and controller, if configured), and
-    /// return the running server.
+    /// Bind, start the acceptor, and return the running server.
     pub fn serve<B: ByteBackend>(self, service: Arc<Service<B>>) -> io::Result<Server<B>> {
         let listener = TcpListener::bind(&self.addr)?;
         let local_addr = listener.local_addr()?;
         let metrics = Arc::new(ServerMetrics::new());
         let stop = Arc::new(StopSignal::default());
-        let controller = self.controller.clone().map(|cfg| {
-            Controller::spawn(
-                Arc::clone(&service),
-                Arc::clone(&metrics),
-                Arc::clone(&stop),
-                cfg,
-            )
-        });
         let acceptor = {
             let service = Arc::clone(&service);
             let metrics = Arc::clone(&metrics);
@@ -204,7 +186,6 @@ impl ServerBuilder {
             stop,
             local_addr,
             acceptor: Some(acceptor),
-            controller,
         })
     }
 }
@@ -217,7 +198,6 @@ pub struct Server<B: ByteBackend> {
     stop: Arc<StopSignal>,
     local_addr: SocketAddr,
     acceptor: Option<std::thread::JoinHandle<()>>,
-    controller: Option<Controller>,
 }
 
 impl<B: ByteBackend> Server<B> {
@@ -260,9 +240,6 @@ impl<B: ByteBackend> Server<B> {
         if let Some(a) = self.acceptor.take() {
             let _ = a.join();
         }
-        if let Some(c) = self.controller.take() {
-            c.join();
-        }
     }
 }
 
@@ -276,7 +253,6 @@ impl<B: ByteBackend> std::fmt::Debug for Server<B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
             .field("addr", &self.local_addr)
-            .field("adaptive", &self.controller.is_some())
             .finish()
     }
 }

@@ -20,10 +20,9 @@
 //! ```
 //!
 //! The backing tier is the ordered skip list (so `SCAN` pages the
-//! keyspace in key order), admission is adaptive (the controller grows
-//! lane batches under pressure and halves them on a latency-target
-//! violation), overload surfaces as `-BUSY shed`/`-BUSY rejected`
-//! replies, and every lane worker plus the acceptor heartbeats into the
+//! keyspace in key order), lanes drain the default `batch_max` per epoch
+//! pin, overload surfaces as `-BUSY shed`/`-BUSY rejected` replies, and
+//! every lane worker plus the acceptor heartbeats into the
 //! `lf-trace` stall watchdog. Set `LF_TRACE_DUMP=<path>` to write the
 //! flight-recorder ring as a JSON-lines dump on exit — `lf-trace check`
 //! validates it; the CI server-smoke job does exactly that.
@@ -37,7 +36,7 @@ use std::time::Duration;
 
 use lf_async::{AsyncSkipList, BackpressurePolicy, ServiceBuilder};
 use lf_core::SkipList;
-use lf_server::{Bytes, ControllerConfig, ServerBuilder};
+use lf_server::{Bytes, ServerBuilder};
 
 fn main() {
     let addr = std::env::args()
@@ -56,7 +55,6 @@ fn main() {
         ServiceBuilder::new()
             .workers(2)
             .queue_capacity(256)
-            .batch_max(4) // adaptive admission re-tunes this live
             .policy(BackpressurePolicy::Shed)
             .watchdog(Duration::from_secs(5))
             .build(SkipList::new()),
@@ -64,7 +62,6 @@ fn main() {
 
     let server = ServerBuilder::new()
         .addr(addr)
-        .adaptive(ControllerConfig::default())
         .allow_shutdown(true)
         .serve(Arc::clone(&service))
         .expect("bind");
