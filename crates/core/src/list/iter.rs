@@ -5,7 +5,7 @@ use std::fmt;
 
 use lf_reclaim::{Ebr, Publish, Reclaim};
 
-use super::{Bound, FrList, ListHandle, Node};
+use super::{Bound, FrList, LevelNode, ListHandle, Node};
 
 /// Iterator over a weakly-consistent snapshot of an
 /// [`FrList`](super::FrList), produced by [`ListHandle::iter`]: a

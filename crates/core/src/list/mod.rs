@@ -32,6 +32,7 @@
 
 mod insert;
 mod iter;
+mod level;
 mod node;
 mod read;
 mod search;
@@ -39,6 +40,7 @@ mod set;
 mod sibling;
 
 pub use iter::{ChainIter, Iter};
+pub(crate) use level::{check_level, dump_level, validate_level, FlagStatus, Level, LevelNode};
 pub(crate) use node::{Bound, Node};
 pub(crate) use search::key_before as search_key_before;
 pub use set::{ListSet, SetHandle};
@@ -287,31 +289,9 @@ impl<K, V, R: Reclaim> FrList<K, V, R> {
     where
         K: Ord,
     {
-        let mut count = 0usize;
         // SAFETY: quiescence (caller contract) means no concurrent
         // updates or reclamation; every pointer on the chain is live.
-        unsafe {
-            let mut cur = self.head;
-            loop {
-                // ord: Acquire — DIAG.quiescent: quiescent-only diagnostic walk
-                let succ = (*cur).succ.load(Ordering::Acquire);
-                assert!(!succ.is_marked(), "quiescent list has a marked node");
-                assert!(!succ.is_flagged(), "quiescent list has a flagged node");
-                let next = succ.ptr();
-                if next.is_null() {
-                    assert_eq!(cur, self.tail, "chain ends before the tail sentinel");
-                    break;
-                }
-                // validate: VAL.exclusive: quiescent caller contract — no
-                // concurrent updates or reclamation during this walk
-                assert!((*cur).key < (*next).key, "keys not strictly sorted (INV 1)");
-                // validate: VAL.exclusive: as above — quiescent walk
-                if (*next).key.as_key().is_some() {
-                    count += 1;
-                }
-                cur = next;
-            }
-        }
+        let count = unsafe { validate_level(self.head, self.tail, 1, |_| {}) };
         assert_eq!(count, self.len(), "len counter disagrees with chain");
     }
 
@@ -339,48 +319,7 @@ impl<K, V, R: Reclaim> FrList<K, V, R> {
     {
         // SAFETY: no operation runs during the walk (caller contract), so
         // nothing linked from the head is unlinked or reclaimed under it.
-        unsafe {
-            let mut prev: *mut Node<K, V, R> = std::ptr::null_mut();
-            let mut prev_succ = lf_tagged::TaggedPtr::null();
-            let mut cur = self.head;
-            loop {
-                let succ = (*cur).succ();
-                let key = &(*cur).key;
-                assert!(
-                    !(succ.is_marked() && succ.is_flagged()),
-                    "INV5: node {key:?} both marked and flagged"
-                );
-                if !prev.is_null() {
-                    let prev_key = &(*prev).key;
-                    assert!(prev_key < key, "INV1: {prev_key:?} !< {key:?}");
-                    // Logically deleted: marked, linked from a regular node.
-                    if succ.is_marked() && !prev_succ.is_marked() {
-                        assert!(
-                            prev_succ.is_flagged(),
-                            "INV3: pred {prev_key:?} of logically deleted {key:?} is not flagged"
-                        );
-                        assert!(
-                            !(*succ.ptr()).is_marked(),
-                            "INV3: successor of logically deleted {key:?} is marked"
-                        );
-                        // ord: Acquire — DIAG.quiescent: diagnostic walk, no operation running
-                        let back = (*cur).backlink();
-                        assert_eq!(
-                            back, prev,
-                            "INV4: backlink of logically deleted {key:?} is not its pred {prev_key:?}"
-                        );
-                    }
-                }
-                let next = succ.ptr();
-                if next.is_null() {
-                    assert_eq!(cur, self.tail, "INV2: chain does not end at the tail");
-                    return;
-                }
-                prev = cur;
-                prev_succ = succ;
-                cur = next;
-            }
-        }
+        unsafe { check_level(self.head, self.tail, 1, |_| {}) }
     }
 
     /// `(key, marked, flagged)` for every node linked from the head,
@@ -391,19 +330,9 @@ impl<K, V, R: Reclaim> FrList<K, V, R> {
     where
         K: Clone,
     {
-        let mut out = Vec::new();
-        let mut cur = self.head;
-        while !cur.is_null() {
-            // SAFETY: as for `check_invariants` — no operation runs, so
-            // every node linked from the head stays valid.
-            unsafe {
-                let succ = (*cur).succ();
-                let key = (*cur).key.as_key().cloned();
-                out.push((key, succ.is_marked(), succ.is_flagged()));
-                cur = succ.ptr();
-            }
-        }
-        out
+        // SAFETY: as for `check_invariants` — no operation runs, so
+        // every node linked from the head stays valid.
+        unsafe { dump_level(self.head) }
     }
 
     /// Whether the list holds no elements (same caveat as [`len`](Self::len)).

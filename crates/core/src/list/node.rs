@@ -7,6 +7,8 @@ use std::sync::atomic::{fence, AtomicPtr, AtomicU64, Ordering};
 use lf_reclaim::{Publish, Reclaim, BIRTH_BUILDING};
 use lf_tagged::{AtomicTaggedPtr, TaggedPtr};
 
+use super::level::LevelNode;
+
 /// A key extended with the sentinels `-∞` and `+∞` held by the head and
 /// tail dummy nodes. The derived ordering places `NegInf < Key(_) <
 /// PosInf`, which is exactly the paper's convention.
@@ -172,88 +174,29 @@ impl<K, V, R: Reclaim> Node<K, V, R> {
             }
         }
     }
+}
 
-    /// The 16-bit pointer stamp for `ptr`: the low bits of its current
-    /// birth under pin-free backends, 0 otherwise (const-folds away).
-    ///
-    /// # Safety
-    ///
-    /// `ptr` must be null or a node the caller's guard protects (its
-    /// birth cannot change while protected, so the value equals the
-    /// stamp embedded in every published pointer to this tenant).
+impl<K, V, R: Reclaim> LevelNode<K, R> for Node<K, V, R> {
     #[inline]
-    pub(crate) unsafe fn stamp_of(ptr: *mut Node<K, V, R>) -> u16 {
-        if R::PIN_FREE_READS && !ptr.is_null() {
-            // SAFETY: non-null and guard-protected per contract.
-            // ord: Relaxed — VBR.birth-stamp: the value is fixed for
-            // the tenant's lifetime; visibility rides the pointer's
-            // own publication edge.
-            (unsafe { (*ptr).birth.load(Ordering::Relaxed) } & 0xffff) as u16
-        } else {
-            0
-        }
+    fn succ_cell(&self) -> &AtomicTaggedPtr<Self> {
+        &self.succ
     }
 
-    /// A clean (unmarked, unflagged) tagged pointer to `ptr` carrying
-    /// its birth stamp — the canonical form every CAS stores.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`Node::stamp_of`].
     #[inline]
-    pub(crate) unsafe fn clean_ptr(ptr: *mut Node<K, V, R>) -> TaggedPtr<Node<K, V, R>> {
-        // SAFETY: forwarded contract.
-        TaggedPtr::unmarked(ptr).with_stamp(unsafe { Self::stamp_of(ptr) })
+    fn backlink_cell(&self) -> &AtomicPtr<Self> {
+        &self.backlink
     }
 
-    /// A flagged tagged pointer to `ptr` carrying its birth stamp.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`Node::stamp_of`].
     #[inline]
-    pub(crate) unsafe fn flagged_ptr(ptr: *mut Node<K, V, R>) -> TaggedPtr<Node<K, V, R>> {
-        // SAFETY: forwarded contract.
-        unsafe { Self::clean_ptr(ptr) }.with_flag()
+    fn birth_cell(&self) -> &AtomicU64 {
+        &self.birth
     }
 
-    /// Load the successor field.
-    ///
-    /// Acquire: the `right` pointer in the returned snapshot may be
-    /// dereferenced by the caller, so this load must synchronize with
-    /// the Release C&S that published the pointee's initialization
-    /// (insertion C&S, Fig. 5 line 10; or the unlink C&S, Fig. 3
-    /// `HelpMarked`, which re-publishes its `next` operand).
+    // SAFETY: a plain field read; the trait's guard contract is more
+    // than it needs.
     #[inline]
-    pub(crate) fn succ(&self) -> TaggedPtr<Node<K, V, R>> {
-        // ord: Acquire — LIST.traverse: loaded pointer is the next hop
-        self.succ.load(Ordering::Acquire)
-    }
-
-    /// The `right` pointer component of the successor field.
-    #[inline]
-    pub(crate) fn right(&self) -> *mut Node<K, V, R> {
-        self.succ().ptr()
-    }
-
-    /// Whether the node is marked (logically deleted).
-    #[inline]
-    pub(crate) fn is_marked(&self) -> bool {
-        self.succ().is_marked()
-    }
-
-    /// Load the backlink.
-    ///
-    /// Acquire: the returned predecessor is dereferenced by recovery
-    /// walks; pairs with the Release store in `HelpFlagged` (Fig. 4
-    /// line 1) to carry the happens-before edge to the predecessor's
-    /// initialization.
-    #[inline]
-    // escape: ESC.node-accessor: the backlink stays valid while `self` is
-    // protected by the caller's guard (backlinks point at older nodes)
-    pub(crate) fn backlink(&self) -> *mut Node<K, V, R> {
-        // ord: Acquire — LIST.backlink-walk: predecessor is dereferenced
-        self.backlink.load(Ordering::Acquire)
+    unsafe fn key_ref(&self) -> &Bound<K> {
+        &self.key
     }
 }
 

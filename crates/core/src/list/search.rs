@@ -1,11 +1,12 @@
-//! `SearchFrom` and `HelpMarked` (paper Fig. 3).
+//! `SearchFrom` (paper Fig. 3), and the list's two hooks into the
+//! shared level protocol.
 
 use std::sync::atomic::Ordering;
 
-use lf_metrics::CasType;
 use lf_reclaim::{Publish, Reclaim};
 use lf_tagged::{step, StepKind};
 
+use super::level::{Level, LevelNode};
 use super::{Bound, FrList, Mode, Node};
 
 /// `node_key OP k` where OP is `<=` (Le) or `<` (Lt), honouring the
@@ -114,70 +115,48 @@ where
             ((*curr).key.as_key() == Some(k)).then_some(curr)
         }
     }
+}
 
-    /// Paper `HelpMarked(prev_node, del_node)` (Fig. 3): the type-4
-    /// (physical deletion) C&S. On success, `del` has been unlinked and
-    /// is retired to the reclamation backend.
+impl<K, V, R> Level<K, R> for FrList<K, V, R>
+where
+    K: Ord + Send + Sync + 'static,
+    V: Send + Sync + 'static,
+    R: Reclaim + Publish<K> + Publish<V>,
+{
+    type Node = Node<K, V, R>;
+
+    /// `SearchFrom` is the list's level search.
     ///
     /// # Safety
     ///
-    /// `prev` and `del` must be nodes of this list protected by `guard`.
-    pub(crate) unsafe fn help_marked(
+    /// As for [`Level::search_level`].
+    // escape: ESC.node-search: returned nodes are protected by the caller's
+    // `guard`; the `# Safety` contract bounds their life to it
+    unsafe fn search_level(
         &self,
-        prev: *mut Node<K, V, R>,
-        del: *mut Node<K, V, R>,
+        k: &K,
+        curr: *mut Node<K, V, R>,
+        mode: Mode,
         guard: &R::Guard<'_>,
-    ) {
-        // SAFETY: the fn's `# Safety` contract covers the whole body.
-        unsafe {
-            step(StepKind::Read);
-            // Acquire (via `right`): `next` was frozen into del.succ by the
-            // marking C&S; we hold the happens-before to its initialization
-            // before re-publishing it below.
-            let next = (*del).right();
-            step(StepKind::CasUnlink);
-            // The unlink C&S (type 4, Fig. 3). Release on success: installs
-            // `next` into a field other threads Acquire-load and dereference,
-            // so its initialization must be republished here. Relaxed on
-            // failure: the result is discarded — some other helper completed
-            // the physical deletion — and the found value is never used.
-            // Both operands carry their target's birth stamp (clean_ptr /
-            // flagged_ptr), so the republished edge keeps the tenant id a
-            // pin-free reader validates against.
-            // ord: Release/Relaxed — LIST.unlink-cas: republish next; failure discarded
-            let res = (*prev).succ.compare_exchange(
-                Node::flagged_ptr(del),
-                Node::clean_ptr(next),
-                Ordering::Release,
-                Ordering::Relaxed,
-            );
-            lf_metrics::record_cas(CasType::Unlink, res.is_ok());
-            if res.is_ok() {
-                // Exactly one unlink C&S succeeds per node (its predecessor
-                // is unique and flagged, and a physically deleted node can
-                // never be re-linked), so this retire happens exactly once.
-                // unlink: UNLINK.list-del: the type-4 C&S above made `del`
-                // unreachable from the head before this retire
-                self.retire(del, guard);
-            }
-        }
+    ) -> (*mut Node<K, V, R>, *mut Node<K, V, R>) {
+        // SAFETY: forwarded contract.
+        unsafe { self.search_from(k, curr, mode, guard) }
     }
 
-    /// Queue a physically deleted node for recycling once the backend's
-    /// grace period drains: key and element are dropped, the block goes
-    /// back to the list's pool.
+    /// Queue the unlinked node for recycling once the backend's grace
+    /// period drains: key and element are dropped, the block goes back
+    /// to the list's pool.
     ///
     /// # Safety
     ///
-    /// `node` must be physically deleted (unreachable from the head) and
-    /// retired at most once; `guard` must pin this list's domain.
-    pub(crate) unsafe fn retire(&self, node: *mut Node<K, V, R>, guard: &R::Guard<'_>) {
+    /// As for [`Level::unlinked`].
+    unsafe fn unlinked(&self, del: *mut Node<K, V, R>, guard: &R::Guard<'_>) {
         let pool = std::sync::Arc::clone(&self.pool);
-        let addr = node as usize;
-        // SAFETY: `node` is live under `guard` (just unlinked); its
+        let addr = del as usize;
+        // SAFETY: `del` is live under `guard` (just unlinked); its
         // birth is fixed for the tenant's lifetime.
         // ord: Relaxed — VBR.birth-stamp: tenant-constant value, read under the guard
-        let birth = unsafe { (*node).birth.load(Ordering::Relaxed) };
+        let birth = unsafe { (*del).birth.load(Ordering::Relaxed) };
         let destroy = move || {
             let node = addr as *mut Node<K, V, R>;
             // SAFETY: grace elapsed, so no pinned thread can reach
@@ -194,9 +173,9 @@ where
             }
         };
         // SAFETY: the closure touches the node only after grace elapses
-        // (the fn's `# Safety` contract makes it unreachable by then).
-        // unlink: UNLINK.list-del: the fn's `# Safety` contract requires the
-        // node already physically deleted (unlink C&S fired) and retired once
+        // (the trait's `# Safety` contract makes it unreachable by then).
+        // unlink: UNLINK.list-del: the type-4 C&S in `help_marked` made `del`
+        // unreachable from the head, and succeeds once per node
         unsafe { R::defer(guard, birth, destroy) };
     }
 }

@@ -4,7 +4,7 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use super::FrList;
+use super::{FlagStatus, FrList, Level, LevelNode};
 
 #[test]
 fn empty_list() {
@@ -150,11 +150,7 @@ fn no_leaks_no_double_free() {
         unsafe {
             let (prev, del) = list.search_from(k, list.head, super::Mode::Lt, &guard);
             assert_eq!((*del).key.as_key(), Some(k));
-            let (prev, result) = list.try_flag(prev, del, &guard);
-            if !prev.is_null() {
-                list.help_flagged(prev, del, &guard);
-            }
-            assert!(result);
+            assert_eq!(list.delete_node(prev, del, &guard).1, FlagStatus::Placed);
             list.len.fetch_sub(1, Ordering::SeqCst);
         }
     }

@@ -4,9 +4,8 @@ use std::sync::atomic::Ordering;
 
 use lf_reclaim::{Publish, Reclaim};
 
-use super::level::FlagStatus;
-use super::node::SkipNode;
 use super::{Mode, SkipList};
+use crate::list::{FlagStatus, Level, LevelNode};
 
 impl<K, V, R> SkipList<K, V, R>
 where
@@ -39,7 +38,8 @@ where
             if (*del).key_ref().as_key() != Some(k) {
                 return None;
             }
-            if !self.delete_node(prev, del, guard) {
+            // ord: Release/Acquire/Relaxed — LIST.flag-cas: wrapped flagging C&S; pred is dereferenced
+            if self.delete_node(prev, del, guard).1 != FlagStatus::Placed {
                 // Another operation owns this deletion (it reports the
                 // success), or the node vanished first.
                 return None;
@@ -57,33 +57,6 @@ where
                 let _ = self.search_to_level(k, 2, Mode::Le, guard);
             }
             Some(value)
-        }
-    }
-
-    /// Delete one node at its level: the linked-list `Delete` steps —
-    /// `TryFlag` the predecessor, then `HelpFlagged` (mark + unlink).
-    ///
-    /// Returns `true` iff this call placed the flag, i.e. owns the
-    /// deletion.
-    ///
-    /// # Safety
-    ///
-    /// `prev`/`del` are nodes of one level protected by `guard`, `prev`
-    /// a last-known predecessor of `del`.
-    pub(crate) unsafe fn delete_node(
-        &self,
-        prev: *mut SkipNode<K, V, R>,
-        del: *mut SkipNode<K, V, R>,
-        guard: &R::Guard<'_>,
-    ) -> bool {
-        // SAFETY: the fn's `# Safety` contract covers the whole body.
-        unsafe {
-            // ord: Release/Acquire/Relaxed — LIST.flag-cas: wrapped flagging C&S; pred is dereferenced
-            let (prev, status, did_flag) = self.try_flag_node(prev, del, guard);
-            if status == FlagStatus::In {
-                self.help_flagged(prev, del, guard);
-            }
-            did_flag
         }
     }
 }

@@ -3,22 +3,13 @@
 use std::ptr;
 use std::sync::atomic::Ordering;
 
-use lf_metrics::CasType;
 use lf_reclaim::{Publish, Reclaim};
-use lf_tagged::{step, Backoff, StepKind};
+use lf_tagged::{step, StepKind};
 
 use super::node::SkipNode;
 use super::{Bound, Mode, SkipList};
+use crate::list::{Level, LevelNode};
 use crate::pool::LocalPool;
-
-/// Result of a single-level `InsertNode`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum LevelInsert {
-    /// The node was linked into the level.
-    Inserted,
-    /// A node with the same key occupies the level.
-    Duplicate,
-}
 
 impl<K, V, R> SkipList<K, V, R>
 where
@@ -71,9 +62,9 @@ where
             let mut cur_level = 1usize;
 
             loop {
-                let result = self.insert_node(new_node, &mut prev, &mut next, guard);
+                let inserted = self.insert_node(new_node, &mut prev, &mut next, guard);
 
-                if result == LevelInsert::Duplicate && cur_level == 1 {
+                if !inserted && cur_level == 1 {
                     // The root was never published; move key/element back
                     // out, return the block to the pool, and hand the pair
                     // back.
@@ -86,7 +77,7 @@ where
                     }
                 }
 
-                if result == LevelInsert::Inserted && cur_level == 1 {
+                if inserted && cur_level == 1 {
                     // Linearization point of a successful insertion.
                     // Relaxed: `len` is a pure statistic (never
                     // dereferenced, orders nothing).
@@ -97,41 +88,38 @@ where
                 step(StepKind::Read);
                 if (*root).is_marked() {
                     // The tower became superfluous while we were building.
-                    match result {
-                        LevelInsert::Inserted if new_node != root => {
-                            // We just linked a node into a superfluous
-                            // tower: delete it again (all three steps). A
-                            // targeted delete can be deflected when another
-                            // interrupted construction left a same-key
-                            // superfluous node at this level (the Lt-mode
-                            // relocation search stops at the first of
-                            // them), so loop with Le-mode cleaning searches
-                            // — which delete every superfluous node on
-                            // their path — until our node is marked.
-                            self.delete_node(prev, new_node, guard);
-                            loop {
-                                step(StepKind::Read);
-                                if (*new_node).is_marked() {
-                                    break;
-                                }
-                                let key_ref = (*root).key.as_key().expect("root has user key");
-                                // ord: Release/Acquire/Relaxed — LIST.flag-cas: cleaning search deletes superfluous towers (wrapped C&S)
-                                let _ = self.search_to_level(key_ref, cur_level, Mode::Le, guard);
+                    if !inserted {
+                        // `new_node` (an upper node) was never linked:
+                        // undo its tower accounting. The node itself is
+                        // part of the root's block and needs no freeing.
+                        self.abandon_upper(root, new_node);
+                    } else if new_node != root {
+                        // We just linked a node into a superfluous
+                        // tower: delete it again (all three steps). A
+                        // targeted delete can be deflected when another
+                        // interrupted construction left a same-key
+                        // superfluous node at this level (the Lt-mode
+                        // relocation search stops at the first of
+                        // them), so loop with Le-mode cleaning searches
+                        // — which delete every superfluous node on
+                        // their path — until our node is marked.
+                        // ord: Release/Acquire/Relaxed — LIST.flag-cas: wrapped flagging C&S; pred is dereferenced
+                        self.delete_node(prev, new_node, guard);
+                        loop {
+                            step(StepKind::Read);
+                            if (*new_node).is_marked() {
+                                break;
                             }
+                            let key_ref = (*root).key.as_key().expect("root has user key");
+                            // ord: Release/Acquire/Relaxed — LIST.flag-cas: cleaning search deletes superfluous towers (wrapped C&S)
+                            let _ = self.search_to_level(key_ref, cur_level, Mode::Le, guard);
                         }
-                        LevelInsert::Duplicate => {
-                            // `new_node` (an upper node) was never linked:
-                            // undo its tower accounting. The node itself is
-                            // part of the root's block and needs no freeing.
-                            self.abandon_upper(root, new_node);
-                        }
-                        _ => {}
                     }
                     self.release_tower_ref(root, guard); // construction ref
                     return Ok(());
                 }
 
-                if result == LevelInsert::Duplicate {
+                if !inserted {
                     // A leftover superfluous node with our key occupies this
                     // level; our searches delete superfluous towers, so
                     // retrying makes progress.
@@ -192,100 +180,6 @@ where
             // ord: Relaxed — TOWER.refcount: construction ref keeps count nonzero
             let prev = (*root).remaining.fetch_sub(1, Ordering::Relaxed);
             debug_assert!(prev >= 2);
-        }
-    }
-
-    /// `InsertNode`: the linked-list insertion loop (paper Fig. 5 lines
-    /// 5–22) on one level. `prev`/`next` are updated in place so the
-    /// caller can continue from the final position.
-    ///
-    /// # Safety
-    ///
-    /// `new_node` is unpublished at this level and owned by the caller;
-    /// `*prev` and `*next` are nodes of one level protected by `guard`
-    /// bracketing `new_node`'s key.
-    pub(crate) unsafe fn insert_node(
-        &self,
-        new_node: *mut SkipNode<K, V, R>,
-        prev: &mut *mut SkipNode<K, V, R>,
-        next: &mut *mut SkipNode<K, V, R>,
-        guard: &R::Guard<'_>,
-    ) -> LevelInsert {
-        // SAFETY: the fn's `# Safety` contract covers the whole body.
-        unsafe {
-            if (**prev).key_ref() == (*new_node).key_ref() {
-                return LevelInsert::Duplicate;
-            }
-            let backoff = Backoff::new();
-            loop {
-                step(StepKind::Read);
-                let prev_succ = (**prev).succ();
-                if prev_succ.is_flagged() {
-                    self.help_flagged(*prev, prev_succ.ptr(), guard);
-                } else {
-                    // Relaxed: `new_node` is still unlinked at this level;
-                    // the Release insertion C&S below is what publishes
-                    // this store (and the node's initialization) to readers
-                    // that Acquire-load prev.succ. The stored pointer
-                    // carries next's stamp — a pin-free reader traverses
-                    // through this edge the instant the C&S lands.
-                    // ord: Relaxed — LIST.node-init: pre-publication store, CAS publishes
-                    (*new_node)
-                        .succ
-                        .store(SkipNode::clean_ptr(*next), Ordering::Relaxed);
-                    step(StepKind::CasInsert);
-                    // The insertion C&S (type 1, Fig. 5 line 11). Release
-                    // on success publishes the new node's initialization —
-                    // the invariant every traversal relies on when it
-                    // dereferences a pointer it loaded with Acquire.
-                    // Acquire on failure: the found pointer may be
-                    // dereferenced (flagged → HelpFlagged). The new value
-                    // carries new_node's stamp so pin-free readers can
-                    // validate the hop.
-                    // ord: Release/Acquire — LIST.insert-cas: publish node init; inspect failure
-                    let res = (**prev).succ.compare_exchange(
-                        SkipNode::clean_ptr(*next),
-                        SkipNode::clean_ptr(new_node),
-                        Ordering::Release,
-                        Ordering::Acquire,
-                    );
-                    lf_metrics::record_cas(CasType::Insert, res.is_ok());
-                    match res {
-                        Ok(_) => return LevelInsert::Inserted,
-                        Err(found) => {
-                            // Contended edge: let the winner finish before
-                            // re-reading and retrying.
-                            backoff.spin();
-                            if found.is_flagged() {
-                                self.help_flagged(*prev, found.ptr(), guard);
-                            }
-                            loop {
-                                step(StepKind::Read);
-                                if !(**prev).is_marked() {
-                                    break;
-                                }
-                                step(StepKind::Backlink);
-                                // ord: Acquire — LIST.backlink-walk: recovered pred is dereferenced
-                                let back = (**prev).backlink();
-                                debug_assert!(!back.is_null(), "marked node lacks backlink");
-                                *prev = back;
-                                lf_metrics::record_backlink();
-                            }
-                        }
-                    }
-                }
-                let key_ref = (*new_node)
-                    .key_ref()
-                    .as_key()
-                    .expect("new node has user key");
-                // ord: Release/Acquire/Relaxed — LIST.flag-cas: reposition after failed CAS helps deletions (wrapped C&S)
-                let (p, n) = self.search_right(key_ref, *prev, Mode::Le, guard);
-                *prev = p;
-                *next = n;
-                if (**prev).key_ref() == (*new_node).key_ref() {
-                    return LevelInsert::Duplicate;
-                }
-            }
         }
     }
 }

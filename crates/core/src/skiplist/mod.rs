@@ -43,7 +43,7 @@ use lf_tagged::CachePadded;
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 
-use crate::list::{Bound, Mode, PIN_AMORTIZE_OPS};
+use crate::list::{self, Bound, LevelNode, Mode, PIN_AMORTIZE_OPS};
 use crate::pool::{LocalPool, SharedPool};
 
 /// Default number of levels (towers grow to at most one less, so the
@@ -429,57 +429,25 @@ impl<K, V, R: Reclaim> SkipList<K, V, R> {
         K: Ord,
     {
         let mut count = 0usize;
-        // SAFETY: quiescent-only walk — the caller guarantees no
-        // concurrent operations, so every reachable node stays valid.
-        unsafe {
-            for level in 0..self.max_level {
-                let mut cur = self.heads[level];
-                loop {
-                    // ord: Acquire — DIAG.quiescent: quiescent-only diagnostic walk
-                    let succ = (*cur).succ.load(Ordering::Acquire);
-                    assert!(!succ.is_marked(), "marked node at level {}", level + 1);
-                    assert!(!succ.is_flagged(), "flagged node at level {}", level + 1);
-                    let next = succ.ptr();
-                    if next.is_null() {
-                        assert_eq!(cur, self.tails[level], "level {} chain broken", level + 1);
-                        break;
-                    }
-                    // Published stamps must match the pointee's birth.
-                    assert_eq!(
-                        succ.stamp(),
-                        SkipNode::stamp_of(next),
-                        "stale stamp at level {}",
-                        level + 1
-                    );
+        for level in 0..self.max_level {
+            let on_node = |node: *mut SkipNode<K, V, R>| {
+                // SAFETY: quiescent-only walk — the caller guarantees no
+                // concurrent operations, so every reachable node stays valid.
+                unsafe {
+                    // ord: Relaxed — TOWER.layout: tenant-invariant tower geometry
+                    let root = (*node).root();
                     // validate: VAL.exclusive: quiescent caller contract — no
                     // concurrent updates or reclamation during this walk
-                    assert!(
-                        (*cur).key_ref() < (*next).key_ref(),
-                        "keys not strictly sorted at level {}",
-                        level + 1
-                    );
-                    // validate: VAL.exclusive: as above — quiescent walk
-                    if (*next).key_ref().as_key().is_some() {
-                        if level == 0 {
-                            count += 1;
-                        }
-                        // ord: Relaxed — TOWER.layout: tenant-invariant tower geometry
-                        // validate: VAL.exclusive: as above — quiescent walk
-                        let root = (*next).root();
-                        // validate: VAL.exclusive: as above — quiescent walk
-                        assert!(!(*root).is_marked(), "superfluous tower at quiescence");
-                        let mut d = next;
-                        // ord: Relaxed — TOWER.layout: tenant-invariant tower geometry
-                        // validate: VAL.exclusive: as above — quiescent walk
-                        while !(*d).down().is_null() {
-                            // ord: Relaxed — TOWER.layout: tenant-invariant tower geometry
-                            // validate: VAL.exclusive: as above — quiescent walk
-                            d = (*d).down();
-                        }
-                        assert_eq!(d, root, "down chain does not reach tower root");
-                    }
-                    cur = next;
+                    assert!(!(*root).is_marked(), "superfluous tower at quiescence");
+                    assert_down_chain(node, level + 1);
                 }
+            };
+            // SAFETY: as above.
+            let n = unsafe {
+                list::validate_level(self.heads[level], self.tails[level], level + 1, on_node)
+            };
+            if level == 0 {
+                count = n;
             }
         }
         assert_eq!(count, self.len(), "len counter disagrees with level 1");
@@ -497,57 +465,14 @@ impl<K, V, R: Reclaim> SkipList<K, V, R> {
     where
         K: Ord + fmt::Debug,
     {
-        // SAFETY: no operation runs during the walk (caller contract), so
-        // nothing linked at any level is unlinked or reclaimed under it.
-        unsafe {
-            for level in 0..self.max_level {
-                let l = level + 1;
-                let mut prev: *mut SkipNode<K, V, R> = std::ptr::null_mut();
-                let mut prev_succ = lf_tagged::TaggedPtr::null();
-                let mut cur = self.heads[level];
-                loop {
-                    let succ = (*cur).succ();
-                    let key = (*cur).key_ref();
-                    assert!(
-                        !(succ.is_marked() && succ.is_flagged()),
-                        "INV5 at level {l}: {key:?} both marked and flagged"
-                    );
-                    if !prev.is_null() {
-                        let prev_key = (*prev).key_ref();
-                        assert!(prev_key < key, "INV1 at level {l}: {prev_key:?} !< {key:?}");
-                        if succ.is_marked() && !prev_succ.is_marked() {
-                            assert!(
-                                prev_succ.is_flagged(),
-                                "INV3 at level {l}: pred of {key:?} unflagged"
-                            );
-                            // ord: Acquire — DIAG.quiescent: diagnostic walk, no operation running
-                            let back = (*cur).backlink();
-                            assert_eq!(back, prev, "INV4 at level {l}: backlink of {key:?}");
-                        }
-                    }
-                    let next = succ.ptr();
-                    if next.is_null() {
-                        assert_eq!(cur, self.tails[level], "INV2: level {l} chain broken");
-                        break;
-                    }
-                    if next != self.tails[level] {
-                        // Vertical structure: the down chain reaches the root.
-                        let mut d = next;
-                        // ord: Relaxed — TOWER.layout: tenant-invariant tower geometry
-                        // validate: VAL.exclusive: as above
-                        while !(*d).down().is_null() {
-                            // ord: Relaxed — TOWER.layout: tenant-invariant tower geometry
-                            // validate: VAL.exclusive: as above
-                            d = (*d).down();
-                        }
-                        // ord: Relaxed — TOWER.layout: tenant-invariant tower geometry
-                        // validate: VAL.exclusive: as above
-                        assert_eq!(d, (*next).root(), "down chain at level {l} misses its root");
-                    }
-                    prev = cur;
-                    prev_succ = succ;
-                    cur = next;
-                }
+        for level in 0..self.max_level {
+            let l = level + 1;
+            // SAFETY: no operation runs during the walk (caller contract), so
+            // nothing linked at any level is unlinked or reclaimed under it.
+            unsafe {
+                list::check_level(self.heads[level], self.tails[level], l, |node| {
+                    assert_down_chain(node, l)
+                });
             }
         }
     }
@@ -559,23 +484,31 @@ impl<K, V, R: Reclaim> SkipList<K, V, R> {
     where
         K: Clone,
     {
-        (0..self.max_level)
-            .map(|level| {
-                let mut row = Vec::new();
-                let mut cur = self.heads[level];
-                while !cur.is_null() {
-                    // SAFETY: as for `check_invariants` — no operation
-                    // runs, so every linked node stays valid.
-                    unsafe {
-                        let succ = (*cur).succ();
-                        let key = (*cur).key_ref().as_key().cloned();
-                        row.push((key, succ.is_marked(), succ.is_flagged()));
-                        cur = succ.ptr();
-                    }
-                }
-                row
-            })
+        // SAFETY: as for `check_invariants` — no operation runs, so
+        // every linked node stays valid.
+        self.heads
+            .iter()
+            .map(|&head| unsafe { list::dump_level(head) })
             .collect()
+    }
+}
+
+/// Assert that `node`'s down chain reaches its tower root.
+///
+/// # Safety
+///
+/// Quiescent use only: no operation runs during the walk.
+unsafe fn assert_down_chain<K, V, R: Reclaim>(node: *mut SkipNode<K, V, R>, l: usize) {
+    // SAFETY: the fn's `# Safety` contract covers the whole body.
+    unsafe {
+        let mut d = node;
+        // ord: Relaxed — TOWER.layout: tenant-invariant tower geometry
+        while !(*d).down().is_null() {
+            // ord: Relaxed — TOWER.layout: tenant-invariant tower geometry
+            d = (*d).down();
+        }
+        // ord: Relaxed — TOWER.layout: tenant-invariant tower geometry
+        assert_eq!(d, (*node).root(), "down chain at level {l} misses its root");
     }
 }
 

@@ -7,6 +7,7 @@ use lf_reclaim::{Publish, Reclaim, BIRTH_BUILDING};
 use lf_tagged::{AtomicTaggedPtr, TaggedPtr};
 
 pub(crate) use crate::list::Bound;
+use crate::list::LevelNode;
 
 /// One node of the lock-free skip list.
 ///
@@ -320,94 +321,6 @@ impl<K, V, R: Reclaim> SkipNode<K, V, R> {
         self.tower_root.load(Ordering::Relaxed)
     }
 
-    /// The stamp a published pointer to `ptr` must carry: the low 16
-    /// bits of its birth word on pin-free backends, 0 otherwise.
-    ///
-    /// Every element of a tower holds the same birth, so any node of a
-    /// tower yields the tower's stamp. Tenant-constant while `ptr` is
-    /// protected (a guard is held, or the pointer was re-validated), so
-    /// every caller computes the same stamp the publisher stored.
-    ///
-    /// # Safety
-    ///
-    /// `ptr`, when non-null, must point at storage containing an
-    /// initialized `birth` word (any live, retired-but-pooled, or
-    /// sentinel node qualifies).
-    #[inline]
-    pub(crate) unsafe fn stamp_of(ptr: *mut SkipNode<K, V, R>) -> u16 {
-        if R::PIN_FREE_READS && !ptr.is_null() {
-            // SAFETY: the fn's `# Safety` contract covers the whole body.
-            // ord: Relaxed — VBR.birth-stamp: tenant-constant value, read under protection
-            (unsafe { (*ptr).birth.load(Ordering::Relaxed) } & 0xffff) as u16
-        } else {
-            0
-        }
-    }
-
-    /// An unmarked, unflagged pointer to `ptr` carrying its stamp — the
-    /// form every C&S publishes.
-    ///
-    /// # Safety
-    ///
-    /// As for [`Self::stamp_of`].
-    #[inline]
-    pub(crate) unsafe fn clean_ptr(ptr: *mut SkipNode<K, V, R>) -> TaggedPtr<SkipNode<K, V, R>> {
-        // SAFETY: the fn's `# Safety` contract covers the whole body.
-        TaggedPtr::unmarked(ptr).with_stamp(unsafe { Self::stamp_of(ptr) })
-    }
-
-    /// A flagged pointer to `ptr` carrying its stamp.
-    ///
-    /// # Safety
-    ///
-    /// As for [`Self::stamp_of`].
-    #[inline]
-    pub(crate) unsafe fn flagged_ptr(ptr: *mut SkipNode<K, V, R>) -> TaggedPtr<SkipNode<K, V, R>> {
-        // SAFETY: the fn's `# Safety` contract covers the whole body.
-        unsafe { Self::clean_ptr(ptr) }.with_flag()
-    }
-
-    /// The node's key, read through the tower root (every node of a
-    /// tower shares the root's key; sentinels and roots are their own
-    /// root).
-    ///
-    /// # Safety
-    ///
-    /// The node must be protected by a guard, so its tower (and hence
-    /// `tower_root`) is alive.
-    #[inline]
-    pub(crate) unsafe fn key_ref(&self) -> &Bound<K> {
-        // SAFETY: the fn's `# Safety` contract covers the whole body.
-        // ord: Relaxed — TOWER.layout: tenant-invariant tower geometry
-        unsafe { &(*self.root()).key }
-    }
-
-    /// Load the successor field.
-    ///
-    /// Acquire: the `right` pointer in the returned snapshot may be
-    /// dereferenced by the caller, so this load must synchronize with
-    /// the Release C&S that published the pointee's initialization (the
-    /// insertion C&S of `InsertNode`, or the unlink C&S of
-    /// `HelpMarked`, which re-publishes its `next` operand) — see
-    /// DESIGN.md §9.
-    #[inline]
-    pub(crate) fn succ(&self) -> TaggedPtr<SkipNode<K, V, R>> {
-        // ord: Acquire — LIST.traverse: loaded pointer is the next hop
-        self.succ.load(Ordering::Acquire)
-    }
-
-    /// The `right` pointer component of the successor field.
-    #[inline]
-    pub(crate) fn right(&self) -> *mut SkipNode<K, V, R> {
-        self.succ().ptr()
-    }
-
-    /// Whether this node is marked (logically deleted at its level).
-    #[inline]
-    pub(crate) fn is_marked(&self) -> bool {
-        self.succ().is_marked()
-    }
-
     /// Whether this node's tower is superfluous (root marked).
     ///
     /// # Safety
@@ -420,18 +333,39 @@ impl<K, V, R: Reclaim> SkipNode<K, V, R> {
         // ord: Relaxed — TOWER.layout: tenant-invariant tower geometry
         unsafe { (*self.root()).is_marked() }
     }
+}
 
-    /// Load the backlink.
-    ///
-    /// Acquire: the returned predecessor is dereferenced by recovery
-    /// walks; pairs with the Release store in `HelpFlagged` to carry
-    /// the happens-before edge to the predecessor's initialization.
+impl<K, V, R: Reclaim> LevelNode<K, R> for SkipNode<K, V, R> {
     #[inline]
-    // escape: ESC.node-accessor: the backlink stays valid while `self` is
-    // protected by the caller's guard (backlinks point at older nodes)
-    pub(crate) fn backlink(&self) -> *mut SkipNode<K, V, R> {
-        // ord: Acquire — LIST.backlink-walk: predecessor is dereferenced
-        self.backlink.load(Ordering::Acquire)
+    fn succ_cell(&self) -> &AtomicTaggedPtr<Self> {
+        &self.succ
+    }
+
+    #[inline]
+    fn backlink_cell(&self) -> &AtomicPtr<Self> {
+        &self.backlink
+    }
+
+    /// Every element of a tower holds the same birth, so any node of a
+    /// tower yields the tower's stamp.
+    #[inline]
+    fn birth_cell(&self) -> &AtomicU64 {
+        &self.birth
+    }
+
+    /// The node's key, read through the tower root (every node of a
+    /// tower shares the root's key; sentinels and roots are their own
+    /// root).
+    ///
+    /// # Safety
+    ///
+    /// As for [`LevelNode::key_ref`]: the guard keeps the tower, and
+    /// hence `tower_root`, alive.
+    #[inline]
+    unsafe fn key_ref(&self) -> &Bound<K> {
+        // SAFETY: the trait's `# Safety` contract covers the body.
+        // ord: Relaxed — TOWER.layout: tenant-invariant tower geometry
+        unsafe { &(*self.root()).key }
     }
 }
 

@@ -9,6 +9,7 @@ use lf_reclaim::{Ebr, Publish, Reclaim};
 
 use super::node::SkipNode;
 use super::{Bound, Mode, SkipListHandle};
+use crate::list::LevelNode;
 
 /// Iterator over a weakly-consistent snapshot of a
 /// [`SkipList`](super::SkipList), produced by [`SkipListHandle::iter`]:

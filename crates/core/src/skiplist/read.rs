@@ -38,7 +38,7 @@ where
     /// backend supports it.
     ///
     /// On a pin-free backend (VBR) this runs the optimistic
-    /// validate-and-restart descent; after [`READ_ATTEMPTS`] raced
+    /// validate-and-restart descent; after `READ_ATTEMPTS` (3) raced
     /// attempts (or always, on pinned backends) it falls back to the
     /// pinned [`get`](Self::get). Same semantics as `get`: returns a
     /// copy of the value if `key` is present.

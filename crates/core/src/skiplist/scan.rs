@@ -45,10 +45,10 @@ use std::ptr;
 
 use lf_reclaim::{Publish, Reclaim};
 
-use super::level::FlagStatus;
 use super::node::SkipNode;
 use super::{Bound, Mode, SkipList, SkipListHandle};
 use crate::list::search_key_before as key_before;
+use crate::list::{Level, LevelNode};
 
 /// One per-list scan cursor of the k-way merge. It first descends to
 /// its start position (`level > 0`), then walks level 1 (`level == 0`).
@@ -118,11 +118,7 @@ where
             // `SearchRight` does (flag, then help with mark + unlink).
             while (*next).is_superfluous() {
                 // ord: Release/Acquire/Relaxed — LIST.flag-cas: wrapped flagging C&S; pred is dereferenced
-                let (new_curr, status, _) = list.try_flag_node(curr, next, guard);
-                curr = new_curr;
-                if status == FlagStatus::In {
-                    list.help_flagged(curr, next, guard);
-                }
+                curr = list.delete_node(curr, next, guard).0;
                 next = (*curr).right();
                 lf_metrics::record_next_update();
             }
@@ -271,7 +267,9 @@ where
 /// domain — the function asserts this via
 /// [`SkipList::shares_domain_with`] and panics otherwise.
 ///
-/// See the [module docs](self) for the consistency contract.
+/// There is no atomic snapshot: a key present for the whole scan is
+/// visited exactly once, one absent throughout never is, and keys
+/// inserted or deleted mid-scan may or may not appear.
 ///
 /// # Examples
 ///

@@ -5,6 +5,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use super::SkipList;
+use crate::list::LevelNode;
 
 #[test]
 fn empty_skiplist() {

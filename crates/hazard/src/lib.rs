@@ -1,5 +1,5 @@
 //! Hazard-based safe memory reclamation, in two flavors sharing one
-//! slot registry ([`slots`], crate-private):
+//! slot registry (`slots`, crate-private):
 //!
 //! * **Classic per-pointer hazards** ([`Domain`] / [`HazardHandle`]) —
 //!   M. Michael, *Safe Memory Reclamation for Dynamic Lock-Free Objects

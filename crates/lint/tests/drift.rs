@@ -34,7 +34,7 @@ fn checked_in_workspace_is_clean() {
 
 #[test]
 fn stripping_an_ord_annotation_fails_the_audit() {
-    let rel = "crates/core/src/list/node.rs";
+    let rel = "crates/core/src/list/level.rs";
     let src = read(rel);
     let line = "// ord: Acquire — LIST.traverse: loaded pointer is the next hop";
     assert!(src.contains(line), "expected annotation in {rel}");

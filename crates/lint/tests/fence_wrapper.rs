@@ -231,7 +231,7 @@ fn stripping_a_backlink_call_annotation_fails_the_audit() {
     // The real wrapper check is live on the checked-in tree: the
     // recovery walks' `backlink()` calls carry annotations, and
     // removing one fails the audit.
-    let rel = "crates/core/src/list/insert.rs";
+    let rel = "crates/core/src/list/level.rs";
     let src = read(rel);
     let line = "// ord: Acquire — LIST.backlink-walk: recovered pred is dereferenced";
     assert!(src.contains(line), "expected call-site annotation in {rel}");

@@ -176,7 +176,7 @@ fn corpus_escape_id_missing_from_table_is_drift() {
 fn stripping_an_unlink_annotation_fails_the_audit() {
     let rel = "crates/core/src/list/search.rs";
     let src = read(rel);
-    let line = "// unlink: UNLINK.list-del: the type-4 C&S above made `del`";
+    let line = "// unlink: UNLINK.list-del: the type-4 C&S in `help_marked` made `del`";
     assert!(src.contains(line), "expected annotation in {rel}");
     let perturbed = src.replacen(line, "// (annotation removed)", 1);
 

@@ -19,8 +19,8 @@
 //! from one bucket can be re-tenanted into another; pin-free readers
 //! stay sound because birth-stamp validation rejects re-tenanted
 //! blocks no matter which bucket's chain they resurface on (see
-//! `lf-core`'s sibling read). The unordered [`iter`]
-//! (BucketMapHandle::iter) walks every bucket under **one** amortized
+//! `lf-core`'s sibling read). The unordered
+//! [`iter`](BucketMapHandle::iter) walks every bucket under **one** amortized
 //! pin via [`ChainIter`].
 //!
 //! Like the rest of the stack, the map is generic over the reclamation

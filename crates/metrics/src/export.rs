@@ -17,26 +17,9 @@ use std::fs::OpenOptions;
 use std::io::{self, Write as _};
 use std::path::Path;
 
-use crate::{CasType, Histogram, Metric, Structure, Telemetry};
+use lf_trace::json::write_escaped;
 
-/// Escape `s` for inclusion inside a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+use crate::{CasType, Histogram, Metric, Structure, Telemetry};
 
 fn json_f64(v: f64) -> String {
     // JSON has no NaN/Infinity; clamp to null like most serializers.
@@ -82,7 +65,8 @@ impl JsonObj {
         if !self.buf.is_empty() {
             self.buf.push(',');
         }
-        let _ = write!(self.buf, "\"{}\":", json_escape(k));
+        write_escaped(&mut self.buf, k);
+        self.buf.push(':');
         &mut self.buf
     }
 
@@ -101,8 +85,7 @@ impl JsonObj {
 
     /// Add a string field (escaped).
     pub fn field_str(mut self, k: &str, v: &str) -> Self {
-        let s = json_escape(v);
-        let _ = write!(self.key(k), "\"{s}\"");
+        write_escaped(self.key(k), v);
         self
     }
 
@@ -297,7 +280,11 @@ pub fn prometheus_labels(labels: &[(&str, &str)]) -> String {
     }
     let body: Vec<String> = labels
         .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", json_escape(v)))
+        .map(|(k, v)| {
+            let mut label = format!("{k}=");
+            write_escaped(&mut label, v);
+            label
+        })
         .collect();
     format!("{{{}}}", body.join(","))
 }
@@ -368,8 +355,9 @@ mod tests {
 
     #[test]
     fn escaping() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        let line = JsonObj::new().field_str("k\n", "a\"b\\c\nd\u{1}").finish();
+        assert_eq!(line, r#"{"k\n":"a\"b\\c\nd\u0001"}"#);
+        assert_eq!(prometheus_labels(&[("l", "a\"b")]), r#"{l="a\"b"}"#);
     }
 
     #[test]

@@ -315,7 +315,7 @@ impl AtomicHistogram {
 
     /// Multi-writer record: `fetch_add` so any number of threads can
     /// record concurrently into one shared histogram. Costlier than
-    /// [`AtomicHistogram::record_owner`] (a locked RMW per field), so
+    /// `AtomicHistogram::record_owner` (a locked RMW per field), so
     /// the single-writer shard path keeps using the owner variant; this
     /// one serves shared service-level histograms (queue depth,
     /// enqueue-to-complete latency) where there is no owner.

@@ -517,7 +517,7 @@ thread_local! {
 ///
 /// Deliberately near-free: it checks the kill-switch, advances a
 /// per-thread sequence number, and on one op in
-/// [`LATENCY_SAMPLE_EVERY`] reads the TSC-backed [`clock`]. All
+/// `LATENCY_SAMPLE_EVERY` (16) reads the TSC-backed clock. All
 /// counter attribution happens in [`op_end`], which differences the
 /// shard's step counters against baselines remembered from the
 /// previous `op_end` — operations are bracketed back-to-back, so the

@@ -23,6 +23,11 @@ use std::fmt;
 pub const MAX_ARGS: usize = 4096;
 /// Maximum bytes in one bulk string (`$N`).
 pub const MAX_BULK: usize = 16 << 20;
+/// Maximum bytes one command frame may declare, headers included: a
+/// `SET` whose key and value are both `MAX_BULK` fits. Without it,
+/// `MAX_ARGS` bulks of `MAX_BULK` each could be buffered before any
+/// error.
+pub const MAX_REQUEST: usize = 2 * MAX_BULK + (64 << 10);
 /// Maximum bytes an inline command may span before its CRLF.
 pub const MAX_INLINE: usize = 64 << 10;
 /// Maximum reply-array nesting the client-side parser accepts
@@ -127,39 +132,55 @@ pub fn parse_command(buf: &[u8]) -> Parsed<Vec<Vec<u8>>> {
     if n < 0 || n as usize > MAX_ARGS {
         return err("invalid multibulk length");
     }
+    // Locate every bulk before copying any, so a frame that trickles in
+    // is copied once, complete.
+    let mut spans = Vec::with_capacity((n as usize).min(64));
     let mut pos = hdr_end + 2;
-    let mut args = Vec::with_capacity((n as usize).min(64));
     for _ in 0..n {
-        if pos >= buf.len() {
-            return Ok(None);
-        }
-        if buf[pos] != b'$' {
-            return err(format!(
-                "expected '$', got '{}'",
-                char::from(buf[pos]).escape_default()
-            ));
-        }
-        let Some(len_end) = find_crlf(buf, pos + 1) else {
-            if buf.len() - pos > 32 {
-                return err("invalid bulk length");
-            }
+        let Some((start, end)) = bulk_at(buf, pos)? else {
             return Ok(None);
         };
-        let len = parse_int(&buf[pos + 1..len_end])?;
-        if len < 0 || len as usize > MAX_BULK {
-            return err("invalid bulk length");
-        }
-        let (start, end) = (len_end + 2, len_end + 2 + len as usize);
-        if buf.len() < end + 2 {
-            return Ok(None);
-        }
-        if &buf[end..end + 2] != b"\r\n" {
-            return err("bulk string missing CRLF terminator");
-        }
-        args.push(buf[start..end].to_vec());
+        spans.push((start, end));
         pos = end + 2;
     }
+    let args = spans.into_iter().map(|(s, e)| buf[s..e].to_vec()).collect();
     Ok(Some((args, pos)))
+}
+
+/// The payload span `(start, end)` of the bulk string of a command
+/// frame at `pos`, once the whole bulk is in `buf`. Fails as soon as
+/// the frame's declared bytes pass [`MAX_REQUEST`].
+fn bulk_at(buf: &[u8], pos: usize) -> Result<Option<(usize, usize)>, ProtocolError> {
+    if pos >= buf.len() {
+        return Ok(None);
+    }
+    if buf[pos] != b'$' {
+        return err(format!(
+            "expected '$', got '{}'",
+            char::from(buf[pos]).escape_default()
+        ));
+    }
+    let Some(len_end) = find_crlf(buf, pos + 1) else {
+        if buf.len() - pos > 32 {
+            return err("invalid bulk length");
+        }
+        return Ok(None);
+    };
+    let len = parse_int(&buf[pos + 1..len_end])?;
+    if len < 0 || len as usize > MAX_BULK {
+        return err("invalid bulk length");
+    }
+    let (start, end) = (len_end + 2, len_end + 2 + len as usize);
+    if end + 2 > MAX_REQUEST {
+        return err("too big request");
+    }
+    if buf.len() < end + 2 {
+        return Ok(None);
+    }
+    if &buf[end..end + 2] != b"\r\n" {
+        return err("bulk string missing CRLF terminator");
+    }
+    Ok(Some((start, end)))
 }
 
 /// One server reply, as the client-side parser sees it.
@@ -503,6 +524,33 @@ mod tests {
             assert_eq!(parse_command(&buf[..cut]).unwrap(), None, "cut={cut}");
         }
         assert!(parse_command(&buf).unwrap().is_some());
+    }
+
+    /// A `*N` frame whose first `full` bulks of `MAX_BULK` bytes are
+    /// complete, followed by one more `MAX_BULK` bulk header.
+    fn max_bulks_then_header(n: usize, full: usize) -> Vec<u8> {
+        let mut buf = format!("*{n}\r\n$3\r\nSET\r\n").into_bytes();
+        for _ in 0..full {
+            buf.extend_from_slice(format!("${MAX_BULK}\r\n").as_bytes());
+            buf.resize(buf.len() + MAX_BULK, b'x');
+            buf.extend_from_slice(b"\r\n");
+        }
+        buf.extend_from_slice(format!("${MAX_BULK}\r\n").as_bytes());
+        buf
+    }
+
+    #[test]
+    fn oversized_frame_fails_on_its_headers() {
+        // A SET with key and value both at `MAX_BULK` fits the cap.
+        let mut set = max_bulks_then_header(3, 1);
+        assert_eq!(parse_command(&set), Ok(None));
+        set.resize(set.len() + MAX_BULK, b'v');
+        set.extend_from_slice(b"\r\n");
+        let (args, used) = parse_command(&set).unwrap().unwrap();
+        assert_eq!((args.len(), used), (3, set.len()));
+        // A third `MAX_BULK` bulk passes it: its header alone fails.
+        let err = parse_command(&max_bulks_then_header(MAX_ARGS, 2)).unwrap_err();
+        assert_eq!(err, ProtocolError("too big request".into()));
     }
 
     #[test]

@@ -1051,6 +1051,51 @@ fn protocol_error_closes_the_connection() {
     service.shutdown();
 }
 
+/// A frame whose declared bytes pass `MAX_REQUEST` fails on the header
+/// that passes it — two `MAX_BULK` arguments in, before the third's
+/// payload — instead of the server buffering it.
+#[test]
+fn oversized_request_fails_on_its_header() {
+    let service = Arc::new(
+        ServiceBuilder::new()
+            .workers(1)
+            .build(BucketMap::<Bytes, Bytes>::new(DEFAULT_BUCKETS)),
+    );
+    let server = ServerBuilder::new().serve(Arc::clone(&service)).unwrap();
+    let mut c = Client::connect(server.local_addr());
+
+    let bulk = resp::MAX_BULK;
+    c.buf
+        .extend_from_slice(format!("*{}\r\n$3\r\nSET\r\n", resp::MAX_ARGS).as_bytes());
+    for _ in 0..2 {
+        c.buf.extend_from_slice(format!("${bulk}\r\n").as_bytes());
+        c.buf.resize(c.buf.len() + bulk, b'x');
+        c.buf.extend_from_slice(b"\r\n");
+    }
+    c.buf.extend_from_slice(format!("${bulk}\r\n").as_bytes());
+    c.flush();
+    match &c.read_replies(1)[0] {
+        Reply::Error(msg) => {
+            let msg = String::from_utf8(msg.clone()).unwrap();
+            assert!(
+                msg.starts_with("ERR") && msg.ends_with("too big request"),
+                "{msg}"
+            );
+        }
+        other => panic!("expected protocol error, got {other:?}"),
+    }
+    let mut rest = Vec::new();
+    assert_eq!(
+        c.stream.read_to_end(&mut rest).unwrap(),
+        0,
+        "conn not closed"
+    );
+    assert_eq!(server.metrics().snapshot().protocol_errors, 1);
+
+    server.stop();
+    service.shutdown();
+}
+
 #[test]
 fn shutdown_is_gated_and_stops_the_server_when_allowed() {
     let service = Arc::new(

@@ -7,7 +7,7 @@ use rand::Rng;
 
 use crate::strategy::Strategy;
 
-/// Strategy returned by [`vec`].
+/// Strategy returned by [`vec()`].
 pub struct VecStrategy<S> {
     element: S,
     len: Range<usize>,

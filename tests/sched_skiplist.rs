@@ -35,6 +35,20 @@ fn run_to_end<R: Send + 'static>(sched: &Scheduler, op: OpHandle<R>) -> R {
     op.join()
 }
 
+/// Run `pid` until it is about to take its `nth` step of `kind`.
+fn pause_before_nth(sched: &Scheduler, pid: usize, kind: StepKind, nth: u64) {
+    loop {
+        assert!(
+            sched.run_until_pending(pid, |k| k == kind),
+            "finished before {kind:?} #{nth}"
+        );
+        if sched.steps_of(pid, kind) + 1 == nth {
+            return;
+        }
+        sched.grant(pid, 1);
+    }
+}
+
 fn prefill(sched: &Scheduler, sl: &Arc<Sl>, towers: &[(u64, u32)]) {
     for &(k, h) in towers {
         assert!(run_to_end(sched, insert(sched, sl, k, h)));
@@ -110,8 +124,7 @@ fn sequential_tower_operations() {
 /// node can get marked by another process, and P can add a new node to
 /// Q before it notices the marking." Script exactly that and verify
 /// the insert undoes its orphan node so no superfluous debris remains.
-#[test]
-fn interrupted_construction_cleans_up() {
+fn interrupted_construction() -> [u64; 8] {
     let sched = Scheduler::new();
     let sl = new_list();
     prefill(&sched, &sl, &[(10, 2), (30, 2)]);
@@ -119,20 +132,7 @@ fn interrupted_construction_cleans_up() {
     // The inserter builds a tall tower for 20; pause it right before it
     // links level 2 (its second insertion C&S).
     let ins = insert(&sched, &sl, 20, 5);
-    let mut cas_inserts = 0;
-    loop {
-        match sched.peek(ins.pid()) {
-            Observation::Pending(StepKind::CasInsert) => {
-                cas_inserts += 1;
-                if cas_inserts == 2 {
-                    break; // about to link level 2
-                }
-                sched.grant(ins.pid(), 1);
-            }
-            Observation::Pending(_) => sched.grant(ins.pid(), 1),
-            Observation::Finished => panic!("inserter finished before level 2"),
-        }
-    }
+    pause_before_nth(&sched, ins.pid(), StepKind::CasInsert, 2);
 
     // A deleter removes key 20 — marking the root mid-construction.
     assert!(run_to_end(&sched, delete(&sched, &sl, 20)));
@@ -153,12 +153,17 @@ fn interrupted_construction_cleans_up() {
         "superfluous debris left behind"
     );
     sl.validate_quiescent();
+    totals(&sched)
+}
+
+#[test]
+fn interrupted_construction_cleans_up() {
+    interrupted_construction();
 }
 
 /// A search passing a superfluous tower must physically delete it (§4:
 /// searches help deletions so backlink chains cannot be re-traversed).
-#[test]
-fn search_cleans_superfluous_towers() {
+fn search_cleaning() -> [u64; 8] {
     let sched = Scheduler::new();
     let sl = new_list();
     prefill(&sched, &sl, &[(10, 1), (20, 4), (30, 1)]);
@@ -185,6 +190,63 @@ fn search_cleans_superfluous_towers() {
     sl.check_invariants();
     assert_eq!(keys(&sl), vec![10, 30]);
     sl.validate_quiescent();
+    totals(&sched)
+}
+
+#[test]
+fn search_cleans_superfluous_towers() {
+    search_cleaning();
+}
+
+/// An upper-level insertion C&S that fails on a flagged predecessor,
+/// helps that deletion, and then walks a backlink because its
+/// predecessor got marked meanwhile.
+///
+/// Towers 10, 15 and 25 have height 2; the inserter of 20 (height 2)
+/// pauses before linking level 2 between 15 and 25. Deleter A removes
+/// 25 and halts right after flagging 15 at level 2. Deleter B removes
+/// 15 and halts right after its level-2 marking C&S fails on that flag.
+/// The inserter's C&S then fails on the flag; it helps A's deletion
+/// through to the unlink and pauses. B marks and unlinks 15, so the
+/// inserter's recovery finds 15 marked and follows its backlink to 10.
+fn flagged_upper_insert() -> [u64; 8] {
+    let sched = Scheduler::new();
+    let sl = new_list();
+    prefill(&sched, &sl, &[(10, 2), (15, 2), (25, 2)]);
+
+    let ins = insert(&sched, &sl, 20, 2);
+    pause_before_nth(&sched, ins.pid(), StepKind::CasInsert, 2);
+
+    // A: root deletion flags at level 1, the dismantling search flags
+    // 15's level-2 node (its second flagging C&S).
+    let a = delete(&sched, &sl, 25);
+    pause_before_nth(&sched, a.pid(), StepKind::CasFlag, 2);
+    sched.grant(a.pid(), 1);
+
+    // B: its second marking C&S targets 15's level-2 node, which A's
+    // flag freezes, so it fails.
+    let b = delete(&sched, &sl, 15);
+    pause_before_nth(&sched, b.pid(), StepKind::CasMark, 2);
+    sched.grant(b.pid(), 1);
+
+    // The inserter's C&S fails on the flag; it helps through A's unlink
+    // and stops before its recovery walk reads 15's mark.
+    sched.grant(ins.pid(), 1);
+    pause_before_nth(&sched, ins.pid(), StepKind::CasUnlink, 1);
+    sched.grant(ins.pid(), 1);
+    assert!(run_to_end(&sched, b));
+    let ins_pid = ins.pid();
+    assert!(run_to_end(&sched, ins));
+    assert!(run_to_end(&sched, a));
+
+    // Two levels linked in three insertion C&Ss: one failed.
+    assert_eq!(sched.steps_of(ins_pid, StepKind::CasInsert), 3);
+    assert!(sched.steps_of(ins_pid, StepKind::Backlink) >= 1);
+    sl.check_invariants();
+    assert_eq!(keys(&sl), vec![10, 20]);
+    assert_eq!(linked_height_of(&sl, 20), 2);
+    sl.validate_quiescent();
+    totals(&sched)
 }
 
 /// Random interleavings of conflicting tower operations, validating
@@ -290,4 +352,36 @@ fn skiplist_search_during_dismantle() {
         sl.check_invariants();
         assert_eq!(keys(&sl), vec![10, 30]);
     }
+}
+
+const KINDS: [StepKind; 8] = [
+    StepKind::Read,
+    StepKind::Write,
+    StepKind::Traverse,
+    StepKind::Backlink,
+    StepKind::CasInsert,
+    StepKind::CasFlag,
+    StepKind::CasMark,
+    StepKind::CasUnlink,
+];
+
+fn totals(sched: &Scheduler) -> [u64; 8] {
+    KINDS.map(|k| sched.total_steps_of(k))
+}
+
+/// Run `schedule` twice; both runs must produce `expected`.
+fn assert_totals_twice(expected: [u64; 8], schedule: impl Fn() -> [u64; 8]) {
+    for run in 0..2 {
+        assert_eq!(schedule(), expected, "run {run}");
+    }
+}
+
+/// Per-`StepKind` totals (in `KINDS` order) of the contended schedules
+/// above, to the digit: moving, adding or dropping a `step(..)` call on
+/// the skip list's paths fails this.
+#[test]
+fn skiplist_schedule_totals_are_exact() {
+    assert_totals_twice([46, 2, 6, 0, 6, 2, 2, 2], interrupted_construction);
+    assert_totals_twice([71, 5, 5, 0, 6, 4, 4, 5], search_cleaning);
+    assert_totals_twice([101, 6, 17, 1, 9, 4, 5, 6], flagged_upper_insert);
 }
