@@ -27,12 +27,14 @@ const UPSERT_RETRY_BUDGET: usize = 8;
 /// [`ConcurrentMap`] whose keys are ordered and whose keys and values
 /// are clonable and thread-safe (the blanket impl below).
 ///
-/// What the service derives from the map: `Get`/`Contains`/`Remove`
-/// from [`MapHandle::get_with`](BackendHandle::get_with) and
-/// [`remove_with`](BackendHandle::remove_with), `Upsert` from those and
-/// `insert`, lane affinity from [`ConcurrentMap::partition_of`]
-/// (`partition mod lanes`, so one worker owns each partition's CAS
-/// traffic), and the scan capability from [`ConcurrentMap::ORDERED`].
+/// What the service takes from the map: `Get`/`Contains`/`Remove` are
+/// the handle's [`get`](BackendHandle::get),
+/// [`contains`](BackendHandle::contains) and
+/// [`remove`](BackendHandle::remove), `Upsert` retries `insert` and
+/// [`remove_with`](BackendHandle::remove_with), lane affinity comes
+/// from [`ConcurrentMap::partition_of`] (`partition mod lanes`, so one
+/// worker owns each partition's CAS traffic), and the scan capability
+/// from [`ConcurrentMap::ORDERED`].
 pub trait AsyncBackend:
     ConcurrentMap<Key: Ord + Clone + Send + Sync + 'static, Value: Clone + Send + Sync + 'static>
     + 'static
@@ -54,8 +56,8 @@ pub(crate) fn apply<B: AsyncBackend>(
     req: Request<B::Key, B::Value>,
 ) -> Response<B::Value> {
     match req {
-        Request::Get(k) => Response::Value(handle.get_with(&k, B::Value::clone)),
-        Request::Contains(k) => Response::Found(handle.get_with(&k, |_| ()).is_some()),
+        Request::Get(k) => Response::Value(handle.get(&k)),
+        Request::Contains(k) => Response::Found(handle.contains(&k)),
         Request::Insert(k, v) => Response::Inserted(handle.insert(k, v).is_ok()),
         // Retry remove+insert until one insert round wins or the budget
         // runs out. A refused insert hands the pair back, so every round
@@ -73,7 +75,7 @@ pub(crate) fn apply<B: AsyncBackend>(
             }
             Response::Inserted(false)
         }
-        Request::Remove(k) => Response::Removed(handle.remove_with(&k, B::Value::clone)),
+        Request::Remove(k) => Response::Removed(handle.remove(&k)),
         // The visitor runs with `Some(&value)` in place, under the pin;
         // on a miss it is closed with `None` instead, so the future's
         // slot protocol always observes a completed visit.

@@ -19,7 +19,7 @@ use lf_async::{
     AsyncHashMap, AsyncList, AsyncShardedMap, AsyncSkipList, BackpressurePolicy, Request, Response,
     ServiceBuilder,
 };
-use lf_core::{FrList, SkipList};
+use lf_core::{FrList, MapHandle, SkipList};
 use lf_map::BucketMap;
 use lf_reclaim::{Ebr, Reclaim};
 use lf_sched::rt;

@@ -24,6 +24,7 @@ struct Node<K, V> {
 ///
 /// ```
 /// use lf_baselines::CoarseLockList;
+/// use lf_core::MapHandle;
 ///
 /// let list = CoarseLockList::new();
 /// assert!(list.insert(2, "two").is_ok());
@@ -74,90 +75,6 @@ impl<K: Ord, V> CoarseLockList<K, V> {
             inner: Mutex::new(ListInner { head: None, len: 0 }),
         }
     }
-
-    /// Insert `key → value`; hands both back if `key` is present.
-    pub fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
-        metered(|| {
-            let mut inner = self.inner.lock();
-            let mut slot = &mut inner.head;
-            loop {
-                match slot {
-                    Some(node) if node.key < key => {
-                        lf_metrics::record_curr_update();
-                        slot = &mut slot.as_mut().unwrap().next;
-                    }
-                    Some(node) if node.key == key => return Err((key, value)),
-                    _ => break,
-                }
-            }
-            let next = slot.take();
-            *slot = Some(Box::new(Node { key, value, next }));
-            inner.len += 1;
-            Ok(())
-        })
-    }
-
-    /// Remove `key`, returning its value. The list owns its nodes
-    /// outright, so this is the removal body: the value moves out.
-    pub fn remove(&self, key: &K) -> Option<V> {
-        metered(|| {
-            let mut inner = self.inner.lock();
-            let mut slot = &mut inner.head;
-            loop {
-                match slot {
-                    Some(node) if node.key < *key => {
-                        lf_metrics::record_curr_update();
-                        slot = &mut slot.as_mut().unwrap().next;
-                    }
-                    Some(node) if node.key == *key => {
-                        let removed = slot.take().unwrap();
-                        *slot = removed.next;
-                        inner.len -= 1;
-                        return Some(removed.value);
-                    }
-                    _ => return None,
-                }
-            }
-        })
-    }
-
-    /// Remove `key` and apply `f` to a borrow of its value.
-    pub fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        self.remove(key).map(|v| f(&v))
-    }
-
-    /// Look up `key` and apply `f` to a borrow of its value (under
-    /// the lock).
-    pub fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        metered(|| {
-            let inner = self.inner.lock();
-            let mut cur = inner.head.as_deref();
-            while let Some(node) = cur {
-                if node.key == *key {
-                    return Some(f(&node.value));
-                }
-                if node.key > *key {
-                    return None;
-                }
-                lf_metrics::record_curr_update();
-                cur = node.next.as_deref();
-            }
-            None
-        })
-    }
-
-    /// Look up `key`, cloning its value.
-    pub fn get(&self, key: &K) -> Option<V>
-    where
-        V: Clone,
-    {
-        self.get_with(key, V::clone)
-    }
-
-    /// Whether `key` is present.
-    pub fn contains(&self, key: &K) -> bool {
-        self.get_with(key, |_| ()).is_some()
-    }
 }
 
 impl<K, V> ConcurrentMap for CoarseLockList<K, V>
@@ -182,21 +99,73 @@ where
 }
 
 /// The lock is the whole protocol: no handle state, no pins.
-impl<K, V> MapHandle<K, V> for &CoarseLockList<K, V>
-where
-    K: Ord + Send + Sync + 'static,
-    V: Send + Sync + 'static,
-{
+impl<K: Ord, V> MapHandle<K, V> for CoarseLockList<K, V> {
+    /// Insert `key → value`; hands both back if `key` is present.
     fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
-        CoarseLockList::insert(self, key, value)
+        metered(|| {
+            let mut inner = self.inner.lock();
+            let mut slot = &mut inner.head;
+            loop {
+                match slot {
+                    Some(node) if node.key < key => {
+                        lf_metrics::record_curr_update();
+                        slot = &mut slot.as_mut().unwrap().next;
+                    }
+                    Some(node) if node.key == key => return Err((key, value)),
+                    _ => break,
+                }
+            }
+            let next = slot.take();
+            *slot = Some(Box::new(Node { key, value, next }));
+            inner.len += 1;
+            Ok(())
+        })
     }
 
+    /// Remove `key` and apply `f` to its value. The list owns its nodes
+    /// outright, so the value moves out under the lock and `f` sees it
+    /// after release.
     fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        CoarseLockList::remove_with(self, key, f)
+        let removed = metered(|| {
+            let mut inner = self.inner.lock();
+            let mut slot = &mut inner.head;
+            loop {
+                match slot {
+                    Some(node) if node.key < *key => {
+                        lf_metrics::record_curr_update();
+                        slot = &mut slot.as_mut().unwrap().next;
+                    }
+                    Some(node) if node.key == *key => {
+                        let removed = slot.take().unwrap();
+                        *slot = removed.next;
+                        inner.len -= 1;
+                        return Some(removed.value);
+                    }
+                    _ => return None,
+                }
+            }
+        });
+        removed.map(|v| f(&v))
     }
 
+    /// Look up `key` and apply `f` to a borrow of its value (under
+    /// the lock).
     fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        CoarseLockList::get_with(self, key, f)
+        metered(|| {
+            let inner = self.inner.lock();
+            let mut cur = inner.head.as_deref();
+            while let Some(node) = cur {
+                if node.key == *key {
+                    return Some(f(&node.value));
+                }
+                if node.key > *key {
+                    return None;
+                }
+                lf_metrics::record_curr_update();
+                cur = node.next.as_deref();
+            }
+            None
+        })
     }
 }
 

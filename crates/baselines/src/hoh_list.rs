@@ -29,6 +29,7 @@ struct Node<K, V> {
 ///
 /// ```
 /// use lf_baselines::HohLockList;
+/// use lf_core::MapHandle;
 ///
 /// let list = HohLockList::new();
 /// assert!(list.insert(1, "one").is_ok());
@@ -128,72 +129,6 @@ impl<K: Ord, V> HohLockList<K, V> {
             guard = next_guard;
         }
     }
-
-    /// Insert `key → value`; hands both back if `key` is present.
-    pub fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
-        metered(|| {
-            let (_pred, mut guard) = self.find(&key);
-            let curr = guard.as_ref().unwrap().clone();
-            if curr.key.as_key() == Some(&key) {
-                return Err((key, value));
-            }
-            let node = Arc::new(Node {
-                key: Bound::Key(key),
-                value: Some(value),
-                next: Mutex::new(Some(curr)),
-            });
-            *guard = Some(node);
-            self.len.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            Ok(())
-        })
-    }
-
-    /// Remove `key` and apply `f` to a borrow of its value (under the
-    /// predecessor's lock).
-    pub fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        metered(|| {
-            let (_pred, mut guard) = self.find(key);
-            let curr = guard.as_ref().unwrap().clone();
-            if curr.key.as_key() != Some(key) {
-                return None;
-            }
-            let next = curr.next.lock().clone();
-            *guard = next;
-            self.len.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
-            curr.value.as_ref().map(f)
-        })
-    }
-
-    /// Look up `key` and apply `f` to a borrow of its value (under the
-    /// predecessor's lock).
-    pub fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        metered(|| {
-            let (_pred, guard) = self.find(key);
-            let curr = guard.as_ref().unwrap();
-            (curr.key.as_key() == Some(key)).then(|| f(curr.value.as_ref().unwrap()))
-        })
-    }
-
-    /// Remove `key`, returning its value.
-    pub fn remove(&self, key: &K) -> Option<V>
-    where
-        V: Clone,
-    {
-        self.remove_with(key, V::clone)
-    }
-
-    /// Look up `key`, cloning its value.
-    pub fn get(&self, key: &K) -> Option<V>
-    where
-        V: Clone,
-    {
-        self.get_with(key, V::clone)
-    }
-
-    /// Whether `key` is present.
-    pub fn contains(&self, key: &K) -> bool {
-        self.get_with(key, |_| ()).is_some()
-    }
 }
 
 impl<K, V> ConcurrentMap for HohLockList<K, V>
@@ -218,21 +153,50 @@ where
 }
 
 /// The node locks are the whole protocol: no handle state, no pins.
-impl<K, V> MapHandle<K, V> for &HohLockList<K, V>
-where
-    K: Ord + Send + Sync + 'static,
-    V: Send + Sync + 'static,
-{
+impl<K: Ord, V> MapHandle<K, V> for HohLockList<K, V> {
+    /// Insert `key → value`; hands both back if `key` is present.
     fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
-        HohLockList::insert(self, key, value)
+        metered(|| {
+            let (_pred, mut guard) = self.find(&key);
+            let curr = guard.as_ref().unwrap().clone();
+            if curr.key.as_key() == Some(&key) {
+                return Err((key, value));
+            }
+            let node = Arc::new(Node {
+                key: Bound::Key(key),
+                value: Some(value),
+                next: Mutex::new(Some(curr)),
+            });
+            *guard = Some(node);
+            self.len.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            Ok(())
+        })
     }
 
+    /// Remove `key` and apply `f` to a borrow of its value (under the
+    /// predecessor's lock).
     fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        HohLockList::remove_with(self, key, f)
+        metered(|| {
+            let (_pred, mut guard) = self.find(key);
+            let curr = guard.as_ref().unwrap().clone();
+            if curr.key.as_key() != Some(key) {
+                return None;
+            }
+            let next = curr.next.lock().clone();
+            *guard = next;
+            self.len.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
+            curr.value.as_ref().map(f)
+        })
     }
 
+    /// Look up `key` and apply `f` to a borrow of its value (under the
+    /// predecessor's lock).
     fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        HohLockList::get_with(self, key, f)
+        metered(|| {
+            let (_pred, guard) = self.find(key);
+            let curr = guard.as_ref().unwrap();
+            (curr.key.as_key() == Some(key)).then(|| f(curr.value.as_ref().unwrap()))
+        })
     }
 }
 

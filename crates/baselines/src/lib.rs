@@ -34,8 +34,11 @@
 //! nothing until it is dropped.
 //!
 //! The seven concurrent ones implement [`lf_core::ConcurrentMap`], so
-//! any harness written against that trait runs them unchanged. The
-//! lock-based lists are their own handle (`&Self`).
+//! any harness written against that trait runs them unchanged. Each
+//! one's operations are written once, in its [`lf_core::MapHandle`]
+//! impl (bring the trait into scope to call them); the lock-based
+//! lists implement `MapHandle` themselves and serve as their own
+//! handle (`&Self`, through the trait's blanket impl for references).
 
 mod coarse_list;
 mod harris;

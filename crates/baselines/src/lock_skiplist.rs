@@ -14,6 +14,7 @@ use crate::{metered, SeqSkipList};
 ///
 /// ```
 /// use lf_baselines::LockSkipList;
+/// use lf_core::MapHandle;
 ///
 /// let sl = LockSkipList::new();
 /// assert!(sl.insert(1, "one").is_ok());
@@ -62,41 +63,6 @@ impl<K: Ord + Send + Sync, V: Send + Sync> LockSkipList<K, V> {
     pub fn is_empty(&self) -> bool {
         self.inner.read().is_empty()
     }
-
-    /// Insert `key → value`; hands both back if `key` is present.
-    pub fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
-        metered(|| self.inner.write().insert(key, value))
-    }
-
-    /// Remove `key`, returning its value. The skip list owns its nodes
-    /// outright, so this is the removal body: the value moves out.
-    pub fn remove(&self, key: &K) -> Option<V> {
-        metered(|| self.inner.write().remove(key))
-    }
-
-    /// Remove `key` and apply `f` to a borrow of its value.
-    pub fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        self.remove(key).map(|v| f(&v))
-    }
-
-    /// Look up `key` and apply `f` to a borrow of its value (under the
-    /// read lock).
-    pub fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        metered(|| self.inner.read().get(key).map(f))
-    }
-
-    /// Look up `key`, cloning its value.
-    pub fn get(&self, key: &K) -> Option<V>
-    where
-        V: Clone,
-    {
-        self.get_with(key, V::clone)
-    }
-
-    /// Whether `key` is present.
-    pub fn contains(&self, key: &K) -> bool {
-        self.get_with(key, |_| ()).is_some()
-    }
 }
 
 impl<K, V> ConcurrentMap for LockSkipList<K, V>
@@ -121,21 +87,23 @@ where
 }
 
 /// The lock is the whole protocol: no handle state, no pins.
-impl<K, V> MapHandle<K, V> for &LockSkipList<K, V>
-where
-    K: Ord + Send + Sync + 'static,
-    V: Send + Sync + 'static,
-{
+impl<K: Ord + Send + Sync, V: Send + Sync> MapHandle<K, V> for LockSkipList<K, V> {
+    /// Insert `key → value`; hands both back if `key` is present.
     fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
-        LockSkipList::insert(self, key, value)
+        metered(|| self.inner.write().insert(key, value))
     }
 
+    /// Remove `key` and apply `f` to its value. The skip list owns its
+    /// nodes outright, so the value moves out under the write lock and
+    /// `f` sees it after release.
     fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        LockSkipList::remove_with(self, key, f)
+        metered(|| self.inner.write().remove(key)).map(|v| f(&v))
     }
 
+    /// Look up `key` and apply `f` to a borrow of its value (under the
+    /// read lock).
     fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        LockSkipList::get_with(self, key, f)
+        metered(|| self.inner.read().get(key).map(f))
     }
 }
 

@@ -49,6 +49,7 @@ impl<K, V> Node<K, V> {
 ///
 /// ```
 /// use lf_baselines::MichaelList;
+/// use lf_core::MapHandle;
 ///
 /// let list = MichaelList::new();
 /// let h = list.handle();
@@ -248,9 +249,38 @@ where
             r
         })
     }
+}
 
+impl<K, V> ConcurrentMap for MichaelList<K, V>
+where
+    K: Ord + Send + Sync + 'static,
+    V: Send + Sync + 'static,
+{
+    type Key = K;
+    type Value = V;
+    type Handle<'a>
+        = MichaelHandle<'a, K, V>
+    where
+        Self: 'a;
+
+    fn handle(&self) -> Self::Handle<'_> {
+        MichaelList::handle(self)
+    }
+
+    fn len(&self) -> usize {
+        MichaelList::len(self)
+    }
+}
+
+/// Hazard pointers take no epoch pins: the pin methods keep their
+/// no-op defaults.
+impl<K, V> MapHandle<K, V> for MichaelHandle<'_, K, V>
+where
+    K: Ord + Send + Sync + 'static,
+    V: Send + Sync + 'static,
+{
     /// Insert `key → value`; hands both back if `key` is present.
-    pub fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
+    fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
         let new_node = Node::alloc(Bound::Key(key), Some(value), std::ptr::null_mut());
         // SAFETY: `find` publishes hazard pointers for every node it
         // returns, so the dereferenced nodes cannot be freed until the
@@ -284,7 +314,7 @@ where
     }
 
     /// Remove `key` and apply `f` to a borrow of its value.
-    pub fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+    fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
         // SAFETY: as for `insert` — hazards protect every node `find`
         // returns until the slots are cleared.
         self.op(|| unsafe {
@@ -328,7 +358,7 @@ where
     }
 
     /// Look up `key` and apply `f` to a borrow of its value.
-    pub fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+    fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
         // SAFETY: as for `insert` — hazards protect the traversal and
         // the found node until the slots are cleared.
         self.op(|| unsafe {
@@ -336,68 +366,6 @@ where
             at.found
                 .then(|| f((*at.cur).element.as_ref().expect("user node has element")))
         })
-    }
-
-    /// Remove `key`, returning its value.
-    pub fn remove(&self, key: &K) -> Option<V>
-    where
-        V: Clone,
-    {
-        self.remove_with(key, V::clone)
-    }
-
-    /// Look up `key`, cloning its value.
-    pub fn get(&self, key: &K) -> Option<V>
-    where
-        V: Clone,
-    {
-        self.get_with(key, V::clone)
-    }
-
-    /// Whether `key` is present.
-    pub fn contains(&self, key: &K) -> bool {
-        self.get_with(key, |_| ()).is_some()
-    }
-}
-
-impl<K, V> ConcurrentMap for MichaelList<K, V>
-where
-    K: Ord + Send + Sync + 'static,
-    V: Send + Sync + 'static,
-{
-    type Key = K;
-    type Value = V;
-    type Handle<'a>
-        = MichaelHandle<'a, K, V>
-    where
-        Self: 'a;
-
-    fn handle(&self) -> Self::Handle<'_> {
-        MichaelList::handle(self)
-    }
-
-    fn len(&self) -> usize {
-        MichaelList::len(self)
-    }
-}
-
-/// Hazard pointers take no epoch pins: the pin methods keep their
-/// no-op defaults.
-impl<K, V> MapHandle<K, V> for MichaelHandle<'_, K, V>
-where
-    K: Ord + Send + Sync + 'static,
-    V: Send + Sync + 'static,
-{
-    fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
-        MichaelHandle::insert(self, key, value)
-    }
-
-    fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        MichaelHandle::remove_with(self, key, f)
-    }
-
-    fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        MichaelHandle::get_with(self, key, f)
     }
 }
 

@@ -88,6 +88,7 @@ fn key_before<K: Ord>(node_key: &Bound<K>, k: &K, mode: Mode) -> bool {
 ///
 /// ```
 /// use lf_baselines::NoFlagList;
+/// use lf_core::MapHandle;
 ///
 /// let list = NoFlagList::new();
 /// let h = list.handle();
@@ -397,55 +398,6 @@ impl<K, V> fmt::Debug for NoFlagHandle<'_, K, V> {
     }
 }
 
-impl<K, V> NoFlagHandle<'_, K, V>
-where
-    K: Ord + Send + Sync + 'static,
-    V: Send + Sync + 'static,
-{
-    /// Insert `key → value`; hands both back if `key` is present.
-    pub fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
-        // SAFETY: the borrowed list is live; graveyard keeps pointers valid.
-        metered(|| unsafe { self.list.insert_impl(key, value) })
-    }
-
-    /// Remove `key` and apply `f` to a borrow of its value.
-    pub fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        // SAFETY: as for `insert`.
-        metered(|| unsafe { self.list.delete_impl(key, f) })
-    }
-
-    /// Look up `key` and apply `f` to a borrow of its value.
-    pub fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        // SAFETY: as for `insert`; the found node is a live user node.
-        metered(|| unsafe {
-            self.list
-                .find(key)
-                .map(|n| f((*n).element.as_ref().expect("user node has element")))
-        })
-    }
-
-    /// Remove `key`, returning its value.
-    pub fn remove(&self, key: &K) -> Option<V>
-    where
-        V: Clone,
-    {
-        self.remove_with(key, V::clone)
-    }
-
-    /// Look up `key`, cloning its value.
-    pub fn get(&self, key: &K) -> Option<V>
-    where
-        V: Clone,
-    {
-        self.get_with(key, V::clone)
-    }
-
-    /// Whether `key` is present.
-    pub fn contains(&self, key: &K) -> bool {
-        self.get_with(key, |_| ()).is_some()
-    }
-}
-
 impl<K, V> ConcurrentMap for NoFlagList<K, V>
 where
     K: Ord + Send + Sync + 'static,
@@ -474,16 +426,26 @@ where
     K: Ord + Send + Sync + 'static,
     V: Send + Sync + 'static,
 {
+    /// Insert `key → value`; hands both back if `key` is present.
     fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
-        NoFlagHandle::insert(self, key, value)
+        // SAFETY: the borrowed list is live; graveyard keeps pointers valid.
+        metered(|| unsafe { self.list.insert_impl(key, value) })
     }
 
+    /// Remove `key` and apply `f` to a borrow of its value.
     fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        NoFlagHandle::remove_with(self, key, f)
+        // SAFETY: as for `insert`.
+        metered(|| unsafe { self.list.delete_impl(key, f) })
     }
 
+    /// Look up `key` and apply `f` to a borrow of its value.
     fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        NoFlagHandle::get_with(self, key, f)
+        // SAFETY: as for `insert`; the found node is a live user node.
+        metered(|| unsafe {
+            self.list
+                .find(key)
+                .map(|n| f((*n).element.as_ref().expect("user node has element")))
+        })
     }
 }
 

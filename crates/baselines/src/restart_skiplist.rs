@@ -124,6 +124,7 @@ impl<K, V> Node<K, V> {
 ///
 /// ```
 /// use lf_baselines::RestartSkipList;
+/// use lf_core::MapHandle;
 ///
 /// let sl = RestartSkipList::new();
 /// let h = sl.handle();
@@ -668,59 +669,6 @@ impl<K, V> fmt::Debug for RestartHandle<'_, K, V> {
     }
 }
 
-impl<K, V> RestartHandle<'_, K, V>
-where
-    K: Ord + Send + Sync + 'static,
-    V: Send + Sync + 'static,
-{
-    /// Insert `key → value`; hands both back if `key` is present.
-    pub fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
-        let guard = self.reclaim.pin();
-        // SAFETY: the guard pins this list's collector.
-        metered(|| unsafe { self.list.insert_impl(key, value, &guard) })
-    }
-
-    /// Remove `key` and apply `f` to a borrow of its value.
-    pub fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        let guard = self.reclaim.pin();
-        // SAFETY: as for `insert`.
-        metered(|| unsafe { self.list.delete_impl(key, &guard, f) })
-    }
-
-    /// Look up `key` and apply `f` to a borrow of its value.
-    pub fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        let guard = self.reclaim.pin();
-        // SAFETY: as for `insert`; the node stays valid while the
-        // guard lives.
-        metered(|| unsafe {
-            self.list
-                .find(key, &guard)
-                .map(|n| f((*n).element.as_ref().expect("root has element")))
-        })
-    }
-
-    /// Remove `key`, returning its value.
-    pub fn remove(&self, key: &K) -> Option<V>
-    where
-        V: Clone,
-    {
-        self.remove_with(key, V::clone)
-    }
-
-    /// Look up `key`, cloning its value.
-    pub fn get(&self, key: &K) -> Option<V>
-    where
-        V: Clone,
-    {
-        self.get_with(key, V::clone)
-    }
-
-    /// Whether `key` is present.
-    pub fn contains(&self, key: &K) -> bool {
-        self.get_with(key, |_| ()).is_some()
-    }
-}
-
 impl<K, V> ConcurrentMap for RestartSkipList<K, V>
 where
     K: Ord + Send + Sync + 'static,
@@ -747,16 +695,30 @@ where
     K: Ord + Send + Sync + 'static,
     V: Send + Sync + 'static,
 {
+    /// Insert `key → value`; hands both back if `key` is present.
     fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
-        RestartHandle::insert(self, key, value)
+        let guard = self.reclaim.pin();
+        // SAFETY: the guard pins this list's collector.
+        metered(|| unsafe { self.list.insert_impl(key, value, &guard) })
     }
 
+    /// Remove `key` and apply `f` to a borrow of its value.
     fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        RestartHandle::remove_with(self, key, f)
+        let guard = self.reclaim.pin();
+        // SAFETY: as for `insert`.
+        metered(|| unsafe { self.list.delete_impl(key, &guard, f) })
     }
 
+    /// Look up `key` and apply `f` to a borrow of its value.
     fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        RestartHandle::get_with(self, key, f)
+        let guard = self.reclaim.pin();
+        // SAFETY: as for `insert`; the node stays valid while the
+        // guard lives.
+        metered(|| unsafe {
+            self.list
+                .find(key, &guard)
+                .map(|n| f((*n).element.as_ref().expect("root has element")))
+        })
     }
 
     fn amortize_pins(&self, every: u32) {

@@ -6,7 +6,7 @@ use std::hint::black_box;
 
 use lf_baselines::{LockSkipList, RestartSkipList};
 use lf_bench::op_batch;
-use lf_core::{ConcurrentMap, SkipList};
+use lf_core::{ConcurrentMap, MapHandle, SkipList};
 use lf_workloads::{KeyDist, Mix, WorkloadIter};
 
 const BATCH: u64 = 1_000;

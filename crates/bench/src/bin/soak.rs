@@ -21,7 +21,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use lf_core::{FrList, SkipList};
+use lf_core::{FrList, MapHandle, SkipList};
 use lf_workloads::{KeyDist, Mix, OpKind, WorkloadIter};
 
 fn churn_round_list(seed: u64, threads: usize, ops: u64) -> (usize, u64) {

@@ -15,7 +15,7 @@
 //! The list is the shipped `FrList`, each operation a scheduler
 //! process on its own per-thread handle.
 
-use lf_core::FrList;
+use lf_core::{FrList, MapHandle};
 use lf_sched::{Scheduler, StepKind};
 
 use super::{prefilled, spawn_op};

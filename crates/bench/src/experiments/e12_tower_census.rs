@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use lf_core::SkipList;
+use lf_core::{MapHandle, SkipList};
 use lf_workloads::{KeyDist, Mix, OpKind, WorkloadIter};
 
 use crate::table::{fmt_f, Table};

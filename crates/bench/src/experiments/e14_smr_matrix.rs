@@ -29,7 +29,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 
-use lf_core::SkipList;
+use lf_core::{MapHandle, SkipList};
 use lf_hazard::Hp;
 use lf_reclaim::{Ebr, Publish, Reclaim};
 use lf_vbr::Vbr;

@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use lf_async::{AsyncSkipList, BackpressurePolicy, ServiceBuilder};
-use lf_core::SkipList;
+use lf_core::{MapHandle, SkipList};
 use lf_metrics::export::{histogram_json, JsonObj};
 use lf_metrics::Histogram;
 use lf_server::{Bytes, Server, ServerBuilder};

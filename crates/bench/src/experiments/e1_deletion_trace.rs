@@ -5,7 +5,7 @@
 //! every essential step, reproducing the three panels of the paper's
 //! Figure 2.
 
-use lf_core::FrList;
+use lf_core::{FrList, MapHandle};
 use lf_sched::{Observation, Scheduler, StepKind};
 
 use super::{prefilled, spawn_op};

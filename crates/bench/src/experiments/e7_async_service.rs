@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 use lf_async::{
     AsyncBackend, AsyncSkipList, BackpressurePolicy, Service, ServiceBuilder, ServiceSnapshot,
 };
-use lf_core::{FrList, SkipList};
+use lf_core::{FrList, MapHandle, SkipList};
 use lf_metrics::export::{histogram_json, JsonObj};
 use lf_sched::rt;
 use lf_workloads::{KeyDist, Mix, OpKind, WorkloadIter};

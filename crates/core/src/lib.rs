@@ -12,6 +12,14 @@
 //!   list algorithms above, with per-key *towers* of nodes, bottom-up
 //!   insertion and top-down deletion of *superfluous* towers.
 //!
+//! Both are dictionaries behind one pair of traits: [`ConcurrentMap`]
+//! for the shared structure and [`MapHandle`] for a thread's handle.
+//! A structure's `insert`, `get_with` and `remove_with` are written
+//! once, in its handle's `MapHandle` impl; `get`, `remove` and
+//! `contains` are provided by the trait, so callers
+//! `use lf_core::MapHandle`. [`MapSet`] is the one set façade over any
+//! such map with unit values ([`ListSet`], [`SkipSet`]).
+//!
 //! Both are linearizable and lock-free: a stalled or dead thread can
 //! never block others' progress. Memory is managed by the epoch-based
 //! reclamation in [`lf_reclaim`]; essential algorithm steps are metered
@@ -21,7 +29,7 @@
 //! # Quick start
 //!
 //! ```
-//! use lf_core::FrList;
+//! use lf_core::{FrList, MapHandle};
 //! use std::sync::Arc;
 //!
 //! let map = Arc::new(FrList::new());
@@ -43,12 +51,13 @@ pub mod list;
 mod map;
 pub(crate) mod pool;
 pub mod pq;
+mod set;
 pub mod skiplist;
 
-pub use list::{ChainIter, FrList, Iter, ListHandle, ListSet, SetHandle};
+pub use list::{ChainIter, FrList, Iter, ListHandle};
 pub use map::{ConcurrentMap, MapHandle};
 pub use pq::{PqHandle, PriorityQueue};
+pub use set::{ListSet, MapSet, MapSetHandle, SetHandle, SkipSet, SkipSetHandle};
 pub use skiplist::{
-    merged_range, RangeIter, SkipIter, SkipList, SkipListHandle, SkipSet, SkipSetHandle,
-    DEFAULT_MAX_LEVEL,
+    merged_range, RangeIter, SkipIter, SkipList, SkipListHandle, DEFAULT_MAX_LEVEL,
 };

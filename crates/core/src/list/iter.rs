@@ -77,17 +77,10 @@ where
             curr: handle.list.head,
         }
     }
-}
 
-impl<K, V, R> Iterator for ChainIter<'_, '_, K, V, R>
-where
-    K: Ord + Clone + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-    R: Reclaim + Publish<K> + Publish<V>,
-{
-    type Item = (K, V);
-
-    fn next(&mut self) -> Option<(K, V)> {
+    /// The next pair present (unmarked) when visited, borrowed in place
+    /// under the iterator's pin.
+    pub(crate) fn next_ref(&mut self) -> Option<(&K, &V)> {
         // SAFETY: `curr` is a head sentinel or a node reached through
         // successor pointers while pinned; the single guard covers the
         // shared domain, so it protects every sibling's nodes alike.
@@ -112,12 +105,28 @@ where
                     Bound::NegInf => unreachable!("head is never a successor"),
                     Bound::Key(k) => {
                         if !(*self.curr).is_marked() {
-                            let v = (*self.curr).element.clone().expect("user node has element");
-                            return Some((k.clone(), v));
+                            let v = (*self.curr)
+                                .element
+                                .as_ref()
+                                .expect("user node has element");
+                            return Some((k, v));
                         }
                     }
                 }
             }
         }
+    }
+}
+
+impl<K, V, R> Iterator for ChainIter<'_, '_, K, V, R>
+where
+    K: Ord + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+    R: Reclaim + Publish<K> + Publish<V>,
+{
+    type Item = (K, V);
+
+    fn next(&mut self) -> Option<(K, V)> {
+        self.next_ref().map(|(k, v)| (k.clone(), v.clone()))
     }
 }

@@ -36,14 +36,12 @@ mod level;
 mod node;
 mod read;
 mod search;
-mod set;
 mod sibling;
 
 pub use iter::{ChainIter, Iter};
 pub(crate) use level::{check_level, dump_level, validate_level, FlagStatus, Level, LevelNode};
 pub(crate) use node::{Bound, Node};
 pub(crate) use search::key_before as search_key_before;
-pub use set::{ListSet, SetHandle};
 
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -53,6 +51,7 @@ use lf_reclaim::{Ebr, Publish, Reclaim};
 use lf_tagged::CachePadded;
 
 use crate::pool::{LocalPool, SharedPool};
+use crate::{ConcurrentMap, MapHandle};
 
 /// Operations between epoch-announcement refreshes on a handle (see
 /// `LocalHandle::amortize_pins`): large enough to amortize the two
@@ -90,7 +89,7 @@ pub(crate) enum Mode {
 /// # Examples
 ///
 /// ```
-/// use lf_core::FrList;
+/// use lf_core::{FrList, MapHandle};
 ///
 /// let list = FrList::new();
 /// let h = list.handle();
@@ -228,7 +227,7 @@ where
         }
     }
 
-    /// Insert through a temporary handle. See [`ListHandle::insert`].
+    /// Insert through a temporary handle. See [`MapHandle::insert`].
     ///
     /// # Errors
     ///
@@ -237,7 +236,7 @@ where
         self.handle().insert(key, value)
     }
 
-    /// Remove through a temporary handle. See [`ListHandle::remove`].
+    /// Remove through a temporary handle. See [`MapHandle::remove`].
     pub fn remove(&self, key: &K) -> Option<V>
     where
         V: Clone,
@@ -245,7 +244,7 @@ where
         self.handle().remove(key)
     }
 
-    /// Lookup through a temporary handle. See [`ListHandle::get`].
+    /// Lookup through a temporary handle. See [`MapHandle::get`].
     pub fn get(&self, key: &K) -> Option<V>
     where
         V: Clone,
@@ -378,7 +377,31 @@ impl<K, V, R: Reclaim> fmt::Debug for ListHandle<'_, K, V, R> {
     }
 }
 
-impl<'l, K, V, R> ListHandle<'l, K, V, R>
+impl<K, V, R> ConcurrentMap for FrList<K, V, R>
+where
+    K: Ord + Send + Sync + 'static,
+    V: Send + Sync + 'static,
+    R: Reclaim + Publish<K> + Publish<V>,
+{
+    type Key = K;
+    type Value = V;
+    type Handle<'a>
+        = ListHandle<'a, K, V, R>
+    where
+        Self: 'a;
+
+    const ORDERED: bool = true;
+
+    fn handle(&self) -> Self::Handle<'_> {
+        FrList::handle(self)
+    }
+
+    fn len(&self) -> usize {
+        FrList::len(self)
+    }
+}
+
+impl<K, V, R> MapHandle<K, V> for ListHandle<'_, K, V, R>
 where
     K: Ord + Send + Sync + 'static,
     V: Send + Sync + 'static,
@@ -392,35 +415,18 @@ where
     ///
     /// If `key` is already present, returns `Err((key, value))` handing
     /// both back to the caller (the paper's `DUPLICATE_KEY`).
-    pub fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
+    fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
         self.bracket(|| self.insert_in(self.list, key, value))
-    }
-
-    /// Remove `key`, returning its value.
-    ///
-    /// A successful removal linearizes when the node becomes marked; an
-    /// unsuccessful one per the paper's §3.3 case analysis.
-    pub fn remove(&self, key: &K) -> Option<V>
-    where
-        V: Clone,
-    {
-        self.remove_with(key, V::clone)
     }
 
     /// Remove `key` and apply `f` to a borrow of its value, without
     /// cloning (`None` if the key was absent or another remover won).
-    /// `f` runs under this handle's pin, as for
-    /// [`get_with`](Self::get_with).
-    pub fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+    /// `f` runs under this handle's pin, as for `get_with`.
+    ///
+    /// A successful removal linearizes when the node becomes marked; an
+    /// unsuccessful one per the paper's §3.3 case analysis.
+    fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
         self.bracket(|| self.remove_with_in(self.list, key, f))
-    }
-
-    /// Look up `key`, returning a clone of its value.
-    pub fn get(&self, key: &K) -> Option<V>
-    where
-        V: Clone,
-    {
-        self.get_with(key, V::clone)
     }
 
     /// Look up `key` and apply `f` to a borrow of its value, without
@@ -430,15 +436,61 @@ where
     /// for exactly the duration of the call, so `f` must not stash it.
     /// Keep `f` short — the pin delays reclamation domain-wide while it
     /// runs.
-    pub fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+    fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
         self.bracket(|| self.get_with_in(self.list, key, f))
     }
 
-    /// Whether `key` is present.
-    pub fn contains(&self, key: &K) -> bool {
-        self.get_with(key, |_| ()).is_some()
+    fn scan(&self, after: Option<&K>, visit: &mut dyn FnMut(&K, &V) -> bool) {
+        // The list iterates in key order; skip to strictly after the
+        // cursor (no positioned descent on a list). Pairs are shown in
+        // place, under the walk's one pin.
+        let mut walk = ChainIter::single(self);
+        while let Some((k, v)) = walk.next_ref() {
+            if !matches!(after, Some(a) if k <= a) && !visit(k, v) {
+                break;
+            }
+        }
     }
 
+    /// Re-tune how many consecutive operations share one standing epoch
+    /// announcement (default 16; see `LocalHandle::amortize_pins`).
+    ///
+    /// Batch executors that drain `n` queued requests back-to-back set
+    /// this to the batch size so a whole drained batch costs a single
+    /// announcement, then `quiesce` between batches.
+    fn amortize_pins(&self, every: u32) {
+        R::amortize_pins(&self.reclaim, every);
+    }
+
+    /// Withdraw this handle's standing epoch announcement without
+    /// collecting (see `LocalHandle::quiesce`).
+    ///
+    /// Handles amortize epoch pins: the announcement made by an
+    /// operation stays standing until the 16th next operation, so an
+    /// *idle but registered* handle delays reclamation domain-wide
+    /// exactly like a held guard. Call this (or `flush_reclamation`, or
+    /// drop the handle) when the thread will stop operating for a while.
+    fn quiesce(&self) {
+        R::quiesce(&self.reclaim);
+    }
+
+    /// Opportunistically advance reclamation (frees retired nodes whose
+    /// grace period elapsed). Called automatically at a fixed cadence.
+    ///
+    /// Also withdraws this handle's amortized epoch announcement (see
+    /// `LocalHandle::quiesce`), so a thread that stops operating can
+    /// stop delaying the whole domain's reclamation.
+    fn flush_reclamation(&self) {
+        R::flush(&self.reclaim);
+    }
+}
+
+impl<'l, K, V, R> ListHandle<'l, K, V, R>
+where
+    K: Ord + Send + Sync + 'static,
+    V: Send + Sync + 'static,
+    R: Reclaim + Publish<K> + Publish<V>,
+{
     /// A plain operation is the `lf_metrics` op bracket around the
     /// pinned body of its sibling form (`insert_in`, …) run on the
     /// handle's own list; composite callers of the sibling forms
@@ -533,39 +585,6 @@ where
     /// The list this handle operates on.
     pub fn list(&self) -> &'l FrList<K, V, R> {
         self.list
-    }
-
-    /// Opportunistically advance reclamation (frees retired nodes whose
-    /// grace period elapsed). Called automatically at a fixed cadence.
-    ///
-    /// Also withdraws this handle's amortized epoch announcement (see
-    /// `LocalHandle::quiesce`), so a thread that stops operating can
-    /// stop delaying the whole domain's reclamation.
-    pub fn flush_reclamation(&self) {
-        R::flush(&self.reclaim);
-    }
-
-    /// Withdraw this handle's standing epoch announcement without
-    /// collecting (see `LocalHandle::quiesce`).
-    ///
-    /// Handles amortize epoch pins: the announcement made by an
-    /// operation stays standing until the 16th next operation, so an
-    /// *idle but registered* handle delays reclamation domain-wide
-    /// exactly like a held guard. Call this (or
-    /// [`flush_reclamation`](Self::flush_reclamation), or drop the
-    /// handle) when the thread will stop operating for a while.
-    pub fn quiesce(&self) {
-        R::quiesce(&self.reclaim);
-    }
-
-    /// Re-tune how many consecutive operations share one standing epoch
-    /// announcement (default 16; see `LocalHandle::amortize_pins`).
-    ///
-    /// Batch executors that drain `n` queued requests back-to-back set
-    /// this to the batch size so a whole drained batch costs a single
-    /// announcement, then [`quiesce`](Self::quiesce) between batches.
-    pub fn amortize_pins(&self, every: u32) {
-        R::amortize_pins(&self.reclaim, every);
     }
 }
 

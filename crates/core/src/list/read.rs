@@ -17,7 +17,7 @@
 //! Payloads are copied out with per-word atomic snoops from the node's
 //! shadow slots, bracketed by the seqlock checks, so only `K: Pod`,
 //! `V: Pod` payloads are eligible. On pinned backends (`Ebr`, `Hp`)
-//! `try_read` simply delegates to the pinned [`ListHandle::get`].
+//! `try_read` simply delegates to the pinned [`MapHandle::get`].
 //!
 //! `try_read` and the sibling form `try_read_in` (`lf-map`'s bucket
 //! read) share one retry loop over one traversal, `read_impl`, whose
@@ -29,6 +29,7 @@ use std::sync::atomic::{fence, Ordering};
 use lf_reclaim::{Pod, Publish, Reclaim, BIRTH_BUILDING};
 
 use super::{FrList, ListHandle};
+use crate::MapHandle;
 
 /// Optimistic traversal attempts before falling back to a pinned get.
 const READ_ATTEMPTS: usize = 3;
@@ -49,7 +50,7 @@ where
     /// On a pin-free backend (VBR) this runs the optimistic
     /// validate-and-restart traversal; after `READ_ATTEMPTS` (3) raced
     /// attempts (or always, on pinned backends) it falls back to the
-    /// pinned [`get`](Self::get). Same semantics as `get`: returns a
+    /// pinned [`get`](MapHandle::get). Same semantics as `get`: returns a
     /// copy of the value if `key` is present.
     pub fn try_read(&self, key: &K) -> Option<V> {
         if !R::PIN_FREE_READS {

@@ -57,7 +57,7 @@ where
         );
     }
 
-    /// [`insert`](Self::insert) against the sibling `list`, under this
+    /// [`insert`](crate::MapHandle::insert) against the sibling `list`, under this
     /// handle's registration. Records no op boundary — composite
     /// callers bracket their own.
     ///
@@ -79,19 +79,7 @@ where
         res
     }
 
-    /// [`remove`](Self::remove) against the sibling `list`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `list` is not a sibling of this handle's list.
-    pub fn remove_in(&self, list: &FrList<K, V, R>, key: &K) -> Option<V>
-    where
-        V: Clone,
-    {
-        self.remove_with_in(list, key, V::clone)
-    }
-
-    /// [`remove_with`](Self::remove_with) against the sibling `list`.
+    /// [`remove_with`](crate::MapHandle::remove_with) against the sibling `list`.
     ///
     /// # Panics
     ///
@@ -111,19 +99,7 @@ where
         res
     }
 
-    /// [`get`](Self::get) against the sibling `list`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `list` is not a sibling of this handle's list.
-    pub fn get_in(&self, list: &FrList<K, V, R>, key: &K) -> Option<V>
-    where
-        V: Clone,
-    {
-        self.get_with_in(list, key, V::clone)
-    }
-
-    /// [`get_with`](Self::get_with) against the sibling `list`: apply
+    /// [`get_with`](crate::MapHandle::get_with) against the sibling `list`: apply
     /// `f` to a borrow of the value without cloning. The borrow lives
     /// exactly as long as the call; keep `f` short — the pin delays
     /// reclamation domain-wide (that is, across *every* sibling).
@@ -150,15 +126,6 @@ where
         drop(guard);
         res
     }
-
-    /// [`contains`](Self::contains) against the sibling `list`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `list` is not a sibling of this handle's list.
-    pub fn contains_in(&self, list: &FrList<K, V, R>, key: &K) -> bool {
-        self.get_with_in(list, key, |_| ()).is_some()
-    }
 }
 
 impl<'l, K, V, R> ListHandle<'l, K, V, R>
@@ -169,8 +136,8 @@ where
 {
     /// [`try_read`](Self::try_read) against the sibling `list`: a
     /// pin-free point lookup on `PIN_FREE_READS` backends, falling back
-    /// to the pinned [`get_in`](Self::get_in) after raced attempts (or
-    /// always, on pinned backends).
+    /// to the pinned [`get_with_in`](Self::get_with_in) after raced
+    /// attempts (or always, on pinned backends).
     ///
     /// # Panics
     ///
@@ -178,10 +145,10 @@ where
     pub fn try_read_in(&self, list: &FrList<K, V, R>, key: &K) -> Option<V> {
         self.check_sibling(list);
         if !R::PIN_FREE_READS {
-            return self.get_in(list, key);
+            return self.get_with_in(list, key, V::clone);
         }
         list.read_retrying(key)
-            .unwrap_or_else(|| self.get_in(list, key))
+            .unwrap_or_else(|| self.get_with_in(list, key, V::clone))
     }
 }
 
@@ -190,6 +157,7 @@ mod tests {
     use lf_reclaim::Ebr;
 
     use super::super::FrList;
+    use crate::MapHandle;
 
     #[test]
     fn sibling_ops_roundtrip_under_one_handle() {
@@ -198,12 +166,10 @@ mod tests {
         let h = a.handle();
         assert!(h.insert_in(&b, 7, 70).is_ok());
         assert!(h.insert_in(&b, 7, 71).is_err(), "duplicate rejected");
-        assert_eq!(h.get_in(&b, &7), Some(70));
-        assert!(h.contains_in(&b, &7));
         assert_eq!(h.get_with_in(&b, &7, |v| v + 1), Some(71));
         assert_eq!(h.try_read_in(&b, &7), Some(70));
-        assert_eq!(h.remove_in(&b, &7), Some(70));
-        assert_eq!(h.get_in(&b, &7), None);
+        assert_eq!(h.remove_with_in(&b, &7, |v| *v), Some(70));
+        assert_eq!(h.get_with_in(&b, &7, |v| *v), None);
         assert_eq!(b.len(), 0);
         assert_eq!(a.len(), 0, "sibling ops never touch the handle's list");
     }
@@ -225,7 +191,7 @@ mod tests {
         let a: FrList<u32, u32, Ebr> = FrList::new();
         let other: FrList<u32, u32, Ebr> = FrList::new();
         let h = a.handle();
-        let _ = h.get_in(&other, &1);
+        let _ = h.get_with_in(&other, &1, |_| ());
     }
 
     #[test]
@@ -237,7 +203,7 @@ mod tests {
             h.insert_in(&b, k, k).unwrap();
         }
         for k in 0..32 {
-            assert_eq!(h.remove_in(&b, &k), Some(k));
+            assert_eq!(h.remove_with_in(&b, &k, |v| *v), Some(k));
         }
         // Drain reclamation so the retires recycle.
         for _ in 0..64 {

@@ -5,6 +5,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use super::{FlagStatus, FrList, Level, LevelNode};
+use crate::MapHandle;
 
 #[test]
 fn empty_list() {
@@ -400,7 +401,7 @@ fn from_iterator_and_extend() {
 
 #[test]
 fn set_facade_and_handle() {
-    use super::ListSet;
+    use crate::ListSet;
     let set = ListSet::new();
     let h = set.handle();
     assert!(h.insert(3));
@@ -411,7 +412,7 @@ fn set_facade_and_handle() {
     assert!(!h.remove(&3));
     assert_eq!(set.len(), 1);
     assert!(!set.is_empty());
-    assert!(format!("{set:?}").contains("ListSet"));
+    assert!(format!("{set:?}").contains("FrList"));
     assert!(!format!("{h:?}").is_empty());
-    assert_eq!(set.as_list().len(), 1);
+    assert_eq!(set.as_map().len(), 1);
 }

@@ -1,13 +1,7 @@
-use std::ops::Bound;
-
-use lf_reclaim::{Publish, Reclaim};
-
-use crate::{merged_range, FrList, ListHandle, SkipList, SkipListHandle};
-
 /// The paper's dictionary (Insert, Delete, Search) as one interface:
 /// a map shared by threads that each operate through their own
 /// registered [`MapHandle`]. Every structure of the workspace implements
-/// it by forwarding to its inherent methods.
+/// it beside its handle, whose `MapHandle` impl holds the operations.
 pub trait ConcurrentMap: Send + Sync {
     /// Key type.
     type Key;
@@ -44,7 +38,10 @@ pub trait ConcurrentMap: Send + Sync {
     }
 }
 
-/// The per-thread operations of a [`ConcurrentMap`].
+/// The per-thread operations of a [`ConcurrentMap`]: each structure
+/// writes `insert`, `remove_with` and `get_with` once, in its impl of
+/// this trait; `get`, `remove` and `contains` are derived from them
+/// here.
 pub trait MapHandle<K, V> {
     /// Insert `key → value`.
     ///
@@ -54,12 +51,33 @@ pub trait MapHandle<K, V> {
     fn insert(&self, key: K, value: V) -> Result<(), (K, V)>;
 
     /// Remove `key` and apply `f` to a borrow of its value (`None`, and
-    /// `f` not called, if the key was absent).
+    /// `f` not called, if the key was absent or another remover won).
     fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T>;
 
     /// Look up `key` and apply `f` to a borrow of its value in place
     /// (`None`, and `f` not called, if the key is absent).
     fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T>;
+
+    /// Remove `key`, returning a clone of its value.
+    fn remove(&self, key: &K) -> Option<V>
+    where
+        V: Clone,
+    {
+        self.remove_with(key, V::clone)
+    }
+
+    /// Look up `key`, returning a clone of its value.
+    fn get(&self, key: &K) -> Option<V>
+    where
+        V: Clone,
+    {
+        self.get_with(key, V::clone)
+    }
+
+    /// Whether `key` is present.
+    fn contains(&self, key: &K) -> bool {
+        self.get_with(key, |_| ()).is_some()
+    }
 
     /// Show `visit` the pairs with keys strictly after `after` (`None`:
     /// from the smallest key) in ascending key order, until it returns
@@ -83,131 +101,34 @@ pub trait MapHandle<K, V> {
     fn flush_reclamation(&self) {}
 }
 
-impl<K, V, R> ConcurrentMap for FrList<K, V, R>
-where
-    K: Ord + Clone + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-    R: Reclaim + Publish<K> + Publish<V>,
-{
-    type Key = K;
-    type Value = V;
-    type Handle<'a>
-        = ListHandle<'a, K, V, R>
-    where
-        Self: 'a;
-
-    const ORDERED: bool = true;
-
-    fn handle(&self) -> Self::Handle<'_> {
-        FrList::handle(self)
-    }
-
-    fn len(&self) -> usize {
-        FrList::len(self)
-    }
-}
-
-impl<K, V, R> MapHandle<K, V> for ListHandle<'_, K, V, R>
-where
-    K: Ord + Clone + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-    R: Reclaim + Publish<K> + Publish<V>,
-{
+/// A borrowed handle is a handle: how the lock-based structures, each
+/// its own handle, serve as their `ConcurrentMap::Handle` (`&Self`).
+impl<K, V, H: MapHandle<K, V>> MapHandle<K, V> for &H {
     fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
-        ListHandle::insert(self, key, value)
+        (**self).insert(key, value)
     }
 
     fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        ListHandle::remove_with(self, key, f)
+        (**self).remove_with(key, f)
     }
 
     fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        ListHandle::get_with(self, key, f)
+        (**self).get_with(key, f)
     }
 
     fn scan(&self, after: Option<&K>, visit: &mut dyn FnMut(&K, &V) -> bool) {
-        // The list iterates in key order; skip to strictly after the
-        // cursor (no positioned descent on a list).
-        let from_cursor = self
-            .iter()
-            .skip_while(|(k, _)| matches!(after, Some(a) if k <= a));
-        for (k, v) in from_cursor {
-            if !visit(&k, &v) {
-                break;
-            }
-        }
+        (**self).scan(after, visit);
     }
 
     fn amortize_pins(&self, every: u32) {
-        ListHandle::amortize_pins(self, every);
+        (**self).amortize_pins(every);
     }
 
     fn quiesce(&self) {
-        ListHandle::quiesce(self);
+        (**self).quiesce();
     }
 
     fn flush_reclamation(&self) {
-        ListHandle::flush_reclamation(self);
-    }
-}
-
-impl<K, V, R> ConcurrentMap for SkipList<K, V, R>
-where
-    K: Ord + Send + Sync + 'static,
-    V: Send + Sync + 'static,
-    R: Reclaim + Publish<K> + Publish<V>,
-{
-    type Key = K;
-    type Value = V;
-    type Handle<'a>
-        = SkipListHandle<'a, K, V, R>
-    where
-        Self: 'a;
-
-    const ORDERED: bool = true;
-
-    fn handle(&self) -> Self::Handle<'_> {
-        SkipList::handle(self)
-    }
-
-    fn len(&self) -> usize {
-        SkipList::len(self)
-    }
-}
-
-impl<K, V, R> MapHandle<K, V> for SkipListHandle<'_, K, V, R>
-where
-    K: Ord + Send + Sync + 'static,
-    V: Send + Sync + 'static,
-    R: Reclaim + Publish<K> + Publish<V>,
-{
-    fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
-        SkipListHandle::insert(self, key, value)
-    }
-
-    fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        SkipListHandle::remove_with(self, key, f)
-    }
-
-    fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        SkipListHandle::get_with(self, key, f)
-    }
-
-    fn scan(&self, after: Option<&K>, visit: &mut dyn FnMut(&K, &V) -> bool) {
-        // The sharded tier's walk, over this one list.
-        let start = after.map_or(Bound::Unbounded, Bound::Excluded);
-        merged_range(&[self], start, Bound::Unbounded, visit);
-    }
-
-    fn amortize_pins(&self, every: u32) {
-        SkipListHandle::amortize_pins(self, every);
-    }
-
-    fn quiesce(&self) {
-        SkipListHandle::quiesce(self);
-    }
-
-    fn flush_reclamation(&self) {
-        SkipListHandle::flush_reclamation(self);
+        (**self).flush_reclamation();
     }
 }

@@ -12,6 +12,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::skiplist::{SkipList, SkipListHandle};
+use crate::MapHandle;
 
 /// A lock-free min-priority queue.
 ///

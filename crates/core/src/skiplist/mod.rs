@@ -24,11 +24,9 @@ mod node;
 mod range;
 mod read;
 mod scan;
-mod set;
 
 pub use range::{RangeIter, SkipIter};
 pub use scan::merged_range;
-pub use set::{SkipSet, SkipSetHandle};
 
 pub(crate) use node::SkipNode;
 
@@ -45,6 +43,7 @@ use rand::{RngCore, SeedableRng};
 
 use crate::list::{self, Bound, LevelNode, Mode, PIN_AMORTIZE_OPS};
 use crate::pool::{LocalPool, SharedPool};
+use crate::{ConcurrentMap, MapHandle};
 
 /// Default number of levels (towers grow to at most one less, so the
 /// top level is always empty and descent can start there).
@@ -66,7 +65,7 @@ pub const DEFAULT_MAX_LEVEL: usize = 32;
 /// # Examples
 ///
 /// ```
-/// use lf_core::SkipList;
+/// use lf_core::{MapHandle, SkipList};
 ///
 /// let map = SkipList::new();
 /// let h = map.handle();
@@ -250,7 +249,7 @@ where
         }
     }
 
-    /// Insert through a temporary handle. See [`SkipListHandle::insert`].
+    /// Insert through a temporary handle. See [`MapHandle::insert`].
     ///
     /// # Errors
     ///
@@ -259,7 +258,7 @@ where
         self.handle().insert(key, value)
     }
 
-    /// Remove through a temporary handle. See [`SkipListHandle::remove`].
+    /// Remove through a temporary handle. See [`MapHandle::remove`].
     pub fn remove(&self, key: &K) -> Option<V>
     where
         V: Clone,
@@ -267,7 +266,7 @@ where
         self.handle().remove(key)
     }
 
-    /// Lookup through a temporary handle. See [`SkipListHandle::get`].
+    /// Lookup through a temporary handle. See [`MapHandle::get`].
     pub fn get(&self, key: &K) -> Option<V>
     where
         V: Clone,
@@ -581,18 +580,7 @@ where
     V: Send + Sync + 'static,
     R: Reclaim + Publish<K> + Publish<V>,
 {
-    /// Insert `key → value`. Linearizes when the tower's root node is
-    /// linked into level 1.
-    ///
-    /// # Errors
-    ///
-    /// If `key` is already present, returns `Err((key, value))`.
-    pub fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
-        let height_bits = self.heights.borrow_mut().next_u64();
-        self.insert_bits(key, value, height_bits)
-    }
-
-    /// [`insert`](Self::insert) with a tower of exactly `height` levels
+    /// [`insert`](MapHandle::insert) with a tower of exactly `height` levels
     /// (capped at `max_level - 1`) instead of a drawn one, for scripted
     /// schedules.
     ///
@@ -612,68 +600,6 @@ where
             self.list
                 .insert_impl(key, value, height_bits, &self.pool, guard)
         })
-    }
-
-    /// Remove `key`, returning its value. Linearizes when the root node
-    /// becomes marked.
-    pub fn remove(&self, key: &K) -> Option<V>
-    where
-        V: Clone,
-    {
-        self.remove_with(key, V::clone)
-    }
-
-    /// Remove `key` and apply `f` to a borrow of its value, without
-    /// cloning (`None` if the key was absent or another remover won).
-    /// `f` runs under this handle's pin, as for
-    /// [`get_with`](Self::get_with).
-    pub fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        // SAFETY: the guard pins this list's domain.
-        self.bracket(|guard| unsafe { self.list.delete_impl(key, guard, f) })
-    }
-
-    /// Look up `key`, returning a clone of its value.
-    pub fn get(&self, key: &K) -> Option<V>
-    where
-        V: Clone,
-    {
-        self.get_with(key, V::clone)
-    }
-
-    /// Look up `key` and apply `f` to a borrow of its value, without
-    /// cloning (`None` if the key is absent).
-    ///
-    /// The visitor runs under this handle's pin: the borrow is
-    /// valid for exactly the duration of the call, so `f` must not
-    /// stash it. Keep `f` short — the pin delays reclamation
-    /// domain-wide while it runs.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use lf_core::SkipList;
-    ///
-    /// let map = SkipList::new();
-    /// let h = map.handle();
-    /// h.insert(1, "one".to_string()).unwrap();
-    /// assert_eq!(h.get_with(&1, |v| v.len()), Some(3));
-    /// assert_eq!(h.get_with(&2, |v| v.len()), None);
-    /// ```
-    pub fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        // SAFETY: the guard pins this list's domain; the root (and
-        // the borrow of its element handed to `f`) stays valid while
-        // the guard lives, which spans the visitor call.
-        self.bracket(|guard| unsafe {
-            // ord: Release/Acquire/Relaxed — LIST.flag-cas: search helps flagged deletions (wrapped C&S)
-            self.list
-                .search_impl(key, guard)
-                .map(|n| f((*n).element.as_ref().expect("root node has element")))
-        })
-    }
-
-    /// Whether `key` is present.
-    pub fn contains(&self, key: &K) -> bool {
-        self.get_with(key, |_| ()).is_some()
     }
 
     /// One point operation: `body` under one pin of this handle,
@@ -721,7 +647,7 @@ where
     /// # Examples
     ///
     /// ```
-    /// use lf_core::SkipList;
+    /// use lf_core::{MapHandle, SkipList};
     ///
     /// let map = SkipList::new();
     /// let h = map.handle();
@@ -799,21 +725,93 @@ where
     pub fn list(&self) -> &'l SkipList<K, V, R> {
         self.list
     }
+}
 
-    /// Opportunistically advance reclamation. Withdraws this handle's
-    /// standing announcement (see `LocalHandle::quiesce`) first,
-    /// so garbage blocked on it can be freed.
-    pub fn flush_reclamation(&self) {
-        R::flush(&self.reclaim);
+impl<K, V, R> ConcurrentMap for SkipList<K, V, R>
+where
+    K: Ord + Send + Sync + 'static,
+    V: Send + Sync + 'static,
+    R: Reclaim + Publish<K> + Publish<V>,
+{
+    type Key = K;
+    type Value = V;
+    type Handle<'a>
+        = SkipListHandle<'a, K, V, R>
+    where
+        Self: 'a;
+
+    const ORDERED: bool = true;
+
+    fn handle(&self) -> Self::Handle<'_> {
+        SkipList::handle(self)
     }
 
-    /// Withdraw this handle's standing announcement without
-    /// collecting (see `LocalHandle::quiesce`). An idle but registered
-    /// handle otherwise delays reclamation domain-wide exactly like a
-    /// held guard; call this (or drop the handle) when the thread will
-    /// stop operating for a while.
-    pub fn quiesce(&self) {
-        R::quiesce(&self.reclaim);
+    fn len(&self) -> usize {
+        SkipList::len(self)
+    }
+}
+
+impl<K, V, R> MapHandle<K, V> for SkipListHandle<'_, K, V, R>
+where
+    K: Ord + Send + Sync + 'static,
+    V: Send + Sync + 'static,
+    R: Reclaim + Publish<K> + Publish<V>,
+{
+    /// Insert `key → value`. Linearizes when the tower's root node is
+    /// linked into level 1.
+    ///
+    /// # Errors
+    ///
+    /// If `key` is already present, returns `Err((key, value))`.
+    fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
+        let height_bits = self.heights.borrow_mut().next_u64();
+        self.insert_bits(key, value, height_bits)
+    }
+
+    /// Remove `key` and apply `f` to a borrow of its value, without
+    /// cloning (`None` if the key was absent or another remover won).
+    /// `f` runs under this handle's pin, as for `get_with`. A removal
+    /// linearizes when the root node becomes marked.
+    fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        // SAFETY: the guard pins this list's domain.
+        self.bracket(|guard| unsafe { self.list.delete_impl(key, guard, f) })
+    }
+
+    /// Look up `key` and apply `f` to a borrow of its value, without
+    /// cloning (`None` if the key is absent).
+    ///
+    /// The visitor runs under this handle's pin: the borrow is
+    /// valid for exactly the duration of the call, so `f` must not
+    /// stash it. Keep `f` short — the pin delays reclamation
+    /// domain-wide while it runs.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use lf_core::{MapHandle, SkipList};
+    ///
+    /// let map = SkipList::new();
+    /// let h = map.handle();
+    /// h.insert(1, "one".to_string()).unwrap();
+    /// assert_eq!(h.get_with(&1, |v| v.len()), Some(3));
+    /// assert_eq!(h.get_with(&2, |v| v.len()), None);
+    /// ```
+    fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        // SAFETY: the guard pins this list's domain; the root (and
+        // the borrow of its element handed to `f`) stays valid while
+        // the guard lives, which spans the visitor call.
+        self.bracket(|guard| unsafe {
+            // ord: Release/Acquire/Relaxed — LIST.flag-cas: search helps flagged deletions (wrapped C&S)
+            self.list
+                .search_impl(key, guard)
+                .map(|n| f((*n).element.as_ref().expect("root node has element")))
+        })
+    }
+
+    fn scan(&self, after: Option<&K>, visit: &mut dyn FnMut(&K, &V) -> bool) {
+        // The sharded tier's walk, over this one list.
+        let start = after.map_or(std::ops::Bound::Unbounded, std::ops::Bound::Excluded);
+        merged_range(&[self], start, std::ops::Bound::Unbounded, visit);
     }
 
     /// Re-tune how many consecutive operations share one standing pin
@@ -821,9 +819,25 @@ where
     ///
     /// Batch executors that drain `n` queued requests back-to-back set
     /// this to the batch size so a whole drained batch costs a single
-    /// announcement, then [`quiesce`](Self::quiesce) between batches.
-    pub fn amortize_pins(&self, every: u32) {
+    /// announcement, then `quiesce` between batches.
+    fn amortize_pins(&self, every: u32) {
         R::amortize_pins(&self.reclaim, every);
+    }
+
+    /// Withdraw this handle's standing announcement without
+    /// collecting (see `LocalHandle::quiesce`). An idle but registered
+    /// handle otherwise delays reclamation domain-wide exactly like a
+    /// held guard; call this (or drop the handle) when the thread will
+    /// stop operating for a while.
+    fn quiesce(&self) {
+        R::quiesce(&self.reclaim);
+    }
+
+    /// Opportunistically advance reclamation. Withdraws this handle's
+    /// standing announcement (see `LocalHandle::quiesce`) first,
+    /// so garbage blocked on it can be freed.
+    fn flush_reclamation(&self) {
+        R::flush(&self.reclaim);
     }
 }
 

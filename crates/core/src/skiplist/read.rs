@@ -20,6 +20,7 @@ use std::sync::atomic::{fence, Ordering};
 use lf_reclaim::{Pod, Publish, Reclaim, BIRTH_BUILDING};
 
 use super::{SkipList, SkipListHandle};
+use crate::MapHandle;
 
 /// Optimistic traversal attempts before falling back to a pinned get.
 const READ_ATTEMPTS: usize = 3;

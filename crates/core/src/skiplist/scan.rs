@@ -275,6 +275,7 @@ where
 ///
 /// ```
 /// use lf_core::skiplist::{merged_range, SkipList};
+/// use lf_core::MapHandle;
 /// use std::ops::Bound;
 ///
 /// let a: SkipList<u64, u64> = SkipList::new();
@@ -391,6 +392,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MapHandle;
     use lf_reclaim::Ebr;
 
     /// Quiescent lists: the lock-step descent must stop on the very

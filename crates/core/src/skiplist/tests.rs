@@ -6,6 +6,7 @@ use std::sync::Arc;
 
 use super::SkipList;
 use crate::list::LevelNode;
+use crate::MapHandle;
 
 #[test]
 fn empty_skiplist() {
@@ -600,7 +601,7 @@ fn from_iterator_and_extend() {
 
 #[test]
 fn set_facade_and_handle() {
-    use super::SkipSet;
+    use crate::SkipSet;
     let set = SkipSet::new();
     let h = set.handle();
     assert!(h.insert(3));
@@ -611,9 +612,9 @@ fn set_facade_and_handle() {
     assert!(!h.remove(&3));
     assert_eq!(set.len(), 1);
     assert!(!set.is_empty());
-    assert!(format!("{set:?}").contains("SkipSet"));
+    assert!(format!("{set:?}").contains("SkipList"));
     assert!(!format!("{h:?}").is_empty());
-    assert_eq!(set.as_skiplist().len(), 1);
+    assert_eq!(set.as_map().len(), 1);
 }
 
 #[test]

@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use lf_core::{FrList, SkipList};
+use lf_core::{FrList, MapHandle, SkipList};
 use lf_reclaim::Reclaim;
 use proptest::prelude::*;
 

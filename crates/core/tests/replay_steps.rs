@@ -24,7 +24,7 @@
 use std::ops::Bound;
 
 use lf_core::skiplist::merged_range;
-use lf_core::{FrList, SkipList};
+use lf_core::{FrList, MapHandle, SkipList};
 use lf_reclaim::{Ebr, Publish, Reclaim};
 use lf_vbr::Vbr;
 
@@ -122,12 +122,15 @@ fn replay_siblings<R: Reclaim + Publish<u64>>() -> lf_metrics::Snapshot {
             }
             Some(list) => {
                 if i % 3 == 2 {
-                    h.remove_in(list, &key);
+                    h.remove_with_in(list, &key, |_| ());
                 } else {
                     let _ = h.insert_in(list, key, i);
                 }
-                let present = h.get_in(list, &key);
-                assert_eq!(h.contains_in(list, &key), present.is_some());
+                let present = h.get_with_in(list, &key, |v| *v);
+                assert_eq!(
+                    h.get_with_in(list, &key, |_| ()).is_some(),
+                    present.is_some()
+                );
                 assert_eq!(h.get_with_in(list, &key, |v| *v), present);
                 assert_eq!(h.try_read_in(list, &key), present);
                 present

@@ -40,13 +40,13 @@
 //!
 //! A point operation hashes its key **once**: [`hash_key`] is the
 //! tier's only SipHash, the bucket index is a fold of that word, and
-//! the `_hashed` entry points ([`BucketMapHandle::get_hashed`], … —
-//! the plain ops are thin wrappers) take the word from a caller that
-//! already holds it (`lf-shard`'s `ShardedMap` slices its shard index
-//! from the same word). One `lf-metrics` bracket surrounds the bucket
-//! op; the step delta its `op_end` returns is credited to the bucket
-//! in a block of cells the *handle* owns
-//! ([`lf_metrics::PartitionTally`]: owner-only bumps, no RMW, no
+//! the `_hashed` entry points ([`BucketMapHandle::get_with_hashed`], …;
+//! the handle's [`MapHandle`] ops hash the key and call them) take the
+//! word from a caller that already holds it (`lf-shard`'s `ShardedMap`
+//! slices its shard index from the same word). One `lf-metrics`
+//! bracket surrounds the bucket op; the step delta its `op_end`
+//! returns is credited to the bucket in a block of cells the *handle*
+//! owns ([`lf_metrics::PartitionTally`]: owner-only bumps, no RMW, no
 //! shared line). The map holds no per-bucket statistics storage: an
 //! empty `BucketMap::new(1024)` allocates ~240 KiB, a handle another
 //! 256 B per bucket.
@@ -54,6 +54,7 @@
 //! # Examples
 //!
 //! ```
+//! use lf_core::MapHandle;
 //! use lf_map::BucketMap;
 //!
 //! let map: BucketMap<u64, &str> = BucketMap::new(16);
@@ -350,36 +351,25 @@ where
         res
     }
 
-    /// Insert `(key, value)` into the key's bucket. Returns the
-    /// rejected pair if `key` is already present.
-    ///
-    /// # Errors
-    ///
-    /// Returns the rejected pair if `key` is already present.
+    /// [`MapHandle::insert`], inherent because `stackbench/src/tier.rs` calls it by path.
     pub fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
-        self.insert_hashed(hash_key(&key), key, value)
+        MapHandle::insert(self, key, value)
     }
 
-    /// Remove `key` from its bucket, returning its value.
+    /// [`MapHandle::remove`], inherent because `stackbench/src/tier.rs` calls it by path.
     pub fn remove(&self, key: &K) -> Option<V>
     where
         V: Clone,
     {
-        self.remove_hashed(hash_key(key), key)
+        MapHandle::remove(self, key)
     }
 
-    /// Remove `key` from its bucket and apply `f` to a borrow of its
-    /// value, without cloning; see [`ListHandle::remove_with`].
-    pub fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        self.remove_with_hashed(hash_key(key), key, f)
-    }
-
-    /// Look up `key` in its bucket, returning a clone of its value.
+    /// [`MapHandle::get`], inherent because `stackbench/src/tier.rs` calls it by path.
     pub fn get(&self, key: &K) -> Option<V>
     where
         V: Clone,
     {
-        self.get_hashed(hash_key(key), key)
+        MapHandle::get(self, key)
     }
 
     /// Look up `key` in its bucket without pinning the reclamation
@@ -397,18 +387,6 @@ where
         self.try_read_hashed(hash_key(key), key)
     }
 
-    /// Zero-copy lookup: run `f` over the value in place (under the
-    /// bucket's epoch pin) instead of cloning it out. Keep `f` short —
-    /// the pin delays reclamation for the whole shared domain.
-    pub fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        self.get_with_hashed(hash_key(key), key, f)
-    }
-
-    /// Whether `key` is present in its bucket.
-    pub fn contains(&self, key: &K) -> bool {
-        self.contains_hashed(hash_key(key), key)
-    }
-
     /// [`insert`](Self::insert) given `hash == hash_key(&key)`. As for
     /// every `_hashed` entry point, a `hash` that is not the key's is
     /// memory-safe but routes to the wrong bucket, where the key's
@@ -422,27 +400,10 @@ where
         self.routed(hash, |h, bucket| h.insert_in(bucket, key, value))
     }
 
-    /// [`remove`](Self::remove) given `hash == hash_key(key)`.
-    pub fn remove_hashed(&self, hash: u64, key: &K) -> Option<V>
-    where
-        V: Clone,
-    {
-        self.remove_with_hashed(hash, key, V::clone)
-    }
-
-    /// [`remove_with`](Self::remove_with) given `hash == hash_key(key)`.
+    /// [`remove_with`](MapHandle::remove_with) given `hash == hash_key(key)`.
     pub fn remove_with_hashed<T>(&self, hash: u64, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
         debug_assert_eq!(hash, hash_key(key));
         self.routed(hash, |h, bucket| h.remove_with_in(bucket, key, f))
-    }
-
-    /// [`get`](Self::get) given `hash == hash_key(key)`.
-    pub fn get_hashed(&self, hash: u64, key: &K) -> Option<V>
-    where
-        V: Clone,
-    {
-        debug_assert_eq!(hash, hash_key(key));
-        self.routed(hash, |h, bucket| h.get_in(bucket, key))
     }
 
     /// [`try_read`](Self::try_read) given `hash == hash_key(key)`.
@@ -455,16 +416,10 @@ where
         self.routed(hash, |h, bucket| h.try_read_in(bucket, key))
     }
 
-    /// [`get_with`](Self::get_with) given `hash == hash_key(key)`.
+    /// [`get_with`](MapHandle::get_with) given `hash == hash_key(key)`.
     pub fn get_with_hashed<T>(&self, hash: u64, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
         debug_assert_eq!(hash, hash_key(key));
         self.routed(hash, |h, bucket| h.get_with_in(bucket, key, f))
-    }
-
-    /// [`contains`](Self::contains) given `hash == hash_key(key)`.
-    pub fn contains_hashed(&self, hash: u64, key: &K) -> bool {
-        debug_assert_eq!(hash, hash_key(key));
-        self.routed(hash, |h, bucket| h.contains_in(bucket, key))
     }
 
     /// Unordered iteration over every bucket under **one** amortized
@@ -498,25 +453,6 @@ where
     #[must_use]
     pub fn map(&self) -> &'m BucketMap<K, V, R> {
         self.map
-    }
-
-    /// Announce a quiescent point; see [`ListHandle::quiesce`]. One
-    /// call covers every bucket (single registration).
-    pub fn quiesce(&self) {
-        self.handle.quiesce();
-    }
-
-    /// Drain deferred reclamation; see
-    /// [`ListHandle::flush_reclamation`]. One call covers every bucket.
-    pub fn flush_reclamation(&self) {
-        self.handle.flush_reclamation();
-    }
-
-    /// Set pin amortization; see [`ListHandle::amortize_pins`]. The
-    /// counter is per map handle, so it advances once per routed
-    /// operation regardless of which bucket the key lands in.
-    pub fn amortize_pins(&self, every: u32) {
-        self.handle.amortize_pins(every);
     }
 }
 
@@ -565,28 +501,44 @@ where
     V: Send + Sync + 'static,
     R: Reclaim + Publish<K> + Publish<V>,
 {
+    /// Insert `(key, value)` into the key's bucket.
+    ///
+    /// # Errors
+    ///
+    /// Returns the rejected pair if `key` is already present.
     fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
-        BucketMapHandle::insert(self, key, value)
+        self.insert_hashed(hash_key(&key), key, value)
     }
 
+    /// Remove `key` from its bucket and apply `f` to a borrow of its
+    /// value, without cloning.
     fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        BucketMapHandle::remove_with(self, key, f)
+        self.remove_with_hashed(hash_key(key), key, f)
     }
 
+    /// Zero-copy lookup: run `f` over the value in place (under the
+    /// bucket's epoch pin) instead of cloning it out. Keep `f` short —
+    /// the pin delays reclamation for the whole shared domain.
     fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        BucketMapHandle::get_with(self, key, f)
+        self.get_with_hashed(hash_key(key), key, f)
     }
 
+    /// Set pin amortization on the one list handle. The counter is per
+    /// map handle, so it advances once per routed operation regardless
+    /// of which bucket the key lands in.
     fn amortize_pins(&self, every: u32) {
-        BucketMapHandle::amortize_pins(self, every);
+        self.handle.amortize_pins(every);
     }
 
+    /// Announce a quiescent point. One call covers every bucket (single
+    /// registration).
     fn quiesce(&self) {
-        BucketMapHandle::quiesce(self);
+        self.handle.quiesce();
     }
 
+    /// Drain deferred reclamation. One call covers every bucket.
     fn flush_reclamation(&self) {
-        BucketMapHandle::flush_reclamation(self);
+        self.handle.flush_reclamation();
     }
 }
 

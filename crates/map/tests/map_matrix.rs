@@ -19,6 +19,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use lf_core::MapHandle;
 use lf_map::BucketMap;
 use lf_reclaim::Reclaim;
 use proptest::prelude::*;

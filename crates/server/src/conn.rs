@@ -169,6 +169,9 @@ pub(crate) fn run<B: ByteBackend>(
 ) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(read_timeout));
+    // Replies are written at the same cadence, so a client that stops
+    // reading cannot hold this thread (and `Server::stop`) forever.
+    let _ = stream.set_write_timeout(Some(read_timeout));
     let hb = service
         .watchdog()
         .map(|wd| wd.register(&format!("conn-{id}")));
@@ -265,7 +268,7 @@ pub(crate) fn run<B: ByteBackend>(
             resp::write_error(&mut out, &format!("ERR {e}"));
             close = true;
         }
-        if !out.is_empty() && stream.write_all(&out).is_err() {
+        if !write_reply(&mut stream, &out, stop) {
             break;
         }
         if close {
@@ -275,6 +278,32 @@ pub(crate) fn run<B: ByteBackend>(
     if let Some(h) = &hb {
         h.idle();
     }
+}
+
+/// Write `buf` whole, resuming partial writes. A write that times out
+/// (the client is not reading) is retried until the server stops;
+/// `false` means the connection should close.
+fn write_reply(stream: &mut TcpStream, mut buf: &[u8], stop: &StopSignal) -> bool {
+    while !buf.is_empty() {
+        match stream.write(buf) {
+            Ok(0) => return false,
+            Ok(n) => buf = &buf[n..],
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock
+                        | std::io::ErrorKind::TimedOut
+                        | std::io::ErrorKind::Interrupted
+                ) =>
+            {
+                if stop.is_set() {
+                    return false;
+                }
+            }
+            Err(_) => return false,
+        }
+    }
+    true
 }
 
 /// Turn one argument vector into a [`Pending`] reply, appending its

@@ -139,8 +139,9 @@ impl ServerBuilder {
         self
     }
 
-    /// Socket read timeout — the granularity at which idle connection
-    /// threads notice the stop signal.
+    /// Socket read (and reply write) timeout — the granularity at which
+    /// connection threads, idle or blocked on a client that stopped
+    /// reading, notice the stop signal.
     pub fn read_timeout(mut self, t: Duration) -> Self {
         self.read_timeout = t.max(Duration::from_millis(1));
         self

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use lf_async::ServiceBuilder;
-use lf_core::SkipList;
+use lf_core::{MapHandle, SkipList};
 use lf_reclaim::{Ebr, Reclaim};
 use lf_server::resp::{self, Reply};
 use lf_server::{Bytes, ServerBuilder};

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use lf_async::{AsyncHashMap, BackpressurePolicy, Service, ServiceBuilder};
-use lf_core::{FrList, SkipList};
+use lf_core::{FrList, MapHandle, SkipList};
 use lf_map::{BucketMap, DEFAULT_BUCKETS};
 use lf_server::resp::{self, Reply};
 use lf_server::{ByteBackend, Bytes, ServerBuilder};
@@ -1123,5 +1123,35 @@ fn shutdown_is_gated_and_stops_the_server_when_allowed() {
     server.wait();
     assert!(server.stop_requested());
     server.stop();
+    service.shutdown();
+}
+
+#[test]
+fn stop_returns_while_a_client_has_stopped_reading() {
+    let service = Arc::new(
+        ServiceBuilder::new()
+            .workers(1)
+            .build(BucketMap::<Bytes, Bytes>::new(DEFAULT_BUCKETS)),
+    );
+    let server = ServerBuilder::new().serve(Arc::clone(&service)).unwrap();
+    let mut c = Client::connect(server.local_addr());
+    let value = vec![b'v'; 1 << 20];
+    assert_eq!(c.roundtrip(&[b"SET", b"big", &value]), simple("OK"));
+    // 64 MiB of replies nobody reads: the reply write fills both socket
+    // buffers and blocks.
+    for _ in 0..64 {
+        c.push(&[b"GET", b"big"]);
+    }
+    c.flush();
+    std::thread::sleep(Duration::from_millis(300));
+    let (done, stopped) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.stop();
+        let _ = done.send(());
+    });
+    stopped
+        .recv_timeout(Duration::from_secs(5))
+        .expect("Server::stop hangs on a connection whose client stopped reading");
+    drop(c);
     service.shutdown();
 }

@@ -27,6 +27,7 @@
 //! # Examples
 //!
 //! ```
+//! use lf_core::MapHandle;
 //! use lf_shard::ShardedSkipList;
 //!
 //! let map: ShardedSkipList<u64, &str> = ShardedSkipList::new(8);
@@ -335,34 +336,25 @@ impl<'s, S: Shard + 's> RoutedHandle<'s, S> {
         S::routed(&self.tally, i, &self.handles[i], op)
     }
 
-    /// Insert `(key, value)` into the key's shard; hands both back if
-    /// `key` is present.
+    /// [`MapHandle::insert`], inherent because `stackbench/src/tier.rs` calls it by path.
     pub fn insert(&self, key: S::Key, value: S::Value) -> Result<(), (S::Key, S::Value)> {
-        let hash = hash_key(&key);
-        self.routed(hash, |h| S::insert_hashed(h, hash, key, value))
+        MapHandle::insert(self, key, value)
     }
 
-    /// Remove `key` from its shard, returning its value.
+    /// [`MapHandle::remove`], inherent because `stackbench/src/tier.rs` calls it by path.
     pub fn remove(&self, key: &S::Key) -> Option<S::Value>
     where
         S::Value: Clone,
     {
-        self.remove_with(key, S::Value::clone)
+        MapHandle::remove(self, key)
     }
 
-    /// Remove `key` from its shard and apply `f` to a borrow of its
-    /// value, without cloning.
-    pub fn remove_with<T>(&self, key: &S::Key, f: impl FnOnce(&S::Value) -> T) -> Option<T> {
-        let hash = hash_key(key);
-        self.routed(hash, |h| S::remove_with_hashed(h, hash, key, f))
-    }
-
-    /// Look up `key` in its shard, returning a clone of its value.
+    /// [`MapHandle::get`], inherent because `stackbench/src/tier.rs` calls it by path.
     pub fn get(&self, key: &S::Key) -> Option<S::Value>
     where
         S::Value: Clone,
     {
-        self.get_with(key, S::Value::clone)
+        MapHandle::get(self, key)
     }
 
     /// Look up `key` in its shard without pinning the reclamation
@@ -376,18 +368,6 @@ impl<'s, S: Shard + 's> RoutedHandle<'s, S> {
     {
         let hash = hash_key(key);
         self.routed(hash, |h| S::try_read_hashed(h, hash, key))
-    }
-
-    /// Zero-copy lookup: run `f` over the value in place (under the
-    /// shard's epoch pin) instead of cloning it out.
-    pub fn get_with<T>(&self, key: &S::Key, f: impl FnOnce(&S::Value) -> T) -> Option<T> {
-        let hash = hash_key(key);
-        self.routed(hash, |h| S::get_with_hashed(h, hash, key, f))
-    }
-
-    /// Whether `key` is present in its shard.
-    pub fn contains(&self, key: &S::Key) -> bool {
-        self.get_with(key, |_| ()).is_some()
     }
 }
 
@@ -427,16 +407,25 @@ impl<S: Shard> ConcurrentMap for Sharded<S> {
 /// counter `P`× slower, so epoch announcements are up to `P × every`
 /// operations apart.
 impl<'s, S: Shard + 's> MapHandle<S::Key, S::Value> for RoutedHandle<'s, S> {
+    /// Insert `(key, value)` into the key's shard; hands both back if
+    /// `key` is present.
     fn insert(&self, key: S::Key, value: S::Value) -> Result<(), (S::Key, S::Value)> {
-        RoutedHandle::insert(self, key, value)
+        let hash = hash_key(&key);
+        self.routed(hash, |h| S::insert_hashed(h, hash, key, value))
     }
 
+    /// Remove `key` from its shard and apply `f` to a borrow of its
+    /// value, without cloning.
     fn remove_with<T>(&self, key: &S::Key, f: impl FnOnce(&S::Value) -> T) -> Option<T> {
-        RoutedHandle::remove_with(self, key, f)
+        let hash = hash_key(key);
+        self.routed(hash, |h| S::remove_with_hashed(h, hash, key, f))
     }
 
+    /// Zero-copy lookup: run `f` over the value in place (under the
+    /// shard's epoch pin) instead of cloning it out.
     fn get_with<T>(&self, key: &S::Key, f: impl FnOnce(&S::Value) -> T) -> Option<T> {
-        RoutedHandle::get_with(self, key, f)
+        let hash = hash_key(key);
+        self.routed(hash, |h| S::get_with_hashed(h, hash, key, f))
     }
 
     fn scan(&self, after: Option<&S::Key>, visit: &mut dyn FnMut(&S::Key, &S::Value) -> bool) {

@@ -158,6 +158,7 @@ pub type ShardedMapIter<'h, 's, K, V, R = Ebr> = Flatten<vec::IntoIter<ChainIter
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lf_core::MapHandle;
     use lf_vbr::Vbr;
 
     #[test]

@@ -200,6 +200,7 @@ where
 #[cfg(test)]
 mod tests {
     use crate::ShardedSkipList;
+    use lf_core::MapHandle;
     use lf_vbr::Vbr;
 
     #[test]

@@ -1,7 +1,8 @@
 //! `ConcurrentMap` conformance: every structure of the stack, over both
 //! an epoch-based (`Ebr`) and a version-based (`Vbr`) reclamation
 //! backend, and the seven concurrent baselines, runs one seeded
-//! sequential script through the trait alone and must agree with a
+//! sequential script through the trait alone (its provided `get`,
+//! `remove` and `contains` included) and must agree with a
 //! `BTreeMap` oracle on every reply, on the closures' call counts, on
 //! partitioning, and on what `scan` shows.
 
@@ -38,7 +39,7 @@ where
             .wrapping_add(1_442_695_040_888_963_407);
         let key = (rng >> 33) % KEYS;
         let value = rng >> 44;
-        match (rng >> 20) % 3 {
+        match (rng >> 20) % 4 {
             0 => match h.insert(key, value) {
                 Ok(()) => assert_eq!(oracle.insert(key, value), None),
                 Err(refused) => {
@@ -59,7 +60,7 @@ where
                 assert_eq!(got, oracle.remove(&key));
                 assert_eq!(calls, usize::from(got.is_some()), "remove_with closure");
             }
-            _ => {
+            2 => {
                 let mut calls = 0;
                 let got = h.get_with(&key, |v| {
                     calls += 1;
@@ -68,6 +69,12 @@ where
                 assert_eq!(got, oracle.get(&key).copied());
                 assert_eq!(calls, usize::from(got.is_some()), "get_with closure");
             }
+            // The trait's provided forms, derived from the two above.
+            _ => match (rng >> 24) % 3 {
+                0 => assert_eq!(h.remove(&key), oracle.remove(&key)),
+                1 => assert_eq!(h.get(&key), oracle.get(&key).copied()),
+                _ => assert_eq!(h.contains(&key), oracle.contains_key(&key)),
+            },
         }
         assert_eq!(map.partition_of(&key), partition(&map, &key));
         assert_eq!(map.len(), oracle.len());

@@ -14,6 +14,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
 
 use lf_core::skiplist::{merged_range, SkipList};
+use lf_core::MapHandle;
 use lf_shard::ShardedSkipList;
 use proptest::prelude::*;
 

@@ -10,6 +10,7 @@
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread;
 
+use lf_core::MapHandle;
 use lf_map::BucketMap;
 use lf_metrics::{Registry, Structure, TallySnapshot, Telemetry};
 use lf_shard::ShardedSkipList;

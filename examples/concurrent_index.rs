@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use lockfree_lists::map::BucketMap;
-use lockfree_lists::SkipList;
+use lockfree_lists::{MapHandle, SkipList};
 
 const EVENTS_PER_PRODUCER: u64 = 5_000;
 const PRODUCERS: u64 = 4;

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use lockfree_lists::map::BucketMap;
-use lockfree_lists::{FrList, SkipList, SkipSet};
+use lockfree_lists::{FrList, MapHandle, SkipList, SkipSet};
 
 fn main() {
     // --- FrList: the paper's §3 linked list -------------------------

@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use lockfree_lists::SkipList;
+use lockfree_lists::{MapHandle, SkipList};
 
 fn main() {
     const KEYS: u64 = 20_000;

@@ -34,6 +34,11 @@
 /// ```
 pub mod thread_safety_contracts {}
 
+/// The README's Rust samples, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
+
 pub use lf_baselines as baselines;
 pub use lf_core::*;
 pub use lf_hazard as hazard;

@@ -11,112 +11,117 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use lockfree_lists::baselines::{HarrisList, MichaelList, NoFlagList, RestartSkipList};
-use lockfree_lists::{FrList, SkipList};
+use lf_shard::{ShardedMap, ShardedSkipList};
+use lockfree_lists::baselines::{
+    CoarseLockList, HarrisList, HohLockList, LockSkipList, MichaelList, NoFlagList, RestartSkipList,
+};
+use lockfree_lists::map::BucketMap;
+use lockfree_lists::{ConcurrentMap, FrList, MapHandle, SkipList};
 
 /// Generic per-key accounting stress: threads randomly insert/remove
 /// over a small hot key space; afterwards, per-key winner counts must
 /// explain the final contents exactly.
-macro_rules! per_key_accounting_body {
-    ($make:expr, $ins:expr, $rem:expr, $has:expr) => {{
-        const KEYS: usize = 16;
-        const THREADS: u64 = 4;
-        const OPS: u64 = 2_000;
+fn per_key_accounting<M: ConcurrentMap<Key = u64, Value = u64>>(map: M) {
+    const KEYS: usize = 16;
+    const THREADS: u64 = 4;
+    const OPS: u64 = 2_000;
 
-        let map = Arc::new($make);
-        let ins_ok: Arc<Vec<AtomicU64>> = Arc::new((0..KEYS).map(|_| AtomicU64::new(0)).collect());
-        let rem_ok: Arc<Vec<AtomicU64>> = Arc::new((0..KEYS).map(|_| AtomicU64::new(0)).collect());
+    let ins_ok: Vec<AtomicU64> = (0..KEYS).map(|_| AtomicU64::new(0)).collect();
+    let rem_ok: Vec<AtomicU64> = (0..KEYS).map(|_| AtomicU64::new(0)).collect();
 
-        std::thread::scope(|s| {
-            for t in 0..THREADS {
-                let map = map.clone();
-                let ins_ok = ins_ok.clone();
-                let rem_ok = rem_ok.clone();
-                s.spawn(move || {
-                    let h = map.handle();
-                    let mut x = t.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-                    for _ in 0..OPS {
-                        x = x.wrapping_mul(6364136223846793005).wrapping_add(99);
-                        let k = ((x >> 33) as usize) % KEYS;
-                        let key = k as u64;
-                        if (x >> 7) & 1 == 0 {
-                            if ($ins)(&h, key) {
-                                ins_ok[k].fetch_add(1, Ordering::SeqCst);
-                            }
-                        } else if ($rem)(&h, key) {
-                            rem_ok[k].fetch_add(1, Ordering::SeqCst);
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let (map, ins_ok, rem_ok) = (&map, &ins_ok, &rem_ok);
+            s.spawn(move || {
+                let h = map.handle();
+                let mut x = t.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+                for _ in 0..OPS {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(99);
+                    let k = ((x >> 33) as usize) % KEYS;
+                    let key = k as u64;
+                    if (x >> 7) & 1 == 0 {
+                        if h.insert(key, key).is_ok() {
+                            ins_ok[k].fetch_add(1, Ordering::SeqCst);
                         }
+                    } else if h.remove(&key).is_some() {
+                        rem_ok[k].fetch_add(1, Ordering::SeqCst);
                     }
-                });
-            }
-        });
-
-        let h = map.handle();
-        for k in 0..KEYS {
-            let i = ins_ok[k].load(Ordering::SeqCst);
-            let r = rem_ok[k].load(Ordering::SeqCst);
-            let present = ($has)(&h, k as u64);
-            assert!(
-                i == r || i == r + 1,
-                "key {k}: {i} successful inserts vs {r} successful removes"
-            );
-            assert_eq!(
-                present,
-                i == r + 1,
-                "key {k}: presence disagrees with win counts ({i} ins, {r} rem)"
-            );
+                }
+            });
         }
-    }};
+    });
+
+    let h = map.handle();
+    for k in 0..KEYS {
+        let i = ins_ok[k].load(Ordering::SeqCst);
+        let r = rem_ok[k].load(Ordering::SeqCst);
+        let present = h.contains(&(k as u64));
+        assert!(
+            i == r || i == r + 1,
+            "key {k}: {i} successful inserts vs {r} successful removes"
+        );
+        assert_eq!(
+            present,
+            i == r + 1,
+            "key {k}: presence disagrees with win counts ({i} ins, {r} rem)"
+        );
+    }
 }
 
-macro_rules! per_key_accounting {
-    ($name:ident, $make:expr, $ins:expr, $rem:expr, $has:expr) => {
-        #[test]
-        fn $name() {
-            per_key_accounting_body!($make, $ins, $rem, $has);
-        }
-    };
+#[test]
+fn fr_list_per_key_accounting() {
+    per_key_accounting(FrList::<u64, u64>::new());
 }
 
-per_key_accounting!(
-    fr_list_per_key_accounting,
-    FrList::<u64, u64>::new(),
-    |h: &lockfree_lists::ListHandle<u64, u64>, key| h.insert(key, key).is_ok(),
-    |h: &lockfree_lists::ListHandle<u64, u64>, key| h.remove(&key).is_some(),
-    |h: &lockfree_lists::ListHandle<u64, u64>, key| h.contains(&key)
-);
+#[test]
+fn fr_skiplist_per_key_accounting() {
+    per_key_accounting(SkipList::<u64, u64>::new());
+}
 
-per_key_accounting!(
-    fr_skiplist_per_key_accounting,
-    SkipList::<u64, u64>::new(),
-    |h: &lockfree_lists::SkipListHandle<u64, u64>, key| h.insert(key, key).is_ok(),
-    |h: &lockfree_lists::SkipListHandle<u64, u64>, key| h.remove(&key).is_some(),
-    |h: &lockfree_lists::SkipListHandle<u64, u64>, key| h.contains(&key)
-);
+#[test]
+fn bucket_map_per_key_accounting() {
+    per_key_accounting(BucketMap::<u64, u64>::new(4));
+}
 
-per_key_accounting!(
-    harris_per_key_accounting,
-    HarrisList::<u64, u64>::new(),
-    |h: &lockfree_lists::baselines::HarrisHandle<u64, u64>, key| h.insert(key, key).is_ok(),
-    |h: &lockfree_lists::baselines::HarrisHandle<u64, u64>, key| h.remove(&key).is_some(),
-    |h: &lockfree_lists::baselines::HarrisHandle<u64, u64>, key| h.contains(&key)
-);
+#[test]
+fn sharded_skiplist_per_key_accounting() {
+    per_key_accounting(ShardedSkipList::<u64, u64>::new(4));
+}
 
-per_key_accounting!(
-    michael_per_key_accounting,
-    MichaelList::<u64, u64>::new(),
-    |h: &lockfree_lists::baselines::MichaelHandle<u64, u64>, key| h.insert(key, key).is_ok(),
-    |h: &lockfree_lists::baselines::MichaelHandle<u64, u64>, key| h.remove(&key).is_some(),
-    |h: &lockfree_lists::baselines::MichaelHandle<u64, u64>, key| h.contains(&key)
-);
+#[test]
+fn sharded_map_per_key_accounting() {
+    per_key_accounting(ShardedMap::<u64, u64>::new(2, 4));
+}
 
-per_key_accounting!(
-    noflag_per_key_accounting,
-    NoFlagList::<u64, u64>::new(),
-    |h: &lockfree_lists::baselines::NoFlagHandle<u64, u64>, key| h.insert(key, key).is_ok(),
-    |h: &lockfree_lists::baselines::NoFlagHandle<u64, u64>, key| h.remove(&key).is_some(),
-    |h: &lockfree_lists::baselines::NoFlagHandle<u64, u64>, key| h.contains(&key)
-);
+#[test]
+fn harris_per_key_accounting() {
+    per_key_accounting(HarrisList::<u64, u64>::new());
+}
+
+#[test]
+fn michael_per_key_accounting() {
+    per_key_accounting(MichaelList::<u64, u64>::new());
+}
+
+#[test]
+fn noflag_per_key_accounting() {
+    per_key_accounting(NoFlagList::<u64, u64>::new());
+}
+
+#[test]
+fn coarse_lock_per_key_accounting() {
+    per_key_accounting(CoarseLockList::<u64, u64>::new());
+}
+
+#[test]
+fn hoh_lock_per_key_accounting() {
+    per_key_accounting(HohLockList::<u64, u64>::new());
+}
+
+#[test]
+fn lock_skiplist_per_key_accounting() {
+    per_key_accounting(LockSkipList::<u64, u64>::new());
+}
 
 // KNOWN ISSUE (documented in EXPERIMENTS.md): the restart-based skip
 // list baseline very rarely violates this accounting under heavy
@@ -126,23 +131,11 @@ per_key_accounting!(
 // this test unconditionally. Ignored by default so the rare flake
 // doesn't mask regressions elsewhere; run explicitly with
 // `cargo test -- --ignored restart_skiplist_per_key_accounting`.
-macro_rules! per_key_accounting_ignored {
-    ($name:ident, $make:expr, $ins:expr, $rem:expr, $has:expr) => {
-        #[test]
-        #[ignore = "known rare accounting violation in the restart baseline; see EXPERIMENTS.md"]
-        fn $name() {
-            per_key_accounting_body!($make, $ins, $rem, $has);
-        }
-    };
+#[test]
+#[ignore = "known rare accounting violation in the restart baseline; see EXPERIMENTS.md"]
+fn restart_skiplist_per_key_accounting() {
+    per_key_accounting(RestartSkipList::<u64, u64>::new());
 }
-
-per_key_accounting_ignored!(
-    restart_skiplist_per_key_accounting,
-    RestartSkipList::<u64, u64>::new(),
-    |h: &lockfree_lists::baselines::RestartHandle<u64, u64>, key| h.insert(key, key).is_ok(),
-    |h: &lockfree_lists::baselines::RestartHandle<u64, u64>, key| h.remove(&key).is_some(),
-    |h: &lockfree_lists::baselines::RestartHandle<u64, u64>, key| h.contains(&key)
-);
 
 /// A successful remove must return the value the winning insert wrote.
 #[test]

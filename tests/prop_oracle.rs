@@ -10,7 +10,7 @@ use lockfree_lists::baselines::{
     CoarseLockList, HarrisList, HohLockList, LockSkipList, MichaelList, NoFlagList,
     RestartSkipList, SeqSkipList,
 };
-use lockfree_lists::{FrList, SkipList};
+use lockfree_lists::{FrList, MapHandle, SkipList};
 
 #[derive(Clone, Debug)]
 enum Op {

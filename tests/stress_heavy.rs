@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use lockfree_lists::baselines::{HarrisList, MichaelList};
-use lockfree_lists::{FrList, SkipList};
+use lockfree_lists::{FrList, MapHandle, SkipList};
 
 #[test]
 #[ignore = "heavy: run with --ignored (release recommended)"]

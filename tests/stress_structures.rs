@@ -4,7 +4,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use lockfree_lists::{FrList, SkipList};
+use lockfree_lists::{FrList, MapHandle, SkipList};
 
 #[derive(Clone, Debug)]
 struct Counted(Arc<AtomicUsize>, u64);
