@@ -59,5 +59,5 @@ pub use map::{ConcurrentMap, MapHandle};
 pub use pq::{PqHandle, PriorityQueue};
 pub use set::{ListSet, MapSet, MapSetHandle, SetHandle, SkipSet, SkipSetHandle};
 pub use skiplist::{
-    merged_range, RangeIter, SkipIter, SkipList, SkipListHandle, DEFAULT_MAX_LEVEL,
+    merged_range, RangeIter, SkipIter, SkipList, SkipListHandle, DEFAULT_MAX_LEVEL, MAX_LEVEL_LIMIT,
 };

@@ -1,4 +1,17 @@
 //! `Delete_SL`: root-first deletion, then top-down dismantling (§4).
+//!
+//! The paper follows the level-1 search with a second top-down search
+//! to level 2 that deletes the now-superfluous tower on its way. Here
+//! the level-1 descent records its `(n1, n2)` pair at every level
+//! ([`SearchPath`](super::SearchPath)), and the dismantling runs
+//! `SearchRight` once per level of the tower, top-down, from the
+//! recorded `n1` — after a backlink walk to an unmarked node, since
+//! `n1` may have been deleted meanwhile and a marked node's frozen
+//! successor can skip past a node linked later. A height-1 tower has
+//! nothing to dismantle, and neither has a level emptied since the
+//! descent. A tower taller than the descent's start level had upper
+//! nodes linked after that level was searched; it falls back to the
+//! paper's search from the top.
 
 use std::sync::atomic::Ordering;
 
@@ -17,10 +30,10 @@ where
     ///
     /// Deletes the root node first — linearizing the deletion when the
     /// root is marked and making the whole tower *superfluous* — then
-    /// dismantles the upper levels top-down by searching for `k` down
-    /// to level 2 (the search physically deletes every superfluous node
-    /// it meets). Returns `f` applied to the removed value, which it
-    /// borrows in place under `guard`.
+    /// dismantles the upper levels top-down by searching for `k` on
+    /// each of them from the recorded path (the search physically
+    /// deletes every superfluous node it meets). Returns `f` applied to
+    /// the removed value, which it borrows in place under `guard`.
     ///
     /// # Safety
     ///
@@ -33,8 +46,8 @@ where
     ) -> Option<T> {
         // SAFETY: the fn's `# Safety` contract covers the whole body.
         unsafe {
-            // ord: Release/Acquire/Relaxed — LIST.flag-cas: descent helps flagged deletions (wrapped C&S)
-            let (prev, del) = self.search_to_level(k, 1, Mode::Lt, guard);
+            let path = self.search_path(k, Mode::Lt, guard);
+            let (prev, del) = path.at(1).expect("level 1 is always recorded");
             if (*del).key_ref().as_key() != Some(k) {
                 return None;
             }
@@ -52,9 +65,24 @@ where
             // drain, and we hold a guard — the element stays readable.
             let value = f((*del).element.as_ref().expect("root node has element"));
             // Dismantle the now-superfluous upper nodes from top to bottom.
-            if self.max_level > 2 {
+            // The root's block capacity bounds the tower's height.
+            let height = (*del).height;
+            if height > path.top() {
                 // ord: Release/Acquire/Relaxed — LIST.flag-cas: cleaning search deletes superfluous towers (wrapped C&S)
                 let _ = self.search_to_level(k, 2, Mode::Le, guard);
+            } else {
+                // A level emptied since the descent holds no node of this
+                // tower: one linked there later is its inserter's to
+                // delete, as the inserter sees the root marked. So start
+                // at the highest non-empty level, as the paper's descent
+                // would.
+                for level in (2..=self.highest_nonempty(height, 1)).rev() {
+                    let (n1, _) = path.at(level).expect("levels up to the start are recorded");
+                    // ord: Acquire — LIST.backlink-walk: recovered pred is dereferenced
+                    let from = LevelNode::first_unmarked(n1);
+                    // ord: Release/Acquire/Relaxed — LIST.flag-cas: cleaning search deletes superfluous towers (wrapped C&S)
+                    let _ = self.search_right(k, from, Mode::Le, guard);
+                }
             }
             Some(value)
         }

@@ -1,4 +1,14 @@
 //! `Insert_SL`: bottom-up tower construction (paper §4).
+//!
+//! The paper re-runs `SearchToLevel_SL(k, v)` from the top for every
+//! new level. Here one descent records the `(n1, n2)` pair of every
+//! level ([`SearchPath`](super::SearchPath)), and each upper level is
+//! linked from its recorded pair. A stale pair is safe: `InsertNode`'s
+//! type-1 C&S succeeds only while `n1.succ` is still `(n2, 0, 0)`, and
+//! on failure it recovers exactly as on the list — flag help, backlink
+//! walk, `SearchRight` from the recovered node. Levels above the
+//! descent's start level (empty when it ran) and the retry after a
+//! same-key node occupied a level still use the top-down search.
 
 use std::ptr;
 use std::sync::atomic::Ordering;
@@ -50,8 +60,8 @@ where
     ) -> Result<(), (K, V)> {
         // SAFETY: the fn's `# Safety` contract covers the whole body.
         unsafe {
-            // ord: Release/Acquire/Relaxed — LIST.flag-cas: descent helps flagged deletions (wrapped C&S)
-            let (mut prev, mut next) = self.search_to_level(&key, 1, Mode::Le, guard);
+            let path = self.search_path(&key, Mode::Le, guard);
+            let (mut prev, mut next) = path.at(1).expect("level 1 is always recorded");
             if (*prev).key_ref().as_key() == Some(&key) {
                 return Err((key, value));
             }
@@ -152,11 +162,17 @@ where
                 (*root).top.store(upper, Ordering::Relaxed);
                 new_node = upper;
 
-                let key_ref = (*root).key.as_key().expect("root has user key");
-                // ord: Release/Acquire/Relaxed — LIST.flag-cas: ascent repositions via helping search (wrapped C&S)
-                let (p, n) = self.search_to_level(key_ref, cur_level, Mode::Le, guard);
-                prev = p;
-                next = n;
+                // Link from the pair the descent recorded at this level;
+                // `insert_node`'s C&S validates it. Above the descent's
+                // start level there is none: search from the top.
+                (prev, next) = match path.at(cur_level) {
+                    Some(pair) => pair,
+                    None => {
+                        let key_ref = (*root).key.as_key().expect("root has user key");
+                        // ord: Release/Acquire/Relaxed — LIST.flag-cas: ascent repositions via helping search (wrapped C&S)
+                        self.search_to_level(key_ref, cur_level, Mode::Le, guard)
+                    }
+                };
             }
         }
     }

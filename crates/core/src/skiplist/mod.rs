@@ -32,6 +32,7 @@ pub(crate) use node::SkipNode;
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -48,6 +49,46 @@ use crate::{ConcurrentMap, MapHandle};
 /// Default number of levels (towers grow to at most one less, so the
 /// top level is always empty and descent can start there).
 pub const DEFAULT_MAX_LEVEL: usize = 32;
+
+/// The most levels a skip list may have: an update records its descent
+/// in a fixed stack array of this many per-level pairs.
+pub const MAX_LEVEL_LIMIT: usize = 32;
+
+/// Consecutive nodes `(n1, n2)` of one level.
+type Pair<K, V, R> = (*mut SkipNode<K, V, R>, *mut SkipNode<K, V, R>);
+
+/// One update's descent: the `(n1, n2)` pair `SearchRight` returned at
+/// every level from the start level `top` down to level 1, kept on the
+/// stack (no per-op allocation). The nodes are protected only by the
+/// guard the descent ran under, whose borrow `'g` the path holds, and a
+/// pair may be stale by the time it is used: its users either link
+/// through the level's validating C&S or walk backlinks to an unmarked
+/// node before searching on.
+pub(crate) struct SearchPath<'g, K, V, R: Reclaim> {
+    pairs: [Pair<K, V, R>; MAX_LEVEL_LIMIT],
+    top: usize,
+    guard: PhantomData<&'g ()>,
+}
+
+impl<K, V, R: Reclaim> SearchPath<'_, K, V, R> {
+    fn new() -> Self {
+        SearchPath {
+            pairs: [(std::ptr::null_mut(), std::ptr::null_mut()); MAX_LEVEL_LIMIT],
+            top: 0,
+            guard: PhantomData,
+        }
+    }
+
+    /// The level the descent started at: every higher level was empty.
+    pub(crate) fn top(&self) -> usize {
+        self.top
+    }
+
+    /// The pair recorded at `level`, or `None` above [`top`](Self::top).
+    pub(crate) fn at(&self, level: usize) -> Option<Pair<K, V, R>> {
+        (level <= self.top).then(|| self.pairs[level - 1])
+    }
+}
 
 /// A lock-free skip list dictionary (Fomitchev & Ruppert 2004, §4).
 ///
@@ -139,7 +180,8 @@ where
     ///
     /// # Panics
     ///
-    /// Panics if `max_level < 2`.
+    /// Panics unless `2 <= max_level <=` [`MAX_LEVEL_LIMIT`] (the capacity
+    /// of an update's stack-held search path).
     pub fn with_max_level(max_level: usize) -> Self {
         Self::with_backend_max_level(max_level)
     }
@@ -162,7 +204,8 @@ where
     ///
     /// # Panics
     ///
-    /// Panics if `max_level < 2`.
+    /// Panics unless `2 <= max_level <=` [`MAX_LEVEL_LIMIT`] (the capacity
+    /// of an update's stack-held search path).
     pub fn with_backend_max_level(max_level: usize) -> Self {
         Self::build(max_level, R::new_domain(), SharedPool::new())
     }
@@ -191,7 +234,10 @@ where
         domain: R::Domain,
         pool: Arc<SharedPool<SkipNode<K, V, R>>>,
     ) -> Self {
-        assert!(max_level >= 2, "max_level must be at least 2");
+        assert!(
+            (2..=MAX_LEVEL_LIMIT).contains(&max_level),
+            "max_level must be in 2..={MAX_LEVEL_LIMIT}"
+        );
         let mut heads = Vec::with_capacity(max_level);
         let mut tails = Vec::with_capacity(max_level);
         let mut below: (*mut SkipNode<K, V, R>, *mut SkipNode<K, V, R>) =
@@ -285,7 +331,12 @@ where
     pub(crate) fn start_level(&self, min_level: usize) -> usize {
         // Towers never reach `max_level`, so the top level is always
         // empty and the scan can start just below it.
-        let mut level = self.max_level - 1;
+        self.highest_nonempty(self.max_level - 1, min_level)
+    }
+
+    /// The highest non-empty level at or below `level`, but no lower
+    /// than `min_level`.
+    pub(crate) fn highest_nonempty(&self, mut level: usize, min_level: usize) -> usize {
         while level > min_level {
             // SAFETY: sentinels live for the whole list lifetime.
             if unsafe { (*self.heads[level - 1]).right() } != self.tails[level - 1] {
@@ -314,14 +365,65 @@ where
         mode: Mode,
         guard: &R::Guard<'_>,
     ) -> (*mut SkipNode<K, V, R>, *mut SkipNode<K, V, R>) {
+        // SAFETY: forwarded contract.
+        // ord: Release/Acquire/Relaxed — LIST.flag-cas: per-level search helps deletions (wrapped C&S)
+        unsafe { self.descend(k, target_level, mode, None, guard) }
+    }
+
+    /// `SearchToLevel_SL(k, 1)` for an update: the same descent, with
+    /// every level's pair recorded so the update can link or dismantle
+    /// its upper levels without descending again.
+    ///
+    /// # Safety
+    ///
+    /// `guard` must pin this list's domain; the path borrows it, so its
+    /// nodes stay protected for the path's whole life.
+    pub(crate) unsafe fn search_path<'g>(
+        &self,
+        k: &K,
+        mode: Mode,
+        guard: &'g R::Guard<'_>,
+    ) -> SearchPath<'g, K, V, R> {
+        let mut path = SearchPath::new();
+        // SAFETY: forwarded contract.
+        // ord: Release/Acquire/Relaxed — LIST.flag-cas: per-level search helps deletions (wrapped C&S)
+        unsafe { self.descend(k, 1, mode, Some(&mut path), guard) };
+        path
+    }
+
+    /// The descent behind [`search_to_level`](Self::search_to_level)
+    /// and [`search_path`](Self::search_path), recording each level's
+    /// pair into `path` when given.
+    ///
+    /// # Safety
+    ///
+    /// As for [`search_to_level`](Self::search_to_level).
+    // escape: ESC.node-search: returned nodes are protected by the caller's
+    // `guard`; the `# Safety` contract bounds their life to it
+    unsafe fn descend(
+        &self,
+        k: &K,
+        target_level: usize,
+        mode: Mode,
+        mut path: Option<&mut SearchPath<'_, K, V, R>>,
+        guard: &R::Guard<'_>,
+    ) -> (*mut SkipNode<K, V, R>, *mut SkipNode<K, V, R>) {
         // SAFETY: the fn's `# Safety` contract covers the whole body.
         unsafe {
             debug_assert!(target_level >= 1 && target_level < self.max_level);
             let mut level = self.start_level(target_level);
+            if let Some(path) = path.as_deref_mut() {
+                path.top = level;
+            }
             let mut curr = self.heads[level - 1];
             loop {
                 // ord: Release/Acquire/Relaxed — LIST.flag-cas: per-level search helps deletions (wrapped C&S)
                 let (n1, n2) = self.search_right(k, curr, mode, guard);
+                if let Some(path) = path.as_deref_mut() {
+                    // escape: ESC.search-path: the path lives strictly inside
+                    // the update's `guard` scope, so recorded nodes stay protected
+                    path.pairs[level - 1] = (n1, n2);
+                }
                 if level == target_level {
                     return (n1, n2);
                 }

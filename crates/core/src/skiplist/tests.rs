@@ -25,6 +25,21 @@ fn max_level_must_be_at_least_two() {
 }
 
 #[test]
+fn max_level_is_bounded_by_the_path_capacity() {
+    let sl = SkipList::<u8, u8>::with_max_level(super::MAX_LEVEL_LIMIT);
+    assert!(sl.handle().insert_with_height(1, 1, 64).is_ok());
+    assert_eq!(sl.tower_heights(), vec![super::MAX_LEVEL_LIMIT - 1]);
+    assert_eq!(sl.remove(&1), Some(1));
+    sl.validate_quiescent();
+    let too_tall =
+        std::panic::catch_unwind(|| SkipList::<u8, u8>::with_max_level(super::MAX_LEVEL_LIMIT + 1));
+    assert!(
+        too_tall.is_err(),
+        "max_level above the path capacity accepted"
+    );
+}
+
+#[test]
 fn insert_get_remove_single() {
     let sl = SkipList::new();
     assert!(sl.insert(5, "five").is_ok());
@@ -58,7 +73,7 @@ fn reinsert_after_remove_many_rounds() {
 #[test]
 fn minimal_height_skiplist_works() {
     // max_level = 2 forces every tower to height 1 (degenerates to the
-    // linked list) and exercises the `max_level > 2` guard in delete.
+    // linked list), so no delete has upper levels to dismantle.
     let sl = SkipList::with_max_level(2);
     for k in 0..50u32 {
         assert!(sl.insert(k, k).is_ok());

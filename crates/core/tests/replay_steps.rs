@@ -8,8 +8,9 @@
 //! cost measure: a fixed script of updates and `merged_range` pages
 //! over sibling lists must count the totals committed below, which
 //! were recorded before `merged_range` positioned its cursors in lock
-//! step. A faster walk that took one more (or one fewer) step fails
-//! here, whatever the clock says.
+//! step (all but the search hops, re-recorded when updates stopped
+//! descending again for their upper levels). A faster walk that took
+//! one more (or one fewer) step fails here, whatever the clock says.
 //!
 //! The sibling entry points (`insert_in`, `try_read_in`, …) that
 //! `lf-map`'s buckets run on are pinned the same way: one handle drives
@@ -155,11 +156,14 @@ fn single_threaded_replays_count_identical_steps() {
         assert_eq!(replay(), (first, towers.clone()));
     }
 
-    // Recorded at the parent of the lock-step walk (commit 69488f0).
+    // Recorded at the parent of the lock-step walk (commit 69488f0),
+    // except `curr_updates` (80158 there): updates now link and
+    // dismantle upper levels from their one recorded descent instead of
+    // searching from the top again, which saves only search hops.
     let recorded = lf_metrics::Snapshot {
         cas_ok: [5295, 2152, 2152, 2152],
         next_updates: 1151,
-        curr_updates: 80158,
+        curr_updates: 61397,
         ops: 7200,
         ops_by: [0, 7200, 0],
         ..Default::default()

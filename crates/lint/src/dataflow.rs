@@ -713,12 +713,26 @@ impl<'a> Scanner<'a> {
                 }
             }
             // --- rule 2: statement-level escapes (field store / send) ---
-            if self.punct_at(t) == Some('.')
-                && self.ident_at(t + 1).is_some()
-                && self.punct_at(t + 2) == Some('=')
-                && self.punct_at(t + 3) != Some('=')
-            {
-                let mut semi = t + 3;
+            // A store into a field, or into an element of an array field
+            // (`.f = ..` / `.f[i] = ..`).
+            let field = self.punct_at(t) == Some('.') && self.ident_at(t + 1).is_some();
+            let mut eq = t + 2;
+            if field && self.punct_at(eq) == Some('[') {
+                let mut d = 0i32;
+                while eq < f.body_close {
+                    match self.punct_at(eq) {
+                        Some('[') => d += 1,
+                        Some(']') => d -= 1,
+                        _ => {}
+                    }
+                    eq += 1;
+                    if d == 0 {
+                        break;
+                    }
+                }
+            }
+            if field && self.punct_at(eq) == Some('=') && self.punct_at(eq + 1) != Some('=') {
+                let mut semi = eq + 1;
                 let mut d = 0i32;
                 while semi < f.body_close {
                     match self.punct_at(semi) {
@@ -729,7 +743,7 @@ impl<'a> Scanner<'a> {
                     }
                     semi += 1;
                 }
-                if let Some(name) = self.guarded_mention(t + 3..semi, &tracked, &guards) {
+                if let Some(name) = self.guarded_mention(eq + 1..semi, &tracked, &guards) {
                     needs.push((
                         t,
                         semi,
@@ -1099,6 +1113,41 @@ mod tests {
     fn fn_defer_definition_is_not_a_site() {
         let s = scan_file("unsafe fn defer(&self, f: F) { self.push(f); }\n");
         assert_eq!(s.smr.defer_sites, 0);
+    }
+
+    #[test]
+    fn indexed_field_store_is_an_escape() {
+        let src = |note: &str| {
+            format!(
+                "fn f(h: &H) {{\n\
+                     let guard = R::pin(h);\n\
+                     let p = self.head.load(Ordering::Acquire);\n\
+                     {note}\
+                     self.slots[i + 1] = (p, 0);\n\
+                 }}\n"
+            )
+        };
+        let s = scan_file(&src(""));
+        assert!(s
+            .smr
+            .violations
+            .iter()
+            .any(|v| v.rule == "smr-escape" && v.message.contains("field store")));
+        let s = scan_file(&src("// escape: ESC.search-path: outlived by the guard\n"));
+        assert!(s.smr.violations.is_empty(), "{:?}", s.smr.violations);
+        assert!(s.smr.annotations[0].attached);
+    }
+
+    #[test]
+    fn indexed_read_is_not_a_store() {
+        let s = scan_file(
+            "fn f(h: &H) -> bool {\n\
+                 let guard = R::pin(h);\n\
+                 let p = self.head.load(Ordering::Acquire);\n\
+                 self.slots[0] == p\n\
+             }\n",
+        );
+        assert!(s.smr.violations.is_empty(), "{:?}", s.smr.violations);
     }
 
     #[test]

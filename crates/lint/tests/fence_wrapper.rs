@@ -206,7 +206,7 @@ fn stripping_a_search_call_annotation_fails_the_audit() {
     let rel = "crates/core/src/skiplist/insert.rs";
     let src = read(rel);
     let line =
-        "// ord: Release/Acquire/Relaxed — LIST.flag-cas: descent helps flagged deletions (wrapped C&S)";
+        "// ord: Release/Acquire/Relaxed — LIST.flag-cas: ascent repositions via helping search (wrapped C&S)";
     assert!(src.contains(line), "expected call-site annotation in {rel}");
     let perturbed = src.replacen(line, "// (annotation removed)", 1);
 

@@ -99,8 +99,8 @@ where
     ///
     /// # Panics
     ///
-    /// Panics if `shards` is zero or not a power of two, or if
-    /// `max_level < 2`.
+    /// Panics if `shards` is zero or not a power of two, or unless
+    /// `2 <= max_level <=` [`MAX_LEVEL_LIMIT`](lf_core::MAX_LEVEL_LIMIT).
     #[must_use]
     pub fn with_max_level(shards: usize, max_level: usize) -> Self {
         Self::with_backend_max_level(shards, max_level)
@@ -129,8 +129,8 @@ where
     ///
     /// # Panics
     ///
-    /// Panics if `shards` is zero or not a power of two, or if
-    /// `max_level < 2`.
+    /// Panics if `shards` is zero or not a power of two, or unless
+    /// `2 <= max_level <=` [`MAX_LEVEL_LIMIT`](lf_core::MAX_LEVEL_LIMIT).
     #[must_use]
     pub fn with_backend_max_level(shards: usize, max_level: usize) -> Self {
         Sharded::build(

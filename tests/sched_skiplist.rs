@@ -76,6 +76,31 @@ fn linked_height_of(sl: &Sl, key: u64) -> usize {
         .map_or(0, |i| i + 1)
 }
 
+/// Grant `pid` one step at a time, checking the invariants after every
+/// grant, until it is about to take its `nth` step of `kind`.
+fn pause_checked(sched: &Scheduler, sl: &Sl, pid: usize, kind: StepKind, nth: u64) {
+    loop {
+        match sched.peek(pid) {
+            Observation::Finished => panic!("finished before {kind:?} #{nth}"),
+            Observation::Pending(k) if k == kind && sched.steps_of(pid, kind) + 1 == nth => return,
+            Observation::Pending(_) => {
+                sched.grant(pid, 1);
+                sl.check_invariants();
+            }
+        }
+    }
+}
+
+/// Run `op` to completion one step at a time, checking the invariants
+/// after every grant.
+fn run_checked<R: Send + 'static>(sched: &Scheduler, sl: &Sl, op: OpHandle<R>) -> R {
+    while let Observation::Pending(_) = sched.peek(op.pid()) {
+        sched.grant(op.pid(), 1);
+        sl.check_invariants();
+    }
+    op.join()
+}
+
 /// Drive `ops` to completion in an LCG order (`x → x·a + c`, started at
 /// `x0`), checking the invariants after every step when `check`.
 fn random_drive<R>(sched: &Scheduler, sl: &Sl, ops: &[OpHandle<R>], x0: u64, c: u64, check: bool) {
@@ -249,6 +274,90 @@ fn flagged_upper_insert() -> [u64; 8] {
     totals(&sched)
 }
 
+/// An insert links its upper levels from the pairs its one descent
+/// recorded, and a recorded pair can go stale before it is used.
+///
+/// Towers 10 and 30 have height 2; the inserter of 20 (height 3) links
+/// its root and pauses before linking level 2, where it recorded
+/// `(10, 30)`. Key 10 is then deleted outright, so the recorded
+/// predecessor is marked and unlinked. The level-2 C&S fails on the
+/// mark; the insert walks 10's backlink to the head, searches right
+/// and links there. Level 3 lies above the descent's start level (it
+/// was empty), so the insert searches for it from the top.
+#[test]
+fn stale_insert_path_recovers() {
+    let sched = Scheduler::new();
+    let sl = new_list();
+    for (k, h) in [(10, 2), (30, 2)] {
+        assert!(run_checked(&sched, &sl, insert(&sched, &sl, k, h)));
+    }
+
+    let ins = insert(&sched, &sl, 20, 3);
+    let ins_pid = ins.pid();
+    pause_checked(&sched, &sl, ins_pid, StepKind::CasInsert, 2);
+    assert_eq!(linked_height_of(&sl, 20), 1);
+
+    assert!(run_checked(&sched, &sl, delete(&sched, &sl, 10)));
+    assert_eq!(linked_height_of(&sl, 10), 0);
+
+    assert!(run_checked(&sched, &sl, ins));
+    // Three levels linked in four insertion C&Ss: the stale one failed.
+    assert_eq!(sched.steps_of(ins_pid, StepKind::CasInsert), 4);
+    assert!(sched.steps_of(ins_pid, StepKind::Backlink) >= 1);
+    assert_eq!(keys(&sl), vec![20, 30]);
+    assert_eq!(
+        linked_height_of(&sl, 20),
+        3,
+        "tower fell short of its height"
+    );
+    sl.validate_quiescent();
+}
+
+/// A delete dismantles its tower from the pairs its descent recorded,
+/// and the recorded upper-level predecessor can be gone by then.
+///
+/// Towers 10 and 30 have height 2. The inserter of 20 links its root
+/// and pauses; the deleter of 20 descends — recording `(10, 30)` at
+/// level 2, where 20 is not linked yet — and pauses before flagging the
+/// root. Key 10 is deleted outright, then the insert completes: its
+/// level-2 node goes in right after the head, while the unlinked 10's
+/// frozen successor still points past it at 30. The deleter marks the
+/// root and must still find and unlink every upper node of 20: at
+/// height 2 by walking 10's backlink before it searches, at height 3
+/// (taller than the descent's start level) by searching from the top.
+fn stale_delete_path(height: u32) {
+    let sched = Scheduler::new();
+    let sl = new_list();
+    for (k, h) in [(10, 2), (30, 2)] {
+        assert!(run_checked(&sched, &sl, insert(&sched, &sl, k, h)));
+    }
+
+    let ins = insert(&sched, &sl, 20, height);
+    pause_checked(&sched, &sl, ins.pid(), StepKind::CasInsert, 2);
+    let del = delete(&sched, &sl, 20);
+    pause_checked(&sched, &sl, del.pid(), StepKind::CasFlag, 1);
+
+    assert!(run_checked(&sched, &sl, delete(&sched, &sl, 10)));
+    assert!(run_checked(&sched, &sl, ins));
+    assert_eq!(linked_height_of(&sl, 20), height as usize);
+
+    assert!(run_checked(&sched, &sl, del));
+    assert_eq!(keys(&sl), vec![30]);
+    assert_eq!(
+        linked_height_of(&sl, 20),
+        0,
+        "height {height}: the delete left tower nodes linked"
+    );
+    sl.validate_quiescent();
+}
+
+#[test]
+fn stale_delete_path_still_dismantles() {
+    for height in [2, 3] {
+        stale_delete_path(height);
+    }
+}
+
 /// Random interleavings of conflicting tower operations, validating
 /// all per-level invariants after every single step.
 #[test]
@@ -381,7 +490,7 @@ fn assert_totals_twice(expected: [u64; 8], schedule: impl Fn() -> [u64; 8]) {
 /// the skip list's paths fails this.
 #[test]
 fn skiplist_schedule_totals_are_exact() {
-    assert_totals_twice([46, 2, 6, 0, 6, 2, 2, 2], interrupted_construction);
-    assert_totals_twice([71, 5, 5, 0, 6, 4, 4, 5], search_cleaning);
-    assert_totals_twice([101, 6, 17, 1, 9, 4, 5, 6], flagged_upper_insert);
+    assert_totals_twice([40, 2, 4, 0, 6, 2, 2, 2], interrupted_construction);
+    assert_totals_twice([70, 5, 5, 0, 6, 4, 4, 5], search_cleaning);
+    assert_totals_twice([84, 6, 9, 1, 9, 4, 5, 6], flagged_upper_insert);
 }
