@@ -307,6 +307,12 @@ where
         unsafe {
             let mut left = curr;
             let mut left_succ = (*left).succ();
+            // A lower level starts at the upper `left`'s `down`, which a
+            // deleter may have marked already (roots first). Searching from
+            // it would snip with a C&S on the marked word, clearing the mark.
+            if left_succ.is_marked() {
+                return None;
+            }
             let right;
             let mut t = curr;
             let mut t_succ = (*t).succ();
@@ -432,6 +438,29 @@ where
         }
     }
 
+    /// Stop growing `root`'s tower at `new_node`, its never-linked top:
+    /// unhook it, drop its reference and free it after grace.
+    ///
+    /// # Safety
+    ///
+    /// The caller's insert allocated `new_node` as `root`'s current `top`
+    /// and still holds the construction reference; `guard` pins this
+    /// list's collector.
+    unsafe fn abandon_upper(
+        &self,
+        root: *mut Node<K, V>,
+        new_node: *mut Node<K, V>,
+        guard: &Guard<'_>,
+    ) {
+        // SAFETY: the fn's `# Safety` contract covers the whole body.
+        unsafe {
+            (*root).top.store((*new_node).down, Ordering::SeqCst);
+            (*root).remaining.fetch_sub(1, Ordering::SeqCst);
+            let addr = new_node as usize;
+            guard.defer_unchecked(move || drop(Box::from_raw(addr as *mut Node<K, V>)));
+        }
+    }
+
     /// # Safety
     ///
     /// `guard` must pin this list's collector.
@@ -465,6 +494,13 @@ where
                             // Lost the race to another inserter of the key.
                             let Node { key, element, .. } = *Box::from_raw(root);
                             return Err((key.into_key(), element.expect("root has element")));
+                        }
+                        if !(*(*right).tower_root).is_marked() {
+                            // A live re-insertion of our key: our root was
+                            // deleted before it linked, so stop growing.
+                            debug_assert!((*root).is_marked());
+                            self.abandon_upper(root, new_node, guard);
+                            break 'levels;
                         }
                         // A transiently-unmarked node of a superfluous tower
                         // with our key occupies this level; help mark it so
@@ -505,13 +541,7 @@ where
                         debug_assert!(new_node != root, "unlinked root cannot be reached");
                         debug_assert!((*new_node).is_marked());
                         debug_assert!((*root).is_marked());
-                        // Undo this never-linked node's accounting and free
-                        // it after grace (the marking deleter still holds a
-                        // reference it obtained under its guard).
-                        (*root).top.store((*new_node).down, Ordering::SeqCst);
-                        (*root).remaining.fetch_sub(1, Ordering::SeqCst);
-                        let addr = new_node as usize;
-                        guard.defer_unchecked(move || drop(Box::from_raw(addr as *mut Node<K, V>)));
+                        self.abandon_upper(root, new_node, guard);
                         break 'levels;
                     }
                     let res = (*left).succ.compare_exchange(

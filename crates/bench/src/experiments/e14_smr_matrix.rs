@@ -1,5 +1,4 @@
-//! E14 — cross-SMR matrix: the same skip list over EBR, hazard eras,
-//! and VBR.
+//! E14 — cross-SMR matrix: the same skip list over EBR and VBR.
 //!
 //! The structures are generic over [`lf_reclaim::Reclaim`]; this
 //! experiment measures what the backend choice actually buys. Two
@@ -9,8 +8,7 @@
 //!   thread sweep. VBR's pin-free `try_read` skips the reclamation
 //!   handshake entirely on the read path, so the read-heavy column is
 //!   where it should pull ahead of EBR as threads (and thus epoch
-//!   traffic) grow; eras pay one era announcement per pin, like EBR
-//!   but on a different consensus path.
+//!   traffic) grow.
 //!
 //! * **Peak unreclaimed memory under a stalled reader** — the classic
 //!   failure mode of epoch schemes: one reader parked inside a guard
@@ -19,9 +17,10 @@
 //!   stamps instead of pinning), so a stalled VBR reader leaves
 //!   reclamation untouched and peak garbage stays bounded by the
 //!   in-flight churn window. The scenario parks one reader
-//!   mid-traversal (pinned backends: a live iterator guard; VBR: a
-//!   thread stalled between pin-free reads) while two churners
-//!   insert/remove, then reports each backend's gauge.
+//!   mid-traversal (EBR: a live iterator guard; VBR: a thread stalled
+//!   between pin-free reads) while two churners insert/remove, then
+//!   reports each backend's gauge, and asserts that shape: EBR holds
+//!   everything retired, VBR holds less, and both drain to zero.
 //!
 //! Emits `BENCH_e14.json`: throughput rows (with `peak_unreclaimed`
 //! per run) plus one `stalled-reader` row per backend.
@@ -30,7 +29,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 
 use lf_core::{MapHandle, SkipList};
-use lf_hazard::Hp;
 use lf_reclaim::{Ebr, Publish, Reclaim};
 use lf_vbr::Vbr;
 use lf_workloads::{KeyDist, Mix};
@@ -83,8 +81,8 @@ struct StalledOutcome {
 /// Run the churn with an optional parked reader; returns the gauge
 /// high-water mark.
 ///
-/// Pinned backends model the stall as a live traversal guard (an
-/// iterator held mid-iteration); VBR models it as a thread stalled
+/// EBR models the stall as a live traversal guard (an iterator held
+/// mid-iteration); VBR models it as a thread stalled
 /// between pin-free reads — which is the honest analog, because a VBR
 /// read holds no domain state at any point.
 fn churn<R>(churn_ops: u64, stall_reader: bool) -> (SkipList<u64, u64, R>, u64)
@@ -144,7 +142,7 @@ where
                         // Churners cooperate with reclamation: the
                         // periodic flush makes the scenario a test of
                         // the *backend's* stalled-reader sensitivity,
-                        // not of drain cadence. EBR/eras still cannot
+                        // not of drain cadence. EBR still cannot
                         // advance past the parked guard; VBR has
                         // nothing to wait for.
                         if i % 64 == 63 {
@@ -201,12 +199,13 @@ fn stalled_row(name: &str, ops: u64, out: &StalledOutcome) -> String {
         .finish()
 }
 
-/// Print the cross-SMR matrix and emit `BENCH_e14.json`.
+/// Print the cross-SMR matrix, emit `BENCH_e14.json`, and assert the
+/// stalled-reader shape.
 pub fn run(quick: bool) {
     println!(
-        "E14: cross-SMR matrix — FR skip list over EBR / hazard eras / VBR\n\
-         (kops/s), uniform keys, space 8192, prefill 2048; lookups via\n\
-         the pin-free try_read entry point\n"
+        "E14: cross-SMR matrix — FR skip list over EBR / VBR (kops/s),\n\
+         uniform keys, space 8192, prefill 2048; lookups via the\n\
+         pin-free try_read entry point\n"
     );
     let ops: u64 = if quick { 5_000 } else { 60_000 };
     let threads: &[usize] = if quick { &[1, 4] } else { &[1, 2, 4, 8] };
@@ -216,37 +215,22 @@ pub fn run(quick: bool) {
     let mut vbr_read_health: Vec<(String, usize, u64, u64)> = Vec::new();
     for mix in [Mix::READ_HEAVY, Mix::UPDATE_HEAVY] {
         let label = mix.label();
-        let mut table = Table::new([
-            "threads",
-            "fr-skiplist-ebr",
-            "fr-skiplist-hp",
-            "fr-skiplist-vbr",
-        ]);
+        let mut table = Table::new(["threads", "fr-skiplist-ebr", "fr-skiplist-vbr"]);
         for &t in threads {
-            let results = [
-                ("fr-skiplist-ebr", measure::<Ebr>(t, ops, mix)),
-                ("fr-skiplist-hp", measure::<Hp>(t, ops, mix)),
-                ("fr-skiplist-vbr", measure::<Vbr>(t, ops, mix)),
-            ];
+            let ebr = measure::<Ebr>(t, ops, mix);
+            let vbr = measure::<Vbr>(t, ops, mix);
             if mix.search == Mix::READ_HEAVY.search {
-                vbr_vs_ebr.push((
-                    t,
-                    results[2].1.throughput() / results[0].1.throughput().max(f64::MIN_POSITIVE),
-                ));
+                let ratio = vbr.throughput() / ebr.throughput().max(f64::MIN_POSITIVE);
+                vbr_vs_ebr.push((t, ratio));
             }
+            let c = &vbr.telemetry.counters;
+            vbr_read_health.push((label.clone(), t, c.try_read_restarts, c.try_read_fallbacks));
             let mut cells = vec![t.to_string()];
-            for (name, res) in &results {
+            for (name, res) in [("fr-skiplist-ebr", &ebr), ("fr-skiplist-vbr", &vbr)] {
                 cells.push(fmt_f(res.throughput() / 1.0e3));
                 rows.push(super::artifact_row("e14", name, &label, t, res));
             }
             table.row(cells);
-            let vbr = &results[2].1.telemetry.counters;
-            vbr_read_health.push((
-                label.clone(),
-                t,
-                vbr.try_read_restarts,
-                vbr.try_read_fallbacks,
-            ));
         }
         println!("mix {label}:");
         print!("{table}");
@@ -266,11 +250,9 @@ pub fn run(quick: bool) {
         "peak-no-reader",
         "after-drain",
     ]);
-    for (name, out) in [
-        ("fr-skiplist-ebr", stalled_reader::<Ebr>(churn_ops)),
-        ("fr-skiplist-hp", stalled_reader::<Hp>(churn_ops)),
-        ("fr-skiplist-vbr", stalled_reader::<Vbr>(churn_ops)),
-    ] {
+    let ebr = stalled_reader::<Ebr>(churn_ops);
+    let vbr = stalled_reader::<Vbr>(churn_ops);
+    for (name, out) in [("fr-skiplist-ebr", &ebr), ("fr-skiplist-vbr", &vbr)] {
         table.row(vec![
             name.to_string(),
             out.retired.to_string(),
@@ -278,7 +260,7 @@ pub fn run(quick: bool) {
             out.no_reader_peak.to_string(),
             out.after_drain.to_string(),
         ]);
-        rows.push(stalled_row(name, churn_ops, &out));
+        rows.push(stalled_row(name, churn_ops, out));
     }
     print!("{table}");
     println!();
@@ -294,10 +276,13 @@ pub fn run(quick: bool) {
     }
     println!(
         "expected shape: vbr >= ebr on s80 at 1 thread and ahead from 4\n\
-         threads (reads skip the epoch handshake); under the stalled\n\
-         reader, ebr/hp peak-stalled equals everything retired (the\n\
-         parked guard freezes the epoch) while vbr's peak matches its\n\
-         no-reader control (its readers pin nothing), and everything\n\
-         drains once the reader resumes."
+         threads (reads skip the epoch handshake; timing, not asserted).\n\
+         asserted: under the stalled reader ebr holds everything retired\n\
+         (the parked guard freezes the epoch), vbr holds less (its readers\n\
+         pin nothing), and both drain to zero once the reader resumes."
+    );
+    assert!(
+        ebr.peak == ebr.retired && vbr.peak < ebr.peak && ebr.after_drain + vbr.after_drain == 0,
+        "e14: the stalled-reader table above breaks the asserted shape"
     );
 }

@@ -16,7 +16,7 @@
 //!
 //! Payloads are copied out with per-word atomic snoops from the node's
 //! shadow slots, bracketed by the seqlock checks, so only `K: Pod`,
-//! `V: Pod` payloads are eligible. On pinned backends (`Ebr`, `Hp`)
+//! `V: Pod` payloads are eligible. On the pinned backend (`Ebr`)
 //! `try_read` simply delegates to the pinned [`MapHandle::get`].
 //!
 //! `try_read` and the sibling form `try_read_in` (`lf-map`'s bucket

@@ -1,8 +1,6 @@
 //! `SearchFrom` (paper Fig. 3), and the list's two hooks into the
 //! shared level protocol.
 
-use std::sync::atomic::Ordering;
-
 use lf_reclaim::{Publish, Reclaim};
 use lf_tagged::{step, StepKind};
 
@@ -153,10 +151,6 @@ where
     unsafe fn unlinked(&self, del: *mut Node<K, V, R>, guard: &R::Guard<'_>) {
         let pool = std::sync::Arc::clone(&self.pool);
         let addr = del as usize;
-        // SAFETY: `del` is live under `guard` (just unlinked); its
-        // birth is fixed for the tenant's lifetime.
-        // ord: Relaxed — VBR.birth-stamp: tenant-constant value, read under the guard
-        let birth = unsafe { (*del).birth.load(Ordering::Relaxed) };
         let destroy = move || {
             let node = addr as *mut Node<K, V, R>;
             // SAFETY: grace elapsed, so no pinned thread can reach
@@ -176,6 +170,6 @@ where
         // (the trait's `# Safety` contract makes it unreachable by then).
         // unlink: UNLINK.list-del: the type-4 C&S in `help_marked` made `del`
         // unreachable from the head, and succeeds once per node
-        unsafe { R::defer(guard, birth, destroy) };
+        unsafe { R::defer(guard, destroy) };
     }
 }

@@ -109,10 +109,6 @@ where
             let addr = root as usize;
             // SAFETY: as above.
             let cap = unsafe { (*root).height };
-            // SAFETY: `root` is live under the guard; its birth is fixed
-            // for the tenant's lifetime.
-            // ord: Relaxed — VBR.birth-stamp: tenant-constant value, read under protection
-            let birth = unsafe { (*root).birth.load(Ordering::Relaxed) };
             let destroy = move || {
                 let root = addr as *mut SkipNode<K, V, R>;
                 // SAFETY: grace elapsed, so no pinned thread can reach any
@@ -133,7 +129,7 @@ where
             // elapses, when it is unreachable to pinned threads.
             // unlink: UNLINK.tower-del: refcount zero means every level's
             // unlink C&S fired — the whole tower block is unreachable
-            unsafe { R::defer(guard, birth, destroy) };
+            unsafe { R::defer(guard, destroy) };
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Backend-matrix correctness tests: the same oracle proptests, leak
 //! audits, and gauge checks instantiated once per reclamation backend
-//! (EBR, hazard eras, VBR).
+//! (EBR, VBR).
 //!
 //! The list and skip list are generic over [`lf_reclaim::Reclaim`];
 //! nothing in their correctness argument may depend on which backend
@@ -11,8 +11,8 @@
 //!   op-for-op and end in the same final state, on every backend;
 //! * **drop audit** — every value allocated into the structure must
 //!   drop exactly once, whether removed (retired through the backend)
-//!   or still present at teardown (EBR and eras; VBR's Pod bound rules
-//!   out droppable values by construction);
+//!   or still present at teardown (EBR; VBR's Pod bound rules out
+//!   droppable values by construction);
 //! * **gauge audit** — retires and frees flow through the domain's
 //!   [`lf_metrics::UnreclaimedGauge`] and balance once quiescent;
 //! * **concurrent smoke** — disjoint-key churn keeps the structure
@@ -170,53 +170,45 @@ macro_rules! backend_matrix {
 }
 
 backend_matrix!(ebr, lf_reclaim::Ebr);
-backend_matrix!(hp, lf_hazard::Hp);
 backend_matrix!(vbr, lf_vbr::Vbr);
 
-/// Drop-audit body for backends that support droppable (non-`Pod`)
+/// Drop audit on EBR, the backend that supports droppable (non-`Pod`)
 /// values: every `Counted` instance — inserted or cloned out by a
 /// remove — must drop exactly once by teardown.
-macro_rules! drop_audit {
-    ($name:ident, $R:ty) => {
-        #[test]
-        fn $name() {
-            const N: u32 = if cfg!(miri) { 25 } else { 150 };
-            #[derive(Debug)]
-            struct Counted(Arc<AtomicUsize>);
-            impl Clone for Counted {
-                fn clone(&self) -> Self {
-                    Counted(Arc::clone(&self.0))
-                }
-            }
-            impl Drop for Counted {
-                fn drop(&mut self) {
-                    self.0.fetch_add(1, Ordering::SeqCst);
-                }
-            }
-            let drops = Arc::new(AtomicUsize::new(0));
-            let mut created = 0usize;
-            {
-                let sl: SkipList<u32, Counted, $R> = SkipList::with_backend();
-                let h = sl.handle();
-                for k in 0..N {
-                    h.insert(k, Counted(Arc::clone(&drops))).unwrap();
-                    created += 1;
-                }
-                // Each successful remove clones one `Counted` out (the
-                // return value) and retires the in-node original.
-                for k in (0..N).step_by(2) {
-                    assert!(h.remove(&k).is_some());
-                    created += 1;
-                }
-                h.flush_reclamation();
-                assert_eq!(sl.len(), (N / 2) as usize);
-            }
-            // Structure dropped: retired nodes and still-present nodes
-            // alike have run their destructors exactly once.
-            assert_eq!(drops.load(Ordering::SeqCst), created);
+#[test]
+fn ebr_drops_every_value_once() {
+    const N: u32 = if cfg!(miri) { 25 } else { 150 };
+    #[derive(Debug)]
+    struct Counted(Arc<AtomicUsize>);
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            Counted(Arc::clone(&self.0))
         }
-    };
+    }
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+    let drops = Arc::new(AtomicUsize::new(0));
+    let mut created = 0usize;
+    {
+        let sl: SkipList<u32, Counted, lf_reclaim::Ebr> = SkipList::with_backend();
+        let h = sl.handle();
+        for k in 0..N {
+            h.insert(k, Counted(Arc::clone(&drops))).unwrap();
+            created += 1;
+        }
+        // Each successful remove clones one `Counted` out (the
+        // return value) and retires the in-node original.
+        for k in (0..N).step_by(2) {
+            assert!(h.remove(&k).is_some());
+            created += 1;
+        }
+        h.flush_reclamation();
+        assert_eq!(sl.len(), (N / 2) as usize);
+    }
+    // Structure dropped: retired nodes and still-present nodes
+    // alike have run their destructors exactly once.
+    assert_eq!(drops.load(Ordering::SeqCst), created);
 }
-
-drop_audit!(ebr_drops_every_value_once, lf_reclaim::Ebr);
-drop_audit!(hp_drops_every_value_once, lf_hazard::Hp);

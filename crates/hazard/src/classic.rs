@@ -1,31 +1,144 @@
 //! Classic per-pointer hazard domain (M. Michael, PODC 2002).
 //!
-//! See the crate docs for the protect/validate/retire protocol. This
-//! module keeps the original `lf-hazard` public API — the Michael-list
-//! baseline in `lf-baselines` consumes it unchanged — but the slot
-//! registry now comes from [`crate::slots`], shared with the era-based
-//! [`crate::Hp`] backend instead of duplicated per scheme.
+//! See the crate docs for the protect/validate/retire protocol; the
+//! Michael-list baseline in `lf-baselines` is its consumer.
+//!
+//! Each registered thread owns one slot of [`HAZARDS_PER_THREAD`]
+//! published addresses in a lock-free singly linked registry:
+//! registering recycles a released slot or pushes a fresh one, and scans
+//! walk every slot ever allocated. Invariants:
+//!
+//! * slot nodes are never freed while the registry lives — scans may
+//!   dereference any pointer they traverse;
+//! * a released slot's hazards must be cleared before `in_use` is, because
+//!   scans visit released slots too (they may already belong to a new
+//!   owner).
 
 use std::cell::RefCell;
 use std::collections::HashSet;
 use std::fmt;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-
-use crate::slots::{SlotList, SlotNode};
 
 /// Hazard slots per registered thread (the list algorithms need three:
 /// predecessor, current, and one spare for rotation).
 pub const HAZARDS_PER_THREAD: usize = 4;
 
 /// Retired-node count that triggers a scan.
-pub(crate) const SCAN_THRESHOLD: usize = 64;
+const SCAN_THRESHOLD: usize = 64;
 
 /// Per-thread payload: the published hazard addresses (0 = empty).
 type HazardSlots = [AtomicUsize; HAZARDS_PER_THREAD];
 
-pub(crate) struct Retired {
+/// One registered thread's slot: its published hazards plus the
+/// registry linkage.
+struct SlotNode {
+    hazards: HazardSlots,
+    in_use: AtomicBool,
+    next: AtomicPtr<SlotNode>,
+}
+
+/// Lock-free grow-only registry of [`SlotNode`]s with slot recycling.
+struct SlotList {
+    head: AtomicPtr<SlotNode>,
+}
+
+impl SlotList {
+    fn new() -> Self {
+        SlotList {
+            head: AtomicPtr::new(std::ptr::null_mut()),
+        }
+    }
+
+    /// Claim a slot for the calling thread: recycle a released one when
+    /// possible, otherwise push a fresh node (lock-free).
+    ///
+    /// The returned pointer stays valid until the registry drops; the
+    /// caller releases it with [`SlotList::release`].
+    // escape: ESC.hp-slots: slot nodes are never freed while the registry
+    // lives (module invariant), so the returned pointer cannot dangle
+    fn register(&self) -> *mut SlotNode {
+        let mut cur = self.head.load(Ordering::SeqCst);
+        while !cur.is_null() {
+            // SAFETY: slot nodes are never freed while the registry
+            // lives (module invariant).
+            // validate: VAL.hp-slots: registry nodes are append-only and
+            // never freed while the registry lives — no re-check needed
+            let slot = unsafe { &*cur };
+            if !slot.in_use.load(Ordering::SeqCst)
+                && slot
+                    .in_use
+                    .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
+                    .is_ok()
+            {
+                return cur;
+            }
+            cur = slot.next.load(Ordering::SeqCst);
+        }
+        let slot = Box::into_raw(Box::new(SlotNode {
+            hazards: Default::default(),
+            in_use: AtomicBool::new(true),
+            next: AtomicPtr::new(std::ptr::null_mut()),
+        }));
+        let mut head = self.head.load(Ordering::SeqCst);
+        loop {
+            // SAFETY: `slot` was just leaked from a live Box.
+            unsafe { &*slot }.next.store(head, Ordering::SeqCst);
+            match self
+                .head
+                .compare_exchange(head, slot, Ordering::SeqCst, Ordering::SeqCst)
+            {
+                Ok(_) => break,
+                Err(h) => head = h,
+            }
+        }
+        slot
+    }
+
+    /// Return a slot to the free pool. The caller must have cleared its
+    /// hazards first (module invariant).
+    ///
+    /// # Safety
+    ///
+    /// `slot` must have been returned by [`SlotList::register`] on this
+    /// registry and not yet released.
+    unsafe fn release(&self, slot: *mut SlotNode) {
+        // SAFETY: the caller's contract — a live registration on this
+        // registry, whose nodes outlive it.
+        unsafe { &*slot }.in_use.store(false, Ordering::SeqCst);
+    }
+
+    /// Visit every slot's hazards, released ones included (a recycled
+    /// slot may already hold a new owner's hazards, so whatever is read
+    /// counts as live).
+    fn for_each(&self, mut f: impl FnMut(&HazardSlots)) {
+        let mut cur = self.head.load(Ordering::SeqCst);
+        while !cur.is_null() {
+            // SAFETY: slot nodes are never freed while the registry
+            // lives (module invariant).
+            // validate: VAL.hp-slots: registry nodes are append-only and
+            // never freed while the registry lives — no re-check needed
+            let slot = unsafe { &*cur };
+            f(&slot.hazards);
+            cur = slot.next.load(Ordering::SeqCst);
+        }
+    }
+}
+
+impl Drop for SlotList {
+    fn drop(&mut self) {
+        let mut cur = *self.head.get_mut();
+        while !cur.is_null() {
+            // SAFETY: unique access; each node was leaked from a Box in
+            // `register` and is freed exactly once here.
+            let mut slot = unsafe { Box::from_raw(cur) };
+            cur = *slot.next.get_mut();
+        }
+    }
+}
+
+struct Retired {
     addr: usize,
     drop_fn: unsafe fn(usize),
 }
@@ -39,7 +152,7 @@ unsafe fn drop_box<T>(addr: usize) {
 }
 
 struct DomainInner {
-    registry: SlotList<HazardSlots>,
+    registry: SlotList,
     /// Garbage abandoned by deregistered threads (rare path).
     orphans: Mutex<Vec<Retired>>,
 }
@@ -143,7 +256,7 @@ impl Domain {
 /// A thread's hazard slots plus its retired-node batch. Not `Send`.
 pub struct HazardHandle {
     inner: Arc<DomainInner>,
-    slot: *mut SlotNode<HazardSlots>,
+    slot: *mut SlotNode,
     retired: RefCell<Vec<Retired>>,
     _not_send: PhantomData<*mut ()>,
 }
@@ -157,7 +270,7 @@ impl fmt::Debug for HazardHandle {
 }
 
 impl HazardHandle {
-    fn new(inner: Arc<DomainInner>, slot: *mut SlotNode<HazardSlots>) -> Self {
+    fn new(inner: Arc<DomainInner>, slot: *mut SlotNode) -> Self {
         HazardHandle {
             inner,
             slot,
@@ -169,7 +282,7 @@ impl HazardHandle {
     fn hazards(&self) -> &HazardSlots {
         // SAFETY: the slot outlives the handle (slots are freed only by
         // the registry's drop, and we hold an `Arc` to the domain).
-        &unsafe { &*self.slot }.payload
+        &unsafe { &*self.slot }.hazards
     }
 
     /// Publish `src`'s current pointee in hazard slot `index` and
@@ -253,8 +366,7 @@ impl Drop for HazardHandle {
         if !retired.is_empty() {
             self.inner.orphans.lock().unwrap().append(&mut retired);
         }
-        // Payload is now inert (all hazards zeroed above), so the slot
-        // may be recycled.
+        // All hazards are zeroed above, so the slot may be recycled.
         // SAFETY: our live registration on the domain's registry.
         unsafe { self.inner.registry.release(self.slot) };
     }
@@ -363,6 +475,21 @@ mod tests {
         stalled.clear(0);
         worker.scan();
         assert_eq!(drops.load(Ordering::SeqCst), 51);
+    }
+
+    #[test]
+    fn register_recycles_released_slots() {
+        let list = SlotList::new();
+        let a = list.register();
+        // SAFETY: `a` is a live registration.
+        unsafe { list.release(a) };
+        let b = list.register();
+        assert_eq!(a, b, "released slot was not recycled");
+        let c = list.register();
+        assert_ne!(b, c, "in-use slot handed out twice");
+        let mut count = 0;
+        list.for_each(|_| count += 1);
+        assert_eq!(count, 2);
     }
 
     #[test]

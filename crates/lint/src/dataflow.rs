@@ -1,10 +1,9 @@
 //! SMR guard-lifetime & pointer-escape dataflow — audit pillar three.
 //!
-//! The workspace carries three reclamation disciplines behind the
-//! `Reclaim` trait (DESIGN.md §13): guard-scoped derefs for EBR and
-//! hazard eras, stamp re-validation before trusting a pin-free VBR
-//! read, and the pin-per-poll rule in `lf-async` (no guard live across
-//! an `.await`). This pass enforces them statically with an
+//! The workspace carries three reclamation disciplines (DESIGN.md
+//! §13): guard-scoped derefs for EBR, stamp re-validation before
+//! trusting a pin-free VBR read, and the pin-per-poll rule in
+//! `lf-async` (no guard live across an `.await`). This pass enforces them statically with an
 //! intra-procedural dataflow over the lexer's token stream: it finds
 //! guard/pin bindings, tracks raw-pointer bindings *derived from
 //! guarded atomic loads* (`.load(`, `.ptr(`, or a registered
@@ -1089,7 +1088,7 @@ mod tests {
 
     #[test]
     fn defer_without_unlink_is_flagged() {
-        let s = scan_file("fn f() { R::defer(guard, birth, destroy); }\n");
+        let s = scan_file("fn f() { R::defer(guard, destroy); }\n");
         assert!(s
             .smr
             .violations
@@ -1103,7 +1102,7 @@ mod tests {
         let s = scan_file(
             "fn f() {\n\
                  // unlink: UNLINK.list-del: succ CAS marked+flagged before retire\n\
-                 R::defer(guard, birth, destroy);\n\
+                 R::defer(guard, destroy);\n\
              }\n",
         );
         assert!(s.smr.violations.is_empty(), "{:?}", s.smr.violations);

@@ -25,10 +25,9 @@
 //!
 //! Like the rest of the stack, the map is generic over the reclamation
 //! backend (`R`, default [`Ebr`]): construct with
-//! [`BucketMap::with_backend`] to run the buckets over hazard pointers
-//! or VBR. On a pin-free backend (VBR), [`BucketMapHandle::try_read`]
-//! serves point lookups without touching the shared reclamation
-//! domain at all.
+//! [`BucketMap::with_backend`] to run the buckets over VBR, whose
+//! [`BucketMapHandle::try_read`] serves point lookups without touching
+//! the shared reclamation domain at all.
 //!
 //! Every operation is attributed to [`Structure::Map`] in the shared
 //! `lf-metrics` histograms (so map and skip-list latencies never
@@ -676,25 +675,6 @@ mod tests {
         for k in 0..300u64 {
             assert_eq!(h.remove(&k), Some(k * 3));
             assert_eq!(h.try_read(&k), None);
-        }
-        assert!(map.is_empty());
-        map.validate_quiescent();
-    }
-
-    #[test]
-    fn hazard_backend_end_to_end() {
-        let map: BucketMap<u64, u64, lf_hazard::Hp> = BucketMap::with_backend(4);
-        let h = map.handle();
-        for k in 0..100u64 {
-            assert!(h.insert(k, k).is_ok());
-        }
-        for k in 0..100u64 {
-            assert_eq!(h.get(&k), Some(k));
-            // On a pinned backend try_read is the pinned get.
-            assert_eq!(h.try_read(&k), Some(k));
-        }
-        for k in 0..100u64 {
-            assert_eq!(h.remove(&k), Some(k));
         }
         assert!(map.is_empty());
         map.validate_quiescent();

@@ -1,7 +1,7 @@
 //! Backend-matrix correctness tests for the bucketed hash map: the
 //! same oracle proptests, leak audits, and gauge checks as
 //! `lf-core`'s `backend_matrix`, instantiated once per reclamation
-//! backend (EBR, hazard eras, VBR) — but against a `HashMap` oracle,
+//! backend (EBR, VBR) — but against a `HashMap` oracle,
 //! since the map promises no ordering.
 //!
 //! The map adds one hazard the single-list matrix can't see: its
@@ -162,62 +162,54 @@ macro_rules! backend_matrix {
 }
 
 backend_matrix!(ebr, lf_reclaim::Ebr);
-backend_matrix!(hp, lf_hazard::Hp);
 backend_matrix!(vbr, lf_vbr::Vbr);
 
-/// Drop-audit body for backends that support droppable (non-`Pod`)
+/// Drop audit on EBR, the backend that supports droppable (non-`Pod`)
 /// values: every `Counted` instance — inserted or cloned out by a
 /// remove — must drop exactly once by teardown, no matter which bucket
 /// it lived in or which bucket's chain its block was recycled into
 /// afterwards. (VBR's `Pod` bound rules out droppable values by
 /// construction.)
-macro_rules! drop_audit {
-    ($name:ident, $R:ty) => {
-        #[test]
-        fn $name() {
-            const N: u32 = if cfg!(miri) { 25 } else { 150 };
-            #[derive(Debug)]
-            struct Counted(Arc<AtomicUsize>);
-            impl Clone for Counted {
-                fn clone(&self) -> Self {
-                    Counted(Arc::clone(&self.0))
-                }
-            }
-            impl Drop for Counted {
-                fn drop(&mut self) {
-                    self.0.fetch_add(1, Ordering::SeqCst);
-                }
-            }
-            let drops = Arc::new(AtomicUsize::new(0));
-            let mut created = 0usize;
-            {
-                let map: BucketMap<u32, Counted, $R> = BucketMap::with_backend(8);
-                let h = map.handle();
-                for k in 0..N {
-                    h.insert(k, Counted(Arc::clone(&drops))).unwrap();
-                    created += 1;
-                }
-                // Each successful remove clones one `Counted` out (the
-                // return value) and retires the in-node original.
-                for k in (0..N).step_by(2) {
-                    assert!(h.remove(&k).is_some());
-                    created += 1;
-                }
-                // Reinsert over the removed keys: the shared pool hands
-                // the retired blocks back, possibly to other buckets.
-                for k in (0..N).step_by(2) {
-                    h.insert(k, Counted(Arc::clone(&drops))).unwrap();
-                    created += 1;
-                }
-                h.flush_reclamation();
-                assert_eq!(map.len(), N as usize);
-            }
-            // Map dropped: retired nodes and still-present nodes alike
-            // have run their destructors exactly once.
-            assert_eq!(drops.load(Ordering::SeqCst), created);
+#[test]
+fn ebr_drops_every_value_once() {
+    const N: u32 = if cfg!(miri) { 25 } else { 150 };
+    #[derive(Debug)]
+    struct Counted(Arc<AtomicUsize>);
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            Counted(Arc::clone(&self.0))
         }
-    };
+    }
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+    let drops = Arc::new(AtomicUsize::new(0));
+    let mut created = 0usize;
+    {
+        let map: BucketMap<u32, Counted, lf_reclaim::Ebr> = BucketMap::with_backend(8);
+        let h = map.handle();
+        for k in 0..N {
+            h.insert(k, Counted(Arc::clone(&drops))).unwrap();
+            created += 1;
+        }
+        // Each successful remove clones one `Counted` out (the
+        // return value) and retires the in-node original.
+        for k in (0..N).step_by(2) {
+            assert!(h.remove(&k).is_some());
+            created += 1;
+        }
+        // Reinsert over the removed keys: the shared pool hands
+        // the retired blocks back, possibly to other buckets.
+        for k in (0..N).step_by(2) {
+            h.insert(k, Counted(Arc::clone(&drops))).unwrap();
+            created += 1;
+        }
+        h.flush_reclamation();
+        assert_eq!(map.len(), N as usize);
+    }
+    // Map dropped: retired nodes and still-present nodes alike
+    // have run their destructors exactly once.
+    assert_eq!(drops.load(Ordering::SeqCst), created);
 }
-
-drop_audit!(ebr_drops_every_value_once, lf_reclaim::Ebr);
-drop_audit!(hp_drops_every_value_once, lf_hazard::Hp);

@@ -1,8 +1,7 @@
 //! Peak-unreclaimed-memory gauge for the SMR backends.
 //!
-//! Every reclamation domain (EBR collector, hazard-era domain, VBR
-//! domain) embeds one [`UnreclaimedGauge`] and bumps it at retire and
-//! free time. The gauge keeps the running retired-minus-freed count
+//! Every `Reclaim` domain (EBR collector, VBR domain) embeds one
+//! [`UnreclaimedGauge`] and bumps it at retire and free time. The gauge keeps the running retired-minus-freed count
 //! *and* its high-water mark, so the cross-SMR experiment (E14) can
 //! report "peak unreclaimed memory" per backend — including under a
 //! stalled reader, where the difference between schemes that bound

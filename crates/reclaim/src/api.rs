@@ -6,14 +6,16 @@
 //! how protection is announced, when retired memory is actually freed,
 //! whether a read can skip announcing entirely — is backend policy.
 //! The [`Reclaim`] trait captures exactly that seam so the structures
-//! in `lf-core` can be instantiated over:
+//! in `lf-core` can be instantiated over either of two backends:
 //!
 //! * [`Ebr`] — the epoch-based collector in this crate (the default);
-//! * `Hp` (in `lf-hazard`) — hazard-era reclamation with per-pin era
-//!   announcements;
 //! * `Vbr` (in `lf-vbr`) — version-based reclamation layered on the
 //!   epoch collector, where read-only operations skip the pin and
 //!   instead validate birth-epoch stamps ([`Reclaim::PIN_FREE_READS`]).
+//!
+//! (Classic per-pointer hazard pointers, `lf-hazard`, sit outside this
+//! trait: a protect-and-validate per hop does not fit a whole-traversal
+//! guard, and only the Michael-list baseline uses them.)
 //!
 //! # Trait contract
 //!
@@ -30,9 +32,8 @@
 //!    never before every guard live at defer time has dropped.
 //!
 //! Backends with [`Reclaim::PIN_FREE_READS`] additionally stamp each
-//! allocation with a *birth epoch* ([`Reclaim::birth_epoch`], echoed
-//! back at retire time through `defer`'s `birth` argument) and promise
-//! that a recycled slot's new birth is strictly greater than its
+//! allocation with a *birth epoch* ([`Reclaim::birth_epoch`]) and
+//! promise that a recycled slot's new birth is strictly greater than its
 //! previous tenant's retire epoch. Pin-free readers exploit this: they
 //! copy fields with the [`atomic_read_copy`] helpers, then re-validate
 //! the birth stamp before trusting the copy (the seqlock idiom — see
@@ -72,7 +73,7 @@ pub trait Reclaim: Sized + Send + Sync + 'static {
     /// the optimistic birth-stamp-validated read path.
     const PIN_FREE_READS: bool;
 
-    /// Backend name as reported by experiments ("ebr", "hp", "vbr").
+    /// Backend name as reported by experiments ("ebr", "vbr").
     const NAME: &'static str;
 
     /// Create a fresh, empty domain.
@@ -91,14 +92,11 @@ pub trait Reclaim: Sized + Send + Sync + 'static {
     /// Queue `f` (typically a destructor + free) to run once no guard
     /// from before this call is still live.
     ///
-    /// `birth` is the value [`Reclaim::birth_epoch`] returned when the
-    /// object was allocated; backends without pin-free reads ignore it.
-    ///
     /// # Safety
     ///
     /// The object `f` frees must be unreachable to new operations and
     /// retired at most once.
-    unsafe fn defer<F: FnOnce() + Send + 'static>(guard: &Self::Guard<'_>, birth: u64, f: F);
+    unsafe fn defer<F: FnOnce() + Send + 'static>(guard: &Self::Guard<'_>, f: F);
 
     /// The stamp to record as a freshly allocated object's birth epoch.
     ///
@@ -108,16 +106,10 @@ pub trait Reclaim: Sized + Send + Sync + 'static {
     /// epoch cannot lag the reclamation horizon.
     fn birth_epoch(guard: &Self::Guard<'_>) -> u64;
 
-    /// The domain's current epoch as seen by a (possibly unpinned)
-    /// reader. Pin-free readers use this only for diagnostics; the
-    /// actual validation stamp always comes from loaded pointers.
-    fn read_epoch(domain: &Self::Domain) -> u64;
-
     /// Retired/freed accounting for this domain.
     fn gauge(domain: &Self::Domain) -> &UnreclaimedGauge;
 
     /// Only announce protection on every `every`-th pin (1 = always).
-    /// Backends where announcement is mandatory for safety ignore this.
     fn amortize_pins(handle: &Self::Handle, every: u32);
 
     /// Drop any amortization so the thread stops holding back
@@ -127,9 +119,6 @@ pub trait Reclaim: Sized + Send + Sync + 'static {
     /// Hurry reclamation along: hand queued retirements to the domain
     /// and attempt collection now.
     fn flush(handle: &Self::Handle);
-
-    /// Retirements queued locally on this handle, not yet freed.
-    fn queued(handle: &Self::Handle) -> usize;
 }
 
 /// The "under construction" bit of a node's birth word: set (with the
@@ -142,8 +131,8 @@ pub const BIRTH_BUILDING: u64 = 1 << 63;
 
 /// Per-field publication/snoop behavior of a backend, split from
 /// [`Reclaim`] so only pin-free backends can demand `Pod` of stored
-/// types: `Ebr`/`Hp` implement `Publish<T>` for every `T` (publication
-/// is a no-op — their readers are pinned and use the plain fields),
+/// types: `Ebr` implements `Publish<T>` for every `T` (publication
+/// is a no-op — its readers are pinned and use the plain fields),
 /// while `lf-vbr` implements it only for `T: Pod` with genuine atomic
 /// word copies. Data structures bound `R: Reclaim + Publish<K> +
 /// Publish<V>`, which costs nothing under the default backend and
@@ -339,22 +328,6 @@ pub struct EbrDomain {
     gauge: Arc<UnreclaimedGauge>,
 }
 
-impl EbrDomain {
-    /// The wrapped collector (for code that still speaks the concrete
-    /// EBR API, e.g. sibling-structure constructors).
-    pub fn collector(&self) -> &Collector {
-        &self.collector
-    }
-
-    /// Wrap an existing collector in a domain with a fresh gauge.
-    pub fn from_collector(collector: Collector) -> Self {
-        EbrDomain {
-            collector,
-            gauge: Arc::new(UnreclaimedGauge::new()),
-        }
-    }
-}
-
 impl std::fmt::Debug for EbrDomain {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EbrDomain").finish_non_exhaustive()
@@ -367,24 +340,10 @@ pub struct EbrHandle {
     gauge: Arc<UnreclaimedGauge>,
 }
 
-impl EbrHandle {
-    /// The wrapped concrete handle.
-    pub fn local(&self) -> &LocalHandle {
-        &self.local
-    }
-}
-
 /// RAII pin over the EBR collector.
 pub struct EbrGuard<'h> {
     inner: Guard<'h>,
     gauge: &'h Arc<UnreclaimedGauge>,
-}
-
-impl<'h> EbrGuard<'h> {
-    /// The wrapped concrete guard.
-    pub fn inner(&self) -> &Guard<'h> {
-        &self.inner
-    }
 }
 
 impl Reclaim for Ebr {
@@ -397,7 +356,10 @@ impl Reclaim for Ebr {
     const NAME: &'static str = "ebr";
 
     fn new_domain() -> EbrDomain {
-        EbrDomain::from_collector(Collector::new())
+        EbrDomain {
+            collector: Collector::new(),
+            gauge: Arc::new(UnreclaimedGauge::new()),
+        }
     }
 
     fn domain_eq(a: &EbrDomain, b: &EbrDomain) -> bool {
@@ -421,7 +383,7 @@ impl Reclaim for Ebr {
     // SAFETY: forwarded caller contract — the object is unreachable to
     // new operations and retired exactly once; the epoch grace period
     // below only delays `f`, never duplicates it.
-    unsafe fn defer<F: FnOnce() + Send + 'static>(guard: &EbrGuard<'_>, _birth: u64, f: F) {
+    unsafe fn defer<F: FnOnce() + Send + 'static>(guard: &EbrGuard<'_>, f: F) {
         guard.gauge.record_retire(1);
         let gauge = Arc::clone(guard.gauge);
         // SAFETY: forwarded caller contract — object unreachable,
@@ -440,10 +402,6 @@ impl Reclaim for Ebr {
         0
     }
 
-    fn read_epoch(domain: &EbrDomain) -> u64 {
-        domain.collector.global_epoch()
-    }
-
     fn gauge(domain: &EbrDomain) -> &UnreclaimedGauge {
         &domain.gauge
     }
@@ -458,10 +416,6 @@ impl Reclaim for Ebr {
 
     fn flush(handle: &EbrHandle) {
         handle.local.flush();
-    }
-
-    fn queued(handle: &EbrHandle) -> usize {
-        handle.local.queued()
     }
 }
 
@@ -498,7 +452,7 @@ mod tests {
             // SAFETY: the "object" is a counter bump; trivially
             // unreachable and retired once.
             unsafe {
-                Ebr::defer(&guard, 0, move || {
+                Ebr::defer(&guard, move || {
                     f.fetch_add(1, Ordering::SeqCst);
                 });
             }
@@ -552,20 +506,5 @@ mod tests {
         unsafe { atomic_write_copy(&mut small, 0xa5u8) };
         // SAFETY: aligned local; untorn (no concurrency).
         assert_eq!(unsafe { atomic_read_copy(&small).assume_init() }, 0xa5);
-    }
-
-    #[test]
-    fn read_epoch_advances_with_collector() {
-        let domain = Ebr::new_domain();
-        let handle = Ebr::register(&domain);
-        let before = Ebr::read_epoch(&domain);
-        for _ in 0..64 {
-            let guard = Ebr::pin(&handle);
-            // SAFETY: no-op retirement, retired once.
-            unsafe { Ebr::defer(&guard, 0, || {}) };
-            drop(guard);
-            Ebr::flush(&handle);
-        }
-        assert!(Ebr::read_epoch(&domain) >= before);
     }
 }

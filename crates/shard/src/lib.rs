@@ -19,10 +19,9 @@
 //!
 //! Like the underlying structures, both tiers are generic over the
 //! reclamation backend (`R`, default [`Ebr`]): construct with
-//! `with_backend` to run all shards over hazard pointers or VBR
-//! instead. On a pin-free backend (VBR), [`RoutedHandle::try_read`]
-//! serves point lookups without touching the shared reclamation domain
-//! at all.
+//! `with_backend` to run all shards over VBR instead, whose
+//! [`RoutedHandle::try_read`] serves point lookups without touching the
+//! shared reclamation domain at all.
 //!
 //! # Examples
 //!

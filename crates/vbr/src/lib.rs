@@ -70,13 +70,6 @@ pub struct VbrDomain {
     gauge: Arc<UnreclaimedGauge>,
 }
 
-impl VbrDomain {
-    /// The wrapped epoch collector.
-    pub fn collector(&self) -> &Collector {
-        &self.collector
-    }
-}
-
 impl fmt::Debug for VbrDomain {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("VbrDomain")
@@ -92,25 +85,11 @@ pub struct VbrHandle {
     gauge: Arc<UnreclaimedGauge>,
 }
 
-impl VbrHandle {
-    /// The wrapped concrete handle.
-    pub fn local(&self) -> &LocalHandle {
-        &self.local
-    }
-}
-
 /// RAII pin for VBR's *writer* path (identical to EBR's guard —
 /// pin-free reads never construct one).
 pub struct VbrGuard<'h> {
     inner: Guard<'h>,
     handle: &'h VbrHandle,
-}
-
-impl<'h> VbrGuard<'h> {
-    /// The wrapped concrete guard.
-    pub fn inner(&self) -> &Guard<'h> {
-        &self.inner
-    }
 }
 
 /// Shadow storage for one pin-free-readable field: an unsynchronized
@@ -179,7 +158,7 @@ impl Reclaim for Vbr {
     // documented on the inner block: stale pin-free readers may copy
     // the slot's bytes after `f` runs, which is sound only because
     // pin-free-readable payloads have no drop glue.
-    unsafe fn defer<F: FnOnce() + Send + 'static>(guard: &VbrGuard<'_>, _birth: u64, f: F) {
+    unsafe fn defer<F: FnOnce() + Send + 'static>(guard: &VbrGuard<'_>, f: F) {
         guard.handle.gauge.record_retire(1);
         let gauge = Arc::clone(&guard.handle.gauge);
         // SAFETY: forwarded caller contract — object unreachable to new
@@ -207,10 +186,6 @@ impl Reclaim for Vbr {
         guard.handle.collector.global_epoch()
     }
 
-    fn read_epoch(domain: &VbrDomain) -> u64 {
-        domain.collector.global_epoch()
-    }
-
     fn gauge(domain: &VbrDomain) -> &UnreclaimedGauge {
         &domain.gauge
     }
@@ -225,10 +200,6 @@ impl Reclaim for Vbr {
 
     fn flush(handle: &VbrHandle) {
         handle.local.flush();
-    }
-
-    fn queued(handle: &VbrHandle) -> usize {
-        handle.local.queued()
     }
 }
 
@@ -280,7 +251,7 @@ mod tests {
             assert!(birth >= last, "birth epoch went backwards");
             last = birth;
             // SAFETY: no-op retirement, retired once.
-            unsafe { Vbr::defer(&guard, birth, || {}) };
+            unsafe { Vbr::defer(&guard, || {}) };
             drop(guard);
             Vbr::flush(&handle);
         }
@@ -301,7 +272,7 @@ mod tests {
             let f = Arc::clone(&freed);
             // SAFETY: counter bump, retired once.
             unsafe {
-                Vbr::defer(&guard, Vbr::birth_epoch(&guard), move || {
+                Vbr::defer(&guard, move || {
                     f.fetch_add(1, Ordering::SeqCst);
                 });
             }
@@ -320,7 +291,7 @@ mod tests {
             let f = Arc::clone(&freed);
             // SAFETY: counter bump, retired once.
             unsafe {
-                Vbr::defer(&guard, Vbr::birth_epoch(&guard), move || {
+                Vbr::defer(&guard, move || {
                     f.fetch_add(1, Ordering::SeqCst);
                 });
             }

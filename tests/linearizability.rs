@@ -123,16 +123,7 @@ fn lock_skiplist_per_key_accounting() {
     per_key_accounting(LockSkipList::<u64, u64>::new());
 }
 
-// KNOWN ISSUE (documented in EXPERIMENTS.md): the restart-based skip
-// list baseline very rarely violates this accounting under heavy
-// same-key churn (observed once: two net insert-wins for one key),
-// pointing at a rare lost-node race in its Fraser/Harris-style
-// restart machinery. The FR structures and every other baseline pass
-// this test unconditionally. Ignored by default so the rare flake
-// doesn't mask regressions elsewhere; run explicitly with
-// `cargo test -- --ignored restart_skiplist_per_key_accounting`.
 #[test]
-#[ignore = "known rare accounting violation in the restart baseline; see EXPERIMENTS.md"]
 fn restart_skiplist_per_key_accounting() {
     per_key_accounting(RestartSkipList::<u64, u64>::new());
 }
