@@ -1,8 +1,12 @@
 //! The linked-list level protocol (paper Figs. 3–5), written once.
 //!
 //! The list is one level; every skip-list level is another instance of
-//! the same list (§4). [`LevelNode`] gives a node type the accessors the
-//! protocol needs, and [`Level`] runs the protocol over one level:
+//! the same list (§4). [`LevelNode`] gives a node type the `succ` and
+//! `backlink` accessors the protocol needs, [`LevelKeys`] reads a
+//! node's key and birth word (from the node on the list, from the
+//! tower's header on a skip-list level, which is why those reads take
+//! the level and not just the node), and [`Level`] runs the protocol
+//! over one level:
 //! `TryFlag`, `HelpFlagged`, `TryMark`, `HelpMarked`, the insertion
 //! loop `InsertNode` and `Delete`'s flag-then-help step. A level
 //! supplies only its search (`SearchFrom` on the list, `SearchRight` on
@@ -30,67 +34,15 @@ pub(crate) enum FlagStatus {
     Deleted,
 }
 
-/// A node of one level: the paper's `(key, succ, backlink)` fields plus
-/// the birth word that stamps every published pointer to it.
-pub(crate) trait LevelNode<K, R: Reclaim>: Sized {
+/// A node of one level: the paper's `succ` and `backlink` fields. Its
+/// key and birth word are read through the level ([`LevelKeys`]): the
+/// list keeps them in the node, a skip-list level in the tower's header.
+pub(crate) trait LevelNode: Sized {
     /// The composite successor field `(right, mark, flag)`.
     fn succ_cell(&self) -> &AtomicTaggedPtr<Self>;
     /// Set (to the flagged predecessor) immediately before the node is
     /// marked; never changes afterwards (paper INV 4).
     fn backlink_cell(&self) -> &AtomicPtr<Self>;
-    /// The tenant's birth-epoch word (DESIGN.md §9.7).
-    fn birth_cell(&self) -> &AtomicU64;
-
-    /// The node's key.
-    ///
-    /// # Safety
-    ///
-    /// The node must be protected by a guard.
-    unsafe fn key_ref(&self) -> &Bound<K>;
-
-    /// The 16-bit pointer stamp for `ptr`: the low bits of its current
-    /// birth under pin-free backends, 0 otherwise (const-folds away).
-    ///
-    /// # Safety
-    ///
-    /// `ptr` must be null or a node the caller's guard protects (its
-    /// birth cannot change while protected, so the value equals the
-    /// stamp embedded in every published pointer to this tenant).
-    #[inline]
-    unsafe fn stamp_of(ptr: *mut Self) -> u16 {
-        if R::PIN_FREE_READS && !ptr.is_null() {
-            // SAFETY: non-null and guard-protected per contract.
-            // ord: Relaxed — VBR.birth-stamp: the value is fixed for
-            // the tenant's lifetime; visibility rides the pointer's
-            // own publication edge.
-            (unsafe { (*ptr).birth_cell().load(Ordering::Relaxed) } & 0xffff) as u16
-        } else {
-            0
-        }
-    }
-
-    /// A clean (unmarked, unflagged) tagged pointer to `ptr` carrying
-    /// its birth stamp — the canonical form every C&S stores.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`LevelNode::stamp_of`].
-    #[inline]
-    unsafe fn clean_ptr(ptr: *mut Self) -> TaggedPtr<Self> {
-        // SAFETY: forwarded contract.
-        TaggedPtr::unmarked(ptr).with_stamp(unsafe { Self::stamp_of(ptr) })
-    }
-
-    /// A flagged tagged pointer to `ptr` carrying its birth stamp.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`LevelNode::stamp_of`].
-    #[inline]
-    unsafe fn flagged_ptr(ptr: *mut Self) -> TaggedPtr<Self> {
-        // SAFETY: forwarded contract.
-        unsafe { Self::clean_ptr(ptr) }.with_flag()
-    }
 
     /// Load the successor field.
     ///
@@ -158,13 +110,79 @@ pub(crate) trait LevelNode<K, R: Reclaim>: Sized {
     }
 }
 
+/// The header reads of one level's nodes: the key and the birth word
+/// that stamps every published pointer to a node. The list reads both
+/// from the node itself; a skip-list level finds them in the tower's
+/// header, by arithmetic on the cell's address and the level.
+pub(crate) trait LevelKeys<K, R: Reclaim> {
+    /// The level's node type.
+    type Node: LevelNode;
+
+    /// `node`'s key.
+    ///
+    /// # Safety
+    ///
+    /// `node` must be a node of this level protected by a guard that
+    /// outlives `'n`.
+    unsafe fn key_ref<'n>(&self, node: *mut Self::Node) -> &'n Bound<K>;
+
+    /// The birth-epoch word of `node`'s tenant (DESIGN.md §9.7).
+    ///
+    /// # Safety
+    ///
+    /// As for [`key_ref`](Self::key_ref).
+    unsafe fn birth_cell<'n>(&self, node: *mut Self::Node) -> &'n AtomicU64;
+
+    /// The 16-bit pointer stamp for `ptr`: the low bits of its current
+    /// birth under pin-free backends, 0 otherwise (const-folds away).
+    ///
+    /// # Safety
+    ///
+    /// `ptr` must be null or a node of this level the caller's guard
+    /// protects (its birth cannot change while protected, so the value
+    /// equals the stamp embedded in every published pointer to this
+    /// tenant).
+    #[inline]
+    unsafe fn stamp_of(&self, ptr: *mut Self::Node) -> u16 {
+        if R::PIN_FREE_READS && !ptr.is_null() {
+            // SAFETY: non-null and guard-protected per contract.
+            // ord: Relaxed — VBR.birth-stamp: the value is fixed for
+            // the tenant's lifetime; visibility rides the pointer's
+            // own publication edge.
+            (unsafe { self.birth_cell(ptr).load(Ordering::Relaxed) } & 0xffff) as u16
+        } else {
+            0
+        }
+    }
+
+    /// A clean (unmarked, unflagged) tagged pointer to `ptr` carrying
+    /// its birth stamp — the canonical form every C&S stores.
+    ///
+    /// # Safety
+    ///
+    /// Same contract as [`stamp_of`](Self::stamp_of).
+    #[inline]
+    unsafe fn clean_ptr(&self, ptr: *mut Self::Node) -> TaggedPtr<Self::Node> {
+        // SAFETY: forwarded contract.
+        TaggedPtr::unmarked(ptr).with_stamp(unsafe { self.stamp_of(ptr) })
+    }
+
+    /// A flagged tagged pointer to `ptr` carrying its birth stamp.
+    ///
+    /// # Safety
+    ///
+    /// Same contract as [`stamp_of`](Self::stamp_of).
+    #[inline]
+    unsafe fn flagged_ptr(&self, ptr: *mut Self::Node) -> TaggedPtr<Self::Node> {
+        // SAFETY: forwarded contract.
+        unsafe { self.clean_ptr(ptr) }.with_flag()
+    }
+}
+
 /// One level's list: the protocol routines over its nodes. A level
 /// provides its search and its unlink action; everything else is
 /// shared.
-pub(crate) trait Level<K: Ord, R: Reclaim> {
-    /// The level's node type.
-    type Node: LevelNode<K, R>;
-
+pub(crate) trait Level<K: Ord, R: Reclaim>: LevelKeys<K, R> {
     /// The level's search from `curr`: `SearchFrom` on the list,
     /// `SearchRight` on a skip-list level. Returns consecutive nodes
     /// `(n1, n2)` around `k` per `mode`.
@@ -211,7 +229,7 @@ pub(crate) trait Level<K: Ord, R: Reclaim> {
     ) -> bool {
         // SAFETY: the fn's `# Safety` contract covers the whole body.
         unsafe {
-            if (**prev).key_ref() == (*new_node).key_ref() {
+            if self.key_ref(*prev) == self.key_ref(new_node) {
                 return false;
             }
             let backoff = Backoff::new();
@@ -232,7 +250,7 @@ pub(crate) trait Level<K: Ord, R: Reclaim> {
                     // ord: Relaxed — LIST.node-init: node is thread-private until the insert C&S
                     (*new_node)
                         .succ_cell()
-                        .store(Self::Node::clean_ptr(*next), Ordering::Relaxed);
+                        .store(self.clean_ptr(*next), Ordering::Relaxed);
                     step(StepKind::CasInsert);
                     // Line 11: the insertion C&S (type 1). Release on
                     // success publishes the new node's initialization —
@@ -244,8 +262,8 @@ pub(crate) trait Level<K: Ord, R: Reclaim> {
                     // readers can validate the hop.
                     // ord: Release/Acquire — LIST.insert-cas: publish node init; inspect failure
                     let res = (**prev).succ_cell().compare_exchange(
-                        Self::Node::clean_ptr(*next),
-                        Self::Node::clean_ptr(new_node),
+                        self.clean_ptr(*next),
+                        self.clean_ptr(new_node),
                         Ordering::Release,
                         Ordering::Acquire,
                     );
@@ -268,8 +286,8 @@ pub(crate) trait Level<K: Ord, R: Reclaim> {
                     }
                 }
                 // Line 19: re-search from the recovered position.
-                let key_ref = (*new_node)
-                    .key_ref()
+                let key_ref = self
+                    .key_ref(new_node)
                     .as_key()
                     .expect("new node has user key");
                 // ord: Release/Acquire/Relaxed — LIST.flag-cas: reposition after failed CAS helps deletions (wrapped C&S)
@@ -277,7 +295,7 @@ pub(crate) trait Level<K: Ord, R: Reclaim> {
                 *prev = p;
                 *next = n;
                 // Line 20–22: a concurrent insert won the key.
-                if (**prev).key_ref() == (*new_node).key_ref() {
+                if self.key_ref(*prev) == self.key_ref(new_node) {
                     return false;
                 }
             }
@@ -339,7 +357,7 @@ pub(crate) trait Level<K: Ord, R: Reclaim> {
             // Stamp-carrying operands: `target`'s birth is constant while
             // the guard protects it, so every helper recomputes exactly
             // the stamp the publishing C&S stored.
-            let flagged = Self::Node::flagged_ptr(target);
+            let flagged = self.flagged_ptr(target);
             let backoff = Backoff::new();
             loop {
                 step(StepKind::Read);
@@ -358,7 +376,7 @@ pub(crate) trait Level<K: Ord, R: Reclaim> {
                 // HelpFlagged) or its key read after the backlink walk.
                 // ord: Release/Acquire/Relaxed — LIST.flag-cas: freeze edge; failure is decoded
                 let res = (*prev).succ_cell().compare_exchange(
-                    Self::Node::clean_ptr(target),
+                    self.clean_ptr(target),
                     flagged,
                     Ordering::Release,
                     Ordering::Acquire,
@@ -379,7 +397,7 @@ pub(crate) trait Level<K: Ord, R: Reclaim> {
                         // ord: Acquire — LIST.backlink-walk: recovered pred is dereferenced
                         prev = Self::Node::first_unmarked(prev);
                         // Line 11–13: relocate target's predecessor.
-                        let key_ref = (*target).key_ref().as_key().expect("target has user key");
+                        let key_ref = self.key_ref(target).as_key().expect("target has user key");
                         // ord: Release/Acquire/Relaxed — LIST.flag-cas: recovery search helps deletions (wrapped C&S)
                         let (p, d) = self.search_level(key_ref, prev, Mode::Lt, guard);
                         if d != target {
@@ -455,8 +473,8 @@ pub(crate) trait Level<K: Ord, R: Reclaim> {
                 // preserves the stamp stored by the edge's publisher.
                 // ord: Release/Acquire — LIST.mark-cas: mark freezes succ; failure decoded
                 let res = (*del).succ_cell().compare_exchange(
-                    Self::Node::clean_ptr(next),
-                    Self::Node::clean_ptr(next).with_mark(),
+                    self.clean_ptr(next),
+                    self.clean_ptr(next).with_mark(),
                     Ordering::Release,
                     Ordering::Acquire,
                 );
@@ -511,8 +529,8 @@ pub(crate) trait Level<K: Ord, R: Reclaim> {
             // pin-free reader validates against.
             // ord: Release/Relaxed — LIST.unlink-cas: republish next; failure discarded
             let res = (*prev).succ_cell().compare_exchange(
-                Self::Node::flagged_ptr(del),
-                Self::Node::clean_ptr(next),
+                self.flagged_ptr(del),
+                self.clean_ptr(next),
                 Ordering::Release,
                 Ordering::Relaxed,
             );
@@ -529,19 +547,21 @@ pub(crate) trait Level<K: Ord, R: Reclaim> {
 
 // ---------- quiescent diagnostics, one level at a time ----------
 
-/// Check one quiescent level from `head` to `tail`: no node marked or
-/// flagged, every published stamp matching its pointee's birth, keys
-/// strictly sorted, the chain ending at `tail`. Calls `on_node` for each
-/// user node and returns their count. `l` numbers the level in messages.
+/// Check one quiescent level `lvl` from `head` to `tail`: no node
+/// marked or flagged, every published stamp matching its pointee's
+/// birth, keys strictly sorted, the chain ending at `tail`. Calls
+/// `on_node` for each user node and returns their count. `l` numbers
+/// the level in messages.
 ///
 /// # Safety
 ///
 /// No operation runs and nothing is reclaimed during the walk.
-pub(crate) unsafe fn validate_level<K: Ord, R: Reclaim, N: LevelNode<K, R>>(
-    head: *mut N,
-    tail: *mut N,
+pub(crate) unsafe fn validate_level<K: Ord, R: Reclaim, L: LevelKeys<K, R>>(
+    lvl: &L,
+    head: *mut L::Node,
+    tail: *mut L::Node,
     l: usize,
-    mut on_node: impl FnMut(*mut N),
+    mut on_node: impl FnMut(*mut L::Node),
 ) -> usize {
     let mut count = 0;
     let mut cur = head;
@@ -557,10 +577,10 @@ pub(crate) unsafe fn validate_level<K: Ord, R: Reclaim, N: LevelNode<K, R>>(
                 assert_eq!(cur, tail, "level {l} chain ends before the tail sentinel");
                 return count;
             }
-            assert_eq!(succ.stamp(), N::stamp_of(next), "stale stamp at level {l}");
-            let key = (*next).key_ref();
+            assert_eq!(succ.stamp(), lvl.stamp_of(next), "stale stamp at level {l}");
+            let key = lvl.key_ref(next);
             assert!(
-                (*cur).key_ref() < key,
+                lvl.key_ref(cur) < key,
                 "keys not strictly sorted at level {l}"
             );
             if key.as_key().is_some() {
@@ -572,7 +592,7 @@ pub(crate) unsafe fn validate_level<K: Ord, R: Reclaim, N: LevelNode<K, R>>(
     }
 }
 
-/// Check the paper's §3.3 invariants INV 1–5 on one level from `head`
+/// Check the paper's §3.3 invariants INV 1–5 on one level `lvl` from `head`
 /// to `tail`, which may hold marked and flagged nodes (see
 /// [`FrList::check_invariants`](crate::FrList::check_invariants)).
 /// Calls `on_node` for each user node. `l` numbers the level in
@@ -581,26 +601,27 @@ pub(crate) unsafe fn validate_level<K: Ord, R: Reclaim, N: LevelNode<K, R>>(
 /// # Safety
 ///
 /// No operation runs and nothing is reclaimed during the walk.
-pub(crate) unsafe fn check_level<K: Ord + fmt::Debug, R: Reclaim, N: LevelNode<K, R>>(
-    head: *mut N,
-    tail: *mut N,
+pub(crate) unsafe fn check_level<K: Ord + fmt::Debug, R: Reclaim, L: LevelKeys<K, R>>(
+    lvl: &L,
+    head: *mut L::Node,
+    tail: *mut L::Node,
     l: usize,
-    mut on_node: impl FnMut(*mut N),
+    mut on_node: impl FnMut(*mut L::Node),
 ) {
-    let mut prev: *mut N = std::ptr::null_mut();
+    let mut prev: *mut L::Node = std::ptr::null_mut();
     let mut prev_succ = TaggedPtr::null();
     let mut cur = head;
     // SAFETY: the fn's `# Safety` contract covers the whole body.
     unsafe {
         loop {
             let succ = (*cur).succ();
-            let key = (*cur).key_ref();
+            let key = lvl.key_ref(cur);
             assert!(
                 !(succ.is_marked() && succ.is_flagged()),
                 "INV5 at level {l}: node {key:?} both marked and flagged"
             );
             if !prev.is_null() {
-                let prev_key = (*prev).key_ref();
+                let prev_key = lvl.key_ref(prev);
                 assert!(prev_key < key, "INV1 at level {l}: {prev_key:?} !< {key:?}");
                 // Logically deleted: marked, linked from a regular node.
                 if succ.is_marked() && !prev_succ.is_marked() {
@@ -635,14 +656,15 @@ pub(crate) unsafe fn check_level<K: Ord + fmt::Debug, R: Reclaim, N: LevelNode<K
     }
 }
 
-/// `(key, marked, flagged)` for every node of one level from `head`,
+/// `(key, marked, flagged)` for every node of one level `lvl` from `head`,
 /// sentinels included (their key is `None`).
 ///
 /// # Safety
 ///
 /// As for [`check_level`].
-pub(crate) unsafe fn dump_level<K: Clone, R: Reclaim, N: LevelNode<K, R>>(
-    head: *mut N,
+pub(crate) unsafe fn dump_level<K: Clone, R: Reclaim, L: LevelKeys<K, R>>(
+    lvl: &L,
+    head: *mut L::Node,
 ) -> Vec<(Option<K>, bool, bool)> {
     let mut out = Vec::new();
     let mut cur = head;
@@ -650,7 +672,7 @@ pub(crate) unsafe fn dump_level<K: Clone, R: Reclaim, N: LevelNode<K, R>>(
         // SAFETY: the fn's `# Safety` contract.
         unsafe {
             let succ = (*cur).succ();
-            let key = (*cur).key_ref().as_key().cloned();
+            let key = lvl.key_ref(cur).as_key().cloned();
             out.push((key, succ.is_marked(), succ.is_flagged()));
             cur = succ.ptr();
         }

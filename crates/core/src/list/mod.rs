@@ -39,7 +39,9 @@ mod search;
 mod sibling;
 
 pub use iter::{ChainIter, Iter};
-pub(crate) use level::{check_level, dump_level, validate_level, FlagStatus, Level, LevelNode};
+pub(crate) use level::{
+    check_level, dump_level, validate_level, FlagStatus, Level, LevelKeys, LevelNode,
+};
 pub(crate) use node::{Bound, Node};
 pub(crate) use search::key_before as search_key_before;
 
@@ -290,7 +292,7 @@ impl<K, V, R: Reclaim> FrList<K, V, R> {
     {
         // SAFETY: quiescence (caller contract) means no concurrent
         // updates or reclamation; every pointer on the chain is live.
-        let count = unsafe { validate_level(self.head, self.tail, 1, |_| {}) };
+        let count = unsafe { validate_level(self, self.head, self.tail, 1, |_| {}) };
         assert_eq!(count, self.len(), "len counter disagrees with chain");
     }
 
@@ -318,7 +320,7 @@ impl<K, V, R: Reclaim> FrList<K, V, R> {
     {
         // SAFETY: no operation runs during the walk (caller contract), so
         // nothing linked from the head is unlinked or reclaimed under it.
-        unsafe { check_level(self.head, self.tail, 1, |_| {}) }
+        unsafe { check_level(self, self.head, self.tail, 1, |_| {}) }
     }
 
     /// `(key, marked, flagged)` for every node linked from the head,
@@ -331,7 +333,7 @@ impl<K, V, R: Reclaim> FrList<K, V, R> {
     {
         // SAFETY: as for `check_invariants` — no operation runs, so
         // every node linked from the head stays valid.
-        unsafe { dump_level(self.head) }
+        unsafe { dump_level(self, self.head) }
     }
 
     /// Whether the list holds no elements (same caveat as [`len`](Self::len)).

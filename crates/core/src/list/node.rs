@@ -8,6 +8,7 @@ use lf_reclaim::{Publish, Reclaim, BIRTH_BUILDING};
 use lf_tagged::{AtomicTaggedPtr, TaggedPtr};
 
 use super::level::LevelNode;
+use crate::pool::Block;
 
 /// A key extended with the sentinels `-∞` and `+∞` held by the head and
 /// tail dummy nodes. The derived ordering places `NegInf < Key(_) <
@@ -176,7 +177,7 @@ impl<K, V, R: Reclaim> Node<K, V, R> {
     }
 }
 
-impl<K, V, R: Reclaim> LevelNode<K, R> for Node<K, V, R> {
+impl<K, V, R: Reclaim> LevelNode for Node<K, V, R> {
     #[inline]
     fn succ_cell(&self) -> &AtomicTaggedPtr<Self> {
         &self.succ
@@ -186,23 +187,14 @@ impl<K, V, R: Reclaim> LevelNode<K, R> for Node<K, V, R> {
     fn backlink_cell(&self) -> &AtomicPtr<Self> {
         &self.backlink
     }
-
-    #[inline]
-    fn birth_cell(&self) -> &AtomicU64 {
-        &self.birth
-    }
-
-    // SAFETY: a plain field read; the trait's guard contract is more
-    // than it needs.
-    #[inline]
-    unsafe fn key_ref(&self) -> &Bound<K> {
-        &self.key
-    }
 }
+
+impl<K, V, R: Reclaim> Block for Node<K, V, R> {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::list::LevelKeys;
     use lf_reclaim::Ebr;
 
     #[test]
@@ -228,7 +220,8 @@ mod tests {
             assert!(!(*n).is_marked());
             assert!((*n).succ().is_clean());
             assert!((*n).backlink().is_null());
-            assert_eq!(Node::stamp_of(n), 0, "pinned backend stamps are 0");
+            let list = crate::FrList::<u32, (), Ebr>::new();
+            assert_eq!(list.stamp_of(n), 0, "pinned backend stamps are 0");
             drop(Box::from_raw(n));
         }
     }

@@ -1,10 +1,12 @@
 //! `SearchFrom` (paper Fig. 3), and the list's two hooks into the
 //! shared level protocol.
 
+use std::sync::atomic::AtomicU64;
+
 use lf_reclaim::{Publish, Reclaim};
 use lf_tagged::{step, StepKind};
 
-use super::level::{Level, LevelNode};
+use super::level::{Level, LevelKeys, LevelNode};
 use super::{Bound, FrList, Mode, Node};
 
 /// `node_key OP k` where OP is `<=` (Le) or `<` (Lt), honouring the
@@ -115,14 +117,32 @@ where
     }
 }
 
+/// The list keeps each node's key and birth word in the node itself.
+impl<K, V, R: Reclaim> LevelKeys<K, R> for FrList<K, V, R> {
+    type Node = Node<K, V, R>;
+
+    // SAFETY: a plain field read; the trait's guard contract is more
+    // than it needs.
+    #[inline]
+    unsafe fn key_ref<'n>(&self, node: *mut Node<K, V, R>) -> &'n Bound<K> {
+        // SAFETY: the trait's `# Safety` contract.
+        unsafe { &(*node).key }
+    }
+
+    // SAFETY: as for `key_ref`.
+    #[inline]
+    unsafe fn birth_cell<'n>(&self, node: *mut Node<K, V, R>) -> &'n AtomicU64 {
+        // SAFETY: the trait's `# Safety` contract.
+        unsafe { &(*node).birth }
+    }
+}
+
 impl<K, V, R> Level<K, R> for FrList<K, V, R>
 where
     K: Ord + Send + Sync + 'static,
     V: Send + Sync + 'static,
     R: Reclaim + Publish<K> + Publish<V>,
 {
-    type Node = Node<K, V, R>;
-
     /// `SearchFrom` is the list's level search.
     ///
     /// # Safety

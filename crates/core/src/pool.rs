@@ -9,14 +9,16 @@
 //! steady-state insert/delete workload touches the global allocator only
 //! to grow the working set.
 //!
-//! A *block* is `cap` contiguous, `Layout::array::<T>(cap)`-allocated
-//! slots of `T`. The list uses `cap == 1`; the skip list allocates each
-//! tower as a single block of `cap == height` nodes (see
-//! `skiplist::node`). Blocks in the pool are **uninitialized** memory:
-//! the retire closures `drop_in_place` any live fields before pushing a
-//! block, and every reuse `ptr::write`s all fields before the block is
-//! published. A `cap == 1` block has exactly the layout of
-//! `Box::<T>::new`, so single blocks may also be freed with
+//! A *block* of capacity `cap` is one allocation of
+//! [`Block::layout`]`(cap)`, addressed through a `*mut T` to its start.
+//! The list's blocks are `cap == 1` nodes (`Layout::array::<T>(1)`, the
+//! default); the skip list allocates each tower as a single block of a
+//! header and `cap == height` level cells (see `skiplist::node`), so
+//! its pool buckets towers by height. Blocks in the pool are
+//! **uninitialized** memory: the retire closures `drop_in_place` any
+//! live fields before pushing a block, and every reuse `ptr::write`s
+//! all fields before the block is published. A list node's block has
+//! exactly the layout of `Box::<T>::new`, so it may also be freed with
 //! `Box::from_raw` (the quiescent `Drop` paths do this).
 //!
 //! ABA note: recycling does not weaken the algorithms' CAS protocols.
@@ -28,6 +30,16 @@ use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::sync::{Arc, Mutex};
+
+/// What a pool stores: blocks addressed by a `*mut Self` to their
+/// start, one layout per capacity.
+pub(crate) trait Block: Sized {
+    /// The allocation of one block of capacity `cap` (`cap >= 1`):
+    /// `cap` consecutive `Self`s unless the type says otherwise.
+    fn layout(cap: usize) -> Layout {
+        Layout::array::<Self>(cap).expect("block layout overflow")
+    }
+}
 
 /// Blocks a [`LocalPool`] steals from the shared pool per refill.
 const STEAL_BATCH: usize = 16;
@@ -42,22 +54,18 @@ const LOCAL_MAX: usize = 64;
 /// Holds raw addresses only — never live values — so it is `Send + Sync`
 /// for any `T` (the `PhantomData<fn(T)>` keeps it covariant-free without
 /// inheriting `T`'s auto traits).
-pub(crate) struct SharedPool<T> {
+pub(crate) struct SharedPool<T: Block> {
     /// `buckets[c - 1]` holds free blocks of capacity `c`.
     buckets: Mutex<Vec<Vec<usize>>>,
     _marker: PhantomData<fn(T)>,
 }
 
-impl<T> SharedPool<T> {
+impl<T: Block> SharedPool<T> {
     pub(crate) fn new() -> Arc<Self> {
         Arc::new(SharedPool {
             buckets: Mutex::new(Vec::new()),
             _marker: PhantomData,
         })
-    }
-
-    fn layout(cap: usize) -> Layout {
-        Layout::array::<T>(cap).expect("block layout overflow")
     }
 
     /// Return a retired block to the pool.
@@ -88,13 +96,13 @@ impl<T> SharedPool<T> {
     }
 }
 
-impl<T> Drop for SharedPool<T> {
+impl<T: Block> Drop for SharedPool<T> {
     fn drop(&mut self) {
         // All handles and retire closures are gone (they hold `Arc`s);
         // every remaining block is uninitialized memory we own.
         let buckets = self.buckets.get_mut().unwrap();
         for (i, bucket) in buckets.iter().enumerate() {
-            let layout = Self::layout(i + 1);
+            let layout = T::layout(i + 1);
             for &addr in bucket {
                 // SAFETY: `addr` was produced by `alloc` with this same
                 // per-bucket layout and is owned solely by the pool.
@@ -105,13 +113,13 @@ impl<T> Drop for SharedPool<T> {
 }
 
 /// A per-thread (not `Send`) cache in front of a [`SharedPool`].
-pub(crate) struct LocalPool<T> {
+pub(crate) struct LocalPool<T: Block> {
     shared: Arc<SharedPool<T>>,
     /// `cache[c - 1]` holds locally-cached free blocks of capacity `c`.
     cache: RefCell<Vec<Vec<usize>>>,
 }
 
-impl<T> LocalPool<T> {
+impl<T: Block> LocalPool<T> {
     pub(crate) fn new(shared: Arc<SharedPool<T>>) -> Self {
         LocalPool {
             shared,
@@ -143,8 +151,9 @@ impl<T> LocalPool<T> {
         if let Some(addr) = bucket.pop() {
             return (addr as *mut T, true);
         }
-        let layout = SharedPool::<T>::layout(cap);
-        // SAFETY: `layout` has non-zero size (`T` is a node type).
+        let layout = T::layout(cap);
+        // SAFETY: `layout` has non-zero size (a block holds at least one
+        // list node, or a tower header).
         let ptr = unsafe { alloc(layout) } as *mut T;
         if ptr.is_null() {
             handle_alloc_error(layout);
@@ -176,7 +185,7 @@ impl<T> LocalPool<T> {
     }
 }
 
-impl<T> Drop for LocalPool<T> {
+impl<T: Block> Drop for LocalPool<T> {
     fn drop(&mut self) {
         // Hand every cached block back so other threads can reuse it.
         let cache = self.cache.get_mut();
@@ -193,6 +202,9 @@ impl<T> Drop for LocalPool<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Block for u64 {}
+    impl Block for [u64; 8] {}
 
     #[test]
     fn acquire_recycle_acquire_reuses_block() {

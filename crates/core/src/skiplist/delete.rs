@@ -18,7 +18,7 @@ use std::sync::atomic::Ordering;
 use lf_reclaim::{Publish, Reclaim};
 
 use super::{Mode, SkipList};
-use crate::list::{FlagStatus, Level, LevelNode};
+use crate::list::{FlagStatus, Level, LevelKeys, LevelNode};
 
 impl<K, V, R> SkipList<K, V, R>
 where
@@ -48,11 +48,12 @@ where
         unsafe {
             let path = self.search_path(k, Mode::Lt, guard);
             let (prev, del) = path.at(1).expect("level 1 is always recorded");
-            if (*del).key_ref().as_key() != Some(k) {
+            let root_level = self.at(1);
+            if root_level.key_ref(del).as_key() != Some(k) {
                 return None;
             }
             // ord: Release/Acquire/Relaxed — LIST.flag-cas: wrapped flagging C&S; pred is dereferenced
-            if self.delete_node(prev, del, guard).1 != FlagStatus::Placed {
+            if root_level.delete_node(prev, del, guard).1 != FlagStatus::Placed {
                 // Another operation owns this deletion (it reports the
                 // success), or the node vanished first.
                 return None;
@@ -61,17 +62,18 @@ where
             // orders nothing).
             // ord: Relaxed — STAT.len: pure statistic, no ordering role
             self.len.fetch_sub(1, Ordering::Relaxed);
-            // The root is retired only when the whole tower's references
-            // drain, and we hold a guard — the element stays readable.
-            let value = f((*del).element.as_ref().expect("root node has element"));
-            // Dismantle the now-superfluous upper nodes from top to bottom.
-            // The root's block capacity bounds the tower's height.
-            let height = (*del).height;
+            // The tower is retired only when all its references drain,
+            // and we hold a guard — the element stays readable.
+            let tower = root_level.tower(del);
+            let value = f((*tower).element.as_ref().expect("user tower has element"));
+            // Dismantle the now-superfluous upper cells from top to bottom.
+            // The block's capacity bounds the tower's height.
+            let height = usize::from((*tower).height);
             if height > path.top() {
                 // ord: Release/Acquire/Relaxed — LIST.flag-cas: cleaning search deletes superfluous towers (wrapped C&S)
                 let _ = self.search_to_level(k, 2, Mode::Le, guard);
             } else {
-                // A level emptied since the descent holds no node of this
+                // A level emptied since the descent holds no cell of this
                 // tower: one linked there later is its inserter's to
                 // delete, as the inserter sees the root marked. So start
                 // at the highest non-empty level, as the paper's descent
@@ -81,7 +83,7 @@ where
                     // ord: Acquire — LIST.backlink-walk: recovered pred is dereferenced
                     let from = LevelNode::first_unmarked(n1);
                     // ord: Release/Acquire/Relaxed — LIST.flag-cas: cleaning search deletes superfluous towers (wrapped C&S)
-                    let _ = self.search_right(k, from, Mode::Le, guard);
+                    let _ = self.at(level).search_right(k, from, Mode::Le, guard);
                 }
             }
             Some(value)

@@ -16,9 +16,9 @@ use std::sync::atomic::Ordering;
 use lf_reclaim::{Publish, Reclaim};
 use lf_tagged::{step, StepKind};
 
-use super::node::SkipNode;
-use super::{Bound, Mode, SkipList};
-use crate::list::{Level, LevelNode};
+use super::node::{cell_at, Tower};
+use super::{Mode, SkipList};
+use crate::list::{Bound, Level, LevelKeys, LevelNode};
 use crate::pool::LocalPool;
 
 impl<K, V, R> SkipList<K, V, R>
@@ -38,13 +38,14 @@ where
     ///
     /// The height is fixed up front (from `height_bits`, a draw of the
     /// handle's generator) so the whole tower is carved from one
-    /// contiguous pool block (see [`SkipNode`]); node `i` of the block
-    /// serves level `i + 1`.
+    /// contiguous pool block (see [`Tower`]): a header, then one cell
+    /// per level.
     ///
-    /// Linearizes when the root node is linked. If the root gets marked
-    /// (by a concurrent deletion) while upper levels are still being
-    /// built, construction stops — and if a node was just linked into
-    /// the now-superfluous tower, this operation deletes it again.
+    /// Linearizes when the root (level-1) cell is linked. If the root
+    /// gets marked (by a concurrent deletion) while upper levels are
+    /// still being built, construction stops — and if a cell was just
+    /// linked into the now-superfluous tower, this operation deletes it
+    /// again.
     ///
     /// # Safety
     ///
@@ -55,32 +56,34 @@ where
         key: K,
         value: V,
         height_bits: u64,
-        pool: &LocalPool<SkipNode<K, V, R>>,
+        pool: &LocalPool<Tower<K, V, R>>,
         guard: &R::Guard<'_>,
     ) -> Result<(), (K, V)> {
         // SAFETY: the fn's `# Safety` contract covers the whole body.
         unsafe {
             let path = self.search_path(&key, Mode::Le, guard);
             let (mut prev, mut next) = path.at(1).expect("level 1 is always recorded");
-            if (*prev).key_ref().as_key() == Some(&key) {
+            if self.at(1).key_ref(prev).as_key() == Some(&key) {
                 return Err((key, value));
             }
             let height = self.tower_height(height_bits);
-            let (root, recycled) = pool.acquire(height);
-            SkipNode::init_tower_at(root, height, key, value, R::birth_epoch(guard), recycled);
+            let (tower, recycled) = pool.acquire(height);
+            Tower::init_at(tower, height, key, value, R::birth_epoch(guard), recycled);
+            let root = cell_at(tower, 1);
             let mut new_node = root;
             let mut cur_level = 1usize;
 
             loop {
-                let inserted = self.insert_node(new_node, &mut prev, &mut next, guard);
+                let level = self.at(cur_level);
+                let inserted = level.insert_node(new_node, &mut prev, &mut next, guard);
 
                 if !inserted && cur_level == 1 {
-                    // The root was never published; move key/element back
-                    // out, return the block to the pool, and hand the pair
-                    // back.
-                    let k = ptr::read(&(*root).key);
-                    let v = ptr::read(&(*root).element);
-                    pool.release(root, height);
+                    // The tower was never published; move key/element
+                    // back out, return the block to the pool, and hand
+                    // the pair back.
+                    let k = ptr::read(&(*tower).key);
+                    let v = ptr::read(&(*tower).element);
+                    pool.release(tower, height);
                     match (k, v) {
                         (Bound::Key(k), Some(v)) => return Err((k, v)),
                         _ => unreachable!("root carries key and element"),
@@ -99,41 +102,41 @@ where
                 if (*root).is_marked() {
                     // The tower became superfluous while we were building.
                     if !inserted {
-                        // `new_node` (an upper node) was never linked:
-                        // undo its tower accounting. The node itself is
-                        // part of the root's block and needs no freeing.
-                        self.abandon_upper(root, new_node);
+                        // `new_node` (an upper cell) was never linked:
+                        // undo its tower accounting. The cell itself is
+                        // part of the tower's block and needs no freeing.
+                        self.abandon_upper(tower, cur_level);
                     } else if new_node != root {
-                        // We just linked a node into a superfluous
+                        // We just linked a cell into a superfluous
                         // tower: delete it again (all three steps). A
                         // targeted delete can be deflected when another
                         // interrupted construction left a same-key
-                        // superfluous node at this level (the Lt-mode
+                        // superfluous cell at this level (the Lt-mode
                         // relocation search stops at the first of
                         // them), so loop with Le-mode cleaning searches
-                        // — which delete every superfluous node on
-                        // their path — until our node is marked.
+                        // — which delete every superfluous cell on
+                        // their path — until our cell is marked.
                         // ord: Release/Acquire/Relaxed — LIST.flag-cas: wrapped flagging C&S; pred is dereferenced
-                        self.delete_node(prev, new_node, guard);
+                        level.delete_node(prev, new_node, guard);
                         loop {
                             step(StepKind::Read);
                             if (*new_node).is_marked() {
                                 break;
                             }
-                            let key_ref = (*root).key.as_key().expect("root has user key");
+                            let key_ref = (*tower).key.as_key().expect("tower has user key");
                             // ord: Release/Acquire/Relaxed — LIST.flag-cas: cleaning search deletes superfluous towers (wrapped C&S)
                             let _ = self.search_to_level(key_ref, cur_level, Mode::Le, guard);
                         }
                     }
-                    self.release_tower_ref(root, guard); // construction ref
+                    self.release_tower_ref(tower, guard); // construction ref
                     return Ok(());
                 }
 
                 if !inserted {
-                    // A leftover superfluous node with our key occupies this
+                    // A leftover superfluous cell with our key occupies this
                     // level; our searches delete superfluous towers, so
                     // retrying makes progress.
-                    let key_ref = (*root).key.as_key().expect("root has user key");
+                    let key_ref = (*tower).key.as_key().expect("tower has user key");
                     // ord: Release/Acquire/Relaxed — LIST.flag-cas: cleaning search deletes superfluous towers (wrapped C&S)
                     let (p, n) = self.search_to_level(key_ref, cur_level, Mode::Le, guard);
                     prev = p;
@@ -143,24 +146,23 @@ where
 
                 cur_level += 1;
                 if cur_level > height {
-                    self.release_tower_ref(root, guard); // construction ref
+                    self.release_tower_ref(tower, guard); // construction ref
                     return Ok(());
                 }
 
-                // Grow the tower: the next block element is the next level's
-                // node. Account for it before it can be linked (and thus
+                // Grow the tower: the block's next cell is the next level's.
+                // Account for it before it can be linked (and thus
                 // unlinked) by anyone. Relaxed increment: we hold the
                 // construction reference, so the count cannot reach zero
                 // concurrently (same argument as `Arc::clone`); our final
                 // `release_tower_ref` (an AcqRel RMW on the same counter)
                 // orders everything done here before the last decrement.
-                let upper = root.add(cur_level - 1);
                 // ord: Relaxed — TOWER.refcount: construction ref keeps count nonzero
-                (*root).remaining.fetch_add(1, Ordering::Relaxed);
+                (*tower).remaining.fetch_add(1, Ordering::Relaxed);
                 // Relaxed: `top` is consulted only by quiescent diagnostics.
                 // ord: Relaxed — TOWER.top: quiescent-only diagnostic field
-                (*root).top.store(upper, Ordering::Relaxed);
-                new_node = upper;
+                (*tower).top.store(cur_level as u16, Ordering::Relaxed);
+                new_node = cell_at(tower, cur_level);
 
                 // Link from the pair the descent recorded at this level;
                 // `insert_node`'s C&S validates it. Above the descent's
@@ -168,7 +170,7 @@ where
                 (prev, next) = match path.at(cur_level) {
                     Some(pair) => pair,
                     None => {
-                        let key_ref = (*root).key.as_key().expect("root has user key");
+                        let key_ref = (*tower).key.as_key().expect("tower has user key");
                         // ord: Release/Acquire/Relaxed — LIST.flag-cas: ascent repositions via helping search (wrapped C&S)
                         self.search_to_level(key_ref, cur_level, Mode::Le, guard)
                     }
@@ -177,24 +179,26 @@ where
         }
     }
 
-    /// Undo the accounting for a never-linked upper node. The node stays
-    /// where it is — inside the root's block — and is reclaimed with it.
+    /// Undo the accounting for the never-linked cell at `level`. The
+    /// cell stays where it is — inside the tower's block — and is
+    /// reclaimed with it.
     ///
     /// # Safety
     ///
     /// Caller is the inserting thread (sole writer of `top`), still
-    /// holding the construction reference; `upper` was never linked.
-    unsafe fn abandon_upper(&self, root: *mut SkipNode<K, V, R>, upper: *mut SkipNode<K, V, R>) {
+    /// holding the construction reference; the cell at `level >= 2` was
+    /// never linked.
+    unsafe fn abandon_upper(&self, tower: *mut Tower<K, V, R>, level: usize) {
         // SAFETY: the fn's `# Safety` contract covers the whole body.
         unsafe {
             // Relaxed stores: same argument as the growth accounting above —
             // the construction reference's own AcqRel release publishes
             // these to the eventual freeing thread.
             // ord: Relaxed — TOWER.top: quiescent-only diagnostic field
-            (*root).top.store((*upper).down(), Ordering::Relaxed);
+            (*tower).top.store(level as u16 - 1, Ordering::Relaxed);
             // Cannot hit zero: we still hold the construction reference.
             // ord: Relaxed — TOWER.refcount: construction ref keeps count nonzero
-            let prev = (*root).remaining.fetch_sub(1, Ordering::Relaxed);
+            let prev = (*tower).remaining.fetch_sub(1, Ordering::Relaxed);
             debug_assert!(prev >= 2);
         }
     }

@@ -1,10 +1,11 @@
 //! The Fomitchev–Ruppert lock-free skip list (paper §4).
 //!
-//! Each key is represented by a *tower* of nodes whose bottom (*root*)
-//! node carries the element; the nodes at each level form a sorted
-//! linked list run by the §3 linked-list algorithms (backlinks + flag
-//! bits). Insertions build towers bottom-up and linearize when the root
-//! is linked; deletions mark the root first (making the tower
+//! Each key is represented by a *tower* — one block holding a header
+//! (key, element) and one level cell per level (see `node`); the cells
+//! at each level form a sorted linked list run by the §3 linked-list
+//! algorithms (backlinks + flag bits), and the level-1 cell is the
+//! tower's *root*. Insertions build towers bottom-up and linearize when
+//! the root is linked; deletions mark the root first (making the tower
 //! *superfluous*) and then dismantle the upper levels top-down.
 //! Searches help by physically deleting every superfluous node they
 //! encounter, so no operation can be forced to re-traverse long
@@ -28,7 +29,7 @@ mod scan;
 pub use range::{RangeIter, SkipIter};
 pub use scan::merged_range;
 
-pub(crate) use node::SkipNode;
+use node::{cell_at, tower_of, LevelCell, Tower};
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
@@ -54,12 +55,12 @@ pub const DEFAULT_MAX_LEVEL: usize = 32;
 /// in a fixed stack array of this many per-level pairs.
 pub const MAX_LEVEL_LIMIT: usize = 32;
 
-/// Consecutive nodes `(n1, n2)` of one level.
-type Pair<K, V, R> = (*mut SkipNode<K, V, R>, *mut SkipNode<K, V, R>);
+/// Consecutive cells `(n1, n2)` of one level.
+type Pair<K, V, R> = (*mut LevelCell<K, V, R>, *mut LevelCell<K, V, R>);
 
 /// One update's descent: the `(n1, n2)` pair `SearchRight` returned at
 /// every level from the start level `top` down to level 1, kept on the
-/// stack (no per-op allocation). The nodes are protected only by the
+/// stack (no per-op allocation). The cells are protected only by the
 /// guard the descent ran under, whose borrow `'g` the path holds, and a
 /// pair may be stale by the time it is used: its users either link
 /// through the level's validating C&S or walk backlinks to an unmarked
@@ -117,15 +118,17 @@ impl<K, V, R: Reclaim> SearchPath<'_, K, V, R> {
 /// assert_eq!(h.get(&2), None);
 /// ```
 pub struct SkipList<K, V, R: Reclaim = Ebr> {
-    /// `heads[i]`/`tails[i]` are the sentinels of level `i + 1`.
-    pub(crate) heads: Vec<*mut SkipNode<K, V, R>>,
-    pub(crate) tails: Vec<*mut SkipNode<K, V, R>>,
+    /// The head and tail sentinel blocks, `max_level` cells each: the
+    /// level-`l` cells are level `l`'s sentinels ([`head`](Self::head),
+    /// [`tail`](Self::tail)).
+    head: *mut Tower<K, V, R>,
+    tail: *mut Tower<K, V, R>,
     /// Declared before `pool`: the domain's drop runs the deferred
     /// tower retirements (which recycle blocks into the pool) before
     /// the pool's drop frees the blocks themselves.
     pub(crate) domain: R::Domain,
     /// Recycles tower blocks, bucketed by height.
-    pub(crate) pool: Arc<SharedPool<SkipNode<K, V, R>>>,
+    pub(crate) pool: Arc<SharedPool<Tower<K, V, R>>>,
     /// Cache-padded: this counter is hammered by every successful
     /// update and must not share a line with the read-mostly fields.
     pub(crate) len: CachePadded<AtomicUsize>,
@@ -229,26 +232,16 @@ where
         R::domain_eq(&self.domain, &other.domain)
     }
 
-    fn build(
-        max_level: usize,
-        domain: R::Domain,
-        pool: Arc<SharedPool<SkipNode<K, V, R>>>,
-    ) -> Self {
+    fn build(max_level: usize, domain: R::Domain, pool: Arc<SharedPool<Tower<K, V, R>>>) -> Self {
         assert!(
             (2..=MAX_LEVEL_LIMIT).contains(&max_level),
             "max_level must be in 2..={MAX_LEVEL_LIMIT}"
         );
-        let mut heads = Vec::with_capacity(max_level);
-        let mut tails = Vec::with_capacity(max_level);
-        let mut below: (*mut SkipNode<K, V, R>, *mut SkipNode<K, V, R>) =
-            (std::ptr::null_mut(), std::ptr::null_mut());
-        for _ in 0..max_level {
-            // ord: Relaxed — TOWER.top: sentinel self-init before publication
-            let tail = node::SkipNode::alloc_sentinel(Bound::PosInf, below.1);
-            // ord: Relaxed — TOWER.top: sentinel self-init before publication
-            let head = node::SkipNode::alloc_sentinel(Bound::NegInf, below.0);
-            // SAFETY: both sentinels were just allocated and are not
-            // yet shared.
+        let head = Tower::sentinel_block(Bound::NegInf, max_level);
+        let tail = Tower::sentinel_block(Bound::PosInf, max_level);
+        for level in 1..=max_level {
+            // SAFETY: both blocks hold `max_level` initialized cells
+            // and are not yet shared.
             unsafe {
                 // Relaxed: the list is not yet shared; `Self` is
                 // published to other threads by whatever synchronizes
@@ -256,19 +249,15 @@ where
                 // birth is 0, so the unmarked pointer's stamp (0) is
                 // already correct.
                 // ord: Relaxed — LIST.sentinel-init: pre-publication construction store
-                // validate: VAL.exclusive: freshly allocated, unshared
-                // sentinel — no concurrent access before publication
-                (*head)
-                    .succ
-                    .store(lf_tagged::TaggedPtr::unmarked(tail), Ordering::Relaxed);
+                (*cell_at(head, level)).succ.store(
+                    lf_tagged::TaggedPtr::unmarked(cell_at(tail, level)),
+                    Ordering::Relaxed,
+                );
             }
-            heads.push(head);
-            tails.push(tail);
-            below = (head, tail);
         }
         SkipList {
-            heads,
-            tails,
+            head,
+            tail,
             domain,
             pool,
             len: CachePadded::new(AtomicUsize::new(0)),
@@ -335,11 +324,11 @@ where
     }
 
     /// The highest non-empty level at or below `level`, but no lower
-    /// than `min_level`.
+    /// than `min_level`. The head cells it reads are contiguous.
     pub(crate) fn highest_nonempty(&self, mut level: usize, min_level: usize) -> usize {
         while level > min_level {
             // SAFETY: sentinels live for the whole list lifetime.
-            if unsafe { (*self.heads[level - 1]).right() } != self.tails[level - 1] {
+            if unsafe { (*self.head(level)).right() } != self.tail(level) {
                 break;
             }
             level -= 1;
@@ -364,7 +353,7 @@ where
         target_level: usize,
         mode: Mode,
         guard: &R::Guard<'_>,
-    ) -> (*mut SkipNode<K, V, R>, *mut SkipNode<K, V, R>) {
+    ) -> (*mut LevelCell<K, V, R>, *mut LevelCell<K, V, R>) {
         // SAFETY: forwarded contract.
         // ord: Release/Acquire/Relaxed — LIST.flag-cas: per-level search helps deletions (wrapped C&S)
         unsafe { self.descend(k, target_level, mode, None, guard) }
@@ -407,7 +396,7 @@ where
         mode: Mode,
         mut path: Option<&mut SearchPath<'_, K, V, R>>,
         guard: &R::Guard<'_>,
-    ) -> (*mut SkipNode<K, V, R>, *mut SkipNode<K, V, R>) {
+    ) -> (*mut LevelCell<K, V, R>, *mut LevelCell<K, V, R>) {
         // SAFETY: the fn's `# Safety` contract covers the whole body.
         unsafe {
             debug_assert!(target_level >= 1 && target_level < self.max_level);
@@ -415,10 +404,10 @@ where
             if let Some(path) = path.as_deref_mut() {
                 path.top = level;
             }
-            let mut curr = self.heads[level - 1];
+            let mut curr = self.head(level);
             loop {
                 // ord: Release/Acquire/Relaxed — LIST.flag-cas: per-level search helps deletions (wrapped C&S)
-                let (n1, n2) = self.search_right(k, curr, mode, guard);
+                let (n1, n2) = self.at(level).search_right(k, curr, mode, guard);
                 if let Some(path) = path.as_deref_mut() {
                     // escape: ESC.search-path: the path lives strictly inside
                     // the update's `guard` scope, so recorded nodes stay protected
@@ -427,32 +416,31 @@ where
                 if level == target_level {
                     return (n1, n2);
                 }
-                // ord: Relaxed — TOWER.layout: tenant-invariant tower geometry
-                curr = (*n1).down();
-                debug_assert!(!curr.is_null(), "descending below level 1");
+                curr = node::down(n1);
                 level -= 1;
             }
         }
     }
 
-    /// `Search_SL(k)` core: the root node holding `k`, if present.
+    /// `Search_SL(k)` core: the tower holding `k`, if present.
     ///
     /// # Safety
     ///
     /// `guard` must pin this list's domain; the returned pointer is
     /// valid while `guard` lives.
-    // escape: ESC.node-search: returned root is protected by the caller's
+    // escape: ESC.node-search: returned tower is protected by the caller's
     // `guard`; the `# Safety` contract bounds its life to it
     pub(crate) unsafe fn search_impl(
         &self,
         k: &K,
         guard: &R::Guard<'_>,
-    ) -> Option<*mut SkipNode<K, V, R>> {
+    ) -> Option<*mut Tower<K, V, R>> {
         // SAFETY: the fn's `# Safety` contract covers the whole body.
         unsafe {
             // ord: Release/Acquire/Relaxed — LIST.flag-cas: descent helps flagged deletions (wrapped C&S)
             let (curr, _) = self.search_to_level(k, 1, Mode::Le, guard);
-            ((*curr).key_ref().as_key() == Some(k)).then_some(curr)
+            let tower = node::tower_of(curr, 1);
+            ((*tower).key.as_key() == Some(k)).then_some(tower)
         }
     }
 }
@@ -481,34 +469,39 @@ impl<K, V, R: Reclaim> SkipList<K, V, R> {
         &self.domain
     }
 
+    /// Level `level`'s head sentinel cell.
+    #[inline]
+    pub(crate) fn head(&self, level: usize) -> *mut LevelCell<K, V, R> {
+        debug_assert!(level >= 1 && level <= self.max_level);
+        // SAFETY: the head block holds `max_level` cells.
+        unsafe { cell_at(self.head, level) }
+    }
+
+    /// Level `level`'s tail sentinel cell.
+    #[inline]
+    pub(crate) fn tail(&self, level: usize) -> *mut LevelCell<K, V, R> {
+        debug_assert!(level >= 1 && level <= self.max_level);
+        // SAFETY: the tail block holds `max_level` cells.
+        unsafe { cell_at(self.tail, level) }
+    }
+
     /// Heights of every tower in the skip list (**quiescent** use
-    /// only): walks level 1 and measures each root's `top` chain.
+    /// only): walks level 1 and reads each tower's `top`.
     ///
-    /// Used by the tower-census experiment (E7) to compare the height
+    /// Used by the tower-census experiment (E12) to compare the height
     /// distribution against the ideal geometric(1/2).
     pub fn tower_heights(&self) -> Vec<usize> {
         let mut out = Vec::new();
         // SAFETY: quiescent-only walk — the caller guarantees no
-        // concurrent operations, so every reachable node stays valid.
+        // concurrent operations, so every reachable cell stays valid.
         unsafe {
-            let mut cur = (*self.heads[0]).right();
-            while cur != self.tails[0] {
-                // ord: Relaxed — TOWER.layout: tenant-invariant tower geometry
-                let root = (*cur).root();
-                let mut h = 0;
+            let mut cur = (*self.head(1)).right();
+            while cur != self.tail(1) {
                 // Relaxed: quiescent diagnostic — `top` is final once
                 // every construction reference has been released.
                 // ord: Relaxed — TOWER.top: quiescent-only diagnostic field
-                // validate: VAL.exclusive: quiescent caller contract — no
-                // concurrent updates or reclamation during this walk
-                let mut t = (*root).top.load(Ordering::Relaxed);
-                while !t.is_null() {
-                    h += 1;
-                    // ord: Relaxed — TOWER.layout: tenant-invariant tower geometry
-                    // validate: VAL.exclusive: as above — quiescent walk
-                    t = (*t).down();
-                }
-                out.push(h);
+                let top = (*tower_of(cur, 1)).top.load(Ordering::Relaxed);
+                out.push(usize::from(top));
                 cur = (*cur).right();
             }
         }
@@ -516,9 +509,9 @@ impl<K, V, R: Reclaim> SkipList<K, V, R> {
     }
 
     /// Check structural invariants on a **quiescent** skip list: every
-    /// level strictly sorted with no marks or flags, every node's
-    /// `down` chain reaching its tower root, no superfluous towers, and
-    /// the level-1 element count matching [`len`](Self::len).
+    /// level strictly sorted with no marks or flags, every cell at a
+    /// level its tower has linked (at most its `top`), no superfluous
+    /// towers, and the level-1 element count matching [`len`](Self::len).
     ///
     /// Intended for tests and debugging.
     ///
@@ -530,24 +523,23 @@ impl<K, V, R: Reclaim> SkipList<K, V, R> {
         K: Ord,
     {
         let mut count = 0usize;
-        for level in 0..self.max_level {
-            let on_node = |node: *mut SkipNode<K, V, R>| {
+        for l in 1..=self.max_level {
+            let on_node = |cell: *mut LevelCell<K, V, R>| {
                 // SAFETY: quiescent-only walk — the caller guarantees no
-                // concurrent operations, so every reachable node stays valid.
+                // concurrent operations, so every reachable cell stays valid.
                 unsafe {
-                    // ord: Relaxed — TOWER.layout: tenant-invariant tower geometry
-                    let root = (*node).root();
-                    // validate: VAL.exclusive: quiescent caller contract — no
-                    // concurrent updates or reclamation during this walk
-                    assert!(!(*root).is_marked(), "superfluous tower at quiescence");
-                    assert_down_chain(node, level + 1);
+                    assert!(
+                        !self.at(l).is_superfluous(cell),
+                        "superfluous tower at quiescence"
+                    );
+                    assert_within_top(cell, l);
                 }
             };
             // SAFETY: as above.
             let n = unsafe {
-                list::validate_level(self.heads[level], self.tails[level], level + 1, on_node)
+                list::validate_level(&self.at(l), self.head(l), self.tail(l), l, on_node)
             };
-            if level == 0 {
+            if l == 1 {
                 count = n;
             }
         }
@@ -556,7 +548,7 @@ impl<K, V, R: Reclaim> SkipList<K, V, R> {
 
     /// Check the §3.3 invariants INV 1–5 on every level, plus the
     /// vertical tower structure, on a skip list that may hold marked,
-    /// flagged and superfluous nodes but on which no operation is
+    /// flagged and superfluous cells but on which no operation is
     /// running right now (see [`FrList::check_invariants`](crate::FrList::check_invariants)).
     ///
     /// # Panics
@@ -566,13 +558,12 @@ impl<K, V, R: Reclaim> SkipList<K, V, R> {
     where
         K: Ord + fmt::Debug,
     {
-        for level in 0..self.max_level {
-            let l = level + 1;
+        for l in 1..=self.max_level {
             // SAFETY: no operation runs during the walk (caller contract), so
             // nothing linked at any level is unlinked or reclaimed under it.
             unsafe {
-                list::check_level(self.heads[level], self.tails[level], l, |node| {
-                    assert_down_chain(node, l)
+                list::check_level(&self.at(l), self.head(l), self.tail(l), l, |cell| {
+                    assert_within_top(cell, l)
                 });
             }
         }
@@ -586,73 +577,70 @@ impl<K, V, R: Reclaim> SkipList<K, V, R> {
         K: Clone,
     {
         // SAFETY: as for `check_invariants` — no operation runs, so
-        // every linked node stays valid.
-        self.heads
-            .iter()
-            .map(|&head| unsafe { list::dump_level(head) })
+        // every linked cell stays valid.
+        (1..=self.max_level)
+            .map(|l| unsafe { list::dump_level(&self.at(l), self.head(l)) })
             .collect()
     }
 }
 
-/// Assert that `node`'s down chain reaches its tower root.
+/// Assert that the level-`l` `cell` is at or below its tower's `top`:
+/// a tower links its levels bottom-up and raises `top` before linking
+/// each, so no linked cell may sit above it.
 ///
 /// # Safety
 ///
-/// Quiescent use only: no operation runs during the walk.
-unsafe fn assert_down_chain<K, V, R: Reclaim>(node: *mut SkipNode<K, V, R>, l: usize) {
+/// No operation runs during the check; `cell` is linked at level `l`.
+unsafe fn assert_within_top<K, V, R: Reclaim>(cell: *mut LevelCell<K, V, R>, l: usize) {
     // SAFETY: the fn's `# Safety` contract covers the whole body.
     unsafe {
-        let mut d = node;
-        // ord: Relaxed — TOWER.layout: tenant-invariant tower geometry
-        while !(*d).down().is_null() {
-            // ord: Relaxed — TOWER.layout: tenant-invariant tower geometry
-            d = (*d).down();
-        }
-        // ord: Relaxed — TOWER.layout: tenant-invariant tower geometry
-        assert_eq!(d, (*node).root(), "down chain at level {l} misses its root");
+        let tower = tower_of(cell, l);
+        // ord: Relaxed — TOWER.top: quiescent-only diagnostic field
+        let top = usize::from((*tower).top.load(Ordering::Relaxed));
+        assert!(
+            l <= top && top <= usize::from((*tower).height),
+            "cell at level {l} above its tower's top {top}"
+        );
     }
 }
 
 impl<K, V, R: Reclaim> Drop for SkipList<K, V, R> {
     fn drop(&mut self) {
         // Unique access. Towers may be partially unlinked (some levels
-        // already removed, others still linked), but every node of a
-        // tower lives inside its root's contiguous block, so collecting
-        // the distinct roots reachable from any level covers all live
-        // towers. Towers whose last reference was already released are
+        // already removed, others still linked), but every cell of a
+        // tower lives inside its block, so collecting the distinct
+        // towers reachable from any level covers all live towers.
+        // Towers whose last reference was already released are
         // disjoint from this set and are recycled by the domain's
         // drop (which runs before the pool's — field order).
-        let mut roots = std::collections::HashSet::new();
-        for level in 0..self.max_level {
-            // SAFETY: unique access (`&mut self`); every linked node is
+        let mut towers = std::collections::HashSet::new();
+        for l in 1..=self.max_level {
+            // SAFETY: unique access (`&mut self`); every linked cell is
             // still valid because nothing has been freed yet.
-            let mut cur = unsafe { (*self.heads[level]).right() };
-            while cur != self.tails[level] {
-                // SAFETY: as above — `cur` is a live node of this level.
-                // ord: Relaxed — TOWER.layout: tenant-invariant tower geometry
-                roots.insert(unsafe { (*cur).root() });
+            let mut cur = unsafe { (*self.head(l)).right() };
+            while cur != self.tail(l) {
+                // SAFETY: as above — `cur` is a live cell of level `l`.
+                towers.insert(unsafe { tower_of(cur, l) });
                 // SAFETY: as above.
                 cur = unsafe { (*cur).right() };
             }
         }
-        for root in roots {
-            // SAFETY: unique access; each distinct root is visited once,
-            // so key/element are dropped once and the block recycled once.
+        for tower in towers {
+            // SAFETY: unique access; each distinct tower is visited
+            // once, so key/element are dropped once and the block
+            // recycled once.
             unsafe {
-                // Only the root carries owned data; upper nodes hold
-                // placeholder key/element that own nothing.
-                std::ptr::drop_in_place(&mut (*root).key);
-                std::ptr::drop_in_place(&mut (*root).element);
-                let cap = (*root).height;
-                self.pool.recycle(root as usize, cap);
+                std::ptr::drop_in_place(&mut (*tower).key);
+                std::ptr::drop_in_place(&mut (*tower).element);
+                let cap = usize::from((*tower).height);
+                self.pool.recycle(tower as usize, cap);
             }
         }
-        for level in 0..self.max_level {
-            // SAFETY: sentinels were Box-allocated in `build` and never
-            // freed elsewhere.
-            drop(unsafe { Box::from_raw(self.heads[level]) });
-            // SAFETY: as above.
-            drop(unsafe { Box::from_raw(self.tails[level]) });
+        // SAFETY: the sentinel blocks came from `alloc_sentinels` in
+        // `build` and are freed only here.
+        unsafe {
+            Tower::free_sentinel(self.head, self.max_level);
+            Tower::free_sentinel(self.tail, self.max_level);
         }
     }
 }
@@ -662,7 +650,7 @@ pub struct SkipListHandle<'l, K, V, R: Reclaim = Ebr> {
     pub(crate) list: &'l SkipList<K, V, R>,
     pub(crate) reclaim: R::Handle,
     /// Thread-local front for the list's tower-block pool.
-    pub(crate) pool: LocalPool<SkipNode<K, V, R>>,
+    pub(crate) pool: LocalPool<Tower<K, V, R>>,
     /// Tower-height generator, seeded from the list's handle ticket.
     heights: RefCell<SmallRng>,
     /// Steps of the op brackets closed since the last
@@ -906,7 +894,7 @@ where
             // ord: Release/Acquire/Relaxed — LIST.flag-cas: search helps flagged deletions (wrapped C&S)
             self.list
                 .search_impl(key, guard)
-                .map(|n| f((*n).element.as_ref().expect("root node has element")))
+                .map(|t| f((*t).element.as_ref().expect("user tower has element")))
         })
     }
 

@@ -1,141 +1,224 @@
-//! Skip list node layout: towers of per-level nodes (paper Fig. 6),
-//! allocated as one contiguous block per tower.
+//! Skip list tower layout: one block per tower, a root header followed
+//! by one 16-byte level cell per level, each cell addressed by level.
+//!
+//! The paper builds a tower from full per-level list nodes (Fig. 6),
+//! each carrying a key, a `down` pointer and a pointer to the tower's
+//! root. Here a level cell holds only what the level's list protocol
+//! changes — `succ` and `backlink` — and everything else lives once,
+//! in the tower's [`Tower`] header:
+//!
+//! ```text
+//! block ─► ┌─────────────────────────────────────────┐
+//!          │ Tower: birth, remaining, height, top,   │  header
+//!          │        skey, sval, element, key         │
+//!          ├─────────────────────────────────────────┤
+//!          │ Cell 1: succ, backlink                  │  level 1 (the root)
+//!          ├─────────────────────────────────────────┤
+//!          │ Cell 2: succ, backlink                  │  level 2
+//!          ├─────────────────────────────────────────┤
+//!          │ ⋮                                       │
+//!          │ Cell h: succ, backlink                  │  level h
+//!          └─────────────────────────────────────────┘
+//! ```
+//!
+//! Every skip-list routine knows the level it works on, so the header
+//! of a level-`l` cell is `cell - (l - 1)` cells back, then one header
+//! back ([`tower_of`]), and the cell one level down is simply the
+//! previous cell ([`down`]). Nothing is loaded to get from a cell to
+//! its key: an upper-level hop fetches the cell and the header in
+//! parallel, then the key's bytes. The head and tail sentinels are two
+//! such blocks of `max_level` cells each, so every level's sentinel is
+//! found the same way.
+//!
+//! All arithmetic runs on raw pointers derived from the block pointer
+//! the allocator returned (level cells are reached by `add`/`sub` on
+//! it, and the pointers stored in `succ` are those same raw pointers),
+//! so every derived pointer carries the whole block's provenance; no
+//! code widens a `&LevelCell` to reach the header.
+//!
+//! # Tower lifetime
+//!
+//! A traversal standing on any cell of a tower reaches the header (and
+//! the other cells) by arithmetic, so no part of a tower may be freed
+//! while any of its cells is still reachable. `remaining` counts one
+//! reference per cell linked into a level list plus one *construction
+//! reference* held by the inserter while it is still growing the tower.
+//! Each physical unlink (the type-4 C&S) releases one reference; when
+//! the count hits zero the releasing thread retires the whole block.
+//! `top` is written only by the single inserting thread and is final
+//! once the construction reference is dropped; it is consulted only by
+//! quiescent diagnostics (tower census, validation).
+//!
+//! # Geometry is tenant-invariant per height bucket
+//!
+//! The pool buckets blocks by height, so a recycled block always holds
+//! a tower of the same height, with its header and level-`l` cell at
+//! the same addresses as every earlier tenant's. A stale pin-free
+//! reader holding a level-`l` cell pointer therefore computes the
+//! address of a header that exists (type-stable storage) and validates
+//! the tenant through that header's birth word (DESIGN.md §9.7).
+//!
+//! # Reclamation-backend fields
+//!
+//! The header carries the tenant's `birth` word — one per tower, so
+//! every cell of a tower yields the same stamp — and the shadow slots
+//! (`skey`/`sval`) that pin-free readers snoop. On pinned backends
+//! (`R::Slot<T> = ()`) the slots vanish and `birth` is a constant 0.
 
-use std::sync::atomic::{fence, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::alloc::Layout;
+use std::marker::PhantomData;
+use std::mem::size_of;
+use std::sync::atomic::{fence, AtomicPtr, AtomicU16, AtomicU32, AtomicU64, Ordering};
 
 use lf_reclaim::{Publish, Reclaim, BIRTH_BUILDING};
 use lf_tagged::{AtomicTaggedPtr, TaggedPtr};
 
 pub(crate) use crate::list::Bound;
 use crate::list::LevelNode;
+use crate::pool::Block;
 
-/// One node of the lock-free skip list.
-///
-/// Unlike Pugh's array-of-forward-pointers layout, the paper represents
-/// each key as a *tower* of separate nodes, one per level, so that each
-/// level is literally an instance of the linked-list algorithms. Every
-/// node carries the linked-list fields (`key`, `succ`, `backlink`) plus:
-///
-/// * `down` — the node one level below (null for root nodes);
-/// * `tower_root` — the tower's level-1 node, consulted to detect
-///   *superfluous* towers (root marked);
-/// * `element` — the value, stored only in root nodes;
-/// * `height`/`remaining`/`top` — tower layout and lifetime accounting
-///   (see below), only meaningful on root nodes.
-///
-/// # Contiguous tower blocks
-///
-/// A tower's height is drawn *before* construction starts, so all of
-/// its nodes are carved from **one** pool allocation of `height`
-/// consecutive `SkipNode`s: element 0 is the root, element `i` the
-/// level-`i+1` node, with `down` pointing at element `i - 1`. A descent
-/// through a tower therefore walks backwards through one cache-local
-/// block instead of chasing `height` separate heap objects, and the
-/// whole tower is recycled with a single pool release (`height` is the
-/// block's capacity). Nodes above the level actually reached during
-/// construction stay initialized but unlinked; they are dead weight
-/// inside the block and are reclaimed with it.
-///
-/// # Tower lifetime
-///
-/// `down` and `tower_root` let a traversal reach *any* node of a tower
-/// from any other, so no node of a tower may be freed while any node of
-/// it is still reachable. `remaining` counts one reference per node
-/// linked into a level list plus one *construction reference* held by
-/// the inserter while it is still growing the tower. Each physical
-/// unlink (the type-4 C&S) releases one reference; when the count hits
-/// zero the releasing thread retires the tower's block. `top` is
-/// written only by the single inserting thread and is final once the
-/// construction reference is dropped; it is consulted only by
-/// quiescent diagnostics (tower census, validation).
-///
-/// # Reclamation-backend fields
-///
-/// Like the list's `Node`, every element carries a `birth` word (every
-/// element of one tower holds the *same* value — the epoch the tower
-/// was built in) and the root additionally carries shadow slots
-/// (`skey`/`sval`) that pin-free readers snoop. `down` and `tower_root`
-/// are atomic because a stale pin-free reader may load them while a
-/// re-initializer rewrites the block; their *values* are a pure
-/// function of the block's address and capacity (element `i` of a
-/// `cap`-block always points down at element `i - 1` and roots at
-/// element 0), and the pool buckets blocks by capacity, so every tenant
-/// of a block stores the same values — a Relaxed load cannot observe a
-/// wrong one. On pinned backends (`R::Slot<T> = ()`) the slots vanish
-/// and `birth` is a constant 0.
-#[repr(align(8))]
-pub(crate) struct SkipNode<K, V, R: Reclaim> {
-    pub(crate) key: Bound<K>,
-    /// `None` except in root nodes of user towers.
-    pub(crate) element: Option<V>,
-    /// Birth epoch of this node's tenant, low 16 bits mirrored into
-    /// every published pointer's stamp; [`BIRTH_BUILDING`] is set while
-    /// a re-initializer is rewriting the block. Constant 0 on pinned
-    /// backends and on sentinels.
-    pub(crate) birth: AtomicU64,
-    /// Shadow of the root's `key` for pin-free readers (roots only).
-    pub(crate) skey: R::Slot<K>,
-    /// Shadow of the root's `element` for pin-free readers (roots only).
-    pub(crate) sval: R::Slot<V>,
-    /// The composite successor field within this node's level list.
-    pub(crate) succ: AtomicTaggedPtr<SkipNode<K, V, R>>,
+/// One level of a tower: the paper's per-level list fields and nothing
+/// else. A cell's key, element and birth live in its tower's header.
+#[repr(C)]
+pub(crate) struct LevelCell<K, V, R: Reclaim> {
+    /// The composite successor field within this cell's level list.
+    pub(crate) succ: AtomicTaggedPtr<LevelCell<K, V, R>>,
     /// Set before marking; points at the flagged predecessor (INV 4).
-    pub(crate) backlink: AtomicPtr<SkipNode<K, V, R>>,
-    /// The node one level below in the same tower (null for roots and
-    /// for level-1 sentinels). Tenant-invariant per block (see above).
-    pub(crate) down: AtomicPtr<SkipNode<K, V, R>>,
-    /// The tower's root node (self for roots and sentinels).
-    /// Tenant-invariant per block (see above).
-    pub(crate) tower_root: AtomicPtr<SkipNode<K, V, R>>,
-    /// Root only: number of nodes in the tower's contiguous block —
-    /// the capacity handed back to the pool on retirement. Immutable.
-    pub(crate) height: usize,
-    /// Root only: outstanding references keeping the tower alive.
-    pub(crate) remaining: AtomicUsize,
-    /// Root only: highest *linked* node of the tower. Written only by
-    /// the inserting thread while it holds the construction reference.
-    pub(crate) top: AtomicPtr<SkipNode<K, V, R>>,
+    pub(crate) backlink: AtomicPtr<LevelCell<K, V, R>>,
+    _tower: PhantomData<Tower<K, V, R>>,
 }
 
-impl<K, V, R: Reclaim> SkipNode<K, V, R> {
-    /// Initialize a whole tower of `height` nodes in place on a fresh
-    /// or pooled block of `height` consecutive `SkipNode`s, stamping
-    /// every element with `birth`.
+/// A tower's root header: the fields of the paper's root node that are
+/// not per-level, followed in memory by the tower's level cells.
+///
+/// `repr(C)` keeps `key` last, right before the level-1 cell, so a
+/// level-1 hop usually finds the key on the line it already fetched.
+#[repr(C)]
+pub(crate) struct Tower<K, V, R: Reclaim> {
+    /// Birth epoch of this block's tenant, low 16 bits mirrored into
+    /// every published pointer to any of its cells; [`BIRTH_BUILDING`]
+    /// is set while a re-initializer is rewriting the block. Constant 0
+    /// on pinned backends and on sentinels.
+    pub(crate) birth: AtomicU64,
+    /// Outstanding references keeping the tower alive.
+    pub(crate) remaining: AtomicU32,
+    /// Number of level cells in the block — the capacity handed back to
+    /// the pool on retirement. Immutable per tenant.
+    pub(crate) height: u16,
+    /// Highest *linked* level of the tower. Written only by the
+    /// inserting thread while it holds the construction reference.
+    pub(crate) top: AtomicU16,
+    /// Shadow of `key` for pin-free readers.
+    pub(crate) skey: R::Slot<K>,
+    /// Shadow of `element` for pin-free readers.
+    pub(crate) sval: R::Slot<V>,
+    /// `None` only in the head and tail sentinels.
+    pub(crate) element: Option<V>,
+    pub(crate) key: Bound<K>,
+}
+
+impl<K, V, R: Reclaim> LevelCell<K, V, R> {
+    /// An unlinked cell.
+    fn new() -> Self {
+        LevelCell {
+            succ: AtomicTaggedPtr::new(TaggedPtr::null()),
+            backlink: AtomicPtr::new(std::ptr::null_mut()),
+            _tower: PhantomData,
+        }
+    }
+}
+
+/// The level-`level` cell of the block headed by `tower`.
+///
+/// # Safety
+///
+/// `tower` heads a block of at least `level` cells (`level >= 1`).
+#[inline]
+pub(crate) unsafe fn cell_at<K, V, R: Reclaim>(
+    tower: *mut Tower<K, V, R>,
+    level: usize,
+) -> *mut LevelCell<K, V, R> {
+    // SAFETY: the cells start right after the header (the header's size
+    // is a multiple of its alignment, which the cell's divides), and
+    // the block holds `level` of them.
+    unsafe { tower.add(1).cast::<LevelCell<K, V, R>>().add(level - 1) }
+}
+
+/// The header of the tower whose level-`level` cell is `cell`.
+///
+/// # Safety
+///
+/// `cell` is the level-`level` cell of a block (a user tower or a
+/// sentinel block), reached through pointers derived from the block's
+/// own allocation.
+#[inline]
+pub(crate) unsafe fn tower_of<K, V, R: Reclaim>(
+    cell: *mut LevelCell<K, V, R>,
+    level: usize,
+) -> *mut Tower<K, V, R> {
+    // SAFETY: the inverse of `cell_at`, within the same block.
+    unsafe { cell.sub(level - 1).cast::<Tower<K, V, R>>().sub(1) }
+}
+
+/// The cell one level below `cell` in the same tower.
+///
+/// # Safety
+///
+/// `cell` is a cell of level 2 or higher of some block.
+#[inline]
+pub(crate) unsafe fn down<K, V, R: Reclaim>(
+    cell: *mut LevelCell<K, V, R>,
+) -> *mut LevelCell<K, V, R> {
+    // SAFETY: the level below is the previous cell of the same block.
+    unsafe { cell.sub(1) }
+}
+
+impl<K, V, R: Reclaim> Block for Tower<K, V, R> {
+    /// A header followed by `cap` level cells.
+    fn layout(cap: usize) -> Layout {
+        let (layout, at) = Layout::new::<Self>()
+            .extend(Layout::array::<LevelCell<K, V, R>>(cap).expect("tower layout overflow"))
+            .expect("tower layout overflow");
+        // `cell_at`/`tower_of` rely on this: the header's alignment (its
+        // `AtomicU64`) covers the cell's, so no padding precedes cell 1.
+        assert_eq!(at, size_of::<Self>(), "cells follow the header directly");
+        layout.pad_to_align()
+    }
+}
+
+impl<K, V, R: Reclaim> Tower<K, V, R> {
+    /// Initialize a whole tower of `height` levels in place on a fresh
+    /// or pooled block, stamping it with `birth`.
     ///
-    /// Element 0 becomes the root (carrying `key` and `element`,
-    /// `remaining = 2`: one reference for the root being linked into
-    /// level 1 plus the inserter's construction reference); elements
-    /// `1..height` become the upper-level nodes, `down`-chained into the
-    /// block. Upper nodes do not store the key themselves —
-    /// [`Self::key_ref`] reads it through `tower_root` — so their `key`
-    /// field is a placeholder that is never consulted (and owns nothing,
-    /// so retirement need not drop it).
+    /// The header gets `key` and `element`, `remaining = 2` (one
+    /// reference for the level-1 cell being linked plus the inserter's
+    /// construction reference) and `top = 1`; every cell starts
+    /// unlinked.
     ///
     /// On a pin-free backend a **recycled** block may still be snooped
     /// by stale readers holding the previous tenant's stamp, so the
-    /// rewrite follows the seqlock protocol: every element's birth word
-    /// gets [`BIRTH_BUILDING`] first, a release fence orders those
-    /// stores before the field writes, and a final release store of the
-    /// clean `birth` opens the node to readers. Pinned-only fields
-    /// (`key`, `element`, `height`) are written plainly — no stale
-    /// reader touches them — while fields a stale reader *can* load
-    /// (`succ`, `backlink`, `down`, `tower_root`, `remaining`, `top`)
-    /// are stored atomically. A `recycled == false` block was never
-    /// published, so no stale pointer to it exists and plain
-    /// whole-struct writes suffice.
+    /// rewrite follows the seqlock protocol: the birth word gets
+    /// [`BIRTH_BUILDING`] first, a release fence orders that store
+    /// before the field writes, and a final release store of the clean
+    /// `birth` opens the block to readers. Pinned-only fields (`key`,
+    /// `element`, `height`) are written plainly — no stale reader
+    /// touches them — while fields a stale reader *can* load (`succ`,
+    /// `backlink`, `remaining`, `top`) are stored atomically. A
+    /// `recycled == false` block was never published, so no stale
+    /// pointer into it exists and plain writes suffice.
     ///
-    /// If the level-1 insertion reports a duplicate the root was never
+    /// If the level-1 insertion reports a duplicate the tower was never
     /// published; the caller moves `key`/`element` back out and releases
     /// the block directly.
     ///
     /// # Safety
     ///
-    /// `block` must be valid for writes of `height` `SkipNode<K, V, R>`s
-    /// and must not alias live nodes; every field of every element is
-    /// overwritten (a `recycled` block must hold initialized atomics —
-    /// the pool guarantees this for every block it hands back).
-    /// `height >= 1`.
-    pub(crate) unsafe fn init_tower_at(
+    /// `block` must be valid for writes of [`Block::layout`]`(height)`
+    /// bytes and must not alias live towers; every field is overwritten
+    /// (a `recycled` block must hold initialized atomics — the pool
+    /// guarantees this for every block it hands back). `1 <= height <=
+    /// u16::MAX`.
+    pub(crate) unsafe fn init_at(
         block: *mut Self,
         height: usize,
         key: K,
@@ -149,17 +232,15 @@ impl<K, V, R: Reclaim> SkipNode<K, V, R> {
         unsafe {
             debug_assert!(height >= 1);
             if R::PIN_FREE_READS && recycled {
-                // Close every element to stale readers before touching
-                // any field: a reader validates against the element it
-                // *reached*, which may be any of them.
-                for i in 0..height {
-                    // ord: Relaxed — VBR.birth-building: the fence below orders these stores
-                    (*block.add(i))
-                        .birth
-                        .store(BIRTH_BUILDING | birth, Ordering::Relaxed);
-                }
+                // Close the block to stale readers before touching any
+                // field: a reader validates every cell it reached
+                // against this one word.
+                // ord: Relaxed — VBR.birth-building: the fence below orders this store
+                (*block)
+                    .birth
+                    .store(BIRTH_BUILDING | birth, Ordering::Relaxed);
                 // ord: Release — VBR.birth-building: seqlock write fence; a reader that
-                // observes any field store below also observes the builder bits above
+                // observes any field store below also observes the builder bit above
                 fence(Ordering::Release);
                 // Pinned-only fields: plain writes (stale readers never
                 // load them; pinned threads cannot reach a recycled
@@ -167,7 +248,7 @@ impl<K, V, R: Reclaim> SkipNode<K, V, R> {
                 // at retire, so these writes overwrite plain bytes.
                 std::ptr::write(std::ptr::addr_of_mut!((*block).key), Bound::Key(key));
                 std::ptr::write(std::ptr::addr_of_mut!((*block).element), Some(element));
-                std::ptr::write(std::ptr::addr_of_mut!((*block).height), height);
+                std::ptr::write(std::ptr::addr_of_mut!((*block).height), height as u16);
                 if let Bound::Key(k) = &(*block).key {
                     // SAFETY: slot rewrite is racy by design; readers
                     // validate via birth before trusting the bytes.
@@ -178,79 +259,27 @@ impl<K, V, R: Reclaim> SkipNode<K, V, R> {
                     <R as Publish<V>>::publish(&(*block).sval, v);
                 }
                 // Reader-visible atomics, all under the builder bit.
-                // ord: Relaxed — VBR.node-reinit: builder bit is set; readers reject the node
-                (*block).succ.store(TaggedPtr::null(), Ordering::Relaxed);
-                // ord: Relaxed — VBR.node-reinit: same seqlock guard
-                (*block)
-                    .backlink
-                    .store(std::ptr::null_mut(), Ordering::Relaxed);
-                // ord: Relaxed — TOWER.layout: tenant-invariant value (same for every tenant)
-                (*block).down.store(std::ptr::null_mut(), Ordering::Relaxed);
-                // ord: Relaxed — TOWER.layout: tenant-invariant value (same for every tenant)
-                (*block).tower_root.store(block, Ordering::Relaxed);
                 // ord: Relaxed — VBR.node-reinit: pinned-only counter, builder bit set anyway
                 (*block).remaining.store(2, Ordering::Relaxed);
                 // ord: Relaxed — TOWER.top: quiescent-only diagnostic field
-                (*block).top.store(block, Ordering::Relaxed);
-                for i in 1..height {
-                    let upper = block.add(i);
-                    std::ptr::write(std::ptr::addr_of_mut!((*upper).key), Bound::NegInf);
-                    std::ptr::write(std::ptr::addr_of_mut!((*upper).element), None);
-                    std::ptr::write(std::ptr::addr_of_mut!((*upper).height), 0);
-                    // ord: Relaxed — VBR.node-reinit: builder bit is set; readers reject the node
-                    (*upper).succ.store(TaggedPtr::null(), Ordering::Relaxed);
+                (*block).top.store(1, Ordering::Relaxed);
+                for level in 1..=height {
+                    let cell = cell_at(block, level);
+                    // ord: Relaxed — VBR.node-reinit: builder bit is set; readers reject the tower
+                    (*cell).succ.store(TaggedPtr::null(), Ordering::Relaxed);
                     // ord: Relaxed — VBR.node-reinit: same seqlock guard
-                    (*upper)
+                    (*cell)
                         .backlink
                         .store(std::ptr::null_mut(), Ordering::Relaxed);
-                    // ord: Relaxed — TOWER.layout: tenant-invariant value (same for every tenant)
-                    (*upper).down.store(block.add(i - 1), Ordering::Relaxed);
-                    // ord: Relaxed — TOWER.layout: tenant-invariant value (same for every tenant)
-                    (*upper).tower_root.store(block, Ordering::Relaxed);
-                    // ord: Relaxed — VBR.node-reinit: pinned-only counter, builder bit set anyway
-                    (*upper).remaining.store(0, Ordering::Relaxed);
-                    // ord: Relaxed — TOWER.top: quiescent-only diagnostic field
-                    (*upper).top.store(std::ptr::null_mut(), Ordering::Relaxed);
                 }
-                // Open every element: publishes the field writes above to
-                // readers that Acquire-load a birth word and see `birth`.
-                for i in 0..height {
-                    // ord: Release — VBR.birth-finalize: opens the node; pairs with readers' Acquire birth loads
-                    (*block.add(i)).birth.store(birth, Ordering::Release);
-                }
+                // Open the block: publishes the field writes above to
+                // readers that Acquire-load the birth word and see `birth`.
+                // ord: Release — VBR.birth-finalize: opens the tower; pairs with readers' Acquire birth loads
+                (*block).birth.store(birth, Ordering::Release);
             } else {
                 // Fresh block (or pinned backend): unreachable by anyone,
                 // plain initialization; the insertion C&S publishes it.
-                block.write(SkipNode {
-                    key: Bound::Key(key),
-                    element: Some(element),
-                    birth: AtomicU64::new(birth),
-                    skey: Default::default(),
-                    sval: Default::default(),
-                    succ: AtomicTaggedPtr::new(TaggedPtr::null()),
-                    backlink: AtomicPtr::new(std::ptr::null_mut()),
-                    down: AtomicPtr::new(std::ptr::null_mut()),
-                    tower_root: AtomicPtr::new(block),
-                    height,
-                    remaining: AtomicUsize::new(2),
-                    top: AtomicPtr::new(block),
-                });
-                for i in 1..height {
-                    block.add(i).write(SkipNode {
-                        key: Bound::NegInf,
-                        element: None,
-                        birth: AtomicU64::new(birth),
-                        skey: Default::default(),
-                        sval: Default::default(),
-                        succ: AtomicTaggedPtr::new(TaggedPtr::null()),
-                        backlink: AtomicPtr::new(std::ptr::null_mut()),
-                        down: AtomicPtr::new(block.add(i - 1)),
-                        tower_root: AtomicPtr::new(block),
-                        height: 0,
-                        remaining: AtomicUsize::new(0),
-                        top: AtomicPtr::new(std::ptr::null_mut()),
-                    });
-                }
+                Self::write_at(block, height, Bound::Key(key), Some(element), birth);
                 if R::PIN_FREE_READS {
                     if let Bound::Key(k) = &(*block).key {
                         // SAFETY: the block is unpublished; this is the
@@ -266,76 +295,75 @@ impl<K, V, R: Reclaim> SkipNode<K, V, R> {
         }
     }
 
-    /// Allocate a head or tail sentinel node for one level.
-    ///
-    /// Sentinels are their own tower root, are never marked, and their
-    /// `remaining` is never released (they are freed by the skip list's
-    /// `Drop`, as individual `Box`es — they never touch the pool).
-    /// Sentinel birth is 0 forever, so pointers to them carry stamp 0.
-    // escape: ESC.sentinel: the returned allocation is owned by the skip
-    // list and freed only by its `Drop` — never retired through SMR
-    pub(crate) fn alloc_sentinel(key: Bound<K>, down: *mut SkipNode<K, V, R>) -> *mut Self {
-        let node = Box::into_raw(Box::new(SkipNode {
-            key,
-            element: None,
-            birth: AtomicU64::new(0),
-            skey: Default::default(),
-            sval: Default::default(),
-            succ: AtomicTaggedPtr::new(TaggedPtr::null()),
-            backlink: AtomicPtr::new(std::ptr::null_mut()),
-            down: AtomicPtr::new(down),
-            tower_root: AtomicPtr::new(std::ptr::null_mut()),
-            height: 1,
-            remaining: AtomicUsize::new(1),
-            top: AtomicPtr::new(std::ptr::null_mut()),
-        }));
-        // SAFETY: `node` was just allocated above and is not yet shared.
-        unsafe {
-            // ord: Relaxed — TOWER.layout: sentinel self-init before publication
-            (*node).tower_root.store(node, Ordering::Relaxed);
-            // ord: Relaxed — TOWER.top: quiescent-only diagnostic field
-            (*node).top.store(node, Ordering::Relaxed);
-        }
-        node
-    }
-
-    /// The node one level below in the same tower (null for roots and
-    /// level-1 sentinels).
-    #[inline]
-    // escape: ESC.node-accessor: the down pointer targets the same tower
-    // block as `self`, valid while `self` is protected by the caller's guard
-    pub(crate) fn down(&self) -> *mut SkipNode<K, V, R> {
-        // Relaxed is enough even for pin-free readers: the value is
-        // tenant-invariant per block (see the struct docs), and pinned
-        // threads inherit the happens-before from the publishing C&S.
-        // ord: Relaxed — TOWER.layout: tenant-invariant value (same for every tenant)
-        self.down.load(Ordering::Relaxed)
-    }
-
-    /// The tower's root node (self for roots and sentinels).
-    #[inline]
-    // escape: ESC.node-accessor: the root pointer targets the same tower
-    // block as `self`, valid while `self` is protected by the caller's guard
-    pub(crate) fn root(&self) -> *mut SkipNode<K, V, R> {
-        // ord: Relaxed — TOWER.layout: tenant-invariant value (same for every tenant)
-        self.tower_root.load(Ordering::Relaxed)
-    }
-
-    /// Whether this node's tower is superfluous (root marked).
+    /// Plain-write a header and `height` unlinked cells, with
+    /// `remaining = 2` and `top = 1` (a new tower's; sentinel blocks
+    /// never consult either).
     ///
     /// # Safety
     ///
-    /// The node must be protected by a guard (its tower is then alive,
-    /// so `tower_root` is dereferenceable).
-    #[inline]
-    pub(crate) unsafe fn is_superfluous(&self) -> bool {
+    /// `block` is valid for writes of [`Block::layout`]`(height)` bytes
+    /// and unreachable by any other thread.
+    unsafe fn write_at(
+        block: *mut Self,
+        height: usize,
+        key: Bound<K>,
+        element: Option<V>,
+        birth: u64,
+    ) {
         // SAFETY: the fn's `# Safety` contract covers the whole body.
-        // ord: Relaxed — TOWER.layout: tenant-invariant tower geometry
-        unsafe { (*self.root()).is_marked() }
+        unsafe {
+            block.write(Tower {
+                birth: AtomicU64::new(birth),
+                remaining: AtomicU32::new(2),
+                height: height as u16,
+                top: AtomicU16::new(1),
+                skey: Default::default(),
+                sval: Default::default(),
+                element,
+                key,
+            });
+            for level in 1..=height {
+                cell_at(block, level).write(LevelCell::new());
+            }
+        }
+    }
+
+    /// Allocate a head (`NegInf`) or tail (`PosInf`) sentinel block of
+    /// `max_level` unlinked cells; the skip list links each level's head
+    /// cell to its tail cell before it is shared.
+    ///
+    /// Sentinels are never marked and never retired: the skip list's
+    /// `Drop` frees both blocks with [`free_sentinel`](Self::free_sentinel).
+    /// Their birth is 0 forever, so pointers to them carry stamp 0.
+    pub(crate) fn sentinel_block(key: Bound<K>, max_level: usize) -> *mut Self {
+        let layout = Self::layout(max_level);
+        // SAFETY: the layout has non-zero size (it holds a header).
+        let block = unsafe { std::alloc::alloc(layout) }.cast::<Self>();
+        if block.is_null() {
+            std::alloc::handle_alloc_error(layout);
+        }
+        // SAFETY: a fresh, unshared allocation of the block layout.
+        unsafe { Self::write_at(block, max_level, key, None, 0) };
+        block
+    }
+
+    /// Free a sentinel block from [`sentinel_block`](Self::sentinel_block).
+    ///
+    /// # Safety
+    ///
+    /// `block` came from `sentinel_block(_, max_level)` and is freed once,
+    /// with no operation running on its list.
+    pub(crate) unsafe fn free_sentinel(block: *mut Self, max_level: usize) {
+        // SAFETY: the fn's `# Safety` contract covers the whole body.
+        unsafe {
+            std::ptr::drop_in_place(std::ptr::addr_of_mut!((*block).key));
+            std::ptr::drop_in_place(std::ptr::addr_of_mut!((*block).element));
+            std::alloc::dealloc(block.cast(), Self::layout(max_level));
+        }
     }
 }
 
-impl<K, V, R: Reclaim> LevelNode<K, R> for SkipNode<K, V, R> {
+impl<K, V, R: Reclaim> LevelNode for LevelCell<K, V, R> {
     #[inline]
     fn succ_cell(&self) -> &AtomicTaggedPtr<Self> {
         &self.succ
@@ -345,123 +373,193 @@ impl<K, V, R: Reclaim> LevelNode<K, R> for SkipNode<K, V, R> {
     fn backlink_cell(&self) -> &AtomicPtr<Self> {
         &self.backlink
     }
-
-    /// Every element of a tower holds the same birth, so any node of a
-    /// tower yields the tower's stamp.
-    #[inline]
-    fn birth_cell(&self) -> &AtomicU64 {
-        &self.birth
-    }
-
-    /// The node's key, read through the tower root (every node of a
-    /// tower shares the root's key; sentinels and roots are their own
-    /// root).
-    ///
-    /// # Safety
-    ///
-    /// As for [`LevelNode::key_ref`]: the guard keeps the tower, and
-    /// hence `tower_root`, alive.
-    #[inline]
-    unsafe fn key_ref(&self) -> &Bound<K> {
-        // SAFETY: the trait's `# Safety` contract covers the body.
-        // ord: Relaxed — TOWER.layout: tenant-invariant tower geometry
-        unsafe { &(*self.root()).key }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::list::LevelKeys;
     use lf_reclaim::Ebr;
-    use std::alloc::{alloc, dealloc, Layout};
-    use std::sync::atomic::Ordering;
+    use lf_vbr::Vbr;
+    use std::alloc::{alloc, dealloc};
+
+    type T32 = Tower<u32, u32, Ebr>;
 
     /// Allocate and initialize a tower block directly (tests only; the
     /// hot path goes through the node pool).
-    unsafe fn tower(height: usize, key: u32, element: u32) -> *mut SkipNode<u32, u32, Ebr> {
-        let layout = Layout::array::<SkipNode<u32, u32, Ebr>>(height).unwrap();
-        // SAFETY: a fresh allocation of `height` nodes is valid for
-        // `init_tower_at`'s writes.
+    unsafe fn tower(height: usize, key: u32, element: u32) -> *mut T32 {
+        // SAFETY: a fresh allocation of the block layout is valid for
+        // `init_at`'s writes.
         unsafe {
-            let block = alloc(layout) as *mut SkipNode<u32, u32, Ebr>;
-            SkipNode::init_tower_at(block, height, key, element, 0, false);
+            let block = alloc(T32::layout(height)).cast::<T32>();
+            Tower::init_at(block, height, key, element, 0, false);
             block
         }
     }
 
-    unsafe fn free_tower(block: *mut SkipNode<u32, u32, Ebr>, height: usize) {
-        let layout = Layout::array::<SkipNode<u32, u32, Ebr>>(height).unwrap();
+    unsafe fn free_tower(block: *mut T32, height: usize) {
         // SAFETY: `block` came from `tower` with the same height and is
         // freed exactly once.
         unsafe {
             std::ptr::drop_in_place(&mut (*block).key);
             std::ptr::drop_in_place(&mut (*block).element);
-            dealloc(block as *mut u8, layout);
+            dealloc(block.cast(), T32::layout(height));
         }
     }
 
     #[test]
     fn root_invariants() {
         unsafe {
-            let r = tower(1, 5, 50);
-            assert_eq!((*r).root(), r);
-            assert_eq!((*r).top.load(Ordering::Relaxed), r);
-            assert_eq!((*r).remaining.load(Ordering::Relaxed), 2);
-            assert_eq!((*r).height, 1);
-            assert!((*r).down().is_null());
-            assert_eq!((*r).element, Some(50));
-            assert!(!(*r).is_superfluous());
-            free_tower(r, 1);
+            let t = tower(1, 5, 50);
+            let root = cell_at(t, 1);
+            assert_eq!(tower_of(root, 1), t);
+            assert_eq!((*t).top.load(Ordering::Relaxed), 1);
+            assert_eq!((*t).remaining.load(Ordering::Relaxed), 2);
+            assert_eq!((*t).height, 1);
+            assert_eq!((*t).element, Some(50));
+            assert_eq!((*t).key, Bound::Key(5));
+            assert!(!(*root).is_marked());
+            assert!((*root).backlink().is_null());
+            free_tower(t, 1);
+        }
+    }
+
+    /// The pinned sizes below are what the layout is for: a header of at
+    /// most 64 bytes plus 16 per level, where the per-level node layout
+    /// this replaced cost `size_of::<node>() * h` (112 B per level for
+    /// `Vec<u8>` keys and values under EBR).
+    #[test]
+    fn header_and_cell_sizes_are_pinned() {
+        fn block<K, V, R: Reclaim>(h: usize) -> usize {
+            Tower::<K, V, R>::layout(h).size()
+        }
+        assert_eq!(size_of::<LevelCell<u64, u64, Ebr>>(), 16);
+        assert_eq!(size_of::<LevelCell<Vec<u8>, Vec<u8>, Ebr>>(), 16);
+        assert_eq!(size_of::<LevelCell<u64, u64, Vbr>>(), 16);
+        assert_eq!(size_of::<Tower<u64, u64, Ebr>>(), 48);
+        assert_eq!(size_of::<Tower<Vec<u8>, Vec<u8>, Ebr>>(), 64);
+        assert_eq!(size_of::<Tower<u64, u64, Vbr>>(), 64);
+        for h in 1..=31 {
+            assert_eq!(block::<u64, u64, Ebr>(h), 48 + 16 * h, "h={h}");
+            assert_eq!(block::<Vec<u8>, Vec<u8>, Ebr>(h), 64 + 16 * h, "h={h}");
+            assert!(block::<Vec<u8>, Vec<u8>, Ebr>(h) <= 64 + 16 * h);
+            assert_eq!(block::<u64, u64, Vbr>(h), 64 + 16 * h, "h={h}");
+        }
+    }
+
+    /// Round trips for every level of every height, for user towers and
+    /// both sentinel blocks: cell → header → cell, and cell → down is
+    /// the cell one level lower. All pointers derive from the block's
+    /// own allocation.
+    #[test]
+    fn cell_header_round_trips() {
+        fn check<K, V, R: Reclaim>(t: *mut Tower<K, V, R>, h: usize) {
+            unsafe {
+                for level in 1..=h {
+                    let c = cell_at(t, level);
+                    assert_eq!(c as usize % std::mem::align_of::<LevelCell<K, V, R>>(), 0);
+                    assert_eq!(c as usize & 0b111, 0, "tag bits must stay free");
+                    assert_eq!(tower_of(c, level), t, "level {level} of {h}");
+                    assert_eq!(cell_at(tower_of(c, level), level), c);
+                    if level > 1 {
+                        assert_eq!(down(c), cell_at(t, level - 1));
+                    }
+                }
+                assert_eq!(
+                    cell_at(t, h) as usize + size_of::<LevelCell<K, V, R>>() - t as usize,
+                    Tower::<K, V, R>::layout(h).size(),
+                    "the top cell ends the block"
+                );
+            }
+        }
+        for h in 1..=31 {
+            unsafe {
+                let t = tower(h, 1, 2);
+                check(t, h);
+                free_tower(t, h);
+            }
+        }
+        for max_level in [2, 4, 32] {
+            let sl = crate::SkipList::<u32, u32>::with_max_level(max_level);
+            check(sl.head, max_level);
+            check(sl.tail, max_level);
+            unsafe {
+                for level in 1..=max_level {
+                    assert_eq!(sl.head(level), cell_at(sl.head, level));
+                    assert_eq!(sl.tail(level), cell_at(sl.tail, level));
+                    assert_eq!((*sl.head(level)).right(), sl.tail(level));
+                    assert!((*sl.tail(level)).right().is_null());
+                }
+            }
+        }
+        for key in [Bound::NegInf, Bound::PosInf] {
+            let block = Tower::<Vec<u8>, Vec<u8>, Vbr>::sentinel_block(key, 32);
+            check(block, 32);
+            // SAFETY: freed once, never shared.
+            unsafe { Tower::free_sentinel(block, 32) };
         }
     }
 
     #[test]
     fn tower_block_is_down_chained_and_shares_key() {
         unsafe {
-            let r = tower(3, 5, 50);
-            for i in 1..3 {
-                let u = r.add(i);
-                assert_eq!((*u).down(), r.add(i - 1));
-                assert_eq!((*u).root(), r);
-                assert_eq!((*u).element, None);
-                assert_eq!((*u).key_ref(), &Bound::Key(5));
+            let t = tower(3, 5, 50);
+            for level in 1..=3 {
+                let c = cell_at(t, level);
+                if level > 1 {
+                    assert_eq!(down(c), cell_at(t, level - 1));
+                }
+                assert_eq!(tower_of(c, level), t);
+                assert_eq!((*tower_of(c, level)).key, Bound::Key(5));
+                assert!((*c).succ().is_clean());
             }
-            assert_eq!((*r).key_ref(), &Bound::Key(5));
-            free_tower(r, 3);
+            free_tower(t, 3);
         }
     }
 
     #[test]
     fn sentinel_is_own_root() {
-        let s = SkipNode::<u32, u32, Ebr>::alloc_sentinel(Bound::PosInf, std::ptr::null_mut());
+        let head = T32::sentinel_block(Bound::NegInf, 4);
+        let tail = T32::sentinel_block(Bound::PosInf, 4);
         unsafe {
-            assert_eq!((*s).root(), s);
-            assert!(!(*s).is_superfluous());
-            drop(Box::from_raw(s));
+            for level in 1..=4 {
+                assert_eq!(tower_of(cell_at(head, level), level), head);
+                assert_eq!(tower_of(cell_at(tail, level), level), tail);
+            }
+            assert_eq!((*head).key, Bound::NegInf);
+            assert_eq!((*tail).key, Bound::PosInf);
+            assert_eq!((*head).birth.load(Ordering::Relaxed), 0);
+            assert!(!(*cell_at(head, 1)).is_marked());
+            assert!(!(*cell_at(tail, 1)).is_marked());
+            T32::free_sentinel(head, 4);
+            T32::free_sentinel(tail, 4);
         }
     }
 
     #[test]
     fn pinned_backend_stamps_are_zero() {
+        let sl = crate::SkipList::<u32, u32>::new();
         unsafe {
-            let r = tower(2, 1, 2);
-            assert_eq!(SkipNode::stamp_of(r), 0);
-            assert_eq!(SkipNode::clean_ptr(r).stamp(), 0);
-            assert!(SkipNode::flagged_ptr(r).is_flagged());
-            free_tower(r, 2);
+            let t = tower(2, 1, 2);
+            let level = sl.at(2);
+            let c = cell_at(t, 2);
+            assert_eq!(level.stamp_of(c), 0);
+            assert_eq!(level.clean_ptr(c).stamp(), 0);
+            assert!(level.flagged_ptr(c).is_flagged());
+            free_tower(t, 2);
         }
     }
 
     #[test]
     fn alignment_leaves_tag_bits_free() {
         unsafe {
-            let r = tower(4, 1, 2);
-            // Every element of the block keeps the low bits free for
-            // the mark/flag tags.
-            for i in 0..4 {
-                assert_eq!(r.add(i) as usize & 0b111, 0);
+            let t = tower(4, 1, 2);
+            // Every cell of the block keeps the low bits free for the
+            // mark/flag tags.
+            for level in 1..=4 {
+                assert_eq!(cell_at(t, level) as usize & 0b111, 0);
             }
-            free_tower(r, 4);
+            free_tower(t, 4);
         }
     }
 }

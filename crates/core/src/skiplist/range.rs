@@ -7,9 +7,9 @@ use std::ops::Bound as RangeBound;
 
 use lf_reclaim::{Ebr, Publish, Reclaim};
 
-use super::node::SkipNode;
-use super::{Bound, Mode, SkipListHandle};
-use crate::list::LevelNode;
+use super::node::{tower_of, LevelCell};
+use super::{Mode, SkipListHandle};
+use crate::list::{Bound, LevelNode};
 
 /// Iterator over a weakly-consistent snapshot of a
 /// [`SkipList`](super::SkipList), produced by [`SkipListHandle::iter`]:
@@ -22,12 +22,14 @@ pub type SkipIter<'h, 'l, K, V, R = Ebr> = RangeIter<'h, 'l, K, V, R>;
 ///
 /// Positions at the range start with a skip list descent (expected
 /// `O(log n)`; none for an unbounded start), then walks level 1 cloning
-/// each pair whose root is unmarked when visited, until the end bound.
+/// each pair whose root cell is unmarked when visited, until the end
+/// bound.
 /// Pins the thread for its whole lifetime.
 pub struct RangeIter<'h, 'l, K, V, R: Reclaim = Ebr> {
     _handle: &'h SkipListHandle<'l, K, V, R>,
     _guard: R::Guard<'h>,
-    curr: *mut SkipNode<K, V, R>,
+    /// A level-1 cell.
+    curr: *mut LevelCell<K, V, R>,
     end: RangeBound<K>,
 }
 
@@ -55,7 +57,7 @@ where
         // iterator lifetime (it is stored alongside `curr`).
         let curr = unsafe {
             match &start {
-                RangeBound::Unbounded => handle.list.heads[0],
+                RangeBound::Unbounded => handle.list.head(1),
                 RangeBound::Included(k) => {
                     // ord: Release/Acquire/Relaxed — LIST.flag-cas: positioning search helps deletions (wrapped C&S)
                     let (n1, _) = handle.list.search_to_level(k, 1, Mode::Lt, &guard);
@@ -103,7 +105,8 @@ where
                     return None;
                 }
                 self.curr = next;
-                match (*self.curr).key_ref() {
+                let tower = tower_of(next, 1);
+                match &(*tower).key {
                     Bound::PosInf => return None,
                     Bound::NegInf => unreachable!("head is never a successor"),
                     Bound::Key(k) => {
@@ -111,7 +114,7 @@ where
                             return None;
                         }
                         if !(*self.curr).is_marked() {
-                            let v = (*self.curr).element.clone().expect("root node has element");
+                            let v = (*tower).element.clone().expect("user tower has element");
                             return Some((k.clone(), v));
                         }
                     }

@@ -2,23 +2,26 @@
 //!
 //! Same validation scheme as the list's (`list/read.rs`, DESIGN.md
 //! §9.7): no pin, type-stable pool blocks, birth-stamped pointers,
-//! snoops bracketed by birth re-checks. The skip list adds two things:
+//! snoops bracketed by birth re-checks. The skip list adds two things,
+//! both pure address arithmetic on the tower block (`node`):
 //!
-//! * **descent** — moving down a tower follows the `down` field, whose
-//!   value is *tenant-invariant* per block (element `i` of a
-//!   `cap`-block always points at element `i - 1`), so it can be
-//!   followed without validation; the expected stamp carries over
-//!   unchanged because every element of a tower holds the same birth;
-//! * **indirect keys** — only tower roots carry the key, so a hop's
-//!   candidate is keyed by snooping its root's shadow slots through
-//!   `tower_root` (also tenant-invariant). A validated hop can only
-//!   lead to a node of the traversal's own level or that level's tail
-//!   sentinel, so the root is always a published user root.
+//! * **descent** — the cell one level down is the previous cell of the
+//!   same block, so moving down loads nothing and needs no validation;
+//!   the expected stamp carries over unchanged because a tower has one
+//!   birth word;
+//! * **header reads** — a cell's key, shadow slots and birth live in its
+//!   tower's header, `level - 1` cells and one header back. The pool
+//!   buckets blocks by height, so that address holds a header of the
+//!   same geometry for every tenant of the block, and the birth bracket
+//!   decides whether it is the tenant the hop meant. A validated hop
+//!   can only lead to a cell of the traversal's own level or that
+//!   level's tail sentinel, so the header is a published user tower's.
 
 use std::sync::atomic::{fence, Ordering};
 
 use lf_reclaim::{Pod, Publish, Reclaim, BIRTH_BUILDING};
 
+use super::node::{down, tower_of};
 use super::{SkipList, SkipListHandle};
 use crate::MapHandle;
 
@@ -78,49 +81,49 @@ where
     /// stamp, and drops a level whenever the next key would overshoot.
     ///
     /// Never dereferences anything but type-stable pool blocks and the
-    /// sentinels, so it needs no guard; `Err(ReadRace)` means a hop
+    /// sentinel blocks, so it needs no guard; `Err(ReadRace)` means a hop
     /// failed validation (the node was recycled or is being rebuilt)
     /// and the caller should retry or fall back.
     fn read_impl(&self, k: &K) -> Result<Option<V>, ReadRace> {
         let mut level = self.start_level(1);
         // Head sentinels are trusted: never recycled, birth 0.
-        let mut curr = self.heads[level - 1];
+        let mut curr = self.head(level);
         let mut curr_stamp: u16 = 0;
         let mut curr_trusted = true;
         loop {
-            // SAFETY: `curr` is a sentinel or a pool block (type-stable
-            // storage with initialized atomics); the load itself is
-            // in-bounds. Whether the *value* belongs to the tenant we
-            // meant is decided by the validation below.
+            // SAFETY: `curr` is a sentinel cell or a cell of a pool
+            // block (type-stable storage with initialized atomics); the
+            // load itself is in-bounds. Whether the *value* belongs to
+            // the tenant we meant is decided by the validation below.
             // ord: Acquire — VBR.read-traverse: the hop target's fields are read next
             let succ = unsafe { &(*curr).succ }.load(Ordering::Acquire);
             if !curr_trusted {
                 // Hop validation: the succ we just loaded is our
-                // tenant's only if curr's birth still matches the stamp
-                // we reached it with. Pairs with the re-initializer's
-                // release fence after it sets the builder bits.
+                // tenant's only if curr's tower birth still matches the
+                // stamp we reached it with. Pairs with the
+                // re-initializer's release fence after it sets the
+                // builder bit.
                 // ord: Acquire — VBR.birth-validate: seqlock read fence
                 fence(Ordering::Acquire);
-                // SAFETY: type-stable storage, as above.
+                // SAFETY: `curr` is a level-`level` cell of a block of
+                // this height bucket (see the module docs), so its
+                // header lies in the same type-stable block.
                 // ord: Relaxed — VBR.birth-validate: ordered by the fence above
-                let b = unsafe { &(*curr).birth }.load(Ordering::Relaxed);
+                let b = unsafe { &(*tower_of(curr, level)).birth }.load(Ordering::Relaxed);
                 if b & BIRTH_BUILDING != 0 || (b & 0xffff) != u64::from(curr_stamp) {
                     return Err(ReadRace);
                 }
             }
             let next = succ.ptr();
-            if next == self.tails[level - 1] {
+            if next == self.tail(level) {
                 if level == 1 {
                     return Ok(None);
                 }
-                // Drop a level: `down` is tenant-invariant per block
-                // (sentinel chains are immortal), and a tower's lower
-                // element shares the birth the carried stamp encodes.
-                // SAFETY: type-stable storage, as above.
-                // ord: Relaxed — TOWER.layout: tenant-invariant tower geometry
-                // validate: VAL.skip-read: tenant-invariant hop on type-stable
-                // storage; the next birth-stamp bracket re-validates the path
-                curr = unsafe { (*curr).down() };
+                // Drop a level: the cell below in the same block (the
+                // head block's cells are contiguous too), which shares
+                // the birth the carried stamp encodes.
+                // SAFETY: `level >= 2`, so the cell below is in the block.
+                curr = unsafe { down(curr) };
                 level -= 1;
                 continue;
             }
@@ -130,25 +133,22 @@ where
                 return Err(ReadRace);
             }
             let next_stamp = succ.stamp();
-            // The candidate's key lives in its tower root. A validated
-            // hop only yields same-level nodes (tails were just ruled
-            // out by identity), so `root` is a user root with published
-            // shadow slots; `tower_root` is tenant-invariant.
+            // The candidate's key lives in its tower's header. A
+            // validated hop only yields cells of the traversal's own
+            // level (tails were just ruled out by identity), so the
+            // header is a user tower's with published shadow slots.
             // SAFETY: type-stable storage, as above.
-            // ord: Relaxed — TOWER.layout: tenant-invariant tower geometry
-            // validate: VAL.skip-read: tenant-invariant hop on type-stable
-            // storage; the birth-stamp bracket below re-validates it
-            let root = unsafe { (*next).root() };
-            // Pre-validation: the root's slots hold `next_stamp`'s
+            let tower = unsafe { tower_of(next, level) };
+            // Pre-validation: the header's slots hold `next_stamp`'s
             // tenant's bytes only if that tenant is fully published (no
-            // builder bit) and still current; every element of a tower
-            // carries the same birth, so the root's word vouches for
-            // `next` too. Acquire pairs with the release finalize store.
+            // builder bit) and still current; the tower has one birth
+            // word, so it vouches for `next` too. Acquire pairs with the
+            // release finalize store.
             // SAFETY: type-stable storage, as above.
             // ord: Acquire — VBR.birth-validate: pre-snoop tenant check
             // validate: VAL.skip-read: this load opens the birth-stamp
-            // bracket that validates the optimistic hop to `next`/`root`
-            let b1 = unsafe { &(*root).birth }.load(Ordering::Acquire);
+            // bracket that validates the optimistic hop to `next`'s tower
+            let b1 = unsafe { &(*tower).birth }.load(Ordering::Acquire);
             if b1 & BIRTH_BUILDING != 0 || (b1 & 0xffff) != u64::from(next_stamp) {
                 return Err(ReadRace);
             }
@@ -156,17 +156,17 @@ where
             // atomic copies; the bytes are validated before use.
             // validate: VAL.skip-read: snoop inside the birth-stamp bracket;
             // bytes are discarded unless `b2 == b1` below
-            let key_bytes = unsafe { <R as Publish<K>>::snoop(&(*root).skey) };
+            let key_bytes = unsafe { <R as Publish<K>>::snoop(&(*tower).skey) };
             // SAFETY: as above.
             // validate: VAL.skip-read: as above — bracketed snoop
-            let val_bytes = unsafe { <R as Publish<V>>::snoop(&(*root).sval) };
+            let val_bytes = unsafe { <R as Publish<V>>::snoop(&(*tower).sval) };
             // ord: Acquire — VBR.birth-validate: seqlock read fence
             fence(Ordering::Acquire);
             // SAFETY: type-stable storage, as above.
             // ord: Relaxed — VBR.birth-validate: ordered by the fence above
             // validate: VAL.skip-read: this re-load closes the birth-stamp
             // bracket; a mismatch discards the snooped bytes
-            let b2 = unsafe { &(*root).birth }.load(Ordering::Relaxed);
+            let b2 = unsafe { &(*tower).birth }.load(Ordering::Relaxed);
             if b2 != b1 {
                 return Err(ReadRace);
             }
@@ -192,11 +192,8 @@ where
                         return Ok(None);
                     }
                     // Overshot: drop a level from `curr` (see above).
-                    // SAFETY: type-stable storage, as above.
-                    // ord: Relaxed — TOWER.layout: tenant-invariant tower geometry
-                    // validate: VAL.skip-read: tenant-invariant hop on
-                    // type-stable storage; re-validated by the next bracket
-                    curr = unsafe { (*curr).down() };
+                    // SAFETY: `level >= 2`, as above.
+                    curr = unsafe { down(curr) };
                     level -= 1;
                 }
             }

@@ -45,10 +45,10 @@ use std::ptr;
 
 use lf_reclaim::{Publish, Reclaim};
 
-use super::node::SkipNode;
-use super::{Bound, Mode, SkipList, SkipListHandle};
+use super::node::{down, tower_of, LevelCell};
+use super::{Mode, SkipList, SkipListHandle};
 use crate::list::search_key_before as key_before;
-use crate::list::{Level, LevelNode};
+use crate::list::{Bound, Level, LevelKeys, LevelNode};
 
 /// One per-list scan cursor of the k-way merge. It first descends to
 /// its start position (`level > 0`), then walks level 1 (`level == 0`).
@@ -57,14 +57,14 @@ struct Cursor<'a, K, V, R: Reclaim> {
     /// The level (1-based) the positioning descent stands on; 0 once
     /// the cursor is positioned.
     level: usize,
-    /// Descending: the node the descent stands on. Merging: the last
-    /// node this cursor consumed (or its start position) — the
+    /// Descending: the cell the descent stands on. Merging: the last
+    /// level-1 cell this cursor consumed (or its start position) — the
     /// monotonicity anchor after helping relocates us leftwards.
-    anchor: *mut SkipNode<K, V, R>,
+    anchor: *mut LevelCell<K, V, R>,
     /// Descending: `anchor`'s successor, which the next hop examines.
-    /// Merging: the next in-range unmarked root to merge, null when
-    /// exhausted.
-    cand: *mut SkipNode<K, V, R>,
+    /// Merging: the next in-range unmarked root cell to merge, null
+    /// when exhausted.
+    cand: *mut LevelCell<K, V, R>,
 }
 
 fn after_start<K: Ord>(key: &K, start: &RangeBound<&K>) -> bool {
@@ -83,24 +83,25 @@ fn within_end<K: Ord>(key: &K, end: &RangeBound<&K>) -> bool {
     }
 }
 
-/// Advance one cursor: starting from `anchor`, find the next unmarked
-/// level-1 root with key strictly greater than `anchor`'s that lies
-/// within `[start, end]`, helping physical deletion of superfluous
-/// towers on the way (the inner loop of `SearchRight`, §4). Returns
+/// Advance one cursor: starting from the level-1 cell `anchor`, find
+/// the next unmarked root cell with key strictly greater than
+/// `anchor`'s that lies within `[start, end]`, helping physical
+/// deletion of superfluous towers on the way (the inner loop of
+/// `SearchRight`, §4). Returns
 /// null when the cursor's list is exhausted for this range.
 ///
 /// # Safety
 ///
-/// `anchor` must be a node of `list` protected by `guard`.
+/// `anchor` must be a level-1 cell of `list` protected by `guard`.
 // escape: ESC.node-search: the returned root is protected by the caller's
 // `guard`; the `# Safety` contract bounds its life to it
 unsafe fn advance<K, V, R>(
     list: &SkipList<K, V, R>,
-    anchor: *mut SkipNode<K, V, R>,
+    anchor: *mut LevelCell<K, V, R>,
     start: &RangeBound<&K>,
     end: &RangeBound<&K>,
     guard: &R::Guard<'_>,
-) -> *mut SkipNode<K, V, R>
+) -> *mut LevelCell<K, V, R>
 where
     K: Ord + Send + Sync + 'static,
     V: Send + Sync + 'static,
@@ -108,6 +109,7 @@ where
 {
     // SAFETY: the fn's `# Safety` contract covers the whole body.
     unsafe {
+        let level = list.at(1);
         let mut curr = anchor;
         loop {
             let mut next = (*curr).right();
@@ -116,13 +118,13 @@ where
             }
             // Delete superfluous towers in our way, exactly as
             // `SearchRight` does (flag, then help with mark + unlink).
-            while (*next).is_superfluous() {
+            while level.is_superfluous(next) {
                 // ord: Release/Acquire/Relaxed — LIST.flag-cas: wrapped flagging C&S; pred is dereferenced
-                curr = list.delete_node(curr, next, guard).0;
+                curr = level.delete_node(curr, next, guard).0;
                 next = (*curr).right();
                 lf_metrics::record_next_update();
             }
-            match (*next).key_ref() {
+            match level.key_ref(next) {
                 Bound::PosInf => return ptr::null_mut(),
                 Bound::NegInf => unreachable!("head is never a successor"),
                 Bound::Key(k) => {
@@ -132,7 +134,7 @@ where
                     // Skip nodes at or before the anchor (helping may
                     // have walked us leftwards — never re-emit), nodes
                     // before the start bound, and roots already marked.
-                    if (*next).key_ref() <= (*anchor).key_ref()
+                    if level.key_ref(next) <= level.key_ref(anchor)
                         || !after_start(k, start)
                         || (*next).is_marked()
                     {
@@ -157,7 +159,7 @@ where
     /// starts its descent.
     fn at_top(list: &'a SkipList<K, V, R>) -> Self {
         let level = list.start_level(1);
-        let anchor = list.heads[level - 1];
+        let anchor = list.head(level);
         Cursor {
             list,
             level,
@@ -181,15 +183,16 @@ where
     unsafe fn hop(&mut self, k: &K, mode: Mode, guard: &R::Guard<'_>) -> bool {
         // SAFETY: the fn's `# Safety` contract covers the whole body.
         unsafe {
-            if key_before((*self.cand).key_ref(), k, mode) {
-                if !(*self.cand).is_superfluous() {
+            let level = self.list.at(self.level);
+            if key_before(level.key_ref(self.cand), k, mode) {
+                if !level.is_superfluous(self.cand) {
                     self.anchor = self.cand;
                     lf_metrics::record_curr_update();
                     self.cand = (*self.anchor).right();
                     return false;
                 }
                 // ord: Release/Acquire/Relaxed — LIST.flag-cas: the rest of the level helps deletions (wrapped C&S)
-                let (n1, n2) = self.list.search_right(k, self.anchor, mode, guard);
+                let (n1, n2) = level.search_right(k, self.anchor, mode, guard);
                 // escape: ESC.scan-cursor: a cursor lives strictly inside
                 // `merged_range`'s `guard` scope, so stored nodes stay protected
                 self.anchor = n1;
@@ -199,9 +202,7 @@ where
             if self.level == 1 {
                 return true;
             }
-            // ord: Relaxed — TOWER.layout: tenant-invariant tower geometry
-            self.anchor = (*self.anchor).down();
-            debug_assert!(!self.anchor.is_null(), "descending below level 1");
+            self.anchor = down(self.anchor);
             self.level -= 1;
             self.cand = (*self.anchor).right();
             false
@@ -209,7 +210,7 @@ where
     }
 }
 
-/// One cursor per list, each standing on its list's last level-1 node
+/// One cursor per list, each standing on its list's last level-1 cell
 /// before `start` — per list what `search_to_level(k, 1, mode).0`
 /// returns, but found by descending all lists in lock step (see the
 /// module docs). Candidates are not yet filled.
@@ -234,7 +235,7 @@ where
                 .map(|list| Cursor {
                     list,
                     level: 0,
-                    anchor: list.heads[0],
+                    anchor: list.head(1),
                     cand: ptr::null_mut(),
                 })
                 .collect()
@@ -350,8 +351,10 @@ where
             }
             let better = match min_i {
                 None => true,
-                // SAFETY: candidates are live roots under the guard.
-                Some(m) => unsafe { (*c.cand).key_ref() < (*cursors[m].cand).key_ref() },
+                // SAFETY: candidates are live root cells under the guard.
+                Some(m) => unsafe {
+                    (*tower_of(c.cand, 1)).key < (*tower_of(cursors[m].cand, 1)).key
+                },
             };
             if better {
                 min_i = Some(i);
@@ -368,8 +371,9 @@ where
             // a root marked since the cursor found it is already
             // logically deleted and must not be reported.
             if !(*node).is_marked() {
-                let k = (*node).key_ref().as_key().expect("candidate has user key");
-                let v = (*node).element.as_ref().expect("root node has element");
+                let tower = tower_of(node, 1);
+                let k = (*tower).key.as_key().expect("candidate has user key");
+                let v = (*tower).element.as_ref().expect("user tower has element");
                 visited += 1;
                 stop = !visitor(k, v);
             }
@@ -433,7 +437,7 @@ mod tests {
                         // SAFETY: as above.
                         .map(|l| unsafe {
                             match start {
-                                RangeBound::Unbounded => l.heads[0],
+                                RangeBound::Unbounded => l.head(1),
                                 RangeBound::Included(k) => {
                                     l.search_to_level(k, 1, Mode::Lt, &guard).0
                                 }

@@ -4,6 +4,7 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use super::node::{cell_at, down, tower_of};
 use super::SkipList;
 use crate::list::LevelNode;
 use crate::MapHandle;
@@ -148,8 +149,8 @@ fn towers_are_dismantled_after_delete() {
         h.remove(&k).unwrap();
     }
     for level in 0..sl.max_level {
-        let head = sl.heads[level];
-        let tail = sl.tails[level];
+        let head = sl.head(level + 1);
+        let tail = sl.tail(level + 1);
         unsafe {
             assert_eq!(
                 (*head).right(),
@@ -419,7 +420,7 @@ fn final_state_matches_sequential_oracle() {
 
 #[test]
 fn vertical_structure_sound_when_quiescent() {
-    // Every node on level v >= 2 must sit above a tower whose root is
+    // Every cell on level v >= 2 must sit above a tower whose root is
     // reachable on level 1 with the same key (quiescent check).
     let sl: SkipList<u32, u32> = SkipList::new();
     let h = sl.handle();
@@ -427,17 +428,26 @@ fn vertical_structure_sound_when_quiescent() {
         h.insert(k, k).unwrap();
     }
     unsafe {
-        for level in 1..sl.max_level {
-            let mut cur = (*sl.heads[level]).right();
-            while cur != sl.tails[level] {
-                let root = (*cur).root();
-                assert!(!(*root).is_marked(), "superfluous node left at quiescence");
-                // Walking down from this node must reach the root.
+        let mut roots = std::collections::HashSet::new();
+        let mut cur = (*sl.head(1)).right();
+        while cur != sl.tail(1) {
+            roots.insert(cur);
+            cur = (*cur).right();
+        }
+        for level in 2..=sl.max_level {
+            let mut cur = (*sl.head(level)).right();
+            while cur != sl.tail(level) {
+                let tower = tower_of(cur, level);
+                let root = cell_at(tower, 1);
+                assert!(!(*root).is_marked(), "superfluous cell left at quiescence");
+                // Walking down from this cell must reach the root.
                 let mut d = cur;
-                while !(*d).down().is_null() {
-                    d = (*d).down();
+                for _ in 1..level {
+                    d = down(d);
                 }
                 assert_eq!(d, root, "down chain does not reach tower root");
+                assert!(roots.contains(&root), "tower root not linked at level 1");
+                assert!(usize::from((*tower).top.load(Ordering::Relaxed)) >= level);
                 cur = (*cur).right();
             }
         }

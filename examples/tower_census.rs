@@ -5,15 +5,20 @@
 //! distribution the paper argues is approximately preserved despite
 //! interrupted constructions.
 //!
+//! It also checks the result: the quiescent list must pass
+//! `validate_quiescent`, and the mean tower height must lie in
+//! [1.9, 2.1]; otherwise the example exits non-zero (CI runs it).
+//!
 //! ```sh
 //! cargo run --release --example tower_census
 //! ```
 
+use std::process::ExitCode;
 use std::sync::Arc;
 
 use lockfree_lists::{MapHandle, SkipList};
 
-fn main() {
+fn main() -> ExitCode {
     const KEYS: u64 = 20_000;
     let sl: Arc<SkipList<u64, u64>> = Arc::new(SkipList::new());
 
@@ -36,6 +41,7 @@ fn main() {
         }
     });
 
+    sl.validate_quiescent();
     let heights = sl.tower_heights();
     let total = heights.len() as f64;
     let max_h = heights.iter().copied().max().unwrap_or(1);
@@ -57,4 +63,9 @@ fn main() {
     }
     let mean: f64 = heights.iter().map(|&h| h as f64).sum::<f64>() / total;
     println!("mean height {mean:.3} (ideal 2.0)");
+    if !(1.9..=2.1).contains(&mean) {
+        eprintln!("mean tower height {mean:.3} is outside [1.9, 2.1]");
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }
