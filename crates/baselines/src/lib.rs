@@ -24,8 +24,6 @@
 //! * [`MichaelList`] — Michael's list-based set (the paper's \[8\]):
 //!   Harris-style marking with single-node unlinks, managed end-to-end
 //!   by hazard pointers (the paper's \[9\], in `lf-hazard`).
-//! * [`LockedHeap`] — a mutex-protected binary heap, the comparator for
-//!   the skip-list priority queue.
 //!
 //! Every baseline uses the core crate's essential-step metering, so
 //! step-count and throughput comparisons are apples-to-apples. The
@@ -44,7 +42,6 @@ mod coarse_list;
 mod harris;
 mod hoh_list;
 mod lock_skiplist;
-mod locked_heap;
 mod michael;
 mod noflag;
 mod restart_skiplist;
@@ -54,7 +51,6 @@ pub use coarse_list::CoarseLockList;
 pub use harris::{HarrisHandle, HarrisList};
 pub use hoh_list::HohLockList;
 pub use lock_skiplist::LockSkipList;
-pub use locked_heap::LockedHeap;
 pub use michael::{MichaelHandle, MichaelList};
 pub use noflag::{NoFlagHandle, NoFlagList};
 pub use restart_skiplist::{RestartHandle, RestartSkipList};

@@ -5,13 +5,12 @@
 //! [`lf_core::ConcurrentMap`]; the multi-threaded workload [`runner`]
 //! and the experiments drive them through that trait alone, one module
 //! per experiment of `DESIGN.md` §5 (E1–E16). The `experiments` binary
-//! prints each experiment's table; the Criterion benches in `benches/`
-//! cover the wall-clock comparisons.
+//! prints each experiment's table.
 
 pub mod experiments;
 pub mod resp_client;
 pub mod runner;
 pub mod table;
 
-pub use runner::{apply, lookup, op_batch, run_mixed, RunConfig, RunResult};
+pub use runner::{apply, lookup, run_mixed, RunConfig, RunResult};
 pub use table::Table;

@@ -81,28 +81,6 @@ pub fn apply<H: MapHandle<u64, u64>>(h: &H, op: Op, search: impl Fn(&H, u64) -> 
     }
 }
 
-/// A Criterion iteration body over `map` (fresh): prefill every even
-/// key of `dist`'s space, then run `ops` generated operations on a new
-/// handle per call.
-pub fn op_batch<M>(map: M, mix: Mix, dist: KeyDist, seed: u64, ops: u64) -> impl FnMut()
-where
-    M: ConcurrentMap<Key = u64, Value = u64>,
-{
-    {
-        let h = map.handle();
-        for k in (0..space_of(&dist)).step_by(2) {
-            let _ = h.insert(k, k);
-        }
-    }
-    let mut w = WorkloadIter::new(mix, dist, seed);
-    move || {
-        let h = map.handle();
-        for _ in 0..ops {
-            std::hint::black_box(apply(&h, w.next_op(), lookup));
-        }
-    }
-}
-
 /// Run `cfg` against `map`, a fresh map the caller built, looking keys
 /// up through `search` (usually [`lookup`]); returns throughput and the
 /// essential-step delta attributable to the measured phase.

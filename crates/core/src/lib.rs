@@ -50,13 +50,11 @@
 pub mod list;
 mod map;
 pub(crate) mod pool;
-pub mod pq;
 mod set;
 pub mod skiplist;
 
 pub use list::{ChainIter, FrList, Iter, ListHandle};
 pub use map::{ConcurrentMap, MapHandle};
-pub use pq::{PqHandle, PriorityQueue};
 pub use set::{ListSet, MapSet, MapSetHandle, SetHandle, SkipSet, SkipSetHandle};
 pub use skiplist::{
     merged_range, RangeIter, SkipIter, SkipList, SkipListHandle, DEFAULT_MAX_LEVEL, MAX_LEVEL_LIMIT,

@@ -80,9 +80,7 @@ pub(crate) enum Mode {
 /// need its worst-case amortized guarantees.
 ///
 /// Each thread should obtain a [`ListHandle`] once via
-/// [`handle`](FrList::handle) and issue operations through it; the
-/// convenience methods on `FrList` itself register a fresh handle per
-/// call and are noticeably slower.
+/// [`handle`](FrList::handle) and issue operations through it.
 ///
 /// The third type parameter selects the reclamation backend and
 /// defaults to [`Ebr`]; [`FrList::with_backend`] builds a list over any
@@ -227,36 +225,6 @@ where
             reclaim,
             pool: LocalPool::new(Arc::clone(&self.pool)),
         }
-    }
-
-    /// Insert through a temporary handle. See [`MapHandle::insert`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the rejected pair if `key` is already present.
-    pub fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
-        self.handle().insert(key, value)
-    }
-
-    /// Remove through a temporary handle. See [`MapHandle::remove`].
-    pub fn remove(&self, key: &K) -> Option<V>
-    where
-        V: Clone,
-    {
-        self.handle().remove(key)
-    }
-
-    /// Lookup through a temporary handle. See [`MapHandle::get`].
-    pub fn get(&self, key: &K) -> Option<V>
-    where
-        V: Clone,
-    {
-        self.handle().get(key)
-    }
-
-    /// Membership test through a temporary handle.
-    pub fn contains(&self, key: &K) -> bool {
-        self.handle().contains(key)
     }
 }
 
@@ -537,51 +505,6 @@ where
         V: Clone,
     {
         ChainIter::new(self, lists.into_iter().collect())
-    }
-
-    /// The smallest key and its value, if any (weakly consistent).
-    pub fn first(&self) -> Option<(K, V)>
-    where
-        K: Clone,
-        V: Clone,
-    {
-        self.iter().next()
-    }
-
-    /// Remove and return an entry that was the smallest at some moment
-    /// during the call (lock-free DeleteMin; see
-    /// [`SkipList::pop_first`](crate::SkipList) — prefer the skip list
-    /// when `n` is large).
-    pub fn pop_first(&self) -> Option<(K, V)>
-    where
-        K: Clone,
-        V: Clone,
-    {
-        loop {
-            let (k, _) = self.first()?;
-            if let Some(v) = self.remove(&k) {
-                return Some((k, v));
-            }
-        }
-    }
-
-    /// Return `key`'s value, inserting `value` first if absent. On a
-    /// race the returned value is the winning insert's.
-    pub fn get_or_insert(&self, key: K, value: V) -> V
-    where
-        K: Clone,
-        V: Clone,
-    {
-        loop {
-            if let Some(existing) = self.get(&key) {
-                return existing;
-            }
-            match self.insert(key.clone(), value.clone()) {
-                Ok(()) => return value,
-                // Lost the race to a concurrent insert: re-read.
-                Err(_) => continue,
-            }
-        }
     }
 
     /// The list this handle operates on.

@@ -10,42 +10,46 @@ use crate::MapHandle;
 #[test]
 fn empty_list() {
     let list: FrList<i64, i64> = FrList::new();
+    let h = list.handle();
     assert!(list.is_empty());
     assert_eq!(list.len(), 0);
-    assert_eq!(list.get(&1), None);
-    assert!(!list.contains(&1));
-    assert_eq!(list.remove(&1), None);
+    assert_eq!(h.get(&1), None);
+    assert!(!h.contains(&1));
+    assert_eq!(h.remove(&1), None);
 }
 
 #[test]
 fn insert_get_remove_single() {
     let list = FrList::new();
-    assert!(list.insert(5, "five").is_ok());
+    let h = list.handle();
+    assert!(h.insert(5, "five").is_ok());
     assert_eq!(list.len(), 1);
-    assert_eq!(list.get(&5), Some("five"));
-    assert!(list.contains(&5));
-    assert_eq!(list.remove(&5), Some("five"));
+    assert_eq!(h.get(&5), Some("five"));
+    assert!(h.contains(&5));
+    assert_eq!(h.remove(&5), Some("five"));
     assert_eq!(list.len(), 0);
-    assert_eq!(list.get(&5), None);
+    assert_eq!(h.get(&5), None);
 }
 
 #[test]
 fn duplicate_insert_returns_pair() {
     let list = FrList::new();
-    assert!(list.insert(1, 10).is_ok());
-    assert_eq!(list.insert(1, 20), Err((1, 20)));
+    let h = list.handle();
+    assert!(h.insert(1, 10).is_ok());
+    assert_eq!(h.insert(1, 20), Err((1, 20)));
     // Original value untouched.
-    assert_eq!(list.get(&1), Some(10));
+    assert_eq!(h.get(&1), Some(10));
     assert_eq!(list.len(), 1);
 }
 
 #[test]
 fn reinsert_after_remove() {
     let list = FrList::new();
+    let h = list.handle();
     for round in 0..5 {
-        assert!(list.insert(42, round).is_ok());
-        assert_eq!(list.get(&42), Some(round));
-        assert_eq!(list.remove(&42), Some(round));
+        assert!(h.insert(42, round).is_ok());
+        assert_eq!(h.get(&42), Some(round));
+        assert_eq!(h.remove(&42), Some(round));
     }
     assert!(list.is_empty());
 }
@@ -66,12 +70,13 @@ fn keeps_sorted_order() {
 #[test]
 fn extreme_keys() {
     let list = FrList::new();
-    assert!(list.insert(i64::MIN, ()).is_ok());
-    assert!(list.insert(i64::MAX, ()).is_ok());
-    assert!(list.contains(&i64::MIN));
-    assert!(list.contains(&i64::MAX));
-    assert_eq!(list.remove(&i64::MIN), Some(()));
-    assert_eq!(list.remove(&i64::MAX), Some(()));
+    let h = list.handle();
+    assert!(h.insert(i64::MIN, ()).is_ok());
+    assert!(h.insert(i64::MAX, ()).is_ok());
+    assert!(h.contains(&i64::MIN));
+    assert!(h.contains(&i64::MAX));
+    assert_eq!(h.remove(&i64::MIN), Some(()));
+    assert_eq!(h.remove(&i64::MAX), Some(()));
 }
 
 #[test]
@@ -101,10 +106,10 @@ fn iter_skips_nothing_on_quiescent_list() {
 #[test]
 fn string_keys_and_values() {
     let list = FrList::new();
-    assert!(list.insert("b".to_string(), 2).is_ok());
-    assert!(list.insert("a".to_string(), 1).is_ok());
-    assert!(list.insert("c".to_string(), 3).is_ok());
     let h = list.handle();
+    assert!(h.insert("b".to_string(), 2).is_ok());
+    assert!(h.insert("a".to_string(), 1).is_ok());
+    assert!(h.insert("c".to_string(), 3).is_ok());
     let keys: Vec<String> = h.iter().map(|(k, _)| k).collect();
     assert_eq!(keys, vec!["a", "b", "c"]);
 }
@@ -338,65 +343,13 @@ fn backlink_set_on_deleted_nodes() {
 }
 
 #[test]
-fn first_and_pop_first() {
-    let list = FrList::new();
-    let h = list.handle();
-    assert_eq!(h.first(), None);
-    assert_eq!(h.pop_first(), None);
-    for k in [30u32, 10, 20] {
-        h.insert(k, k * 2).unwrap();
-    }
-    assert_eq!(h.first(), Some((10, 20)));
-    assert_eq!(h.pop_first(), Some((10, 20)));
-    assert_eq!(h.pop_first(), Some((20, 40)));
-    assert_eq!(h.pop_first(), Some((30, 60)));
-    assert_eq!(h.pop_first(), None);
-}
-
-#[test]
-fn get_or_insert_semantics() {
-    let list = FrList::new();
-    let h = list.handle();
-    assert_eq!(h.get_or_insert(1, "first"), "first");
-    assert_eq!(h.get_or_insert(1, "second"), "first");
-    assert_eq!(list.len(), 1);
-    h.remove(&1).unwrap();
-    assert_eq!(h.get_or_insert(1, "third"), "third");
-}
-
-#[test]
-fn concurrent_get_or_insert_converges() {
-    let list = Arc::new(FrList::new());
-    let mut seen = Vec::new();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..4u64)
-            .map(|t| {
-                let list = list.clone();
-                s.spawn(move || {
-                    let h = list.handle();
-                    h.get_or_insert(99, t)
-                })
-            })
-            .collect();
-        for th in handles {
-            seen.push(th.join().unwrap());
-        }
-    });
-    // All callers must agree on the single winning value.
-    let winner = list.get(&99).unwrap();
-    for v in seen {
-        assert_eq!(v, winner);
-    }
-}
-
-#[test]
 fn from_iterator_and_extend() {
     let mut list: FrList<u32, u32> = (0..10u32).map(|k| (k, k * 2)).collect();
     assert_eq!(list.len(), 10);
-    assert_eq!(list.get(&7), Some(14));
+    assert_eq!(list.handle().get(&7), Some(14));
     list.extend([(10, 20), (5, 99)]);
     assert_eq!(list.len(), 11);
-    assert_eq!(list.get(&5), Some(10));
+    assert_eq!(list.handle().get(&5), Some(10));
 }
 
 #[test]

@@ -17,11 +17,12 @@ use crate::{ConcurrentMap, FrList, MapHandle, SkipList};
 /// use lf_core::{ListSet, SkipSet};
 ///
 /// let set = ListSet::new();
-/// assert!(set.insert(10));
-/// assert!(!set.insert(10));
-/// assert!(set.contains(&10));
-/// assert!(set.remove(&10));
-/// assert!(!set.remove(&10));
+/// let h = set.handle();
+/// assert!(h.insert(10));
+/// assert!(!h.insert(10));
+/// assert!(h.contains(&10));
+/// assert!(h.remove(&10));
+/// assert!(!h.remove(&10));
 ///
 /// let set = SkipSet::new();
 /// let h = set.handle();
@@ -90,23 +91,6 @@ impl<M: ConcurrentMap<Value = ()>> MapSet<M> {
         MapSetHandle {
             inner: self.inner.handle(),
         }
-    }
-
-    /// Insert `key` through a temporary handle; returns `false` if it
-    /// was already present.
-    pub fn insert(&self, key: M::Key) -> bool {
-        self.handle().insert(key)
-    }
-
-    /// Remove `key` through a temporary handle; returns whether it was
-    /// present.
-    pub fn remove(&self, key: &M::Key) -> bool {
-        self.handle().remove(key)
-    }
-
-    /// Whether `key` is present (through a temporary handle).
-    pub fn contains(&self, key: &M::Key) -> bool {
-        self.handle().contains(key)
     }
 
     /// Number of keys (exact when quiescent).

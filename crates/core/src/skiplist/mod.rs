@@ -98,8 +98,7 @@ impl<K, V, R: Reclaim> SearchPath<'_, K, V, R> {
 /// the paper.
 ///
 /// Obtain a per-thread [`SkipListHandle`] with
-/// [`handle`](SkipList::handle) and operate through it; the convenience
-/// methods on `SkipList` itself register a fresh handle per call.
+/// [`handle`](SkipList::handle) and operate through it.
 ///
 /// Generic over the reclamation backend `R` (default [`Ebr`]); build
 /// over a different backend with [`with_backend`](Self::with_backend).
@@ -284,36 +283,6 @@ where
         }
     }
 
-    /// Insert through a temporary handle. See [`MapHandle::insert`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the rejected pair if `key` is already present.
-    pub fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
-        self.handle().insert(key, value)
-    }
-
-    /// Remove through a temporary handle. See [`MapHandle::remove`].
-    pub fn remove(&self, key: &K) -> Option<V>
-    where
-        V: Clone,
-    {
-        self.handle().remove(key)
-    }
-
-    /// Lookup through a temporary handle. See [`MapHandle::get`].
-    pub fn get(&self, key: &K) -> Option<V>
-    where
-        V: Clone,
-    {
-        self.handle().get(key)
-    }
-
-    /// Membership test through a temporary handle.
-    pub fn contains(&self, key: &K) -> bool {
-        self.handle().contains(key)
-    }
-
     /// The level (1-based) at which descending searches start: the
     /// lowest level from which every higher level is empty, but no
     /// lower than `min_level`.
@@ -353,7 +322,7 @@ where
         target_level: usize,
         mode: Mode,
         guard: &R::Guard<'_>,
-    ) -> (*mut LevelCell<K, V, R>, *mut LevelCell<K, V, R>) {
+    ) -> Pair<K, V, R> {
         // SAFETY: forwarded contract.
         // ord: Release/Acquire/Relaxed — LIST.flag-cas: per-level search helps deletions (wrapped C&S)
         unsafe { self.descend(k, target_level, mode, None, guard) }
@@ -396,7 +365,7 @@ where
         mode: Mode,
         mut path: Option<&mut SearchPath<'_, K, V, R>>,
         guard: &R::Guard<'_>,
-    ) -> (*mut LevelCell<K, V, R>, *mut LevelCell<K, V, R>) {
+    ) -> Pair<K, V, R> {
         // SAFETY: the fn's `# Safety` contract covers the whole body.
         unsafe {
             debug_assert!(target_level >= 1 && target_level < self.max_level);
@@ -758,57 +727,6 @@ where
             range.start_bound().cloned(),
             range.end_bound().cloned(),
         )
-    }
-
-    /// The smallest key and its value, if any (weakly consistent).
-    pub fn first(&self) -> Option<(K, V)>
-    where
-        K: Clone,
-        V: Clone,
-    {
-        self.range(..).next()
-    }
-
-    /// Return `key`'s value, inserting `value` first if absent. On a
-    /// race the returned value is the winning insert's.
-    pub fn get_or_insert(&self, key: K, value: V) -> V
-    where
-        K: Clone,
-        V: Clone,
-    {
-        loop {
-            if let Some(existing) = self.get(&key) {
-                return existing;
-            }
-            match self.insert(key.clone(), value.clone()) {
-                Ok(()) => return value,
-                // Lost the race to a concurrent insert: re-read.
-                Err(_) => continue,
-            }
-        }
-    }
-
-    /// Remove and return an entry that was the smallest at some moment
-    /// during the call — the classic lock-free *DeleteMin* built from
-    /// the dictionary operations (the priority-queue application named
-    /// in the paper's §2).
-    ///
-    /// Under concurrency several callers never pop the same entry; a
-    /// caller retries if its candidate minimum is removed first, so the
-    /// operation is lock-free (each retry implies another pop
-    /// succeeded).
-    pub fn pop_first(&self) -> Option<(K, V)>
-    where
-        K: Clone,
-        V: Clone,
-    {
-        loop {
-            let (k, _) = self.first()?;
-            if let Some(v) = self.remove(&k) {
-                return Some((k, v));
-            }
-            // Someone else removed it; retry with the new minimum.
-        }
     }
 
     /// The skip list this handle operates on.

@@ -12,11 +12,12 @@ use crate::MapHandle;
 #[test]
 fn empty_skiplist() {
     let sl: SkipList<i64, i64> = SkipList::new();
+    let h = sl.handle();
     assert!(sl.is_empty());
     assert_eq!(sl.len(), 0);
-    assert_eq!(sl.get(&1), None);
-    assert!(!sl.contains(&1));
-    assert_eq!(sl.remove(&1), None);
+    assert_eq!(h.get(&1), None);
+    assert!(!h.contains(&1));
+    assert_eq!(h.remove(&1), None);
 }
 
 #[test]
@@ -28,9 +29,10 @@ fn max_level_must_be_at_least_two() {
 #[test]
 fn max_level_is_bounded_by_the_path_capacity() {
     let sl = SkipList::<u8, u8>::with_max_level(super::MAX_LEVEL_LIMIT);
-    assert!(sl.handle().insert_with_height(1, 1, 64).is_ok());
+    let h = sl.handle();
+    assert!(h.insert_with_height(1, 1, 64).is_ok());
     assert_eq!(sl.tower_heights(), vec![super::MAX_LEVEL_LIMIT - 1]);
-    assert_eq!(sl.remove(&1), Some(1));
+    assert_eq!(h.remove(&1), Some(1));
     sl.validate_quiescent();
     let too_tall =
         std::panic::catch_unwind(|| SkipList::<u8, u8>::with_max_level(super::MAX_LEVEL_LIMIT + 1));
@@ -43,30 +45,33 @@ fn max_level_is_bounded_by_the_path_capacity() {
 #[test]
 fn insert_get_remove_single() {
     let sl = SkipList::new();
-    assert!(sl.insert(5, "five").is_ok());
+    let h = sl.handle();
+    assert!(h.insert(5, "five").is_ok());
     assert_eq!(sl.len(), 1);
-    assert_eq!(sl.get(&5), Some("five"));
-    assert!(sl.contains(&5));
-    assert_eq!(sl.remove(&5), Some("five"));
+    assert_eq!(h.get(&5), Some("five"));
+    assert!(h.contains(&5));
+    assert_eq!(h.remove(&5), Some("five"));
     assert_eq!(sl.len(), 0);
-    assert_eq!(sl.get(&5), None);
+    assert_eq!(h.get(&5), None);
 }
 
 #[test]
 fn duplicate_insert_returns_pair() {
     let sl = SkipList::new();
-    assert!(sl.insert(1, 10).is_ok());
-    assert_eq!(sl.insert(1, 20), Err((1, 20)));
-    assert_eq!(sl.get(&1), Some(10));
+    let h = sl.handle();
+    assert!(h.insert(1, 10).is_ok());
+    assert_eq!(h.insert(1, 20), Err((1, 20)));
+    assert_eq!(h.get(&1), Some(10));
     assert_eq!(sl.len(), 1);
 }
 
 #[test]
 fn reinsert_after_remove_many_rounds() {
     let sl = SkipList::new();
+    let h = sl.handle();
     for round in 0..20 {
-        assert!(sl.insert(42, round).is_ok());
-        assert_eq!(sl.remove(&42), Some(round));
+        assert!(h.insert(42, round).is_ok());
+        assert_eq!(h.remove(&42), Some(round));
     }
     assert!(sl.is_empty());
 }
@@ -76,11 +81,12 @@ fn minimal_height_skiplist_works() {
     // max_level = 2 forces every tower to height 1 (degenerates to the
     // linked list), so no delete has upper levels to dismantle.
     let sl = SkipList::with_max_level(2);
+    let h = sl.handle();
     for k in 0..50u32 {
-        assert!(sl.insert(k, k).is_ok());
+        assert!(h.insert(k, k).is_ok());
     }
     for k in 0..50u32 {
-        assert_eq!(sl.remove(&k), Some(k));
+        assert_eq!(h.remove(&k), Some(k));
     }
     assert!(sl.is_empty());
 }
@@ -125,10 +131,10 @@ fn remove_half_keeps_rest() {
 #[test]
 fn string_keys() {
     let sl = SkipList::new();
-    assert!(sl.insert("beta".to_string(), 2).is_ok());
-    assert!(sl.insert("alpha".to_string(), 1).is_ok());
-    assert!(sl.insert("gamma".to_string(), 3).is_ok());
     let h = sl.handle();
+    assert!(h.insert("beta".to_string(), 2).is_ok());
+    assert!(h.insert("alpha".to_string(), 1).is_ok());
+    assert!(h.insert("gamma".to_string(), 3).is_ok());
     let keys: Vec<String> = h.iter().map(|(k, _)| k).collect();
     assert_eq!(keys, vec!["alpha", "beta", "gamma"]);
     assert_eq!(h.remove(&"beta".to_string()), Some(2));
@@ -454,7 +460,7 @@ fn vertical_structure_sound_when_quiescent() {
     }
 }
 
-// ---------- range, first, pop_first ----------
+// ---------- range ----------
 
 #[test]
 fn range_iteration_bounds() {
@@ -497,71 +503,6 @@ fn range_skips_removed_keys() {
     }
     let r: Vec<u32> = h.range(0..10).map(|(k, _)| k).collect();
     assert_eq!(r, vec![1, 2, 4, 5, 7, 8]);
-}
-
-#[test]
-fn first_and_pop_first_sequential() {
-    let sl = SkipList::new();
-    let h = sl.handle();
-    assert_eq!(h.first(), None);
-    assert_eq!(h.pop_first(), None);
-    for k in [30u32, 10, 20] {
-        h.insert(k, k * 2).unwrap();
-    }
-    assert_eq!(h.first(), Some((10, 20)));
-    assert_eq!(h.pop_first(), Some((10, 20)));
-    assert_eq!(h.pop_first(), Some((20, 40)));
-    assert_eq!(h.pop_first(), Some((30, 60)));
-    assert_eq!(h.pop_first(), None);
-    assert!(sl.is_empty());
-}
-
-#[test]
-#[cfg_attr(miri, ignore)] // O(n^2) pop-first contention: too slow interpreted
-fn concurrent_pop_first_unique_and_ordered_per_thread() {
-    use std::sync::Mutex;
-    const ITEMS: u64 = 300;
-    let sl = Arc::new(SkipList::new());
-    {
-        let h = sl.handle();
-        for k in 0..ITEMS {
-            h.insert(k, k).unwrap();
-        }
-    }
-    let all = Mutex::new(Vec::new());
-    std::thread::scope(|s| {
-        for _ in 0..4 {
-            let sl = sl.clone();
-            let all = &all;
-            s.spawn(move || {
-                let h = sl.handle();
-                let mut mine = Vec::new();
-                while let Some((k, _)) = h.pop_first() {
-                    // Each thread's own pops come out in increasing order.
-                    if let Some(&last) = mine.last() {
-                        assert!(k > last, "thread popped {k} after {last}");
-                    }
-                    mine.push(k);
-                }
-                all.lock().unwrap().extend(mine);
-            });
-        }
-    });
-    let mut popped = all.into_inner().unwrap();
-    popped.sort_unstable();
-    assert_eq!(popped, (0..ITEMS).collect::<Vec<_>>());
-    assert!(sl.is_empty());
-}
-
-#[test]
-fn get_or_insert_semantics() {
-    let sl = SkipList::new();
-    let h = sl.handle();
-    assert_eq!(h.get_or_insert(1, "first"), "first");
-    assert_eq!(h.get_or_insert(1, "second"), "first");
-    assert_eq!(sl.len(), 1);
-    h.remove(&1).unwrap();
-    assert_eq!(h.get_or_insert(1, "third"), "third");
 }
 
 #[test]
@@ -617,11 +558,12 @@ fn range_under_concurrent_churn_stays_sorted_and_bounded() {
 fn from_iterator_and_extend() {
     let mut sl: SkipList<u32, u32> = (0..10u32).map(|k| (k, k * 2)).collect();
     assert_eq!(sl.len(), 10);
-    assert_eq!(sl.get(&7), Some(14));
+    assert_eq!(sl.handle().get(&7), Some(14));
     sl.extend([(10, 20), (5, 99)]); // 5 is a duplicate: dropped
     assert_eq!(sl.len(), 11);
-    assert_eq!(sl.get(&5), Some(10));
-    assert_eq!(sl.get(&10), Some(20));
+    let h = sl.handle();
+    assert_eq!(h.get(&5), Some(10));
+    assert_eq!(h.get(&10), Some(20));
 }
 
 #[test]

@@ -208,6 +208,10 @@ pub(crate) struct Scanner<'a> {
     /// tok). Delegation detection re-checks these against the wrapper
     /// calls collected later.
     ptr_fn_spans: Vec<(String, u32, usize, usize)>,
+    /// Names of the file's `type X<..> = ..;` aliases whose right-hand
+    /// side holds a raw pointer: a return type naming one returns a
+    /// raw pointer too.
+    ptr_aliases: BTreeSet<String>,
     /// Token-index ranges excluded as test-only code.
     excluded: Vec<(usize, usize)>,
     /// Token-index ranges covered by `#[...]` / `#![...]` attributes.
@@ -232,6 +236,7 @@ impl<'a> Scanner<'a> {
             site_tok_indices: Vec::new(),
             wrapper_call_tok_indices: Vec::new(),
             ptr_fn_spans: Vec::new(),
+            ptr_aliases: BTreeSet::new(),
             excluded: Vec::new(),
             attr_spans: Vec::new(),
             code_lines: BTreeSet::new(),
@@ -242,6 +247,7 @@ impl<'a> Scanner<'a> {
         };
         s.index_attributes_and_tests();
         s.index_lines();
+        s.collect_ptr_aliases();
         s
     }
 
@@ -276,6 +282,64 @@ impl<'a> Scanner<'a> {
         self.excluded
             .iter()
             .any(|&(a, b)| tok_idx >= a && tok_idx <= b)
+    }
+
+    /// Whether the tokens at `i` spell a raw-pointer type: `*const` /
+    /// `*mut`, or the name of a pointer alias.
+    fn is_raw_ptr_at(&self, i: usize) -> bool {
+        (self.punct_at(i) == Some('*')
+            && matches!(self.ident_at(i + 1), Some("const") | Some("mut")))
+            || self
+                .ident_at(i)
+                .is_some_and(|id| self.ptr_aliases.contains(id))
+    }
+
+    /// Scan the return type of a fn whose parameter list closes just
+    /// before `k`: whether it holds a raw pointer (see
+    /// [`is_raw_ptr_at`](Self::is_raw_ptr_at)), and the index of the
+    /// token that ends it (the body `{`, a `;` or `where`).
+    pub(crate) fn scan_return_type(&self, mut k: usize) -> (bool, usize) {
+        let mut returns_raw_ptr = false;
+        if self.punct_at(k) == Some('-') && self.punct_at(k + 1) == Some('>') {
+            k += 2;
+            while k < self.toks.len()
+                && !matches!(self.punct_at(k), Some('{') | Some(';'))
+                && self.ident_at(k) != Some("where")
+            {
+                returns_raw_ptr |= self.is_raw_ptr_at(k);
+                k += 1;
+            }
+        }
+        (returns_raw_ptr, k)
+    }
+
+    /// Record every non-test `type X<..> = ..;` whose right-hand side
+    /// holds a raw pointer, so `-> X<..>` counts as pointer-returning.
+    /// Aliases are file-scoped: a private alias is used in its own
+    /// module.
+    fn collect_ptr_aliases(&mut self) {
+        for i in 0..self.toks.len() {
+            if self.ident_at(i) != Some("type") || self.is_excluded(i) {
+                continue;
+            }
+            let Some(name) = self.ident_at(i + 1) else {
+                continue;
+            };
+            let mut k = i + 2;
+            while k < self.toks.len() && !matches!(self.punct_at(k), Some('=') | Some(';')) {
+                k += 1;
+            }
+            if self.punct_at(k) != Some('=') {
+                continue;
+            }
+            while k < self.toks.len() && self.punct_at(k) != Some(';') {
+                if self.is_raw_ptr_at(k) {
+                    self.ptr_aliases.insert(name.to_owned());
+                    break;
+                }
+                k += 1;
+            }
+        }
     }
 
     /// Find `#[..]` / `#![..]` spans; mark `#[cfg(test)] item` regions
@@ -594,10 +658,10 @@ impl<'a> Scanner<'a> {
         }
     }
 
-    /// Find fn items that return a raw pointer (`*const` / `*mut`) and
-    /// perform an atomic operation in their body. Runs after
-    /// `collect_atomic_sites` so body membership is a token-index
-    /// range check against the collected sites.
+    /// Find fn items that return a raw pointer (`*const` / `*mut`, or
+    /// a pointer alias) and perform an atomic operation in their body.
+    /// Runs after `collect_atomic_sites` so body membership is a
+    /// token-index range check against the collected sites.
     fn collect_wrappers(&mut self) {
         let mut i = 0;
         while i < self.toks.len() {
@@ -649,25 +713,7 @@ impl<'a> Scanner<'a> {
                 }
                 j += 1;
             }
-            // Return type: between `->` and the body `{` (or `where`).
-            let mut k = j + 1;
-            let mut returns_raw_ptr = false;
-            if self.punct_at(k) == Some('-') && self.punct_at(k + 1) == Some('>') {
-                k += 2;
-                while k < self.toks.len() {
-                    if matches!(self.punct_at(k), Some('{') | Some(';'))
-                        || self.ident_at(k) == Some("where")
-                    {
-                        break;
-                    }
-                    if self.punct_at(k) == Some('*')
-                        && matches!(self.ident_at(k + 1), Some("const") | Some("mut"))
-                    {
-                        returns_raw_ptr = true;
-                    }
-                    k += 1;
-                }
-            }
+            let (returns_raw_ptr, mut k) = self.scan_return_type(j + 1);
             if !returns_raw_ptr {
                 i += 1;
                 continue;
@@ -1155,6 +1201,18 @@ mod tests {
         );
         assert_eq!(s.wrappers.len(), 1);
         assert_eq!(s.wrappers[0].name, "peek");
+    }
+
+    #[test]
+    fn pointer_alias_return_is_a_wrapper() {
+        let s = scan_file(
+            "type Pair<N> = (*mut N, *mut N);\n\
+             type Count = u64;\n\
+             fn pair(n: &N) -> Pair<N> { (n.a.load(Ordering::Acquire), n.b) }\n\
+             fn count(n: &N) -> Count { n.c.load(Ordering::Relaxed) }\n",
+        );
+        assert_eq!(s.wrappers.len(), 1);
+        assert_eq!(s.wrappers[0].name, "pair");
     }
 
     #[test]

@@ -286,25 +286,7 @@ impl<'a> Scanner<'a> {
                 j += 1;
             }
             let param_close = j;
-            // Return type between `->` and the body `{` / `where` / `;`.
-            let mut k = j + 1;
-            let mut returns_raw_ptr = false;
-            if self.punct_at(k) == Some('-') && self.punct_at(k + 1) == Some('>') {
-                k += 2;
-                while k < self.toks.len() {
-                    if matches!(self.punct_at(k), Some('{') | Some(';'))
-                        || self.ident_at(k) == Some("where")
-                    {
-                        break;
-                    }
-                    if self.punct_at(k) == Some('*')
-                        && matches!(self.ident_at(k + 1), Some("const") | Some("mut"))
-                    {
-                        returns_raw_ptr = true;
-                    }
-                    k += 1;
-                }
-            }
+            let (returns_raw_ptr, mut k) = self.scan_return_type(j + 1);
             while k < self.toks.len()
                 && self.punct_at(k) != Some('{')
                 && self.punct_at(k) != Some(';')

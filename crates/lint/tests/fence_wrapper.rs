@@ -103,6 +103,35 @@ fn seeded_wrapper_with_unannotated_call_site_is_caught() {
 }
 
 #[test]
+fn seeded_aliased_wrapper_with_unannotated_call_site_is_caught() {
+    // The same wrapper, but its return type names a `type` alias of
+    // the raw pointer (as the skip list's `Pair` does): it is still a
+    // pointer-returning wrapper, and the bare call site is flagged.
+    let src = read(HOT_FILE)
+        + "\ntype SeededPtr<K, V> = *mut Node<K, V>;\n\
+           pub(crate) fn seeded_peek<K: Ord, V>(n: &Node<K, V>) -> SeededPtr<K, V> {\n\
+           // ord: Acquire — LIST.backlink-walk: predecessor is dereferenced\n\
+           n.backlink.load(Ordering::Acquire)\n\
+           }\n\
+           pub(crate) fn seeded_caller<K: Ord, V>(n: &Node<K, V>) -> bool {\n\
+           seeded_peek(n).is_null()\n\
+           }\n";
+    let mut files = WorkspaceFiles::new(&root());
+    files.override_file(HOT_FILE, src);
+    let audit = run_audit(&files).expect("audit runs");
+    assert!(
+        audit
+            .findings
+            .iter()
+            .any(|f| f.check == "wrapper-unannotated"
+                && f.file == HOT_FILE
+                && f.message.contains("seeded_peek")),
+        "bare call to an aliased wrapper must be flagged, got: {:#?}",
+        audit.findings
+    );
+}
+
+#[test]
 fn seeded_wrapper_call_with_wrong_ordering_is_caught() {
     // The call site IS annotated, but claims an ordering weaker than
     // what the wrapper hides.

@@ -96,9 +96,8 @@ pub const DEFAULT_BUCKETS: usize = 64;
 /// A lock-free hash map over `B` sibling [`FrList`] buckets.
 ///
 /// Obtain a per-thread [`BucketMapHandle`] with
-/// [`handle`](BucketMap::handle) and operate through it; the
-/// convenience methods on the map itself register a fresh handle per
-/// call. See the [crate docs](crate) for the design rationale.
+/// [`handle`](BucketMap::handle) and operate through it. See the
+/// [crate docs](crate) for the design rationale.
 ///
 /// `R` selects the safe-memory-reclamation backend shared by every
 /// bucket (default epoch-based; see
@@ -183,38 +182,6 @@ where
             handle: self.buckets[0].handle(),
             tally: self.tally.writer(),
         }
-    }
-
-    /// Insert through a temporary handle. See
-    /// [`BucketMapHandle::insert`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the rejected pair if `key` is already present.
-    pub fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
-        self.handle().insert(key, value)
-    }
-
-    /// Remove through a temporary handle. See
-    /// [`BucketMapHandle::remove`].
-    pub fn remove(&self, key: &K) -> Option<V>
-    where
-        V: Clone,
-    {
-        self.handle().remove(key)
-    }
-
-    /// Lookup through a temporary handle. See [`BucketMapHandle::get`].
-    pub fn get(&self, key: &K) -> Option<V>
-    where
-        V: Clone,
-    {
-        self.handle().get(key)
-    }
-
-    /// Membership test through a temporary handle.
-    pub fn contains(&self, key: &K) -> bool {
-        self.handle().contains(key)
     }
 }
 

@@ -194,8 +194,7 @@ pub trait Shard: ConcurrentMap<Key: Hash> + sealed::Sealed {
 /// ordered [`ShardedSkipList`] or the hashed [`ShardedMap`].
 ///
 /// Obtain a per-thread [`RoutedHandle`] with
-/// [`handle`](Sharded::handle) and operate through it; the convenience
-/// methods on the map itself register a fresh handle per call. See the
+/// [`handle`](Sharded::handle) and operate through it. See the
 /// [crate docs](crate) for the partitioning rationale and the scan's
 /// consistency contract.
 pub struct Sharded<S: Shard> {
@@ -237,32 +236,6 @@ impl<S: Shard> Sharded<S> {
             handles: self.shards.iter().map(|s| s.handle()).collect(),
             tally: S::writer(&self.tally),
         }
-    }
-
-    /// Insert through a temporary handle. See [`RoutedHandle::insert`].
-    pub fn insert(&self, key: S::Key, value: S::Value) -> Result<(), (S::Key, S::Value)> {
-        self.handle().insert(key, value)
-    }
-
-    /// Remove through a temporary handle. See [`RoutedHandle::remove`].
-    pub fn remove(&self, key: &S::Key) -> Option<S::Value>
-    where
-        S::Value: Clone,
-    {
-        self.handle().remove(key)
-    }
-
-    /// Lookup through a temporary handle. See [`RoutedHandle::get`].
-    pub fn get(&self, key: &S::Key) -> Option<S::Value>
-    where
-        S::Value: Clone,
-    {
-        self.handle().get(key)
-    }
-
-    /// Membership test through a temporary handle.
-    pub fn contains(&self, key: &S::Key) -> bool {
-        self.handle().contains(key)
     }
 
     /// Number of partitions.

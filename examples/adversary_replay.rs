@@ -60,12 +60,12 @@ fn main() {
     let list = Arc::new(FrList::<u64, u64>::new());
     for k in [1, 2, 3] {
         let l = list.clone();
-        let op = sched.spawn(move |_| l.insert(k, k).is_ok());
+        let op = sched.spawn(move |_| l.handle().insert(k, k).is_ok());
         sched.run_to_completion(op.pid());
         assert!(op.join());
     }
     let l = list.clone();
-    let del = sched.spawn(move |_| l.remove(&2).is_some());
+    let del = sched.spawn(move |_| l.handle().remove(&2).is_some());
     for expected in [StepKind::CasFlag, StepKind::CasMark, StepKind::CasUnlink] {
         assert!(sched.run_until_pending(del.pid(), |k| k.is_cas()));
         println!("  next C&S: {expected:?}");

@@ -68,9 +68,8 @@ fn main() {
     );
 
     // --- SkipSet: set façade ----------------------------------------
-    // Grab one handle and reuse it: the facade methods on `SkipSet`
-    // itself register a fresh handle (thread registration + epoch pin)
-    // on every call, which is convenient but slow on hot paths.
+    // Like every structure here, the set is used through a handle:
+    // register once per thread (`handle()`), then reuse it.
     let set = SkipSet::new();
     let sh = set.handle();
     assert!(sh.insert("apple"));

@@ -68,18 +68,18 @@ oracle_test!(
     fr_list_matches_btreemap,
     FrList::<u64, u64>::new(),
     m,
-    |k, v| m.insert(k, v).is_ok(),
-    |k| m.remove(&k),
-    |k| m.get(&k)
+    |k, v| m.handle().insert(k, v).is_ok(),
+    |k| m.handle().remove(&k),
+    |k| m.handle().get(&k)
 );
 
 oracle_test!(
     fr_skiplist_matches_btreemap,
     SkipList::<u64, u64>::new(),
     m,
-    |k, v| m.insert(k, v).is_ok(),
-    |k| m.remove(&k),
-    |k| m.get(&k)
+    |k, v| m.handle().insert(k, v).is_ok(),
+    |k| m.handle().remove(&k),
+    |k| m.handle().get(&k)
 );
 
 oracle_test!(

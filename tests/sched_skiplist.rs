@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use lockfree_lists::sched::{Observation, OpHandle, Scheduler, StepKind};
-use lockfree_lists::SkipList;
+use lockfree_lists::{MapHandle, SkipList};
 
 /// Eight levels: towers of height 1..=7, as the schedules below assume.
 type Sl = SkipList<u64, u64>;
@@ -22,12 +22,12 @@ fn insert(sched: &Scheduler, sl: &Arc<Sl>, k: u64, height: u32) -> OpHandle<bool
 
 fn delete(sched: &Scheduler, sl: &Arc<Sl>, k: u64) -> OpHandle<bool> {
     let s = sl.clone();
-    sched.spawn(move |_| s.remove(&k).is_some())
+    sched.spawn(move |_| s.handle().remove(&k).is_some())
 }
 
 fn contains(sched: &Scheduler, sl: &Arc<Sl>, k: u64) -> OpHandle<bool> {
     let s = sl.clone();
-    sched.spawn(move |_| s.contains(&k))
+    sched.spawn(move |_| s.handle().contains(&k))
 }
 
 fn run_to_end<R: Send + 'static>(sched: &Scheduler, op: OpHandle<R>) -> R {

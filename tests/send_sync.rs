@@ -5,10 +5,9 @@
 //! synchronization and must stay on their thread (`!Send`).
 
 use lockfree_lists::baselines::{
-    CoarseLockList, HarrisList, HohLockList, LockSkipList, LockedHeap, MichaelList, NoFlagList,
-    RestartSkipList,
+    CoarseLockList, HarrisList, HohLockList, LockSkipList, MichaelList, NoFlagList, RestartSkipList,
 };
-use lockfree_lists::{FrList, ListSet, PriorityQueue, SkipList, SkipSet};
+use lockfree_lists::{FrList, ListSet, SkipList, SkipSet};
 
 fn assert_send_sync<T: Send + Sync>() {}
 
@@ -18,7 +17,6 @@ fn structures_are_send_and_sync() {
     assert_send_sync::<SkipList<u64, String>>();
     assert_send_sync::<ListSet<u64>>();
     assert_send_sync::<SkipSet<u64>>();
-    assert_send_sync::<PriorityQueue<u64, String>>();
     assert_send_sync::<HarrisList<u64, String>>();
     assert_send_sync::<MichaelList<u64, String>>();
     assert_send_sync::<NoFlagList<u64, String>>();
@@ -26,7 +24,6 @@ fn structures_are_send_and_sync() {
     assert_send_sync::<HohLockList<u64, String>>();
     assert_send_sync::<LockSkipList<u64, String>>();
     assert_send_sync::<RestartSkipList<u64, String>>();
-    assert_send_sync::<LockedHeap<u64, String>>();
     assert_send_sync::<lockfree_lists::reclaim::Collector>();
     assert_send_sync::<lockfree_lists::sched::Scheduler>();
 }

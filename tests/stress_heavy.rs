@@ -107,31 +107,3 @@ fn harris_and_michael_heavy_churn() {
     harris.validate_quiescent();
     michael.validate_quiescent();
 }
-
-#[test]
-#[ignore = "heavy: run with --ignored (release recommended)"]
-fn pop_first_drains_large_skiplist_concurrently() {
-    const ITEMS: u64 = 20_000;
-    let sl = Arc::new(SkipList::<u64, u64>::new());
-    {
-        let h = sl.handle();
-        for k in 0..ITEMS {
-            h.insert(k, k).unwrap();
-        }
-    }
-    let total = Arc::new(std::sync::atomic::AtomicU64::new(0));
-    std::thread::scope(|s| {
-        for _ in 0..8 {
-            let sl = sl.clone();
-            let total = total.clone();
-            s.spawn(move || {
-                let h = sl.handle();
-                while h.pop_first().is_some() {
-                    total.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                }
-            });
-        }
-    });
-    assert_eq!(total.load(std::sync::atomic::Ordering::SeqCst), ITEMS);
-    assert!(sl.is_empty());
-}
