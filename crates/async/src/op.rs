@@ -163,15 +163,6 @@ impl<V> Response<V> {
             _ => None,
         }
     }
-
-    /// The `Contains`/`Insert`/`GetWith` boolean; `false` for other
-    /// variants.
-    pub fn as_bool(&self) -> bool {
-        match self {
-            Response::Found(b) | Response::Inserted(b) | Response::Visited(b) => *b,
-            _ => false,
-        }
-    }
 }
 
 /// Why an operation did not execute.

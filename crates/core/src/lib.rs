@@ -52,6 +52,7 @@ mod map;
 pub(crate) mod pool;
 mod set;
 pub mod skiplist;
+mod tower;
 
 pub use list::{ChainIter, FrList, Iter, ListHandle};
 pub use map::{ConcurrentMap, MapHandle};

@@ -1,14 +1,14 @@
 //! `Insert` (paper Fig. 5) and `Delete` (Fig. 4); their level
 //! routines are the shared protocol in [`super::level`].
 
-use std::ptr;
 use std::sync::atomic::Ordering;
 
 use lf_reclaim::{Publish, Reclaim};
 
-use super::level::{FlagStatus, Level};
-use super::{Bound, FrList, Mode, Node};
+use super::level::{FlagStatus, Level, LevelKeys};
+use super::{FrList, Mode};
 use crate::pool::LocalPool;
+use crate::tower::{cell_at, tower_of, Tower};
 
 impl<K, V, R> FrList<K, V, R>
 where
@@ -26,29 +26,24 @@ where
         &self,
         key: K,
         value: V,
-        pool: &LocalPool<Node<K, V, R>>,
+        pool: &LocalPool<Tower<K, V, R>>,
         guard: &R::Guard<'_>,
     ) -> Result<(), (K, V)> {
         // SAFETY: the fn's `# Safety` contract covers the whole body.
         unsafe {
             // Line 1–3: locate the insertion point, reject duplicates.
             let (mut prev, mut next) = self.search_from(&key, self.head, Mode::Le, guard);
-            if (*prev).key.as_key() == Some(&key) {
+            if self.key_ref(prev).as_key() == Some(&key) {
                 return Err((key, value));
             }
-            // Line 4: create the node on a pooled block (ownership of
-            // key/value moves in; we read them back out if the insert
-            // ultimately fails). Recycled blocks are re-initialized
-            // through the seqlock protocol under pin-free backends.
-            let (new_node, recycled) = pool.acquire(1);
-            Node::init_at(
-                new_node,
-                Bound::Key(key),
-                Some(value),
-                ptr::null_mut(),
-                R::birth_epoch(guard),
-                recycled,
-            );
+            // Line 4: create the node on a pooled height-1 block
+            // (ownership of key/value moves in; we read them back out if
+            // the insert ultimately fails). Recycled blocks are
+            // re-initialized through the seqlock protocol under pin-free
+            // backends.
+            let (block, recycled) = pool.acquire(1);
+            Tower::init_at(block, 1, key, value, R::birth_epoch(guard), recycled);
+            let new_node = cell_at(block, 1);
 
             // Lines 5–22.
             if self.insert_node(new_node, &mut prev, &mut next, guard) {
@@ -64,13 +59,9 @@ where
             // hold this tenant's stamp — it was never reachable — so
             // releasing without a grace period is sound even under
             // pin-free backends.)
-            let k = ptr::read(&(*new_node).key);
-            let v = ptr::read(&(*new_node).element);
-            pool.release(new_node, 1);
-            match (k, v) {
-                (Bound::Key(k), Some(v)) => Err((k, v)),
-                _ => unreachable!("new node always carries key and element"),
-            }
+            let pair = Tower::take_pair(block);
+            pool.release(block, 1);
+            Err(pair)
         }
     }
 
@@ -91,7 +82,7 @@ where
             // Line 1: SearchFrom(k − ε, head).
             let (prev, del) = self.search_from(k, self.head, Mode::Lt, guard);
             // Line 2–3: k is not in the list.
-            if (*del).key.as_key() != Some(k) {
+            if self.key_ref(del).as_key() != Some(k) {
                 return None;
             }
             // Line 4–8: flag the predecessor, then mark and unlink.
@@ -107,7 +98,8 @@ where
             // Reading `del`'s element is safe: its initialization
             // happened-before the Acquire load that gave us `del` in
             // SearchFrom, and the guard keeps it from being reclaimed.
-            Some(f((*del).element.as_ref().expect("user node has element")))
+            let element = &(*tower_of(del, 1)).element;
+            Some(f(element.as_ref().expect("user node has element")))
         }
     }
 }

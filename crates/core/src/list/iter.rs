@@ -5,7 +5,8 @@ use std::fmt;
 
 use lf_reclaim::{Ebr, Publish, Reclaim};
 
-use super::{Bound, FrList, LevelNode, ListHandle, Node};
+use super::{FrList, LevelNode, ListHandle};
+use crate::tower::{tower_of, Bound, LevelCell};
 
 /// Iterator over a weakly-consistent snapshot of an
 /// [`FrList`](super::FrList), produced by [`ListHandle::iter`]: a
@@ -32,7 +33,7 @@ pub struct ChainIter<'h, 'l, K, V, R: Reclaim = Ebr> {
     /// The lists still to walk after the current one.
     rest: std::vec::IntoIter<&'l FrList<K, V, R>>,
     /// Null once every list is exhausted.
-    curr: *mut Node<K, V, R>,
+    curr: *mut LevelCell<K, V, R>,
 }
 
 impl<K, V, R: Reclaim> fmt::Debug for ChainIter<'_, '_, K, V, R> {
@@ -92,7 +93,7 @@ where
                     return None;
                 }
                 let next = (*self.curr).right();
-                let at_end = next.is_null() || matches!((*next).key, Bound::PosInf);
+                let at_end = next.is_null() || matches!((*tower_of(next, 1)).key, Bound::PosInf);
                 if at_end {
                     // This list is exhausted; hop to the next sibling's
                     // head under the same guard.
@@ -100,15 +101,13 @@ where
                     continue;
                 }
                 self.curr = next;
-                match &(*self.curr).key {
+                let node = tower_of(next, 1);
+                match &(*node).key {
                     Bound::PosInf => unreachable!("handled as at_end above"),
                     Bound::NegInf => unreachable!("head is never a successor"),
                     Bound::Key(k) => {
-                        if !(*self.curr).is_marked() {
-                            let v = (*self.curr)
-                                .element
-                                .as_ref()
-                                .expect("user node has element");
+                        if !(*next).is_marked() {
+                            let v = (*node).element.as_ref().expect("user node has element");
                             return Some((k, v));
                         }
                     }

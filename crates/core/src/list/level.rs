@@ -20,7 +20,8 @@ use lf_metrics::CasType;
 use lf_reclaim::Reclaim;
 use lf_tagged::{step, AtomicTaggedPtr, Backoff, StepKind, TaggedPtr};
 
-use super::{Bound, Mode};
+use super::Mode;
+use crate::tower::Bound;
 
 /// Outcome of `TryFlag`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

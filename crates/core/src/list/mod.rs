@@ -14,6 +14,10 @@
 //! 3. **physically delete**: swing the predecessor's field past the
 //!    victim, simultaneously removing the flag.
 //!
+//! A node is a height-1 tower (`crate::tower`): the skip list's block
+//! layout with one level cell, so both structures share one header,
+//! one re-initialization, one retirement and one pin-free read.
+//!
 //! When an operation's C&S fails because its reference point got marked,
 //! it follows backlinks leftwards to the first unmarked node and resumes
 //! from there — never from the head. Flags guarantee backlinks always
@@ -33,7 +37,6 @@
 mod insert;
 mod iter;
 mod level;
-mod node;
 mod read;
 mod search;
 mod sibling;
@@ -42,7 +45,6 @@ pub use iter::{ChainIter, Iter};
 pub(crate) use level::{
     check_level, dump_level, validate_level, FlagStatus, Level, LevelKeys, LevelNode,
 };
-pub(crate) use node::{Bound, Node};
 pub(crate) use search::key_before as search_key_before;
 
 use std::fmt;
@@ -53,6 +55,7 @@ use lf_reclaim::{Ebr, Publish, Reclaim};
 use lf_tagged::CachePadded;
 
 use crate::pool::{LocalPool, SharedPool};
+use crate::tower::{cell_at, tower_of, LevelCell, Tower};
 use crate::{ConcurrentMap, MapHandle};
 
 /// Operations between epoch-announcement refreshes on a handle (see
@@ -100,14 +103,15 @@ pub(crate) enum Mode {
 /// assert_eq!(h.get(&3), None);
 /// ```
 pub struct FrList<K, V, R: Reclaim = Ebr> {
-    pub(crate) head: *mut Node<K, V, R>,
-    pub(crate) tail: *mut Node<K, V, R>,
+    /// The level-1 cells of the head and tail sentinel blocks.
+    pub(crate) head: *mut LevelCell<K, V, R>,
+    pub(crate) tail: *mut LevelCell<K, V, R>,
     /// Declared before `pool` so retire closures fire (returning blocks
     /// to the pool) before the pool's own `Arc` here is released.
     pub(crate) domain: R::Domain,
     /// Free-block store fed by the reclamation backend; handles draw
     /// from it through per-thread caches.
-    pub(crate) pool: Arc<SharedPool<Node<K, V, R>>>,
+    pub(crate) pool: Arc<SharedPool<Tower<K, V, R>>>,
     /// Cache-line-aligned: every successful insert/delete bumps this
     /// word; without padding it would false-share with the (read-only)
     /// head/tail pointers above on the same line.
@@ -171,15 +175,7 @@ where
     /// (lists sharing a domain also share its grace-period bookkeeping,
     /// but not their node pools).
     pub fn with_domain(domain: R::Domain) -> Self {
-        let tail = Node::alloc(Bound::PosInf, None, std::ptr::null_mut());
-        let head = Node::alloc(Bound::NegInf, None, tail);
-        FrList {
-            head,
-            tail,
-            domain,
-            pool: SharedPool::new(),
-            len: CachePadded::new(AtomicUsize::new(0)),
-        }
+        Self::build(domain, SharedPool::new())
     }
 
     /// Create an empty list sharing this list's reclamation domain
@@ -196,13 +192,18 @@ where
     /// operations on [`ListHandle`] (`insert_in` and friends) accept
     /// any list created by `new_sibling` from the same family.
     pub fn new_sibling(&self) -> Self {
-        let tail = Node::alloc(Bound::PosInf, None, std::ptr::null_mut());
-        let head = Node::alloc(Bound::NegInf, None, tail);
+        Self::build(self.domain.clone(), Arc::clone(&self.pool))
+    }
+
+    fn build(domain: R::Domain, pool: Arc<SharedPool<Tower<K, V, R>>>) -> Self {
+        let (head, tail) = Tower::sentinels(1);
+        // SAFETY: both blocks hold one cell.
+        let (head, tail) = unsafe { (cell_at(head, 1), cell_at(tail, 1)) };
         FrList {
             head,
             tail,
-            domain: self.domain.clone(),
-            pool: Arc::clone(&self.pool),
+            domain,
+            pool,
             len: CachePadded::new(AtomicUsize::new(0)),
         }
     }
@@ -312,19 +313,23 @@ impl<K, V, R: Reclaim> FrList<K, V, R> {
 
 impl<K, V, R: Reclaim> Drop for FrList<K, V, R> {
     fn drop(&mut self) {
-        // Unique access: free every node still linked from the head
-        // (regular and logically-deleted nodes). Physically deleted
-        // nodes are disjoint from this chain and are freed when
-        // `domain` drops right after.
-        let mut cur = self.head;
-        while !cur.is_null() {
-            // SAFETY: `&mut self` gives unique access; chain nodes were
-            // Box-allocated (or cap-1 pool blocks with Box layout) and
-            // are freed exactly once here.
-            let next = unsafe { (*cur).right() };
-            // SAFETY: as above.
-            drop(unsafe { Box::from_raw(cur) });
-            cur = next;
+        // Unique access: recycle every node still linked from the head
+        // (regular and logically-deleted nodes) into the pool, which
+        // frees the blocks when its last list drops. Physically deleted
+        // nodes are disjoint from this chain and are recycled when
+        // `domain` drops right after (before `pool` — field order).
+        // SAFETY: `&mut self` gives unique access; every chain node is a
+        // live height-1 pool block, recycled exactly once here, and the
+        // sentinels came from `Tower::sentinels(1)` in `build`.
+        unsafe {
+            let mut cur = (*self.head).right();
+            while cur != self.tail {
+                let next = (*cur).right();
+                Tower::recycle(tower_of(cur, 1), &self.pool);
+                cur = next;
+            }
+            Tower::free_sentinel(tower_of(self.head, 1), 1);
+            Tower::free_sentinel(tower_of(self.tail, 1), 1);
         }
     }
 }
@@ -338,7 +343,7 @@ pub struct ListHandle<'l, K, V, R: Reclaim = Ebr> {
     pub(crate) list: &'l FrList<K, V, R>,
     pub(crate) reclaim: R::Handle,
     /// Thread-private cache of free node blocks.
-    pub(crate) pool: LocalPool<Node<K, V, R>>,
+    pub(crate) pool: LocalPool<Tower<K, V, R>>,
 }
 
 impl<K, V, R: Reclaim> fmt::Debug for ListHandle<'_, K, V, R> {

@@ -7,7 +7,8 @@ use lf_reclaim::{Publish, Reclaim};
 use lf_tagged::{step, StepKind};
 
 use super::level::{Level, LevelKeys, LevelNode};
-use super::{Bound, FrList, Mode, Node};
+use super::{FrList, Mode};
+use crate::tower::{tower_of, Bound, LevelCell, Tower};
 
 /// `node_key OP k` where OP is `<=` (Le) or `<` (Lt), honouring the
 /// sentinel ordering `-∞ < every key < +∞`.
@@ -48,16 +49,16 @@ where
     pub(crate) unsafe fn search_from(
         &self,
         k: &K,
-        mut curr: *mut Node<K, V, R>,
+        mut curr: *mut LevelCell<K, V, R>,
         mode: Mode,
         guard: &R::Guard<'_>,
-    ) -> (*mut Node<K, V, R>, *mut Node<K, V, R>) {
+    ) -> (*mut LevelCell<K, V, R>, *mut LevelCell<K, V, R>) {
         // SAFETY: the fn's `# Safety` contract covers the whole body.
         unsafe {
             step(StepKind::Read);
             let mut next = (*curr).right();
             // Line 2: while next_node.key <= k (or < for SearchFrom2).
-            while key_before(&(*next).key, k, mode) {
+            while key_before(self.key_ref(next), k, mode) {
                 // Lines 3–6: ensure either next is unmarked, or both curr
                 // and next are marked and curr was marked earlier (we are
                 // inside a deleted region and may traverse through it).
@@ -83,7 +84,7 @@ where
                     lf_metrics::record_next_update();
                 }
                 // Line 7–9: advance if next still precedes k.
-                if key_before(&(*next).key, k, mode) {
+                if key_before(self.key_ref(next), k, mode) {
                     step(StepKind::Traverse);
                     curr = next;
                     lf_metrics::record_curr_update();
@@ -108,32 +109,34 @@ where
         &self,
         k: &K,
         guard: &R::Guard<'_>,
-    ) -> Option<*mut Node<K, V, R>> {
+    ) -> Option<*mut Tower<K, V, R>> {
         // SAFETY: the fn's `# Safety` contract covers the whole body.
         unsafe {
             let (curr, _next) = self.search_from(k, self.head, Mode::Le, guard);
-            ((*curr).key.as_key() == Some(k)).then_some(curr)
+            let node = tower_of(curr, 1);
+            ((*node).key.as_key() == Some(k)).then_some(node)
         }
     }
 }
 
-/// The list keeps each node's key and birth word in the node itself.
+/// A list node is a height-1 tower: its key and birth word are in the
+/// block's header, one header back from its cell.
 impl<K, V, R: Reclaim> LevelKeys<K, R> for FrList<K, V, R> {
-    type Node = Node<K, V, R>;
+    type Node = LevelCell<K, V, R>;
 
-    // SAFETY: a plain field read; the trait's guard contract is more
-    // than it needs.
+    // SAFETY: arithmetic within the node's block, then a field read the
+    // trait's guard contract keeps valid.
     #[inline]
-    unsafe fn key_ref<'n>(&self, node: *mut Node<K, V, R>) -> &'n Bound<K> {
+    unsafe fn key_ref<'n>(&self, node: *mut LevelCell<K, V, R>) -> &'n Bound<K> {
         // SAFETY: the trait's `# Safety` contract.
-        unsafe { &(*node).key }
+        unsafe { &(*tower_of(node, 1)).key }
     }
 
     // SAFETY: as for `key_ref`.
     #[inline]
-    unsafe fn birth_cell<'n>(&self, node: *mut Node<K, V, R>) -> &'n AtomicU64 {
+    unsafe fn birth_cell<'n>(&self, node: *mut LevelCell<K, V, R>) -> &'n AtomicU64 {
         // SAFETY: the trait's `# Safety` contract.
-        unsafe { &(*node).birth }
+        unsafe { &(*tower_of(node, 1)).birth }
     }
 }
 
@@ -153,10 +156,10 @@ where
     unsafe fn search_level(
         &self,
         k: &K,
-        curr: *mut Node<K, V, R>,
+        curr: *mut LevelCell<K, V, R>,
         mode: Mode,
         guard: &R::Guard<'_>,
-    ) -> (*mut Node<K, V, R>, *mut Node<K, V, R>) {
+    ) -> (*mut LevelCell<K, V, R>, *mut LevelCell<K, V, R>) {
         // SAFETY: forwarded contract.
         unsafe { self.search_from(k, curr, mode, guard) }
     }
@@ -168,28 +171,11 @@ where
     /// # Safety
     ///
     /// As for [`Level::unlinked`].
-    unsafe fn unlinked(&self, del: *mut Node<K, V, R>, guard: &R::Guard<'_>) {
-        let pool = std::sync::Arc::clone(&self.pool);
-        let addr = del as usize;
-        let destroy = move || {
-            let node = addr as *mut Node<K, V, R>;
-            // SAFETY: grace elapsed, so no pinned thread can reach
-            // `node`; the unlink C&S fired this closure exactly once.
-            // Key/element are dropped here; the atomics and shadow slots
-            // have no drop glue, so the block may be recycled. (Stale
-            // pin-free readers may still snoop the shadow slots after
-            // this — sound because pin-free payloads are `Pod` and the
-            // block stays allocated in the pool.)
-            unsafe {
-                std::ptr::drop_in_place(&mut (*node).key);
-                std::ptr::drop_in_place(&mut (*node).element);
-                pool.recycle(addr, 1);
-            }
-        };
-        // SAFETY: the closure touches the node only after grace elapses
-        // (the trait's `# Safety` contract makes it unreachable by then).
+    unsafe fn unlinked(&self, del: *mut LevelCell<K, V, R>, guard: &R::Guard<'_>) {
+        // SAFETY: `del` is protected by `guard` (the trait's `# Safety`
+        // contract) and its block's one cell is no longer linked.
         // unlink: UNLINK.list-del: the type-4 C&S in `help_marked` made `del`
         // unreachable from the head, and succeeds once per node
-        unsafe { R::defer(guard, destroy) };
+        unsafe { Tower::retire(tower_of(del, 1), &self.pool, guard) };
     }
 }

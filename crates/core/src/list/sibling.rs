@@ -14,12 +14,12 @@
 //! (`insert_impl`, `delete_impl`, `search_impl`), and it is the one
 //! pinned body of its operation: the handle's plain op is the same
 //! method on its own list inside an op bracket.
-//! [`try_read_in`](ListHandle::try_read_in) shares `try_read`'s retry
-//! loop over the one pin-free read, `read_impl`. Pool sharing — a block
-//! retired from bucket `i` re-tenanted into bucket `j` — needs no code
-//! of its own: `read_impl`'s birth-stamp validation rejects it exactly
-//! like in-list recycling (the argument is in its doc), and the pinned
-//! paths only ever see it after a grace period.
+//! [`try_read_in`](ListHandle::try_read_in) (in `read.rs`) shares
+//! `try_read`'s retry loop over the one pin-free walk. Pool sharing — a
+//! block retired from bucket `i` re-tenanted into bucket `j` — needs no
+//! code of its own: the walk's birth-stamp validation rejects it
+//! exactly like in-list recycling (the argument is in its doc), and the
+//! pinned paths only ever see it after a grace period.
 //!
 //! These entry points record **no** op boundary themselves
 //! (`lf_metrics::op_begin`/`op_end`); the composite structure brackets
@@ -28,7 +28,7 @@
 
 use std::sync::Arc;
 
-use lf_reclaim::{Pod, Publish, Reclaim};
+use lf_reclaim::{Publish, Reclaim};
 
 use super::{FrList, ListHandle};
 
@@ -46,7 +46,7 @@ where
     ///
     /// Panics if `list` was not created via [`FrList::new_sibling`]
     /// from the same family as this handle's list.
-    fn check_sibling(&self, list: &FrList<K, V, R>) {
+    pub(super) fn check_sibling(&self, list: &FrList<K, V, R>) {
         assert!(
             self.list.shares_domain_with(list),
             "sibling op on a list from a foreign reclamation domain"
@@ -128,30 +128,6 @@ where
     }
 }
 
-impl<'l, K, V, R> ListHandle<'l, K, V, R>
-where
-    K: Pod + Ord,
-    V: Pod,
-    R: Reclaim + Publish<K> + Publish<V>,
-{
-    /// [`try_read`](Self::try_read) against the sibling `list`: a
-    /// pin-free point lookup on `PIN_FREE_READS` backends, falling back
-    /// to the pinned [`get_with_in`](Self::get_with_in) after raced
-    /// attempts (or always, on pinned backends).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `list` is not a sibling of this handle's list.
-    pub fn try_read_in(&self, list: &FrList<K, V, R>, key: &K) -> Option<V> {
-        self.check_sibling(list);
-        if !R::PIN_FREE_READS {
-            return self.get_with_in(list, key, V::clone);
-        }
-        list.read_retrying(key)
-            .unwrap_or_else(|| self.get_with_in(list, key, V::clone))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use lf_reclaim::Ebr;
@@ -216,5 +192,63 @@ mod tests {
         }
         a.validate_quiescent();
         b.validate_quiescent();
+    }
+
+    /// A pin-free reader that stood on a block (or was about to hop to
+    /// it) before the block was retired from one sibling and
+    /// re-initialized into another must see a race when it resumes with
+    /// the old stamp — never the new tenant's list or value.
+    #[test]
+    fn vbr_walk_rejects_a_block_retenanted_into_a_sibling() {
+        use std::ptr;
+        use std::sync::atomic::Ordering;
+
+        use lf_tagged::TaggedPtr;
+        use lf_vbr::Vbr;
+
+        use crate::list::{LevelKeys, LevelNode};
+        use crate::skiplist::{ReadRace, ReadWalk};
+        use crate::tower::{cell_at, Bound, Tower};
+
+        let a: FrList<u64, u64, Vbr> = FrList::with_backend();
+        let b = a.new_sibling();
+        let h = a.handle();
+        h.insert(1, 10).unwrap();
+        h.insert(2, 20).unwrap();
+        // What a reader of `a` loaded from the head: key 1's cell and
+        // the stamp of its tenant.
+        let hop = unsafe { (*a.head).succ.load(Ordering::Acquire) };
+        let (x, old) = (hop.ptr(), hop.stamp());
+        assert_eq!(h.remove(&1), Some(10));
+        for _ in 0..64 {
+            h.flush_reclamation();
+        }
+        // The only recycled block is the next one handed out.
+        h.insert_in(&b, 1, 111).unwrap();
+        h.insert_in(&b, 2, 222).unwrap();
+        unsafe {
+            assert_eq!((*b.head).right(), x, "key 1's block moved to `b`");
+            assert_ne!(b.stamp_of(x), old, "the new tenant has a newer birth");
+        }
+        // Resumed on the block: its successor is now `b`'s key 2.
+        // SAFETY: `x` is a level-1 cell once reached from `a`'s head.
+        let from_cell = unsafe { ReadWalk::new(x, Some(old), a.tail, 1) }.run(&2);
+        assert_eq!(from_cell, Err(ReadRace), "must not read b's key 2");
+        // Resumed at the hop to the block from a trusted position.
+        unsafe {
+            let pred = Tower::<u64, u64, Vbr>::sentinel_block(Bound::NegInf, 1, ptr::null_mut());
+            let pred_cell = cell_at(pred, 1);
+            (*pred_cell)
+                .succ
+                .store(TaggedPtr::unmarked(x).with_stamp(old), Ordering::Relaxed);
+            // SAFETY: as above; `pred` stands in for `a`'s head.
+            let at_hop = ReadWalk::new(pred_cell, None, a.tail, 1).run(&1);
+            assert_eq!(at_hop, Err(ReadRace), "must not read b's key 1");
+            Tower::free_sentinel(pred, 1);
+        }
+        assert_eq!(h.try_read_in(&a, &1), None);
+        assert_eq!(h.try_read_in(&a, &2), Some(20));
+        assert_eq!(h.try_read_in(&b, &1), Some(111));
+        assert_eq!(h.try_read_in(&b, &2), Some(222));
     }
 }

@@ -4,7 +4,8 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use super::{FlagStatus, FrList, Level, LevelNode};
+use super::{FlagStatus, FrList, Level, LevelKeys, LevelNode};
+use crate::tower::cell_at;
 use crate::MapHandle;
 
 #[test]
@@ -155,7 +156,7 @@ fn no_leaks_no_double_free() {
         let guard = <lf_reclaim::Ebr as lf_reclaim::Reclaim>::pin(&h.reclaim);
         unsafe {
             let (prev, del) = list.search_from(k, list.head, super::Mode::Lt, &guard);
-            assert_eq!((*del).key.as_key(), Some(k));
+            assert_eq!(list.key_ref(del).as_key(), Some(k));
             assert_eq!(list.delete_node(prev, del, &guard).1, FlagStatus::Placed);
             list.len.fetch_sub(1, Ordering::SeqCst);
         }
@@ -332,8 +333,8 @@ fn backlink_set_on_deleted_nodes() {
     h.insert(2, 2).unwrap();
     let guard = <lf_reclaim::Ebr as lf_reclaim::Reclaim>::pin(&h.reclaim);
     unsafe {
-        let n1 = list.search_impl(&1, &guard).unwrap();
-        let n2 = list.search_impl(&2, &guard).unwrap();
+        let n1 = cell_at(list.search_impl(&1, &guard).unwrap(), 1);
+        let n2 = cell_at(list.search_impl(&2, &guard).unwrap(), 1);
         assert!(h.remove(&2).is_some());
         // n2 is retired but the guard keeps it alive; its backlink must
         // be its predecessor at deletion time, namely n1.

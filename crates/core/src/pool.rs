@@ -11,15 +11,14 @@
 //!
 //! A *block* of capacity `cap` is one allocation of
 //! [`Block::layout`]`(cap)`, addressed through a `*mut T` to its start.
-//! The list's blocks are `cap == 1` nodes (`Layout::array::<T>(1)`, the
-//! default); the skip list allocates each tower as a single block of a
-//! header and `cap == height` level cells (see `skiplist::node`), so
-//! its pool buckets towers by height. Blocks in the pool are
+//! Both structures store towers (see `crate::tower`): a header and
+//! `cap == height` level cells, so a pool buckets blocks by height; a
+//! list's blocks all have height 1. Blocks in the pool are
 //! **uninitialized** memory: the retire closures `drop_in_place` any
 //! live fields before pushing a block, and every reuse `ptr::write`s
-//! all fields before the block is published. A list node's block has
-//! exactly the layout of `Box::<T>::new`, so it may also be freed with
-//! `Box::from_raw` (the quiescent `Drop` paths do this).
+//! all fields before the block is published. The quiescent `Drop`
+//! paths recycle still-linked blocks into the pool too, which frees
+//! every block with its own layout when the pool drops.
 //!
 //! ABA note: recycling does not weaken the algorithms' CAS protocols.
 //! EBR already guarantees an address cannot be reused while any thread
@@ -152,8 +151,8 @@ impl<T: Block> LocalPool<T> {
             return (addr as *mut T, true);
         }
         let layout = T::layout(cap);
-        // SAFETY: `layout` has non-zero size (a block holds at least one
-        // list node, or a tower header).
+        // SAFETY: `layout` has non-zero size (a block holds a tower
+        // header, or at least one `T` under the default layout).
         let ptr = unsafe { alloc(layout) } as *mut T;
         if ptr.is_null() {
             handle_alloc_error(layout);

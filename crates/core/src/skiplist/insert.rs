@@ -10,16 +10,15 @@
 //! descent's start level (empty when it ran) and the retry after a
 //! same-key node occupied a level still use the top-down search.
 
-use std::ptr;
 use std::sync::atomic::Ordering;
 
 use lf_reclaim::{Publish, Reclaim};
 use lf_tagged::{step, StepKind};
 
-use super::node::{cell_at, Tower};
 use super::{Mode, SkipList};
-use crate::list::{Bound, Level, LevelKeys, LevelNode};
+use crate::list::{Level, LevelKeys, LevelNode};
 use crate::pool::LocalPool;
+use crate::tower::{cell_at, Tower};
 
 impl<K, V, R> SkipList<K, V, R>
 where
@@ -81,13 +80,9 @@ where
                     // The tower was never published; move key/element
                     // back out, return the block to the pool, and hand
                     // the pair back.
-                    let k = ptr::read(&(*tower).key);
-                    let v = ptr::read(&(*tower).element);
+                    let pair = Tower::take_pair(tower);
                     pool.release(tower, height);
-                    match (k, v) {
-                        (Bound::Key(k), Some(v)) => return Err((k, v)),
-                        _ => unreachable!("root carries key and element"),
-                    }
+                    return Err(pair);
                 }
 
                 if inserted && cur_level == 1 {

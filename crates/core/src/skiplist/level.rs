@@ -14,10 +14,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use lf_reclaim::{Publish, Reclaim};
 use lf_tagged::{step, StepKind};
 
-use super::node::{tower_of, Bound, LevelCell, Tower};
 use super::SkipList;
 use crate::list::search_key_before as key_before;
 use crate::list::{Level, LevelKeys, LevelNode, Mode};
+use crate::tower::{tower_of, Bound, LevelCell, Tower};
 
 /// One level of a skip list: the list protocol's view of it.
 pub(crate) struct SkipLevel<'a, K, V, R: Reclaim> {
@@ -161,31 +161,11 @@ where
             // unlinked and construction has finished, so the whole
             // block is unreachable to new operations. Retire it with a
             // single pool release; only the header carries owned data.
-            let pool = std::sync::Arc::clone(&self.pool);
-            let addr = tower as usize;
-            // SAFETY: as above.
-            let cap = usize::from(unsafe { (*tower).height });
-            let destroy = move || {
-                let tower = addr as *mut Tower<K, V, R>;
-                // SAFETY: grace elapsed, so no pinned thread can reach
-                // any cell of the block; the zero-crossing decrement
-                // fired this closure exactly once. Key/element are
-                // dropped here; the other fields have no drop glue, so
-                // the block may be recycled. (Stale pin-free readers
-                // may still snoop the shadow slots after this — sound
-                // because pin-free payloads are `Pod` and the block
-                // stays allocated in the pool.)
-                unsafe {
-                    std::ptr::drop_in_place(&mut (*tower).key);
-                    std::ptr::drop_in_place(&mut (*tower).element);
-                    pool.recycle(addr, cap);
-                }
-            };
-            // SAFETY: the closure touches the block only after grace
-            // elapses, when it is unreachable to pinned threads.
+            // SAFETY: as above; the zero-crossing decrement happens
+            // once per tenant.
             // unlink: UNLINK.tower-del: refcount zero means every level's
             // unlink C&S fired — the whole tower block is unreachable
-            unsafe { R::defer(guard, destroy) };
+            unsafe { Tower::retire(tower, &self.pool, guard) };
         }
     }
 }

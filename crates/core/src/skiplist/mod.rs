@@ -1,7 +1,8 @@
 //! The Fomitchev–Ruppert lock-free skip list (paper §4).
 //!
 //! Each key is represented by a *tower* — one block holding a header
-//! (key, element) and one level cell per level (see `node`); the cells
+//! (key, element) and one level cell per level (see `crate::tower`,
+//! whose height-1 blocks are also the list's nodes); the cells
 //! at each level form a sorted linked list run by the §3 linked-list
 //! algorithms (backlinks + flag bits), and the level-1 cell is the
 //! tower's *root*. Insertions build towers bottom-up and linearize when
@@ -21,15 +22,13 @@
 mod delete;
 mod insert;
 mod level;
-mod node;
 mod range;
 mod read;
 mod scan;
 
 pub use range::{RangeIter, SkipIter};
+pub(crate) use read::{ReadRace, ReadWalk, READ_ATTEMPTS};
 pub use scan::merged_range;
-
-use node::{cell_at, tower_of, LevelCell, Tower};
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
@@ -43,8 +42,9 @@ use lf_tagged::CachePadded;
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 
-use crate::list::{self, Bound, LevelNode, Mode, PIN_AMORTIZE_OPS};
+use crate::list::{self, LevelNode, Mode, PIN_AMORTIZE_OPS};
 use crate::pool::{LocalPool, SharedPool};
+use crate::tower::{cell_at, down, tower_of, LevelCell, Tower};
 use crate::{ConcurrentMap, MapHandle};
 
 /// Default number of levels (towers grow to at most one less, so the
@@ -236,24 +236,7 @@ where
             (2..=MAX_LEVEL_LIMIT).contains(&max_level),
             "max_level must be in 2..={MAX_LEVEL_LIMIT}"
         );
-        let head = Tower::sentinel_block(Bound::NegInf, max_level);
-        let tail = Tower::sentinel_block(Bound::PosInf, max_level);
-        for level in 1..=max_level {
-            // SAFETY: both blocks hold `max_level` initialized cells
-            // and are not yet shared.
-            unsafe {
-                // Relaxed: the list is not yet shared; `Self` is
-                // published to other threads by whatever synchronizes
-                // the `SkipList` value itself (e.g. `Arc`). Sentinel
-                // birth is 0, so the unmarked pointer's stamp (0) is
-                // already correct.
-                // ord: Relaxed — LIST.sentinel-init: pre-publication construction store
-                (*cell_at(head, level)).succ.store(
-                    lf_tagged::TaggedPtr::unmarked(cell_at(tail, level)),
-                    Ordering::Relaxed,
-                );
-            }
-        }
+        let (head, tail) = Tower::sentinels(max_level);
         SkipList {
             head,
             tail,
@@ -385,7 +368,7 @@ where
                 if level == target_level {
                     return (n1, n2);
                 }
-                curr = node::down(n1);
+                curr = down(n1);
                 level -= 1;
             }
         }
@@ -408,7 +391,7 @@ where
         unsafe {
             // ord: Release/Acquire/Relaxed — LIST.flag-cas: descent helps flagged deletions (wrapped C&S)
             let (curr, _) = self.search_to_level(k, 1, Mode::Le, guard);
-            let tower = node::tower_of(curr, 1);
+            let tower = tower_of(curr, 1);
             ((*tower).key.as_key() == Some(k)).then_some(tower)
         }
     }
@@ -596,16 +579,10 @@ impl<K, V, R: Reclaim> Drop for SkipList<K, V, R> {
         }
         for tower in towers {
             // SAFETY: unique access; each distinct tower is visited
-            // once, so key/element are dropped once and the block
-            // recycled once.
-            unsafe {
-                std::ptr::drop_in_place(&mut (*tower).key);
-                std::ptr::drop_in_place(&mut (*tower).element);
-                let cap = usize::from((*tower).height);
-                self.pool.recycle(tower as usize, cap);
-            }
+            // once, so it is recycled once.
+            unsafe { Tower::recycle(tower, &self.pool) };
         }
-        // SAFETY: the sentinel blocks came from `alloc_sentinels` in
+        // SAFETY: the sentinel blocks came from `Tower::sentinels` in
         // `build` and are freed only here.
         unsafe {
             Tower::free_sentinel(self.head, self.max_level);

@@ -7,9 +7,9 @@ use std::ops::Bound as RangeBound;
 
 use lf_reclaim::{Ebr, Publish, Reclaim};
 
-use super::node::{tower_of, LevelCell};
 use super::{Mode, SkipListHandle};
-use crate::list::{Bound, LevelNode};
+use crate::list::LevelNode;
+use crate::tower::{tower_of, Bound, LevelCell};
 
 /// Iterator over a weakly-consistent snapshot of a
 /// [`SkipList`](super::SkipList), produced by [`SkipListHandle::iter`]:

@@ -45,10 +45,10 @@ use std::ptr;
 
 use lf_reclaim::{Publish, Reclaim};
 
-use super::node::{down, tower_of, LevelCell};
 use super::{Mode, SkipList, SkipListHandle};
 use crate::list::search_key_before as key_before;
-use crate::list::{Bound, Level, LevelKeys, LevelNode};
+use crate::list::{Level, LevelKeys, LevelNode};
+use crate::tower::{down, tower_of, Bound, LevelCell};
 
 /// One per-list scan cursor of the k-way merge. It first descends to
 /// its start position (`level > 0`), then walks level 1 (`level == 0`).

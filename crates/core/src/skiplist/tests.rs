@@ -4,9 +4,9 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use super::node::{cell_at, down, tower_of};
 use super::SkipList;
 use crate::list::LevelNode;
+use crate::tower::{cell_at, down, tower_of};
 use crate::MapHandle;
 
 #[test]

@@ -24,7 +24,7 @@ fn read(rel: &str) -> String {
 
 /// Host path for seeded snippets: an existing file in a hot crate with
 /// the SMR pass enabled (the override replaces its whole content).
-const HOST: &str = "crates/core/src/list/node.rs";
+const HOST: &str = "crates/core/src/tower.rs";
 
 /// Audit the workspace with `HOST` replaced by `snippet`.
 fn audit_snippet(snippet: &str) -> lf_lint::Audit {

@@ -226,15 +226,6 @@ impl Histogram {
     pub fn p999(&self) -> u64 {
         self.percentile(99.9)
     }
-
-    /// Iterate over `(lowest_value, count)` for every nonempty slot.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c != 0)
-            .map(|(i, &c)| (lowest_equivalent(i), c))
-    }
 }
 
 impl Sub for Histogram {
