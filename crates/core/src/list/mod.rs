@@ -166,16 +166,10 @@ where
     V: Send + Sync + 'static,
     R: Reclaim + Publish<K> + Publish<V>,
 {
-    /// Create an empty list over the reclamation backend `R`.
+    /// Create an empty list over the reclamation backend `R`, with a
+    /// reclamation domain and a node pool of its own.
     pub fn with_backend() -> Self {
-        Self::with_domain(R::new_domain())
-    }
-
-    /// Create an empty list inside an existing reclamation `domain`
-    /// (lists sharing a domain also share its grace-period bookkeeping,
-    /// but not their node pools).
-    pub fn with_domain(domain: R::Domain) -> Self {
-        Self::build(domain, SharedPool::new())
+        Self::build(R::new_domain(), SharedPool::new())
     }
 
     /// Create an empty list sharing this list's reclamation domain
@@ -184,9 +178,9 @@ where
     /// guard cover every sibling, and freed blocks recycle through a
     /// single shared store instead of per-bucket pools.
     ///
-    /// Unlike [`with_domain`](Self::with_domain), pool sharing means a
-    /// block retired from one sibling can be re-tenanted in another;
-    /// pin-free readers stay sound because birth-stamp validation
+    /// Unlike a list made by [`with_backend`](Self::with_backend), a
+    /// sibling shares its pool, so a block retired from one sibling
+    /// can be re-tenanted in another; pin-free readers stay sound because birth-stamp validation
     /// rejects a re-tenanted block no matter which sibling's chain it
     /// resurfaces on (the sentinels are never pooled). The sibling
     /// operations on [`ListHandle`] (`insert_in` and friends) accept
@@ -211,8 +205,7 @@ where
     /// Whether `self` and `other` retire into the same reclamation
     /// domain — true when one was created as a
     /// [`new_sibling`](Self::new_sibling) of the other (or both share
-    /// an ancestor), or via [`with_domain`](Self::with_domain) with the
-    /// same domain.
+    /// an ancestor).
     pub fn shares_domain_with(&self, other: &Self) -> bool {
         R::domain_eq(&self.domain, &other.domain)
     }

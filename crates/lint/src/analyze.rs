@@ -1,9 +1,11 @@
-//! Per-file analysis: atomic-operation inventory, `// ord:` annotation
-//! attachment, `unsafe` hygiene, and banned-pattern detection.
+//! Per-file analysis: atomic-operation inventory, the annotation
+//! grammar shared by `// ord:` and the SMR annotations, `unsafe`
+//! hygiene, and banned-pattern detection.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::dataflow::SmrScan;
+use crate::design::is_invariant_id;
 use crate::lexer::{lex, Comment, Lexed, Token, TokenKind};
 
 /// Atomic methods whose `Ordering` arguments the auditor inventories.
@@ -45,12 +47,48 @@ pub struct AtomicSite {
     pub annotation: Option<usize>,
 }
 
-/// A parsed `// ord: <Orderings> — <id>: <rationale>` comment.
+/// The four annotation kinds, named by their comment prefix.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AnnotationKind {
+    /// `// ord:` — the orderings of an atomic site and the §9 ordering
+    /// table row that licenses them.
+    Ord,
+    /// `// escape:` — a guard-derived pointer deliberately leaves the
+    /// guard's lexical scope (wrapper return, field store, send).
+    Escape,
+    /// `// validate:` — a guard-free deref is proven by stamp
+    /// re-validation (VBR seqlock protocol).
+    Validate,
+    /// `// unlink:` — a retire/defer is paired with the unlink CAS
+    /// that removed the node from the structure.
+    Unlink,
+}
+
+impl AnnotationKind {
+    /// Every kind; all but [`Ord`](Self::Ord) are SMR obligations, whose
+    /// ids are rows of the DESIGN.md §9.8 table.
+    pub const ALL: [Self; 4] = [Self::Ord, Self::Escape, Self::Validate, Self::Unlink];
+
+    /// The comment prefix (without the trailing `:`).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Self::Ord => "ord",
+            Self::Escape => "escape",
+            Self::Validate => "validate",
+            Self::Unlink => "unlink",
+        }
+    }
+}
+
+/// A parsed `// <kind>: <id>: <rationale>` comment; an `ord:` one
+/// lists its orderings first: `// ord: <Orderings> — <id>: <rationale>`.
 #[derive(Debug, Clone)]
 pub struct Annotation {
-    /// 1-based source line of the comment.
+    /// 1-based source line of the comment (its last line).
     pub line: u32,
-    /// Orderings the annotation licenses.
+    /// Which comment prefix it carries.
+    pub kind: AnnotationKind,
+    /// Orderings an `ord:` annotation licenses (empty for the others).
     pub orderings: Vec<String>,
     /// Invariant id (`FAMILY.site`).
     pub id: String,
@@ -139,13 +177,28 @@ pub struct WrapperCall {
     pub annotation: Option<usize>,
 }
 
-/// A malformed `// ord:` comment (wrong grammar / unknown ordering).
+/// A malformed annotation comment (wrong grammar, unknown ordering or
+/// an id that is no `FAMILY.site`).
 #[derive(Debug, Clone)]
 pub struct BadAnnotation {
     /// 1-based source line of the comment.
     pub line: u32,
-    /// What is wrong with it.
+    /// What is wrong with it, naming the comment's prefix.
     pub message: String,
+}
+
+/// One fn item with a body (nested fns included).
+pub(crate) struct FnItem {
+    pub(crate) name: String,
+    /// Token index of the `fn` keyword.
+    pub(crate) fn_tok: usize,
+    /// Whether the return type holds a raw pointer (see
+    /// [`Scanner::scan_return_type`]).
+    pub(crate) returns_raw_ptr: bool,
+    pub(crate) param_open: usize,
+    pub(crate) param_close: usize,
+    pub(crate) body_open: usize,
+    pub(crate) body_close: usize,
 }
 
 /// Everything the auditor learned about one file.
@@ -153,13 +206,14 @@ pub struct BadAnnotation {
 pub struct FileScan {
     /// Atomic operations with literal `Ordering::` arguments.
     pub sites: Vec<AtomicSite>,
-    /// Parsed `// ord:` annotations.
+    /// Parsed `// ord:`, `// escape:`, `// validate:` and `// unlink:`
+    /// annotations, in source order.
     pub annotations: Vec<Annotation>,
     /// `unsafe` blocks / fns / impls / traits.
     pub unsafes: Vec<UnsafeItem>,
     /// Banned-pattern occurrences (policy decides if they matter).
     pub banned: Vec<BannedUse>,
-    /// Malformed `// ord:` comments.
+    /// Malformed annotation comments.
     pub bad_annotations: Vec<BadAnnotation>,
     /// Pointer-returning fns with atomic bodies (wrapper candidates).
     pub wrappers: Vec<WrapperFn>,
@@ -193,7 +247,9 @@ pub fn scan_file_with(src: &str, wrapper_names: &BTreeSet<String>) -> FileScan {
 
 pub(crate) struct Scanner<'a> {
     pub(crate) toks: &'a [Token],
-    pub(crate) comments: &'a [Comment],
+    comments: &'a [Comment],
+    /// The lexer's bracket table ([`Lexed::close`]).
+    pub(crate) close: &'a [usize],
     /// Wrapper-fn names whose call sites this scan collects.
     pub(crate) wrapper_names: &'a BTreeSet<String>,
     /// Token index of each collected site's method/fence ident
@@ -203,11 +259,9 @@ pub(crate) struct Scanner<'a> {
     /// (parallel to `out.wrapper_calls`; used for delegation-body
     /// membership).
     pub(crate) wrapper_call_tok_indices: Vec<usize>,
-    /// Every pointer-returning fn with a body, regardless of whether
-    /// it contains atomic sites: (name, line, body `{` tok, body `}`
-    /// tok). Delegation detection re-checks these against the wrapper
-    /// calls collected later.
-    ptr_fn_spans: Vec<(String, u32, usize, usize)>,
+    /// Every fn item with a body, in source order: the one index the
+    /// wrapper, delegation and SMR passes filter.
+    pub(crate) fns: Vec<FnItem>,
     /// Names of the file's `type X<..> = ..;` aliases whose right-hand
     /// side holds a raw pointer: a return type naming one returns a
     /// raw pointer too.
@@ -221,7 +275,7 @@ pub(crate) struct Scanner<'a> {
     /// Lines whose tokens are all within attribute spans.
     attr_lines: BTreeSet<u32>,
     /// line -> indices of comments ending on that line.
-    pub(crate) comments_ending: BTreeMap<u32, Vec<usize>>,
+    comments_ending: BTreeMap<u32, Vec<usize>>,
     /// Lines covered by any comment.
     comment_lines: BTreeSet<u32>,
     pub(crate) out: FileScan,
@@ -232,10 +286,11 @@ impl<'a> Scanner<'a> {
         let mut s = Scanner {
             toks: &lexed.tokens,
             comments: &lexed.comments,
+            close: &lexed.close,
             wrapper_names,
             site_tok_indices: Vec::new(),
             wrapper_call_tok_indices: Vec::new(),
-            ptr_fn_spans: Vec::new(),
+            fns: Vec::new(),
             ptr_aliases: BTreeSet::new(),
             excluded: Vec::new(),
             attr_spans: Vec::new(),
@@ -248,6 +303,7 @@ impl<'a> Scanner<'a> {
         s.index_attributes_and_tests();
         s.index_lines();
         s.collect_ptr_aliases();
+        s.index_fn_items();
         s
     }
 
@@ -298,7 +354,7 @@ impl<'a> Scanner<'a> {
     /// before `k`: whether it holds a raw pointer (see
     /// [`is_raw_ptr_at`](Self::is_raw_ptr_at)), and the index of the
     /// token that ends it (the body `{`, a `;` or `where`).
-    pub(crate) fn scan_return_type(&self, mut k: usize) -> (bool, usize) {
+    fn scan_return_type(&self, mut k: usize) -> (bool, usize) {
         let mut returns_raw_ptr = false;
         if self.punct_at(k) == Some('-') && self.punct_at(k + 1) == Some('>') {
             k += 2;
@@ -359,22 +415,7 @@ impl<'a> Scanner<'a> {
                 i += 1;
                 continue;
             }
-            // Balance brackets to the attribute's end.
-            let mut depth = 0i32;
-            let mut end = j;
-            while end < self.toks.len() {
-                match self.punct_at(end) {
-                    Some('[') => depth += 1,
-                    Some(']') => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                end += 1;
-            }
+            let end = self.close[j];
             self.attr_spans.push((i, end));
             let body: Vec<&str> = (j..=end).filter_map(|k| self.ident_at(k)).collect();
             let is_test =
@@ -400,21 +441,7 @@ impl<'a> Scanner<'a> {
             if self.punct_at(j) != Some('[') {
                 break;
             }
-            let mut depth = 0i32;
-            while j < self.toks.len() {
-                match self.punct_at(j) {
-                    Some('[') => depth += 1,
-                    Some(']') => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-            i = j + 1;
+            i = self.close[j] + 1;
         }
         if self.ident_at(i) == Some("mod") {
             if let Some(name) = self.ident_at(i + 1).map(str::to_owned) {
@@ -426,34 +453,19 @@ impl<'a> Scanner<'a> {
                 }
             }
         }
-        // Scan to the item's body `{` (at zero paren/bracket depth) or a
-        // terminating `;`, then balance braces.
-        let mut depth = 0i32;
+        // The item ends at its body's `}` or a terminating `;`, both
+        // outside any `(..)` / `[..]` of its signature.
         let mut k = i;
         while k < self.toks.len() {
             match self.punct_at(k) {
-                Some('(') | Some('[') => depth += 1,
-                Some(')') | Some(']') => depth -= 1,
-                Some(';') if depth == 0 => {
+                Some('(' | '[') => k = self.close[k],
+                Some(';') => {
                     self.excluded.push((attr_start, k));
                     return;
                 }
-                Some('{') if depth == 0 => {
-                    let mut braces = 0i32;
-                    while k < self.toks.len() {
-                        match self.punct_at(k) {
-                            Some('{') => braces += 1,
-                            Some('}') => {
-                                braces -= 1;
-                                if braces == 0 {
-                                    self.excluded.push((attr_start, k));
-                                    return;
-                                }
-                            }
-                            _ => {}
-                        }
-                        k += 1;
-                    }
+                Some('{') => {
+                    self.excluded.push((attr_start, self.close[k]));
+                    return;
                 }
                 _ => {}
             }
@@ -487,22 +499,27 @@ impl<'a> Scanner<'a> {
         }
     }
 
+    /// Parse every `ord:` / `escape:` / `validate:` / `unlink:` comment.
     fn collect_annotations(&mut self) {
         for c in self.comments {
-            let Some(rest) = c.text.strip_prefix("ord:") else {
+            let Some((kind, body)) = AnnotationKind::ALL.into_iter().find_map(|kind| {
+                let rest = c.text.strip_prefix(kind.as_str())?.strip_prefix(':')?;
+                Some((kind, rest.trim()))
+            }) else {
                 continue;
             };
-            match parse_annotation(rest.trim()) {
+            match parse_annotation(kind, body) {
                 Ok((orderings, id, rationale)) => self.out.annotations.push(Annotation {
                     line: c.end_line,
+                    kind,
                     orderings,
                     id,
                     rationale,
                     attached: false,
                 }),
-                Err(message) => self.out.bad_annotations.push(BadAnnotation {
+                Err(e) => self.out.bad_annotations.push(BadAnnotation {
                     line: c.line,
-                    message,
+                    message: format!("malformed `// {}:` comment: {e}", kind.as_str()),
                 }),
             }
         }
@@ -512,12 +529,7 @@ impl<'a> Scanner<'a> {
     /// whose statement begins at `stmt_line`: trailing comments inside
     /// the span, plus the contiguous comment/attribute block directly
     /// above the span start and above the statement start.
-    pub(crate) fn visible_comment_lines(
-        &self,
-        stmt_line: u32,
-        start_line: u32,
-        end_line: u32,
-    ) -> Vec<u32> {
+    fn visible_comment_lines(&self, stmt_line: u32, start_line: u32, end_line: u32) -> Vec<u32> {
         let mut lines: Vec<u32> = (start_line..=end_line)
             .filter(|l| self.comment_lines.contains(l))
             .collect();
@@ -539,7 +551,7 @@ impl<'a> Scanner<'a> {
 
     /// The line where the statement containing token `idx` starts
     /// (first token after the previous `;`, `{`, or `}`).
-    pub(crate) fn statement_start_line(&self, idx: usize) -> u32 {
+    fn statement_start_line(&self, idx: usize) -> u32 {
         let mut i = idx;
         while i > 0 {
             if matches!(self.punct_at(i - 1), Some(';') | Some('{') | Some('}')) {
@@ -588,20 +600,9 @@ impl<'a> Scanner<'a> {
                     continue;
                 }
             };
-            let mut depth = 0i32;
-            let mut k = open;
+            let span_end = self.close[open];
             let mut orderings = Vec::new();
-            while k < self.toks.len() {
-                match self.punct_at(k) {
-                    Some('(') => depth += 1,
-                    Some(')') => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
+            for k in open..span_end.min(self.toks.len()) {
                 if self.ident_at(k) == Some("Ordering")
                     && self.punct_at(k + 1) == Some(':')
                     && self.punct_at(k + 2) == Some(':')
@@ -612,12 +613,11 @@ impl<'a> Scanner<'a> {
                         }
                     }
                 }
-                k += 1;
             }
             if !orderings.is_empty() {
                 raws.push(Raw {
                     method_idx,
-                    span_end: k,
+                    span_end,
                     orderings,
                 });
             }
@@ -638,16 +638,10 @@ impl<'a> Scanner<'a> {
             if raw.orderings.is_empty() {
                 continue;
             }
-            let start_line = self.toks[raw.method_idx].line;
-            let end_line = self.toks[raw.span_end.min(self.toks.len() - 1)].line;
-            let stmt_line = self.statement_start_line(raw.method_idx);
-            let annotation = self.find_annotation(stmt_line, start_line, end_line);
-            if let Some(ai) = annotation {
-                self.out.annotations[ai].attached = true;
-            }
+            let annotation = self.attach(AnnotationKind::Ord, raw.method_idx, raw.span_end);
             self.site_tok_indices.push(raw.method_idx);
             self.out.sites.push(AtomicSite {
-                line: start_line,
+                line: self.toks[raw.method_idx].line,
                 method: self
                     .ident_at(raw.method_idx)
                     .unwrap_or_default()
@@ -658,14 +652,12 @@ impl<'a> Scanner<'a> {
         }
     }
 
-    /// Find fn items that return a raw pointer (`*const` / `*mut`, or
-    /// a pointer alias) and perform an atomic operation in their body.
-    /// Runs after `collect_atomic_sites` so body membership is a
-    /// token-index range check against the collected sites.
-    fn collect_wrappers(&mut self) {
+    /// Index every fn item with a body, in source order. Nested fns are
+    /// found too: the walk continues inside each body.
+    fn index_fn_items(&mut self) {
         let mut i = 0;
         while i < self.toks.len() {
-            if self.ident_at(i) != Some("fn") || self.is_excluded(i) {
+            if self.ident_at(i) != Some("fn") {
                 i += 1;
                 continue;
             }
@@ -673,9 +665,8 @@ impl<'a> Scanner<'a> {
                 i += 1;
                 continue;
             };
-            // Optional generics between the name and the params. `>`
-            // preceded by `-` is part of a `->` inside the generic
-            // bounds (e.g. `F: Fn(u32) -> u32`), not a closer.
+            // Optional generics (`>` preceded by `-` is a `->` inside
+            // the bounds, e.g. `F: Fn(u32) -> u32`, not a closer).
             let mut j = i + 2;
             if self.punct_at(j) == Some('<') {
                 let mut angle = 0i32;
@@ -698,56 +689,46 @@ impl<'a> Scanner<'a> {
                 i += 1;
                 continue;
             }
-            // Parameter list.
-            let mut depth = 0i32;
-            while j < self.toks.len() {
-                match self.punct_at(j) {
-                    Some('(') => depth += 1,
-                    Some(')') => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-            let (returns_raw_ptr, mut k) = self.scan_return_type(j + 1);
-            if !returns_raw_ptr {
-                i += 1;
-                continue;
-            }
-            // Body: brace-balance from the first `{`; a `;` first means
-            // a trait/extern declaration with no body.
-            while k < self.toks.len()
-                && self.punct_at(k) != Some('{')
-                && self.punct_at(k) != Some(';')
-            {
+            let param_close = self.close[j];
+            let (returns_raw_ptr, mut k) = self.scan_return_type(param_close + 1);
+            while k < self.toks.len() && !matches!(self.punct_at(k), Some('{' | ';')) {
                 k += 1;
             }
             if self.punct_at(k) != Some('{') {
-                i += 1;
+                // Trait/extern declaration without a body.
+                i = k.max(i) + 1;
                 continue;
             }
-            let mut braces = 0i32;
-            let mut end = k;
-            while end < self.toks.len() {
-                match self.punct_at(end) {
-                    Some('{') => braces += 1,
-                    Some('}') => {
-                        braces -= 1;
-                        if braces == 0 {
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                end += 1;
-            }
+            self.fns.push(FnItem {
+                name,
+                fn_tok: i,
+                returns_raw_ptr,
+                param_open: j,
+                param_close,
+                body_open: k,
+                body_close: self.close[k],
+            });
+            i = k + 1;
+        }
+    }
+
+    /// Non-test fns that return a raw pointer (`*const` / `*mut`, or a
+    /// pointer alias): the candidates for wrappers and delegators.
+    fn ptr_fns(&self) -> impl Iterator<Item = &FnItem> {
+        self.fns
+            .iter()
+            .filter(|f| f.returns_raw_ptr && !self.is_excluded(f.fn_tok))
+    }
+
+    /// Pointer-returning fns that perform an atomic operation in their
+    /// body. Runs after `collect_atomic_sites` so body membership is a
+    /// token-index range check against the collected sites.
+    fn collect_wrappers(&mut self) {
+        let mut wrappers = Vec::new();
+        for f in self.ptr_fns() {
             let mut orderings: Vec<String> = Vec::new();
             for (si, &tok) in self.site_tok_indices.iter().enumerate() {
-                if tok > k && tok < end {
+                if tok > f.body_open && tok < f.body_close {
                     for o in &self.out.sites[si].orderings {
                         if !orderings.contains(o) {
                             orderings.push(o.clone());
@@ -755,17 +736,15 @@ impl<'a> Scanner<'a> {
                     }
                 }
             }
-            self.ptr_fn_spans
-                .push((name.clone(), self.toks[i].line, k, end));
             if !orderings.is_empty() {
-                self.out.wrappers.push(WrapperFn {
-                    line: self.toks[i].line,
-                    name,
+                wrappers.push(WrapperFn {
+                    line: self.toks[f.fn_tok].line,
+                    name: f.name.clone(),
                     orderings,
                 });
             }
-            i = k + 1;
         }
+        self.out.wrappers = wrappers;
     }
 
     /// With the caller-supplied registry of wrapper names, collect
@@ -786,31 +765,10 @@ impl<'a> Scanner<'a> {
             {
                 continue;
             }
-            let mut depth = 0i32;
-            let mut k = i + 1;
-            while k < self.toks.len() {
-                match self.punct_at(k) {
-                    Some('(') => depth += 1,
-                    Some(')') => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                k += 1;
-            }
-            let start_line = self.toks[i].line;
-            let end_line = self.toks[k.min(self.toks.len() - 1)].line;
-            let stmt_line = self.statement_start_line(i);
-            let annotation = self.find_annotation(stmt_line, start_line, end_line);
-            if let Some(ai) = annotation {
-                self.out.annotations[ai].attached = true;
-            }
+            let annotation = self.attach(AnnotationKind::Ord, i, self.close[i + 1]);
             self.wrapper_call_tok_indices.push(i);
             self.out.wrapper_calls.push(WrapperCall {
-                line: start_line,
+                line: self.toks[i].line,
                 callee: name,
                 annotation,
             });
@@ -821,50 +779,61 @@ impl<'a> Scanner<'a> {
     /// themselves wrappers-by-delegation: the dereferenceable pointer
     /// they hand out was produced under the callee's orderings. Runs
     /// after `collect_wrapper_calls` so membership is a token-range
-    /// check of the recorded call sites against the fn spans noted by
-    /// `collect_wrappers`. Self-recursive calls are ignored — they add
-    /// no orderings the fn does not already own.
+    /// check of the recorded call sites against the fn's body.
+    /// Self-recursive calls are ignored — they add no orderings the fn
+    /// does not already own.
     fn collect_delegating(&mut self) {
         if self.wrapper_names.is_empty() {
             return;
         }
-        for (name, line, k, end) in &self.ptr_fn_spans {
+        let mut delegating = Vec::new();
+        for f in self.ptr_fns() {
             let mut callees: Vec<String> = Vec::new();
             for (ci, &tok) in self.wrapper_call_tok_indices.iter().enumerate() {
-                if tok > *k && tok < *end {
+                if tok > f.body_open && tok < f.body_close {
                     let callee = &self.out.wrapper_calls[ci].callee;
-                    if callee != name && !callees.contains(callee) {
+                    if *callee != f.name && !callees.contains(callee) {
                         callees.push(callee.clone());
                     }
                 }
             }
             if !callees.is_empty() {
-                self.out.delegating.push(DelegatingFn {
-                    line: *line,
-                    name: name.clone(),
+                delegating.push(DelegatingFn {
+                    line: self.toks[f.fn_tok].line,
+                    name: f.name.clone(),
                     callees,
                 });
             }
         }
+        self.out.delegating = delegating;
     }
 
-    fn find_annotation(&self, stmt_line: u32, start_line: u32, end_line: u32) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for l in self.visible_comment_lines(stmt_line, start_line, end_line) {
-            for &ci in self.comments_ending.get(&l).into_iter().flatten() {
-                let c = &self.comments[ci];
-                if let Some(ai) = self
-                    .out
+    /// Attach the nearest visible annotation of `kind` to the site that
+    /// spans tokens `start..=end` (see
+    /// [`visible_comment_lines`](Self::visible_comment_lines)), and
+    /// return its index into [`FileScan::annotations`].
+    pub(crate) fn attach(
+        &mut self,
+        kind: AnnotationKind,
+        start: usize,
+        end: usize,
+    ) -> Option<usize> {
+        let start_line = self.toks[start].line;
+        let end_line = self.toks[end.min(self.toks.len() - 1)].line;
+        let stmt_line = self.statement_start_line(start);
+        // The nearest one below/at wins (last in line order).
+        let ai = self
+            .visible_comment_lines(stmt_line, start_line, end_line)
+            .into_iter()
+            .rev()
+            .find_map(|l| {
+                self.out
                     .annotations
                     .iter()
-                    .position(|a| a.line == c.end_line && c.text.starts_with("ord:"))
-                {
-                    // Nearest annotation below/at wins (last in line order).
-                    best = Some(ai);
-                }
-            }
-        }
-        best
+                    .position(|a| a.kind == kind && a.line == l)
+            })?;
+        self.out.annotations[ai].attached = true;
+        Some(ai)
     }
 
     fn collect_unsafe(&mut self) {
@@ -943,40 +912,41 @@ impl<'a> Scanner<'a> {
     }
 }
 
-/// Parse the body of an annotation after the `ord:` prefix:
-/// `<Ordering>[/<Ordering>...] — <invariant-id>: <rationale>`.
-/// The separator may be an em dash or `--`.
-fn parse_annotation(body: &str) -> Result<(Vec<String>, String, String), String> {
-    let (left, right) = body
-        .split_once('—')
-        .or_else(|| body.split_once("--"))
-        .ok_or("missing `—` between orderings and invariant id")?;
+/// Parse an annotation body after its `<kind>:` prefix:
+/// `<invariant-id>: <rationale>`, which an `ord:` annotation precedes
+/// with `<Ordering>[/<Ordering>...] — ` (an em dash or `--`).
+fn parse_annotation(
+    kind: AnnotationKind,
+    body: &str,
+) -> Result<(Vec<String>, String, String), String> {
     let mut orderings = Vec::new();
-    for part in left.split(['/', ',']) {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
+    let mut rest = body;
+    if kind == AnnotationKind::Ord {
+        let (left, right) = body
+            .split_once('—')
+            .or_else(|| body.split_once("--"))
+            .ok_or("missing `—` between orderings and invariant id")?;
+        for part in left.split(['/', ',']) {
+            let part = part.trim();
+            if part.is_empty() {
+                continue;
+            }
+            if !ORDERINGS.contains(&part) {
+                return Err(format!("unknown ordering {part:?}"));
+            }
+            orderings.push(part.to_string());
         }
-        if !ORDERINGS.contains(&part) {
-            return Err(format!("unknown ordering {part:?}"));
+        if orderings.is_empty() {
+            return Err("no orderings listed".into());
         }
-        orderings.push(part.to_string());
+        rest = right;
     }
-    if orderings.is_empty() {
-        return Err("no orderings listed".into());
-    }
-    let (id, rationale) = right
+    let (id, rationale) = rest
         .trim()
         .split_once(':')
         .ok_or("missing `:` after invariant id")?;
     let id = id.trim();
-    let ok_id = !id.is_empty()
-        && id.chars().next().is_some_and(|c| c.is_ascii_uppercase())
-        && id
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-'))
-        && id.contains('.');
-    if !ok_id {
+    if !is_invariant_id(id) {
         return Err(format!(
             "invariant id {id:?} must look like FAMILY.site (e.g. LIST.traverse)"
         ));
@@ -1114,9 +1084,10 @@ mod tests {
             "// ord: Relaxed STAT.len: forgot the dash\n\
              // ord: Sloppy — STAT.len: unknown ordering\n\
              // ord: Relaxed — lowercase: bad id\n\
+             // ord: Relaxed — Stat.len: family not uppercase\n\
              fn f() {}\n",
         );
-        assert_eq!(s.bad_annotations.len(), 3);
+        assert_eq!(s.bad_annotations.len(), 4);
     }
 
     #[test]

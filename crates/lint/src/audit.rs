@@ -9,8 +9,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::analyze::{scan_file, scan_file_with, BannedKind, FileScan};
-use crate::design::{parse_design, parse_obligations};
+use crate::analyze::{scan_file, scan_file_with, AnnotationKind, BannedKind, FileScan};
+use crate::design::parse_design;
 use crate::policy::{CrateClass, Policy};
 
 /// One reported problem.
@@ -106,16 +106,15 @@ pub fn run_audit(files: &WorkspaceFiles) -> Result<Audit, String> {
     let design_text = files
         .read("DESIGN.md")
         .map_err(|e| format!("cannot read DESIGN.md: {e}"))?;
+    // An empty §9.8 SMR-obligations table is not a config error: any
+    // attached SMR annotation then flags obligation-drift, which is
+    // exactly the bidirectional discipline working.
     let design_rows = parse_design(&design_text);
-    if design_rows.is_empty() {
+    if !design_rows.iter().any(|r| r.kind == AnnotationKind::Ord) {
         return Err("DESIGN.md §9 contains no ordering-table rows — \
                     the drift check would be vacuous"
             .into());
     }
-    // §9.8 SMR-obligations table. An empty table is not a config
-    // error: any attached SMR annotation then flags obligation-drift,
-    // which is exactly the bidirectional discipline working.
-    let obligations = parse_obligations(&design_text);
 
     let crates = discover_crates(files)?;
     let mut audit = Audit::default();
@@ -226,8 +225,8 @@ pub fn run_audit(files: &WorkspaceFiles) -> Result<Audit, String> {
     }
     audit.wrapper_fns = registry.values().map(|m| m.len()).sum();
 
-    let mut attached_ids: BTreeSet<String> = BTreeSet::new();
-    let mut smr_attached_ids: BTreeSet<String> = BTreeSet::new();
+    // (drift check of the id's table, id) of every attached annotation.
+    let mut witnessed: BTreeSet<(&'static str, String)> = BTreeSet::new();
     for (krate, file, scan) in &scans {
         if test_files.contains(file) {
             continue;
@@ -245,12 +244,7 @@ pub fn run_audit(files: &WorkspaceFiles) -> Result<Audit, String> {
         };
 
         for bad in &scan.bad_annotations {
-            push(
-                &mut audit,
-                "bad-annotation",
-                bad.line,
-                format!("malformed `// ord:` comment: {}", bad.message),
-            );
+            push(&mut audit, "bad-annotation", bad.line, bad.message.clone());
         }
 
         for site in &scan.sites {
@@ -365,54 +359,6 @@ pub fn run_audit(files: &WorkspaceFiles) -> Result<Audit, String> {
             }
         }
 
-        for ann in &scan.annotations {
-            if ann.attached {
-                attached_ids.insert(ann.id.clone());
-                match design_rows.iter().find(|r| r.id == ann.id) {
-                    None => push(
-                        &mut audit,
-                        "design-drift",
-                        ann.line,
-                        format!(
-                            "annotation id `{}` has no row in the DESIGN.md §9 \
-                             ordering tables",
-                            ann.id
-                        ),
-                    ),
-                    Some(row) => {
-                        for o in &ann.orderings {
-                            if !row.orderings.contains(o) {
-                                push(
-                                    &mut audit,
-                                    "design-drift",
-                                    ann.line,
-                                    format!(
-                                        "annotation `{}` claims {o} but DESIGN.md row \
-                                         `{}` (line {}) only licenses {}",
-                                        ann.id,
-                                        row.id,
-                                        row.line,
-                                        row.orderings.join("/")
-                                    ),
-                                );
-                            }
-                        }
-                    }
-                }
-            } else {
-                push(
-                    &mut audit,
-                    "dangling-annotation",
-                    ann.line,
-                    format!(
-                        "`// ord:` comment (id {}) is not attached to any atomic \
-                         operation — stale after a refactor?",
-                        ann.id
-                    ),
-                );
-            }
-        }
-
         for u in &scan.unsafes {
             audit.unsafe_total += 1;
             if !u.documented {
@@ -433,55 +379,80 @@ pub fn run_audit(files: &WorkspaceFiles) -> Result<Audit, String> {
             for v in &scan.smr.violations {
                 push(&mut audit, v.rule, v.line, v.message.clone());
             }
-            for ann in &scan.smr.annotations {
-                audit.smr_annotations += 1;
-                if ann.attached {
-                    smr_attached_ids.insert(ann.id.clone());
-                    match obligations.iter().find(|o| o.id == ann.id) {
-                        None => push(
-                            &mut audit,
-                            "obligation-drift",
-                            ann.line,
-                            format!(
-                                "annotation `// {}:` id `{}` has no row in the DESIGN.md \
-                                 §9.8 SMR-obligations table",
-                                ann.kind.as_str(),
-                                ann.id
-                            ),
-                        ),
-                        Some(row) if row.kind != ann.kind => push(
-                            &mut audit,
-                            "obligation-drift",
-                            ann.line,
-                            format!(
-                                "annotation `// {}:` id `{}` is registered in DESIGN.md \
-                                 §9.8 (line {}) as kind `{}` — kinds must match",
-                                ann.kind.as_str(),
-                                ann.id,
-                                row.line,
-                                row.kind.as_str()
-                            ),
-                        ),
-                        Some(_) => {}
-                    }
-                } else {
-                    push(
-                        &mut audit,
-                        "dangling-annotation",
-                        ann.line,
-                        format!(
-                            "`// {}:` comment (id {}) is not attached to any {} site — \
-                             stale after a refactor?",
-                            ann.kind.as_str(),
-                            ann.id,
-                            match ann.kind {
-                                crate::dataflow::SmrKind::Escape => "escape",
-                                crate::dataflow::SmrKind::Validate => "guard-free deref",
-                                crate::dataflow::SmrKind::Unlink => "retire/defer",
-                            }
-                        ),
-                    );
+        }
+
+        // Forward drift: an attached annotation's id is a row of its
+        // kind's table, and the row licenses what the annotation claims.
+        for ann in &scan.annotations {
+            if ann.kind != AnnotationKind::Ord {
+                if !cp.smr_audit() {
+                    continue;
                 }
+                audit.smr_annotations += 1;
+            }
+            if !ann.attached {
+                push(
+                    &mut audit,
+                    "dangling-annotation",
+                    ann.line,
+                    format!(
+                        "`// {}:` comment (id {}) is not attached to any {} — stale after \
+                         a refactor?",
+                        ann.kind.as_str(),
+                        ann.id,
+                        match ann.kind {
+                            AnnotationKind::Ord => "atomic operation",
+                            AnnotationKind::Escape => "escape site",
+                            AnnotationKind::Validate => "guard-free deref site",
+                            AnnotationKind::Unlink => "retire/defer site",
+                        }
+                    ),
+                );
+                continue;
+            }
+            let check = drift_check(ann.kind);
+            witnessed.insert((check, ann.id.clone()));
+            let row = design_rows
+                .iter()
+                .find(|r| drift_check(r.kind) == check && r.id == ann.id);
+            let messages = match (ann.kind, row) {
+                (AnnotationKind::Ord, None) => vec![format!(
+                    "annotation id `{}` has no row in the DESIGN.md §9 ordering tables",
+                    ann.id
+                )],
+                (AnnotationKind::Ord, Some(row)) => ann
+                    .orderings
+                    .iter()
+                    .filter(|o| !row.orderings.contains(o))
+                    .map(|o| {
+                        format!(
+                            "annotation `{}` claims {o} but DESIGN.md row `{}` (line {}) \
+                             only licenses {}",
+                            ann.id,
+                            row.id,
+                            row.line,
+                            row.orderings.join("/")
+                        )
+                    })
+                    .collect(),
+                (kind, None) => vec![format!(
+                    "annotation `// {}:` id `{}` has no row in the DESIGN.md §9.8 \
+                     SMR-obligations table",
+                    kind.as_str(),
+                    ann.id
+                )],
+                (kind, Some(row)) if row.kind != kind => vec![format!(
+                    "annotation `// {}:` id `{}` is registered in DESIGN.md §9.8 (line {}) \
+                     as kind `{}` — kinds must match",
+                    kind.as_str(),
+                    ann.id,
+                    row.line,
+                    row.kind.as_str()
+                )],
+                (_, Some(_)) => Vec::new(),
+            };
+            for message in messages {
+                push(&mut audit, check, ann.line, message);
             }
         }
 
@@ -506,45 +477,48 @@ pub fn run_audit(files: &WorkspaceFiles) -> Result<Audit, String> {
         }
     }
 
-    // Reverse direction: every DESIGN row must be witnessed by at least
-    // one attached annotation somewhere in the workspace.
+    // Reverse drift: every DESIGN row must be witnessed by at least one
+    // attached annotation somewhere in the workspace.
     for row in &design_rows {
-        if !attached_ids.contains(&row.id) {
-            audit.findings.push(Finding {
-                check: "design-drift",
-                krate: String::new(),
-                file: "DESIGN.md".to_string(),
-                line: row.line,
-                message: format!(
-                    "ordering-table row `{}` matches no `// ord:` annotation in the \
-                     code — table and code have drifted",
-                    row.id
-                ),
-            });
+        let check = drift_check(row.kind);
+        if witnessed.contains(&(check, row.id.clone())) {
+            continue;
         }
-    }
-    // Same discipline for the §9.8 SMR-obligations table.
-    for row in &obligations {
-        if !smr_attached_ids.contains(&row.id) {
-            audit.findings.push(Finding {
-                check: "obligation-drift",
-                krate: String::new(),
-                file: "DESIGN.md".to_string(),
-                line: row.line,
-                message: format!(
-                    "SMR-obligations row `{}` matches no attached `// {}:` annotation \
-                     in the code — table and code have drifted",
-                    row.id,
-                    row.kind.as_str()
-                ),
-            });
-        }
+        let message = match row.kind {
+            AnnotationKind::Ord => format!(
+                "ordering-table row `{}` matches no `// ord:` annotation in the code — \
+                 table and code have drifted",
+                row.id
+            ),
+            kind => format!(
+                "SMR-obligations row `{}` matches no attached `// {}:` annotation in the \
+                 code — table and code have drifted",
+                row.id,
+                kind.as_str()
+            ),
+        };
+        audit.findings.push(Finding {
+            check,
+            krate: String::new(),
+            file: "DESIGN.md".to_string(),
+            line: row.line,
+            message,
+        });
     }
 
     audit.findings.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.check).cmp(&(b.file.as_str(), b.line, b.check))
     });
     Ok(audit)
+}
+
+/// The check that reports drift between an annotation kind and its
+/// table: the §9 ordering tables for `ord:`, §9.8 for the rest.
+fn drift_check(kind: AnnotationKind) -> &'static str {
+    match kind {
+        AnnotationKind::Ord => "design-drift",
+        _ => "obligation-drift",
+    }
 }
 
 /// `crates/*/src` plus the root package's `src/`.

@@ -20,67 +20,29 @@
 //! 3. **`smr-pin-across-await`** — a guard binding live across an
 //!    `.await` token is a finding (the `pin_hygiene.rs` invariant,
 //!    compile-gated).
-//! 4. **`smr-unvalidated-deref`** — in a *safe* fn that holds no guard
-//!    (the pin-free `try_read` shape), a deref of an optimistic-load-
-//!    derived pointer must carry a `// validate: <id>` annotation
-//!    naming the stamp re-validation that makes it sound.
+//! 4. **`smr-unvalidated-deref`** — in a fn that holds no guard (the
+//!    pin-free `try_read` shape), a deref of an optimistic-load-derived
+//!    pointer must carry a `// validate: <id>` annotation naming the
+//!    stamp re-validation that makes it sound. An `unsafe fn` is no
+//!    exception: a caller's `# Safety` contract cannot re-check a
+//!    stamp the walk itself read.
 //! 5. **`smr-retire-unlink`** — every `retire`/`defer` call site must
 //!    carry an `// unlink: <id>` annotation pairing the retirement
 //!    with the unlink CAS that made the node unreachable
 //!    (retire-without-unlink is the classic double-free shape).
 //!
-//! Annotation ids are cross-checked bidirectionally against the §9.8
-//! obligations table by the audit layer, with the same drift
-//! discipline as the §9 ordering tables. The pass is intentionally
-//! intra-procedural and name-based: like the rest of the auditor it
-//! trades soundness-in-the-limit for zero dependencies and findings a
-//! human can act on.
+//! The annotations share the `// ord:` grammar, collector and
+//! attachment; their ids are cross-checked bidirectionally against the
+//! §9.8 obligations table by the audit layer, in the same drift loop as
+//! the §9 ordering tables. The pass is intentionally intra-procedural
+//! and name-based: like the rest of the auditor it trades
+//! soundness-in-the-limit for zero dependencies and findings a human
+//! can act on.
 
 use std::collections::BTreeMap;
 
-use crate::analyze::{BadAnnotation, Scanner};
-use crate::design::is_invariant_id;
+use crate::analyze::{AnnotationKind, FnItem, Scanner};
 use crate::lexer::TokenKind;
-
-/// The three SMR annotation kinds (comment prefixes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum SmrKind {
-    /// `// escape:` — a guard-derived pointer deliberately leaves the
-    /// guard's lexical scope (wrapper return, field store, send).
-    Escape,
-    /// `// validate:` — a guard-free deref is proven by stamp
-    /// re-validation (VBR seqlock protocol).
-    Validate,
-    /// `// unlink:` — a retire/defer is paired with the unlink CAS
-    /// that removed the node from the structure.
-    Unlink,
-}
-
-impl SmrKind {
-    /// The comment prefix (without the trailing `:`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SmrKind::Escape => "escape",
-            SmrKind::Validate => "validate",
-            SmrKind::Unlink => "unlink",
-        }
-    }
-}
-
-/// A parsed `// escape|validate|unlink: <id>: <rationale>` comment.
-#[derive(Debug, Clone)]
-pub struct SmrAnnotation {
-    /// 1-based source line of the comment (its last line).
-    pub line: u32,
-    /// Which obligation kind the comment discharges.
-    pub kind: SmrKind,
-    /// Invariant id (`FAMILY.site`), a §9.8 obligations-table row.
-    pub id: String,
-    /// Free-text rationale after the id.
-    pub rationale: String,
-    /// Set during attachment; unattached annotations are drift.
-    pub attached: bool,
-}
 
 /// One rule violation, before the audit layer adds crate/file context.
 #[derive(Debug, Clone)]
@@ -95,17 +57,14 @@ pub struct SmrViolation {
     pub message: String,
 }
 
-/// Everything the SMR pass learned about one file.
+/// Everything the SMR pass learned about one file (its annotations
+/// are in [`FileScan::annotations`](crate::analyze::FileScan::annotations)).
 #[derive(Debug, Default)]
 pub struct SmrScan {
-    /// Parsed `// escape:` / `// validate:` / `// unlink:` comments.
-    pub annotations: Vec<SmrAnnotation>,
     /// Rule violations (the audit layer applies per-crate policy).
     pub violations: Vec<SmrViolation>,
     /// Guard/pin bindings (locals + guard-typed params) seen.
     pub guards: usize,
-    /// Pointer bindings tracked as derived from guarded loads.
-    pub tracked: usize,
     /// Deref events of tracked bindings that were checked.
     pub derefs: usize,
     /// `retire`/`defer` call sites checked for unlink annotations.
@@ -117,18 +76,6 @@ const DEFER_FNS: &[&str] = &["defer", "defer_unchecked", "defer_drop_box", "reti
 
 /// Idents that count as a channel/queue escape sink (rule 2).
 const SEND_FNS: &[&str] = &["send", "try_send"];
-
-/// One fn item with a body.
-struct FnItem {
-    name: String,
-    fn_tok: usize,
-    is_unsafe: bool,
-    returns_raw_ptr: bool,
-    param_open: usize,
-    param_close: usize,
-    body_open: usize,
-    body_close: usize,
-}
 
 /// A live guard/pin binding inside one fn.
 struct GuardBind {
@@ -144,6 +91,14 @@ struct GuardBind {
     param: bool,
 }
 
+impl GuardBind {
+    /// Whether the guard is live at token `t`.
+    fn live_at(&self, t: usize) -> bool {
+        self.param
+            || (self.decl_tok < t && t <= self.scope_end && self.drop_tok.is_none_or(|d| d > t))
+    }
+}
+
 /// A tracked pointer binding derived from a guarded atomic load.
 #[derive(Clone)]
 struct PtrBind {
@@ -155,11 +110,11 @@ struct PtrBind {
 
 impl<'a> Scanner<'a> {
     /// Run the SMR dataflow pass. Requires the wrapper registry (call
-    /// sites already collected), so it runs last in [`Scanner::run`].
+    /// sites already collected), so it runs last in [`Scanner::run`]
+    /// and may take the fn index.
     pub(crate) fn collect_smr(&mut self) {
-        self.collect_smr_annotations();
-        let fns = self.collect_fn_items();
-        for (i, f) in fns.iter().enumerate() {
+        let fns = std::mem::take(&mut self.fns);
+        for f in &fns {
             if self.is_excluded(f.fn_tok) {
                 continue;
             }
@@ -167,167 +122,12 @@ impl<'a> Scanner<'a> {
             // spans out of the enclosing fn's walk.
             let nested: Vec<(usize, usize)> = fns
                 .iter()
-                .enumerate()
-                .filter(|(j, g)| *j != i && g.fn_tok > f.body_open && g.body_close < f.body_close)
-                .map(|(_, g)| (g.fn_tok, g.body_close))
+                .filter(|g| g.fn_tok > f.body_open && g.body_close < f.body_close)
+                .map(|g| (g.fn_tok, g.body_close))
                 .collect();
             self.smr_analyze_fn(f, &nested);
         }
         self.collect_defer_sites();
-    }
-
-    fn collect_smr_annotations(&mut self) {
-        for c in self.comments {
-            let parsed = [SmrKind::Escape, SmrKind::Validate, SmrKind::Unlink]
-                .into_iter()
-                .find_map(|kind| {
-                    c.text
-                        .strip_prefix(kind.as_str())
-                        .and_then(|r| r.strip_prefix(':'))
-                        .map(|rest| (kind, rest.trim()))
-                });
-            let Some((kind, body)) = parsed else { continue };
-            match parse_smr_body(body) {
-                Ok((id, rationale)) => self.out.smr.annotations.push(SmrAnnotation {
-                    line: c.end_line,
-                    kind,
-                    id,
-                    rationale,
-                    attached: false,
-                }),
-                Err(message) => self.out.bad_annotations.push(BadAnnotation {
-                    line: c.line,
-                    message: format!("malformed `// {}:` comment: {message}", kind.as_str()),
-                }),
-            }
-        }
-    }
-
-    /// Find every fn item with a body (not just pointer-returning
-    /// ones), recording param/body spans and `unsafe`-ness.
-    fn collect_fn_items(&self) -> Vec<FnItem> {
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < self.toks.len() {
-            if self.ident_at(i) != Some("fn") {
-                i += 1;
-                continue;
-            }
-            let Some(name) = self.ident_at(i + 1).map(str::to_owned) else {
-                i += 1;
-                continue;
-            };
-            // Qualifiers before `fn`: `pub(crate) const unsafe extern "C"`.
-            let mut is_unsafe = false;
-            let mut b = i;
-            while b > 0 {
-                b -= 1;
-                match &self.toks[b].kind {
-                    TokenKind::Ident(s)
-                        if matches!(
-                            s.as_str(),
-                            "pub"
-                                | "crate"
-                                | "super"
-                                | "self"
-                                | "in"
-                                | "const"
-                                | "async"
-                                | "extern"
-                                | "unsafe"
-                                | "default"
-                        ) =>
-                    {
-                        if s == "unsafe" {
-                            is_unsafe = true;
-                        }
-                    }
-                    TokenKind::Punct('(') | TokenKind::Punct(')') | TokenKind::Str => {}
-                    _ => break,
-                }
-            }
-            // Optional generics (`>` preceded by `-` is a `->` inside
-            // the bounds, not a closer).
-            let mut j = i + 2;
-            if self.punct_at(j) == Some('<') {
-                let mut angle = 0i32;
-                while j < self.toks.len() {
-                    match self.punct_at(j) {
-                        Some('<') => angle += 1,
-                        Some('>') if self.punct_at(j.wrapping_sub(1)) != Some('-') => {
-                            angle -= 1;
-                            if angle == 0 {
-                                j += 1;
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    j += 1;
-                }
-            }
-            if self.punct_at(j) != Some('(') {
-                i += 1;
-                continue;
-            }
-            let param_open = j;
-            let mut depth = 0i32;
-            while j < self.toks.len() {
-                match self.punct_at(j) {
-                    Some('(') => depth += 1,
-                    Some(')') => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-            let param_close = j;
-            let (returns_raw_ptr, mut k) = self.scan_return_type(j + 1);
-            while k < self.toks.len()
-                && self.punct_at(k) != Some('{')
-                && self.punct_at(k) != Some(';')
-            {
-                k += 1;
-            }
-            if self.punct_at(k) != Some('{') {
-                // Trait/extern declaration without a body.
-                i = k.max(i) + 1;
-                continue;
-            }
-            let body_open = k;
-            let mut braces = 0i32;
-            let mut end = k;
-            while end < self.toks.len() {
-                match self.punct_at(end) {
-                    Some('{') => braces += 1,
-                    Some('}') => {
-                        braces -= 1;
-                        if braces == 0 {
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                end += 1;
-            }
-            out.push(FnItem {
-                name,
-                fn_tok: i,
-                is_unsafe,
-                returns_raw_ptr,
-                param_open,
-                param_close,
-                body_open,
-                body_close: end,
-            });
-            // Continue *inside* the body so nested fns are found too.
-            i = body_open + 1;
-        }
-        out
     }
 
     /// Guard-typed / guard-named parameters of `f`.
@@ -382,34 +182,28 @@ impl<'a> Scanner<'a> {
         out
     }
 
-    /// Matched `{`/`}` pairs within the fn body, for innermost-scope
-    /// lookups.
-    fn block_spans(&self, f: &FnItem) -> Vec<(usize, usize)> {
-        let mut pairs = Vec::new();
-        let mut stack = Vec::new();
-        for t in f.body_open..=f.body_close {
-            match self.punct_at(t) {
-                Some('{') => stack.push(t),
-                Some('}') => {
-                    if let Some(open) = stack.pop() {
-                        pairs.push((open, t));
-                    }
-                }
-                _ => {}
-            }
-        }
-        pairs
+    /// The `}` closing the innermost block of `f`'s body that contains
+    /// token `t`.
+    fn innermost_close(&self, f: &FnItem, t: usize) -> usize {
+        (f.body_open..t)
+            .rev()
+            .find(|&o| self.punct_at(o) == Some('{') && self.close[o] > t)
+            .map_or(f.body_close, |o| self.close[o])
     }
 
-    /// The `}` closing the innermost block containing token `t`.
-    fn innermost_close(blocks: &[(usize, usize)], t: usize, default: usize) -> usize {
-        blocks
-            .iter()
-            .filter(|&&(o, c)| o < t && t < c)
-            .map(|&(o, c)| (o, c))
-            .max_by_key(|&(o, _)| o)
-            .map(|(_, c)| c)
-            .unwrap_or(default)
+    /// The `;` ending the statement that continues at token `i`, stepping
+    /// over bracketed groups; stops early at the closer of the group the
+    /// statement sits in, or at `limit`.
+    fn statement_end(&self, mut i: usize, limit: usize) -> usize {
+        while i < limit {
+            match self.punct_at(i) {
+                Some('(' | '[' | '{') => i = self.close[i],
+                Some(';' | ')' | ']' | '}') => break,
+                _ => {}
+            }
+            i += 1;
+        }
+        i.min(limit)
     }
 
     /// Whether the init/RHS token range contains a tracked-pointer
@@ -474,28 +268,15 @@ impl<'a> Scanner<'a> {
     /// Analyze one fn against rules 1–4.
     fn smr_analyze_fn(&mut self, f: &FnItem, nested: &[(usize, usize)]) {
         let in_nested = |t: usize| nested.iter().any(|&(a, b)| t >= a && t <= b);
-        let blocks = self.block_spans(f);
         let mut guards: Vec<GuardBind> = self.guard_params(f);
         let has_guard_param = !guards.is_empty();
         self.out.smr.guards += guards.len();
         let mut tracked: BTreeMap<String, PtrBind> = BTreeMap::new();
-        // Events that need annotations, resolved after the walk so the
-        // borrow of `self` stays shared during scanning.
-        // (line, stmt_tok, end_tok, kind, rule, message)
-        let mut needs: Vec<(usize, usize, SmrKind, &'static str, String)> = Vec::new();
-        let mut escapes_fn_level = false;
+        // Events that need annotations, resolved after the walk:
+        // (start_tok, end_tok, kind, rule, message).
+        let mut needs: Vec<(usize, usize, AnnotationKind, &'static str, String)> = Vec::new();
 
-        let live_guard = |guards: &[GuardBind], t: usize| -> Option<usize> {
-            guards
-                .iter()
-                .enumerate()
-                .rev()
-                .find(|(_, g)| {
-                    g.param
-                        || (g.decl_tok < t && t <= g.scope_end && g.drop_tok.is_none_or(|d| d > t))
-                })
-                .map(|(i, _)| i)
-        };
+        let live_guard = |guards: &[GuardBind], t: usize| guards.iter().rposition(|g| g.live_at(t));
 
         let mut t = f.body_open + 1;
         while t < f.body_close {
@@ -531,25 +312,14 @@ impl<'a> Scanner<'a> {
                     eq += 1;
                 }
                 if self.punct_at(eq) == Some('=') {
-                    // Init up to the terminating `;` at depth 0.
-                    let mut semi = eq + 1;
-                    let mut d = 0i32;
-                    while semi < f.body_close {
-                        match self.punct_at(semi) {
-                            Some('(') | Some('[') | Some('{') => d += 1,
-                            Some(')') | Some(']') | Some('}') => d -= 1,
-                            Some(';') if d == 0 => break,
-                            _ => {}
-                        }
-                        semi += 1;
-                    }
+                    let semi = self.statement_end(eq + 1, f.body_close);
                     let names = self.pattern_idents(t + 1..eq);
                     let init = eq + 1..semi;
                     let is_pin = init.clone().any(|u| {
                         self.ident_at(u) == Some("pin") && self.punct_at(u + 1) == Some('(')
                     });
                     if is_pin {
-                        let scope_end = Self::innermost_close(&blocks, t, f.body_close);
+                        let scope_end = self.innermost_close(f, t);
                         for n in names {
                             guards.push(GuardBind {
                                 name: n,
@@ -571,7 +341,6 @@ impl<'a> Scanner<'a> {
                                     line: self.toks[t].line,
                                 },
                             );
-                            self.out.smr.tracked += 1;
                         }
                     } else {
                         // Shadowed by an untracked value.
@@ -589,22 +358,9 @@ impl<'a> Scanner<'a> {
                     && self.punct_at(t + 1) == Some('=')
                     && self.punct_at(t + 2) != Some('=')
                 {
-                    let mut semi = t + 2;
-                    let mut d = 0i32;
-                    while semi < f.body_close {
-                        match self.punct_at(semi) {
-                            Some('(') | Some('[') | Some('{') => d += 1,
-                            Some(')') | Some(']') | Some('}') => d -= 1,
-                            Some(';') if d == 0 => break,
-                            _ => {}
-                        }
-                        semi += 1;
-                    }
+                    let semi = self.statement_end(t + 2, f.body_close);
                     if self.ptr_source_in(t + 2..semi, &tracked).is_some() {
                         let g = live_guard(&guards, t);
-                        if !tracked.contains_key(&name) {
-                            self.out.smr.tracked += 1;
-                        }
                         tracked.insert(
                             name,
                             PtrBind {
@@ -651,13 +407,13 @@ impl<'a> Scanner<'a> {
                                     }
                                 }
                                 Some(_) => {} // caller's guard covers the body
-                                None if !f.is_unsafe => {
+                                None => {
                                     // Pin-free optimistic read: deref must
                                     // name its stamp re-validation.
                                     needs.push((
                                         t,
                                         t,
-                                        SmrKind::Validate,
+                                        AnnotationKind::Validate,
                                         "smr-unvalidated-deref",
                                         format!(
                                             "deref of `{name}` (derived from an optimistic \
@@ -668,7 +424,6 @@ impl<'a> Scanner<'a> {
                                         ),
                                     ));
                                 }
-                                None => {} // unsafe fn: caller discharges it (SAFETY:)
                             }
                         }
                     }
@@ -677,9 +432,7 @@ impl<'a> Scanner<'a> {
             // --- rule 3: guard live across `.await` ---
             if self.punct_at(t) == Some('.') && self.ident_at(t + 1) == Some("await") {
                 for g in &guards {
-                    let live = g.param
-                        || (g.decl_tok < t && t <= g.scope_end && g.drop_tok.is_none_or(|d| d > t));
-                    if live {
+                    if g.live_at(t) {
                         self.out.smr.violations.push(SmrViolation {
                             line: self.toks[t].line,
                             rule: "smr-pin-across-await",
@@ -699,36 +452,15 @@ impl<'a> Scanner<'a> {
             let field = self.punct_at(t) == Some('.') && self.ident_at(t + 1).is_some();
             let mut eq = t + 2;
             if field && self.punct_at(eq) == Some('[') {
-                let mut d = 0i32;
-                while eq < f.body_close {
-                    match self.punct_at(eq) {
-                        Some('[') => d += 1,
-                        Some(']') => d -= 1,
-                        _ => {}
-                    }
-                    eq += 1;
-                    if d == 0 {
-                        break;
-                    }
-                }
+                eq = self.close[eq].min(f.body_close) + 1;
             }
             if field && self.punct_at(eq) == Some('=') && self.punct_at(eq + 1) != Some('=') {
-                let mut semi = eq + 1;
-                let mut d = 0i32;
-                while semi < f.body_close {
-                    match self.punct_at(semi) {
-                        Some('(') | Some('[') | Some('{') => d += 1,
-                        Some(')') | Some(']') | Some('}') => d -= 1,
-                        Some(';') if d == 0 => break,
-                        _ => {}
-                    }
-                    semi += 1;
-                }
+                let semi = self.statement_end(eq + 1, f.body_close);
                 if let Some(name) = self.guarded_mention(eq + 1..semi, &tracked, &guards) {
                     needs.push((
                         t,
                         semi,
-                        SmrKind::Escape,
+                        AnnotationKind::Escape,
                         "smr-escape",
                         format!(
                             "guard-derived pointer `{name}` escapes via field store in fn \
@@ -744,26 +476,12 @@ impl<'a> Scanner<'a> {
                     && self.punct_at(t + 1) == Some('(')
                     && self.ident_at(t.wrapping_sub(1)) != Some("fn")
                 {
-                    let mut close = t + 1;
-                    let mut d = 0i32;
-                    while close < f.body_close {
-                        match self.punct_at(close) {
-                            Some('(') => d += 1,
-                            Some(')') => {
-                                d -= 1;
-                                if d == 0 {
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                        close += 1;
-                    }
+                    let close = self.close[t + 1].min(f.body_close);
                     if let Some(name) = self.guarded_mention(t + 2..close, &tracked, &guards) {
                         needs.push((
                             t,
                             close,
-                            SmrKind::Escape,
+                            AnnotationKind::Escape,
                             "smr-escape",
                             format!(
                                 "guard-derived pointer `{name}` escapes via `{send}(..)` in \
@@ -789,36 +507,29 @@ impl<'a> Scanner<'a> {
                 .any(|&s| s > f.body_open && s < f.body_close && !in_nested(s));
             let body_has_guarded = tracked.values().any(|b| b.guard.is_some());
             if body_has_site || body_has_guarded || has_guard_param {
-                escapes_fn_level = true;
+                needs.push((
+                    f.fn_tok,
+                    f.fn_tok,
+                    AnnotationKind::Escape,
+                    "smr-escape",
+                    format!(
+                        "fn `{}` returns a raw pointer derived from a guarded atomic load — \
+                         the pointer outlives this fn's view of the guard; annotate the fn \
+                         with `// escape: <id>` registered in the DESIGN.md §9.8 \
+                         obligations table",
+                        f.name
+                    ),
+                ));
             }
-        }
-        if escapes_fn_level {
-            needs.push((
-                f.fn_tok,
-                f.fn_tok,
-                SmrKind::Escape,
-                "smr-escape",
-                format!(
-                    "fn `{}` returns a raw pointer derived from a guarded atomic load — \
-                     the pointer outlives this fn's view of the guard; annotate the fn \
-                     with `// escape: <id>` registered in the DESIGN.md §9.8 obligations \
-                     table",
-                    f.name
-                ),
-            ));
         }
 
         for (start_tok, end_tok, kind, rule, message) in needs {
-            let start_line = self.toks[start_tok].line;
-            let end_line = self.toks[end_tok.min(self.toks.len() - 1)].line;
-            let stmt_line = self.statement_start_line(start_tok);
-            match self.find_smr_annotation(kind, stmt_line, start_line, end_line) {
-                Some(ai) => self.out.smr.annotations[ai].attached = true,
-                None => self.out.smr.violations.push(SmrViolation {
-                    line: start_line,
+            if self.attach(kind, start_tok, end_tok).is_none() {
+                self.out.smr.violations.push(SmrViolation {
+                    line: self.toks[start_tok].line,
                     rule,
                     message,
-                }),
+                });
             }
         }
     }
@@ -846,7 +557,6 @@ impl<'a> Scanner<'a> {
     /// Rule 5: every `retire`/`defer` call site pairs with an
     /// `// unlink:` annotation naming the unlink CAS.
     fn collect_defer_sites(&mut self) {
-        let mut needs: Vec<(usize, usize, String)> = Vec::new();
         for t in 0..self.toks.len() {
             let Some(name) = self.ident_at(t).map(str::to_owned) else {
                 continue;
@@ -858,88 +568,23 @@ impl<'a> Scanner<'a> {
             {
                 continue;
             }
-            let mut close = t + 1;
-            let mut d = 0i32;
-            while close < self.toks.len() {
-                match self.punct_at(close) {
-                    Some('(') => d += 1,
-                    Some(')') => {
-                        d -= 1;
-                        if d == 0 {
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                close += 1;
-            }
             self.out.smr.defer_sites += 1;
-            needs.push((t, close, name));
-        }
-        for (t, close, name) in needs {
-            let start_line = self.toks[t].line;
-            let end_line = self.toks[close.min(self.toks.len() - 1)].line;
-            let stmt_line = self.statement_start_line(t);
-            match self.find_smr_annotation(SmrKind::Unlink, stmt_line, start_line, end_line) {
-                Some(ai) => self.out.smr.annotations[ai].attached = true,
-                None => self.out.smr.violations.push(SmrViolation {
-                    line: start_line,
+            if self
+                .attach(AnnotationKind::Unlink, t, self.close[t + 1])
+                .is_none()
+            {
+                self.out.smr.violations.push(SmrViolation {
+                    line: self.toks[t].line,
                     rule: "smr-retire-unlink",
                     message: format!(
                         "`{name}(..)` retires memory with no `// unlink: <id>` annotation \
                          pairing it with the unlink CAS that made the node unreachable \
                          (retire-without-unlink is the double-free shape)"
                     ),
-                }),
+                });
             }
         }
     }
-
-    /// Nearest visible SMR annotation of `kind` for a statement
-    /// spanning `start_line..=end_line` (same attachment discipline as
-    /// `// ord:` comments).
-    fn find_smr_annotation(
-        &self,
-        kind: SmrKind,
-        stmt_line: u32,
-        start_line: u32,
-        end_line: u32,
-    ) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for l in self.visible_comment_lines(stmt_line, start_line, end_line) {
-            for &ci in self.comments_ending.get(&l).into_iter().flatten() {
-                let c = &self.comments[ci];
-                if let Some(ai) = self
-                    .out
-                    .smr
-                    .annotations
-                    .iter()
-                    .position(|a| a.line == c.end_line && a.kind == kind)
-                {
-                    best = Some(ai);
-                }
-            }
-        }
-        best
-    }
-}
-
-/// Parse `<invariant-id>: <rationale>` after the kind prefix.
-fn parse_smr_body(body: &str) -> Result<(String, String), String> {
-    let (id, rationale) = body
-        .split_once(':')
-        .ok_or("missing `:` after invariant id")?;
-    let id = id.trim();
-    if !is_invariant_id(id) {
-        return Err(format!(
-            "invariant id {id:?} must look like FAMILY.site (e.g. ESC.node-right)"
-        ));
-    }
-    let rationale = rationale.trim();
-    if rationale.is_empty() {
-        return Err("empty rationale".into());
-    }
-    Ok((id.to_string(), rationale.to_string()))
 }
 
 #[cfg(test)]
@@ -1054,18 +699,38 @@ mod tests {
              }\n",
         );
         assert!(s.smr.violations.is_empty(), "{:?}", s.smr.violations);
-        assert!(s.smr.annotations[0].attached);
+        assert!(s.annotations[0].attached);
     }
 
     #[test]
-    fn unsafe_fn_optimistic_deref_is_callers_problem() {
+    fn unsafe_fn_optimistic_deref_is_flagged() {
+        // A caller's `# Safety` contract cannot re-check the stamp.
         let s = scan_file(
             "unsafe fn read(&self) -> u64 {\n\
                  let curr = self.head.load(Ordering::Acquire);\n\
                  unsafe { (*curr).value }\n\
              }\n",
         );
+        assert!(s
+            .smr
+            .violations
+            .iter()
+            .any(|v| v.rule == "smr-unvalidated-deref" && v.message.contains("`curr`")));
+    }
+
+    #[test]
+    fn validate_annotation_attaches_inside_unsafe_fn() {
+        let s = scan_file(
+            "unsafe fn read_from(&self, start: *const C) -> u64 {\n\
+                 let curr = (*start).next.load(Ordering::Acquire);\n\
+                 // validate: VAL.tower-read: birth stamp re-checked below\n\
+                 let v = unsafe { (*curr).value };\n\
+                 v\n\
+             }\n",
+        );
         assert!(s.smr.violations.is_empty(), "{:?}", s.smr.violations);
+        assert_eq!(s.smr.derefs, 1);
+        assert!(s.annotations[0].attached);
     }
 
     #[test]
@@ -1116,7 +781,7 @@ mod tests {
             .any(|v| v.rule == "smr-escape" && v.message.contains("field store")));
         let s = scan_file(&src("// escape: ESC.search-path: outlived by the guard\n"));
         assert!(s.smr.violations.is_empty(), "{:?}", s.smr.violations);
-        assert!(s.smr.annotations[0].attached);
+        assert!(s.annotations[0].attached);
     }
 
     #[test]
@@ -1134,7 +799,7 @@ mod tests {
     #[test]
     fn malformed_escape_comment_is_reported() {
         let s = scan_file("// escape: lowercase: nope\nfn f() {}\n");
-        assert_eq!(s.smr.annotations.len(), 0);
+        assert_eq!(s.annotations.len(), 0);
         assert!(!s.bad_annotations.is_empty());
     }
 

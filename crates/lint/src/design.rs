@@ -1,28 +1,34 @@
-//! Parser for the DESIGN.md §9 ordering tables.
+//! Parser for the DESIGN.md §9 tables.
 //!
-//! §9 is the normative inventory of every ordering invariant: each
-//! table row starts with an invariant id (`FAMILY.site`), and the
-//! `Ordering` column lists the orderings that id licenses. The audit
-//! cross-checks these rows against `// ord:` annotations in both
-//! directions.
+//! §9 is the normative inventory of every invariant the annotations
+//! name: each table row starts with an invariant id (`FAMILY.site`).
+//! In the ordering tables the `Ordering` column lists the orderings
+//! that id licenses to `// ord:` annotations; in the §9.8
+//! SMR-obligations table the second column names the annotation kind
+//! (`escape`, `validate` or `unlink`) that discharges it. The audit
+//! cross-checks every row against the annotations in both directions.
 
-use crate::analyze::ORDERINGS;
-use crate::dataflow::SmrKind;
+use crate::analyze::{AnnotationKind, ORDERINGS};
 
-/// One row of a §9 ordering table.
+/// One row of a §9 table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DesignRow {
     /// Invariant id (`FAMILY.site`) from the row's first column.
     pub id: String,
-    /// Orderings named in the row's `Ordering` column.
+    /// [`AnnotationKind::Ord`] for an ordering-table row, else the
+    /// §9.8 row's kind.
+    pub kind: AnnotationKind,
+    /// Orderings named in an ordering-table row's `Ordering` column
+    /// (empty for §9.8 rows).
     pub orderings: Vec<String>,
     /// 1-based line in DESIGN.md.
     pub line: u32,
 }
 
-/// Extract ordering rows from the §9 section of `text`. Rows of the
-/// §9.8 SMR-obligations subsection are *not* ordering rows — they are
-/// parsed by [`parse_obligations`] instead.
+/// Extract the rows of every table in the §9 section of `text`: rows
+/// whose first cell is an invariant id. Under the `### 9.8` heading
+/// the second cell must name an annotation kind (other rows are
+/// skipped); elsewhere the row is an ordering row.
 pub fn parse_design(text: &str) -> Vec<DesignRow> {
     let mut rows = Vec::new();
     let mut in_section = false;
@@ -39,7 +45,7 @@ pub fn parse_design(text: &str) -> Vec<DesignRow> {
             in_obligations = rest.starts_with("9.8");
             continue;
         }
-        if !in_section || in_obligations || !line.starts_with('|') {
+        if !in_section || !line.starts_with('|') {
             continue;
         }
         let cells: Vec<String> = line
@@ -47,85 +53,37 @@ pub fn parse_design(text: &str) -> Vec<DesignRow> {
             .split('|')
             .map(|c| c.trim().trim_matches('`').trim().to_string())
             .collect();
-        if cells.iter().any(|c| c == "Ordering") {
+        if !in_obligations && cells.iter().any(|c| c == "Ordering") {
             ordering_col = cells.iter().position(|c| c == "Ordering");
             continue;
         }
-        let Some(first) = cells.first() else { continue };
-        if !is_invariant_id(first) {
-            continue; // separator row or prose table
-        }
-        let scope = match ordering_col {
-            Some(col) => cells.get(col).cloned().unwrap_or_default(),
-            None => line.to_string(),
+        let Some(id) = cells.first().filter(|c| is_invariant_id(c)) else {
+            continue; // header, separator row or prose table
         };
-        let orderings = ORDERINGS
-            .iter()
-            .filter(|o| contains_word(&scope, o))
-            .map(|o| o.to_string())
-            .collect();
+        let (kind, orderings) = if in_obligations {
+            let second = cells.get(1).map(String::as_str);
+            let obligation = AnnotationKind::ALL[1..]
+                .iter()
+                .copied()
+                .find(|k| Some(k.as_str()) == second);
+            let Some(kind) = obligation else { continue };
+            (kind, Vec::new())
+        } else {
+            let scope = match ordering_col {
+                Some(col) => cells.get(col).cloned().unwrap_or_default(),
+                None => line.to_string(),
+            };
+            let orderings = ORDERINGS
+                .iter()
+                .filter(|o| contains_word(&scope, o))
+                .map(|o| o.to_string())
+                .collect();
+            (AnnotationKind::Ord, orderings)
+        };
         rows.push(DesignRow {
-            id: first.clone(),
-            orderings,
-            line: (idx + 1) as u32,
-        });
-    }
-    rows
-}
-
-/// One row of the §9.8 SMR-obligations table.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ObligationRow {
-    /// Invariant id (`FAMILY.site`) from the row's first column.
-    pub id: String,
-    /// Which annotation kind discharges this obligation (the row's
-    /// second column: `escape`, `validate`, or `unlink`).
-    pub kind: SmrKind,
-    /// 1-based line in DESIGN.md.
-    pub line: u32,
-}
-
-/// Extract the SMR-obligations rows from the §9.8 subsection: table
-/// rows whose first cell is an invariant id and whose second cell is
-/// an annotation kind. The audit cross-checks these against
-/// `// escape:` / `// validate:` / `// unlink:` annotations in both
-/// directions, exactly like the ordering tables.
-pub fn parse_obligations(text: &str) -> Vec<ObligationRow> {
-    let mut rows = Vec::new();
-    let mut in_obligations = false;
-    for (idx, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if let Some(rest) = line.strip_prefix("### ") {
-            in_obligations = rest.starts_with("9.8");
-            continue;
-        }
-        if line.starts_with("## ") {
-            in_obligations = false;
-            continue;
-        }
-        if !in_obligations || !line.starts_with('|') {
-            continue;
-        }
-        let cells: Vec<String> = line
-            .trim_matches('|')
-            .split('|')
-            .map(|c| c.trim().trim_matches('`').trim().to_string())
-            .collect();
-        let (Some(first), Some(second)) = (cells.first(), cells.get(1)) else {
-            continue;
-        };
-        if !is_invariant_id(first) {
-            continue; // header or separator row
-        }
-        let kind = match second.as_str() {
-            "escape" => SmrKind::Escape,
-            "validate" => SmrKind::Validate,
-            "unlink" => SmrKind::Unlink,
-            _ => continue,
-        };
-        rows.push(ObligationRow {
-            id: first.clone(),
+            id: id.clone(),
             kind,
+            orderings,
             line: (idx + 1) as u32,
         });
     }
@@ -187,16 +145,24 @@ mod tests {
 | `FAKE.row` | x | `Relaxed` | outside section |
 ";
 
+    /// The ordering-table rows of `SAMPLE`.
+    fn ordering_rows() -> Vec<DesignRow> {
+        parse_design(SAMPLE)
+            .into_iter()
+            .filter(|r| r.kind == AnnotationKind::Ord)
+            .collect()
+    }
+
     #[test]
     fn parses_rows_with_ids_only() {
-        let rows = parse_design(SAMPLE);
+        let rows = ordering_rows();
         let ids: Vec<&str> = rows.iter().map(|r| r.id.as_str()).collect();
         assert_eq!(ids, ["LIST.traverse", "LIST.insert-cas", "STAT.len"]);
     }
 
     #[test]
     fn ordering_column_is_respected() {
-        let rows = parse_design(SAMPLE);
+        let rows = ordering_rows();
         assert_eq!(rows[0].orderings, ["Acquire"]);
         assert_eq!(rows[1].orderings, ["Acquire", "Release"]);
         assert_eq!(rows[2].orderings, ["Relaxed"]);
@@ -206,7 +172,7 @@ mod tests {
     fn rationale_mentions_do_not_leak_into_orderings() {
         // Row 0's invariant cell mentions Release; only the Ordering
         // column counts.
-        let rows = parse_design(SAMPLE);
+        let rows = ordering_rows();
         assert!(!rows[0].orderings.contains(&"Release".to_string()));
     }
 
@@ -214,7 +180,7 @@ mod tests {
     fn obligations_rows_do_not_leak_into_ordering_rows() {
         // §9.8 cells mention orderings-adjacent words and carry
         // invariant ids, but they are not ordering rows.
-        let rows = parse_design(SAMPLE);
+        let rows = ordering_rows();
         assert!(rows.iter().all(|r| !r.id.starts_with("ESC.")
             && !r.id.starts_with("VAL.")
             && !r.id.starts_with("UNLINK.")));
@@ -222,14 +188,18 @@ mod tests {
 
     #[test]
     fn parses_obligations_with_kinds() {
-        let rows = parse_obligations(SAMPLE);
-        let got: Vec<(&str, SmrKind)> = rows.iter().map(|r| (r.id.as_str(), r.kind)).collect();
+        let rows = parse_design(SAMPLE);
+        let got: Vec<(&str, AnnotationKind)> = rows
+            .iter()
+            .filter(|r| r.kind != AnnotationKind::Ord)
+            .map(|r| (r.id.as_str(), r.kind))
+            .collect();
         assert_eq!(
             got,
             [
-                ("ESC.node-right", SmrKind::Escape),
-                ("VAL.list-read", SmrKind::Validate),
-                ("UNLINK.list-del", SmrKind::Unlink),
+                ("ESC.node-right", AnnotationKind::Escape),
+                ("VAL.list-read", AnnotationKind::Validate),
+                ("UNLINK.list-del", AnnotationKind::Unlink),
             ]
         );
     }

@@ -56,6 +56,12 @@ pub struct Lexed {
     pub tokens: Vec<Token>,
     /// Comments in source order.
     pub comments: Vec<Comment>,
+    /// Bracket table, parallel to `tokens`: the index of the `)`/`]`/`}`
+    /// matching each `(`/`[`/`{` (`tokens.len()` when none does); every
+    /// other token maps to its own index. Each bracket kind is matched
+    /// on its own, so a stray closer of one kind never unmatches an
+    /// opener of another.
+    pub close: Vec<usize>,
 }
 
 /// Tokenize `src`. Never panics; on malformed input it degrades to
@@ -68,6 +74,24 @@ pub fn lex(src: &str) -> Lexed {
         out: Lexed::default(),
     }
     .run()
+}
+
+/// Build the [`Lexed::close`] table.
+fn match_brackets(tokens: &[Token]) -> Vec<usize> {
+    let mut close: Vec<usize> = (0..tokens.len()).collect();
+    let mut open: [Vec<usize>; 3] = Default::default();
+    for (i, t) in tokens.iter().enumerate() {
+        let TokenKind::Punct(c) = t.kind else {
+            continue;
+        };
+        if let Some(kind) = "([{".find(c) {
+            close[i] = tokens.len();
+            open[kind].push(i);
+        } else if let Some(opener) = ")]}".find(c).and_then(|kind| open[kind].pop()) {
+            close[opener] = i;
+        }
+    }
+    close
 }
 
 struct Lexer<'a> {
@@ -100,6 +124,7 @@ impl Lexer<'_> {
                 }
             }
         }
+        self.out.close = match_brackets(&self.out.tokens);
         self.out
     }
 
@@ -473,6 +498,31 @@ mod tests {
                 .count(),
             1
         );
+    }
+
+    #[test]
+    fn brackets_match_across_kinds() {
+        // f ( a [ 0 ] , { b } ) ;
+        let l = lex("f(a[0], {b});");
+        assert_eq!(l.close.len(), l.tokens.len());
+        assert_eq!(l.close[1], 10); // `(` .. `)`
+        assert_eq!(l.close[3], 5); // `[` .. `]`
+        assert_eq!(l.close[7], 9); // `{` .. `}`
+        for i in [0, 2, 4, 5, 6, 8, 9, 10, 11] {
+            assert_eq!(l.close[i], i, "token {i} is no opener");
+        }
+    }
+
+    #[test]
+    fn unmatched_opener_maps_past_the_end() {
+        // { ( x ] }  — the stray `]` leaves `(` open and `{` matched.
+        let l = lex("{(x]}");
+        assert_eq!(l.close[0], 4);
+        assert_eq!(l.close[1], l.tokens.len());
+        let l = lex("fn f() { g(");
+        assert_eq!(l.close[2], 3);
+        assert_eq!(l.close[4], l.tokens.len());
+        assert_eq!(l.close[6], l.tokens.len());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! `lf-lint` — the workspace's static-analysis auditor.
 //!
-//! Keeps the lock-free hot paths honest on three fronts:
+//! Keeps the lock-free hot paths honest on four fronts:
 //!
 //! 1. **Atomic-ordering annotations.** Every atomic operation in a
 //!    *hot* crate must carry a machine-readable comment
@@ -23,12 +23,21 @@
 //! 4. **SMR lifetimes.** An intra-procedural dataflow pass (see
 //!    [`dataflow`]) tracks raw pointers derived from guarded atomic
 //!    loads and enforces the reclamation obligations of all three
-//!    `Reclaim` backends: derefs stay inside their guard's lexical
-//!    scope, escapes carry `// escape:` annotations cross-checked
-//!    bidirectionally against the DESIGN.md §9.8 obligations table,
-//!    no guard is live across an `.await`, pin-free optimistic derefs
-//!    carry `// validate:` stamp-revalidation annotations, and every
+//!    reclamation schemes (epochs, VBR, hazard pointers): derefs stay
+//!    inside their guard's lexical scope, escapes carry `// escape:`
+//!    annotations cross-checked bidirectionally against the DESIGN.md
+//!    §9.8 obligations table, no guard is live across an `.await`,
+//!    pin-free optimistic derefs (in an `unsafe fn` too) carry
+//!    `// validate:` stamp-revalidation annotations, and every
 //!    `retire`/`defer` call site carries an `// unlink:` annotation.
+//!
+//! Each job is done once. The lexer records every bracket's matching
+//! closer, and the scanner indexes a file's fn items once for the
+//! wrapper, delegation and SMR passes. All four annotation prefixes
+//! share one grammar (`<id>: <rationale>`, after the orderings for
+//! `ord:`), one collector and one attachment rule. [`design`] reads
+//! every §9 table in one pass, and the audit checks every kind against
+//! its table in one forward and one reverse drift loop.
 //!
 //! Per-crate strictness lives in `lint-policy.toml` at the workspace
 //! root. The workspace is offline, so everything here — lexer, TOML

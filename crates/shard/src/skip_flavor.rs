@@ -93,18 +93,6 @@ where
     pub fn new(shards: usize) -> Self {
         Self::with_backend(shards)
     }
-
-    /// A map with `shards` partitions whose skip lists use
-    /// `max_level` levels; see [`SkipList::with_max_level`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero or not a power of two, or unless
-    /// `2 <= max_level <=` [`MAX_LEVEL_LIMIT`](lf_core::MAX_LEVEL_LIMIT).
-    #[must_use]
-    pub fn with_max_level(shards: usize, max_level: usize) -> Self {
-        Self::with_backend_max_level(shards, max_level)
-    }
 }
 
 impl<K, V, R> ShardedSkipList<K, V, R>
@@ -122,22 +110,6 @@ where
     #[must_use]
     pub fn with_backend(shards: usize) -> Self {
         Sharded::build(shards, SkipList::with_backend(), SkipList::new_sibling)
-    }
-
-    /// A map with `shards` partitions over backend `R` whose skip
-    /// lists use `max_level` levels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero or not a power of two, or unless
-    /// `2 <= max_level <=` [`MAX_LEVEL_LIMIT`](lf_core::MAX_LEVEL_LIMIT).
-    #[must_use]
-    pub fn with_backend_max_level(shards: usize, max_level: usize) -> Self {
-        Sharded::build(
-            shards,
-            SkipList::with_backend_max_level(max_level),
-            SkipList::new_sibling,
-        )
     }
 
     /// The reclamation domain shared by every shard.

@@ -6,7 +6,8 @@
 # code after a test module still counts).
 #
 # Usage: scripts/loc.sh [REPO_DIR]   (default: this script's repository)
-# Prints one line per top-level directory, then the total.
+# Prints one line per top-level directory, each crate under crates/
+# indented below it, then the total.
 set -euo pipefail
 
 repo="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
@@ -32,14 +33,26 @@ count() {
     END { print n + 0 }' "$@"
 }
 
+# Non-test lines of the tracked `.rs` files under directory $1.
+lines() {
+    local files
+    mapfile -t files < <(git ls-files "$1/*.rs" | grep -v -e '/tests/' -e '^tests/' -e '/tests\.rs$' || true)
+    if [ "${#files[@]}" -gt 0 ]; then
+        count "${files[@]}"
+    else
+        echo 0
+    fi
+}
+
 total=0
 for dir in crates tests examples; do
-    mapfile -t files < <(git ls-files "$dir/*.rs" | grep -v -e '/tests/' -e '^tests/' -e '/tests\.rs$' || true)
-    n=0
-    if [ "${#files[@]}" -gt 0 ]; then
-        n=$(count "${files[@]}")
+    n=$(lines "$dir")
+    printf '%-14s %6d\n' "$dir/" "$n"
+    if [ "$dir" = crates ]; then
+        for krate in $(git ls-files 'crates/*.rs' | cut -d/ -f2 | sort -u); do
+            printf '  %-12s %6d\n' "$krate/" "$(lines "crates/$krate")"
+        done
     fi
-    printf '%-9s %6d\n' "$dir/" "$n"
     total=$((total + n))
 done
-printf '%-9s %6d\n' "total" "$total"
+printf '%-14s %6d\n' "total" "$total"
