@@ -25,8 +25,9 @@
 //!   to their outcomes in input order; a single-request future is the
 //!   batch of one. [`Service::batch_on`] is the same batch from a
 //!   thread with its own [`Service::handle`]: a leg whose lane is idle
-//!   (its worker not draining, nothing queued) runs right there, under
-//!   the lane's executor token, and never touches the ring.
+//!   (nothing queued; a token another caller's inline leg holds is
+//!   waited for briefly) runs right there, under the lane's executor
+//!   token, and never touches the ring.
 //! * Full lanes apply a configurable [`BackpressurePolicy`]: `Block`
 //!   (suspend the submitter), `Reject` (fail fast), or `Shed` (evict
 //!   the oldest queued request).

@@ -16,10 +16,12 @@
 //! Who executes a lane's requests is decided by the lane's *executor
 //! token*: the worker holds it for each drain, and
 //! [`Service::batch_on`] takes it to run a leg on the caller's own
-//! handle when the lane is idle (open, token free, ring empty). One
-//! holder at a time, and a leg runs inline only while nothing is
-//! queued, so ring order, per-key order and an upsert's atomicity
-//! against the rest of its lane are the same whoever executes.
+//! handle when the lane is idle (open, token free, ring empty), waiting
+//! briefly for a token another caller's inline leg holds while nothing
+//! is queued. One holder at a time, and a leg runs inline only while
+//! nothing is queued, so ring order, per-key order and an upsert's
+//! atomicity against the rest of its lane are the same whoever
+//! executes.
 //!
 //! Shutdown closes every ring (freezing the claim counters), wakes
 //! everyone, and joins the workers; each worker finishes the batch it
@@ -28,7 +30,7 @@
 
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::task::{ready, Context, Poll, Waker};
 use std::thread::JoinHandle;
@@ -65,14 +67,33 @@ pub enum BackpressurePolicy {
 /// flag handshake on every enqueue.
 const IDLE_PARK: Duration = Duration::from_millis(1);
 
+/// How long a point-only [`Service::batch_on`] leg waits for a lane
+/// token another caller's inline leg holds, with the ring empty, before
+/// it queues: about one worker hand-off, the cost the wait avoids. An
+/// inline leg holds the lane for a few µs, so the wait usually ends in
+/// a take.
+const INLINE_WAIT: Duration = Duration::from_micros(30);
+
+/// Token probes between two `yield_now`s while an inline leg waits: on
+/// a host with fewer cores than runnable threads the holder may need
+/// this core to finish.
+const INLINE_YIELD_EVERY: u32 = 32;
+
+/// [`Lane::token`] values: no one executes the lane.
+const FREE: u8 = 0;
+/// The lane worker executes one drain.
+const DRAIN: u8 = 1;
+/// A [`Service::batch_on`] caller executes one inline leg.
+const INLINE: u8 = 2;
+
 /// One submission lane: the ring, its worker's parking station, and
 /// the producers blocked on a full ring under [`BackpressurePolicy::Block`].
 struct Lane<K, V> {
     ring: Ring<Arc<OpCell<K, V>>>,
-    /// The executor token: set while a thread executes the lane's
-    /// requests — the worker for one drain, or a
-    /// [`Service::batch_on`] caller for one inline leg.
-    token: AtomicBool,
+    /// The executor token: [`DRAIN`] while the worker executes one
+    /// drain, [`INLINE`] while a [`Service::batch_on`] caller executes
+    /// one leg, [`FREE`] otherwise.
+    token: AtomicU8,
     /// Worker is (about to be) parked; producers that see this take the
     /// parker lock and notify.
     sleeping: AtomicBool,
@@ -96,7 +117,7 @@ impl<K, V> Lane<K, V> {
     fn new(capacity: usize) -> Self {
         Lane {
             ring: Ring::with_capacity(capacity),
-            token: AtomicBool::new(false),
+            token: AtomicU8::new(FREE),
             sleeping: AtomicBool::new(false),
             parker: Mutex::new(()),
             wake: Condvar::new(),
@@ -104,18 +125,19 @@ impl<K, V> Lane<K, V> {
         }
     }
 
-    /// Take the executor token if no one holds it.
-    fn take_token(&self) -> bool {
+    /// Take the executor token for `holder` ([`DRAIN`] or [`INLINE`]) if
+    /// no one holds it.
+    fn take_token(&self, holder: u8) -> bool {
         // ord: Acquire/Relaxed — ASYNC.token: the new holder follows everything the last one executed and popped
         self.token
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+            .compare_exchange(FREE, holder, Ordering::Acquire, Ordering::Relaxed)
             .is_ok()
     }
 
     /// Give the executor token back.
     fn drop_token(&self) {
         // ord: Release — ASYNC.token: orders this holder's executions and pops before the next holder's
-        self.token.store(false, Ordering::Release);
+        self.token.store(FREE, Ordering::Release);
     }
 
     /// Give the token back from a submitting thread. Cells that queued
@@ -133,10 +155,42 @@ impl<K, V> Lane<K, V> {
     /// when the returned guard drops — also while a panic in the leg
     /// (a `GetWith` visitor, say) unwinds past it, so a panicking leg
     /// cannot wedge the lane.
+    ///
+    /// A token another caller's inline leg holds while the ring is empty
+    /// is waited for, up to [`INLINE_WAIT`]: that leg ends sooner than a
+    /// queued leg would be served. The wait gives up as soon as a cell
+    /// is queued (the leg would have to queue behind it anyway), the
+    /// lane closes or the worker takes the token. A drain is not waited
+    /// for: it runs a whole batch, SCAN pages included, and a spinning
+    /// caller would take a core from the worker running it.
     fn take_inline(&self) -> Option<HandBack<'_, K, V>> {
         // Lazily: a guard built (and dropped) after a failed take would
         // hand back the current holder's token.
-        self.take_token().then(|| HandBack(self))
+        if self.take_token(INLINE) {
+            return Some(HandBack(self));
+        }
+        let deadline = Instant::now() + INLINE_WAIT;
+        let mut probes = 0u32;
+        loop {
+            if self.ring.len() > 0 || self.ring.is_closed() {
+                return None;
+            }
+            // ord: Relaxed — ASYNC.token: inline wait probe; only the take CAS that follows it orders anything
+            match self.token.load(Ordering::Relaxed) {
+                FREE if self.take_token(INLINE) => return Some(HandBack(self)),
+                DRAIN => return None,
+                _ => {}
+            }
+            probes += 1;
+            if probes.is_multiple_of(INLINE_YIELD_EVERY) {
+                if Instant::now() >= deadline {
+                    return None;
+                }
+                std::thread::yield_now();
+            } else {
+                std::hint::spin_loop();
+            }
+        }
     }
 
     /// Nudge the worker if it is parked (or about to park).
@@ -156,7 +210,7 @@ impl<K, V> Lane<K, V> {
         // ord: Relaxed — ASYNC.park: advisory flag; a missed notify is bounded by the park timeout
         self.sleeping.store(true, Ordering::Relaxed);
         // ord: Relaxed — ASYNC.token: park probe; a holder hands back under this mutex, a missed hand-back is bounded by the park timeout
-        let held = self.token.load(Ordering::Relaxed);
+        let held = self.token.load(Ordering::Relaxed) != FREE;
         // Re-check under the flag: items pushed, a close issued or the
         // token handed back just before we raised it would otherwise
         // sleep a full tick.
@@ -394,7 +448,7 @@ fn worker_loop<B: AsyncBackend>(shared: &Shared<B>, lane_idx: usize) {
         // never claimed, so a submitting thread finds an idle lane's
         // token free; and a token a submitting thread holds is parked
         // on, not spun on — its hand-back wakes us.
-        let claimed = lane.ring.len() > 0 && lane.take_token();
+        let claimed = lane.ring.len() > 0 && lane.take_token(DRAIN);
         // `batch_max` counts requests, and a cell is never split: the
         // drain stops once it holds that many, its last cell included.
         batch.clear();
@@ -496,9 +550,12 @@ fn run_cell<B: AsyncBackend>(
 
 /// Run an unsubmitted `leg` on the caller's `handle` if its lane is
 /// idle — open, token free, ring empty under the token — and report
-/// whether it ran; otherwise leave it to queue. A leg holding a `Scan`
-/// always queues: a page walk holds the lane for tens of µs, which a
-/// colliding submitter would wait out on top of a worker wake-up.
+/// whether it ran; otherwise leave it to queue. A token another
+/// caller's inline leg holds while the ring is empty is waited for, up
+/// to [`INLINE_WAIT`] (see [`Lane::take_inline`]). A leg holding a
+/// `Scan` always queues: run inline with the same wait, scans raised
+/// `wire_scan`'s throughput but cost more CPU per command, as each page
+/// walk (~5.5 µs) held the lane for a colliding point leg to spin out.
 fn run_inline<B: AsyncBackend>(
     shared: &Shared<B>,
     handle: &B::Handle<'_>,
@@ -866,14 +923,19 @@ impl<B: AsyncBackend> Service<B> {
     /// A leg runs inline when its lane is open, its executor token is
     /// free and its ring is empty under the token, and it holds no
     /// `Scan`; it then touches no ring, worker or waker, and the future
-    /// holds its outcomes already. Every other leg queues exactly as
-    /// under `batch`. One thread holds a lane's token at a time and
-    /// only while nothing is queued, so per-key order, ring order and
-    /// an upsert's atomicity against the rest of its lane are as under
-    /// `batch`. An inline leg counts in the service metrics as a
-    /// drained cell would (plus `inline`, minus the depth sample). It
-    /// runs under one amortized epoch announcement, withdrawn before
-    /// this returns: no pin outlives the call.
+    /// holds its outcomes already. A point-only leg that finds another
+    /// caller's inline leg holding the token while the ring is empty
+    /// spins for it for up to ~30 µs, about one worker hand-off,
+    /// yielding now and then; it stops waiting as soon as a cell is
+    /// queued, the lane closes or the worker takes the token. Every
+    /// other leg queues exactly as under `batch`. One thread holds a
+    /// lane's token at a time and only while nothing is queued, so
+    /// per-key order, ring order and an upsert's atomicity against the
+    /// rest of its lane are as under `batch`. An inline leg counts in
+    /// the service metrics as a drained cell would (plus `inline`,
+    /// minus the depth sample). It runs under one amortized epoch
+    /// announcement, withdrawn before this returns: no pin outlives the
+    /// call.
     ///
     /// `handle` must come from this service's [`handle`](Service::handle).
     pub fn batch_on(

@@ -1002,6 +1002,159 @@ fn batch_on_beside_futures_keeps_each_submitters_order() {
     assert_eq!(m.enqueue_to_complete_ns.count(), total);
 }
 
+/// A leg that finds another caller's inline leg holding the token waits
+/// only about one worker hand-off for it, then queues: a holder stuck
+/// for 50 ms does not stall a second caller with it, and the worker
+/// serves the queued leg once the holder hands the lane back.
+#[test]
+fn batch_on_queues_behind_an_inline_leg_that_outlasts_the_wait() {
+    const HOLD: Duration = Duration::from_millis(50);
+    let service = ServiceBuilder::new()
+        .workers(1)
+        .build(FrList::<u64, u64>::new());
+    let gate = Arc::new(Gate::new());
+    std::thread::scope(|s| {
+        let visit_gate = Arc::clone(&gate);
+        let holder = s.spawn(|| {
+            let h = service.handle();
+            let reqs = vec![
+                Request::Insert(1, 10),
+                Request::GetWith(1, Box::new(move |_| visit_gate.pass())),
+            ];
+            // The idle lane runs the leg here; its visitor parks at the
+            // gate with the token in hand.
+            let mut fut = service.batch_on(&h, reqs);
+            poll_once(&mut fut)
+        });
+        gate.wait_for_waiter();
+        let held_since = Instant::now();
+        // A `batch_on` that waited for the token without bound would
+        // block this thread until the gate opens: open it from here
+        // after a while, so such a wait fails the test instead of
+        // hanging it.
+        let (opened, fallback) = std::sync::mpsc::channel::<()>();
+        let fallback_gate = Arc::clone(&gate);
+        s.spawn(move || {
+            if fallback.recv_timeout(Duration::from_secs(2)).is_err() {
+                fallback_gate.open();
+            }
+        });
+        let h = service.handle();
+        let mut fut = service.batch_on(
+            &h,
+            vec![Request::Insert(2, 20), Request::Get(2), Request::Get(1)],
+        );
+        assert!(
+            held_since.elapsed() < HOLD,
+            "batch_on waited out the holder"
+        );
+        assert!(poll_once(&mut fut).is_pending());
+        // The worker cannot take the lane from the holder either.
+        std::thread::sleep(HOLD.saturating_sub(held_since.elapsed()));
+        assert!(poll_once(&mut fut).is_pending());
+        assert_eq!(service.metrics().inline, 0);
+        gate.open();
+        let _ = opened.send(());
+        assert_eq!(
+            holder.join().unwrap(),
+            Poll::Ready(vec![
+                Ok(Response::Inserted(true)),
+                Ok(Response::Visited(true))
+            ])
+        );
+        assert_eq!(
+            resolve_soon(fut),
+            vec![
+                Ok(Response::Inserted(true)),
+                Ok(Response::Value(Some(20))),
+                Ok(Response::Value(Some(10))),
+            ]
+        );
+        drop(h);
+    });
+    let m = service.metrics();
+    assert_eq!((m.inline, m.enqueued, m.completed), (2, 5, 5));
+    assert_eq!(m.queue_depth.count(), 1);
+    service.shutdown();
+}
+
+/// Run `pipelines` random point pipelines through `batch_on` on stripe
+/// `t` of two (keys `k` with `k % 2 == t`), checking every outcome
+/// against a model of the stripe; returns the requests sent.
+fn run_stripe(service: &Service<SkipList<u64, u64>>, t: u64, pipelines: u64) -> u64 {
+    const KEYS: u64 = 32;
+    let h = service.handle();
+    let mut model = std::collections::BTreeMap::new();
+    let mut rng = 0x9E37_79B9_7F4A_7C15u64 + t;
+    let mut next = move || {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        rng
+    };
+    let mut sent = 0;
+    for i in 0..pipelines {
+        let mut reqs = Vec::new();
+        let mut want = Vec::new();
+        for _ in 0..1 + next() % 8 {
+            let r = next();
+            let k = (r >> 8) % KEYS * 2 + t;
+            let (req, out) = match r % 5 {
+                0 => {
+                    let fresh = !model.contains_key(&k);
+                    model.entry(k).or_insert(i);
+                    (Request::Insert(k, i), Response::Inserted(fresh))
+                }
+                1 => {
+                    model.insert(k, i);
+                    (Request::Upsert(k, i), Response::Inserted(true))
+                }
+                2 => (Request::Get(k), Response::Value(model.get(&k).copied())),
+                3 => (
+                    Request::Contains(k),
+                    Response::Found(model.contains_key(&k)),
+                ),
+                _ => (Request::Remove(k), Response::Removed(model.remove(&k))),
+            };
+            reqs.push(req);
+            want.push(Ok(out));
+        }
+        sent += reqs.len() as u64;
+        let outs = rt::block_on(service.batch_on(&h, reqs));
+        assert_eq!(outs, want, "stripe {t}, pipeline {i}");
+    }
+    sent
+}
+
+/// Two threads, each on its own handle and its own stripe of keys, run
+/// point pipelines through `batch_on` on one lane, so their legs keep
+/// meeting on its token: a leg that waits the other out runs inline,
+/// one that gives up queues. Every outcome must match the thread's own
+/// model of its stripe, and every request must complete.
+#[test]
+fn colliding_batch_on_callers_match_their_models() {
+    const PIPELINES: u64 = 10_000;
+    let service = ServiceBuilder::new()
+        .workers(1)
+        .build(SkipList::<u64, u64>::new());
+    let sent: u64 = std::thread::scope(|s| {
+        let service = &service;
+        let stripes: Vec<_> = (0..2)
+            .map(|t| s.spawn(move || run_stripe(service, t, PIPELINES)))
+            .collect();
+        stripes.into_iter().map(|t| t.join().unwrap()).sum()
+    });
+    service.shutdown();
+    let m = service.metrics();
+    assert_eq!(m.enqueued, sent);
+    assert_eq!(m.completed, m.enqueued);
+    assert!(
+        0 < m.inline && m.inline <= m.enqueued,
+        "{} inline",
+        m.inline
+    );
+}
+
 #[test]
 fn concurrent_drivers_no_lost_wakers() {
     let drivers = 4;

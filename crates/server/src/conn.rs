@@ -7,11 +7,17 @@
 //! vector (`DEL`/`EXISTS`/`MGET` one per key, `SET` one upsert, `SCAN`
 //! one page walk). The vector goes to `lf-async` as a single
 //! [`Service::batch_on`]: a lane the pipeline touches that is idle runs
-//! its leg right here, on this connection's handle, and every other leg
-//! takes one ring slot on its lane — so ring occupancy is counted in
-//! *pipelines*, not commands — and the thread sleeps once, until every
-//! queued cell has completed. An uncontended pipeline of point commands
-//! never touches a ring, a worker or a waker. The render phase then
+//! its leg right here, on this connection's handle. So does a point-only
+//! leg whose lane is only briefly busy: finding the token held by
+//! another connection's inline leg, with nothing queued, it spins for
+//! the token for up to ~30 µs (about one worker hand-off) instead of
+//! handing the leg over. Every other leg — the worker draining, cells
+//! already queued, the wait run out, or a SCAN in the leg — takes one
+//! ring slot on its lane, so ring occupancy is counted
+//! in *pipelines*, not commands, and the thread sleeps once, until
+//! every queued cell has completed. A pipeline of point commands that
+//! meets no queue never touches a ring, a worker or a waker. The render
+//! phase then
 //! walks the pending replies in arrival order, each taking its
 //! requests' outcomes off the front of the batch's result vector.
 //!
