@@ -201,6 +201,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore = "a drop test needs a long chain: too slow interpreted")]
     fn long_list_drop_does_not_overflow() {
         let list = CoarseLockList::new();
         // Descending inserts keep each insert O(1) while still

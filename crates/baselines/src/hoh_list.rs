@@ -230,6 +230,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore = "a drop test needs a long chain: too slow interpreted")]
     fn long_list_drop_does_not_overflow() {
         let list = HohLockList::new();
         for k in (0..50_000u32).rev() {

@@ -19,68 +19,18 @@
 //! list is dropped. This ablation trades memory for fidelity to the
 //! recovery behaviour being measured; the paper treats memory
 //! management as orthogonal (§5).
+//!
+//! The node, sentinels, handle and trait impls are the shared
+//! [`MarkedList`] core's; this module is the recovery policy.
 
-use std::fmt;
-use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::Mutex;
 
-use lf_core::{ConcurrentMap, MapHandle};
 use lf_metrics::CasType;
-use lf_tagged::{step, AtomicTaggedPtr, StepKind, TaggedPtr};
+use lf_tagged::{step, StepKind, TaggedPtr};
 
-use crate::{metered, Bound};
-
-#[repr(align(8))]
-struct Node<K, V> {
-    key: Bound<K>,
-    element: Option<V>,
-    succ: AtomicTaggedPtr<Node<K, V>>,
-    backlink: AtomicPtr<Node<K, V>>,
-}
-
-impl<K, V> Node<K, V> {
-    fn alloc(key: Bound<K>, element: Option<V>, right: *mut Node<K, V>) -> *mut Self {
-        Box::into_raw(Box::new(Node {
-            key,
-            element,
-            succ: AtomicTaggedPtr::new(TaggedPtr::unmarked(right)),
-            backlink: AtomicPtr::new(std::ptr::null_mut()),
-        }))
-    }
-
-    #[inline]
-    fn succ(&self) -> TaggedPtr<Node<K, V>> {
-        self.succ.load(Ordering::SeqCst)
-    }
-
-    #[inline]
-    fn right(&self) -> *mut Node<K, V> {
-        self.succ().ptr()
-    }
-
-    #[inline]
-    fn is_marked(&self) -> bool {
-        self.succ().is_marked()
-    }
-}
-
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Mode {
-    Le,
-    Lt,
-}
-
-#[inline]
-fn key_before<K: Ord>(node_key: &Bound<K>, k: &K, mode: Mode) -> bool {
-    match node_key {
-        Bound::NegInf => true,
-        Bound::PosInf => false,
-        Bound::Key(nk) => match mode {
-            Mode::Le => nk <= k,
-            Mode::Lt => nk < k,
-        },
-    }
-}
+use crate::marked::{MarkedList, Node, Ops, Recovery};
 
 /// Backlinks-without-flags list (ablation baseline for experiment E8).
 ///
@@ -96,184 +46,81 @@ fn key_before<K: Ord>(node_key: &Bound<K>, k: &K, mode: Mode) -> bool {
 /// assert_eq!(h.remove(&7), Some("seven"));
 /// assert!(!h.contains(&7));
 /// ```
-pub struct NoFlagList<K, V> {
-    head: *mut Node<K, V>,
-    tail: *mut Node<K, V>,
-    len: AtomicUsize,
-    /// Unlinked nodes, freed on drop (see module docs).
-    graveyard: Mutex<Vec<usize>>,
-}
+pub type NoFlagList<K, V> = MarkedList<K, V, NoFlag>;
 
-// SAFETY: all shared mutation goes through atomics; unlinked nodes are
-// parked in the graveyard (never freed while the list lives), so raw
-// pointers stay valid for the list's lifetime.
-unsafe impl<K: Send + Sync, V: Send + Sync> Send for NoFlagList<K, V> {}
-// SAFETY: same argument as `Send` above.
-unsafe impl<K: Send + Sync, V: Send + Sync> Sync for NoFlagList<K, V> {}
+/// The no-flag recovery: backlinks without flags, a graveyard.
+pub struct NoFlag;
 
-impl<K, V> fmt::Debug for NoFlagList<K, V> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("NoFlagList")
-            .field("len", &self.len.load(Ordering::Relaxed))
-            .finish()
-    }
-}
+type NNode<K, V> = Node<K, V, NoFlag>;
 
-impl<K, V> Default for NoFlagList<K, V>
-where
-    K: Ord + Send + Sync + 'static,
-    V: Send + Sync + 'static,
-{
+/// Unlinked nodes, freed when the list drops (see module docs). It holds
+/// addresses only; the list's own `Send`/`Sync` bounds cover `K` and `V`.
+pub struct Graveyard<K, V>(Mutex<Vec<usize>>, PhantomData<fn() -> NNode<K, V>>);
+
+impl<K, V> Default for Graveyard<K, V> {
     fn default() -> Self {
-        Self::new()
+        Graveyard(Mutex::new(Vec::new()), PhantomData)
     }
 }
 
-impl<K, V> NoFlagList<K, V>
+impl<K, V> Drop for Graveyard<K, V> {
+    fn drop(&mut self) {
+        for &addr in self.0.get_mut().unwrap().iter() {
+            // SAFETY: graveyard entries are unlinked Box-allocated nodes,
+            // recorded exactly once by the winning unlink CAS; the list
+            // that could reach them is gone.
+            drop(unsafe { Box::from_raw(addr as *mut NNode<K, V>) });
+        }
+    }
+}
+
+impl Recovery for NoFlag {
+    const NAME: &'static str = "NoFlagList";
+    /// The backlink to the deleter's last known predecessor.
+    type Word<K, V> = AtomicPtr<NNode<K, V>>;
+    type Shared<K, V> = Graveyard<K, V>;
+}
+
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Mode {
+    Le,
+    Lt,
+}
+
+#[inline]
+fn key_before<K: Ord, V>(node: &NNode<K, V>, k: &K, mode: Mode) -> bool {
+    match mode {
+        Mode::Le => node.key.cmp_key(k).is_le(),
+        Mode::Lt => node.key.cmp_key(k).is_lt(),
+    }
+}
+
+#[inline]
+fn succ<K, V>(node: &NNode<K, V>) -> TaggedPtr<NNode<K, V>> {
+    node.succ.load(Ordering::SeqCst)
+}
+
+/// The graveyard frees nothing before drop, so there is nothing to pin:
+/// the pin methods keep their no-op defaults.
+impl<K, V> Ops for NoFlagList<K, V>
 where
     K: Ord + Send + Sync + 'static,
     V: Send + Sync + 'static,
 {
-    /// Create an empty list.
-    pub fn new() -> Self {
-        let tail = Node::alloc(Bound::PosInf, None, std::ptr::null_mut());
-        let head = Node::alloc(Bound::NegInf, None, tail);
-        NoFlagList {
-            head,
-            tail,
-            len: AtomicUsize::new(0),
-            graveyard: Mutex::new(Vec::new()),
-        }
-    }
+    type Key = K;
+    type Value = V;
+    type Local = ();
 
-    /// Per-thread handle (API symmetry with the other lists; this
-    /// structure has no per-thread reclamation state).
-    pub fn handle(&self) -> NoFlagHandle<'_, K, V> {
-        NoFlagHandle { list: self }
-    }
+    fn register(&self) {}
 
-    /// Number of elements (exact when quiescent).
-    pub fn len(&self) -> usize {
-        self.len.load(Ordering::SeqCst)
-    }
-
-    /// Whether the list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Physically unlink the marked `del` from `prev` (both-clean CAS).
-    ///
-    /// # Safety
-    ///
-    /// `prev` and `del` must be nodes of this list (unlinked nodes stay
-    /// valid via the graveyard).
-    unsafe fn help_marked(&self, prev: *mut Node<K, V>, del: *mut Node<K, V>) {
-        // SAFETY: the fn's `# Safety` contract covers the whole body.
-        unsafe {
-            step(StepKind::Read);
-            let next = (*del).right();
-            step(StepKind::CasUnlink);
-            let res = (*prev).succ.compare_exchange(
-                TaggedPtr::unmarked(del),
-                TaggedPtr::unmarked(next),
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            );
-            lf_metrics::record_cas(CasType::Unlink, res.is_ok());
-            if res.is_ok() {
-                self.graveyard.lock().unwrap().push(del as usize);
-            }
-        }
-    }
-
-    /// FR-style `SearchFrom` without the flag machinery.
-    ///
-    /// # Safety
-    ///
-    /// `curr` must be a node of this list with `curr.key <= k`.
-    unsafe fn search_from(
-        &self,
-        k: &K,
-        mut curr: *mut Node<K, V>,
-        mode: Mode,
-    ) -> (*mut Node<K, V>, *mut Node<K, V>) {
-        // SAFETY: the fn's `# Safety` contract covers the whole body.
-        unsafe {
-            step(StepKind::Read);
-            let mut next = (*curr).right();
-            while key_before(&(*next).key, k, mode) {
-                loop {
-                    step(StepKind::Read);
-                    let next_succ = (*next).succ();
-                    if !next_succ.is_marked() {
-                        break;
-                    }
-                    step(StepKind::Read);
-                    let curr_succ = (*curr).succ();
-                    if curr_succ.is_marked() && curr_succ.ptr() == next {
-                        break;
-                    }
-                    if (*curr).right() == next {
-                        self.help_marked(curr, next);
-                    }
-                    step(StepKind::Read);
-                    next = (*curr).right();
-                    lf_metrics::record_next_update();
-                }
-                if key_before(&(*next).key, k, mode) {
-                    step(StepKind::Traverse);
-                    curr = next;
-                    lf_metrics::record_curr_update();
-                    step(StepKind::Read);
-                    next = (*curr).right();
-                }
-            }
-            (curr, next)
-        }
-    }
-
-    /// Walk backlinks from a marked node to the first unmarked one.
-    /// Without flags this chain can be long and can revisit nodes.
-    ///
-    /// # Safety
-    ///
-    /// `prev` must be a node of this list.
-    unsafe fn recover(&self, mut prev: *mut Node<K, V>) -> *mut Node<K, V> {
-        // SAFETY: the fn's `# Safety` contract covers the whole body.
-        unsafe {
-            loop {
-                step(StepKind::Read);
-                if !(*prev).is_marked() {
-                    break;
-                }
-                step(StepKind::Backlink);
-                let back = (*prev).backlink.load(Ordering::SeqCst);
-                if back.is_null() {
-                    // Marked before any deleter stored a backlink is
-                    // impossible (store precedes mark), but be defensive:
-                    // restart from the head.
-                    return self.head;
-                }
-                prev = back;
-                lf_metrics::record_backlink();
-            }
-            prev
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Must only be called while the list is live; node pointers stay
-    /// valid via the graveyard.
-    unsafe fn insert_impl(&self, key: K, value: V) -> Result<(), (K, V)> {
-        // SAFETY: the fn's `# Safety` contract covers the whole body.
+    fn insert(&self, _: &(), key: K, value: V) -> Result<(), (K, V)> {
+        // SAFETY: the list is live; the graveyard keeps pointers valid.
         unsafe {
             let (mut prev, mut next) = self.search_from(&key, self.head, Mode::Le);
             if (*prev).key.as_key() == Some(&key) {
                 return Err((key, value));
             }
-            let new_node = Node::alloc(Bound::Key(key), Some(value), std::ptr::null_mut());
+            let new_node = NNode::alloc_user(key, value);
             loop {
                 (*new_node)
                     .succ
@@ -296,19 +143,14 @@ where
                 prev = p;
                 next = n;
                 if (*prev).key == (*new_node).key {
-                    let Node { key, element, .. } = *Box::from_raw(new_node);
-                    return Err((key.into_key(), element.expect("user node has element")));
+                    return Err(NNode::into_pair(new_node));
                 }
             }
         }
     }
 
-    /// # Safety
-    ///
-    /// Must only be called while the list is live; node pointers stay
-    /// valid via the graveyard.
-    unsafe fn delete_impl<T>(&self, k: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        // SAFETY: the fn's `# Safety` contract covers the whole body.
+    fn remove_with<T>(&self, _: &(), k: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        // SAFETY: as for `insert`.
         unsafe {
             let (mut prev, del) = self.search_from(k, self.head, Mode::Lt);
             if (*del).key.as_key() != Some(k) {
@@ -318,9 +160,9 @@ where
                 // Store the backlink to the last-known predecessor *before*
                 // marking — without a flag, `prev` may already be marked.
                 step(StepKind::Write);
-                (*del).backlink.store(prev, Ordering::SeqCst);
+                (*del).word.store(prev, Ordering::SeqCst);
                 step(StepKind::Read);
-                let del_succ = (*del).succ();
+                let del_succ = succ(&*del);
                 if del_succ.is_marked() {
                     // Another operation's deletion wins.
                     return None;
@@ -335,7 +177,7 @@ where
                 lf_metrics::record_cas(CasType::Mark, res.is_ok());
                 if res.is_ok() {
                     self.len.fetch_sub(1, Ordering::SeqCst);
-                    let value = f((*del).element.as_ref().expect("user node has element"));
+                    let value = f((*del).element());
                     self.help_marked(prev, del);
                     return Some(value);
                 }
@@ -354,179 +196,113 @@ where
         }
     }
 
+    fn get_with<T>(&self, _: &(), key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        // SAFETY: as for `insert`; the found node is a live user node.
+        unsafe {
+            let (curr, _) = self.search_from(key, self.head, Mode::Le);
+            ((*curr).key.as_key() == Some(key)).then(|| f((*curr).element()))
+        }
+    }
+}
+
+impl<K: Ord, V> NoFlagList<K, V> {
+    /// Physically unlink the marked `del` from `prev` (both-clean CAS).
+    ///
     /// # Safety
     ///
-    /// Must only be called while the list is live; node pointers stay
-    /// valid via the graveyard.
-    unsafe fn find(&self, k: &K) -> Option<*mut Node<K, V>> {
+    /// `prev` and `del` must be nodes of this list (unlinked nodes stay valid
+    /// via the graveyard).
+    unsafe fn help_marked(&self, prev: *mut NNode<K, V>, del: *mut NNode<K, V>) {
         // SAFETY: the fn's `# Safety` contract covers the whole body.
         unsafe {
-            let (curr, _) = self.search_from(k, self.head, Mode::Le);
-            ((*curr).key.as_key() == Some(k)).then_some(curr)
-        }
-    }
-}
-
-impl<K, V> Drop for NoFlagList<K, V> {
-    fn drop(&mut self) {
-        for &addr in self.graveyard.lock().unwrap().iter() {
-            // SAFETY: graveyard entries are unlinked Box-allocated nodes,
-            // recorded exactly once by the winning unlink CAS.
-            drop(unsafe { Box::from_raw(addr as *mut Node<K, V>) });
-        }
-        let mut cur = self.head;
-        while !cur.is_null() {
-            // SAFETY: &mut self — no concurrent access; the remaining
-            // chain holds only live Box-allocated nodes.
-            let next = unsafe { (*cur).right() };
-            // SAFETY: as above; each chained node is freed exactly once.
-            drop(unsafe { Box::from_raw(cur) });
-            cur = next;
-        }
-        let _ = self.tail;
-    }
-}
-
-/// Per-thread handle to a [`NoFlagList`].
-pub struct NoFlagHandle<'l, K, V> {
-    list: &'l NoFlagList<K, V>,
-}
-
-impl<K, V> fmt::Debug for NoFlagHandle<'_, K, V> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("NoFlagHandle")
-    }
-}
-
-impl<K, V> ConcurrentMap for NoFlagList<K, V>
-where
-    K: Ord + Send + Sync + 'static,
-    V: Send + Sync + 'static,
-{
-    type Key = K;
-    type Value = V;
-    type Handle<'a>
-        = NoFlagHandle<'a, K, V>
-    where
-        Self: 'a;
-
-    fn handle(&self) -> Self::Handle<'_> {
-        NoFlagList::handle(self)
-    }
-
-    fn len(&self) -> usize {
-        NoFlagList::len(self)
-    }
-}
-
-/// The graveyard frees nothing before drop, so there is nothing to pin:
-/// the pin methods keep their no-op defaults.
-impl<K, V> MapHandle<K, V> for NoFlagHandle<'_, K, V>
-where
-    K: Ord + Send + Sync + 'static,
-    V: Send + Sync + 'static,
-{
-    /// Insert `key → value`; hands both back if `key` is present.
-    fn insert(&self, key: K, value: V) -> Result<(), (K, V)> {
-        // SAFETY: the borrowed list is live; graveyard keeps pointers valid.
-        metered(|| unsafe { self.list.insert_impl(key, value) })
-    }
-
-    /// Remove `key` and apply `f` to a borrow of its value.
-    fn remove_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        // SAFETY: as for `insert`.
-        metered(|| unsafe { self.list.delete_impl(key, f) })
-    }
-
-    /// Look up `key` and apply `f` to a borrow of its value.
-    fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
-        // SAFETY: as for `insert`; the found node is a live user node.
-        metered(|| unsafe {
-            self.list
-                .find(key)
-                .map(|n| f((*n).element.as_ref().expect("user node has element")))
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::Arc;
-
-    #[test]
-    fn sequential_roundtrip() {
-        let list = NoFlagList::new();
-        let h = list.handle();
-        for k in 0..50u32 {
-            assert!(h.insert(k, k).is_ok());
-        }
-        assert_eq!(h.insert(25, 99), Err((25, 99)));
-        assert_eq!(list.len(), 50);
-        for k in (0..50u32).step_by(2) {
-            assert_eq!(h.remove(&k), Some(k));
-        }
-        for k in 0..50u32 {
-            assert_eq!(h.contains(&k), k % 2 == 1);
+            step(StepKind::Read);
+            let next = succ(&*del).ptr();
+            step(StepKind::CasUnlink);
+            let res = (*prev).succ.compare_exchange(
+                TaggedPtr::unmarked(del),
+                TaggedPtr::unmarked(next),
+                Ordering::SeqCst,
+                Ordering::SeqCst,
+            );
+            lf_metrics::record_cas(CasType::Unlink, res.is_ok());
+            if res.is_ok() {
+                self.shared.0.lock().unwrap().push(del as usize);
+            }
         }
     }
 
-    #[test]
-    fn delete_missing() {
-        let list: NoFlagList<u32, u32> = NoFlagList::new();
-        assert_eq!(list.handle().remove(&1), None);
-    }
-
-    #[test]
-    fn concurrent_churn_sound() {
-        let list = Arc::new(NoFlagList::new());
-        std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let list = list.clone();
-                s.spawn(move || {
-                    let h = list.handle();
-                    for r in 0..300u64 {
-                        let k = (r * (t + 3)) % 24;
-                        if t % 2 == 0 {
-                            let _ = h.insert(k, r);
-                        } else {
-                            let _ = h.remove(&k);
-                        }
+    /// FR-style `SearchFrom` without the flag machinery.
+    ///
+    /// # Safety
+    ///
+    /// `curr` must be a node of this list with `curr.key <= k`.
+    unsafe fn search_from(
+        &self,
+        k: &K,
+        mut curr: *mut NNode<K, V>,
+        mode: Mode,
+    ) -> (*mut NNode<K, V>, *mut NNode<K, V>) {
+        // SAFETY: the fn's `# Safety` contract covers the whole body.
+        unsafe {
+            step(StepKind::Read);
+            let mut next = succ(&*curr).ptr();
+            while key_before(&*next, k, mode) {
+                loop {
+                    step(StepKind::Read);
+                    let next_succ = succ(&*next);
+                    if !next_succ.is_marked() {
+                        break;
                     }
-                });
+                    step(StepKind::Read);
+                    let curr_succ = succ(&*curr);
+                    if curr_succ.is_marked() && curr_succ.ptr() == next {
+                        break;
+                    }
+                    if succ(&*curr).ptr() == next {
+                        self.help_marked(curr, next);
+                    }
+                    step(StepKind::Read);
+                    next = succ(&*curr).ptr();
+                    lf_metrics::record_next_update();
+                }
+                if key_before(&*next, k, mode) {
+                    step(StepKind::Traverse);
+                    curr = next;
+                    lf_metrics::record_curr_update();
+                    step(StepKind::Read);
+                    next = succ(&*curr).ptr();
+                }
             }
-        });
-        let h = list.handle();
-        for k in 0..24u64 {
-            let _ = h.contains(&k);
+            (curr, next)
         }
     }
 
-    #[test]
-    fn concurrent_unique_remove_winners() {
-        let list = Arc::new(NoFlagList::new());
-        {
-            let h = list.handle();
-            for k in 0..100u32 {
-                assert!(h.insert(k, k).is_ok());
+    /// Walk backlinks from a marked node to the first unmarked one.
+    /// Without flags this chain can be long and can revisit nodes.
+    ///
+    /// # Safety
+    ///
+    /// `prev` must be a node of this list.
+    unsafe fn recover(&self, mut prev: *mut NNode<K, V>) -> *mut NNode<K, V> {
+        // SAFETY: the fn's `# Safety` contract covers the whole body.
+        unsafe {
+            loop {
+                step(StepKind::Read);
+                if !succ(&*prev).is_marked() {
+                    break;
+                }
+                step(StepKind::Backlink);
+                let back = (*prev).word.load(Ordering::SeqCst);
+                if back.is_null() {
+                    // Marked before any deleter stored a backlink is
+                    // impossible (store precedes mark), but be defensive:
+                    // restart from the head.
+                    return self.head;
+                }
+                prev = back;
+                lf_metrics::record_backlink();
             }
+            prev
         }
-        let wins = Arc::new(AtomicUsize::new(0));
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let list = list.clone();
-                let wins = wins.clone();
-                s.spawn(move || {
-                    let h = list.handle();
-                    for k in 0..100u32 {
-                        if h.remove(&k).is_some() {
-                            wins.fetch_add(1, Ordering::SeqCst);
-                        }
-                    }
-                });
-            }
-        });
-        assert_eq!(wins.load(Ordering::SeqCst), 100);
-        assert_eq!(list.len(), 0);
     }
 }

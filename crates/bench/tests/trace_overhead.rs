@@ -70,16 +70,24 @@ fn best_of_9(f: fn(bool) -> f64) -> (f64, f64) {
 #[test]
 #[ignore = "timing-sensitive: run alone, in release, on a quiet machine"]
 fn trace_overhead_enabled_under_ten_percent() {
-    for (name, f) in [
+    // Measure and print both configurations before asserting either, so
+    // one configuration's miss never hides the other's share.
+    let shares: Vec<(&str, f64, f64, f64)> = [
         ("e4/fr-list", list_throughput as fn(bool) -> f64),
         ("e6/fr-skiplist", skiplist_throughput),
-    ] {
+    ]
+    .into_iter()
+    .map(|(name, f)| {
         let (off, on) = best_of_9(f);
         let overhead = (off - on) / off;
         eprintln!(
             "{name}: tracing off {off:.0} ops/s, on {on:.0} ops/s, overhead {:.2}%",
             overhead * 100.0
         );
+        (name, off, on, overhead)
+    })
+    .collect();
+    for (name, off, on, overhead) in shares {
         assert!(
             overhead < 0.10,
             "{name}: enabled tracing overhead {:.2}% exceeds the 10% budget \

@@ -15,7 +15,7 @@ use std::collections::BTreeSet;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use lockfree_lists::baselines::{HarrisList, MichaelList, NoFlagList};
+use lockfree_lists::baselines::{HarrisList, MichaelList, NoFlagList, RestartSkipList};
 use lockfree_lists::sched::{Observation, OpHandle, Scheduler, StepKind};
 use lockfree_lists::{ConcurrentMap, FrList, MapHandle, SkipList};
 
@@ -130,6 +130,7 @@ fn sequential_ops_match_btreeset() {
     sequential_matches_btreeset::<HarrisList<u64, u64>>(7, 50);
     sequential_matches_btreeset::<MichaelList<u64, u64>>(21, 40);
     sequential_matches_btreeset::<NoFlagList<u64, u64>>(3, 40);
+    sequential_matches_btreeset::<RestartSkipList<u64, u64>>(11, 40);
 }
 
 /// Paper Fig. 2 / E1: an uncontended deletion performs exactly one
@@ -356,6 +357,19 @@ fn harris_random_interleavings_consistent() {
 #[test]
 fn noflag_random_interleavings_consistent() {
     insert_after_deleted_pred::<NoFlagList<u64, u64>>(60);
+}
+
+/// Michael's list (E2's second comparator) under the same battery.
+#[test]
+fn michael_random_interleavings_consistent() {
+    insert_after_deleted_pred::<MichaelList<u64, u64>>(60);
+}
+
+/// And the restart skip list (E6's comparator): on it the battery's
+/// deletes race a tower under construction at every level it reaches.
+#[test]
+fn restart_skiplist_random_interleavings_consistent() {
+    insert_after_deleted_pred::<RestartSkipList<u64, u64>>(60);
 }
 
 /// Model-check the paper's §3.3 invariants: under many random
