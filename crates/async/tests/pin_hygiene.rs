@@ -412,9 +412,6 @@ fn hash_map_dropped_futures_leak_nothing() {
         let m = service.metrics();
         assert_eq!(m.enqueued, m.completed + m.shed + m.shutdown_dropped);
         assert_eq!(m.rejected, 0);
-        // Per-bucket attribution saw the routed ops.
-        let snap = service.backend().snapshot();
-        assert!(snap.merged().ops > 0, "per-bucket stats not recording");
     }
     assert_eq!(LIVE.load(Ordering::SeqCst), 0, "leaked Counted values");
 }

@@ -30,13 +30,12 @@ pub use range::{RangeIter, SkipIter};
 pub(crate) use read::{ReadRace, ReadWalk, READ_ATTEMPTS};
 pub use scan::merged_range;
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::fmt;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use lf_metrics::OpSteps;
 use lf_reclaim::{Ebr, Publish, Reclaim};
 use lf_tagged::CachePadded;
 use rand::rngs::SmallRng;
@@ -262,7 +261,6 @@ where
             reclaim,
             pool: LocalPool::new(Arc::clone(&self.pool)),
             heights: RefCell::new(SmallRng::seed_from_u64(ticket)),
-            steps: Cell::new(OpSteps::default()),
         }
     }
 
@@ -599,9 +597,6 @@ pub struct SkipListHandle<'l, K, V, R: Reclaim = Ebr> {
     pub(crate) pool: LocalPool<Tower<K, V, R>>,
     /// Tower-height generator, seeded from the list's handle ticket.
     heights: RefCell<SmallRng>,
-    /// Steps of the op brackets closed since the last
-    /// [`take_op_steps`](Self::take_op_steps).
-    steps: Cell<OpSteps>,
 }
 
 impl<K, V, R: Reclaim> fmt::Debug for SkipListHandle<'_, K, V, R> {
@@ -639,32 +634,15 @@ where
     }
 
     /// One point operation: `body` under one pin of this handle,
-    /// bracketed as a skip-list op whose steps are banked for
-    /// [`take_op_steps`](Self::take_op_steps).
+    /// bracketed as a skip-list op.
     #[inline]
     fn bracket<T>(&self, body: impl FnOnce(&R::Guard<'_>) -> T) -> T {
         let op = lf_metrics::op_begin_for(lf_metrics::Structure::SkipList);
         let guard = R::pin(&self.reclaim);
         let res = body(&guard);
         drop(guard);
-        self.end_op(op);
+        lf_metrics::op_end(op);
         res
-    }
-
-    /// Close an op bracket, banking its steps for
-    /// [`take_op_steps`](Self::take_op_steps).
-    #[inline]
-    pub(crate) fn end_op(&self, op: lf_metrics::OpToken) {
-        self.steps.set(self.steps.get() + lf_metrics::op_end(op));
-    }
-
-    /// The steps of every point operation this handle ran since the
-    /// last call, and reset the count — how a partitioning wrapper
-    /// (`lf-shard`) credits each routed operation to its shard without
-    /// bracketing the operation a second time.
-    #[inline]
-    pub fn take_op_steps(&self) -> OpSteps {
-        self.steps.take()
     }
 
     /// Iterate over a weakly-consistent snapshot (level-1 traversal),

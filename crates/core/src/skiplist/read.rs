@@ -63,7 +63,7 @@ where
         for _ in 0..READ_ATTEMPTS {
             match self.list.read_impl(key) {
                 Ok(res) => {
-                    self.end_op(op);
+                    lf_metrics::op_end(op);
                     return res;
                 }
                 Err(ReadRace) => {
@@ -72,7 +72,7 @@ where
                 }
             }
         }
-        self.end_op(op);
+        lf_metrics::op_end(op);
         // Persistent interference: take the pinned slow path.
         lf_metrics::record_try_read_fallback();
         self.get(key)

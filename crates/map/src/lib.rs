@@ -31,9 +31,10 @@
 //!
 //! Every operation is attributed to [`Structure::Map`] in the shared
 //! `lf-metrics` histograms (so map and skip-list latencies never
-//! alias in mixed deployments), tagged with its bucket index for
-//! `lf-trace` causal traces, and credited to per-bucket occupancy /
-//! contention statistics ([`BucketMap::snapshot`]).
+//! alias in mixed deployments) and tagged with its bucket index for
+//! `lf-trace` causal traces. The map keeps no per-bucket statistics:
+//! the histograms already hold its step distributions, and `lf-shard`
+//! counts ops per shard, the one partition figure a reader asks for.
 //!
 //! # The routed-op fast path
 //!
@@ -43,12 +44,9 @@
 //! the handle's [`MapHandle`] ops hash the key and call them) take the
 //! word from a caller that already holds it (`lf-shard`'s `ShardedMap`
 //! slices its shard index from the same word). One `lf-metrics`
-//! bracket surrounds the bucket op; the step delta its `op_end`
-//! returns is credited to the bucket in a block of cells the *handle*
-//! owns ([`lf_metrics::PartitionTally`]: owner-only bumps, no RMW, no
-//! shared line). The map holds no per-bucket statistics storage: an
-//! empty `BucketMap::new(1024)` allocates ~240 KiB, a handle another
-//! 256 B per bucket.
+//! bracket surrounds the bucket op. An empty `BucketMap::new(1024)`
+//! allocates ~240 KiB; a handle holds one list registration and no
+//! per-bucket storage.
 //!
 //! # Examples
 //!
@@ -74,17 +72,13 @@
 
 mod router;
 
-/// Statistics of one bucket (or, merged, of the whole map).
-pub use lf_metrics::PartitionSnapshot as BucketSnapshot;
-/// Statistics of every bucket of a [`BucketMap`], in index order.
-pub use lf_metrics::TallySnapshot as BucketMapSnapshot;
 pub use router::hash_key;
 
 use std::fmt;
 use std::hash::Hash;
 
 use lf_core::{ChainIter, ConcurrentMap, FrList, ListHandle, MapHandle};
-use lf_metrics::{PartitionTally, Structure, TallyWriter};
+use lf_metrics::Structure;
 use lf_reclaim::{Ebr, Pod, Publish, Reclaim};
 use lf_tagged::CachePadded;
 
@@ -112,8 +106,6 @@ where
     /// sentinel and length counter never share a line with its
     /// neighbor.
     buckets: Box<[CachePadded<FrList<K, V, R>>]>,
-    /// Per-bucket statistics, written through each handle's own block.
-    tally: PartitionTally,
     /// Bucket count − 1 (bucket count is a power of two).
     mask: usize,
 }
@@ -160,7 +152,6 @@ where
         vec.insert(0, CachePadded::new(first));
         BucketMap {
             buckets: vec.into_boxed_slice(),
-            tally: PartitionTally::new(buckets),
             mask: buckets - 1,
         }
     }
@@ -172,15 +163,12 @@ where
     /// its key's bucket via the sibling ops — so unlike a
     /// handle-per-partition design, the pin-amortization cadence
     /// advances once per *map* operation, not once per `B` operations
-    /// landing on the same partition. The handle also takes a block
-    /// of per-bucket statistics cells of its own (256 B per bucket; a
-    /// dropped handle's block is reused).
+    /// landing on the same partition.
     #[must_use]
     pub fn handle(&self) -> BucketMapHandle<'_, K, V, R> {
         BucketMapHandle {
             map: self,
             handle: self.buckets[0].handle(),
-            tally: self.tally.writer(),
         }
     }
 }
@@ -222,12 +210,6 @@ where
     #[must_use]
     pub fn domain(&self) -> &R::Domain {
         self.buckets[0].domain()
-    }
-
-    /// Per-bucket statistics plus occupancy; see [`BucketMapSnapshot`].
-    #[must_use]
-    pub fn snapshot(&self) -> BucketMapSnapshot {
-        self.tally.snapshot(|i| self.buckets[i].len())
     }
 
     /// Validate every bucket's structural invariants; quiescent only.
@@ -278,8 +260,8 @@ where
 /// local pool cache, one pin-amortization counter) and routes each
 /// operation to its key's bucket through the sibling ops. Every
 /// operation records an [`lf_metrics`] op boundary attributed to
-/// [`Structure::Map`], carries its bucket index as the `lf-trace`
-/// shard tag, and credits its step delta to the bucket's statistics.
+/// [`Structure::Map`] and carries its bucket index as the `lf-trace`
+/// shard tag.
 pub struct BucketMapHandle<'m, K, V, R = Ebr>
 where
     K: Ord + Hash + Send + Sync + 'static,
@@ -288,7 +270,6 @@ where
 {
     map: &'m BucketMap<K, V, R>,
     handle: ListHandle<'m, K, V, R>,
-    tally: TallyWriter,
 }
 
 impl<'m, K, V, R> BucketMapHandle<'m, K, V, R>
@@ -300,9 +281,8 @@ where
     /// Run `op` on the bucket `hash` routes to, inside the bracket every
     /// routed operation shares: the bucket index as the causal-trace
     /// tag (events the bucket op records carry it; free when tracing is
-    /// off), one [`lf_metrics`] op boundary attributed to
-    /// [`Structure::Map`], and that boundary's step delta credited to
-    /// the bucket in this handle's tally block.
+    /// off) and one [`lf_metrics`] op boundary attributed to
+    /// [`Structure::Map`].
     #[inline]
     fn routed<T>(
         &self,
@@ -313,7 +293,7 @@ where
         let _t = lf_trace::shard_scope(i as u16);
         let token = lf_metrics::op_begin_for(Structure::Map);
         let res = op(&self.handle, &self.map.buckets[i]);
-        self.tally.record(i, lf_metrics::op_end(token));
+        lf_metrics::op_end(token);
         res
     }
 
@@ -393,7 +373,6 @@ where
     /// buckets in index order — which is hash order, i.e. no order at
     /// all. Weakly consistent per bucket (pairs present for the whole
     /// scan appear exactly once) with no cross-bucket atomicity claim.
-    /// Iteration work is not attributed to per-bucket statistics.
     pub fn iter(&self) -> ChainIter<'_, 'm, K, V, R>
     where
         K: Clone,
@@ -580,28 +559,24 @@ mod tests {
         let keys: Vec<u64> = h.iter().map(|(k, _)| k).collect();
         // One bucket: chain order is key order.
         assert_eq!(keys, (0..100).collect::<Vec<_>>());
-        let snap = map.snapshot();
-        assert_eq!(snap.per_partition[0].ops, 100);
+        assert_eq!(map.buckets[0].len(), 100);
     }
 
     #[test]
-    fn snapshot_attributes_ops_and_occupancy_to_buckets() {
+    fn sequential_keys_spread_over_buckets() {
         let map: BucketMap<u64, u64> = BucketMap::new(4);
         let h = map.handle();
         for k in 0..400u64 {
             assert!(h.insert(k, k).is_ok());
         }
-        let snap = map.snapshot();
-        assert_eq!(snap.per_partition.len(), 4);
-        let merged = snap.merged();
-        assert_eq!(merged.ops, 400);
-        assert_eq!(merged.occupancy, 400);
-        // Sequential keys must spread: no bucket may own >60% of keys.
-        assert!(snap.max_occupancy_share() < 0.6, "{snap:?}");
-        assert!(snap.max_ops_share() < 0.6, "{snap:?}");
-        // Every op routed to bucket i bumped bucket i's count only.
-        for (i, s) in snap.per_partition.iter().enumerate() {
-            assert_eq!(s.ops as usize, s.occupancy, "bucket {i}");
+        let chains: Vec<usize> = map.buckets.iter().map(|b| b.len()).collect();
+        assert_eq!(chains.iter().sum::<usize>(), 400);
+        // No chain may hold >60% of the keys.
+        assert!(chains.iter().all(|&n| n * 10 < 400 * 6), "{chains:?}");
+        // Every key sits in the bucket `bucket_of` names.
+        for (i, &n) in chains.iter().enumerate() {
+            let routed = (0..400u64).filter(|k| map.bucket_of(k) == i).count();
+            assert_eq!(n, routed, "bucket {i}");
         }
     }
 

@@ -2,19 +2,17 @@
 //!
 //! Two wire formats, both dependency-free:
 //!
-//! * **JSON lines** — one self-contained JSON object per snapshot,
-//!   append-friendly, for machine-readable benchmark artifacts
-//!   (`BENCH_*.json`) and soak-run logs. Built with [`JsonObj`], a
-//!   tiny escaping-correct object writer (the build environment has no
-//!   serde).
+//! * **JSON** — the experiments' machine-readable artifacts
+//!   (`BENCH_*.json`, written by [`write_artifact`]), built with
+//!   [`JsonObj`], a tiny escaping-correct object writer (the build
+//!   environment has no serde), and [`histogram_json`].
 //! * **Prometheus text exposition** — counters for the scalar
 //!   essential-step totals and `summary` blocks (quantile series +
 //!   `_sum`/`_count`) for each histogram, suitable for a textfile
 //!   collector or scrape endpoint.
 
 use std::fmt::Write as _;
-use std::fs::OpenOptions;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::Path;
 
 use lf_trace::json::write_escaped;
@@ -114,37 +112,6 @@ pub fn histogram_json(h: &Histogram) -> String {
         .field_u64("p999", h.p999())
         .field_u64("max", h.max())
         .finish()
-}
-
-/// Serialize a full [`Telemetry`] snapshot as one JSON object:
-/// scalar counters flattened, one nested object per [`Metric`].
-pub fn telemetry_json(t: &Telemetry) -> String {
-    let c = &t.counters;
-    let mut obj = JsonObj::new()
-        .field_u64("ops", c.ops)
-        .field_u64("essential_steps", c.essential_steps())
-        .field_f64("steps_per_op", c.steps_per_op())
-        .field_u64("backlink_traversals", c.backlink_traversals)
-        .field_u64("next_updates", c.next_updates)
-        .field_u64("curr_updates", c.curr_updates);
-    for ty in CasType::ALL {
-        obj = obj
-            .field_u64(&format!("cas_{}_ok", ty.label()), c.cas_ok[ty as usize])
-            .field_u64(&format!("cas_{}_fail", ty.label()), c.cas_fail[ty as usize]);
-    }
-    for m in Metric::ALL {
-        obj = obj.field_raw(m.label(), &histogram_json(t.histogram(m)));
-    }
-    let mut structures = JsonObj::new();
-    for s in Structure::ALL {
-        let entry = JsonObj::new()
-            .field_u64("ops", c.ops_for(s))
-            .field_raw("op_latency_ns", &histogram_json(t.structure_latency_ns(s)))
-            .finish();
-        structures = structures.field_raw(s.label(), &entry);
-    }
-    obj = obj.field_raw("structures", &structures.finish());
-    obj.finish()
 }
 
 /// Render a [`Telemetry`] snapshot in Prometheus text exposition
@@ -338,12 +305,6 @@ pub fn histogram_prometheus_labeled(
     let _ = writeln!(out, "{name}_count{base} {}", h.count());
 }
 
-/// Append one JSON line to `path`, creating the file if needed.
-pub fn append_json_line(path: &Path, line: &str) -> io::Result<()> {
-    let mut f = OpenOptions::new().create(true).append(true).open(path)?;
-    writeln!(f, "{line}")
-}
-
 /// Overwrite `path` with `contents` (plus a trailing newline).
 pub fn write_artifact(path: &Path, contents: &str) -> io::Result<()> {
     std::fs::write(path, format!("{contents}\n"))
@@ -393,25 +354,17 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_formats_cover_all_metrics() {
-        let t = Telemetry::default();
-        let j = telemetry_json(&t);
-        let p = telemetry_prometheus(&t);
+    fn telemetry_prometheus_covers_all_metrics() {
+        let p = telemetry_prometheus(&Telemetry::default());
         for m in Metric::ALL {
-            assert!(j.contains(m.label()), "json missing {m}");
             assert!(p.contains(&format!("lf_{}", m.label())), "prom missing {m}");
         }
         for ty in CasType::ALL {
-            assert!(j.contains(&format!("cas_{}_ok", ty.label())));
             assert!(p.contains(&format!("type=\"{}\"", ty.label())));
         }
         assert!(p.contains("# TYPE lf_ops_total counter"));
         assert!(p.contains("lf_op_latency_ns{quantile=\"0.99\"}"));
         for s in Structure::ALL {
-            assert!(
-                j.contains(&format!("\"{}\":{{\"ops\":", s.label())),
-                "json missing structure {s}: {j}"
-            );
             assert!(p.contains(&format!(
                 "lf_structure_ops_total{{structure=\"{}\"}}",
                 s.label()
@@ -428,11 +381,7 @@ mod tests {
         let dir = std::env::temp_dir().join("lf_metrics_export_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("lines.json");
-        let _ = std::fs::remove_file(&path);
-        append_json_line(&path, "{\"a\":1}").unwrap();
-        append_json_line(&path, "{\"a\":2}").unwrap();
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(body, "{\"a\":1}\n{\"a\":2}\n");
+        write_artifact(&path, "{\"a\":1}").unwrap();
         write_artifact(&path, "{\"b\":3}").unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"b\":3}\n");
         let _ = std::fs::remove_file(&path);

@@ -48,9 +48,9 @@
 //! [`Telemetry`] snapshot. Runtime kill-switch:
 //! [`set_histograms_enabled`].
 //!
-//! The [`export`] module renders snapshots as JSON lines or Prometheus
-//! text exposition. Event tracing is `lf-trace`'s: the `record_*` and
-//! op-boundary hooks here feed its causal tracer.
+//! The [`export`] module renders histograms as JSON and snapshots as
+//! Prometheus text exposition. Event tracing is `lf-trace`'s: the
+//! `record_*` and op-boundary hooks here feed its causal tracer.
 //!
 //! # Examples
 //!
@@ -74,7 +74,7 @@ pub mod tally;
 
 pub use gauge::{UnreclaimedGauge, UnreclaimedSnapshot};
 pub use histogram::{AtomicHistogram, Histogram};
-pub use tally::{PartitionSnapshot, PartitionTally, StepDist, TallySnapshot, TallyWriter};
+pub use tally::{PartitionSnapshot, PartitionTally, TallySnapshot, TallyWriter};
 
 use std::fmt;
 use std::ops::Sub;
@@ -202,19 +202,19 @@ impl fmt::Display for Structure {
 /// latency histogram per [`Structure`] (indexed `4 + structure`).
 const HIST_SLOTS: usize = Metric::ALL.len() + Structure::ALL.len();
 
-/// Owner-only add: load+store instead of `fetch_add`, because the
-/// cell's owner (a thread for its [`Shard`], a handle for its
+/// Owner-only increment: load+store instead of `fetch_add`, because
+/// the cell's owner (a thread for its [`Shard`], a handle for its
 /// [`TallyWriter`] block) is the sole writer.
 #[inline]
-fn owner_add(cell: &AtomicU64, n: u64) {
+fn owner_bump(cell: &AtomicU64) {
     // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-    cell.store(cell.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+    cell.store(cell.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
 }
 
 /// One thread's counter shard.
 ///
 /// The owning thread is the only writer and bumps each counter with a
-/// relaxed load+store ([`Shard::bump`]) — no atomic RMW on the hot
+/// relaxed load+store ([`owner_bump`]) — no atomic RMW on the hot
 /// path, so an increment compiles to plain moves. Readers walk the
 /// shard registry and load Relaxed: racy-but-monotone while the owner
 /// is running, exact once the owner has been joined (the join's
@@ -303,12 +303,6 @@ impl Shard {
     /// The per-op baselines (tracking the counters, not totals).
     fn baselines(&self) -> [&AtomicU64; 3] {
         [&self.last_cas_fail, &self.last_backlink, &self.last_curr]
-    }
-
-    /// Owner-only increment; see [`owner_add`].
-    #[inline]
-    fn bump(cell: &AtomicU64) {
-        owner_add(cell, 1);
     }
 
     fn cas_failures(&self) -> u64 {
@@ -451,7 +445,7 @@ pub fn record_cas(ty: CasType, success: bool) {
         } else {
             &l.counts.cas_fail[ty as usize]
         };
-        Shard::bump(slot);
+        owner_bump(slot);
     });
 }
 
@@ -460,19 +454,19 @@ pub fn record_cas(ty: CasType, success: bool) {
 #[inline]
 pub fn record_backlink() {
     lf_trace::emit(lf_trace::Phase::BacklinkWalk);
-    with_local(|l| Shard::bump(&l.counts.backlink_traversals));
+    with_local(|l| owner_bump(&l.counts.backlink_traversals));
 }
 
 /// Record one `next_node` pointer update (`SearchFrom` line 6).
 #[inline]
 pub fn record_next_update() {
-    with_local(|l| Shard::bump(&l.counts.next_updates));
+    with_local(|l| owner_bump(&l.counts.next_updates));
 }
 
 /// Record one `curr_node` pointer update (`SearchFrom` line 8).
 #[inline]
 pub fn record_curr_update() {
-    with_local(|l| Shard::bump(&l.counts.curr_updates));
+    with_local(|l| owner_bump(&l.counts.curr_updates));
 }
 
 /// Record one pin-free `try_read` restart: a birth-stamp validation
@@ -480,20 +474,20 @@ pub fn record_curr_update() {
 /// started over.
 #[inline]
 pub fn record_try_read_restart() {
-    with_local(|l| Shard::bump(&l.counts.try_read_restarts));
+    with_local(|l| owner_bump(&l.counts.try_read_restarts));
 }
 
 /// Record one pin-free `try_read` giving up and falling back to the
 /// pinned read path (restart budget exhausted).
 #[inline]
 pub fn record_try_read_fallback() {
-    with_local(|l| Shard::bump(&l.counts.try_read_fallbacks));
+    with_local(|l| owner_bump(&l.counts.try_read_fallbacks));
 }
 
 /// Record one completed dictionary operation (for per-op averages).
 #[inline]
 pub fn record_op() {
-    with_local(|l| Shard::bump(&l.counts.ops));
+    with_local(|l| owner_bump(&l.counts.ops));
 }
 
 /// Latency is clocked on one op in this many (power of two, checked
@@ -571,37 +565,22 @@ pub fn op_begin_for(structure: Structure) -> OpToken {
 /// The steps one bracketed operation took: the thread's step counters
 /// differenced by [`op_end`] against the previous `op_end` on the
 /// thread.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct OpSteps {
+struct OpSteps {
     /// Search hops (`curr_node` updates) — the `n(S)` distance term.
-    pub hops: u64,
+    hops: u64,
     /// Failed C&S attempts of any [`CasType`] — the `c(S)` term.
-    pub cas_retries: u64,
+    cas_retries: u64,
     /// Backlink traversals.
-    pub backlinks: u64,
-}
-
-impl std::ops::Add for OpSteps {
-    type Output = OpSteps;
-
-    fn add(self, rhs: OpSteps) -> OpSteps {
-        OpSteps {
-            hops: self.hops + rhs.hops,
-            cas_retries: self.cas_retries + rhs.cas_retries,
-            backlinks: self.backlinks + rhs.backlinks,
-        }
-    }
+    backlinks: u64,
 }
 
 /// Finish a per-operation telemetry capture started by [`op_begin`].
 ///
 /// Records the op into the thread-local histograms and counts it
-/// (callers must not additionally call [`record_op`]), and returns the
-/// op's step delta so a partitioned structure can credit it to a
-/// [`PartitionTally`] without reading the counters a second time
-/// (zeroes during thread teardown, when the shard is gone).
+/// (callers must not additionally call [`record_op`]); a no-op on the
+/// counters during thread teardown, when the shard is gone.
 #[inline]
-pub fn op_end(token: OpToken) -> OpSteps {
+pub fn op_end(token: OpToken) {
     // Close the causal scope: emits `complete` iff this boundary
     // minted the id (an async-minted op completes at its front door).
     token.trace.finish();
@@ -610,10 +589,9 @@ pub fn op_end(token: OpToken) -> OpSteps {
     let latency_ns = token
         .start
         .map(|start| clock::ticks_to_ns(clock::now_ticks().saturating_sub(start)));
-    let mut steps = OpSteps::default();
     with_local(|l| {
-        Shard::bump(&l.counts.ops);
-        Shard::bump(&l.counts.ops_by[token.structure as usize]);
+        owner_bump(&l.counts.ops);
+        owner_bump(&l.counts.ops_by[token.structure as usize]);
         let cf = l.cas_failures();
         // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
         let bl = l.counts.backlink_traversals.load(Ordering::Relaxed);
@@ -622,7 +600,7 @@ pub fn op_end(token: OpToken) -> OpSteps {
         // `saturating_sub` guards against an explicit same-thread
         // `flush_local` between the two ends zeroing the counters (one
         // op's delta clips to zero, then the baselines re-sync).
-        steps = OpSteps {
+        let steps = OpSteps {
             // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
             hops: cu.saturating_sub(l.last_curr.load(Ordering::Relaxed)),
             // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
@@ -642,7 +620,6 @@ pub fn op_end(token: OpToken) -> OpSteps {
             l.hist_record_op(token.structure, latency_ns, steps);
         }
     });
-    steps
 }
 
 /// Opaque per-operation capture token; see [`op_begin`].

@@ -1,145 +1,41 @@
-//! Per-partition step tallies: which shard or bucket the traversal
-//! work and contention of routed operations landed on.
+//! Per-partition op counts: how many routed operations landed on each
+//! shard of a partitioned structure (`lf-shard`'s `Sharded`).
 //!
-//! The thread shards count steps by *thread*; a partitioned structure
-//! (`lf-map`'s buckets, `lf-shard`'s shards) re-buckets them by *data
-//! partition*. Each operation handle owns a [`TallyWriter`] — one
-//! 256-byte cell per partition, bumped with the thread shards'
-//! owner-only load+store, so a routed operation does no RMW and writes
-//! no line another handle writes. The structure's [`PartitionTally`]
-//! keeps every block it handed out (a dropped handle's is lent to the
-//! next, counts and all) and [`PartitionTally::snapshot`] sums them:
-//! racy-fresh while writers run, exact once they are joined. An empty
-//! tally allocates nothing.
+//! The thread shards count steps by *thread*; the step distributions
+//! (`n(S)` hops, `c(S)` retries) live in their per-structure
+//! histograms. What a partitioned structure adds is the one figure the
+//! thread shards cannot split: which partition each operation was
+//! credited to. Each operation handle owns a [`TallyWriter`] — one
+//! `u64` counter per partition, padded to whole cache lines and bumped
+//! with the thread shards' owner-only load+store, so a routed operation
+//! does no RMW and writes no line another handle writes. The
+//! structure's [`PartitionTally`] keeps every block it handed out (a
+//! dropped handle's is lent to the next, counts and all) and
+//! [`PartitionTally::snapshot`] sums them: racy-fresh while writers
+//! run, exact once they are joined. An empty tally allocates nothing.
 
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use crate::{owner_add, OpSteps};
+use crate::owner_bump;
 
-/// Slots of a [`StepDist`]: slot 0 holds the value 0 and slot `k` the
-/// values of bit length `k` (`2^(k-1) ..= 2^k - 1`); the last slot
-/// also takes everything longer.
-const SLOTS: usize = 14;
+/// Counters per cache line of a writer's block.
+const PER_LINE: usize = 8;
 
-#[inline]
-fn slot_of(v: u64) -> usize {
-    ((u64::BITS - v.leading_zeros()) as usize).min(SLOTS - 1)
-}
-
-/// A compact distribution of per-operation step counts: 14 inline
-/// power-of-two slots plus the exact sum and maximum. Percentiles are
-/// reported as the upper end of the slot holding the rank (exact for
-/// 0 and 1), never above the maximum.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StepDist {
-    sum: u64,
-    max: u64,
-    slots: [u64; SLOTS],
-}
-
-impl StepDist {
-    /// Number of recorded operations.
-    pub fn count(&self) -> u64 {
-        self.slots.iter().sum()
-    }
-
-    /// Exact sum of the recorded step counts.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Exact largest recorded step count (0 if empty).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// The step count at percentile `p` (`0.0..=100.0`; 0 if empty).
-    pub fn percentile(&self, p: f64) -> u64 {
-        let count = self.count();
-        let target = (((p / 100.0) * count as f64).ceil() as u64).clamp(1, count.max(1));
-        let mut acc = 0u64;
-        for (k, &c) in self.slots.iter().enumerate() {
-            acc += c;
-            if acc >= target && k < SLOTS - 1 {
-                return ((1u64 << k) - 1).min(self.max);
-            }
-        }
-        // The open-ended last slot (or nothing recorded at all).
-        self.max
-    }
-
-    /// Median.
-    pub fn p50(&self) -> u64 {
-        self.percentile(50.0)
-    }
-
-    /// 99th percentile.
-    pub fn p99(&self) -> u64 {
-        self.percentile(99.0)
-    }
-
-    /// Fold `other`'s observations into `self`.
-    pub fn merge(&mut self, other: &StepDist) {
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-        for (dst, src) in self.slots.iter_mut().zip(other.slots) {
-            *dst += src;
-        }
-    }
-}
-
-/// The live, single-writer form of a [`StepDist`].
-#[derive(Default)]
-struct DistCell {
-    sum: AtomicU64,
-    max: AtomicU64,
-    slots: [AtomicU64; SLOTS],
-}
-
-impl DistCell {
-    #[inline]
-    fn record(&self, v: u64) {
-        owner_add(&self.slots[slot_of(v)], 1);
-        if v != 0 {
-            owner_add(&self.sum, v);
-            // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-            if v > self.max.load(Ordering::Relaxed) {
-                // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-                self.max.store(v, Ordering::Relaxed);
-            }
-        }
-    }
-
-    fn add_into(&self, dst: &mut StepDist) {
-        // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-        dst.sum += self.sum.load(Ordering::Relaxed);
-        // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-        dst.max = dst.max.max(self.max.load(Ordering::Relaxed));
-        for (d, s) in dst.slots.iter_mut().zip(self.slots.iter()) {
-            // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
-            *d += s.load(Ordering::Relaxed);
-        }
-    }
-}
-
-/// One partition's cell in one writer's block. Cache-line aligned so
-/// each distribution's sum, maximum and low slots share one line.
+/// One cache line of a writer's block: the op counters of
+/// [`PER_LINE`] consecutive partitions.
 #[derive(Default)]
 #[repr(align(64))]
-struct Cell {
-    hops: DistCell,
-    cas_retries: DistCell,
-}
+struct Line([AtomicU64; PER_LINE]);
 
-/// The per-partition tallies of one partitioned structure; see the
+/// The per-partition op counts of one partitioned structure; see the
 /// [module docs](self).
 pub struct PartitionTally {
     partitions: usize,
     /// Every block handed out so far. One with no other owner belongs
     /// to a dropped writer and is lent to the next.
-    blocks: Mutex<Vec<Arc<[Cell]>>>,
+    blocks: Mutex<Vec<Arc<[Line]>>>,
 }
 
 impl PartitionTally {
@@ -162,7 +58,8 @@ impl PartitionTally {
             .iter_mut()
             .find_map(|b| Arc::get_mut(b).is_some().then(|| Arc::clone(b)));
         let block = free.unwrap_or_else(|| {
-            let fresh: Arc<[Cell]> = (0..self.partitions).map(|_| Cell::default()).collect();
+            let lines = self.partitions.div_ceil(PER_LINE);
+            let fresh: Arc<[Line]> = (0..lines).map(|_| Line::default()).collect();
             blocks.push(Arc::clone(&fresh));
             fresh
         });
@@ -177,37 +74,37 @@ impl PartitionTally {
     pub fn snapshot(&self, occupancy: impl Fn(usize) -> usize) -> TallySnapshot {
         let blocks = self.blocks.lock().unwrap_or_else(PoisonError::into_inner);
         let per_partition = (0..self.partitions)
-            .map(|i| {
-                let mut s = PartitionSnapshot {
-                    occupancy: occupancy(i),
-                    ..PartitionSnapshot::default()
-                };
-                for block in blocks.iter() {
-                    block[i].hops.add_into(&mut s.hops);
-                    block[i].cas_retries.add_into(&mut s.cas_retries);
-                }
-                s.ops = s.hops.count();
-                s
+            .map(|i| PartitionSnapshot {
+                ops: blocks
+                    .iter()
+                    // ord: Relaxed — MET.shard: single-writer counter, snapshots racy-fresh
+                    .map(|b| counter(b, i).load(Ordering::Relaxed))
+                    .sum(),
+                occupancy: occupancy(i),
             })
             .collect();
         TallySnapshot { per_partition }
     }
 }
 
+/// Partition `i`'s counter in `block`.
+#[inline]
+fn counter(block: &[Line], i: usize) -> &AtomicU64 {
+    &block[i / PER_LINE].0[i % PER_LINE]
+}
+
 /// A handle's write side of a [`PartitionTally`]. Not `Sync`: the
 /// load+store bumps are exact only with one writer per block.
 pub struct TallyWriter {
-    block: Arc<[Cell]>,
+    block: Arc<[Line]>,
     _single_writer: PhantomData<std::cell::Cell<()>>,
 }
 
 impl TallyWriter {
-    /// Credit one routed operation's steps to `partition`.
+    /// Credit one routed operation to `partition`.
     #[inline]
-    pub fn record(&self, partition: usize, steps: OpSteps) {
-        let cell = &self.block[partition];
-        cell.hops.record(steps.hops);
-        cell.cas_retries.record(steps.cas_retries);
+    pub fn bump(&self, partition: usize) {
+        owner_bump(counter(&self.block, partition));
     }
 }
 
@@ -219,10 +116,6 @@ pub struct PartitionSnapshot {
     pub ops: u64,
     /// Keys resident in the partition when the snapshot was taken.
     pub occupancy: usize,
-    /// Search hops (`curr` advances) per routed operation.
-    pub hops: StepDist,
-    /// Failed C&S attempts per routed operation.
-    pub cas_retries: StepDist,
 }
 
 /// Statistics of every partition of a structure, in index order.
@@ -234,15 +127,13 @@ pub struct TallySnapshot {
 
 impl TallySnapshot {
     /// Fold all partitions into one structure-wide snapshot: counts
-    /// and occupancies sum, distributions merge.
+    /// and occupancies sum.
     #[must_use]
     pub fn merged(&self) -> PartitionSnapshot {
         let mut all = PartitionSnapshot::default();
         for s in &self.per_partition {
             all.ops += s.ops;
             all.occupancy += s.occupancy;
-            all.hops.merge(&s.hops);
-            all.cas_retries.merge(&s.cas_retries);
         }
         all
     }
@@ -251,116 +142,95 @@ impl TallySnapshot {
     /// (1/P is perfectly even; 0.0 if none) — the contention balance.
     #[must_use]
     pub fn max_ops_share(&self) -> f64 {
-        max_share(self.per_partition.iter().map(|s| s.ops))
+        let ops = self.per_partition.iter().map(|s| s.ops);
+        let total: u64 = ops.clone().sum();
+        if total == 0 {
+            return 0.0;
+        }
+        ops.max().unwrap_or(0) as f64 / total as f64
     }
-
-    /// Largest per-partition share of total resident keys (0.0 if
-    /// empty) — a hash map's chain-length balance: near 1.0, one chain
-    /// holds most of the map and point ops cost what a single list does.
-    #[must_use]
-    pub fn max_occupancy_share(&self) -> f64 {
-        max_share(self.per_partition.iter().map(|s| s.occupancy as u64))
-    }
-}
-
-fn max_share(values: impl Iterator<Item = u64> + Clone) -> f64 {
-    let total: u64 = values.clone().sum();
-    if total == 0 {
-        return 0.0;
-    }
-    values.max().unwrap_or(0) as f64 / total as f64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn steps(hops: u64, cas_retries: u64) -> OpSteps {
-        OpSteps {
-            hops,
-            cas_retries,
-            backlinks: 0,
-        }
-    }
-
     #[test]
-    fn cells_fill_whole_cache_lines() {
-        assert_eq!(std::mem::align_of::<Cell>(), 64);
-        assert_eq!(std::mem::size_of::<Cell>(), 256);
-    }
-
-    #[test]
-    fn dist_keeps_count_sum_max_and_slot_percentiles() {
-        let tally = PartitionTally::new(1);
-        let w = tally.writer();
-        for v in [0, 0, 0, 1, 1, 2, 3, 9, 5000] {
-            w.record(0, steps(v, 0));
-        }
-        let s = tally.snapshot(|_| 0).per_partition[0];
-        assert_eq!(s.ops, 9);
-        assert_eq!(s.hops.count(), 9);
-        assert_eq!(s.hops.sum(), 1 + 1 + 2 + 3 + 9 + 5000);
-        assert_eq!(s.hops.max(), 5000);
-        assert_eq!(s.hops.percentile(0.0), 0);
-        assert_eq!(s.hops.p50(), 1);
-        // 2 and 3 share the slot whose upper end is 3.
-        assert_eq!(s.hops.percentile(70.0), 3);
-        // The overflow slot reports the exact maximum.
-        assert_eq!(s.hops.p99(), 5000);
-        assert_eq!(s.cas_retries.count(), 9);
-        assert_eq!(s.cas_retries.p99(), 0);
-        assert_eq!(StepDist::default().p99(), 0);
+    fn blocks_fill_whole_cache_lines() {
+        assert_eq!(std::mem::align_of::<Line>(), 64);
+        assert_eq!(std::mem::size_of::<Line>(), 64);
+        let tally = PartitionTally::new(9);
+        let _w = tally.writer();
+        assert_eq!(tally.blocks.lock().unwrap()[0].len(), 2);
     }
 
     #[test]
     fn snapshot_sums_live_and_dropped_writers_and_reuses_blocks() {
-        let tally = PartitionTally::new(4);
+        let tally = PartitionTally::new(12);
         assert!(tally.blocks.lock().unwrap().is_empty());
         let a = tally.writer();
         let b = tally.writer();
-        a.record(1, steps(3, 1));
-        b.record(1, steps(5, 0));
-        b.record(2, steps(0, 0));
+        a.bump(1);
+        b.bump(1);
+        b.bump(10);
         let snap = tally.snapshot(|i| i * 10);
         assert_eq!(snap.per_partition[1].ops, 2);
-        assert_eq!(snap.per_partition[1].hops.sum(), 8);
-        assert_eq!(snap.per_partition[1].cas_retries.sum(), 1);
+        assert_eq!(snap.per_partition[10].ops, 1);
         assert_eq!(snap.per_partition[2].occupancy, 20);
         assert_eq!(snap.merged().ops, 3);
+        assert_eq!(snap.merged().occupancy, 660);
         assert_eq!(snap.max_ops_share(), 2.0 / 3.0);
-        assert_eq!(snap.max_occupancy_share(), 0.5);
 
         // A dropped writer's counts stay, and its block is lent on.
         drop(a);
         let c = tally.writer();
         assert_eq!(tally.blocks.lock().unwrap().len(), 2);
-        c.record(1, steps(1, 0));
+        c.bump(1);
         let snap = tally.snapshot(|_| 0);
         assert_eq!(snap.per_partition[1].ops, 3);
-        assert_eq!(snap.per_partition[1].hops.sum(), 9);
-        assert_eq!(snap.per_partition[1].hops.max(), 5);
+        assert_eq!(snap.merged().ops, 4);
+        assert_eq!(PartitionTally::new(4).snapshot(|_| 0).max_ops_share(), 0.0);
     }
 
     #[test]
     fn joined_writers_are_counted_exactly() {
         let tally = PartitionTally::new(8);
         std::thread::scope(|s| {
-            for t in 0..4u64 {
+            for t in 0..4usize {
                 let tally = &tally;
                 s.spawn(move || {
                     let w = tally.writer();
-                    for i in 0..1000u64 {
-                        w.record(((i + t) % 8) as usize, steps(i % 7, i % 2));
+                    for i in 0..1000usize {
+                        w.bump((i + t) % 8);
                     }
                 });
             }
         });
-        let merged = tally.snapshot(|_| 0).merged();
-        assert_eq!(merged.ops, 4000);
-        assert_eq!(
-            merged.hops.sum(),
-            4 * (0..1000u64).map(|i| i % 7).sum::<u64>()
-        );
-        assert_eq!(merged.cas_retries.sum(), 2000);
+        let snap = tally.snapshot(|_| 0);
+        assert_eq!(snap.merged().ops, 4000);
+        assert!(snap.per_partition.iter().all(|p| p.ops == 500));
+    }
+
+    #[test]
+    fn blocks_handed_between_running_threads_lose_no_count() {
+        // The one cross-thread hand-off: a writer dropped on one thread
+        // while the other runs, its block reused there with no join in
+        // between, only the `Arc` count the registry checks.
+        const ROUNDS: u64 = if cfg!(miri) { 50 } else { 2000 };
+        let tally = PartitionTally::new(2);
+        std::thread::scope(|s| {
+            for t in 0..2 {
+                let tally = &tally;
+                s.spawn(move || {
+                    for _ in 0..ROUNDS {
+                        tally.writer().bump(t);
+                    }
+                });
+            }
+        });
+        assert!(tally.blocks.lock().unwrap().len() <= 2);
+        let snap = tally.snapshot(|_| 0);
+        assert_eq!(snap.per_partition[0].ops, ROUNDS);
+        assert_eq!(snap.per_partition[1].ops, ROUNDS);
     }
 }

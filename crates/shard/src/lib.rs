@@ -17,6 +17,14 @@
 //! passes the word down to the map's `_hashed` entry points, whose
 //! bucket fold then uses bits the shard index did not.
 //!
+//! [`Sharded`] also keeps the one partition statistic both tiers have:
+//! how many routed operations each shard took (`snapshot`, read as
+//! `max_ops_share` for routing skew). Each handle counts into a block
+//! of its own — one `u64` per shard, one cache line per eight shards,
+//! bumped without an RMW — and the map sums the blocks on demand. The
+//! per-operation step distributions are not split by shard; the
+//! `lf-metrics` histograms hold them per structure.
+//!
 //! Like the underlying structures, both tiers are generic over the
 //! reclamation backend (`R`, default [`Ebr`]): construct with
 //! `with_backend` to run all shards over VBR instead, whose
@@ -52,9 +60,10 @@ mod map_flavor;
 mod router;
 mod skip_flavor;
 
-/// Statistics of one shard (or, merged, of the whole map).
+/// One shard's op count and occupancy (or, merged, the whole map's).
 pub use lf_metrics::PartitionSnapshot as ShardSnapshot;
-/// Statistics of every shard of a [`ShardedSkipList`], in index order.
+/// The op count and occupancy of every shard of a [`Sharded`] map, in
+/// index order.
 pub use lf_metrics::TallySnapshot as ShardedSnapshot;
 pub use map_flavor::ShardedMapIter;
 
@@ -64,6 +73,7 @@ use std::hash::Hash;
 use lf_core::skiplist::SkipList;
 use lf_core::{ConcurrentMap, MapHandle};
 use lf_map::{hash_key, BucketMap};
+use lf_metrics::{PartitionTally, TallyWriter};
 use lf_reclaim::{Ebr, Pod};
 use lf_tagged::CachePadded;
 
@@ -79,10 +89,7 @@ pub const DEFAULT_SHARDS: usize = 8;
 /// [`range`](ShardedHandle::range) scan — a k-way merge of per-shard
 /// level-1 traversals — possible under **one** amortized epoch pin,
 /// with each cursor helping physical deletion exactly as a paper search
-/// does. Per-shard telemetry (`ops`, search hops, CAS retries,
-/// occupancy) credits the step delta of each routed operation's own op
-/// boundary to its shard, in a block of cells the handle owns; see
-/// [`ShardedSkipList::snapshot`].
+/// does. Per-shard `ops` and occupancy: see [`ShardedSkipList::snapshot`].
 pub type ShardedSkipList<K, V, R = Ebr> = Sharded<SkipList<K, V, R>>;
 /// A registered per-thread handle to a [`ShardedSkipList`].
 pub type ShardedHandle<'s, K, V, R = Ebr> = RoutedHandle<'s, SkipList<K, V, R>>;
@@ -104,35 +111,8 @@ mod sealed {
 /// ordered tier) or [`BucketMap`] (the hash tier). It carries only what
 /// differs between the two; the wrapper does the rest. Sealed.
 pub trait Shard: ConcurrentMap<Key: Hash> + sealed::Sealed {
-    /// Per-shard statistics kept beside the shards (the hash tier's
-    /// maps keep their own per bucket, so it keeps none here).
-    type Tally: Send + Sync;
-    /// A handle's write end of [`Tally`](Self::Tally).
-    type Writer;
-
-    /// A tally for `shards` shards.
-    fn tally(shards: usize) -> Self::Tally;
-
-    /// A new handle's writer into `tally`.
-    fn writer(tally: &Self::Tally) -> Self::Writer;
-
     /// The shard (in `0..=mask`) of a key whose [`hash_key`] is `hash`.
     fn shard_of_hash(hash: u64, mask: usize) -> usize;
-
-    /// Run `op` on `h`, the handle of shard `i`, inside the tier's
-    /// per-operation bookkeeping (none by default).
-    fn routed<'s, T>(
-        writer: &Self::Writer,
-        i: usize,
-        h: &Self::Handle<'s>,
-        op: impl FnOnce(&Self::Handle<'s>) -> T,
-    ) -> T
-    where
-        Self: 's,
-    {
-        let _ = (writer, i);
-        op(h)
-    }
 
     /// [`MapHandle::insert`] on a shard handle, given the key's
     /// [`hash_key`]. A shard that does not route by hash ignores it.
@@ -201,8 +181,8 @@ pub struct Sharded<S: Shard> {
     /// The partitions. Each is `CachePadded` so one shard's hot entry
     /// point and length counter never share a line with its neighbor.
     shards: Box<[CachePadded<S>]>,
-    /// Per-shard statistics, written through each handle's writer.
-    tally: S::Tally,
+    /// Per-shard op counts, written through each handle's writer.
+    tally: PartitionTally,
     /// Shard count − 1 (shard count is a power of two).
     mask: usize,
 }
@@ -222,19 +202,20 @@ impl<S: Shard> Sharded<S> {
         shards.insert(0, CachePadded::new(first));
         Sharded {
             shards: shards.into_boxed_slice(),
-            tally: S::tally(count),
+            tally: PartitionTally::new(count),
             mask: count - 1,
         }
     }
 
     /// Register a per-thread handle: one shard handle per shard, plus
-    /// the handle's writer into the per-shard statistics.
+    /// the handle's writer into the per-shard op counts (one cache line
+    /// per eight shards; a dropped handle's is reused).
     #[must_use]
     pub fn handle(&self) -> RoutedHandle<'_, S> {
         RoutedHandle {
             map: self,
             handles: self.shards.iter().map(|s| s.handle()).collect(),
-            tally: S::writer(&self.tally),
+            tally: self.tally.writer(),
         }
     }
 
@@ -264,6 +245,13 @@ impl<S: Shard> Sharded<S> {
         self.shards.iter().all(|s| s.is_empty())
     }
 
+    /// Every shard's op count and occupancy, in index order: racy-fresh
+    /// while handles run, exact once their threads are joined. Both
+    /// tiers' `snapshot`s read it.
+    fn shard_stats(&self) -> ShardedSnapshot {
+        self.tally.snapshot(|i| self.shards[i].len())
+    }
+
     /// Validate every shard's structural invariants; quiescent only.
     ///
     /// # Panics
@@ -289,23 +277,26 @@ impl<S: Shard> fmt::Debug for Sharded<S> {
 /// A registered per-thread handle to a [`Sharded`] map.
 ///
 /// Owns one shard handle per shard; every operation hashes the key
-/// once, routes it to its shard's handle, and runs it inside the
-/// tier's bookkeeping (on the ordered tier, the steps that handle's op
-/// boundary counted are credited to the shard; see
-/// [`ShardedSkipList::snapshot`]).
+/// once, routes it to its shard's handle, and credits it to that
+/// shard's op count in a block the handle owns.
 pub struct RoutedHandle<'s, S: Shard + 's> {
     map: &'s Sharded<S>,
     handles: Box<[S::Handle<'s>]>,
-    tally: S::Writer,
+    tally: TallyWriter,
 }
 
 impl<'s, S: Shard + 's> RoutedHandle<'s, S> {
     /// Run `op` on the shard handle of the key whose [`hash_key`] is
-    /// `hash`.
+    /// `hash`, tagged with the shard index for causal traces (free
+    /// when tracing is off; the hash tier's map re-tags its events with
+    /// the bucket), and count it against the shard.
     #[inline]
     fn routed<T>(&self, hash: u64, op: impl FnOnce(&S::Handle<'s>) -> T) -> T {
         let i = S::shard_of_hash(hash, self.map.mask);
-        S::routed(&self.tally, i, &self.handles[i], op)
+        let _t = lf_trace::shard_scope(i as u16);
+        let res = op(&self.handles[i]);
+        self.tally.bump(i);
+        res
     }
 
     /// [`MapHandle::insert`], inherent because `stackbench/src/tier.rs` calls it by path.

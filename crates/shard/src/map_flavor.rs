@@ -6,10 +6,10 @@ use std::iter::Flatten;
 use std::vec;
 
 use lf_core::ChainIter;
-use lf_map::{BucketMap, BucketMapHandle, BucketMapSnapshot};
+use lf_map::{BucketMap, BucketMapHandle};
 use lf_reclaim::{Ebr, Pod, Publish, Reclaim};
 
-use crate::{router, sealed, Shard, Sharded, ShardedMap, ShardedMapHandle};
+use crate::{router, sealed, Shard, Sharded, ShardedMap, ShardedMapHandle, ShardedSnapshot};
 
 impl<K, V, R> sealed::Sealed for BucketMap<K, V, R>
 where
@@ -25,13 +25,6 @@ where
     V: Send + Sync + 'static,
     R: Reclaim + Publish<K> + Publish<V>,
 {
-    type Tally = ();
-    type Writer = ();
-
-    fn tally(_shards: usize) {}
-
-    fn writer(_tally: &()) {}
-
     #[inline]
     fn shard_of_hash(hash: u64, mask: usize) -> usize {
         router::map_shard_of_hash(hash, mask)
@@ -117,12 +110,22 @@ where
         self.shards.iter().map(|s| s.domain())
     }
 
-    /// Per-shard bucket statistics, one [`BucketMapSnapshot`] per
-    /// shard in index order (each covers that shard's buckets; see
-    /// [`BucketMap::snapshot`]).
+    /// Per-shard op counts and occupancy, one single-shard
+    /// [`ShardedSnapshot`] per shard in index order, so shard `i`'s
+    /// figures are `snapshot()[i].merged()`. [`ShardedSkipList`]'s
+    /// `snapshot` returns one snapshot over all shards instead; this
+    /// one keeps the shape `stackbench/src/tier.rs` reads.
+    ///
+    /// [`ShardedSkipList`]: crate::ShardedSkipList
     #[must_use]
-    pub fn snapshot(&self) -> Vec<BucketMapSnapshot> {
-        self.shards.iter().map(|s| s.snapshot()).collect()
+    pub fn snapshot(&self) -> Vec<ShardedSnapshot> {
+        self.shard_stats()
+            .per_partition
+            .into_iter()
+            .map(|shard| ShardedSnapshot {
+                per_partition: vec![shard],
+            })
+            .collect()
     }
 }
 
@@ -210,12 +213,17 @@ mod tests {
         for k in 0..4000u64 {
             assert!(h.insert(k, k).is_ok());
         }
+        let mut used = vec![[false; 8]; map.shard_count()];
+        for k in 0..4000u64 {
+            let i = map.shard_of(&k);
+            used[i][map.shards[i].bucket_of(&k)] = true;
+        }
         for (i, snap) in map.snapshot().into_iter().enumerate() {
-            let empty = snap
-                .per_partition
-                .iter()
-                .filter(|b| b.occupancy == 0)
-                .count();
+            // The keys `shard_of` sends to shard i are the ones there.
+            let routed = (0..4000u64).filter(|k| map.shard_of(k) == i).count();
+            assert_eq!(snap.merged().occupancy, routed, "shard {i}");
+            assert_eq!(snap.merged().ops as usize, routed, "shard {i}");
+            let empty = used[i].iter().filter(|&&u| !u).count();
             assert_eq!(empty, 0, "shard {i} left {empty} buckets unused");
         }
     }

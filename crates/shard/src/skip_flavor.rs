@@ -5,7 +5,6 @@ use std::hash::Hash;
 use std::ops::{Bound, RangeBounds};
 
 use lf_core::skiplist::{merged_range, SkipList, SkipListHandle};
-use lf_metrics::{PartitionTally, TallyWriter};
 use lf_reclaim::{Pod, Publish, Reclaim};
 
 use crate::DEFAULT_SHARDS;
@@ -19,40 +18,9 @@ where
     V: Send + Sync + 'static,
     R: Reclaim + Publish<K> + Publish<V>,
 {
-    type Tally = PartitionTally;
-    type Writer = TallyWriter;
-
-    fn tally(shards: usize) -> PartitionTally {
-        PartitionTally::new(shards)
-    }
-
-    fn writer(tally: &PartitionTally) -> TallyWriter {
-        tally.writer()
-    }
-
     #[inline]
     fn shard_of_hash(hash: u64, mask: usize) -> usize {
         router::shard_of_hash(hash, mask)
-    }
-
-    /// The shard index is the causal-trace tag (events the shard op
-    /// records carry it; free when tracing is off), and the steps the
-    /// shard handle's own op boundary counted are credited to the
-    /// shard.
-    #[inline]
-    fn routed<'s, T>(
-        writer: &TallyWriter,
-        i: usize,
-        h: &SkipListHandle<'s, K, V, R>,
-        op: impl FnOnce(&SkipListHandle<'s, K, V, R>) -> T,
-    ) -> T
-    where
-        Self: 's,
-    {
-        let _t = lf_trace::shard_scope(i as u16);
-        let res = op(h);
-        writer.record(i, h.take_op_steps());
-        res
     }
 
     fn try_read_hashed(h: &SkipListHandle<'_, K, V, R>, _hash: u64, key: &K) -> Option<V>
@@ -118,10 +86,10 @@ where
         self.shards[0].domain()
     }
 
-    /// Per-shard statistics plus occupancy; see [`ShardedSnapshot`].
+    /// Per-shard op counts and occupancy; see [`ShardedSnapshot`].
     #[must_use]
     pub fn snapshot(&self) -> ShardedSnapshot {
-        self.tally.snapshot(|i| self.shards[i].len())
+        self.shard_stats()
     }
 }
 
@@ -154,7 +122,7 @@ where
     /// across (or within) shards**: keys present for the scan's whole
     /// duration appear exactly once, keys absent throughout never
     /// appear, and concurrent insertions/deletions may or may not be
-    /// observed. Scan work is not attributed to per-shard statistics.
+    /// observed. A scan is not counted in the per-shard op counts.
     pub fn range<B, F>(&self, range: B, visitor: F) -> usize
     where
         B: RangeBounds<K>,

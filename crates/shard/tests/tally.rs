@@ -1,8 +1,8 @@
-//! The handle-local partition tally, on both tiers (`lf-map`'s
-//! `BucketMap` and `ShardedSkipList`): per-partition `ops` are exact
-//! once the writers are joined, the merged hop / CAS-retry sums are
-//! the very steps the thread counters saw, and a live handle's counts
-//! are visible without dropping it.
+//! The per-shard op counts `Sharded` keeps for both tiers
+//! (`ShardedMap` and `ShardedSkipList`): per-shard `ops` are exact once
+//! the writers are joined and sum to the ops the thread counters
+//! attributed to the tier's structure, and a live handle's counts are
+//! visible without dropping it.
 //!
 //! `lf-metrics` state is process-global, so the tests serialize on one
 //! lock.
@@ -10,10 +10,9 @@
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread;
 
-use lf_core::MapHandle;
-use lf_map::BucketMap;
-use lf_metrics::{Registry, Structure, TallySnapshot, Telemetry};
-use lf_shard::ShardedSkipList;
+use lf_core::{ConcurrentMap, MapHandle};
+use lf_metrics::{Registry, Structure, TallySnapshot};
+use lf_shard::{ShardedMap, ShardedSkipList};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -24,93 +23,101 @@ fn serial() -> MutexGuard<'static, ()> {
 const THREADS: u64 = 4;
 const OPS: u64 = if cfg!(miri) { 150 } else { 10_000 };
 
-/// `OPS` mixed operations over 64 contended keys through `$h`.
-macro_rules! mixed_ops {
-    ($h:expr, $thread:expr) => {
-        for i in 0..OPS {
-            let key = (i * 7 + $thread) % 64;
-            match i % 4 {
-                0 => drop($h.insert(key, i)),
-                1 => drop($h.remove(&key)),
-                2 => drop($h.get(&key)),
-                _ => drop($h.contains(&key)),
-            }
-        }
-    };
-}
-
-fn assert_tally_matches_counters(snap: &TallySnapshot, tel: &Telemetry, structure: Structure) {
-    let total = THREADS * OPS;
-    assert_eq!(snap.per_partition.iter().map(|p| p.ops).sum::<u64>(), total);
-    let merged = snap.merged();
-    assert_eq!(merged.ops, total);
-    assert_eq!(merged.hops.count(), total);
-    assert_eq!(merged.cas_retries.count(), total);
-    assert_eq!(tel.counters.ops_for(structure), total);
-    assert_eq!(merged.hops.sum(), tel.counters.curr_updates);
-    assert_eq!(merged.cas_retries.sum(), tel.counters.cas_failures());
-    assert!(merged.hops.max() <= merged.hops.sum());
-    assert!(merged.hops.p50() <= merged.hops.p99());
-    assert!(merged.hops.p99() <= merged.hops.max());
-}
-
-#[test]
-fn bucket_map_tally_is_exact_once_joined() {
-    let _g = serial();
-    let map: BucketMap<u64, u64> = BucketMap::new(16);
+/// `OPS` mixed operations over 64 contended keys from each of
+/// `THREADS` joined threads; returns the ops the thread counters
+/// attributed to `structure` meanwhile.
+fn mixed_ops<M>(map: &M, structure: Structure) -> u64
+where
+    M: ConcurrentMap<Key = u64, Value = u64> + Sync,
+{
     let ((), tel) = Registry::join_and_snapshot(|| {
         thread::scope(|s| {
             for t in 0..THREADS {
-                let map = &map;
                 s.spawn(move || {
                     let h = map.handle();
-                    mixed_ops!(h, t);
+                    for i in 0..OPS {
+                        let key = (i * 7 + t) % 64;
+                        match i % 4 {
+                            0 => drop(h.insert(key, i)),
+                            1 => drop(h.remove(&key)),
+                            2 => drop(h.get(&key)),
+                            _ => drop(h.contains(&key)),
+                        }
+                    }
                 });
             }
         });
     });
-    assert_tally_matches_counters(&map.snapshot(), &tel, Structure::Map);
+    tel.counters.ops_for(structure)
+}
+
+/// Per-shard counts, in index order.
+fn ops(shards: &TallySnapshot) -> Vec<u64> {
+    shards.per_partition.iter().map(|p| p.ops).collect()
+}
+
+fn assert_exact(per_shard: &[u64], counted: u64) {
+    let total = THREADS * OPS;
+    assert_eq!(per_shard.iter().sum::<u64>(), total);
+    assert_eq!(counted, total);
+    // 64 keys over the shards: every shard took some of the ops.
+    assert!(per_shard.iter().all(|&n| n > 0), "{per_shard:?}");
 }
 
 #[test]
-fn sharded_skiplist_tally_is_exact_once_joined() {
+fn sharded_map_shard_ops_are_exact_once_joined() {
+    let _g = serial();
+    let map: ShardedMap<u64, u64> = ShardedMap::new(4, 16);
+    let counted = mixed_ops(&map, Structure::Map);
+    let per_shard: Vec<u64> = map.snapshot().iter().map(|s| s.merged().ops).collect();
+    assert_eq!(per_shard.len(), 4);
+    assert_exact(&per_shard, counted);
+}
+
+#[test]
+fn sharded_skiplist_shard_ops_are_exact_once_joined() {
     let _g = serial();
     let map: ShardedSkipList<u64, u64> = ShardedSkipList::new(4);
-    let ((), tel) = Registry::join_and_snapshot(|| {
-        thread::scope(|s| {
-            for t in 0..THREADS {
-                let map = &map;
-                s.spawn(move || {
-                    let h = map.handle();
-                    mixed_ops!(h, t);
-                });
-            }
-        });
-    });
-    assert_tally_matches_counters(&map.snapshot(), &tel, Structure::SkipList);
+    let counted = mixed_ops(&map, Structure::SkipList);
+    let snap = map.snapshot();
+    assert_eq!(snap.merged().ops, THREADS * OPS);
+    assert_exact(&ops(&snap), counted);
 }
 
 #[test]
 fn live_and_dropped_handles_both_show_in_a_snapshot() {
     let _g = serial();
-    let buckets: BucketMap<u64, u64> = BucketMap::new(8);
-    let shards: ShardedSkipList<u64, u64> = ShardedSkipList::new(4);
-    let (hb, hs) = (buckets.handle(), shards.handle());
+    let hashed: ShardedMap<u64, u64> = ShardedMap::new(4, 8);
+    let ordered: ShardedSkipList<u64, u64> = ShardedSkipList::new(4);
+    let map_ops = || -> u64 { hashed.snapshot().iter().map(|s| s.merged().ops).sum() };
+    let (hh, ho) = (hashed.handle(), ordered.handle());
     for k in 0..10u64 {
-        assert!(hb.insert(k, k).is_ok());
-        assert!(hs.insert(k, k).is_ok());
+        assert!(hh.insert(k, k).is_ok());
+        assert!(ho.insert(k, k).is_ok());
     }
     // Both handles are still alive.
-    assert_eq!(buckets.snapshot().merged().ops, 10);
-    assert_eq!(shards.snapshot().merged().ops, 10);
-    for (i, p) in buckets.snapshot().per_partition.iter().enumerate() {
-        assert_eq!(p.ops as usize, p.occupancy, "bucket {i}");
+    assert_eq!(map_ops(), 10);
+    assert_eq!(ordered.snapshot().merged().ops, 10);
+    for (i, s) in hashed.snapshot().iter().enumerate() {
+        let s = s.merged();
+        assert_eq!(s.ops as usize, s.occupancy, "map shard {i}");
+    }
+    for (i, s) in ordered.snapshot().per_partition.iter().enumerate() {
+        assert_eq!(s.ops as usize, s.occupancy, "skip shard {i}");
     }
 
     // A dropped handle's counts stay; its successor adds to them.
-    drop((hb, hs));
-    assert_eq!(buckets.handle().get(&3), Some(3));
-    assert_eq!(shards.handle().get(&3), Some(3));
-    assert_eq!(buckets.snapshot().merged().ops, 11);
-    assert_eq!(shards.snapshot().merged().ops, 11);
+    drop((hh, ho));
+    assert_eq!(hashed.handle().get(&3), Some(3));
+    assert_eq!(ordered.handle().get(&3), Some(3));
+    assert_eq!(map_ops(), 11);
+    assert_eq!(ordered.snapshot().merged().ops, 11);
+    let three = ordered.shard_of(&3);
+    assert_eq!(
+        ordered.snapshot().per_partition[three].ops as usize,
+        ordered.snapshot().per_partition[three].occupancy + 1
+    );
+    let three = hashed.shard_of(&3);
+    let s = hashed.snapshot()[three].merged();
+    assert_eq!(s.ops as usize, s.occupancy + 1);
 }
